@@ -366,32 +366,20 @@ class CompiledArtifact:
         construction uses the prebuilt tables, so no derivation pass
         (match table, CSR, validation) runs.
         """
-        from repro.sim.backends import choose_backend_name
-        from repro.sim.backends.bitparallel import BitParallelKernel
-        from repro.sim.backends.native import dense_backend
-        from repro.sim.backends.sparse import SparseKernel
+        from repro.errors import SimulationError
+        from repro.sim.backends import get_backend
         from repro.sim.engine import Engine
 
         automaton = self.automaton()
         name = backend or self.backend or self.options.backend or "sparse"
-        if name == "auto":
-            name = choose_backend_name(automaton)
-            if name == "bitparallel":
-                # dense family resolves to the compiled loop when this
-                # host can load it (same upgrade AutoBackend applies)
-                name = dense_backend().name
-        tables = self.kernel_tables()
-        if name == "native":
-            # degrades to a plain BitParallelKernel on hosts without
-            # the compiled library — artifacts recorded as "native"
-            # stay loadable anywhere
-            kernel = dense_backend().from_tables(automaton, tables)
-        elif name == "bitparallel":
-            kernel = BitParallelKernel(automaton, tables=tables)
-        elif name == "sparse":
-            kernel = SparseKernel(automaton, tables=tables)
-        else:
-            raise ArtifactError(f"unknown kernel backend {name!r}")
+        # "native" degrades to a plain BitParallelKernel on hosts
+        # without the compiled library, so artifacts recorded as
+        # "native" stay loadable anywhere
+        try:
+            rebuild = get_backend(name).from_tables
+        except (SimulationError, AttributeError):
+            raise ArtifactError(f"unknown kernel backend {name!r}") from None
+        kernel = rebuild(automaton, self.kernel_tables())
         return Engine.from_kernel(kernel, **engine_kwargs)
 
     def program(self):

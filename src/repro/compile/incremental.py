@@ -150,10 +150,12 @@ class ComposedRuleset:
         re-derived from scratch.
         """
         from repro.service.sharding import Shard
-        from repro.sim.backends.base import KernelTables
+        from repro.sim.backends import KernelTables, get_backend
+        from repro.sim.engine import Engine
 
-        if backend is None:
-            backend = self.options.backend or "sparse"
+        rebuild = get_backend(
+            backend or self.options.backend or "sparse"
+        ).from_tables
         groups = balanced_component_groups(
             [c.states for c in self.components], num_shards
         )
@@ -170,40 +172,15 @@ class ComposedRuleset:
                 global_ids.extend(part.states)
                 tables.append(part.artifact.kernel_tables())
                 sizes.append(len(part.states))
-            engine = engine_from_tables(
-                merged, KernelTables.concat(tables, sizes), backend
-            )
             shards.append(
                 Shard(index=index, automaton=merged, global_ids=global_ids)
             )
-            engines.append(engine)
+            engines.append(
+                Engine.from_kernel(
+                    rebuild(merged, KernelTables.concat(tables, sizes))
+                )
+            )
         return shards, engines
-
-
-def engine_from_tables(automaton: Automaton, tables, backend: str):
-    """Build an :class:`Engine` from precomputed tables, like
-    :meth:`CompiledArtifact.engine` — same backend dispatch, including
-    the ``auto`` policy's dense-family upgrade."""
-    from repro.sim.backends import choose_backend_name
-    from repro.sim.backends.bitparallel import BitParallelKernel
-    from repro.sim.backends.native import dense_backend
-    from repro.sim.backends.sparse import SparseKernel
-    from repro.sim.engine import Engine
-
-    name = backend or "sparse"
-    if name == "auto":
-        name = choose_backend_name(automaton)
-        if name == "bitparallel":
-            name = dense_backend().name
-    if name == "native":
-        kernel = dense_backend().from_tables(automaton, tables)
-    elif name == "bitparallel":
-        kernel = BitParallelKernel(automaton, tables=tables)
-    elif name == "sparse":
-        kernel = SparseKernel(automaton, tables=tables)
-    else:
-        raise ConfigError(f"unknown execution backend {name!r}")
-    return Engine.from_kernel(kernel)
 
 
 @dataclass

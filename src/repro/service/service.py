@@ -102,7 +102,8 @@ class ServiceResult:
     num_shards: int
     #: True when the compiled shard engines were already resident
     cached: bool
-    #: resolved kernel name per shard ("sparse" / "bitparallel")
+    #: resolved kernel name per shard ("sparse", "bitparallel" or
+    #: "native")
     backends: list[str] = field(default_factory=list)
     #: True when the kept-reports cap truncated recording
     truncated: bool = False

@@ -194,7 +194,8 @@ class Dispatcher:
                 execution backend for the shard engines.  ``"auto"``
                 resolves *per shard*: each shard's sub-automaton is
                 sized and density-estimated independently, so one
-                ruleset can mix sparse and bit-parallel kernels.
+                ruleset can mix the sparse kernel and the packed
+                family (native when the compiled loop loads).
             ``mp_start_method``
                 multiprocessing start method for the worker pool (None
                 = platform default).  Under ``spawn`` (or

@@ -13,22 +13,26 @@ Shipped backends:
 
 ``sparse``
     Active-state index sets over the successor CSR — cost follows the
-    active set.  Best at the few-percent active fractions of the
-    paper's benchmarks.
+    active set.  The reference kernel, the numpy choice at the
+    few-percent active fractions of the paper's benchmarks, and the
+    only one without a state-count limit.
 ``bitparallel``
     Packed uint64 state bitmaps with precomputed per-symbol match masks
     and per-state successor rows — cost follows ``n/64`` words, with no
-    sorting.  Best on dense-activity workloads.
+    sorting.  The numpy choice on dense-activity workloads.
 ``native``
     The bit-parallel step loop compiled to machine code (a C extension
     built at install time, or compiled at runtime via ctypes) — same
-    tables, same semantics, no per-cycle interpreter cost.  Degrades
+    tables, same semantics, no per-cycle interpreter cost, and work
+    that follows the active set instead of the row width.  Degrades
     to ``bitparallel`` when no compiled library is loadable, so it is
     always safe to request.
 ``auto``
-    Picks per automaton (per *shard*, under the dispatcher) from the
-    state count and the estimated or measured active fraction; dense
-    choices resolve to ``native`` whenever the compiled loop loads.
+    Resolves per automaton (per *shard*, under the dispatcher) to one
+    concrete kernel from the state count and the estimated or measured
+    active fraction: ``sparse`` below the crossover, above it
+    ``native`` whenever the compiled loop loads and ``bitparallel``
+    otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from repro.errors import SimulationError
 from repro.sim.backends.auto import (
     DENSE_ACTIVITY_THRESHOLD,
+    KERNEL_BACKENDS,
     AutoBackend,
     choose_backend_name,
 )
@@ -71,9 +76,7 @@ from repro.sim.backends.sparse import SparseBackend, SparseKernel
 
 #: the selectable backends, by registry name
 BACKENDS: dict[str, ExecutionBackend] = {
-    "sparse": SparseBackend(),
-    "bitparallel": BitParallelBackend(),
-    "native": NativeBackend(),
+    **KERNEL_BACKENDS,
     "auto": AutoBackend(),
 }
 

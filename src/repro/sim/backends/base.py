@@ -491,7 +491,7 @@ class KernelTables:
             return tables[0]
         n = sum(sizes)
         words = bitwords.num_words(n)
-        match_bool = np.zeros((256, words * 64), dtype=np.uint8)
+        match_words = np.zeros((256, words), dtype=np.uint64)
         offsets = np.zeros(n + 1, dtype=np.int64)
         targets_parts: list[np.ndarray] = []
         start_all_parts: list[np.ndarray] = []
@@ -499,31 +499,28 @@ class KernelTables:
         reporting = np.zeros(n, dtype=bool)
         report_codes: list = []
         have_succ_words = all(t.succ_words is not None for t in tables)
-        succ_bool = (
-            np.zeros((n, words * 64), dtype=np.uint8) if have_succ_words else None
+        succ_words = (
+            np.zeros((n, words), dtype=np.uint64) if have_succ_words else None
         )
         pos = 0
         nnz = 0
         for block, size in zip(tables, sizes):
             block.check(size)
-            match_bool[:, pos : pos + size] = block.match_bool(size)
+            bitwords.or_shifted(match_words, block.match_words, size, pos)
             offsets[pos + 1 : pos + size + 1] = block.succ_offsets[1:] + nnz
             targets_parts.append(block.succ_targets.astype(np.int64) + pos)
             start_all_parts.append(block.start_all.astype(np.int64) + pos)
             start_sod_parts.append(block.start_sod.astype(np.int64) + pos)
             reporting[pos : pos + size] = block.reporting
             report_codes.extend(block.report_codes)
-            if succ_bool is not None:
-                rows = np.unpackbits(
-                    block.succ_words.view(np.uint8), axis=1, bitorder="little"
+            if succ_words is not None:
+                bitwords.or_shifted(
+                    succ_words[pos : pos + size], block.succ_words, size, pos
                 )
-                succ_bool[pos : pos + size, pos : pos + size] = rows[:, :size]
             nnz += int(block.succ_offsets[-1])
             pos += size
         return cls(
-            match_words=np.packbits(
-                match_bool, axis=1, bitorder="little"
-            ).view(np.uint64),
+            match_words=match_words,
             succ_offsets=offsets,
             succ_targets=(
                 np.concatenate(targets_parts)
@@ -534,11 +531,7 @@ class KernelTables:
             start_sod=np.concatenate(start_sod_parts),
             reporting=reporting,
             report_codes=report_codes,
-            succ_words=(
-                np.packbits(succ_bool, axis=1, bitorder="little").view(np.uint64)
-                if succ_bool is not None
-                else None
-            ),
+            succ_words=succ_words,
         )
 
     def check(self, n: int) -> "KernelTables":
@@ -683,7 +676,8 @@ class CompiledKernel(ABC):
     sessions.
     """
 
-    #: resolved backend name ("sparse" / "bitparallel"), set per kernel
+    #: resolved backend name ("sparse" / "bitparallel" / "native"),
+    #: set per kernel
     name: str
 
     def __init__(self, automaton) -> None:

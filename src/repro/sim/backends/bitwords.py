@@ -123,6 +123,50 @@ def unpack_rows(words: np.ndarray, n: int) -> list[np.ndarray]:
     return np.split(ids.astype(np.int64), np.cumsum(counts)[:-1])
 
 
+def nonzero_word_summary(words: np.ndarray) -> np.ndarray:
+    """One bit per *word* of a ``(rows, words)`` packed matrix: bit
+    ``w`` of a row's summary is set iff word ``w`` of the row is
+    non-zero.  Shape ``(rows, num_words(words))``."""
+    rows, width = words.shape
+    flags = np.zeros((rows, num_words(width) * WORD_BITS), dtype=np.uint8)
+    flags[:, :width] = words != 0
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+
+
+def nonzero_word_spans(words: np.ndarray) -> np.ndarray:
+    """Per row of a ``(rows, words)`` packed matrix, the tightest word
+    slice holding all its set bits, as ``(first, count)`` int32 pairs;
+    ``(0, 0)`` for an all-zero row."""
+    width = words.shape[1]
+    nonzero = words != 0
+    first = nonzero.argmax(axis=1)
+    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    count = np.where(nonzero.any(axis=1), last - first + 1, 0)
+    return np.stack([first, count], axis=1).astype(np.int32)
+
+
+def or_shifted(
+    out: np.ndarray, block: np.ndarray, nbits: int, shift: int
+) -> None:
+    """OR the low ``nbits`` bits of each row of a packed ``(rows,
+    num_words(nbits))`` matrix into ``out`` (same rows, wide enough for
+    ``shift + nbits`` bits), every bit index raised by ``shift``.  The
+    packed words are shifted directly; nothing is unpacked to bit
+    level."""
+    tail = nbits % WORD_BITS
+    if tail:
+        # padding bits are not ours to place
+        block = block.copy()
+        block[:, -1] &= np.uint64((1 << tail) - 1)
+    word, bit = divmod(shift, WORD_BITS)
+    out[:, word : word + block.shape[1]] |= block << np.uint64(bit)
+    if bit:
+        # what the left shift pushed out of each word carries into the
+        # next one (the last word's carry is empty when it has no slot)
+        carry = block[:, : out.shape[1] - word - 1] >> np.uint64(WORD_BITS - bit)
+        out[:, word + 1 : word + 1 + carry.shape[1]] |= carry
+
+
 def any_bits(words: np.ndarray) -> bool:
     """True when at least one bit is set."""
     return bool(words.any())

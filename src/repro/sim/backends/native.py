@@ -4,7 +4,12 @@
 cycle — successor-row OR-reduce, per-symbol match mask AND, report
 extraction — as one plain-C function called through ctypes, removing
 the per-cycle numpy dispatch the pure-python :class:`BitParallelKernel`
-pays.  The shared object is found two ways, tried in order:
+pays, with per-cycle work that follows the active set rather than the
+row width: :meth:`NativeKernel._bind_native` derives, once per kernel
+and from the dense tables every kernel already has, each state's
+non-zero successor span and the always-enabled starts' per-symbol
+contribution (see the C file's header).  The shared object is found
+two ways, tried in order:
 
 1. the extension module ``repro.sim.backends._cama_native`` built at
    install time by ``setup.py`` (its Python surface is an empty shell;
@@ -49,7 +54,7 @@ from repro.sim.backends.base import (
     StepResult,
     normalize_batch_caps,
 )
-from repro.sim.backends.bitparallel import BitParallelBackend, BitParallelKernel
+from repro.sim.backends.bitparallel import BitParallelKernel
 from repro.sim.reports import Report
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
@@ -61,6 +66,13 @@ ENV_SWITCH = "REPRO_NATIVE"
 #: report-buffer floor: large enough that buffer drains are rare, small
 #: enough (64 KB of int64 pairs) to allocate per call without thought
 _REPORT_BUFFER_FLOOR = 4096
+
+#: dtypes of the ``cama_tables`` arrays that are not uint64 bitmaps
+_C_DTYPES = {
+    "succ_span": np.int32,
+    "start_active": np.int64,
+    "start_reports": np.uint8,
+}
 
 _SOURCE_PATH = Path(__file__).with_name("cama_kernel.c")
 _EXT_MODULE = "repro.sim.backends._cama_native"
@@ -145,17 +157,31 @@ def _runtime_build() -> Path | None:
     return lib_path
 
 
+class _CamaTables(ctypes.Structure):
+    """``cama_tables`` of ``cama_kernel.c``, field for field."""
+
+    _fields_ = [
+        ("match_words", ctypes.c_void_p),
+        ("succ_rows", ctypes.c_void_p),
+        ("succ_span", ctypes.c_void_p),
+        ("start_all", ctypes.c_void_p),
+        ("start_first", ctypes.c_void_p),
+        ("reporting", ctypes.c_void_p),
+        ("start_match", ctypes.c_void_p),
+        ("start_summary", ctypes.c_void_p),
+        ("start_active", ctypes.c_void_p),
+        ("start_reports", ctypes.c_void_p),
+        ("words", ctypes.c_int64),
+        ("start_enabled", ctypes.c_int64),
+        ("nrep_total", ctypes.c_int64),
+    ]
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.cama_run_chunk
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        ctypes.c_void_p,  # match_words
-        ctypes.c_void_p,  # succ_rows
-        ctypes.c_void_p,  # start_all
-        ctypes.c_void_p,  # start_first
-        ctypes.c_void_p,  # reporting
-        ctypes.c_int64,  # words
-        ctypes.c_int64,  # nrep_total
+        ctypes.POINTER(_CamaTables),  # tables
         ctypes.c_void_p,  # data
         ctypes.c_int64,  # length
         ctypes.c_int64,  # start_offset
@@ -240,34 +266,50 @@ class NativeKernel(BitParallelKernel):
 
     def _bind_native(self) -> None:
         self._lib = load_native()
-        self._nrep_total = int(bitwords.popcount(self._reporting_words))
-        # the exact C-contiguous uint64 buffers the C loop reads; when
-        # the inherited tables are already contiguous these are views
-        self._c_match = np.ascontiguousarray(self._match_words, dtype=np.uint64)
-        self._c_succ = np.ascontiguousarray(self._succ_rows, dtype=np.uint64)
-        self._c_start_all = np.ascontiguousarray(
-            self._start_all_words, dtype=np.uint64
-        )
-        self._c_start_first = np.ascontiguousarray(
-            self._start_first_words, dtype=np.uint64
-        )
-        self._c_reporting = np.ascontiguousarray(
-            self._reporting_words, dtype=np.uint64
+        if self._lib is None:
+            return
+        start_all = self._start_all_words
+        reporting = self._reporting_words
+        # what the C loop needs to make a cycle's cost follow the
+        # active set (see the cama_kernel.c header), derived from the
+        # dense tables: each state's non-zero successor slice, and the
+        # always-enabled starts' per-symbol contribution
+        start_match = self._match_words & start_all
+        arrays = {
+            "match_words": self._match_words,
+            "succ_rows": self._succ_rows,
+            "succ_span": bitwords.nonzero_word_spans(self._succ_rows),
+            "start_all": start_all,
+            "start_first": self._start_first_words,
+            "reporting": reporting,
+            "start_match": start_match,
+            "start_summary": bitwords.nonzero_word_summary(start_match),
+            "start_active": bitwords.popcount_rows(start_match),
+            "start_reports": (start_match & reporting).any(axis=1),
+        }
+        # the exact C-contiguous buffers the struct points into, kept
+        # alive with it; contiguous inherited tables stay views
+        self._c_arrays = {
+            name: np.ascontiguousarray(
+                array, dtype=_C_DTYPES.get(name, np.uint64)
+            )
+            for name, array in arrays.items()
+        }
+        self._nrep_total = int(bitwords.popcount(reporting))
+        self._c_tables = _CamaTables(
+            words=self._num_words,
+            start_enabled=int(bitwords.popcount(start_all)),
+            nrep_total=self._nrep_total,
+            **{name: a.ctypes.data for name, a in self._c_arrays.items()},
         )
 
-    # ctypes handles don't pickle; drop them and re-probe on arrival.
-    # A kernel landing on a host without the native library keeps
-    # working: _lib stays None and run_chunk uses the numpy path.
+    # ctypes handles and raw pointers don't pickle; drop them and
+    # re-probe (and re-derive the C-side tables) on arrival.  A kernel
+    # landing on a host without the native library keeps working: _lib
+    # stays None and run_chunk uses the numpy path.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in (
-            "_lib",
-            "_c_match",
-            "_c_succ",
-            "_c_start_all",
-            "_c_start_first",
-            "_c_reporting",
-        ):
+        for key in ("_lib", "_c_arrays", "_c_tables"):
             state.pop(key, None)
         return state
 
@@ -279,8 +321,10 @@ class NativeKernel(BitParallelKernel):
         # capacity >= nrep_total guarantees the C loop always makes
         # progress (see the pause contract in cama_kernel.c)
         capacity = max(_REPORT_BUFFER_FLOOR, self._nrep_total)
+        # workspace: the successor OR plus two one-bit-per-word summaries
+        words = self._num_words
         return (
-            np.empty(self._num_words, dtype=np.uint64),
+            np.empty(words + 2 * bitwords.num_words(words), dtype=np.uint64),
             np.empty(capacity, dtype=np.int64),
             np.empty(capacity, dtype=np.int64),
         )
@@ -305,21 +349,14 @@ class NativeKernel(BitParallelKernel):
         lib = self._lib
         length = int(symbols.size)
         capacity = int(rep_cycles.size)
-        counters = np.zeros(5, dtype=np.int64)
+        counters = np.empty(5, dtype=np.int64)
         codes = self._report_codes
         enabled_sum = active_sum = fired = 0
         truncated = False
         offset = 0
         while offset < length:
-            counters[:] = 0
             next_offset = lib.cama_run_chunk(
-                self._c_match.ctypes.data,
-                self._c_succ.ctypes.data,
-                self._c_start_all.ctypes.data,
-                self._c_start_first.ctypes.data,
-                self._c_reporting.ctypes.data,
-                self._num_words,
-                self._nrep_total,
+                self._c_tables,
                 symbols.ctypes.data,
                 length,
                 offset,
@@ -479,12 +516,3 @@ class NativeBackend:
             _NATIVE_FALLBACKS.labels("from_tables").inc()
             return BitParallelKernel(automaton, tables=tables)
         return NativeKernel(automaton, tables=tables)
-
-
-def dense_backend() -> "NativeBackend | BitParallelBackend":
-    """The packed-bitmap backend family's best member on this host:
-    native when the compiled loop loads, pure-numpy otherwise.  The
-    ``auto`` policy and artifact loading both resolve through this."""
-    if native_available():
-        return NativeBackend()
-    return BitParallelBackend()

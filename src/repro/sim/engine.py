@@ -6,8 +6,9 @@ statistics the energy models need.  Execution itself is delegated to a
 pluggable backend (:mod:`repro.sim.backends`): the ``sparse`` kernel
 propagates active-state index sets (right for few-percent active
 fractions, the paper's benchmark regime), the ``bitparallel`` kernel
-steps packed uint64 state bitmaps (right for dense activity), and
-``auto`` picks per automaton.
+steps packed uint64 state bitmaps (right for dense activity), the
+``native`` kernel is that loop in C with work following the active set,
+and ``auto`` resolves per automaton to one of them.
 
 Per-cycle semantics (identical to AP/CA/Impala/eAP/CAMA, and identical
 across backends — enforced by the cross-backend property tests):
@@ -404,11 +405,12 @@ class StridedEngine:
                 "strided-specific)"
             )
         name = backend
+        # the compiled loop has no strided product-class step: auto's
+        # dense choice is the numpy packed kernel, and an explicit
+        # native request degrades to the same representation
         if name == "auto":
-            name = choose_backend_name(strided)
+            name = choose_backend_name(strided, compiled_loop=False)
         if name == "native":
-            # the compiled loop has no strided product-class step;
-            # the request degrades to the same packed representation
             name = "bitparallel"
         if name not in ("sparse", "bitparallel"):
             raise SimulationError(

@@ -19,6 +19,7 @@ from repro.automata.glushkov import compile_regex_set, glushkov_nfa
 from repro.automata.nfa import Automaton, StartKind
 from repro.automata.striding import pad_input, stride2
 from repro.automata.symbols import SymbolClass
+from repro.api.config import ScanConfig
 from repro.errors import SimulationError
 from repro.service import Dispatcher, MatchingService, RulesetManager
 from repro.sim.backends import (
@@ -31,17 +32,20 @@ from repro.sim.backends import (
     get_backend,
 )
 from repro.sim.backends import bitwords
-from repro.sim.backends.native import native_available
+from repro.sim.backends.native import native_available, native_status
 from repro.sim.engine import Engine, StridedEngine, cached_successor_csr
 from repro.sim.trace import PartitionAssignment
+from repro.telemetry.metrics import default_registry
 from repro.workloads import BENCHMARK_NAMES, get_benchmark
 from repro.workloads.generators import dense_activity_automaton
 
 TEST_SCALE = 1.0 / 64.0
 
-#: the kernel the dense family resolves to on this host — the auto
-#: policy upgrades "bitparallel" choices to the compiled C loop when
-#: it is loadable (see repro.sim.backends.native.dense_backend)
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"compiled kernel not loadable here ({native_status()})",
+)
+#: what the auto policy's dense choice resolves to on this host
 DENSE_KERNEL = "native" if native_available() else "bitparallel"
 
 
@@ -255,35 +259,82 @@ class TestRegistryBenchmarkEquivalence:
 
 
 class TestAutoPolicy:
+    """``auto`` resolves to a concrete kernel: sparse below the
+    activity crossover, above it the compiled loop where it loads and
+    the numpy packed kernel where it does not."""
+
     def test_low_activity_automata_take_sparse(self):
-        # narrow classes -> tiny expected activity -> the sparse kernel
+        # narrow classes -> tiny expected activity -> the sparse kernel,
+        # with or without the compiled loop
         nfa = glushkov_nfa("abc")
         assert choose_backend_name(nfa) == "sparse"
         assert Engine(nfa, backend="auto").backend_name == "sparse"
-
-    def test_small_dense_automaton_takes_bitparallel(self):
-        dense = dense_activity_automaton(48, chain_length=16, match_width=230)
-        assert choose_backend_name(dense) == "bitparallel"
-        assert Engine(dense, backend="auto").backend_name == DENSE_KERNEL
-
-    def test_sparse_regime_benchmark_takes_sparse(self):
         bench = get_benchmark("Snort", scale=TEST_SCALE)
         assert choose_backend_name(bench.automaton) == "sparse"
 
-    def test_dense_workload_takes_bitparallel(self):
+    @needs_native
+    def test_dense_automata_take_the_compiled_loop(self):
+        small = dense_activity_automaton(48, chain_length=16, match_width=230)
+        assert choose_backend_name(small) == "native"
+        assert Engine(small, backend="auto").backend_name == "native"
         dense = dense_activity_automaton(512)
         assert estimate_active_fraction(dense) >= DENSE_ACTIVITY_THRESHOLD
-        assert choose_backend_name(dense) == "bitparallel"
+        assert choose_backend_name(dense) == "native"
+
+    @needs_native
+    def test_served_default_resolves_through_the_policy(self):
+        dense = dense_activity_automaton(48, chain_length=16, match_width=230)
+        assert ScanConfig().backend == "auto"
+        result = MatchingService(ScanConfig()).scan(dense, b"abcdabcd")
+        assert result.backends == ["native"]
+
+    @needs_native
+    def test_auto_choice_is_counted_under_the_kernel_name(self):
+        def native_choices():
+            family = default_registry().collect()[
+                "repro_backend_auto_choices_total"
+            ]
+            return family["samples"].get(("native",), 0.0)
+
+        before = native_choices()
+        choose_backend_name(
+            dense_activity_automaton(48, chain_length=16, match_width=230)
+        )
+        assert native_choices() == before + 1
+
+    def test_dense_automata_take_bitparallel_without_the_loop(
+        self, no_native
+    ):
+        small = dense_activity_automaton(48, chain_length=16, match_width=230)
+        assert choose_backend_name(small) == "bitparallel"
+        assert Engine(small, backend="auto").backend_name == "bitparallel"
+        assert choose_backend_name(glushkov_nfa("abc")) == "sparse"
 
     def test_measured_fraction_overrides_estimate(self):
         bench = get_benchmark("Snort", scale=TEST_SCALE)
         assert (
             choose_backend_name(bench.automaton, active_fraction=0.5)
-            == "bitparallel"
+            == DENSE_KERNEL
         )
         dense = dense_activity_automaton(512)
         assert (
             choose_backend_name(dense, active_fraction=0.001) == "sparse"
+        )
+
+    def test_strided_auto_keeps_the_numpy_crossover(self):
+        # no strided C step: auto chooses between the numpy strategies
+        # whatever the host loads, and explicit native maps to packed
+        narrow = stride2(glushkov_nfa("abcd"))
+        assert StridedEngine(narrow, backend="auto").backend_name == "sparse"
+        dense = stride2(
+            dense_activity_automaton(48, chain_length=16, match_width=230)
+        )
+        assert (
+            StridedEngine(dense, backend="auto").backend_name == "bitparallel"
+        )
+        assert (
+            StridedEngine(narrow, backend="native").backend_name
+            == "bitparallel"
         )
 
     def test_huge_automata_stay_sparse(self):
@@ -292,6 +343,7 @@ class TestAutoPolicy:
                 return MAX_BITPARALLEL_STATES + 1
 
         assert choose_backend_name(FakeHuge()) == "sparse"
+        assert choose_backend_name(FakeHuge(), compiled_loop=False) == "sparse"
 
     def test_explicit_bitparallel_fails_fast_above_limit(self):
         class FakeHuge:

@@ -12,7 +12,9 @@ Three layers under test:
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.api.config import ScanConfig
@@ -34,7 +36,10 @@ from repro.compile import (
 )
 from repro.errors import ConfigError
 from repro.service import MatchingService
+from repro.sim.backends import KernelTables, bitwords, get_backend
 from repro.sim.engine import Engine
+from repro.workloads import get_benchmark
+from test_backends import random_automaton
 from tests.oracle import oracle_run
 
 RULES = {
@@ -65,6 +70,91 @@ def report_keys(reports):
 
 def ruleset(rules, name="ruleset"):
     return compile_regex_set(rules, name=name)
+
+
+# -- block-diagonal table composition ---------------------------------------
+
+
+def _concat_bits_reference(tables, sizes):
+    """``KernelTables.concat``'s packed outputs, built the obvious way:
+    unpack every block to bits, place it on the diagonal of a dense
+    ``n x n`` byte matrix, pack the result."""
+    n = sum(sizes)
+    width = bitwords.num_words(n) * 64
+    match_bits = np.zeros((256, width), dtype=np.uint8)
+    succ_bits = np.zeros((n, width), dtype=np.uint8)
+    pos = 0
+    for block, size in zip(tables, sizes):
+        match_bits[:, pos : pos + size] = np.unpackbits(
+            block.match_words.view(np.uint8), axis=1, bitorder="little"
+        )[:, :size]
+        succ_bits[pos : pos + size, pos : pos + size] = np.unpackbits(
+            block.succ_words.view(np.uint8), axis=1, bitorder="little"
+        )[:, :size]
+        pos += size
+    return tuple(
+        np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        for bits in (match_bits, succ_bits)
+    )
+
+
+class TestKernelTablesConcat:
+    def test_snort_components_compose_without_an_n_by_n_byte_matrix(self):
+        automaton = get_benchmark("Snort", scale=1.0 / 32.0).automaton
+        composed = IncrementalCompiler(
+            options=PipelineOptions(backend="native", optimize=False)
+        ).compile(automaton)
+        tables = [c.artifact.kernel_tables() for c in composed.components]
+        sizes = [len(c.states) for c in composed.components]
+        assert len(tables) > 50 and sum(sizes) > 2048
+        tracemalloc.start()
+        try:
+            merged = KernelTables.concat(tables, sizes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense n x n staging matrix alone was 7 MB here
+        assert peak < 3_000_000
+        match_words, succ_words = _concat_bits_reference(tables, sizes)
+        assert merged.match_words.tobytes() == match_words.tobytes()
+        assert merged.succ_words.tobytes() == succ_words.tobytes()
+        merged.check(sum(sizes))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_landing_on_every_word_alignment(self, seed):
+        rng = random.Random(seed)
+        sizes = [
+            rng.choice([1, 2, 31, 63, 64, 65, 100, 127, 128, 129, 200])
+            for _ in range(rng.randint(2, 7))
+        ]
+        tables = [
+            get_backend("bitparallel")
+            .compile(random_automaton(rng, size))
+            .export_tables()
+            for size in sizes
+        ]
+        merged = KernelTables.concat(tables, sizes)
+        match_words, succ_words = _concat_bits_reference(tables, sizes)
+        assert np.array_equal(merged.match_words, match_words)
+        assert np.array_equal(merged.succ_words, succ_words)
+
+    def test_padding_bits_of_a_block_are_not_placed(self):
+        # a block whose words carry junk past its state count must not
+        # leak it into the next block's columns
+        rng = random.Random(3)
+        sizes = [5, 70]
+        tables = [
+            get_backend("bitparallel")
+            .compile(random_automaton(rng, size))
+            .export_tables()
+            for size in sizes
+        ]
+        clean = KernelTables.concat(tables, sizes)
+        tables[0].match_words = tables[0].match_words | np.uint64(0xFF00)
+        tables[0].succ_words = tables[0].succ_words | np.uint64(0xFF00)
+        dirty = KernelTables.concat(tables, sizes)
+        assert np.array_equal(dirty.match_words, clean.match_words)
+        assert np.array_equal(dirty.succ_words, clean.succ_words)
 
 
 # -- fingerprints ----------------------------------------------------------

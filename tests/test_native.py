@@ -9,6 +9,7 @@ artifact round trips.  It must also *degrade* identically: with
 out the numpy kernel, so requesting it is always safe.
 """
 
+import ctypes
 import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -19,19 +20,26 @@ import pytest
 from oracle import oracle_run
 from repro.api.config import CompileConfig, ScanConfig
 from repro.automata.glushkov import compile_regex_set
+from repro.automata.nfa import Automaton, StartKind
+from repro.automata.symbols import SymbolClass
 from repro.compile import CompiledArtifact, compile_ruleset
-from repro.sim.backends import BACKEND_NAMES, get_backend, native
+from repro.sim.backends import (
+    BACKEND_NAMES,
+    choose_backend_name,
+    get_backend,
+)
+from repro.sim.backends.base import BatchEngineState
 from repro.sim.backends.bitparallel import BitParallelKernel
 from repro.sim.backends.native import (
     NativeBackend,
     NativeKernel,
-    dense_backend,
     native_available,
     native_status,
 )
 from repro.sim.engine import Engine
 from test_backends import (
     dense_activity_automaton,
+    needs_native,
     random_automaton,
     random_chunks,
     random_input,
@@ -45,28 +53,12 @@ RULES = {
     "r4": "(a|b)c*d",
 }
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason=f"compiled kernel not loadable here ({native_status()})",
-)
-
-
 def _keys(reports):
     return [(r.cycle, r.state_id, r.code) for r in reports]
 
 
 def _active(state):
     return sorted(int(s) for s in state.active)
-
-
-@pytest.fixture
-def no_native(monkeypatch):
-    """Force the compiler-less world for one test, then re-probe."""
-    monkeypatch.setenv(native.ENV_SWITCH, "0")
-    native._reset_probe_cache()
-    yield
-    monkeypatch.undo()
-    native._reset_probe_cache()
 
 
 # -- registry / config surface ---------------------------------------------
@@ -188,6 +180,221 @@ def test_native_kernel_is_thread_safe():
     assert got == expected
 
 
+# -- the activity-proportional loop's edge geometry ------------------------
+#
+# The C loop ORs only each state's non-zero successor slice, hoists the
+# always-enabled starts into per-symbol tables and skips idle words
+# through summary bitmaps.  Every way those shortcuts could diverge
+# from the full-width cycle gets an automaton shaped to hit it:
+# reports against the naive oracle, statistics against the sparse
+# kernel, chunk by chunk.
+
+
+def _assert_differential(nfa, data, chunks=None, cap=1_000_000):
+    expected = oracle_run(nfa, data)
+    reference = Engine(nfa, backend="sparse")
+    candidate = Engine(nfa, backend="native")
+    ref_state = reference.initial_state()
+    cand_state = candidate.initial_state()
+    got = []
+    for chunk in chunks if chunks is not None else [data]:
+        ref = reference.run_chunk(chunk, ref_state, max_reports=cap)
+        cand = candidate.run_chunk(chunk, cand_state, max_reports=cap)
+        got.extend(cand.reports)
+        assert _keys(cand.reports) == _keys(ref.reports)
+        assert cand.truncated == ref.truncated
+        assert cand.stats.num_reports == ref.stats.num_reports
+        assert cand.stats.enabled_states_sum == ref.stats.enabled_states_sum
+        assert cand.stats.active_states_sum == ref.stats.active_states_sum
+        assert _active(cand_state) == _active(ref_state)
+        assert cand_state.position == ref_state.position
+    if cap >= expected.num_reports:
+        assert _keys(got) == _keys(expected.reports)
+    return candidate
+
+
+def _literal(nfa, text, *, start=StartKind.ALL_INPUT):
+    """Add a chain matching ``text``; returns its state ids."""
+    chain = []
+    for i, char in enumerate(text):
+        ste = nfa.add_state(
+            SymbolClass.from_symbols([ord(char)]),
+            start=start if i == 0 else StartKind.NONE,
+            reporting=i == len(text) - 1,
+            report_code=f"{text}@{len(nfa)}",
+        )
+        if chain:
+            nfa.add_transition(chain[-1], ste.ste_id)
+        chain.append(ste.ste_id)
+    return chain
+
+
+def test_component_straddling_a_word_boundary():
+    nfa = Automaton(name="straddle")
+    for _ in range(12):  # 60 states of filler: words 0 only
+        _literal(nfa, "zzzzx")
+    chain = _literal(nfa, "abcabcab")  # ids 60..67: words 0 and 1
+    assert chain[0] // 64 == 0 and chain[-1] // 64 == 1
+    nfa.add_transition(chain[-1], chain[0])  # and back across it
+    data = b"abcabcababcabcabzzzzxabcabcab" * 4
+    _assert_differential(nfa, data)
+    _assert_differential(nfa, data, chunks=[data[:3], data[3:64], data[64:]])
+
+
+def test_interleaved_numbering_gives_wide_and_empty_spans():
+    # three chains dealt out round-robin over ~7 words, so each state's
+    # successor sits words away from it; the fan state reaches words 0,
+    # 3 and 6 at once (span 7) and every chain end has no successor at
+    # all (span 0)
+    nfa = Automaton(name="interleaved")
+    texts = ["abcdefgh" * 18, "bcdefgha" * 18, "cdefghab" * 18]
+    ids = [[] for _ in texts]
+    for i in range(len(texts[0])):
+        for k, text in enumerate(texts):
+            last = i == len(text) - 1
+            ste = nfa.add_state(
+                SymbolClass.from_symbols([ord(text[i])]),
+                start=StartKind.ALL_INPUT if i == 0 else StartKind.NONE,
+                reporting=last or i % 8 == 7,
+                report_code=f"c{k}.{i}",
+            )
+            if ids[k]:
+                nfa.add_transition(ids[k][-1], ste.ste_id)
+            ids[k].append(ste.ste_id)
+    fan = ids[0][0]
+    nfa.add_transition(fan, ids[1][65])  # 'c' -> word 3
+    nfa.add_transition(fan, ids[2][128])  # 'c' -> word 6
+    kernel = Engine(nfa, backend="native").kernel
+    if isinstance(kernel, NativeKernel) and kernel._lib is not None:
+        spans = kernel._c_arrays["succ_span"]
+        assert spans[fan].tolist() == [0, 7]
+        assert spans[ids[0][-1]].tolist() == [0, 0]
+    rng = random.Random(31)
+    data = b"abcdefgh" * 20 + bytes(rng.choice(b"abcdefgh") for _ in range(300))
+    _assert_differential(nfa, data)
+    _assert_differential(nfa, data, chunks=random_chunks(rng, data))
+
+
+@pytest.mark.parametrize("shape", ["components", "random"])
+def test_more_than_64_words_uses_two_summary_words(shape):
+    rng = random.Random(6464)
+    if shape == "components":
+        # Snort-like: hundreds of small components, activity at both
+        # ends of the id range (summary words 0 and 1)
+        letters = "abcdef"
+        nfa = compile_regex_set(
+            {
+                f"r{i}": f"{letters[i % 6]}{letters[i // 6 % 6]}[a-f]{{10}}x"
+                for i in range(330)
+            },
+            name="wide",
+        )
+        data = bytes(rng.choice(b"abcdefx") for _ in range(400))
+    else:
+        nfa = random_automaton(rng, 4200)
+        data = random_input(rng, 120)
+    assert len(nfa) > 4096
+    _assert_differential(nfa, data)
+    _assert_differential(nfa, data, chunks=random_chunks(rng, data), cap=50)
+
+
+def test_start_of_data_across_cycle_zero_splits():
+    nfa = Automaton(name="anchored")
+    _literal(nfa, "abab", start=StartKind.START_OF_DATA)
+    _literal(nfa, "ab")
+    anchored_loop = _literal(nfa, "a", start=StartKind.START_OF_DATA)[0]
+    nfa.add_transition(anchored_loop, anchored_loop)
+    data = b"ababaaabab"
+    for chunks in (
+        [data],
+        [b"", data],  # nothing consumed: cycle 0 is still ahead
+        [data[:1], data[1:]],  # cycle 0 alone, resume at base 1
+        [b"", data[:1], b"", data[1:2], data[2:]],
+        [data[:5], data[5:]],  # resume well past cycle 0
+    ):
+        _assert_differential(nfa, data, chunks=chunks)
+    # a stream that starts elsewhere never sees the anchored states
+    engine = Engine(nfa, backend="native")
+    state = engine.initial_state()
+    state.position = 7
+    late = engine.run_chunk(data, state)
+    ref_state = Engine(nfa, backend="sparse").initial_state()
+    ref_state.position = 7
+    ref = Engine(nfa, backend="sparse").run_chunk(data, ref_state)
+    assert _keys(late.reports) == _keys(ref.reports)
+    assert late.stats.enabled_states_sum == ref.stats.enabled_states_sum
+
+
+def test_start_state_that_is_also_a_successor_is_counted_once():
+    # 1 is always enabled *and* enabled by 0 and by itself: the hoisted
+    # start count plus the successor pass must not count it twice
+    nfa = Automaton(name="double-count")
+    a = SymbolClass.from_symbols([ord("a")])
+    s0 = nfa.add_state(a, start=StartKind.ALL_INPUT).ste_id
+    s1 = nfa.add_state(
+        a, start=StartKind.ALL_INPUT, reporting=True, report_code="hit"
+    ).ste_id
+    s2 = nfa.add_state(
+        SymbolClass.from_symbols([ord("b")]), reporting=True, report_code="b"
+    ).ste_id
+    nfa.add_transition(s0, s1)
+    nfa.add_transition(s1, s1)
+    nfa.add_transition(s1, s2)
+    data = b"aaabaabbbaaa"
+    engine = _assert_differential(nfa, data)
+    result = engine.run(data)
+    # enabled each cycle: {0, 1} always, plus 2 after every 'a'
+    assert result.stats.enabled_states_sum == 2 * len(data) + data[:-1].count(
+        b"a"
+    )
+
+
+@pytest.mark.parametrize("cap", [0, 1, 4097, 5000, 8999, 20_000])
+def test_report_pause_resume_with_bursts_and_caps(cap):
+    """> 4096 reports in one chunk, three per firing cycle, so the C
+    buffer pauses mid-chunk; caps at 0, 1 and inside a burst."""
+    nfa = compile_regex_set({"r1": "a", "r2": "a", "r3": "[ab]"}, name="burst")
+    data = b"a" * 3000 + b"b" * 10
+    assert oracle_run(nfa, data).num_reports == 9010
+    _assert_differential(nfa, data, cap=cap)
+    _assert_differential(
+        nfa, data, chunks=[data[:1366], data[1366:1367], data[1367:]], cap=cap
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_step_batch_rows_equal_solo_run_chunk(seed):
+    rng = random.Random(5150 + seed)
+    nfa = random_automaton(rng, rng.choice([20, 64, 65, 200]))
+    kernel = get_backend("native").compile(nfa)
+    rows = 7
+    # rows at different stream positions: row 0 fresh (cycle 0 ahead),
+    # the rest resumed mid-stream with live active sets
+    states = [kernel.initial_state() for _ in range(rows)]
+    for state in states[1:]:
+        kernel.run_chunk(random_input(rng, rng.randint(1, 40)), state)
+    chunks = [random_input(rng, rng.choice([0, 1, 17, 90])) for _ in range(rows)]
+    caps = [rng.choice([0, 1, 5, 10_000]) for _ in range(rows)]
+    solo_states = [state.copy() for state in states]
+    solo = [
+        kernel.run_chunk(chunk, state, max_reports=cap)
+        for chunk, state, cap in zip(chunks, solo_states, caps)
+    ]
+    batch = BatchEngineState.attach(states, len(nfa))
+    batched = kernel.step_batch(chunks, batch, max_reports=caps)
+    for got, want, after, solo_state in zip(
+        batched, solo, batch.detach(), solo_states
+    ):
+        assert _keys(got.reports) == _keys(want.reports)
+        assert got.truncated == want.truncated
+        assert got.stats.num_cycles == want.stats.num_cycles
+        assert got.stats.num_reports == want.stats.num_reports
+        assert got.stats.enabled_states_sum == want.stats.enabled_states_sum
+        assert got.stats.active_states_sum == want.stats.active_states_sum
+        assert _active(after) == _active(solo_state)
+        assert after.position == solo_state.position
+
+
 # -- degradation -----------------------------------------------------------
 
 
@@ -196,7 +403,6 @@ def test_env_switch_degrades_to_pure_numpy(no_native):
     hands out plain BitParallelKernel objects and stays correct."""
     assert native_available() is False
     assert "unavailable" in native_status()
-    assert dense_backend().name == "bitparallel"
     nfa = compile_regex_set(RULES, name="degraded")
     kernel = get_backend("native").compile(nfa)
     assert type(kernel) is BitParallelKernel
@@ -208,19 +414,25 @@ def test_env_switch_degrades_to_pure_numpy(no_native):
 
 
 @needs_native
-def test_dense_backend_prefers_native():
-    assert dense_backend().name == "native"
-
-
-@needs_native
 def test_native_engine_pickle_round_trip():
-    """The ctypes handle is dropped on pickle and re-probed on load."""
+    """The ctypes handle and every C-side table (raw pointers into this
+    process) are dropped on pickle; arrival re-probes and re-derives."""
     nfa = compile_regex_set(RULES, name="pickle")
     engine = Engine(nfa, backend="native")
     data = b"abcddxfoobar123z" * 20
     expected = engine.run(data)
+    kernel = engine.kernel
+    pickled = kernel.__getstate__()
+    assert not {"_lib", "_c_tables", "_c_arrays"} & set(pickled)
+    assert not any(isinstance(v, ctypes.Structure) for v in pickled.values())
     clone = pickle.loads(pickle.dumps(engine))
     assert clone.backend_name == "native"
+    assert clone.kernel._c_arrays.keys() == kernel._c_arrays.keys()
+    for name, table in kernel._c_arrays.items():
+        rebuilt = clone.kernel._c_arrays[name]
+        assert rebuilt is not table
+        assert rebuilt.dtype == table.dtype
+        assert np.array_equal(rebuilt, table)
     result = clone.run(data)
     assert _keys(result.reports) == _keys(expected.reports)
     assert result.stats.num_reports == expected.stats.num_reports
@@ -266,14 +478,15 @@ def test_artifact_round_trip_with_native_backend():
     assert result.stats.num_reports == expected.num_reports
 
 
-def test_auto_artifact_engine_upgrades_dense_family():
-    """An artifact compiled with backend="auto" resolves its dense
-    choice through dense_backend() at load time."""
-    # a dense-activity automaton, so the family choice is bitparallel
+def test_auto_artifact_engine_resolves_at_load_time():
+    """An artifact compiled with backend="auto" records the kernel the
+    compiling host chose; asking for "auto" again at load time re-runs
+    the policy on the loading host."""
     nfa = dense_activity_automaton(48, chain_length=16, match_width=230)
     compiled = compile_ruleset(nfa, backend="auto")
     loaded = CompiledArtifact.from_bytes(
         CompiledArtifact.from_compiled(compiled).to_bytes()
     )
-    engine = loaded.engine()
-    assert engine.backend_name == dense_backend().name
+    here = choose_backend_name(nfa)
+    assert loaded.engine().backend_name == here
+    assert loaded.engine(backend="auto").backend_name == here
