@@ -10,6 +10,7 @@ directly:
 
 import time
 
+from repro.api import ScanConfig
 from repro.service import Dispatcher, MatchingService
 from repro.workloads import multi_stream_inputs
 
@@ -115,7 +116,7 @@ def test_warm_beats_cold_2x(ctx, bench_json):
 def test_monolithic_scan(benchmark, ctx):
     automaton = ctx.benchmark("Snort").automaton
     data = ctx.stream("Snort")
-    dispatcher = Dispatcher(automaton, num_shards=1)
+    dispatcher = Dispatcher(automaton, ScanConfig(num_shards=1))
     dispatcher.engines  # compile outside the measured region
     result = benchmark(dispatcher.scan, data, chunk_size=512)
     assert result.stats.num_cycles == len(data)
@@ -124,7 +125,7 @@ def test_monolithic_scan(benchmark, ctx):
 def test_sharded_scan(benchmark, ctx):
     automaton = ctx.benchmark("Snort").automaton
     data = ctx.stream("Snort")
-    dispatcher = Dispatcher(automaton, num_shards=4)
+    dispatcher = Dispatcher(automaton, ScanConfig(num_shards=4))
     dispatcher.engines
     result = benchmark(dispatcher.scan, data, chunk_size=512)
     assert result.stats.num_cycles == len(data)

@@ -258,10 +258,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.cluster.quotas import QuotaManager, TenantQuota
     from repro.cluster.router import ClusterRouter
+    from repro.service.transport import run_until_shutdown
     from repro.telemetry.log import configure as configure_logging
     from repro.telemetry.metrics import enable as enable_metrics
 
@@ -286,23 +285,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         health_interval_s=args.health_interval,
         node_timeout_s=args.node_timeout or None,
     )
-
-    async def _main() -> None:
-        await router.start()
-        host, port = router.address
-        print(
-            f"routing {len(router.pool)} node(s) on {host}:{port} "
-            f"(replication {router.replication})"
-        )
-        try:
-            await router.serve_forever()
-        finally:
-            await router.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+    run_until_shutdown(router)
     return 0
 
 

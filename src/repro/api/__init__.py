@@ -24,11 +24,6 @@ engines (:mod:`repro.sim`), the matching service and the network server
         handle.save("rules.npz")                     # compile once ...
         warm = Ruleset.from_artifact("rules.npz").compile()  # load anywhere
         handle.serve(port=8765)                      # ... or serve it
-
-Legacy keyword signatures (``MatchingService(num_shards=4)``,
-``Dispatcher(a, num_shards=2)``, ...) keep working through deprecation
-shims that build these configs internally and emit a
-``DeprecationWarning``.
 """
 
 from repro.api.config import (
@@ -39,7 +34,6 @@ from repro.api.config import (
     ClusterConfig,
     CompileConfig,
     ScanConfig,
-    warn_legacy_kwargs,
 )
 from repro.errors import ConfigError
 
@@ -54,7 +48,6 @@ __all__ = [
     "RulesetHandle",
     "SUPPORTED_STRIDES",
     "ScanConfig",
-    "warn_legacy_kwargs",
 ]
 
 #: names served lazily to keep ``repro.api.config`` importable from the

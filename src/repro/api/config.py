@@ -27,20 +27,12 @@ Both validate in ``__post_init__`` (raising
 :class:`~repro.errors.ConfigError`), round-trip through
 ``to_dict``/``from_dict`` (the wire-protocol and artifact-manifest
 form), and have a stable :meth:`digest`.
-
-Legacy keyword signatures across the code base keep working through
-thin shims that construct these objects internally and emit a
-:class:`DeprecationWarning` attributed to the *caller* — internal code
-paths never hit the shims, which the CI deprecation gate enforces by
-erroring on any ``DeprecationWarning`` attributed to a ``repro.*``
-module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -65,61 +57,6 @@ SUPPORTED_STRIDES = (1, 2)
 #: multiprocessing start methods a :class:`ScanConfig` accepts (None =
 #: platform default); availability is checked at pool creation, not here
 MP_START_METHODS = (None, "fork", "spawn", "forkserver")
-
-
-def warn_legacy_kwargs(api: str, names, *, stacklevel: int = 3) -> None:
-    """Emit the deprecation warning for a legacy keyword call site.
-
-    ``stacklevel`` must attribute the warning to the *caller* of the
-    shimmed signature: the CI deprecation gate errors on warnings
-    attributed to ``repro.*`` modules, so an internal code path that
-    regresses onto a shim fails loudly while user code merely warns.
-    """
-    joined = ", ".join(sorted(names))
-    warnings.warn(
-        f"{api}({joined}=...) keyword configuration is deprecated; "
-        f"pass a typed config object instead "
-        f"(repro.api.CompileConfig / repro.api.ScanConfig)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_legacy_config(
-    api: str,
-    config,
-    legacy: dict,
-    *,
-    stacklevel: int = 4,
-):
-    """The shared deprecation shim behind every rewired constructor.
-
-    ``legacy`` maps :class:`ScanConfig` field names to the loose-kwarg
-    values the caller passed (None = not passed; ``max_reports`` is
-    displayed as ``default_max_reports`` where that was the old kwarg
-    name).  Returns ``config`` untouched when no legacy kwarg was used;
-    otherwise warns (attributed ``stacklevel`` frames up — the caller
-    of the shimmed constructor) and builds the config from the kwargs.
-    Mixing both forms is a :class:`~repro.errors.ConfigError`.
-    """
-    legacy = {k: v for k, v in legacy.items() if v is not None}
-    if not legacy:
-        return config
-    if config is not None:
-        raise ConfigError(
-            "pass either a ScanConfig or loose keywords, not both"
-        )
-    shown = {
-        "default_max_reports" if k == "_default_max_reports" else k
-        for k in legacy
-    }
-    warn_legacy_kwargs(api, shown, stacklevel=stacklevel)
-    return ScanConfig(
-        **{
-            ("max_reports" if k == "_default_max_reports" else k): v
-            for k, v in legacy.items()
-        }
-    )
 
 
 def _require_int(name: str, value, *, minimum: int) -> None:

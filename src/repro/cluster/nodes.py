@@ -1,13 +1,15 @@
 """Router-side node plumbing: raw frame channels and the fleet pool.
 
-:class:`NodeChannel` is deliberately *not* an
-:class:`~repro.service.client.AsyncMatchingClient`: the router is a
-proxy, and the client classes interpret responses (re-raise warning
-entries, translate error frames into exceptions) where the router must
-pass both through to its caller verbatim.  A channel speaks raw frames:
-send a dict, get the response dict back — error frames included — and
-raise :class:`NodeError` only for *transport* failures (connect, reset,
-EOF), the signal the failover path keys on.
+:class:`NodeChannel` is the lower half of a client — the shared
+:class:`~repro.service.transport.FrameChannel` that also carries the
+:class:`~repro.service.client.AsyncMatchingClient` — without the upper
+half: the router is a proxy, and the client classes interpret responses
+(re-raise warning entries, translate error frames into exceptions)
+where the router must pass both through to its caller verbatim.  A
+node channel therefore speaks raw frames: send a dict, get the response
+dict back — error frames included — and raise :class:`NodeError` only
+for *transport* failures (connect, reset, EOF, timeout), the signal the
+failover path keys on.
 
 :class:`NodePool` is the router's fleet membership view: liveness
 flags, the health-probe channel per node, and the counters the fleet
@@ -16,16 +18,11 @@ stats surface reports.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 
 from repro.errors import ReproError
-from repro.service.protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
+from repro.service.protocol import DEFAULT_MAX_FRAME_BYTES, ProtocolError
+from repro.service.transport import FrameChannel
 
 #: default per-request round-trip budget.  Generous, because a cold
 #: ``register`` compiles; the point is that it is *finite* — a node
@@ -39,12 +36,11 @@ class NodeError(ReproError):
     """Transport-level failure talking to a node (retry / failover)."""
 
 
-class NodeChannel:
+class NodeChannel(FrameChannel):
     """One raw NDJSON request/response connection to a node.
 
-    Requests are serialized by a lock (the node answers a connection's
-    frames in order); the channel assigns its own frame ids and strips
-    them from responses — the router re-stamps the client's id.
+    The channel assigns its own frame ids and strips them from
+    responses — the router re-stamps the client's id.
     """
 
     def __init__(
@@ -55,45 +51,10 @@ class NodeChannel:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.timeout_s = timeout_s
+        super().__init__(
+            host, port, max_frame_bytes=max_frame_bytes, timeout_s=timeout_s
+        )
         self._ids = itertools.count(1)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
-
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None
-
-    async def connect(self) -> "NodeChannel":
-        if self._writer is None:
-            try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port, limit=self.max_frame_bytes
-                )
-            except OSError as exc:
-                raise NodeError(
-                    f"cannot connect to node {self.host}:{self.port}: {exc}"
-                ) from exc
-        return self
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            writer, self._reader, self._writer = self._writer, None, None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _round_trip(self, wire: dict) -> bytes:
-        await self.connect()
-        self._writer.write(encode_frame(wire))
-        await self._writer.drain()
-        return await self._reader.readline()
 
     async def request(
         self, frame: dict, *, timeout_s: float | None = None
@@ -105,43 +66,27 @@ class NodeChannel:
         round-trips exceeding ``timeout_s`` (the channel's default when
         None) close the channel and raise :class:`NodeError` — a hung
         node must look exactly like a dead one to the failover path.
+        A response line over ``max_frame_bytes`` is not one of them: the
+        node answered, so it surfaces as the channel's
+        ``frame-too-large`` :class:`ProtocolError` (and only this one
+        connection is dropped).
         """
+        request_id = next(self._ids)
+        node = f"node {self.host}:{self.port}"
         timeout = self.timeout_s if timeout_s is None else timeout_s
-        async with self._lock:
-            request_id = next(self._ids)
-            wire = {**frame, "id": request_id}
-            try:
-                if timeout is not None:
-                    line = await asyncio.wait_for(
-                        self._round_trip(wire), timeout
-                    )
-                else:
-                    line = await self._round_trip(wire)
-            except asyncio.TimeoutError:
-                await self.close()
-                raise NodeError(
-                    f"node {self.host}:{self.port} did not answer "
-                    f"within {timeout:g}s"
-                ) from None
-            except (
-                asyncio.LimitOverrunError,
-                ValueError,
-                ConnectionError,
-                OSError,
-            ) as exc:
-                await self.close()
-                raise NodeError(
-                    f"node {self.host}:{self.port} i/o failed: {exc}"
-                ) from exc
-            if not line:
-                await self.close()
-                raise NodeError(
-                    f"node {self.host}:{self.port} closed the connection"
-                )
-        response = decode_frame(line)
+        try:
+            response = await self.round_trip(
+                {**frame, "id": request_id}, timeout_s=timeout
+            )
+        except OSError as exc:
+            if isinstance(exc, TimeoutError) and timeout is not None:
+                detail = f"did not answer within {timeout:g}s"
+            else:
+                detail = f"i/o failed: {exc}"
+            raise NodeError(f"{node} {detail}") from exc
         if response.get("ok") and response.get("id") != request_id:
             raise ProtocolError(
-                f"node {self.host}:{self.port} answered out of order "
+                f"{node} answered out of order "
                 f"(expected id {request_id}, got {response.get('id')!r})"
             )
         response.pop("id", None)
@@ -172,9 +117,7 @@ class NodeHandle:
         self.last_health: dict | None = None
         #: dedicated probe channel (never shared with proxied traffic,
         #: so a wedged stream cannot block liveness checks)
-        self.probe = NodeChannel(
-            host, port, max_frame_bytes=max_frame_bytes, timeout_s=timeout_s
-        )
+        self.probe = self.new_channel()
 
     def new_channel(self) -> NodeChannel:
         return NodeChannel(

@@ -24,22 +24,23 @@ Three fleet behaviours live here:
 * **admission control** — over-quota tenants get typed ``over-quota``
   error frames (with ``retry_after_s``) before any node sees the work.
 
-Frames of one client connection are processed strictly in order (feed
-ordering is what makes sessions streams); different connections proceed
-concurrently, each with its own channels to the nodes.
+The listening side is the same
+:class:`~repro.service.transport.FrameServer` a node runs — this module
+is its second op table: frames of one client connection are processed
+strictly in order (feed ordering is what makes sessions streams);
+different connections proceed concurrently, each with its own channels
+to the nodes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.errors import ConfigError, ReproError, SimulationError
+from repro.errors import ConfigError, ReproError
 from repro.cluster.nodes import (
     DEFAULT_REQUEST_TIMEOUT_S as DEFAULT_NODE_TIMEOUT_S,
     NodeChannel,
@@ -53,12 +54,12 @@ from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    decode_frame,
-    encode_frame,
-    error_frame,
+    artifact_from_frame,
+    automaton_from_frame,
 )
+from repro.service.transport import Background, Connection, FrameServer
 from repro.telemetry.log import get_logger
-from repro.telemetry.metrics import default_registry, render_prometheus
+from repro.telemetry.metrics import default_registry
 
 _log = get_logger("repro.cluster.router")
 
@@ -127,18 +128,15 @@ class _RoutedSession:
     failed_over: bool = False
 
 
-@dataclass(eq=False)  # identity-hashed: it lives in the router's set
-class _ClientConn:
-    """Per-client-connection state."""
+@dataclass(eq=False)
+class _ClientConn(Connection):
+    """A client connection: its routed sessions and node channels."""
 
-    conn_id: int
     channels: dict[str, NodeChannel] = field(default_factory=dict)
-    sessions: dict[str, _RoutedSession] = field(default_factory=dict)
     rr: itertools.count = field(default_factory=lambda: itertools.count())
-    closing: bool = False
 
 
-class ClusterRouter:
+class ClusterRouter(FrameServer):
     """Route service-protocol frames across a fleet of matching nodes.
 
     Args:
@@ -149,9 +147,8 @@ class ClusterRouter:
             round-robin across the alive replicas, failover needs >= 2.
         quotas: optional :class:`~repro.cluster.quotas.QuotaManager`;
             None admits everything.
-        host, port: bind address (``port=0`` picks a free port).
-        max_frame_bytes: request/response line limit, as on the server.
-        allow_shutdown: honour the ``shutdown`` frame.
+        host, port, max_frame_bytes, allow_shutdown: see
+            :class:`~repro.service.transport.FrameServer`.
         health_interval_s: period of the background liveness probe
             (dead nodes rejoin automatically once they answer again).
         node_timeout_s: per-request round-trip budget on node channels
@@ -159,6 +156,9 @@ class ClusterRouter:
             exceeds it, raises :class:`NodeError`, and takes the same
             dead-marking/failover path as a crashed one.
     """
+
+    role = "router"
+    connection_type = _ClientConn
 
     def __init__(
         self,
@@ -179,34 +179,40 @@ class ClusterRouter:
             raise ConfigError("health_interval_s must be > 0")
         if node_timeout_s is not None and node_timeout_s <= 0:
             raise ConfigError("node_timeout_s must be > 0 (or None)")
+        super().__init__(
+            {
+                "ping": self._op_ping,
+                "health": self._op_health,
+                "stats": self._op_stats,
+                "hello": self._op_hello,
+                "register": self._op_register,
+                "register_artifact": self._op_register,
+                "update": self._op_update,
+                "scan": self._op_scan,
+                "scan_many": self._op_scan,
+                "open": self._op_open,
+                "feed": self._op_feed,
+                "close": self._op_close,
+            },
+            host=host,
+            port=port,
+            max_frame_bytes=max_frame_bytes,
+            # ruleset parsing (fingerprint-before-placement) is
+            # CPU-bound; two threads keep it off the event loop
+            executor_workers=2,
+            allow_shutdown=allow_shutdown,
+        )
         self.replication = replication
         self.node_timeout_s = node_timeout_s
         self.quotas = quotas
-        self.host = host
-        self._requested_port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.allow_shutdown = allow_shutdown
         self.health_interval_s = health_interval_s
         self.pool = NodePool()
         self.ring = HashRing()
         for node in nodes:
             self._add_node(*self._parse_node(node))
         self._rulesets: dict[str, _FleetRuleset] = {}
-        self._conn_ids = itertools.count(1)
-        self._conns: set[_ClientConn] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._server: asyncio.base_events.Server | None = None
-        self._drain_event: asyncio.Event | None = None
-        self._stopped = asyncio.Event()
         self._health_task: asyncio.Task | None = None
-        self._started_monotonic = time.monotonic()
-        self._frames_processed = 0
         self._failovers = 0
-        # ruleset parsing (fingerprint-before-placement) is CPU-bound;
-        # keep it off the event loop
-        self._executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="repro-route"
-        )
 
     # -- membership --------------------------------------------------------
     @staticmethod
@@ -232,38 +238,12 @@ class ClusterRouter:
         return handle
 
     # -- lifecycle ---------------------------------------------------------
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise SimulationError("router is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
     async def start(self) -> None:
-        if self._server is None:
-            self._drain_event = asyncio.Event()
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                self.host,
-                self._requested_port,
-                limit=self.max_frame_bytes,
-            )
-            self._health_task = asyncio.create_task(self._health_loop())
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._stopped.wait()
+        await super().start()
+        self._health_task = asyncio.create_task(self._health_loop())
 
     async def drain(self) -> None:
         """Stop accepting, finish in-flight frames, close everything."""
-        if self._server is None:
-            return
-        _log.info("router.draining", connections=len(self._conns))
-        self._drain_event.set()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -271,75 +251,11 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().drain()
         for handle in self.pool:
             await handle.probe.close()
-        self._stopped.set()
 
-    async def stop(self) -> None:
-        await self.drain()
-        self._executor.shutdown(wait=True)
-
-    # -- connection handling -----------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _ClientConn(conn_id=next(self._conn_ids))
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._conns.add(conn)
-        _log.debug("connection.open", conn_id=conn.conn_id)
-        drain_wait = asyncio.ensure_future(self._drain_event.wait())
-        try:
-            while not conn.closing:
-                read = asyncio.ensure_future(reader.readline())
-                done, _ = await asyncio.wait(
-                    {read, drain_wait}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if read not in done:
-                    read.cancel()
-                    break
-                try:
-                    line = read.result()
-                except (asyncio.LimitOverrunError, ValueError):
-                    response = error_frame(
-                        None,
-                        f"frame exceeds max_frame_bytes "
-                        f"({self.max_frame_bytes})",
-                        "frame-too-large",
-                    )
-                    try:
-                        writer.write(encode_frame(response))
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = await self._respond(conn, line)
-                self._frames_processed += 1
-                try:
-                    writer.write(encode_frame(response))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    break
-        finally:
-            drain_wait.cancel()
-            await self._release_connection(conn)
-            self._conns.discard(conn)
-            _log.debug("connection.close", conn_id=conn.conn_id)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._conn_tasks.discard(task)
-
+    # -- transport hooks ---------------------------------------------------
     async def _release_connection(self, conn: _ClientConn) -> None:
         """Release a dropped client's sessions, quota slots, channels."""
         for record in conn.sessions.values():
@@ -350,69 +266,16 @@ class ClusterRouter:
             await channel.close()
         conn.channels.clear()
 
-    async def _respond(self, conn: _ClientConn, line: bytes) -> dict:
-        request_id = None
-        op = "unknown"
-        try:
-            frame = decode_frame(line)
-            request_id = frame.get("id")
-            raw_op = frame.get("op")
-            if not isinstance(raw_op, str):
-                raise ProtocolError(
-                    "frame has no 'op' field", code="bad-request"
-                )
-            op = raw_op
-            handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
-            if handler is None:
-                raise ProtocolError(f"unknown op {op!r}", code="unknown-op")
-            payload = await handler(conn, frame)
-            # node responses arrive id-less (error frames included) and
-            # local payloads carry neither id nor ok — stamp both here
-            # with the *client's* id
-            return {"ok": True, **payload, "id": request_id}
-        except QuotaExceededError as exc:
+    def _error_fields(self, exc: ReproError) -> tuple[str, dict]:
+        if isinstance(exc, QuotaExceededError):
             _ROUTER_QUOTA_REJECTIONS.labels(exc.tenant, exc.resource).inc()
-            _log.info(
-                "request.over_quota",
-                conn_id=conn.conn_id,
-                op=op,
-                tenant=exc.tenant,
-                resource=exc.resource,
-            )
-            response = error_frame(request_id, str(exc), exc.code)
-            response["retry_after_s"] = exc.retry_after_s
-            response["resource"] = exc.resource
-            return response
-        except ProtocolError as exc:
-            _log.info(
-                "request.rejected",
-                conn_id=conn.conn_id,
-                op=op,
-                code=exc.code,
-                error=str(exc),
-            )
-            return error_frame(request_id, str(exc), exc.code)
-        except NodeError as exc:
-            _log.warning(
-                "request.unavailable",
-                conn_id=conn.conn_id,
-                op=op,
-                error=str(exc),
-            )
-            return error_frame(request_id, str(exc), "unavailable")
-        except ReproError as exc:
-            return error_frame(request_id, str(exc), "bad-request")
-        except Exception as exc:  # noqa: BLE001 — a handler bug must
-            # not kill the client connection
-            _log.error(
-                "request.internal_error",
-                conn_id=conn.conn_id,
-                op=op,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return error_frame(
-                request_id, f"{type(exc).__name__}: {exc}", "internal"
-            )
+            return exc.code, {
+                "retry_after_s": exc.retry_after_s,
+                "resource": exc.resource,
+            }
+        if isinstance(exc, NodeError):
+            return "unavailable", {}
+        return super()._error_fields(exc)
 
     # -- node forwarding ---------------------------------------------------
     def _channel(self, conn: _ClientConn, node: str) -> NodeChannel:
@@ -430,13 +293,13 @@ class ClusterRouter:
     async def _forward(
         self, conn: _ClientConn, node: str, frame: dict
     ) -> dict:
-        """Round-trip one id-less frame to a node; transport failures
-        mark the node dead and propagate as :class:`NodeError`."""
+        """Round-trip one frame to a node (the channel stamps its own
+        id over the client's); transport failures mark the node dead
+        and propagate as :class:`NodeError`."""
         handle = self.pool.get(node)
         channel = self._channel(conn, node)
-        wire = {k: v for k, v in frame.items() if k != "id"}
         try:
-            response = await channel.request(wire)
+            response = await channel.request(frame)
         except NodeError:
             self._node_failed(node)
             _ROUTER_REQUESTS.labels(node, "transport-error").inc()
@@ -474,12 +337,15 @@ class ClusterRouter:
             )
         return fleet
 
-    def _alive_placement(self, fleet: _FleetRuleset) -> list[str]:
-        alive = [
+    def _alive(self, names: list[str]) -> list[str]:
+        return [
             name
-            for name in fleet.placement
+            for name in names
             if (node := self.pool.get(name)) is not None and node.alive
         ]
+
+    def _alive_placement(self, fleet: _FleetRuleset) -> list[str]:
+        alive = self._alive(fleet.placement)
         if not alive:
             raise ProtocolError(
                 f"no alive replica for ruleset {fleet.handle!r}",
@@ -501,22 +367,25 @@ class ClusterRouter:
         handle = self.pool.get(node)
         if handle is None or fleet.handle in handle.registered:
             return
-        response = await self._forward(conn, node, fleet.frame)
-        if not response.get("ok"):
-            return
-        for update in list(fleet.updates):
-            if not (await self._forward(conn, node, update)).get("ok"):
-                return
-        handle.registered.add(fleet.handle)
+        if await self._replay(partial(self._forward, conn, node), fleet):
+            handle.registered.add(fleet.handle)
+
+    @staticmethod
+    async def _replay(send, fleet: _FleetRuleset) -> bool:
+        """``send`` the register frame, then every update applied since,
+        in order; True when the node took them all."""
+        for frame in [fleet.frame, *fleet.updates]:
+            if not (await send(frame)).get("ok"):
+                return False
+        return True
 
     # -- local ops ---------------------------------------------------------
     async def _op_ping(self, conn: _ClientConn, frame: dict) -> dict:
         return {"pong": True, "version": PROTOCOL_VERSION, "router": True}
 
     async def _op_health(self, conn: _ClientConn, frame: dict) -> dict:
-        draining = self._drain_event.is_set() if self._drain_event else False
         return {
-            "status": "draining" if draining else "ok",
+            "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
             "version": PROTOCOL_VERSION,
             "router": True,
@@ -560,21 +429,6 @@ class ClusterRouter:
             payload["quotas"] = self.quotas.snapshot()
         return payload
 
-    async def _op_metrics(self, conn: _ClientConn, frame: dict) -> dict:
-        return {
-            "content_type": "text/plain; version=0.0.4",
-            "metrics": render_prometheus(),
-        }
-
-    async def _op_shutdown(self, conn: _ClientConn, frame: dict) -> dict:
-        if not self.allow_shutdown:
-            raise ProtocolError(
-                "remote shutdown is disabled on this router",
-                code="bad-request",
-            )
-        asyncio.create_task(self.drain())
-        return {"draining": True}
-
     async def _op_hello(self, conn: _ClientConn, frame: dict) -> dict:
         """A node announcing itself (runtime fleet growth).
 
@@ -612,67 +466,25 @@ class ClusterRouter:
             return len(rules)
         return 1
 
-    def _placement_key(self, frame: dict) -> str:
+    @staticmethod
+    def _placement_key(frame: dict) -> str:
         """Fingerprint the ruleset locally, before any node is chosen."""
-        from repro.automata.glushkov import compile_regex_set
-        from repro.automata.mnrl import loads_mnrl
+        if frame.get("op") == "register_artifact":
+            return artifact_from_frame(frame).key
         from repro.service.ruleset import ruleset_fingerprint
 
-        kind = frame.get("kind", "regex")
-        if kind == "regex":
-            rules = frame.get("rules")
-            if not isinstance(rules, (dict, list)) or not rules:
-                raise ProtocolError(
-                    "register kind 'regex' needs a non-empty 'rules' "
-                    "dict or list",
-                    code="bad-request",
-                )
-            automaton = compile_regex_set(
-                rules, name=str(frame.get("name", "remote"))
-            )
-        elif kind == "mnrl":
-            text = frame.get("text")
-            if not isinstance(text, str):
-                raise ProtocolError(
-                    "register kind 'mnrl' needs a 'text' document",
-                    code="bad-request",
-                )
-            automaton = loads_mnrl(
-                text, name=str(frame.get("name", "remote"))
-            )
-        else:
-            raise ProtocolError(
-                f"unknown ruleset kind {kind!r} (expected 'regex' or "
-                f"'mnrl')",
-                code="bad-request",
-            )
-        return ruleset_fingerprint(automaton)
+        return ruleset_fingerprint(automaton_from_frame(frame))
 
-    def _artifact_key(self, frame: dict) -> str:
-        from repro.compile.artifact import CompiledArtifact
-        from repro.errors import ArtifactError
-        from repro.service.protocol import decode_data
-
-        data = decode_data(frame.get("data", ""))
-        if not data:
-            raise ProtocolError(
-                "register_artifact needs 'data' (base64 .npz artifact)",
-                code="bad-request",
+    async def _op_register(self, conn: _ClientConn, frame: dict) -> dict:
+        """``register`` and ``register_artifact``: place, then register
+        on every alive replica of the placement."""
+        if self.quotas is not None:
+            self.quotas.admit_compile(
+                self._tenant(frame), self._register_cost(frame)
             )
-        try:
-            return CompiledArtifact.from_bytes(data).key
-        except ArtifactError as exc:
-            raise ProtocolError(str(exc), code="bad-artifact") from exc
-
-    async def _register_fleet(
-        self, conn: _ClientConn, frame: dict, key: str
-    ) -> dict:
+        key = await self._offload(self._placement_key, frame)
         placement = self.ring.place(key, self.replication)
-        alive = [
-            name
-            for name in placement
-            if (node := self.pool.get(name)) is not None and node.alive
-        ]
+        alive = self._alive(placement)
         if not alive:
             raise ProtocolError(
                 "no alive node to place the ruleset on", code="unavailable"
@@ -697,28 +509,6 @@ class ClusterRouter:
                 self.pool.get(replica).registered.add(handle)
         response["nodes"] = alive
         return response
-
-    async def _op_register(self, conn: _ClientConn, frame: dict) -> dict:
-        if self.quotas is not None:
-            self.quotas.admit_compile(
-                self._tenant(frame), self._register_cost(frame)
-            )
-        loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(
-            self._executor, self._placement_key, frame
-        )
-        return await self._register_fleet(conn, frame, key)
-
-    async def _op_register_artifact(
-        self, conn: _ClientConn, frame: dict
-    ) -> dict:
-        if self.quotas is not None:
-            self.quotas.admit_compile(self._tenant(frame), 1)
-        loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(
-            self._executor, self._artifact_key, frame
-        )
-        return await self._register_fleet(conn, frame, key)
 
     async def _op_update(self, conn: _ClientConn, frame: dict) -> dict:
         """Hot-swap on every replica; the primary's response is the
@@ -765,33 +555,26 @@ class ClusterRouter:
         return response
 
     # -- routed scans ------------------------------------------------------
-    def _pick(self, conn: _ClientConn, candidates: list[str]) -> str:
-        return candidates[next(conn.rr) % len(candidates)]
-
     async def _op_scan(self, conn: _ClientConn, frame: dict) -> dict:
-        tenant = self._tenant(frame)
+        """``scan`` and ``scan_many``: admit the payload bytes, then
+        forward (idempotent, so retried across alive replicas)."""
         if self.quotas is not None:
-            self.quotas.admit_request_bytes(
-                tenant, _approx_decoded_bytes(str(frame.get("data", "")))
-            )
-        return await self._forward_scan(conn, frame)
-
-    async def _op_scan_many(self, conn: _ClientConn, frame: dict) -> dict:
-        tenant = self._tenant(frame)
-        if self.quotas is not None:
-            total = 0
+            payloads = [frame.get("data", "")]
             streams = frame.get("streams")
             if isinstance(streams, dict):
-                total = sum(
-                    _approx_decoded_bytes(str(data))
-                    for data in streams.values()
-                )
-            self.quotas.admit_request_bytes(tenant, total)
-        return await self._forward_scan(conn, frame)
-
-    async def _forward_scan(self, conn: _ClientConn, frame: dict) -> dict:
-        """Forward an idempotent scan, retrying across alive replicas."""
+                payloads += streams.values()
+            self.quotas.admit_request_bytes(
+                self._tenant(frame),
+                sum(_approx_decoded_bytes(str(data)) for data in payloads),
+            )
         fleet = self._fleet_ruleset(frame)
+        return (await self._forward_any(conn, fleet, frame))[1]
+
+    async def _forward_any(
+        self, conn: _ClientConn, fleet: _FleetRuleset, frame: dict
+    ) -> tuple[str, dict]:
+        """Forward to the first alive replica that answers, starting
+        round-robin; returns ``(node, response)``."""
         candidates = self._alive_placement(fleet)
         start = next(conn.rr)
         last_error: NodeError | None = None
@@ -799,10 +582,9 @@ class ClusterRouter:
             node = candidates[(start + offset) % len(candidates)]
             try:
                 await self._ensure_registered(conn, node, fleet)
-                return await self._forward(conn, node, frame)
+                return node, await self._forward(conn, node, frame)
             except NodeError as exc:
                 last_error = exc
-                continue
         raise ProtocolError(
             f"no alive replica answered for ruleset {fleet.handle!r}: "
             f"{last_error}",
@@ -812,18 +594,9 @@ class ClusterRouter:
     # -- routed sessions ---------------------------------------------------
     async def _op_open(self, conn: _ClientConn, frame: dict) -> dict:
         tenant = self._tenant(frame)
-        name = frame.get("session")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError(
-                "open needs a non-empty 'session' name", code="bad-request"
-            )
-        if name in conn.sessions:
-            raise ProtocolError(
-                f"session {name!r} is already open on this connection",
-                code="bad-request",
-            )
+        name = conn.new_session_name(frame)
         fleet = self._fleet_ruleset(frame)
-        candidates = self._alive_placement(fleet)
+        self._alive_placement(fleet)  # unavailable costs no session slot
         if self.quotas is not None:
             self.quotas.admit_session(tenant)
         # the node always checkpoints router sessions — feed responses
@@ -831,27 +604,14 @@ class ClusterRouter:
         open_frame = {k: v for k, v in frame.items() if k != "id"}
         client_checkpoint = bool(open_frame.get("checkpoint"))
         open_frame["checkpoint"] = True
-        start = next(conn.rr)
-        response = None
-        node = None
-        for offset in range(len(candidates)):
-            node = candidates[(start + offset) % len(candidates)]
-            try:
-                await self._ensure_registered(conn, node, fleet)
-                response = await self._forward(conn, node, open_frame)
-                break
-            except NodeError:
-                continue
-        if response is None:
-            if self.quotas is not None:
+        opened = False
+        try:
+            node, response = await self._forward_any(conn, fleet, open_frame)
+            opened = bool(response.get("ok"))
+        finally:
+            if not opened and self.quotas is not None:
                 self.quotas.release_session(tenant)
-            raise ProtocolError(
-                f"no alive replica to open session {name!r} on",
-                code="unavailable",
-            )
-        if not response.get("ok"):
-            if self.quotas is not None:
-                self.quotas.release_session(tenant)
+        if not opened:
             return response
         conn.sessions[name] = _RoutedSession(
             name=name,
@@ -865,24 +625,8 @@ class ClusterRouter:
         )
         return response
 
-    def _routed_session(
-        self, conn: _ClientConn, frame: dict
-    ) -> _RoutedSession:
-        name = frame.get("session")
-        if not isinstance(name, str):
-            raise ProtocolError(
-                "request has no 'session'", code="bad-request"
-            )
-        record = conn.sessions.get(name)
-        if record is None:
-            raise ProtocolError(
-                f"unknown session {name!r} on this connection",
-                code="unknown-session",
-            )
-        return record
-
     async def _op_feed(self, conn: _ClientConn, frame: dict) -> dict:
-        record = self._routed_session(conn, frame)
+        record = conn.session(frame)
         if self.quotas is not None:
             self.quotas.admit_request_bytes(
                 record.tenant,
@@ -930,14 +674,7 @@ class ClusterRouter:
                 f"ruleset {record.handle!r} is no longer registered",
                 code="unknown-handle",
             )
-        candidates = [
-            name
-            for name in fleet.placement
-            if name != dead
-            and (node := self.pool.get(name)) is not None
-            and node.alive
-        ]
-        for node in candidates:
+        for node in self._alive([n for n in fleet.placement if n != dead]):
             try:
                 await self._ensure_registered(conn, node, fleet)
                 open_frame = dict(record.open_frame)
@@ -965,7 +702,7 @@ class ClusterRouter:
         )
 
     async def _op_close(self, conn: _ClientConn, frame: dict) -> dict:
-        record = self._routed_session(conn, frame)
+        record = conn.session(frame)
         response: dict | None = None
         node = self.pool.get(record.node)
         if node is not None and node.alive:
@@ -1024,24 +761,21 @@ class ClusterRouter:
             if handle.name not in fleet.placement:
                 continue
             try:
-                response = await handle.probe.request(fleet.frame)
-                synced = response.get("ok")
-                for update in list(fleet.updates):
-                    if not synced:
-                        break
-                    synced = (await handle.probe.request(update)).get("ok")
+                synced = await self._replay(handle.probe.request, fleet)
             except NodeError:
                 self.pool.mark_dead(handle.name)
                 return
+            except ProtocolError:
+                # it answered, unusably; the next scan routed to it
+                # retries the replay (_ensure_registered)
+                continue
             if synced:
                 handle.registered.add(fleet.handle)
 
 
-class BackgroundRouter:
-    """A :class:`ClusterRouter` on a daemon thread with its own loop.
-
-    Mirrors :class:`~repro.service.server.BackgroundServer` — the
-    harness tests, benchmarks and :meth:`Ruleset.serve_cluster` use::
+class BackgroundRouter(Background):
+    """A :class:`ClusterRouter` on a daemon thread with its own loop —
+    the harness tests, benchmarks and :meth:`Ruleset.serve_cluster` use::
 
         with BackgroundRouter(router) as bg:
             client = MatchingClient(port=bg.port)
@@ -1050,66 +784,7 @@ class BackgroundRouter:
     def __init__(
         self, router: ClusterRouter | None = None, **kwargs
     ) -> None:
-        self.router = router if router is not None else ClusterRouter(**kwargs)
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self.port: int | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                await self.router.start()
-                self.loop = asyncio.get_running_loop()
-                self.port = self.router.port
-            except BaseException as exc:
-                self._startup_error = exc
-                return
-            finally:
-                self._ready.set()
-            try:
-                await self.router.serve_forever()
-            finally:
-                await self.router.stop()
-
-        asyncio.run(main())
-
-    def start(self) -> "BackgroundRouter":
-        if self._thread is not None:
-            raise SimulationError("background router is already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
+        super().__init__(
+            router if router is not None else ClusterRouter(**kwargs)
         )
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise SimulationError("background router did not start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._thread is None:
-            return
-        if self.loop is not None and self._thread.is_alive():
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.router.stop(), self.loop
-                )
-                future.result(timeout)
-            except (
-                RuntimeError,
-                asyncio.CancelledError,
-                concurrent.futures.CancelledError,
-                concurrent.futures.TimeoutError,
-            ):
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise SimulationError("background router did not stop in time")
-
-    def __enter__(self) -> "BackgroundRouter":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        self.router = self.server

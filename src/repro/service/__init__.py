@@ -60,7 +60,7 @@ loads, numpy ``bitparallel`` otherwise) above it; pass
 
 Configuration is one typed object — :class:`repro.api.ScanConfig` —
 consumed by the service, dispatcher, session, server protocol and CLI
-alike; legacy loose keywords still work through deprecation shims.
+alike.
 
 Quick use::
 

@@ -38,6 +38,7 @@ import socket
 import time
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.automata.mnrl import dumps_mnrl
 from repro.automata.nfa import Automaton
@@ -51,6 +52,7 @@ from repro.service.protocol import (
     encode_data,
     encode_frame,
 )
+from repro.service.transport import ChannelClosed, FrameChannel
 from repro.sim.backends import ReportTruncationWarning
 from repro.sim.reports import Report
 
@@ -99,29 +101,6 @@ class RetryPolicy:
         if self.jitter <= 0:
             return base
         return base * (1.0 + random.uniform(-self.jitter, self.jitter))
-
-
-class _ConnectionClosed(Exception):
-    """Internal marker: the server hung up before answering (EOF).
-
-    Distinct from :class:`RemoteError` so the retry loop can treat it
-    as transient I/O (retryable for idempotent ops) while real error
-    frames — answers — pass through untouched.  Surfaces to callers as
-    ``RemoteError(code="closed")`` when retries are exhausted or off.
-    """
-
-    def __init__(self, message: str, code: str = "closed") -> None:
-        self.code = code
-        super().__init__(message)
-
-
-def _may_retry(policy, op, attempt, sent) -> bool:
-    """Whether one failed attempt should be repeated."""
-    if policy is None or attempt + 1 >= policy.attempts:
-        return False
-    # a frame that may have reached the server is only safe to replay
-    # when its op is idempotent
-    return (not sent) or op in IDEMPOTENT_OPS
 
 
 @dataclass
@@ -275,15 +254,29 @@ def _scan_result(payload: dict) -> RemoteScanResult:
     )
 
 
-def _session_warnings(payload: dict) -> None:
-    for message in payload.get("warnings", ()):
-        warnings.warn(message, ReportTruncationWarning, stacklevel=3)
+def _scan_many_results(payload: dict) -> dict[str, RemoteScanResult]:
+    results = {}
+    for name, result in payload["results"].items():
+        # per-stream truncation warnings
+        for message in result.get("warnings", ()):
+            warnings.warn(message, ReportTruncationWarning, stacklevel=4)
+        results[name] = _scan_result(result)
+    return results
 
 
-class _SessionBase:
-    """Shared bookkeeping of the sync and async session handles."""
+def _whole(payload: dict) -> dict:
+    return payload
 
-    def __init__(self, name: str) -> None:
+
+class RemoteSession:
+    """A named resumable stream on a client connection.
+
+    On an :class:`AsyncMatchingClient` the two methods return
+    awaitables (``await session.feed(chunk)``).
+    """
+
+    def __init__(self, client: "_ServiceSurface", name: str) -> None:
+        self._client = client
         self.name = name
         self.position = 0
         self.truncated = False
@@ -300,31 +293,215 @@ class _SessionBase:
             self.ledger = payload["ledger"]
         return decode_reports(payload["reports"])
 
-
-class RemoteSession(_SessionBase):
-    """A named resumable stream on a sync client connection."""
-
-    def __init__(self, client: "MatchingClient", name: str) -> None:
-        super().__init__(name)
-        self._client = client
-
-    def feed(self, chunk: bytes) -> list[Report]:
-        """Send one chunk; return only the reports it produced."""
-        payload = self._client._request(
-            {"op": "feed", "session": self.name, "data": encode_data(chunk)}
-        )
-        return self._absorb(payload)
-
-    def close(self) -> dict:
-        """Finish the stream; returns the accumulated summary."""
-        payload = self._client._request({"op": "close", "session": self.name})
+    def _closed(self, payload: dict) -> dict:
         self.closed = True
         if "ledger" in payload:
             self.ledger = payload["ledger"]
         return payload
 
+    def feed(self, chunk: bytes) -> list[Report]:
+        """Send one chunk; return only the reports it produced."""
+        return self._client._call(
+            {"op": "feed", "session": self.name, "data": encode_data(chunk)},
+            self._absorb,
+        )
 
-class MatchingClient:
+    def close(self) -> dict:
+        """Finish the stream; returns the accumulated summary."""
+        return self._client._call(
+            {"op": "close", "session": self.name}, self._closed
+        )
+
+
+#: the async client's sessions are the same class: ``_call`` decides
+#: whether a method hands back a value or an awaitable
+AsyncRemoteSession = RemoteSession
+
+
+class _ServiceSurface:
+    """The service's op surface, written once for both clients.
+
+    Every method builds a request frame and names the function that
+    decodes the response payload; :meth:`_call` does the round trip.
+    The sync client's ``_call`` returns the decoded value, the async
+    client's an awaitable of it — so each public method below is
+    blocking on :class:`MatchingClient` and awaitable on
+    :class:`AsyncMatchingClient`, from one definition.
+    """
+
+    retry: RetryPolicy | None
+    tenant: str | None
+
+    def _call(self, frame: dict, decode):
+        raise NotImplementedError
+
+    def _wire(self, frame: dict) -> dict:
+        """Stamp one outgoing frame with the next id (and the tenant)."""
+        wire = {"id": next(self._ids), **frame}
+        if self.tenant is not None:
+            wire.setdefault("tenant", self.tenant)
+        return wire
+
+    def _retry_delay(
+        self, exc: OSError, op, attempt: int, sent: bool
+    ) -> float:
+        """Back-off before repeating a failed attempt — or, when it
+        must not be repeated, ``exc`` again (EOF as ``closed``)."""
+        policy = self.retry
+        # a frame that may have reached the server is only safe to
+        # replay when its op is idempotent
+        if (
+            policy is None
+            or attempt + 1 >= policy.attempts
+            or (sent and op not in IDEMPOTENT_OPS)
+        ):
+            if isinstance(exc, ChannelClosed):
+                raise RemoteError(str(exc), code="closed") from None
+            raise exc
+        return policy.delay(attempt)
+
+    def ping(self) -> dict:
+        return self._call({"op": "ping"}, _whole)
+
+    def health(self) -> dict:
+        """The server's liveness/inventory frame: ``status``,
+        ``uptime_s``, ``ruleset_versions``, ``open_sessions``,
+        ``inflight``, ``connections``."""
+        return self._call({"op": "health"}, _whole)
+
+    def register(
+        self, ruleset, *, kind: str | None = None, name: str | None = None
+    ) -> str:
+        """Register a ruleset; returns its handle (the fingerprint)."""
+        return self._call(
+            _register_frame(ruleset, kind, name), itemgetter("handle")
+        )
+
+    def register_artifact(self, artifact) -> str:
+        """Upload a precompiled artifact; returns its handle.
+
+        The server adopts the artifact's prebuilt engine instead of
+        compiling, so registering a large ruleset costs an upload, not
+        a compile.  ``artifact`` may be a ``CompiledArtifact``, raw
+        ``.npz`` bytes, or a path.
+        """
+        return self._call(_artifact_frame(artifact), itemgetter("handle"))
+
+    def update(
+        self,
+        handle: str,
+        *,
+        add: dict | list | None = None,
+        remove: list | None = None,
+    ) -> dict:
+        """Hot-swap a registered ruleset: add patterns and/or remove
+        report codes, producing a new version under the same handle.
+
+        Sessions already open finish on the version they opened with;
+        scans and sessions after this call see the new one.  Returns
+        the update payload — ``version``, ``fingerprint``, ``states``,
+        ``reused_components``, ``compiled_components``.
+        """
+        return self._call(_update_frame(handle, add=add, remove=remove), _whole)
+
+    def scan(
+        self,
+        handle: str,
+        data: bytes,
+        *,
+        config=None,
+        chunk_size: int | None = None,
+        max_reports: int | None = None,
+        on_truncation: str | None = None,
+        hardware_ledger: bool | None = None,
+        ledger_design: str | None = None,
+        trace: bool | None = None,
+    ) -> RemoteScanResult:
+        return self._call(
+            _scan_frame(
+                "scan",
+                handle,
+                config=config,
+                data=encode_data(data),
+                chunk_size=chunk_size,
+                max_reports=max_reports,
+                on_truncation=on_truncation,
+                hardware_ledger=hardware_ledger,
+                ledger_design=ledger_design,
+                trace=trace,
+            ),
+            _scan_result,
+        )
+
+    def scan_many(
+        self,
+        handle: str,
+        streams: dict[str, bytes],
+        *,
+        config=None,
+        chunk_size: int | None = None,
+        max_reports: int | None = None,
+        on_truncation: str | None = None,
+        hardware_ledger: bool | None = None,
+        ledger_design: str | None = None,
+        trace: bool | None = None,
+    ) -> dict[str, RemoteScanResult]:
+        return self._call(
+            _scan_frame(
+                "scan_many",
+                handle,
+                config=config,
+                streams={
+                    name: encode_data(data) for name, data in streams.items()
+                },
+                chunk_size=chunk_size,
+                max_reports=max_reports,
+                on_truncation=on_truncation,
+                hardware_ledger=hardware_ledger,
+                ledger_design=ledger_design,
+                trace=trace,
+            ),
+            _scan_many_results,
+        )
+
+    def open_session(
+        self,
+        handle: str,
+        name: str,
+        *,
+        config=None,
+        max_reports: int | None = None,
+        on_truncation: str | None = None,
+        hardware_ledger: bool | None = None,
+        ledger_design: str | None = None,
+    ) -> RemoteSession:
+        return self._call(
+            _scan_frame(
+                "open",
+                handle,
+                config=config,
+                session=name,
+                max_reports=max_reports,
+                on_truncation=on_truncation,
+                hardware_ledger=hardware_ledger,
+                ledger_design=ledger_design,
+            ),
+            lambda _payload: RemoteSession(self, name),
+        )
+
+    def stats(self) -> dict:
+        return self._call({"op": "stats"}, _whole)
+
+    def metrics(self) -> str:
+        """The server's metrics in Prometheus text exposition format."""
+        return self._call({"op": "metrics"}, itemgetter("metrics"))
+
+    def shutdown(self) -> dict:
+        """Ask the server to drain and stop (when it allows it)."""
+        return self._call({"op": "shutdown"}, _whole)
+
+
+class MatchingClient(_ServiceSurface):
     """Blocking-socket client for :class:`~repro.service.server.MatchingServer`.
 
     One client holds one connection; requests on it execute in order
@@ -384,24 +561,21 @@ class MatchingClient:
         self.close()
 
     # -- request plumbing -------------------------------------------------
+    def _call(self, frame: dict, decode):
+        return decode(self._request(frame))
+
     def _request(self, frame: dict) -> dict:
-        op = frame.get("op")
         attempt = 0
         while True:
             sent = False
             try:
                 self.connect()
-                request_id = next(self._ids)
-                wire = {"id": request_id, **frame}
-                if self.tenant is not None:
-                    wire.setdefault("tenant", self.tenant)
+                wire = self._wire(frame)
                 sent = True  # from here the server may have seen it
                 self._sock.sendall(encode_frame(wire))
                 line = self._file.readline(self.max_frame_bytes + 1)
                 if not line:
-                    raise _ConnectionClosed(
-                        "connection closed by server", code="closed"
-                    )
+                    raise ChannelClosed("connection closed by server")
                 if len(line) > self.max_frame_bytes:
                     # a partial line was consumed; the stream can no
                     # longer be framed, so drop the connection rather
@@ -412,192 +586,23 @@ class MatchingClient:
                         f"({self.max_frame_bytes})",
                         code="frame-too-large",
                     )
-                return _checked(decode_frame(line), request_id)
-            except (_ConnectionClosed, ConnectionError, OSError) as exc:
+                return _checked(decode_frame(line), wire["id"])
+            except OSError as exc:
                 self.close()
-                if not _may_retry(self.retry, op, attempt, sent):
-                    if isinstance(exc, _ConnectionClosed):
-                        raise RemoteError(str(exc), code="closed") from None
-                    raise
-                time.sleep(self.retry.delay(attempt))
+                time.sleep(
+                    self._retry_delay(exc, frame.get("op"), attempt, sent)
+                )
                 attempt += 1
 
-    # -- the service surface ----------------------------------------------
-    def ping(self) -> dict:
-        return self._request({"op": "ping"})
 
-    def health(self) -> dict:
-        """The server's liveness/inventory frame: ``status``,
-        ``uptime_s``, ``ruleset_versions``, ``open_sessions``,
-        ``inflight``, ``connections``."""
-        return self._request({"op": "health"})
-
-    def register(
-        self, ruleset, *, kind: str | None = None, name: str | None = None
-    ) -> str:
-        """Register a ruleset; returns its handle (the fingerprint)."""
-        return self._request(_register_frame(ruleset, kind, name))["handle"]
-
-    def register_artifact(self, artifact) -> str:
-        """Upload a precompiled artifact; returns its handle.
-
-        The server adopts the artifact's prebuilt engine instead of
-        compiling, so registering a large ruleset costs an upload, not
-        a compile.  ``artifact`` may be a ``CompiledArtifact``, raw
-        ``.npz`` bytes, or a path.
-        """
-        return self._request(_artifact_frame(artifact))["handle"]
-
-    def update(
-        self,
-        handle: str,
-        *,
-        add: dict | list | None = None,
-        remove: list | None = None,
-    ) -> dict:
-        """Hot-swap a registered ruleset: add patterns and/or remove
-        report codes, producing a new version under the same handle.
-
-        Sessions already open finish on the version they opened with;
-        scans and sessions after this call see the new one.  Returns
-        the update payload — ``version``, ``fingerprint``, ``states``,
-        ``reused_components``, ``compiled_components``.
-        """
-        return self._request(
-            _update_frame(handle, add=add, remove=remove)
-        )
-
-    def scan(
-        self,
-        handle: str,
-        data: bytes,
-        *,
-        config=None,
-        chunk_size: int | None = None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-        trace: bool | None = None,
-    ) -> RemoteScanResult:
-        payload = self._request(
-            _scan_frame(
-                "scan",
-                handle,
-                config=config,
-                data=encode_data(data),
-                chunk_size=chunk_size,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-                trace=trace,
-            )
-        )
-        return _scan_result(payload)
-
-    def scan_many(
-        self,
-        handle: str,
-        streams: dict[str, bytes],
-        *,
-        config=None,
-        chunk_size: int | None = None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-        trace: bool | None = None,
-    ) -> dict[str, RemoteScanResult]:
-        payload = self._request(
-            _scan_frame(
-                "scan_many",
-                handle,
-                config=config,
-                streams={
-                    name: encode_data(data) for name, data in streams.items()
-                },
-                chunk_size=chunk_size,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-                trace=trace,
-            )
-        )
-        results = {}
-        for name, result in payload["results"].items():
-            _session_warnings(result)  # per-stream truncation warnings
-            results[name] = _scan_result(result)
-        return results
-
-    def open_session(
-        self,
-        handle: str,
-        name: str,
-        *,
-        config=None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-    ) -> RemoteSession:
-        self._request(
-            _scan_frame(
-                "open",
-                handle,
-                config=config,
-                session=name,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-            )
-        )
-        return RemoteSession(self, name)
-
-    def stats(self) -> dict:
-        return self._request({"op": "stats"})
-
-    def metrics(self) -> str:
-        """The server's metrics in Prometheus text exposition format."""
-        return self._request({"op": "metrics"})["metrics"]
-
-    def shutdown(self) -> dict:
-        """Ask the server to drain and stop (when it allows it)."""
-        return self._request({"op": "shutdown"})
-
-
-class AsyncRemoteSession(_SessionBase):
-    """A named resumable stream on an async client connection."""
-
-    def __init__(self, client: "AsyncMatchingClient", name: str) -> None:
-        super().__init__(name)
-        self._client = client
-
-    async def feed(self, chunk: bytes) -> list[Report]:
-        payload = await self._client._request(
-            {"op": "feed", "session": self.name, "data": encode_data(chunk)}
-        )
-        return self._absorb(payload)
-
-    async def close(self) -> dict:
-        payload = await self._client._request(
-            {"op": "close", "session": self.name}
-        )
-        self.closed = True
-        if "ledger" in payload:
-            self.ledger = payload["ledger"]
-        return payload
-
-
-class AsyncMatchingClient:
+class AsyncMatchingClient(_ServiceSurface):
     """Asyncio client: the same surface, awaitable.
 
-    Requests on one client are serialized by an internal lock — the
-    server answers a connection's frames in order, so interleaving
-    writers would misattribute responses.  Open several clients for
-    true concurrency.
+    Requests on one client are serialized by its
+    :class:`~repro.service.transport.FrameChannel`'s lock — the server
+    answers a connection's frames in order, so interleaving writers
+    would misattribute responses.  Open several clients for true
+    concurrency.
     """
 
     def __init__(
@@ -615,25 +620,16 @@ class AsyncMatchingClient:
         self.retry = retry
         self.tenant = tenant
         self._ids = itertools.count(1)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
+        self._channel = FrameChannel(
+            host, port, max_frame_bytes=max_frame_bytes
+        )
 
     async def connect(self) -> "AsyncMatchingClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=self.max_frame_bytes
-            )
+        await self._channel.connect()
         return self
 
     async def close(self) -> None:
-        if self._writer is not None:
-            writer, self._reader, self._writer = self._writer, None, None
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await self._channel.close()
 
     async def __aenter__(self) -> "AsyncMatchingClient":
         return await self.connect()
@@ -641,173 +637,21 @@ class AsyncMatchingClient:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
+    async def _call(self, frame: dict, decode):
+        return decode(await self._request(frame))
+
     async def _request(self, frame: dict) -> dict:
-        op = frame.get("op")
         attempt = 0
         while True:
             sent = False
             try:
-                async with self._lock:
-                    await self.connect()
-                    request_id = next(self._ids)
-                    wire = {"id": request_id, **frame}
-                    if self.tenant is not None:
-                        wire.setdefault("tenant", self.tenant)
-                    sent = True  # from here the server may have seen it
-                    self._writer.write(encode_frame(wire))
-                    await self._writer.drain()
-                    try:
-                        line = await self._reader.readline()
-                    except (asyncio.LimitOverrunError, ValueError):
-                        # over-long response: the buffer is mid-frame,
-                        # unframeable
-                        await self.close()
-                        raise ProtocolError(
-                            f"response exceeds max_frame_bytes "
-                            f"({self.max_frame_bytes})",
-                            code="frame-too-large",
-                        ) from None
-                if not line:
-                    raise _ConnectionClosed(
-                        "connection closed by server", code="closed"
-                    )
-                return _checked(decode_frame(line), request_id)
-            except (_ConnectionClosed, ConnectionError, OSError) as exc:
-                await self.close()
-                if not _may_retry(self.retry, op, attempt, sent):
-                    if isinstance(exc, _ConnectionClosed):
-                        raise RemoteError(str(exc), code="closed") from None
-                    raise
-                await asyncio.sleep(self.retry.delay(attempt))
+                await self._channel.connect()
+                wire = self._wire(frame)
+                sent = True  # from here the server may have seen it
+                response = await self._channel.round_trip(wire)
+                return _checked(response, wire["id"])
+            except OSError as exc:  # the channel closed itself
+                await asyncio.sleep(
+                    self._retry_delay(exc, frame.get("op"), attempt, sent)
+                )
                 attempt += 1
-
-    async def ping(self) -> dict:
-        return await self._request({"op": "ping"})
-
-    async def health(self) -> dict:
-        """Async mirror of :meth:`MatchingClient.health`."""
-        return await self._request({"op": "health"})
-
-    async def register(
-        self, ruleset, *, kind: str | None = None, name: str | None = None
-    ) -> str:
-        payload = await self._request(_register_frame(ruleset, kind, name))
-        return payload["handle"]
-
-    async def register_artifact(self, artifact) -> str:
-        """Upload a precompiled artifact; returns its handle (see
-        :meth:`MatchingClient.register_artifact`)."""
-        payload = await self._request(_artifact_frame(artifact))
-        return payload["handle"]
-
-    async def update(
-        self,
-        handle: str,
-        *,
-        add: dict | list | None = None,
-        remove: list | None = None,
-    ) -> dict:
-        """Async mirror of :meth:`MatchingClient.update`."""
-        return await self._request(
-            _update_frame(handle, add=add, remove=remove)
-        )
-
-    async def scan(
-        self,
-        handle: str,
-        data: bytes,
-        *,
-        config=None,
-        chunk_size: int | None = None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-        trace: bool | None = None,
-    ) -> RemoteScanResult:
-        payload = await self._request(
-            _scan_frame(
-                "scan",
-                handle,
-                config=config,
-                data=encode_data(data),
-                chunk_size=chunk_size,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-                trace=trace,
-            )
-        )
-        return _scan_result(payload)
-
-    async def scan_many(
-        self,
-        handle: str,
-        streams: dict[str, bytes],
-        *,
-        config=None,
-        chunk_size: int | None = None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-        trace: bool | None = None,
-    ) -> dict[str, RemoteScanResult]:
-        payload = await self._request(
-            _scan_frame(
-                "scan_many",
-                handle,
-                config=config,
-                streams={
-                    name: encode_data(data) for name, data in streams.items()
-                },
-                chunk_size=chunk_size,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-                trace=trace,
-            )
-        )
-        results = {}
-        for name, result in payload["results"].items():
-            _session_warnings(result)  # per-stream truncation warnings
-            results[name] = _scan_result(result)
-        return results
-
-    async def open_session(
-        self,
-        handle: str,
-        name: str,
-        *,
-        config=None,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
-        hardware_ledger: bool | None = None,
-        ledger_design: str | None = None,
-    ) -> AsyncRemoteSession:
-        await self._request(
-            _scan_frame(
-                "open",
-                handle,
-                config=config,
-                session=name,
-                max_reports=max_reports,
-                on_truncation=on_truncation,
-                hardware_ledger=hardware_ledger,
-                ledger_design=ledger_design,
-            )
-        )
-        return AsyncRemoteSession(self, name)
-
-    async def stats(self) -> dict:
-        return await self._request({"op": "stats"})
-
-    async def metrics(self) -> str:
-        """The server's metrics in Prometheus text exposition format."""
-        payload = await self._request({"op": "metrics"})
-        return payload["metrics"]
-
-    async def shutdown(self) -> dict:
-        return await self._request({"op": "shutdown"})

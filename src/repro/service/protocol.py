@@ -232,6 +232,53 @@ def decode_reports(triples: list[list]) -> list[Report]:
     ]
 
 
+def automaton_from_frame(frame: dict):
+    """Build the automaton a ``register`` frame describes."""
+    from repro.automata.glushkov import compile_regex_set
+    from repro.automata.mnrl import loads_mnrl
+
+    kind = frame.get("kind", "regex")
+    name = str(frame.get("name", "remote"))
+    if kind == "regex":
+        rules = frame.get("rules")
+        if not isinstance(rules, (dict, list)) or not rules:
+            raise ProtocolError(
+                "register kind 'regex' needs a non-empty 'rules' "
+                "dict or list",
+                code="bad-request",
+            )
+        return compile_regex_set(rules, name=name)
+    if kind == "mnrl":
+        text = frame.get("text")
+        if not isinstance(text, str):
+            raise ProtocolError(
+                "register kind 'mnrl' needs a 'text' document",
+                code="bad-request",
+            )
+        return loads_mnrl(text, name=name)
+    raise ProtocolError(
+        f"unknown ruleset kind {kind!r} (expected 'regex' or 'mnrl')",
+        code="bad-request",
+    )
+
+
+def artifact_from_frame(frame: dict):
+    """Load the compiled artifact a ``register_artifact`` frame carries."""
+    from repro.compile.artifact import CompiledArtifact
+    from repro.errors import ArtifactError
+
+    data = decode_data(frame.get("data", ""))
+    if not data:
+        raise ProtocolError(
+            "register_artifact needs 'data' (base64 .npz artifact)",
+            code="bad-request",
+        )
+    try:
+        return CompiledArtifact.from_bytes(data)
+    except ArtifactError as exc:
+        raise ProtocolError(str(exc), code="bad-artifact") from exc
+
+
 def scan_config_from_frame(
     frame: dict, base: ScanConfig
 ) -> tuple[ScanConfig, bool, str | None]:

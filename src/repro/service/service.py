@@ -16,7 +16,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.api.config import ScanConfig, resolve_legacy_config
+from repro.api.config import ScanConfig
 from repro.automata.nfa import Automaton
 from repro.compile.incremental import (
     ComposedRuleset,
@@ -138,49 +138,14 @@ class MatchingService:
             service — backend policy, sharding, workers, chunking, the
             default kept-reports cap and truncation policy, the
             persistent artifact store, and the multiprocessing start
-            method.  One validated object replaces the former keyword
-            sprawl; see :class:`ScanConfig` for field semantics.
-        cache_capacity, num_shards, workers, chunk_size, backend,
-            artifact_store, default_max_reports, on_truncation,
-            mp_start_method: deprecated loose keywords; a
-            :class:`ScanConfig` is built from them (with a
-            :class:`DeprecationWarning`) when ``config`` is omitted.
-            ``default_max_reports`` maps to ``ScanConfig.max_reports``.
+            method; see :class:`ScanConfig` for field semantics.
 
     The service is safe to share across threads: compiled-artifact
     acquisition and the session table are lock-protected, while scans
     themselves run concurrently (the compiled kernels are read-only).
     """
 
-    def __init__(
-        self,
-        config: ScanConfig | None = None,
-        *,
-        cache_capacity: int | None = None,
-        num_shards: int | None = None,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        backend: str | ExecutionBackend | None = None,
-        artifact_store=None,
-        default_max_reports: int | None = None,
-        on_truncation: str | None = None,
-        mp_start_method: str | None = None,
-    ) -> None:
-        config = resolve_legacy_config(
-            "MatchingService",
-            config,
-            {
-                "cache_capacity": cache_capacity,
-                "num_shards": num_shards,
-                "workers": workers,
-                "chunk_size": chunk_size,
-                "backend": backend,
-                "artifact_store": artifact_store,
-                "_default_max_reports": default_max_reports,
-                "on_truncation": on_truncation,
-                "mp_start_method": mp_start_method,
-            },
-        )
+    def __init__(self, config: ScanConfig | None = None) -> None:
         self.config = config if config is not None else ScanConfig()
         self.manager = RulesetManager(
             capacity=self.config.cache_capacity,

@@ -12,7 +12,7 @@ sessions'.
 
 from __future__ import annotations
 
-from repro.api.config import ScanConfig, resolve_legacy_config
+from repro.api.config import ScanConfig
 from repro.errors import SimulationError
 from repro.service.merge import accumulate_stats
 from repro.service.sharding import Dispatcher, iter_chunks
@@ -48,8 +48,7 @@ class Session:
     chunk that loses a report to the cap does — mark the session
     ``truncated`` and raise a :class:`ReportTruncationWarning`
     (``"warn"``, the default), a :class:`~repro.errors.SimulationError`
-    (``"error"``), or nothing (``"ignore"``).  ``max_reports`` /
-    ``on_truncation`` loose keywords are deprecated shims.
+    (``"error"``), or nothing (``"ignore"``).
 
     Sessions are context managers: leaving the ``with`` block closes
     the stream (the accumulated result stays readable via
@@ -62,15 +61,8 @@ class Session:
         dispatcher: Dispatcher,
         config: ScanConfig | None = None,
         *,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
         ledger_probe=None,
     ) -> None:
-        config = resolve_legacy_config(
-            "Session",
-            config,
-            {"max_reports": max_reports, "on_truncation": on_truncation},
-        )
         self.config = config if config is not None else ScanConfig()
         self.name = name
         self.dispatcher = dispatcher

@@ -27,11 +27,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.api.config import (
-    DEFAULT_CHUNK_SIZE,
-    ScanConfig,
-    resolve_legacy_config,
-)
+from repro.api.config import DEFAULT_CHUNK_SIZE, ScanConfig
 from repro.automata.analysis import balanced_shards, connected_components
 from repro.automata.nfa import Automaton
 from repro.errors import ConfigError, SimulationError
@@ -207,9 +203,6 @@ class Dispatcher:
                 which is already free.
         manager: optional shared :class:`RulesetManager`; shard engines
             are then cached by fingerprint and survive this dispatcher.
-        num_shards, workers, backend, mp_start_method: deprecated loose
-            keywords; a :class:`ScanConfig` is built from them (with a
-            :class:`DeprecationWarning`) when ``config`` is omitted.
     """
 
     def __init__(
@@ -219,21 +212,7 @@ class Dispatcher:
         *,
         manager: RulesetManager | None = None,
         prebuilt: "tuple[list[Shard], list[Engine]] | None" = None,
-        num_shards: int | None = None,
-        workers: int | None = None,
-        backend: str | ExecutionBackend | None = None,
-        mp_start_method: str | None = None,
     ) -> None:
-        config = resolve_legacy_config(
-            "Dispatcher",
-            config,
-            {
-                "num_shards": num_shards,
-                "workers": workers,
-                "backend": backend,
-                "mp_start_method": mp_start_method,
-            },
-        )
         self.config = config if config is not None else ScanConfig()
         self.automaton = automaton
         if prebuilt is not None:

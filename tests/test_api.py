@@ -6,9 +6,6 @@ Covers the acceptance surface of the API redesign:
   ``to_dict``/``from_dict``/``digest`` (the wire-protocol and
   artifact-manifest form) and reject invalid values with
   ``ConfigError``;
-* the deprecation shims — old loose-kwarg signatures still work, emit
-  ``DeprecationWarning``, and produce byte-identical ``ServiceResult``s
-  against the oracle corpus;
 * the ``Ruleset`` facade end to end: regex -> compile -> save -> load
   -> scan, streams, batch scans, and serving;
 * config objects travelling the wire: the server validates them through
@@ -19,47 +16,26 @@ import warnings
 
 import pytest
 
-from oracle import oracle_run
 from repro.api import CompileConfig, ConfigError, Ruleset, ScanConfig
 from repro.automata import compile_regex_set, glushkov_nfa
 from repro.compile import PipelineOptions, ruleset_fingerprint
 from repro.compile.store import ArtifactStore
 from repro.service import (
     BackgroundServer,
-    Dispatcher,
     MatchingClient,
-    MatchingService,
     RemoteError,
-    Session,
 )
-from repro.service.server import MatchingServer
 from repro.sim import Engine
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxy" * 40
 
-#: the oracle corpus for shim-equivalence: (ruleset, input) pairs with
-#: different structure (multi-component, single pattern, dense repeats)
-CORPUS = [
-    (compile_regex_set(RULES, name="api-corpus"), STREAM),
-    (glushkov_nfa("(a|b)e*cd+", report_code="m"), b"aecd" * 25 + b"becdd"),
-    (compile_regex_set(["ab", "a+b", "ba*b"], name="dense"), b"ab" * 60),
-]
+#: the (ruleset, input) pair the facade tests scan
+CORPUS = [(compile_regex_set(RULES, name="api-corpus"), STREAM)]
 
 
 def report_keys(reports):
     return [(r.cycle, r.state_id, r.code) for r in reports]
-
-
-def assert_same_service_result(a, b):
-    """Byte-identical modulo wall-clock: reports, stats, shard/backends."""
-    assert report_keys(a.reports) == report_keys(b.reports)
-    assert a.num_reports == b.num_reports
-    assert a.stats.num_cycles == b.stats.num_cycles
-    assert a.num_shards == b.num_shards
-    assert a.backends == b.backends
-    assert a.truncated == b.truncated
-    assert a.bytes_scanned == b.bytes_scanned
 
 
 class TestCompileConfig:
@@ -164,88 +140,6 @@ class TestScanConfig:
         assert ScanConfig(backend="auto").engine_backend is None
         assert ScanConfig(backend="sparse").engine_backend == "sparse"
         assert ScanConfig(backend="bitparallel").engine_backend == "bitparallel"
-
-
-class TestDeprecationShims:
-    def test_service_kwargs_warn_and_match_config(self):
-        for nfa, data in CORPUS:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                legacy = MatchingService(num_shards=2, chunk_size=37)
-            with legacy:
-                old = legacy.scan(nfa, data)
-            with MatchingService(
-                ScanConfig(num_shards=2, chunk_size=37)
-            ) as service:
-                new = service.scan(nfa, data)
-            assert_same_service_result(old, new)
-            # both must agree with the naive oracle, not just each other
-            assert [
-                (r.cycle, r.state_id) for r in new.reports
-            ] == [(r.cycle, r.state_id) for r in oracle_run(nfa, data).reports]
-
-    def test_default_max_reports_maps_to_max_reports(self):
-        with pytest.warns(DeprecationWarning):
-            service = MatchingService(default_max_reports=5)
-        assert service.config.max_reports == 5
-        assert service.default_max_reports == 5
-
-    def test_dispatcher_kwargs_warn_and_match_config(self):
-        nfa, data = CORPUS[0]
-        with pytest.warns(DeprecationWarning):
-            with Dispatcher(nfa, num_shards=3, workers=2) as old_d:
-                old = old_d.scan(data)
-        with Dispatcher(nfa, ScanConfig(num_shards=3, workers=2)) as new_d:
-            new = new_d.scan(data)
-        assert report_keys(old.reports) == report_keys(new.reports)
-        assert old.stats.num_reports == new.stats.num_reports
-
-    def test_session_kwargs_warn(self):
-        nfa, data = CORPUS[1]
-        dispatcher = Dispatcher(nfa, ScanConfig())
-        with pytest.warns(DeprecationWarning):
-            session = Session("legacy", dispatcher, max_reports=3)
-        assert session.max_reports == 3
-        session.close()
-
-    def test_server_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            server = MatchingServer(num_shards=2)
-        assert server.service.config.num_shards == 2
-        server.service.close()
-
-    def test_config_and_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigError, match="not both"):
-            MatchingService(ScanConfig(), num_shards=2)
-        with pytest.raises(ConfigError, match="not both"):
-            Dispatcher(CORPUS[0][0], ScanConfig(), num_shards=2)
-
-    def test_shim_warning_attributes_to_the_caller(self):
-        # the CI deprecation gate relies on this: internal repro modules
-        # never hit a shim, so a warning's attributed module (set via
-        # stacklevel) is the *caller's*, i.e. this test file
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MatchingService(num_shards=2).close()
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and w.filename == __file__
-            for w in caught
-        )
-
-    def test_background_server_shim_attributes_to_the_caller(self):
-        # BackgroundServer forwards **kwargs from inside repro.service;
-        # it must resolve legacy kwargs itself so the warning points
-        # here, not at the library's forwarding frame
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            background = BackgroundServer(num_shards=2)
-        background.server.service.close()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations
-        assert all(w.filename == __file__ for w in deprecations)
-        assert background.server.service.config.num_shards == 2
 
 
 class TestRulesetFacade:

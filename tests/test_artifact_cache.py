@@ -11,6 +11,7 @@ to serial dispatch; an uploaded artifact seeds the service cache.
 
 import pytest
 
+from repro.api import ScanConfig
 from repro.automata import compile_regex_set
 from repro.compile import (
     ARTIFACT_FORMAT_VERSION,
@@ -145,14 +146,14 @@ class TestManagerDiskCache:
 class TestArtifactDispatch:
     def test_spawn_workers_load_artifacts(self, ruleset_a, tmp_path):
         manager = RulesetManager(store=ArtifactStore(tmp_path))
-        with Dispatcher(ruleset_a, num_shards=2, manager=manager) as serial:
+        with Dispatcher(
+            ruleset_a, ScanConfig(num_shards=2), manager=manager
+        ) as serial:
             expected = serial.scan(STREAM, chunk_size=512)
         with Dispatcher(
             ruleset_a,
-            num_shards=2,
-            workers=2,
+            ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
             manager=manager,
-            mp_start_method="spawn",
         ) as dispatcher:
             assert dispatcher._shard_artifact_blobs() is not None
             result = dispatcher.scan(STREAM, chunk_size=512)
@@ -168,14 +169,14 @@ class TestArtifactDispatch:
         # pool neither breaks nor depends on the files surviving
         store = ArtifactStore(tmp_path, max_bytes=1)
         manager = RulesetManager(store=store)
-        with Dispatcher(ruleset_a, num_shards=2, manager=manager) as serial:
+        with Dispatcher(
+            ruleset_a, ScanConfig(num_shards=2), manager=manager
+        ) as serial:
             expected = serial.scan(STREAM, chunk_size=512)
         with Dispatcher(
             ruleset_a,
-            num_shards=2,
-            workers=2,
+            ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
             manager=manager,
-            mp_start_method="spawn",
         ) as dispatcher:
             blobs = dispatcher._shard_artifact_blobs()
             assert blobs is not None and len(blobs) == 2
@@ -185,10 +186,11 @@ class TestArtifactDispatch:
 
     def test_spawn_without_store_still_correct(self, ruleset_a):
         # no store: the pool falls back to pickled engines
-        with Dispatcher(ruleset_a, num_shards=2) as serial:
+        with Dispatcher(ruleset_a, ScanConfig(num_shards=2)) as serial:
             expected = serial.scan(STREAM, chunk_size=512)
         with Dispatcher(
-            ruleset_a, num_shards=2, workers=2, mp_start_method="spawn"
+            ruleset_a,
+            ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
         ) as dispatcher:
             assert dispatcher._shard_artifact_blobs() is None
             result = dispatcher.scan(STREAM, chunk_size=512)
@@ -199,14 +201,14 @@ class TestServiceArtifacts:
     def test_register_artifact_seeds_cache(self, ruleset_a):
         compiled = compile_ruleset(ruleset_a, backend="auto")
         artifact = CompiledArtifact.from_compiled(compiled)
-        with MatchingService(num_shards=1) as service:
+        with MatchingService(ScanConfig(num_shards=1)) as service:
             handle, automaton = service.register_artifact(artifact.to_bytes())
             assert handle == service.manager.fingerprint(ruleset_a)
             result = service.scan(automaton, STREAM)
             # the seeded engine served the scan: no compile happened
             assert service.manager.stats.misses == 0
             assert service.manager.stats.hits >= 1
-        with MatchingService(num_shards=1) as fresh:
+        with MatchingService(ScanConfig(num_shards=1)) as fresh:
             expected = fresh.scan(ruleset_a, STREAM)
         assert keys_of(result.reports) == keys_of(expected.reports)
 
@@ -214,14 +216,14 @@ class TestServiceArtifacts:
         artifact = CompiledArtifact.from_compiled(
             compile_ruleset(ruleset_a, backend="auto")
         )
-        with MatchingService(artifact_store=tmp_path) as service:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as service:
             service.register_artifact(artifact)
             assert service.manager.store.contains(artifact.key)
 
     def test_service_restart_with_store_is_warm(self, ruleset_a, tmp_path):
-        with MatchingService(artifact_store=tmp_path) as service:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as service:
             expected = service.scan(ruleset_a, STREAM)
-        with MatchingService(artifact_store=tmp_path) as restarted:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as restarted:
             result = restarted.scan(ruleset_a, STREAM)
             assert restarted.manager.stats.disk_hits >= 1
             assert restarted.manager.stats.disk_misses == 0

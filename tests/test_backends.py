@@ -234,7 +234,7 @@ class TestRegistryBenchmarkEquivalence:
 
         # sharded via the dispatcher, pinned to the bitparallel backend
         dispatcher = Dispatcher(
-            bench.automaton, num_shards=4, backend="bitparallel"
+            bench.automaton, ScanConfig(num_shards=4, backend="bitparallel")
         )
         sharded = dispatcher.scan(data, chunk_size=97)
         assert report_keys(sharded.reports) == report_keys(sparse.reports)
@@ -376,17 +376,19 @@ class TestAutoPolicy:
         # one dense 48-state chain + one narrow literal = two components
         mixed = dense_activity_automaton(48, chain_length=48, match_width=230)
         mixed.merge(compile_regex_set(["abc"]))
-        dispatcher = Dispatcher(mixed, num_shards=2, backend="auto")
+        dispatcher = Dispatcher(mixed, ScanConfig(num_shards=2, backend="auto"))
         assert sorted(dispatcher.backend_names) == sorted(
             [DENSE_KERNEL, "sparse"]
         )
 
     def test_service_reports_backends(self):
-        service = MatchingService(backend="bitparallel")
+        service = MatchingService(ScanConfig(backend="bitparallel"))
         nfa = compile_regex_set(["ab", "cd"])
         result = service.scan(nfa, b"abcdabcd")
         assert result.backends == ["bitparallel"]
-        sparse_result = MatchingService(backend="sparse").scan(nfa, b"abcd")
+        sparse_result = MatchingService(ScanConfig(backend="sparse")).scan(
+            nfa, b"abcd"
+        )
         assert report_keys(sparse_result.reports) == report_keys(result.reports[:2])
 
 

@@ -482,6 +482,35 @@ class TestRouterProxy:
         assert "repro_router_requests_total" in text
 
 
+class TestOverlongNodeResponse:
+    def test_it_is_an_answer_not_a_dead_node(self, servers):
+        # the node (default limit) legitimately answers a 1000-report
+        # scan in ~12 KB; a router limited to 2 KB cannot relay that,
+        # which is the *client's* problem (lower max_reports) — the
+        # healthy node must not be marked dead for it
+        node = servers[0]
+        with BackgroundRouter(
+            ClusterRouter(
+                [("127.0.0.1", node.port)],
+                replication=1,
+                max_frame_bytes=2048,
+                health_interval_s=5.0,
+            )
+        ) as bg:
+            with MatchingClient(port=bg.port) as client:
+                handle = client.register({"r": "a"})
+                with pytest.raises(RemoteError) as err:
+                    client.scan(handle, b"a" * 1000)
+                assert err.value.code == "frame-too-large"
+                # same router connection, next request: served
+                assert client.scan(handle, b"a" * 10).num_reports == 10
+                stats = client.stats()
+        entry = stats["nodes"][f"127.0.0.1:{node.port}"]
+        assert entry["alive"] is True
+        assert entry["failures"] == 0
+        assert stats["failovers"] == 0
+
+
 class TestServerHealthOp:
     def test_health_fields(self, servers):
         server = servers[0]
@@ -548,6 +577,22 @@ class TestRouterQuotas:
             assert err.value.code == "over-quota"
             session.close()
             client.open_session(handle, "cap-3").close()
+
+    def test_dropped_connection_releases_its_session_slot(self, quota_router):
+        with MatchingClient(port=quota_router.port, tenant="noisy") as client:
+            handle = client.register(RULES)
+            client.open_session(handle, "held")  # the tenant's one slot
+        # the socket closed with the session open: the slot must return
+        with MatchingClient(port=quota_router.port, tenant="noisy") as client:
+            deadline = time.monotonic() + 5.0
+            while True:
+                try:
+                    client.open_session(handle, "next").close()
+                    break
+                except RemoteError as err:
+                    assert err.code == "over-quota"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
 
     def test_in_quota_tenant_unaffected_by_noisy_neighbour(self, quota_router):
         with MatchingClient(port=quota_router.port, tenant="noisy") as noisy:

@@ -4,16 +4,13 @@ The server runs in-process on a background thread (its own asyncio
 loop); tests drive it through the real TCP clients and assert the
 results are byte-identical to an offline ``MatchingService.scan`` on
 the same ruleset and input — including chunked sessions split at
-pathological boundaries, protocol-violation handling, and the
-kept-reports cap policies travelling across the wire.
+pathological boundaries, op-level rejections, and the kept-reports cap
+policies travelling across the wire.  (Framing, limits, back-pressure
+and drain are in ``tests/test_transport.py``.)
 """
 
 import asyncio
-import json
-import socket
-import struct
 import threading
-import time
 import warnings
 
 import pytest
@@ -28,7 +25,7 @@ from repro.service import (
     MatchingService,
     RemoteError,
 )
-from repro.service.protocol import PROTOCOL_VERSION, encode_frame
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.sim.engine import Engine, ReportTruncationWarning
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
@@ -54,7 +51,7 @@ def ruleset():
 @pytest.fixture(scope="module")
 def offline(ruleset):
     # the ground truth every server-side result must reproduce
-    service = MatchingService(num_shards=2)
+    service = MatchingService(ScanConfig(num_shards=2))
     result = service.scan(ruleset, STREAM)
     yield result
     service.close()
@@ -114,7 +111,7 @@ class TestEndToEnd:
 
     def test_scan_many_matches_offline(self, harness, ruleset):
         streams = {"a": STREAM[:100], "b": STREAM[100:300], "c": b""}
-        with MatchingService(num_shards=2) as service:
+        with MatchingService(ScanConfig(num_shards=2)) as service:
             expected = service.scan_many(ruleset, streams)
         with harness.client() as client:
             handle = client.register(RULES)
@@ -139,18 +136,6 @@ class TestEndToEnd:
             assert [r.cycle for r in r2] == [4]
             s1.close()
             s2.close()
-
-    def test_dropped_connection_releases_its_sessions(self, harness):
-        with harness.client() as client:
-            handle = client.register(RULES)
-            client.open_session(handle, "orphan")
-            assert client.stats()["active_sessions"] >= 1
-        # the context exit closed the socket; the server must reap
-        with harness.client() as client:
-            for _ in range(50):
-                if client.stats()["active_sessions"] == 0:
-                    break
-            assert client.stats()["active_sessions"] == 0
 
     def test_ping_and_stats_frames(self, harness):
         with harness.client() as client:
@@ -187,61 +172,9 @@ class TestEndToEnd:
 
 
 class TestProtocolViolations:
-    def test_malformed_frame_keeps_connection(self, harness):
-        with socket.create_connection(("127.0.0.1", harness.port), 5) as sock:
-            file = sock.makefile("rb")
-            sock.sendall(b"not json at all\n")
-            response = json.loads(file.readline())
-            assert response["ok"] is False
-            assert response["code"] == "bad-frame"
-            # the connection survives a malformed frame
-            sock.sendall(encode_frame({"id": 1, "op": "ping"}))
-            response = json.loads(file.readline())
-            assert response["ok"] is True and response["pong"] is True
-
-    def test_non_object_frame_rejected(self, harness):
-        with socket.create_connection(("127.0.0.1", harness.port), 5) as sock:
-            file = sock.makefile("rb")
-            sock.sendall(b"[1,2,3]\n")
-            response = json.loads(file.readline())
-            assert response["ok"] is False
-            assert response["code"] == "bad-frame"
-
-    def test_oversized_frame_closes_connection(self):
-        with ServerHarness(max_frame_bytes=2048) as harness:
-            with socket.create_connection(
-                ("127.0.0.1", harness.port), 5
-            ) as sock:
-                file = sock.makefile("rb")
-                sock.sendall(b"x" * 5000 + b"\n")
-                response = json.loads(file.readline())
-                assert response["ok"] is False
-                assert response["code"] == "frame-too-large"
-                assert file.readline() == b""  # EOF: connection closed
-
-    def test_oversized_response_is_replaced_with_error(self):
-        # tiny frame budget: a scan whose report list exceeds it must
-        # produce an error frame, not a torn response.  1000 input
-        # bytes fit the request budget; the 1000-report response does
-        # not (its request id is preserved in the error frame).
-        with ServerHarness(max_frame_bytes=2048) as harness:
-            with harness.client() as client:
-                handle = client.register({"r": "a"})
-                with pytest.raises(RemoteError) as excinfo:
-                    client.scan(handle, b"a" * 1000)
-                assert excinfo.value.code == "frame-too-large"
-                # the connection is still usable afterwards
-                assert client.ping()["pong"] is True
-
-    def test_unknown_op_and_missing_fields(self, harness):
-        with harness.client() as client:
-            client.connect()
-            with pytest.raises(RemoteError) as excinfo:
-                client._request({"op": "teleport"})
-            assert excinfo.value.code == "unknown-op"
-            with pytest.raises(RemoteError) as excinfo:
-                client._request({"op": "scan"})
-            assert excinfo.value.code == "bad-request"
+    """Op-level rejections; the framing, limit, back-pressure and drain
+    cases live in ``tests/test_transport.py``, where they run against
+    the server *and* the router."""
 
     def test_unknown_handle_and_session(self, harness):
         with harness.client() as client:
@@ -261,46 +194,6 @@ class TestProtocolViolations:
                 )
             assert excinfo.value.code == "bad-request"
 
-    def test_pipelined_disconnect_does_not_wedge_the_server(self):
-        """Regression: a client that pipelines slow scans past
-        max_inflight and resets without reading responses must not
-        deadlock the connection task (and with it, drain/stop): the
-        response write fails, and with the reader blocked on the full
-        queue a processor that simply exits would strand it forever."""
-        from repro.service.protocol import encode_data
-
-        with ServerHarness(max_inflight=2) as harness:
-            with harness.client() as setup:
-                handle = setup.register(RULES)
-            for _ in range(2):
-                sock = socket.create_connection(
-                    ("127.0.0.1", harness.port), 5
-                )
-                # slow frames (real scans) so the queue fills while the
-                # processor is busy; never read a byte of response
-                scan = encode_frame(
-                    {
-                        "op": "scan",
-                        "handle": handle,
-                        "data": encode_data(STREAM * 4),
-                    }
-                )
-                sock.sendall(scan * 20)
-                # let the reader fill the bounded queue and block on it
-                # while the processor is still mid-scan, then reset
-                time.sleep(0.4)
-                # abrupt close (RST where the platform produces one)
-                sock.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
-                sock.close()
-            # the server must still answer, and stop() must not hang
-            # (ServerHarness.__exit__ asserts the thread stops in time)
-            with harness.client() as client:
-                assert client.ping()["pong"] is True
-
     def test_duplicate_session_name_rejected(self, harness):
         with harness.client() as client:
             handle = client.register(RULES)
@@ -314,7 +207,7 @@ class TestReportCapPolicies:
     """max_kept_reports warn vs strict across the service and the wire."""
 
     def test_scan_many_default_cap_warns(self, ruleset):
-        with MatchingService(default_max_reports=3) as service:
+        with MatchingService(ScanConfig(max_reports=3)) as service:
             with pytest.warns(ReportTruncationWarning):
                 results = service.scan_many(
                     ruleset, {"a": STREAM, "b": STREAM[:4]}
@@ -329,13 +222,13 @@ class TestReportCapPolicies:
 
     def test_scan_many_strict_raises(self, ruleset):
         with MatchingService(
-            default_max_reports=3, on_truncation="error"
+            ScanConfig(max_reports=3, on_truncation="error")
         ) as service:
             with pytest.raises(SimulationError, match="kept-reports cap"):
                 service.scan_many(ruleset, {"a": STREAM})
 
     def test_scan_explicit_cap_is_silent(self, ruleset):
-        with MatchingService(on_truncation="error") as service:
+        with MatchingService(ScanConfig(on_truncation="error")) as service:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = service.scan(ruleset, STREAM, max_reports=2)
@@ -487,36 +380,6 @@ class TestArtifactUpload:
 
         result = asyncio.run(run())
         assert full_keys(result.reports) == full_keys(offline.reports)
-
-
-class TestDrain:
-    def test_shutdown_finishes_inflight_work_then_closes(self):
-        with ServerHarness() as harness:
-            with harness.client() as client:
-                handle = client.register(RULES)
-                assert client.shutdown()["draining"] is True
-                # queued-before-drain frames still get responses; once
-                # drained the connection closes (EOF -> RemoteError)
-                with pytest.raises(RemoteError, match="closed"):
-                    for _ in range(100):
-                        client.ping()
-            # new connections are refused after the drain completes
-            for _ in range(100):
-                try:
-                    socket.create_connection(
-                        ("127.0.0.1", harness.port), 0.2
-                    ).close()
-                except OSError:
-                    break
-            else:
-                pytest.fail("server kept accepting after drain")
-
-    def test_shutdown_can_be_disabled(self):
-        with ServerHarness(allow_shutdown=False) as harness:
-            with harness.client() as client:
-                with pytest.raises(RemoteError):
-                    client.shutdown()
-                assert client.ping()["pong"] is True
 
 
 class TestConcurrentClients:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.api import ScanConfig
 from repro.automata import balanced_shards, glushkov_nfa
 from repro.automata.glushkov import compile_regex_set
 from repro.core.compiler import compile_automaton
@@ -188,7 +189,7 @@ class TestSharding:
     def test_sharded_scan_equals_monolithic(self, ruleset, stream):
         one_shot = Engine(ruleset).run(stream)
         for num_shards in (1, 2, 3):
-            dispatcher = Dispatcher(ruleset, num_shards=num_shards)
+            dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=num_shards))
             result = dispatcher.scan(stream, chunk_size=50)
             assert report_keys(result.reports) == report_keys(one_shot.reports)
             assert result.stats.num_reports == one_shot.stats.num_reports
@@ -199,7 +200,7 @@ class TestSharding:
 
     def test_sharded_scan_with_workers(self, ruleset, stream):
         one_shot = Engine(ruleset).run(stream)
-        dispatcher = Dispatcher(ruleset, num_shards=3, workers=2)
+        dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=3, workers=2))
         try:
             # the pool persists across scans; both must match one-shot
             for _ in range(2):
@@ -214,13 +215,13 @@ class TestSharding:
         bench = get_benchmark("Snort", scale=TEST_SCALE)
         data = bench.input_stream(STREAM_LENGTH)
         one_shot = Engine(bench.automaton).run(data)
-        result = Dispatcher(bench.automaton, num_shards=4).scan(
+        result = Dispatcher(bench.automaton, ScanConfig(num_shards=4)).scan(
             data, chunk_size=64
         )
         assert report_keys(result.reports) == report_keys(one_shot.reports)
 
     def test_run_chunk_state_mismatch_rejected(self, ruleset):
-        dispatcher = Dispatcher(ruleset, num_shards=2)
+        dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=2))
         with pytest.raises(SimulationError):
             dispatcher.run_chunk(b"ab", [EngineState()] * 5)
 
@@ -249,7 +250,7 @@ class TestMerge:
 
 class TestSessions:
     def test_interleaved_sessions_are_independent(self, ruleset, stream):
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         expected = Engine(ruleset).run(stream)
         a = service.open_session(ruleset, "a")
         b = service.open_session(ruleset, "b")
@@ -300,7 +301,7 @@ class TestSessions:
         # both components fire every cycle; the cap must apply to the
         # merged stream, not per shard
         nfa = compile_regex_set({"ra": "a", "rb": "b"}, name="two")
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         session = service.open_session(nfa, "cap", max_reports=2)
         session.feed(b"ababab")
         assert len(session.reports) == 2
@@ -309,7 +310,7 @@ class TestSessions:
 
 class TestMatchingService:
     def test_scan_marks_cache_state(self, ruleset, stream):
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         cold = service.scan(ruleset, stream)
         warm = service.scan(ruleset, stream)
         assert not cold.cached
@@ -319,7 +320,7 @@ class TestMatchingService:
         assert warm.throughput_mbps >= 0.0
 
     def test_scan_equals_engine_run(self, ruleset, stream):
-        service = MatchingService(num_shards=3, chunk_size=41)
+        service = MatchingService(ScanConfig(num_shards=3, chunk_size=41))
         expected = Engine(ruleset).run(stream)
         result = service.scan(ruleset, stream)
         assert report_keys(result.reports) == report_keys(expected.reports)
@@ -338,7 +339,7 @@ class TestMatchingService:
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigError):
-            MatchingService(chunk_size=0)
+            MatchingService(ScanConfig(chunk_size=0))
 
 
 class TestTeardown:
@@ -347,7 +348,7 @@ class TestTeardown:
 
     def test_close_after_failing_chunk_releases_everything(self, ruleset):
         """A chunk that raises mid-stream must not leak the worker pool."""
-        service = MatchingService(num_shards=3, workers=2)
+        service = MatchingService(ScanConfig(num_shards=3, workers=2))
         stream = b"aecdabcxxy" * 20
         service.scan(ruleset, stream)  # builds the multiprocessing pool
         dispatcher = service.dispatcher(ruleset)
@@ -367,7 +368,7 @@ class TestTeardown:
         assert service.sessions == {}
 
     def test_close_is_idempotent(self, ruleset):
-        service = MatchingService(num_shards=2, workers=2)
+        service = MatchingService(ScanConfig(num_shards=2, workers=2))
         service.scan(ruleset, b"aecd" * 50)
         service.close()
         service.close()
@@ -382,13 +383,13 @@ class TestTeardown:
             service.open_session(ruleset, "late")
 
     def test_service_context_manager(self, ruleset):
-        with MatchingService(num_shards=2) as service:
+        with MatchingService(ScanConfig(num_shards=2)) as service:
             result = service.scan(ruleset, b"aecdabc")
             assert result.num_reports > 0
         assert service.closed
 
     def test_dispatcher_context_manager_closes_pool(self, ruleset):
-        with Dispatcher(ruleset, num_shards=3, workers=2) as dispatcher:
+        with Dispatcher(ruleset, ScanConfig(num_shards=3, workers=2)) as dispatcher:
             dispatcher.scan(b"aecdabcxxy" * 10, chunk_size=16)
             assert dispatcher._pool is not None
         assert dispatcher._pool is None
@@ -400,7 +401,9 @@ class TestTeardown:
         # released by service.close()
         rules_a = compile_regex_set({"a1": "ab", "a2": "cd"}, name="a")
         rules_b = compile_regex_set({"b1": "ef", "b2": "gh"}, name="b")
-        service = MatchingService(cache_capacity=1, num_shards=2, workers=2)
+        service = MatchingService(
+            ScanConfig(cache_capacity=1, num_shards=2, workers=2)
+        )
         service.scan(rules_a, b"abcd" * 30)
         first = service.dispatcher(rules_a)
         assert first._pool is not None
@@ -414,7 +417,7 @@ class TestTeardown:
     def test_evicted_dispatcher_without_pool_closes_immediately(self):
         rules_a = compile_regex_set({"a1": "ab"}, name="a")
         rules_b = compile_regex_set({"b1": "ef"}, name="b")
-        service = MatchingService(cache_capacity=1)
+        service = MatchingService(ScanConfig(cache_capacity=1))
         service.scan(rules_a, b"abab")
         service.scan(rules_b, b"efef")  # evicts the (serial) dispatcher
         assert service._retired == []

@@ -1,0 +1,580 @@
+"""The shared transport (:mod:`repro.service.transport`), outside in.
+
+Three suites:
+
+* **wire conformance** — every framing, limit, back-pressure and drain
+  behaviour of the frame server, run against both endpoints built on
+  it: a ``MatchingServer`` and a ``ClusterRouter`` fronting one node.
+  Each case asserts one literal error ``code``, so the two endpoints
+  cannot drift apart without a case failing on one of them;
+* **client parity** — one table walks every public op of the sync
+  client and checks the async client sends byte-identical request
+  frames and decodes equal results;
+* **frame channel** — the raw channel's limit / EOF / id mapping that
+  ``NodeChannel`` and ``AsyncMatchingClient`` both stand on.
+"""
+
+import asyncio
+import contextlib
+import dataclasses
+import inspect
+import json
+import socket
+import struct
+import threading
+import time
+
+import pytest
+
+from repro.api import ScanConfig
+from repro.automata import compile_regex_set
+from repro.cluster import BackgroundRouter, ClusterRouter, NodeChannel, NodeError
+from repro.compile import CompiledArtifact, compile_ruleset
+from repro.errors import ConfigError, SimulationError
+from repro.service import (
+    AsyncMatchingClient,
+    BackgroundServer,
+    MatchingClient,
+    MatchingServer,
+    ProtocolError,
+    RemoteError,
+)
+from repro.service.client import RemoteSession
+from repro.service.protocol import (
+    DEFAULT_MAX_INFLIGHT,
+    encode_data,
+    encode_frame,
+)
+from repro.service.transport import ChannelClosed, FrameChannel
+
+RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
+STREAM = b"aecdabcxxyaecddabcyx" * 40
+
+
+# ---------------------------------------------------------------------------
+# wire conformance: [server, router -> 1 node]
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def serve(kind, **transport):
+    """A started endpoint of ``kind``; ``transport`` holds the options
+    both constructors share (``max_frame_bytes``, ``allow_shutdown``)."""
+    config = ScanConfig(num_shards=1)
+    if kind == "server":
+        with BackgroundServer(config=config, **transport) as bg:
+            yield bg
+        return
+    with BackgroundServer(config=config) as node:
+        router = ClusterRouter(
+            [("127.0.0.1", node.port)],
+            replication=1,
+            health_interval_s=0.5,
+            **transport,
+        )
+        with BackgroundRouter(router) as bg:
+            yield bg
+
+
+@pytest.fixture(params=["server", "router"])
+def kind(request):
+    return request.param
+
+
+@pytest.fixture(scope="module", params=["server", "router"])
+def endpoint(request):
+    with serve(request.param) as bg:
+        yield bg
+
+
+@contextlib.contextmanager
+def raw(port):
+    with socket.create_connection(("127.0.0.1", port), 5) as sock:
+        yield sock, sock.makefile("rb")
+
+
+class TestWireConformance:
+    def test_malformed_json_keeps_connection(self, endpoint):
+        with raw(endpoint.port) as (sock, file):
+            sock.sendall(b"not json at all\n")
+            response = json.loads(file.readline())
+            assert response["ok"] is False
+            assert response["code"] == "bad-frame"
+            assert response["id"] is None
+            # the connection survives a malformed frame
+            sock.sendall(encode_frame({"id": 1, "op": "ping"}))
+            response = json.loads(file.readline())
+            assert response["ok"] is True and response["pong"] is True
+
+    def test_non_object_frame_rejected(self, endpoint):
+        with raw(endpoint.port) as (sock, file):
+            sock.sendall(b"[1,2,3]\n")
+            response = json.loads(file.readline())
+            assert response["ok"] is False
+            assert response["code"] == "bad-frame"
+
+    def test_missing_op_echoes_the_id(self, endpoint):
+        with raw(endpoint.port) as (sock, file):
+            sock.sendall(encode_frame({"id": 7, "handle": "x"}))
+            response = json.loads(file.readline())
+            assert response["code"] == "bad-request"
+            assert response["id"] == 7
+
+    def test_unknown_op_and_missing_fields(self, endpoint):
+        with MatchingClient(port=endpoint.port) as client:
+            with pytest.raises(RemoteError) as excinfo:
+                client._request({"op": "teleport"})
+            assert excinfo.value.code == "unknown-op"
+            with pytest.raises(RemoteError) as excinfo:
+                client._request({"op": "scan"})
+            assert excinfo.value.code == "bad-request"
+
+    def test_blank_lines_are_ignored(self, endpoint):
+        with raw(endpoint.port) as (sock, file):
+            sock.sendall(b"\n  \n" + encode_frame({"id": 3, "op": "ping"}))
+            response = json.loads(file.readline())
+            # the first response on the wire is the ping's
+            assert response["id"] == 3 and response["pong"] is True
+
+    def test_oversized_request_is_rejected_then_closed(self, kind):
+        with serve(kind, max_frame_bytes=2048) as bg:
+            with raw(bg.port) as (sock, file):
+                sock.sendall(b"x" * 5000 + b"\n")
+                response = json.loads(file.readline())
+                assert response["ok"] is False
+                assert response["code"] == "frame-too-large"
+                assert response["id"] is None  # the line was unreadable
+                assert file.readline() == b""  # EOF: connection closed
+
+    def test_oversized_response_is_replaced_with_error(self, kind):
+        # tiny frame budget: a scan whose report list exceeds it must
+        # produce an error frame, not a torn response.  1000 input
+        # bytes fit the request budget; the 1000-report response does
+        # not (its request id is preserved in the error frame).
+        with serve(kind, max_frame_bytes=2048) as bg:
+            with MatchingClient(port=bg.port) as client:
+                handle = client.register({"r": "a"})
+                with pytest.raises(RemoteError) as excinfo:
+                    client.scan(handle, b"a" * 1000)
+                assert excinfo.value.code == "frame-too-large"
+                # the connection is still usable afterwards
+                assert client.ping()["pong"] is True
+                assert client.scan(handle, b"a" * 10).num_reports == 10
+
+    def test_inflight_frames_are_bounded_and_none_is_lost(self, kind):
+        """A client that pipelines past ``max_inflight`` is not read
+        past it (TCP back-pressure), and every frame is still answered,
+        in order, once the client reads."""
+        frames = 3 * DEFAULT_MAX_INFLIGHT
+        with serve(kind) as bg:
+            with MatchingClient(port=bg.port) as setup:
+                handle = setup.register(RULES)
+            data = encode_data(STREAM * 4)  # slow enough to queue up
+            with raw(bg.port) as (sock, file):
+                sock.sendall(
+                    b"".join(
+                        encode_frame(
+                            {"id": i, "op": "scan", "handle": handle, "data": data}
+                        )
+                        for i in range(frames)
+                    )
+                )
+                depth = []
+                deadline = time.monotonic() + 0.3
+                while time.monotonic() < deadline:
+                    depth.append(bg.server._inflight)
+                    time.sleep(0.005)
+                assert max(depth) == DEFAULT_MAX_INFLIGHT
+                answered = [json.loads(file.readline()) for _ in range(frames)]
+            assert [r["id"] for r in answered] == list(range(frames))
+            assert all(r["ok"] for r in answered)
+
+    def test_pipelined_disconnect_does_not_wedge_stop(self, kind):
+        """Regression: a client that pipelines slow scans past
+        max_inflight and resets without reading responses must not
+        deadlock the connection task (and with it, drain/stop): the
+        response write fails, and with the reader blocked on the full
+        queue a processor that simply exits would strand it forever."""
+        with serve(kind) as bg:
+            with MatchingClient(port=bg.port) as setup:
+                handle = setup.register(RULES)
+            for _ in range(2):
+                sock = socket.create_connection(("127.0.0.1", bg.port), 5)
+                # slow frames (real scans) so the queue fills while the
+                # processor is busy; never read a byte of response
+                scan = encode_frame(
+                    {
+                        "op": "scan",
+                        "handle": handle,
+                        "data": encode_data(STREAM * 4),
+                    }
+                )
+                sock.sendall(scan * 4 * DEFAULT_MAX_INFLIGHT)
+                # let the reader fill the bounded queue and block on it
+                # while the processor is still mid-scan, then reset
+                time.sleep(0.4)
+                # abrupt close (RST where the platform produces one)
+                sock.setsockopt(
+                    socket.SOL_SOCKET,
+                    socket.SO_LINGER,
+                    struct.pack("ii", 1, 0),
+                )
+                sock.close()
+            # the endpoint must still answer, and stop() must not hang
+            # (Background.__exit__ raises if the thread does not stop)
+            with MatchingClient(port=bg.port) as client:
+                assert client.ping()["pong"] is True
+
+    def test_dropped_connection_releases_its_sessions(self, endpoint):
+        with MatchingClient(port=endpoint.port) as client:
+            handle = client.register(RULES)
+            client.open_session(handle, "orphan")
+            assert client.stats()["active_sessions"] >= 1
+        # the context exit closed the socket; the endpoint must reap
+        with MatchingClient(port=endpoint.port) as client:
+            deadline = time.monotonic() + 5.0
+            while client.stats()["active_sessions"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.stats()["active_sessions"] == 0
+
+    def test_shutdown_finishes_inflight_work_then_closes(self, kind):
+        with serve(kind) as bg:
+            with MatchingClient(port=bg.port) as client:
+                client.register(RULES)
+                assert client.shutdown()["draining"] is True
+                # queued-before-drain frames still get responses; once
+                # drained the connection closes — EOF ("closed"), or a
+                # reset when a ping was already in flight towards it
+                with pytest.raises((RemoteError, ConnectionError)) as excinfo:
+                    for _ in range(100):
+                        client.ping()
+                if isinstance(excinfo.value, RemoteError):
+                    assert excinfo.value.code == "closed"
+            # new connections are refused after the drain completes
+            for _ in range(100):
+                try:
+                    socket.create_connection(("127.0.0.1", bg.port), 0.2).close()
+                except OSError:
+                    break
+            else:
+                pytest.fail("endpoint kept accepting after drain")
+
+    def test_drain_answers_every_frame_already_read(self, kind):
+        """Frames pipelined behind a ``shutdown`` on the same connection
+        were read before the drain began: each gets its response."""
+        with serve(kind) as bg:
+            with raw(bg.port) as (sock, file):
+                sock.sendall(
+                    encode_frame({"id": 0, "op": "shutdown"})
+                    + b"".join(
+                        encode_frame({"id": i, "op": "ping"}) for i in (1, 2, 3)
+                    )
+                )
+                first = json.loads(file.readline())
+                assert first["id"] == 0 and first["draining"] is True
+                rest = [json.loads(line) for line in file]  # until EOF
+            assert [r["id"] for r in rest] == [1, 2, 3]
+            assert all(r["pong"] for r in rest)
+
+    def test_shutdown_can_be_disabled(self, kind):
+        with serve(kind, allow_shutdown=False) as bg:
+            with MatchingClient(port=bg.port) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.shutdown()
+                assert excinfo.value.code == "bad-request"
+                assert client.ping()["pong"] is True
+
+    def test_second_start_raises(self, kind):
+        with serve(kind) as bg:
+            future = asyncio.run_coroutine_threadsafe(bg.server.start(), bg.loop)
+            with pytest.raises(SimulationError, match="already started"):
+                future.result(5)
+            with pytest.raises(SimulationError, match="already started"):
+                bg.start()
+
+    @pytest.mark.parametrize("endpoint_class", [MatchingServer, ClusterRouter])
+    def test_frame_limit_below_1024_is_rejected(self, endpoint_class):
+        with pytest.raises(ConfigError, match="max_frame_bytes"):
+            endpoint_class(max_frame_bytes=10)
+
+
+# ---------------------------------------------------------------------------
+# sync / async client parity
+# ---------------------------------------------------------------------------
+
+#: response fields that legitimately differ between two runs
+VOLATILE = {"uptime_s", "elapsed_s", "throughput_mbps", "hit_rate"}
+
+
+def stable(value):
+    """``value`` with wall-clock fields dropped, recursively."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {k: stable(v) for k, v in value.items() if k not in VOLATILE}
+    if isinstance(value, list):
+        return [stable(v) for v in value]
+    return value
+
+
+def artifact_bytes():
+    automaton = compile_regex_set(RULES, name="parity")
+    return CompiledArtifact.from_compiled(
+        compile_ruleset(automaton, backend="auto")
+    ).to_bytes()
+
+
+#: one row per public op, in a runnable order: ``(op, args, kwargs)``;
+#: the string ``"<handle>"`` stands for the handle ``register`` returned
+PARITY_OPS = [
+    ("ping", (), {}),
+    ("health", (), {}),
+    ("register", (RULES,), {"name": "parity"}),
+    ("register_artifact", (artifact_bytes(),), {}),
+    ("scan", ("<handle>", STREAM), {"max_reports": 5, "chunk_size": 64}),
+    (
+        "scan_many",
+        ("<handle>", {"a": STREAM[:100], "b": b""}),
+        {"config": ScanConfig(chunk_size=32), "hardware_ledger": True},
+    ),
+    ("update", ("<handle>",), {"add": {"r9": "zz+q"}}),
+    ("open_session", ("<handle>", "s"), {"max_reports": 500}),
+    ("stats", (), {}),
+    ("metrics", (), {}),
+    ("shutdown", (), {}),
+]
+SESSION_OPS = [("feed", (STREAM[:64],)), ("feed", (STREAM[64:200],)), ("close", ())]
+
+
+def public_ops(cls, *, lifecycle=()):
+    return {
+        name
+        for name, member in inspect.getmembers(cls, callable)
+        if not name.startswith("_") and name not in lifecycle
+    }
+
+
+CONNECTION = ("connect", "close")
+
+
+class Recorder:
+    """Capture the exact bytes a client puts on the wire."""
+
+    def __init__(self, client):
+        self.frames = []
+        stamp = client._wire
+
+        def recording(frame):
+            wire = stamp(frame)
+            self.frames.append(encode_frame(wire))
+            return wire
+
+        client._wire = recording
+
+
+async def maybe_await(value):
+    return await value if inspect.isawaitable(value) else value
+
+
+async def drive(client, results):
+    """Run the op table (then the session ops) against one client."""
+    handle = None
+    session = None
+    for op, args, kwargs in PARITY_OPS:
+        args = tuple(handle if a == "<handle>" else a for a in args)
+        result = await maybe_await(getattr(client, op)(*args, **kwargs))
+        if op == "register":
+            handle = result
+        if op == "open_session":
+            session = result
+            for method, session_args in SESSION_OPS:
+                fed = await maybe_await(getattr(session, method)(*session_args))
+                results.append((f"session.{method}", stable(fed)))
+            result = (session.position, session.truncated, session.closed)
+        results.append((op, stable(result)))
+
+
+class TestClientParity:
+    def test_the_table_covers_every_public_op(self):
+        assert public_ops(MatchingClient, lifecycle=CONNECTION) == {
+            op for op, _, _ in PARITY_OPS
+        }
+        assert public_ops(RemoteSession) == {op for op, _ in SESSION_OPS}
+
+    def test_async_client_has_the_same_surface(self):
+        assert public_ops(AsyncMatchingClient) == public_ops(MatchingClient)
+        for name in public_ops(MatchingClient, lifecycle=CONNECTION):
+            assert inspect.signature(
+                getattr(AsyncMatchingClient, name)
+            ) == inspect.signature(getattr(MatchingClient, name)), name
+
+    def test_same_frames_out_equal_results_back(self):
+        # one fresh, identical server per client, so the same op
+        # sequence meets the same server state (ids, versions, counters)
+        outcomes = {}
+        for flavour in ("sync", "async"):
+            with BackgroundServer(config=ScanConfig(num_shards=2)) as bg:
+                results = []
+                if flavour == "sync":
+                    client = MatchingClient(port=bg.port)
+                    recorder = Recorder(client)
+                    with client:
+                        asyncio.run(drive(client, results))
+                else:
+
+                    async def main():
+                        async with AsyncMatchingClient(port=bg.port) as client:
+                            rec = Recorder(client)
+                            await drive(client, results)
+                            return rec
+
+                    recorder = asyncio.run(main())
+                outcomes[flavour] = (recorder.frames, results)
+        sync_frames, sync_results = outcomes["sync"]
+        async_frames, async_results = outcomes["async"]
+        assert sync_frames == async_frames  # byte-identical requests
+        assert len(sync_frames) == len(PARITY_OPS) + len(SESSION_OPS)
+        for (op, sync_value), (_, async_value) in zip(
+            sync_results, async_results, strict=True
+        ):
+            if op == "metrics":
+                # the registry is process-wide: it kept counting
+                assert "repro_server_requests_total" in async_value
+                continue
+            assert sync_value == async_value, op
+
+
+# ---------------------------------------------------------------------------
+# the raw frame channel
+# ---------------------------------------------------------------------------
+
+
+class ScriptedPeer:
+    """A one-connection TCP peer that answers each request line with the
+    next scripted reply (bytes written verbatim; None = hang up)."""
+
+    def __init__(self, *replies):
+        self._replies = list(replies)
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(4)
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self._replies:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as file:
+                while self._replies and file.readline():
+                    reply = self._replies.pop(0)
+                    if reply is None:
+                        break
+                    conn.sendall(reply)
+
+    def close(self):
+        self._sock.close()
+        self._thread.join(5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def ok(request_id, **payload):
+    return encode_frame({"id": request_id, "ok": True, **payload})
+
+
+class TestFrameChannel:
+    def test_round_trip_returns_the_raw_frame(self):
+        with ScriptedPeer(encode_frame({"id": None, "ok": False, "code": "x"})) as peer:
+
+            async def main():
+                channel = FrameChannel("127.0.0.1", peer.port)
+                response = await channel.round_trip({"op": "ping"})
+                await channel.close()
+                return response
+
+            # error frames are answers: returned, not raised
+            assert asyncio.run(main()) == {"id": None, "ok": False, "code": "x"}
+
+    def test_overlong_response_is_frame_too_large_and_closes(self):
+        with ScriptedPeer(b"x" * 5000 + b"\n", ok(1)) as peer:
+
+            async def main():
+                channel = FrameChannel(
+                    "127.0.0.1", peer.port, max_frame_bytes=2048
+                )
+                with pytest.raises(ProtocolError) as excinfo:
+                    await channel.round_trip({"id": 1, "op": "ping"})
+                assert excinfo.value.code == "frame-too-large"
+                assert not channel.connected  # mid-frame: unframeable
+                # the next round trip starts on a fresh connection
+                again = await channel.round_trip({"id": 1, "op": "ping"})
+                await channel.close()
+                return again
+
+            assert asyncio.run(main())["ok"] is True
+
+    def test_eof_is_channel_closed(self):
+        with ScriptedPeer(None) as peer:
+
+            async def main():
+                channel = FrameChannel("127.0.0.1", peer.port)
+                with pytest.raises(ChannelClosed):
+                    await channel.round_trip({"op": "ping"})
+                assert not channel.connected
+
+            asyncio.run(main())
+
+    def test_node_channel_maps_only_transport_failures_to_node_error(self):
+        with ScriptedPeer(b"x" * 5000 + b"\n", None) as peer:
+
+            async def main():
+                channel = NodeChannel(
+                    "127.0.0.1", peer.port, max_frame_bytes=2048
+                )
+                # an over-long answer is an answer ...
+                with pytest.raises(ProtocolError) as excinfo:
+                    await channel.request({"op": "scan"})
+                assert excinfo.value.code == "frame-too-large"
+                # ... a hang-up is a dead node
+                with pytest.raises(NodeError, match="i/o failed"):
+                    await channel.request({"op": "scan"})
+
+            asyncio.run(main())
+
+    def test_connect_failure_is_node_error(self):
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))
+            port = placeholder.getsockname()[1]  # bound, not listening
+
+            async def main():
+                with pytest.raises(NodeError, match="i/o failed"):
+                    await NodeChannel("127.0.0.1", port).request({"op": "ping"})
+
+            asyncio.run(main())
+
+    def test_every_client_checks_the_response_id(self):
+        # the peer answers with somebody else's id: a desynchronised
+        # stream must be an error, never a misattributed result
+        with ScriptedPeer(ok(99), ok(99), ok(99)) as peer:
+            with MatchingClient(port=peer.port) as client:
+                with pytest.raises(ProtocolError, match="out-of-order"):
+                    client.ping()
+
+            async def main():
+                async with AsyncMatchingClient(port=peer.port) as client:
+                    with pytest.raises(ProtocolError, match="out-of-order"):
+                        await client.ping()
+                channel = NodeChannel("127.0.0.1", peer.port)
+                with pytest.raises(ProtocolError, match="out of order"):
+                    await channel.request({"op": "ping"})
+                await channel.close()
+
+            asyncio.run(main())
