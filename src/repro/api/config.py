@@ -191,11 +191,9 @@ class ScanConfig:
             kernel step (``scan_many`` groups, and the server's batch
             scheduler flushes with reason ``rows_full`` at this bound).
             1 disables batching entirely — every stream steps alone.
-        batch_max_delay_ms: how long the server's batch scheduler may
-            hold a pending chunk waiting for co-batchable work before
-            flushing with reason ``max_delay``.  Bounds the latency
-            cost of batching; irrelevant to the synchronous
-            ``scan_many`` path, which never waits.
+            There is no delay knob beside it: the server's scheduler
+            is work-conserving, so a feed only ever waits behind a
+            batch that is already running for its ruleset.
     """
 
     backend: object = "auto"
@@ -211,7 +209,6 @@ class ScanConfig:
     ledger_design: str = "CAMA-E"
     trace: bool = False
     batch_max_rows: int = 64
-    batch_max_delay_ms: float = 2.0
 
     def __post_init__(self) -> None:
         from repro.sim.backends import BACKEND_NAMES, ExecutionBackend
@@ -244,18 +241,6 @@ class ScanConfig:
                 f"expected one of {known}"
             )
         _require_int("batch_max_rows", self.batch_max_rows, minimum=1)
-        if isinstance(self.batch_max_delay_ms, bool) or not isinstance(
-            self.batch_max_delay_ms, (int, float)
-        ):
-            raise ConfigError(
-                f"batch_max_delay_ms must be a number, got "
-                f"{type(self.batch_max_delay_ms).__name__}"
-            )
-        if self.batch_max_delay_ms < 0:
-            raise ConfigError(
-                f"batch_max_delay_ms must be >= 0, got "
-                f"{self.batch_max_delay_ms}"
-            )
         for flag in ("hardware_ledger", "trace"):
             if not isinstance(getattr(self, flag), bool):
                 raise ConfigError(

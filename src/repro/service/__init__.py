@@ -32,11 +32,14 @@ Architecture (bottom-up)::
     session.Session                   one named stream's snapshot; feed()
                                       chunks as they arrive
 
-    batching.BatchScheduler           cross-stream coalescing: pending
-                                      feeds sharing a dispatcher flush as
-                                      one vectorized step_batch over a
-                                      struct-of-arrays state matrix
-                                      (rows_full / max_delay / drain)
+    batching.BatchScheduler           cross-stream coalescing, work-
+                                      conserving: a feed runs at once when
+                                      its dispatcher is idle; feeds that
+                                      arrive behind a running batch flush
+                                      as one vectorized step_batch over a
+                                      struct-of-arrays state matrix when
+                                      it completes (immediate / backlog /
+                                      rows_full / drain; never a timer)
 
     service.MatchingService           the facade: cache + dispatchers +
                                       sessions + scan / scan_many (two or

@@ -12,11 +12,11 @@ glue that *finds* those batches:
   absorb each per-stream result into its session exactly as a solo
   :meth:`~repro.service.session.Session.feed` would.
 - :class:`BatchScheduler` — the asyncio half used by the NDJSON
-  server: pending feeds accumulate per dispatcher and flush as one
-  batched executor job when the batch fills (``rows_full``), when the
-  oldest entry has waited ``max_delay_s`` (``max_delay``), when the
-  scheduler runs with no delay window or has been closed
-  (``immediate``), or when the server drains (``drain``).
+  server, work-conserving: a feed whose dispatcher has no batch in
+  flight runs at once (``immediate``); feeds arriving behind a running
+  batch accumulate and flush as one batched executor job the moment it
+  completes (``backlog``), sooner when the group fills (``rows_full``)
+  or the server drains (``drain``).  Nothing ever waits on a timer.
 
 Batching never reorders a single stream (the server admits at most one
 in-flight chunk per session) and never changes results — every flush
@@ -26,7 +26,9 @@ path is byte-identical to sequential per-session feeds.
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.sim.reports import Report
 from repro.telemetry.metrics import default_registry
@@ -40,11 +42,17 @@ _BATCH_ROWS = _REGISTRY.histogram(
 _BATCH_FLUSHES = _REGISTRY.counter(
     "repro_batch_flushes_total",
     "Batched-feed flushes by trigger "
-    "(rows_full / max_delay / immediate / drain)",
+    "(rows_full / immediate / drain / backlog)",
     ("reason",),
 )
+_BATCH_WAIT = _REGISTRY.histogram(
+    "repro_batch_wait_seconds",
+    "Time one feed spent parked in the batch scheduler, submit to flush",
+    buckets=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0),
+)
 
-FLUSH_REASONS = ("rows_full", "max_delay", "immediate", "drain")
+# "max_delay" is always 0 now; benchmarks/e2e (topology, layers) index it
+FLUSH_REASONS = ("rows_full", "max_delay", "immediate", "drain", "backlog")
 
 
 def observe_flush(rows: int, reason: str) -> None:
@@ -99,39 +107,40 @@ def feed_session_batch(dispatcher, entries):
 
 
 @dataclass
-class _Pending:
-    """Feeds queued against one dispatcher, awaiting a flush."""
+class _Lane:
+    """One dispatcher's batches in flight and the group parked behind
+    them (holding the dispatcher keeps the ``id`` that keys it unique)."""
 
+    dispatcher: object
+    running: int = 0
     entries: list = field(default_factory=list)
     futures: list = field(default_factory=list)
-    timer: object = None
+    submitted: list = field(default_factory=list)  # perf_counter per entry
 
 
 class BatchScheduler:
     """Coalesces concurrent session feeds into batched kernel steps.
 
     Owned by the asyncio server; must be used from its event loop.
-    ``submit`` parks a feed until either ``max_rows`` feeds for the
-    same dispatcher are pending or ``max_delay_s`` has elapsed since
-    the group's first feed, then runs the whole group as one
-    :func:`feed_session_batch` job on ``executor``.  The trade-off is
-    explicit: a lone stream pays up to ``max_delay_s`` extra latency so
-    that N concurrent streams pay one kernel invocation instead of N.
+    Work-conserving — batch while busy: ``submit`` runs a feed at once
+    when its dispatcher has no batch in flight and parks it behind a
+    running one; the parked group runs as one :func:`feed_session_batch`
+    job on ``executor`` the moment a batch of that dispatcher completes,
+    or as soon as it holds ``max_rows`` feeds.  Batch size follows load:
+    an idle server adds no wait, a busy one coalesces exactly the feeds
+    that would have queued anyway.
 
-    With ``max_delay_s == 0`` every submit flushes its group at once —
-    those flushes count under the ``immediate`` reason (no timer ever
-    fired).  After :meth:`close` the scheduler keeps working but stops
-    parking: feeds that race in behind a drain (frames the server had
-    already read) flush immediately instead of waiting on a delay
-    timer that may never be serviced again.
+    A completing batch is the only thing that releases a parked group,
+    so it does so unconditionally — before its outcome is looked at,
+    whether it succeeded, raised or was cancelled.  After :meth:`close`
+    the scheduler keeps working but stops parking: feeds that race in
+    behind a drain (frames the server had already read) flush at once.
     """
 
-    def __init__(self, executor, *, max_rows: int, max_delay_s: float) -> None:
+    def __init__(self, executor, *, max_rows: int) -> None:
         self._executor = executor
         self._max_rows = max(1, int(max_rows))
-        self._max_delay_s = max(0.0, float(max_delay_s))
-        self._pending: dict[int, _Pending] = {}
-        self._keepalive: dict[int, object] = {}  # dispatcher refs
+        self._lanes: dict[int, _Lane] = {}
         self.closed = False
         self.batches = 0
         self.rows = 0
@@ -139,41 +148,29 @@ class BatchScheduler:
 
     async def submit(self, dispatcher, session, chunk) -> list:
         """Queue one feed; resolves with the chunk's new reports."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        key = id(dispatcher)
-        group = self._pending.get(key)
-        if group is None:
-            group = _Pending()
-            self._pending[key] = group
-            self._keepalive[key] = dispatcher
-            if self._max_delay_s > 0 and not self.closed:
-                group.timer = loop.call_later(
-                    self._max_delay_s, self._flush, key, "max_delay"
-                )
-        group.entries.append((session, chunk))
-        group.futures.append(future)
-        if len(group.entries) >= self._max_rows:
-            self._flush(key, "rows_full")
-        elif self.closed or self._max_delay_s == 0:
-            self._flush(key, "immediate")
+        future = asyncio.get_running_loop().create_future()
+        lane = self._lanes.get(id(dispatcher))
+        if lane is None:
+            lane = self._lanes[id(dispatcher)] = _Lane(dispatcher)
+        lane.entries.append((session, chunk))
+        lane.futures.append(future)
+        lane.submitted.append(time.perf_counter())
+        if len(lane.entries) >= self._max_rows:
+            self._flush(lane, "rows_full")
+        elif not lane.running or self.closed:
+            self._flush(lane, "immediate")
         return await future
 
     def close(self) -> None:
-        """Drain pending groups and switch to immediate-flush mode.
+        """Flush every parked group and stop parking (server drain).
 
-        Called when the server drains.  Feeds submitted afterwards
-        still execute (the server finishes every frame it already
-        read), but each flushes at once — nothing can park behind a
-        ``max_delay_s`` window after the drain pass has run.
+        Feeds submitted afterwards still execute (the server finishes
+        every frame it already read), but each flushes at once, busy
+        dispatcher or not.
         """
         self.closed = True
-        self.flush_all("drain")
-
-    def flush_all(self, reason: str = "drain") -> None:
-        """Flush every pending group (server drain / shutdown)."""
-        for key in list(self._pending):
-            self._flush(key, reason)
+        for lane in self._lanes.values():
+            self._flush(lane, "drain")
 
     def stats(self) -> dict:
         """Plain-dict counters for the server's ``stats`` frame."""
@@ -187,36 +184,39 @@ class BatchScheduler:
             "flush_reasons": dict(self.flush_reasons),
         }
 
-    def _flush(self, key: int, reason: str) -> None:
-        group = self._pending.pop(key, None)
-        dispatcher = self._keepalive.pop(key, None)
-        if group is None or not group.entries:
+    def _flush(self, lane: _Lane, reason: str) -> None:
+        entries, futures = lane.entries, lane.futures
+        if not entries:
             return
-        if group.timer is not None:
-            group.timer.cancel()
+        now, wait = time.perf_counter(), _BATCH_WAIT.labels()
+        for since in lane.submitted:
+            wait.observe(now - since)
+        lane.entries, lane.futures, lane.submitted = [], [], []
+        lane.running += 1
         self.batches += 1
-        self.rows += len(group.entries)
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-        observe_flush(len(group.entries), reason)
-        loop = asyncio.get_running_loop()
-        job = loop.run_in_executor(
-            self._executor, feed_session_batch, dispatcher, group.entries
+        self.rows += len(entries)
+        self.flush_reasons[reason] += 1
+        observe_flush(len(entries), reason)
+        job = asyncio.get_running_loop().run_in_executor(
+            self._executor, feed_session_batch, lane.dispatcher, entries
         )
-        futures = group.futures
+        job.add_done_callback(partial(self._completed, lane, futures))
 
-        def _resolve(done: "asyncio.Future") -> None:
-            exc = done.exception()
-            if exc is not None:
-                for future in futures:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
-            for future, (reports, entry_exc) in zip(futures, done.result()):
-                if future.done():
-                    continue
-                if entry_exc is not None:
-                    future.set_exception(entry_exc)
-                else:
-                    future.set_result(reports)
-
-        job.add_done_callback(_resolve)
+    def _completed(self, lane: _Lane, futures: list, done) -> None:
+        # free the lane first: nothing else ever releases its backlog
+        lane.running -= 1
+        if lane.entries:
+            self._flush(lane, "backlog")
+        elif not lane.running:
+            del self._lanes[id(lane.dispatcher)]
+        exc = (
+            asyncio.CancelledError() if done.cancelled() else done.exception()
+        )
+        outcomes = done.result() if exc is None else [([], exc)] * len(futures)
+        for future, (reports, entry_exc) in zip(futures, outcomes):
+            if future.done():
+                continue
+            if entry_exc is not None:
+                future.set_exception(entry_exc)
+            else:
+                future.set_result(reports)

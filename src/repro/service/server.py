@@ -170,21 +170,20 @@ class MatchingServer(FrameServer):
         if self._batcher is None and cfg.batch_max_rows > 1:
             from repro.service.batching import BatchScheduler
 
-            # feeds from concurrent connections against the same ruleset
-            # coalesce into batched kernel steps; per-connection ordering
-            # is untouched (one in-flight frame per connection)
+            # feeds from concurrent connections that arrive while their
+            # ruleset's kernel is busy coalesce into one batched step;
+            # per-connection ordering is untouched (one in-flight frame
+            # per connection)
             self._batcher = BatchScheduler(
-                self._executor,
-                max_rows=cfg.batch_max_rows,
-                max_delay_s=cfg.batch_max_delay_ms / 1000.0,
+                self._executor, max_rows=cfg.batch_max_rows
             )
         await super().start()
 
     async def drain(self) -> None:
         if self._batcher is not None:
-            # close, not just flush: feeds racing in behind the drain
-            # (frames already read off a socket) must flush immediately
-            # instead of parking on a delay timer nothing will service
+            # flush what is parked and stop parking: feeds racing in
+            # behind the drain (frames already read off a socket) then
+            # run at once instead of queueing behind a running batch
             self._batcher.close()
         await super().drain()
 
@@ -215,9 +214,9 @@ class MatchingServer(FrameServer):
 
     def _dispatch_feed(self, conn: Connection, frame: dict):
         if self._batcher is not None:
-            # batched feeds park on the scheduler (event-loop side)
-            # until their group flushes to the executor as one batched
-            # kernel step
+            # batched feeds go through the scheduler (event-loop side):
+            # straight to the executor when their ruleset is idle, parked
+            # and coalesced into one batched kernel step when it is busy
             return self._op_feed_batched(conn, frame)
         return self._offload(self._op_feed, conn, frame)
 

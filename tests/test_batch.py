@@ -9,6 +9,7 @@ ticks, and shrinking kept-reports budgets.
 """
 
 import asyncio
+import concurrent.futures
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from repro.service.batching import BatchScheduler, feed_session_batch
 from repro.sim.backends import STATE_FORMAT_VERSION, BatchEngineState
 from repro.sim.backends.base import EngineState
 from repro.sim.engine import Engine
+from repro.telemetry.metrics import default_registry
 
 BACKENDS = ["sparse", "bitparallel", "native", "auto"]
 
@@ -399,7 +401,7 @@ def test_batch_scheduler_propagates_closed_session_error():
 
     async def drive():
         with ThreadPoolExecutor(max_workers=1) as executor:
-            scheduler = BatchScheduler(executor, max_rows=2, max_delay_s=0.05)
+            scheduler = BatchScheduler(executor, max_rows=2)
             with MatchingService(ScanConfig()) as service:
                 live = service.open_session(automaton, "live")
                 dead = service.open_session(automaton, "dead")
@@ -417,112 +419,332 @@ def test_batch_scheduler_propagates_closed_session_error():
     assert _keys(live_result) == expected
 
 
-def test_batch_scheduler_zero_delay_counts_immediate():
-    """max_delay_s == 0 flushes are 'immediate', not 'max_delay' — no
-    timer ever fired."""
+class SteppedExecutor:
+    """An executor whose jobs run only when the test steps them, so the
+    scheduler's busy/idle transitions are driven by hand, not by time."""
+
+    def __init__(self):
+        self.held = []  # (future, fn, args), oldest first
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        self.held.append((future, fn, args))
+        return future
+
+    def rows(self):
+        """Row count of every held ``feed_session_batch`` job."""
+        return [len(args[1]) for _, _, args in self.held]
+
+    def step(self, cancel=False):
+        """Run (or cancel) the oldest held job on the calling thread."""
+        future, fn, args = self.held.pop(0)
+        if cancel:
+            assert future.cancel()
+            return
+        future.set_running_or_notify_cancel()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001
+            future.set_exception(exc)
+
+
+class FailOnce:
+    """A dispatcher whose first batched step raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = False
+
+    def run_chunk_batch(self, *args, **kwargs):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("kernel fell over")
+        return self.inner.run_chunk_batch(*args, **kwargs)
+
+
+SCHEDULER_DATA = b"abcddx123zfoobar" * 3
+
+
+def _waits_recorded():
+    """Observations so far in the ``repro_batch_wait_seconds`` histogram."""
+    family = default_registry().collect()["repro_batch_wait_seconds"]
+    return sum(sample["count"] for sample in family["samples"].values())
+
+
+def _drive_scheduler(scenario, *, max_rows=64, sessions=4):
+    """Run ``scenario(scheduler, executor, sessions, submit)`` on a loop
+    with a :class:`SteppedExecutor`; ``submit(session, dispatcher=None)``
+    starts one feed of ``SCHEDULER_DATA`` and returns its task, already
+    advanced to where ``BatchScheduler.submit`` awaits.  Returns what the
+    scenario returns, the solo-feed reference, and the final stats
+    (checked: one reason per batch, one row per feed)."""
     automaton = _automaton()
-    chunk = b"abcddx123z"
     with MatchingService(ScanConfig()) as svc:
-        expected = _keys(svc.open_session(automaton, "ref").feed(chunk))
+        reference = _keys(
+            svc.open_session(automaton, "ref").feed(SCHEDULER_DATA)
+        )
+    fed = []
+    waits_before = _waits_recorded()
 
     async def drive():
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            scheduler = BatchScheduler(executor, max_rows=64, max_delay_s=0.0)
-            with MatchingService(ScanConfig()) as service:
-                session = service.open_session(automaton, "s")
-                reports = await scheduler.submit(
-                    session.dispatcher, session, chunk
-                )
-                return _keys(reports), scheduler.stats()
+        executor = SteppedExecutor()
+        scheduler = BatchScheduler(executor, max_rows=max_rows)
+        with MatchingService(ScanConfig()) as service:
+            opened = [
+                service.open_session(automaton, f"s{i}")
+                for i in range(sessions)
+            ]
 
-    got, stats = asyncio.run(drive())
-    assert got == expected
-    assert stats["flush_reasons"]["immediate"] == 1
+            async def submit(session, dispatcher=None):
+                task = asyncio.ensure_future(
+                    scheduler.submit(
+                        dispatcher or session.dispatcher,
+                        session,
+                        SCHEDULER_DATA,
+                    )
+                )
+                fed.append(task)
+                await asyncio.sleep(0)  # runs the task up to its await
+                return task
+
+            out = await scenario(scheduler, executor, opened, submit)
+            assert not executor.held  # the scenario stepped every job
+            return out, scheduler.stats()
+
+    out, stats = asyncio.run(drive())
+    assert sum(stats["flush_reasons"].values()) == stats["batches"]
+    assert stats["rows"] == len(fed)
     assert stats["flush_reasons"]["max_delay"] == 0
+    if default_registry().enabled:  # every feed's submit-to-flush wait
+        assert _waits_recorded() - waits_before == len(fed)
+    return out, reference, stats
+
+
+async def _finish(task):
+    return _keys(await asyncio.wait_for(task, timeout=5))
+
+
+def test_flush_reason_names_the_harness_reads_are_kept():
+    """benchmarks/e2e builds its totals from FLUSH_REASONS and indexes
+    these names in the ``stats`` frame; new reasons go at the end."""
+    from repro.service.batching import FLUSH_REASONS
+
+    kept = ("rows_full", "max_delay", "immediate", "drain")
+    assert FLUSH_REASONS[: len(kept)] == kept
+    stats = BatchScheduler(SteppedExecutor(), max_rows=2).stats()
+    assert set(kept) <= set(stats["flush_reasons"])
+    assert set(stats["flush_reasons"]) == set(FLUSH_REASONS)
+
+
+def test_batch_scheduler_lone_feed_flushes_immediately():
+    """A feed whose dispatcher is idle reaches the executor inside
+    submit — no timer, no wait — and counts as 'immediate'."""
+
+    async def scenario(scheduler, executor, sessions, submit):
+        task = await submit(sessions[0])
+        assert executor.rows() == [1]  # already handed over
+        executor.step()
+        return await _finish(task)
+
+    got, reference, stats = _drive_scheduler(scenario)
+    assert got == reference
     assert stats["batches"] == 1
-    assert sum(stats["flush_reasons"].values()) == stats["batches"]
-
-
-def test_batch_scheduler_post_drain_submits_flush_immediately():
-    """Feeds racing in behind close() flush at once instead of parking
-    behind a max_delay timer that may never be serviced again."""
-    automaton = _automaton()
-    data = b"abcddx123zfoobar" * 3
-    with MatchingService(ScanConfig()) as svc:
-        expected = _keys(svc.open_session(automaton, "ref").feed(data))
-
-    async def drive():
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            scheduler = BatchScheduler(
-                executor, max_rows=64, max_delay_s=30.0
-            )
-            with MatchingService(ScanConfig()) as service:
-                early = service.open_session(automaton, "early")
-                late = service.open_session(automaton, "late")
-                dispatcher = early.dispatcher
-                parked = asyncio.ensure_future(
-                    scheduler.submit(dispatcher, early, data)
-                )
-                await asyncio.sleep(0)  # park behind the 30 s timer
-                assert not parked.done()
-                scheduler.close()
-                early_reports = await asyncio.wait_for(parked, timeout=5)
-                late_reports = await asyncio.wait_for(
-                    scheduler.submit(dispatcher, late, data), timeout=5
-                )
-                return (
-                    _keys(early_reports),
-                    _keys(late_reports),
-                    scheduler.stats(),
-                )
-
-    early, late, stats = asyncio.run(drive())
-    assert early == expected
-    assert late == expected
-    assert stats["flush_reasons"]["drain"] == 1
     assert stats["flush_reasons"]["immediate"] == 1
-    assert stats["flush_reasons"]["max_delay"] == 0
-    assert sum(stats["flush_reasons"].values()) == stats["batches"]
 
 
-def test_server_drain_releases_parked_batched_feed():
-    """End-to-end drain race: a feed parked behind a huge batch delay
-    window resolves correctly when another client triggers shutdown."""
+def test_batch_scheduler_backlog_flushes_once_in_submit_order():
+    """k feeds arriving behind a running batch park, then run as ONE
+    batch of k rows, in submit order, the moment it completes."""
+
+    async def scenario(scheduler, executor, sessions, submit):
+        tasks = [await submit(session) for session in sessions]
+        assert executor.rows() == [1]  # three parked behind the first
+        assert not any(task.done() for task in tasks)
+        executor.step()
+        first = await _finish(tasks[0])
+        assert executor.rows() == [3]
+        entries = executor.held[0][2][1]
+        assert [s.name for s, _ in entries] == ["s1", "s2", "s3"]
+        assert not any(task.done() for task in tasks[1:])
+        executor.step()
+        return [first] + [await _finish(task) for task in tasks[1:]]
+
+    got, reference, stats = _drive_scheduler(scenario)
+    assert got == [reference] * 4
+    assert stats["batches"] == 2
+    assert stats["flush_reasons"]["immediate"] == 1
+    assert stats["flush_reasons"]["backlog"] == 1
+
+
+def test_batch_scheduler_rows_full_does_not_wait_for_the_running_batch():
+    """A parked group that reaches max_rows flushes at once, beside the
+    batch still in flight; what parks after it is the next backlog."""
+
+    async def scenario(scheduler, executor, sessions, submit):
+        tasks = [await submit(session) for session in sessions[:3]]
+        assert executor.rows() == [1, 2]  # nothing was stepped yet
+        tasks.append(await submit(sessions[3]))
+        assert executor.rows() == [1, 2]  # parked: two batches running
+        executor.step()
+        await _finish(tasks[0])
+        assert executor.rows() == [2, 1]  # a completion frees the backlog
+        executor.step()
+        executor.step()
+        return [await _finish(task) for task in tasks]
+
+    got, reference, stats = _drive_scheduler(scenario, max_rows=2)
+    assert got == [reference] * 4
+    assert stats["flush_reasons"]["immediate"] == 1
+    assert stats["flush_reasons"]["rows_full"] == 1
+    assert stats["flush_reasons"]["backlog"] == 1
+
+
+def test_batch_scheduler_close_flushes_parked_group_and_stops_parking():
+    """close() while busy: the parked group flushes as 'drain', and
+    feeds racing in behind it flush at once, busy dispatcher or not."""
+
+    async def scenario(scheduler, executor, sessions, submit):
+        running = await submit(sessions[0])
+        parked = await submit(sessions[1])
+        assert executor.rows() == [1]
+        scheduler.close()
+        assert executor.rows() == [1, 1]
+        late = await submit(sessions[2])
+        assert executor.rows() == [1, 1, 1]  # the first is still running
+        for _ in range(3):
+            executor.step()
+        return [await _finish(task) for task in (running, parked, late)]
+
+    got, reference, stats = _drive_scheduler(scenario)
+    assert got == [reference] * 3
+    assert stats["flush_reasons"]["drain"] == 1
+    assert stats["flush_reasons"]["immediate"] == 2
+    assert stats["flush_reasons"]["backlog"] == 0
+
+
+def test_batch_scheduler_dispatchers_never_block_each_other():
+    """Busy is per dispatcher: a batch running for one ruleset parks
+    nothing that belongs to another."""
+    other = compile_regex_set({"x": "xyz+"}, name="other-ruleset")
+
+    async def scenario(scheduler, executor, sessions, submit):
+        with MatchingService(ScanConfig()) as service:
+            stranger = service.open_session(other, "stranger")
+            assert stranger.dispatcher is not sessions[0].dispatcher
+            held = await submit(sessions[0])
+            free = await submit(stranger)
+            assert executor.rows() == [1, 1]  # both immediate
+            behind = await submit(sessions[1])
+            assert executor.rows() == [1, 1]  # parks behind its own only
+            executor.held.reverse()  # the stranger's batch finishes first
+            executor.step()
+            assert await _finish(free) == []
+            assert executor.rows() == [1]  # ... and releases nothing
+            executor.step()
+            first = await _finish(held)
+            executor.step()
+            return [first, await _finish(behind)]
+
+    got, reference, stats = _drive_scheduler(scenario)
+    assert got == [reference] * 2
+    assert stats["flush_reasons"]["immediate"] == 2
+    assert stats["flush_reasons"]["backlog"] == 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "cancelled"])
+def test_batch_scheduler_failed_batch_still_releases_its_backlog(failure):
+    """Completion is the only thing that frees a backlog, so a batch
+    that raises (or whose executor job is cancelled) must still free
+    it: the failed group gets the error, the parked group runs and
+    matches the solo reference."""
+
+    async def scenario(scheduler, executor, sessions, submit):
+        dispatcher = sessions[0].dispatcher
+        if failure == "raises":
+            dispatcher = FailOnce(dispatcher)
+        tasks = [
+            await submit(session, dispatcher) for session in sessions[:3]
+        ]
+        assert executor.rows() == [1]
+        executor.step(cancel=failure == "cancelled")
+        first = (await asyncio.gather(tasks[0], return_exceptions=True))[0]
+        assert executor.rows() == [2]  # the backlog was released
+        executor.step()
+        return first, [await _finish(task) for task in tasks[1:]]
+
+    (first, parked), reference, stats = _drive_scheduler(scenario)
+    if failure == "raises":
+        assert isinstance(first, RuntimeError)
+        assert "fell over" in str(first)
+    else:
+        assert isinstance(first, asyncio.CancelledError)
+    assert parked == [reference] * 2
+    assert stats["flush_reasons"]["backlog"] == 1
+
+
+def test_server_drain_releases_feed_parked_behind_a_running_batch(
+    monkeypatch,
+):
+    """End-to-end drain race: a feed parked behind a batch that is
+    still running resolves correctly — and without waiting for that
+    batch — when another client triggers shutdown."""
     import threading
     import time
 
-    from repro.service import BackgroundServer, MatchingClient
+    from repro.service import BackgroundServer, MatchingClient, batching
 
     automaton = _automaton()
     data = b"abcddx123zfoobarbaz" * 4
     with MatchingService(ScanConfig()) as svc:
         expected = _keys(svc.open_session(automaton, "ref").feed(data))
 
-    config = ScanConfig(batch_max_rows=64, batch_max_delay_ms=60_000.0)
-    got, errors = [], []
-    with BackgroundServer(config=config, executor_workers=2) as bg:
-        opened = threading.Event()
+    started, gate = threading.Event(), threading.Event()
+    real = batching.feed_session_batch
 
-        def worker():
+    def held_first(dispatcher, entries):
+        if not started.is_set():
+            started.set()
+            assert gate.wait(30)
+        return real(dispatcher, entries)
+
+    monkeypatch.setattr(batching, "feed_session_batch", held_first)
+    got, errors = {}, []
+    config = ScanConfig(batch_max_rows=64)
+    with BackgroundServer(config=config, executor_workers=2) as bg:
+
+        def worker(name):
             try:
                 with MatchingClient(port=bg.port) as client:
                     handle = client.register(RULES)
-                    session = client.open_session(handle, "parked")
-                    opened.set()
-                    got.extend(_keys(session.feed(data)))
+                    session = client.open_session(handle, name)
+                    got[name] = _keys(session.feed(data))
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        assert opened.wait(30)
-        time.sleep(0.3)  # let the feed frame park in the scheduler
+        running = threading.Thread(target=worker, args=("running",))
+        running.start()
+        assert started.wait(30)
+        parked = threading.Thread(target=worker, args=("parked",))
+        parked.start()
+        scheduler = bg.server._batcher
+        deadline = time.monotonic() + 30
+        while not any(lane.entries for lane in scheduler._lanes.values()):
+            assert time.monotonic() < deadline, "the feed never parked"
+            time.sleep(0.005)
         with MatchingClient(port=bg.port) as client:
             client.shutdown()
-        thread.join(30)
-        assert not thread.is_alive()
+        parked.join(30)  # the drain flush runs beside the held batch
+        assert not parked.is_alive()
+        assert running.is_alive()
+        gate.set()
+        running.join(30)
+        assert not running.is_alive()
     assert not errors, errors
-    assert got == expected
+    assert got == {"running": expected, "parked": expected}
+    stats = scheduler.stats()
+    assert stats["batches"] == stats["rows"] == 2
+    assert stats["flush_reasons"]["immediate"] == 1
+    assert stats["flush_reasons"]["drain"] == 1
 
 
 def test_batch_scheduler_coalesces_and_matches():
@@ -538,9 +760,7 @@ def test_batch_scheduler_coalesces_and_matches():
 
     async def drive():
         with ThreadPoolExecutor(max_workers=2) as executor:
-            scheduler = BatchScheduler(
-                executor, max_rows=4, max_delay_s=0.05
-            )
+            scheduler = BatchScheduler(executor, max_rows=4)
             with MatchingService(ScanConfig()) as service:
                 sessions = [
                     service.open_session(automaton, f"s{i}")
@@ -576,9 +796,7 @@ def test_server_batched_feeds_match_unbatched():
     def run(batch_rows):
         import threading
 
-        config = ScanConfig(
-            batch_max_rows=batch_rows, batch_max_delay_ms=2.0
-        )
+        config = ScanConfig(batch_max_rows=batch_rows)
         out, errors = {}, []
         with BackgroundServer(config=config, executor_workers=4) as bg:
             def worker(name, data):
@@ -622,18 +840,17 @@ def test_server_batched_feeds_match_unbatched():
 
 def test_scan_config_batch_fields_validate():
     assert ScanConfig().batch_max_rows == 64
-    assert ScanConfig().batch_max_delay_ms == 2.0
-    ScanConfig(batch_max_rows=1, batch_max_delay_ms=0.0)  # legal bounds
+    ScanConfig(batch_max_rows=1)  # legal bound
     with pytest.raises(ConfigError):
         ScanConfig(batch_max_rows=0)
     with pytest.raises(ConfigError):
         ScanConfig(batch_max_rows=True)
-    with pytest.raises(ConfigError):
-        ScanConfig(batch_max_delay_ms=-1.0)
-    with pytest.raises(ConfigError):
-        ScanConfig(batch_max_delay_ms=True)
     # round-trips through the serialized forms like any other field
-    cfg = ScanConfig(batch_max_rows=8, batch_max_delay_ms=1.5)
+    cfg = ScanConfig(batch_max_rows=8)
     back = ScanConfig.from_dict(cfg.to_dict())
     assert back.batch_max_rows == 8
-    assert back.batch_max_delay_ms == 1.5
+    # the delay knob is gone (the scheduler never waits on a timer):
+    # naming it is the ordinary unknown-option error
+    assert "batch_max_delay_ms" not in cfg.to_dict()
+    with pytest.raises(ConfigError, match="unknown scan options"):
+        ScanConfig.from_dict({"batch_max_delay_ms": 2.0})
