@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
             default=None,
             metavar="DIR",
             help="persistent compiled-artifact cache directory (warm "
-            "restarts skip compilation; spawn workers load artifacts)",
+            "restarts skip compilation)",
         )
         p.add_argument(
             "--ledger",

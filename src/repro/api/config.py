@@ -177,7 +177,9 @@ class ScanConfig:
             :class:`~repro.compile.store.ArtifactStore` or a directory
             path).
         mp_start_method: multiprocessing start method for sharded
-            worker pools (None = platform default).
+            worker pools (None = platform default).  Workers get the
+            compiled shard engines at pool start either way —
+            copy-on-write under ``fork``, pickled under ``spawn``.
         hardware_ledger: attach the modeled-hardware ledger (CAMA
             energy breakdown, cycle latency, tile occupancy — see
             :mod:`repro.telemetry.ledger`) to every scan result and

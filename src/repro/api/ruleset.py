@@ -201,15 +201,19 @@ class RulesetHandle:
         self._compiled = compiled
         self._artifact = artifact
         self._service = None
+        self._fingerprint: str | None = None
 
     # -- identity ---------------------------------------------------------
     @property
     def fingerprint(self) -> str:
-        """The ruleset's language fingerprint (the service cache key and
-        the handle a server-side registration of these rules yields)."""
-        from repro.compile.fingerprint import ruleset_fingerprint
+        """The ruleset's language fingerprint (the service's table
+        handle, and the handle a server-side registration of these
+        rules yields); hashed once, on first use."""
+        if self._fingerprint is None:
+            from repro.compile.fingerprint import ruleset_fingerprint
 
-        return ruleset_fingerprint(self.automaton)
+            self._fingerprint = ruleset_fingerprint(self.automaton)
+        return self._fingerprint
 
     @property
     def key(self) -> str:
@@ -247,6 +251,12 @@ class RulesetHandle:
             self._service = service
         return self._service
 
+    def _record(self):
+        """The service's table record of exactly this handle's rules:
+        looked up by the cached fingerprint (never a re-hash), rebuilt
+        if other rulesets sharing the service evicted it."""
+        return self.service.resolve(self.automaton, self.fingerprint)[0]
+
     def scan(
         self,
         data: bytes,
@@ -258,7 +268,7 @@ class RulesetHandle:
         """Scan one complete stream; returns a
         :class:`~repro.service.service.ServiceResult`."""
         return self.service.scan(
-            self.automaton,
+            self._record(),
             data,
             chunk_size=chunk_size,
             max_reports=max_reports,
@@ -275,7 +285,7 @@ class RulesetHandle:
     ):
         """Scan every named stream; returns ``{name: ServiceResult}``."""
         return self.service.scan_many(
-            self.automaton,
+            self._record(),
             streams,
             chunk_size=chunk_size,
             max_reports=max_reports,
@@ -307,10 +317,16 @@ class RulesetHandle:
         updated = apply_update(
             self.automaton, add=add, remove=remove, name=new_name
         )
+        # registered (not just scanned) first, so the new version
+        # reuses this one's component artifacts and joins its lineage
+        current = self.service.register_ruleset(
+            self.automaton, key=self.fingerprint
+        )
         record = self.service.update_ruleset(
-            self.automaton, automaton=updated
+            current.lineage, automaton=updated
         )
         self.automaton = record.automaton
+        self._fingerprint = record.fingerprint
         self._compiled = None
         self._artifact = None
         return record
@@ -328,7 +344,7 @@ class RulesetHandle:
         ``max_reports`` / ``on_truncation`` default to the handle's
         :class:`ScanConfig` values."""
         return self.service.open_session(
-            self.automaton,
+            self._record(),
             name,
             max_reports=max_reports,
             on_truncation=on_truncation,
@@ -381,10 +397,12 @@ class RulesetHandle:
             run_server,
         )
 
+        # registered in the service the server fronts, before any client
+        # asks: the first remote scan against the handle is already warm
+        self.service.register_ruleset(self.automaton, key=self.fingerprint)
         server = MatchingServer(
             self.service, host=host, port=port, **server_kwargs
         )
-        server.preload_ruleset(self.automaton)
         if background:
             return BackgroundServer(server).start()
         run_server(server)

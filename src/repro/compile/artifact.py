@@ -520,6 +520,9 @@ class CompiledArtifact:
         for key in ("key", "ruleset_fingerprint", "options", "automaton"):
             if key not in self.manifest:
                 raise ArtifactError(f"artifact manifest lacks {key!r}")
+        for key in ("key", "ruleset_fingerprint"):  # used as table keys
+            if not isinstance(self.manifest[key], str):
+                raise ArtifactError(f"artifact manifest {key!r} is not a string")
         missing = [a for a in _REQUIRED_ARRAYS if a not in self.arrays]
         if missing:
             raise ArtifactError(

@@ -3,8 +3,8 @@
 One :class:`ArtifactStore` manages a directory of ``<key>.npz``
 artifacts (``key`` = ``ruleset_fingerprint(automaton, options)``).  It
 is the *second-level* cache behind the in-memory LRUs of
-:class:`~repro.service.ruleset.RulesetManager`: process restarts and
-spawn workers hit the disk instead of recompiling, and several
+:class:`~repro.service.ruleset.RulesetManager`: process restarts hit
+the disk instead of recompiling, and several
 processes can share one store directory (writes are atomic
 tmp-file-plus-rename, reads treat any unreadable file as a miss).
 
@@ -137,7 +137,6 @@ class ArtifactStore:
         #: refcounted eviction pins (key -> count); pinned artifacts are
         #: referenced by a live ruleset version and must survive byte
         #: pressure — evicting one mid-hot-swap would force a recompile
-        #: (or worse, fail a spawn worker shipping artifacts)
         self._pins: dict[str, int] = {}
 
     # -- paths ------------------------------------------------------------

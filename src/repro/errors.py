@@ -49,6 +49,15 @@ class SimulationError(ReproError):
     """The cycle simulator was driven with invalid inputs."""
 
 
+class UnknownRulesetError(SimulationError):
+    """A ruleset handle names no lineage the service holds: it was never
+    registered, or the LRU-bounded ruleset table evicted it (register it
+    again)."""
+
+    #: the wire code a served request fails with
+    code = "unknown-handle"
+
+
 class ArtifactError(ReproError):
     """A compiled-ruleset artifact is unreadable, corrupt, or carries an
     incompatible format version.  Callers that hold the source ruleset

@@ -14,11 +14,10 @@ Architecture (bottom-up)::
       CamaMachine.run_chunk           start of *stream*, never chunk 2+
 
     ruleset.RulesetManager            fingerprint (language content, not
-                                      names) -> LRU of compiled Engines /
-                                      CamaPrograms / CamaMachines, with an
-                                      optional persistent second level of
-                                      serialized artifacts (repro.compile:
-                                      warm restarts and spawn workers load
+                                      names) -> LRU of compiled Engines,
+                                      with an optional persistent second
+                                      level of serialized artifacts
+                                      (repro.compile: warm restarts load
                                       instead of recompiling)
 
     sharding.Dispatcher               connected-component shards, balanced
@@ -41,7 +40,9 @@ Architecture (bottom-up)::
                                       it completes (immediate / backlog /
                                       rows_full / drain; never a timer)
 
-    service.MatchingService           the facade: cache + dispatchers +
+    service.MatchingService           the facade: the one LRU-bounded
+                                      ruleset table (handle -> versions,
+                                      each owning its Dispatcher) +
                                       sessions + scan / scan_many (two or
                                       more streams advance in lock-step
                                       batched kernel calls)
@@ -71,10 +72,19 @@ Quick use::
     from repro.service import MatchingService
 
     service = MatchingService(ScanConfig(num_shards=4))
-    result = service.scan(automaton, data)          # one-shot, cached
-    session = service.open_session(automaton, "tenant-a")
+    handle = service.register_ruleset(automaton).lineage
+    result = service.scan(handle, data)             # table lookup, no hash
+    session = service.open_session(handle, "tenant-a")
     session.feed(chunk1); session.feed(chunk2)      # resumable stream
-    results = service.scan_many(automaton, {"a": data_a, "b": data_b})
+    results = service.scan_many(handle, {"a": data_a, "b": data_b})
+    service.update_ruleset(handle, add={"r9": "xy+z"})  # handle -> v2
+    service.scan(automaton, data)   # an Automaton: hashed once per call,
+                                    # exactly those rules (still v1)
+
+A handle names a *lineage* (its latest version); the table holds
+``ScanConfig.cache_capacity`` lineages, least recently used first out —
+never one with an open session — and a handle it dropped raises
+:class:`~repro.errors.UnknownRulesetError` (register it again).
 
 (:class:`repro.api.Ruleset` wraps all of this behind one fluent
 facade; prefer it in application code.)

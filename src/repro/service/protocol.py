@@ -86,6 +86,14 @@ The ``register_artifact`` op (wire name; the table row is wrapped) was
 added in protocol version 2; version-1 servers answer it with
 ``unknown-op``, which clients can treat as "upload source instead".
 
+A ``handle`` is the fingerprint of the rules first registered under it
+and names a *lineage* in the server's one ruleset table
+(:class:`~repro.service.service.MatchingService`): every request that
+carries one is a table lookup — nothing is re-hashed or recompiled.
+The table keeps the server's ``cache_capacity`` most recently used
+lineages and never drops one with an open session; a handle it dropped
+answers ``unknown-handle`` until it is registered again.
+
 The ``update`` op hot-swaps a registered ruleset to a new *version*
 through the incremental compile path: the handle keeps naming the
 lineage (new scans and sessions bind the latest version), while

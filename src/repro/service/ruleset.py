@@ -7,14 +7,13 @@ content (see :func:`repro.compile.fingerprint.ruleset_fingerprint`,
 canonically defined there and re-exported here) and memoizing the
 compiled artifacts behind it, at two levels:
 
-1. an in-process LRU of live Python objects — reference
-   :class:`Engine`\\ s, CAMA :class:`CamaProgram`\\ s and
-   :class:`CamaMachine`\\ s — bounded by entry count;
+1. an in-process LRU of live, compiled :class:`Engine`\\ s, bounded
+   by entry count;
 2. optionally, a persistent on-disk :class:`~repro.compile.store.
    ArtifactStore` of serialized :class:`~repro.compile.artifact.
    CompiledArtifact`\\ s, bounded by bytes and keyed by fingerprint
-   *plus compile options*, so a warm restart (or a spawn worker, or a
-   remote client upload) skips compilation entirely.
+   *plus compile options*, so a warm restart (or a remote client
+   upload) skips compilation entirely.
 
 Two rulesets that define the same language share one cache entry; the
 same ruleset compiled under different pipeline options never does.
@@ -30,11 +29,9 @@ from repro.api.config import DEFAULT_CACHE_CAPACITY
 from repro.automata.nfa import Automaton
 from repro.compile.artifact import CompiledArtifact
 from repro.compile.fingerprint import ruleset_fingerprint
-from repro.compile.ir import CompiledRuleset, PipelineOptions
+from repro.compile.ir import PipelineOptions
 from repro.compile.pipeline import compile_ruleset
 from repro.compile.store import ArtifactStore
-from repro.core.compiler import CamaProgram, compile_automaton
-from repro.core.machine import CamaMachine
 from repro.errors import ConfigError, ReproError
 from repro.sim.backends import ExecutionBackend
 from repro.sim.engine import Engine
@@ -76,8 +73,8 @@ class RulesetManager:
 
     One manager serves every tenant of a :class:`~repro.service.service.
     MatchingService`; ``capacity`` bounds the resident compiled rulesets
-    (each entry holds a 256 x n match table and, for CAMA programs, the
-    mapped CAM fabric), evicting least-recently-used first.  With a
+    (each entry holds a 256 x n match table), evicting
+    least-recently-used first.  With a
     ``store``, evicted-then-re-requested (or never-seen-this-process)
     rulesets load from disk instead of recompiling.
 
@@ -143,53 +140,6 @@ class RulesetManager:
         if backend is not None and not isinstance(backend, str):
             return None
         return self._options.replace(backend=backend)
-
-    def artifact_key(
-        self, automaton: Automaton, backend: str | ExecutionBackend | None
-    ) -> str | None:
-        options = self.artifact_options(backend)
-        if options is None:
-            return None
-        return ruleset_fingerprint(automaton, options)
-
-    def artifact_path(
-        self, automaton: Automaton, backend: str | ExecutionBackend | None
-    ) -> Path | None:
-        """Where this (ruleset, backend) artifact lives on disk, when a
-        store is attached and the artifact exists."""
-        if self.store is None:
-            return None
-        key = self.artifact_key(automaton, backend)
-        if key is None or not self.store.contains(key):
-            return None
-        return self.store.path(key)
-
-    def ensure_artifact(
-        self, automaton: Automaton, backend: str | ExecutionBackend
-    ) -> Path | None:
-        """Guarantee the (ruleset, backend) artifact is on disk.
-
-        Returns its path, serializing the already compiled in-memory
-        engine when possible (no recompilation), or None when the
-        manager has no store / the backend is not disk-cacheable.
-        This is what lets the sharded dispatcher ship artifacts to
-        spawn workers instead of pickled engines.
-        """
-        if self.store is None:
-            return None
-        options = self.artifact_options(backend)
-        if options is None:
-            return None
-        key = ruleset_fingerprint(automaton, options)
-        if self.store.contains(key):
-            return self.store.path(key)
-        engine = self.engine(automaton, backend)  # may itself write it
-        if self.store.contains(key):
-            return self.store.path(key)
-        compiled = CompiledRuleset(
-            automaton=automaton, options=options, key=key, kernel=engine.kernel
-        )
-        return self.store.put(CompiledArtifact.from_compiled(compiled))
 
     def seed_engine(
         self,
@@ -257,38 +207,6 @@ class RulesetManager:
             return compiled.engine()
 
         return self._get(key, build)
-
-    def program(self, automaton: Automaton) -> CamaProgram:
-        """The cached compiled :class:`CamaProgram` for ``automaton``."""
-        key = ("program", ruleset_fingerprint(automaton))
-
-        def build() -> CamaProgram:
-            options = self.artifact_options(None)
-            if self.store is None:
-                return compile_automaton(automaton)
-            artifact_key = ruleset_fingerprint(automaton, options)
-            artifact = self.store.get(artifact_key)
-            if artifact is not None and artifact.manifest.get("program"):
-                try:
-                    program = artifact.program()
-                except ReproError:
-                    pass  # unusable program tables: recompile below
-                else:
-                    self.stats.disk_hits += 1
-                    _CACHE_EVENTS.labels("disk", "hit").inc()
-                    return program
-            self.stats.disk_misses += 1
-            _CACHE_EVENTS.labels("disk", "miss").inc()
-            compiled = compile_ruleset(automaton, options)
-            self.store.put(CompiledArtifact.from_compiled(compiled))
-            return compiled.program
-
-        return self._get(key, build)
-
-    def machine(self, automaton: Automaton, variant: str = "E") -> CamaMachine:
-        """A cached :class:`CamaMachine` (compiling the program if needed)."""
-        key = (f"machine-{variant}", ruleset_fingerprint(automaton))
-        return self._get(key, lambda: CamaMachine(self.program(automaton), variant))
 
     def clear(self) -> None:
         """Drop the in-memory level (the disk store, if any, persists)."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.api.config import ScanConfig
@@ -154,9 +153,6 @@ class MatchingServer(FrameServer):
         # independent of the service's own scan policy (the client gets
         # the warning and decides); per-frame options merge onto this
         self._frame_base = service.config.replace(on_truncation="warn")
-        # registered automata, LRU-bounded alongside the service's
-        # compiled-artifact caches (an evicted handle just re-registers)
-        self._rulesets: OrderedDict[str, object] = OrderedDict()
         self._backend_stats: dict[str, _BackendStats] = {}
         # ops run on executor threads; guard their shared mutable state
         self._state_lock = threading.Lock()
@@ -221,21 +217,15 @@ class MatchingServer(FrameServer):
         return self._offload(self._op_feed, conn, frame)
 
     # -- shared op plumbing ----------------------------------------------
-    def _automaton_for(self, frame: dict):
+    @staticmethod
+    def _handle(frame: dict) -> str:
+        """The ruleset handle a request names; the service's table
+        resolves it, or raises the error that answers ``unknown-handle``
+        (:class:`~repro.errors.UnknownRulesetError`)."""
         handle = frame.get("handle")
         if not isinstance(handle, str):
             raise ProtocolError("request has no 'handle'", code="bad-request")
-        with self._state_lock:
-            automaton = self._rulesets.get(handle)
-            if automaton is not None:
-                self._rulesets.move_to_end(handle)
-        if automaton is None:
-            raise ProtocolError(
-                f"unknown ruleset handle {handle!r}; register it first "
-                f"(or re-register: handles are LRU-bounded)",
-                code="unknown-handle",
-            )
-        return automaton
+        return handle
 
     def _scan_config(self, frame: dict) -> tuple:
         """The request's effective scan config (see
@@ -312,14 +302,13 @@ class MatchingServer(FrameServer):
         now.  Runs on the event loop — it must answer even when every
         executor thread is busy scanning.
         """
-        with self._state_lock:
-            num_rulesets = len(self._rulesets)
+        versions = self.service.version_summary()
         return {
             "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
             "version": PROTOCOL_VERSION,
-            "rulesets": num_rulesets,
-            "ruleset_versions": self.service.version_summary(),
+            "rulesets": versions["lineages"],
+            "ruleset_versions": versions,
             "open_sessions": len(self.service.sessions),
             "inflight": self._inflight,
             "connections": len(self._conns),
@@ -328,7 +317,7 @@ class MatchingServer(FrameServer):
     def _op_register(self, conn: Connection, frame: dict) -> dict:
         automaton = automaton_from_frame(frame)
         handle = self.service.manager.fingerprint(automaton)
-        cached = self._remember_ruleset(handle, automaton)
+        cached = self.service.ruleset_version(handle) is not None
         # compile (and cache) the shard engines now: registration is the
         # expensive step, scans against the handle stay warm.  Versioned
         # registration also writes per-component artifacts, so a later
@@ -342,45 +331,20 @@ class MatchingServer(FrameServer):
             "fingerprint": record.fingerprint,
         }
 
-    def _remember_ruleset(self, handle: str, automaton) -> bool:
-        """Insert into the LRU-bounded handle table; True when it was
-        already registered."""
-        with self._state_lock:
-            cached = handle in self._rulesets
-            self._rulesets[handle] = automaton
-            self._rulesets.move_to_end(handle)
-            if len(self._rulesets) > self.service.manager.capacity:
-                self._rulesets.popitem(last=False)
-        return cached
-
-    def preload_ruleset(self, automaton) -> str:
-        """Register ``automaton`` server-side, before any client asks.
-
-        The deployment-shape primitive behind ``repro.api``'s
-        ``handle.serve()``: the ruleset compiles (and its handle
-        registers) at startup, so the first remote ``scan`` against the
-        returned handle is already warm.  Returns the handle — the same
-        fingerprint a client-side ``register`` of the same rules yields.
-        """
-        handle = self.service.manager.fingerprint(automaton)
-        self._remember_ruleset(handle, automaton)
-        self.service.register_ruleset(automaton, key=handle)
-        return handle
-
     def _op_register_artifact(self, conn: Connection, frame: dict) -> dict:
         """Adopt a client-side precompiled ruleset ("compile once, load
         anywhere"): the artifact's prebuilt tables seed the service
         cache, so registration skips the compile the ``register`` op
-        would have paid."""
+        would have paid (the table record's dispatcher hits the seeded
+        engine when the shard/backend shape lines up)."""
         artifact = artifact_from_frame(frame)
+        # the manifest's claim (a string: validate() checked); it is
+        # register_artifact that verifies it against the content
+        cached = self.service.ruleset_version(artifact.fingerprint) is not None
         try:
             handle, automaton = self.service.register_artifact(artifact)
         except ArtifactError as exc:
             raise ProtocolError(str(exc), code="bad-artifact") from exc
-        cached = self._remember_ruleset(handle, automaton)
-        # build the sharded dispatcher now (hits the seeded engine when
-        # the shard/backend shape lines up), so scans stay warm
-        self.service.dispatcher(automaton, key=handle)
         return {
             "handle": handle,
             "states": len(automaton),
@@ -391,25 +355,16 @@ class MatchingServer(FrameServer):
     def _op_update(self, conn: Connection, frame: dict) -> dict:
         """Hot-swap a registered ruleset to a new version, zero downtime.
 
-        The handle keeps naming the lineage: this op rebinds it to the
-        updated automaton, so scans and sessions opened afterwards see
-        the new version, while sessions already open keep streaming
-        against the version they opened with (the service retires it
-        when its last session closes).  Compilation goes through the
-        incremental path — only the added patterns' components compile;
-        everything untouched is reused from cache.
+        The handle keeps naming the lineage: scans and sessions opened
+        afterwards see the new version, while sessions already open keep
+        streaming against the version they opened with (the service
+        retires it when its last session closes).  Compilation goes
+        through the incremental path — only the added patterns'
+        components compile; everything untouched is reused from cache.
         """
-        handle = frame.get("handle")
-        automaton = self._automaton_for(frame)
+        handle = self._handle(frame)
         add, remove = ruleset_update_from_frame(frame)
-        record = self.service.update_ruleset(
-            automaton, add=add, remove=remove
-        )
-        with self._state_lock:
-            # rebind only if the handle still maps to what we updated
-            # from (a concurrent re-register may have replaced it)
-            if self._rulesets.get(handle) is automaton:
-                self._rulesets[handle] = record.automaton
+        record = self.service.update_ruleset(handle, add=add, remove=remove)
         return {
             "handle": handle,
             "version": record.version,
@@ -420,19 +375,17 @@ class MatchingServer(FrameServer):
         }
 
     def _op_scan(self, conn: Connection, frame: dict) -> dict:
-        automaton = self._automaton_for(frame)
+        handle = self._handle(frame)
         data = decode_data(frame.get("data", ""))
         cfg, explicit_cap, digest = self._scan_config(frame)
-        result = self.service.scan(
-            automaton, data, **self._scan_options(cfg)
-        )
+        result = self.service.scan(handle, data, **self._scan_options(cfg))
         payload = self._scan_payload(result, cfg, explicit_cap)
         if digest is not None:
             payload["config_digest"] = digest
         return payload
 
     def _op_scan_many(self, conn: Connection, frame: dict) -> dict:
-        automaton = self._automaton_for(frame)
+        handle = self._handle(frame)
         streams = frame.get("streams")
         if not isinstance(streams, dict):
             raise ProtocolError(
@@ -442,7 +395,7 @@ class MatchingServer(FrameServer):
         cfg, explicit_cap, digest = self._scan_config(frame)
         decoded = {str(name): decode_data(data) for name, data in streams.items()}
         results = self.service.scan_many(
-            automaton, decoded, **self._scan_options(cfg)
+            handle, decoded, **self._scan_options(cfg)
         )
         payload = {
             "results": {
@@ -455,14 +408,14 @@ class MatchingServer(FrameServer):
         return payload
 
     def _op_open(self, conn: Connection, frame: dict) -> dict:
-        automaton = self._automaton_for(frame)
+        handle = self._handle(frame)
         name = conn.new_session_name(frame)
         cfg, _, digest = self._scan_config(frame)
         internal = f"conn{conn.conn_id}/{name}"
         # policy is applied at the frame level (below); the underlying
         # session must not warn inside a worker thread
         session = self.service.open_session(
-            automaton,
+            handle,
             internal,
             max_reports=cfg.max_reports,
             on_truncation="ignore",
@@ -574,7 +527,7 @@ class MatchingServer(FrameServer):
                 }
                 for name, stats in self._backend_stats.items()
             }
-            num_rulesets = len(self._rulesets)
+        versions = self.service.version_summary()
         payload = {
             #: stats-frame schema version (2: adds ``stats_version``,
             #: ``ledger`` totals and the ``telemetry`` block; absent
@@ -592,8 +545,8 @@ class MatchingServer(FrameServer):
                 "total": self._connections_total,
             },
             "frames": self._frames_processed,
-            "rulesets": num_rulesets,
-            "ruleset_versions": self.service.version_summary(),
+            "rulesets": versions["lineages"],
+            "ruleset_versions": versions,
             "backends": backend_stats,
             "telemetry": {
                 "metrics_enabled": _REGISTRY.enabled,

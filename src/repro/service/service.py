@@ -1,12 +1,18 @@
 """The matching-service facade: cached rulesets, shards, sessions.
 
 :class:`MatchingService` is the one object a host application holds.
-It owns a :class:`RulesetManager` (compiled-artifact LRU), builds and
-caches one sharded :class:`Dispatcher` per distinct ruleset, and hands
-out :class:`Session`\\ s for streaming tenants.  One-shot work goes
-through :meth:`~MatchingService.scan` / :meth:`~MatchingService.
-scan_many`, which report wall-clock throughput alongside the match
-results.
+It owns a :class:`RulesetManager` (compiled-artifact LRU) and the one
+ruleset table of the process — LRU-bounded lineages of
+:class:`RulesetVersion` records, each holding its sharded
+:class:`Dispatcher` — and hands out :class:`Session`\\ s for streaming
+tenants.  One-shot work goes through :meth:`~MatchingService.scan` /
+:meth:`~MatchingService.scan_many`, which report wall-clock throughput
+alongside the match results.
+
+Every entry point names its ruleset one of two ways: a *handle* string
+(what registration returned) is a dictionary lookup, never a hash, and
+means the latest version of that lineage; an :class:`Automaton` is
+fingerprinted once per call and means exactly those rules.
 """
 
 from __future__ import annotations
@@ -23,11 +29,10 @@ from repro.compile.incremental import (
     IncrementalCompiler,
     apply_update,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UnknownRulesetError
 from repro.service.ruleset import CacheStats, RulesetManager
 from repro.service.session import Session
 from repro.service.sharding import Dispatcher
-from repro.sim.backends import ExecutionBackend
 from repro.sim.backends.base import check_truncation_policy, handle_truncation
 from repro.sim.reports import Report
 from repro.sim.trace import TraceStats
@@ -63,9 +68,10 @@ _RULESET_UPDATES = _REGISTRY.counter(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class RulesetVersion:
-    """One live version of a hot-swappable ruleset lineage.
+    """One live version of a ruleset lineage: a row of the service's
+    ruleset table.
 
     A *lineage* is identified by its first version's fingerprint (the
     registration handle); each :meth:`MatchingService.update_ruleset`
@@ -80,15 +86,23 @@ class RulesetVersion:
     version: int
     fingerprint: str
     automaton: Automaton
+    #: the sharded engines serving this version
+    dispatcher: Dispatcher
     #: component artifact keys pinned in the store while this version
-    #: is live (empty when the incremental path was unavailable)
+    #: is live (empty for an ad-hoc scan's classic whole-shard compile,
+    #: or when the incremental path was unavailable)
     component_keys: tuple[str, ...] = ()
     reused_components: int = 0
     compiled_components: int = 0
     #: open sessions bound to this version
     sessions: int = 0
-    #: a newer version exists; retire when sessions drain to zero
+    #: the lineage has moved on from these rules; released when
+    #: sessions drain to zero
     retired: bool = False
+    #: hardware-ledger reference material — (DesignBuild, sparse
+    #: reference Engine) per design; placement + compile are the
+    #: expensive parts, so they live (and die) with the record
+    ledger_refs: dict[str, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -130,6 +144,17 @@ class ServiceResult:
         return self.bytes_scanned / self.elapsed_s / 1e6
 
 
+def _component_fields(composed: ComposedRuleset | None) -> dict:
+    """The :class:`RulesetVersion` fields an incremental compile fills."""
+    if composed is None:
+        return {}
+    return {
+        "component_keys": composed.component_keys,
+        "reused_components": composed.reused_components,
+        "compiled_components": composed.compiled_components,
+    }
+
+
 class MatchingService:
     """Streaming, sharded, multi-tenant automata-matching service.
 
@@ -152,37 +177,36 @@ class MatchingService:
             store=self.config.artifact_store,
         )
         self.sessions: dict[str, Session] = {}
-        # LRU-bounded alongside the manager: a Dispatcher pins its shard
-        # engines, so an unbounded dict here would defeat the cache cap.
-        self._dispatchers: OrderedDict[str, Dispatcher] = OrderedDict()
-        # guards the dispatcher LRU and the session table; held only for
+        # THE ruleset table: lineage handle -> live versions (oldest
+        # first), least-recently-used lineage first and bounded by the
+        # manager's capacity (a record pins its shard engines, so an
+        # unbounded table would defeat the cache cap); plus its
+        # fingerprint -> record index and the session-name -> record
+        # index.  All guarded by _lock.
+        self._lineages: OrderedDict[str, list[RulesetVersion]] = OrderedDict()
+        self._version_by_fp: dict[str, RulesetVersion] = {}
+        self._session_versions: dict[str, RulesetVersion] = {}
+        # guards the ruleset table and the session table; held only for
         # dict operations, never while compiling or matching
         self._lock = threading.RLock()
         # serializes ruleset compilation so concurrent threads neither
         # double-compile one ruleset nor race the manager's LRU — without
-        # stalling cache-hit lookups (which only take ``_lock``)
+        # stalling table lookups (which only take ``_lock``)
         self._compile_lock = threading.Lock()
-        # dispatchers evicted while their worker pool exists retire here
+        # orders a record's store pin before its unpin (both touch files,
+        # so neither runs under ``_lock``): held from a record's insert
+        # until its pin is down, and around every unpin
+        self._pin_lock = threading.Lock()
+        # dispatchers released while their worker pool exists retire here
         # (terminating a pool mid-scan would kill another thread's work);
         # they are closed with the service
         self._retired: list[Dispatcher] = []
-        # hardware-ledger reference material — (DesignBuild, sparse
-        # reference Engine) per (fingerprint, design) — shares the
-        # manager's LRU bound; guarded by _compile_lock (placement +
-        # compile are the expensive parts)
-        self._ledger_refs: OrderedDict[tuple[str, str], tuple] = OrderedDict()
         #: running modeled-cost totals across ledgered scans/sessions
         #: (:class:`~repro.telemetry.ledger.LedgerAccumulator`), exposed
         #: by the server's stats frame; folded under ``_lock``
         from repro.telemetry.ledger import LedgerAccumulator
 
         self.ledger_totals = LedgerAccumulator()
-        # versioned live rulesets: lineage handle -> version list
-        # (oldest first), plus fingerprint -> record and session-name ->
-        # record indexes; all guarded by _lock
-        self._lineages: OrderedDict[str, list[RulesetVersion]] = OrderedDict()
-        self._version_by_fp: dict[str, RulesetVersion] = {}
-        self._session_versions: dict[str, RulesetVersion] = {}
         # the incremental compiler shares the manager's store and forced
         # options; None when the backend is an ExecutionBackend instance
         # (no stable artifact key exists for those)
@@ -194,35 +218,6 @@ class MatchingService:
         )
         self.closed = False
 
-    # -- config views (the pre-facade attribute surface) ------------------
-    @property
-    def num_shards(self) -> int:
-        return self.config.num_shards
-
-    @property
-    def workers(self) -> int:
-        return self.config.workers
-
-    @property
-    def chunk_size(self) -> int:
-        return self.config.chunk_size
-
-    @property
-    def backend(self) -> str | ExecutionBackend:
-        return self.config.backend
-
-    @property
-    def mp_start_method(self) -> str | None:
-        return self.config.mp_start_method
-
-    @property
-    def default_max_reports(self) -> int:
-        return self.config.max_reports
-
-    @property
-    def on_truncation(self) -> str:
-        return self.config.on_truncation
-
     @property
     def cache_stats(self) -> CacheStats:
         return self.manager.stats
@@ -230,53 +225,167 @@ class MatchingService:
     def dispatcher(
         self, automaton: Automaton, *, key: str | None = None
     ) -> Dispatcher:
-        """The cached sharded dispatcher for ``automaton``.
+        """The sharded dispatcher of ``automaton``'s table record
+        (compiled and inserted on first sight); ``key`` as in
+        :meth:`resolve`."""
+        return self.resolve(automaton, key)[0].dispatcher
 
-        ``key`` lets callers that already fingerprinted the ruleset skip
-        re-hashing it (the fingerprint is O(states + transitions)).
+    # -- the ruleset table -------------------------------------------------
+    def _check_open(self) -> None:
+        if self.closed:
+            raise SimulationError("the matching service is closed")
+
+    def resolve(
+        self,
+        ruleset: "Automaton | str | RulesetVersion",
+        key: str | None = None,
+    ) -> tuple[RulesetVersion, bool]:
+        """The record ``ruleset`` names, and whether it was resident.
+
+        A handle string — a lineage handle or any live version's
+        fingerprint — is a table lookup and means the lineage's latest
+        version; :class:`~repro.errors.UnknownRulesetError` when the
+        table does not (or no longer does) hold it.  An automaton means
+        exactly those rules, compiled on first sight; it is fingerprinted
+        here — the only hash of a scan — unless the caller already holds
+        its ``key`` (the fingerprint is O(states + transitions)).  A
+        record is itself.
         """
-        if key is None:
-            key = self.manager.fingerprint(automaton)
-        cached = self._cached_dispatcher(key)
-        if cached is not None:
-            return cached
-        with self._compile_lock:
-            # re-check: another thread may have compiled it while we waited
-            cached = self._cached_dispatcher(key)
-            if cached is not None:
-                return cached
-            dispatcher = Dispatcher(
-                automaton, self.config, manager=self.manager
+        if isinstance(ruleset, RulesetVersion):
+            return ruleset, True
+        if isinstance(ruleset, Automaton):
+            if key is None:
+                key = self.manager.fingerprint(ruleset)
+            return self._found(ruleset, key, None)
+        with self._lock:
+            self._check_open()
+            record = self._version_by_fp.get(ruleset)
+            versions = self._lineages.get(ruleset) or (
+                record and self._lineages[record.lineage]
             )
-            dispatcher.engines  # compile (and cache) the shard engines now
-            self._insert_dispatcher(key, dispatcher)
-            return dispatcher
+            if not versions:
+                raise UnknownRulesetError(
+                    f"unknown ruleset handle {ruleset!r}; register it "
+                    f"first (or re-register: handles are LRU-bounded)"
+                )
+            self._lineages.move_to_end(versions[-1].lineage)
+            return versions[-1], True
 
-    def _insert_dispatcher(self, key: str, dispatcher: Dispatcher) -> None:
-        """LRU-insert a freshly built dispatcher (evicting past capacity)."""
+    def _exact(self, key: str) -> RulesetVersion | None:
+        """The resident record of exactly fingerprint ``key``, touched
+        as most recently used."""
         with self._lock:
-            if self.closed:
-                raise SimulationError("the matching service is closed")
-            self._dispatchers[key] = dispatcher
-            evicted = None
-            if len(self._dispatchers) > self.manager.capacity:
-                _, evicted = self._dispatchers.popitem(last=False)
-                if evicted._pool is not None:
-                    # another thread may be mid-scan on this pool;
-                    # retire it and close with the service instead
-                    self._retired.append(evicted)
-                    evicted = None
-        if evicted is not None:
-            evicted.close()
+            self._check_open()
+            record = self._version_by_fp.get(key)
+            if record is None:
+                # the index holds one record per fingerprint; a second
+                # one, in the lineage of that name, can outlive it
+                for record in self._lineages.get(key, ()):
+                    if record.fingerprint == key:
+                        self._version_by_fp[key] = record
+                        break
+                else:
+                    return None
+            self._lineages.move_to_end(record.lineage)
+            return record
 
-    def _cached_dispatcher(self, key: str) -> Dispatcher | None:
-        with self._lock:
-            if self.closed:
-                raise SimulationError("the matching service is closed")
-            dispatcher = self._dispatchers.get(key)
-            if dispatcher is not None:
-                self._dispatchers.move_to_end(key)
-            return dispatcher
+    def _found(
+        self,
+        automaton: Automaton,
+        key: str,
+        composed: ComposedRuleset | None,
+    ) -> tuple[RulesetVersion, bool]:
+        """The record of exactly ``automaton``'s rules (fingerprint
+        ``key``), and whether it was resident: the one lookup-or-build
+        path.  An absent one is built — composed from ``composed``'s
+        component artifacts, or by the classic whole-shard compile — as
+        version 1 of lineage ``key``, founding it when need be."""
+        record = self._exact(key)
+        if record is not None:
+            return record, True
+        with self._compile_lock:
+            # another thread may have built it while we waited
+            record = self._exact(key)
+            if record is not None:
+                return record, True
+            record = RulesetVersion(
+                lineage=key,
+                version=1,
+                fingerprint=key,
+                automaton=automaton,
+                dispatcher=self._build_dispatcher(automaton, composed),
+                **_component_fields(composed),
+            )
+            with self._pin_lock:
+                with self._lock:
+                    self._check_open()
+                    versions = self._lineages.setdefault(key, [])
+                    # a lineage that moved on from its first rules keeps
+                    # them only for callers that pass the automaton
+                    record.retired = bool(versions)
+                    versions.insert(0, record)
+                    self._lineages.move_to_end(key)
+                    self._version_by_fp[key] = record
+                    evicted = self._evict_lineages()
+                self._pin(record)
+        _RULESET_VERSIONS.labels().inc()
+        self._released(evicted)
+        return record, False
+
+    def _build_dispatcher(
+        self, automaton: Automaton, composed: ComposedRuleset | None
+    ) -> Dispatcher:
+        """Compile ``automaton``'s dispatcher (``_compile_lock`` held):
+        composed from cached component artifacts when the incremental
+        compile ran, the classic whole-shard compile otherwise."""
+        prebuilt = None
+        if composed is not None:
+            prebuilt = composed.build_shards(
+                self.config.num_shards, self.config.backend
+            )
+        dispatcher = Dispatcher(
+            automaton, self.config, manager=self.manager, prebuilt=prebuilt
+        )
+        dispatcher.engines  # compile (and cache) the shard engines now
+        return dispatcher
+
+    def _evict_lineages(self) -> list[RulesetVersion]:
+        """Unlink least-recently-used lineages past capacity (``_lock``
+        held), sparing the most recent one and any with an open session;
+        returns their records for :meth:`_released`."""
+        evicted: list[RulesetVersion] = []
+        excess = len(self._lineages) - self.manager.capacity
+        if excess <= 0:  # the common case, on every insert and close
+            return evicted
+        for handle in list(self._lineages)[:-1]:
+            versions = self._lineages[handle]
+            if not any(record.sessions for record in versions):
+                del self._lineages[handle]
+                evicted += versions
+                excess -= 1
+                if not excess:
+                    break
+        for record in evicted:
+            self._unlink(record)
+        return evicted
+
+    def _unlink(self, record: RulesetVersion) -> None:
+        """Forget a record already out of its lineage (``_lock`` held)."""
+        if self._version_by_fp.get(record.fingerprint) is record:
+            del self._version_by_fp[record.fingerprint]
+        if record.dispatcher._pool is not None:
+            # another thread may be mid-scan on this pool; retire it
+            # and close with the service instead
+            self._retired.append(record.dispatcher)
+
+    def _released(self, records: list[RulesetVersion]) -> None:
+        """Finish releasing unlinked records, outside ``_lock`` (an
+        unpin touches the store's files)."""
+        for record in records:
+            if record.component_keys and self.manager.store is not None:
+                with self._pin_lock:
+                    self.manager.store.unpin(record.component_keys)
+            _RULESET_VERSIONS.labels().dec()
 
     # -- hardware-ledger plumbing -----------------------------------------
     def _check_design(self, ledger_design: str | None) -> str:
@@ -287,26 +396,21 @@ class MatchingService:
 
         return check_ledger_design(ledger_design)
 
-    def _ledger_probe(self, automaton: Automaton, key: str, design: str):
+    def _ledger_probe(self, record: RulesetVersion, design: str):
         """A fresh :class:`~repro.telemetry.ledger.LedgerProbe` for one
-        scan/session, reusing the cached design build + reference engine
-        (placement and compilation are the expensive parts; the probe
-        itself only holds stream state)."""
+        scan/session, reusing the record's design build + reference
+        engine (placement and compilation are the expensive parts; the
+        probe itself only holds stream state)."""
         from repro.telemetry.ledger import LedgerProbe, build_design
 
-        ref_key = (key, design)
+        automaton = record.automaton
         with self._compile_lock:
-            ref = self._ledger_refs.get(ref_key)
-            if ref is not None:
-                self._ledger_refs.move_to_end(ref_key)
-            else:
+            ref = record.ledger_refs.get(design)
+            if ref is None:
                 probe = LedgerProbe(
                     automaton, design, build=build_design(design, automaton)
                 )
-                ref = (probe.build, probe.engine)
-                self._ledger_refs[ref_key] = ref
-                if len(self._ledger_refs) > self.manager.capacity:
-                    self._ledger_refs.popitem(last=False)
+                record.ledger_refs[design] = (probe.build, probe.engine)
                 return probe
         build, engine = ref
         return LedgerProbe(automaton, design, build=build, engine=engine)
@@ -325,11 +429,12 @@ class MatchingService:
         ``artifact`` may be a :class:`~repro.compile.artifact.
         CompiledArtifact`, its raw bytes, or a path to one.  The
         reconstructed automaton is the ruleset; its prebuilt engine is
-        seeded into the compiled-ruleset cache (so the first scan skips
-        compilation when the sharding/backend configuration lines up),
-        and the artifact is persisted to the service's store when one
-        is attached.  The handle is the ruleset fingerprint — the same
-        handle a source-level registration of the same rules yields.
+        seeded into the compiled-ruleset cache (so building the table
+        record skips compilation when the sharding/backend configuration
+        lines up), and the artifact is persisted to the service's store
+        when one is attached.  The handle is the ruleset fingerprint —
+        the same handle a source-level registration of the same rules
+        yields.
         """
         from pathlib import Path
 
@@ -343,26 +448,26 @@ class MatchingService:
         # key to (content, options) and re-derives the match tables, so
         # a hand-edited artifact can neither poison another ruleset's
         # slot in a shared store nor smuggle in wrong match behaviour.
+        # It also recomputes the language fingerprint from the content
+        # and rejects a manifest that disagrees, so the handle below
+        # matches a source-level registration of the same rules.
         artifact.verify()
         automaton = artifact.automaton()
-        # recomputed (not trusted from the manifest) so the handle is
-        # guaranteed to match a source-level registration of the same
-        # rules, even for a hand-edited artifact
-        handle = self.manager.fingerprint(automaton)
+        handle = artifact.fingerprint
         with self._lock:
-            if self.closed:
-                raise SimulationError("the matching service is closed")
+            self._check_open()
         if self.manager.store is not None:
             self.manager.store.put(artifact)
-        if isinstance(self.backend, str):
+        if isinstance(self.config.backend, str):
             # the "auto" -> "defer to the artifact's recorded kernel"
             # rewrite is resolved once, inside ScanConfig
             self.manager.seed_engine(
                 automaton,
-                self.backend,
+                self.config.backend,
                 artifact.engine(backend=self.config.engine_backend),
                 fingerprint=handle,
             )
+        self._found(automaton, handle, None)
         return handle, automaton
 
     # -- versioned live rulesets ------------------------------------------
@@ -371,35 +476,41 @@ class MatchingService:
     ) -> RulesetVersion:
         """Register ``automaton`` as version 1 of a live lineage.
 
-        Idempotent: re-registering a fingerprint already tracked returns
-        its existing record.  When the incremental path is available
-        (string backend), the dispatcher is *composed* from per-component
-        artifacts — written to the store and pinned against eviction —
-        so a later :meth:`update_ruleset` reuses every untouched
-        component.
+        Idempotent: re-registering a fingerprint already tracked — as
+        any live version of any lineage — returns its existing record.
+        When the incremental path is available (string backend), the
+        dispatcher is *composed* from per-component artifacts — written
+        to the store and pinned against eviction — so a later
+        :meth:`update_ruleset` reuses every untouched component; a
+        record an ad-hoc scan already built keeps its dispatcher and
+        gains the component artifacts.  Registering the first rules of
+        a lineage that has since been updated away from them swaps the
+        lineage back (as its next version).
         """
         if key is None:
             key = self.manager.fingerprint(automaton)
         with self._lock:
-            if self.closed:
-                raise SimulationError("the matching service is closed")
-            record = self._version_by_fp.get(key)
-        if record is not None:
-            return record
-        composed = self._compile_incremental(automaton)
-        self._bind_dispatcher(automaton, key, composed)
-        with self._lock:
-            record = self._version_by_fp.get(key)
-            if record is not None:  # lost a registration race; defer
-                return record
-            record = self._make_record(
-                lineage=key, version=1, fingerprint=key,
-                automaton=automaton, composed=composed,
-            )
-            self._lineages[key] = [record]
-            self._version_by_fp[key] = record
-        self._pin(record)
-        _RULESET_VERSIONS.labels().inc()
+            versions = self._lineages.get(key)
+            moved_on = bool(versions) and versions[-1].fingerprint != key
+        if moved_on:
+            return self.update_ruleset(key, automaton=automaton)
+        record = self._exact(key)
+        if record is None or (
+            self._incremental is not None and not record.component_keys
+        ):
+            composed = self._compile_incremental(automaton)
+            record, _ = self._found(automaton, key, composed)
+            with self._pin_lock:
+                with self._lock:
+                    adopted = (
+                        composed is not None
+                        and not record.component_keys
+                        and record in self._lineages.get(record.lineage, ())
+                    )
+                    if adopted:
+                        vars(record).update(_component_fields(composed))
+                if adopted:
+                    self._pin(record)
         return record
 
     def update_ruleset(
@@ -423,11 +534,13 @@ class MatchingService:
         The new version compiles through the incremental path (cached
         components reused, missing ones compiled — in parallel when
         several are missing), then binds atomically: scans and sessions
-        opened after this call see the new engines, while sessions
-        already open keep feeding the old version's dispatcher and
-        retire it when the last one closes.
+        opened by handle after this call see the new engines, while
+        sessions already open keep feeding the old version's dispatcher
+        and retire it when the last one closes.
         """
-        latest = self._resolve_lineage(ruleset)
+        if isinstance(ruleset, Automaton):
+            ruleset = self.register_ruleset(ruleset).lineage
+        latest, _ = self.resolve(ruleset)
         if automaton is None:
             automaton = apply_update(
                 latest.automaton, add=add, remove=remove, name=name
@@ -436,23 +549,34 @@ class MatchingService:
         if new_key == latest.fingerprint:
             return latest
         composed = self._compile_incremental(automaton)
-        self._bind_dispatcher(automaton, new_key, composed)
-        with self._lock:
-            versions = self._lineages[latest.lineage]
-            current = versions[-1]
-            if current.fingerprint == new_key:  # concurrent identical update
-                return current
-            record = self._make_record(
-                lineage=latest.lineage,
-                version=current.version + 1,
-                fingerprint=new_key,
-                automaton=automaton,
-                composed=composed,
-            )
-            versions.append(record)
-            self._version_by_fp[new_key] = record
-            current.retired = True
-        self._pin(record)
+        with self._compile_lock:
+            dispatcher = self._build_dispatcher(automaton, composed)
+        with self._pin_lock:
+            with self._lock:
+                self._check_open()
+                versions = self._lineages.get(latest.lineage)
+                if versions is None:
+                    raise UnknownRulesetError(
+                        f"ruleset {latest.lineage!r} was evicted while its "
+                        f"update compiled; register it again"
+                    )
+                current = versions[-1]
+                if current.fingerprint == new_key:  # concurrent, identical
+                    return current
+                record = RulesetVersion(
+                    lineage=latest.lineage,
+                    version=current.version + 1,
+                    fingerprint=new_key,
+                    automaton=automaton,
+                    dispatcher=dispatcher,
+                    **_component_fields(composed),
+                )
+                versions.append(record)
+                # an update that round-tripped to a language still live
+                # leaves the index with the older record of it
+                self._version_by_fp.setdefault(new_key, record)
+                current.retired = True
+            self._pin(record)
         _RULESET_VERSIONS.labels().inc()
         _RULESET_UPDATES.labels().inc()
         self._retire_if_idle(current)
@@ -469,33 +593,16 @@ class MatchingService:
             return list(self._lineages.get(lineage, ()))
 
     def version_summary(self) -> dict:
-        """Aggregate version counts for the stats surface."""
+        """Aggregate table counts for the stats surface."""
         with self._lock:
             records = [r for vs in self._lineages.values() for r in vs]
             return {
                 "lineages": len(self._lineages),
                 "live": len(records),
-                "retiring": sum(1 for r in records if r.retired),
+                "retiring": sum(
+                    1 for r in records if r.retired and r.sessions
+                ),
             }
-
-    @staticmethod
-    def _make_record(
-        *,
-        lineage: str,
-        version: int,
-        fingerprint: str,
-        automaton: Automaton,
-        composed: ComposedRuleset | None,
-    ) -> RulesetVersion:
-        return RulesetVersion(
-            lineage=lineage,
-            version=version,
-            fingerprint=fingerprint,
-            automaton=automaton,
-            component_keys=composed.component_keys if composed else (),
-            reused_components=composed.reused_components if composed else 0,
-            compiled_components=composed.compiled_components if composed else 0,
-        )
 
     def _compile_incremental(
         self, automaton: Automaton
@@ -505,97 +612,30 @@ class MatchingService:
         with self._compile_lock:
             return self._incremental.compile(
                 automaton,
-                workers=self.workers,
-                mp_start_method=self.mp_start_method,
+                workers=self.config.workers,
+                mp_start_method=self.config.mp_start_method,
             )
-
-    def _bind_dispatcher(
-        self,
-        automaton: Automaton,
-        key: str,
-        composed: ComposedRuleset | None,
-    ) -> Dispatcher:
-        """The dispatcher for ``key`` — composed from cached component
-        artifacts when possible, classic compile otherwise."""
-        if composed is None:
-            return self.dispatcher(automaton, key=key)
-        cached = self._cached_dispatcher(key)
-        if cached is not None:
-            return cached
-        with self._compile_lock:
-            cached = self._cached_dispatcher(key)
-            if cached is not None:
-                return cached
-            shards, engines = composed.build_shards(
-                self.config.num_shards, self.config.backend
-            )
-            dispatcher = Dispatcher(
-                automaton,
-                self.config,
-                manager=self.manager,
-                prebuilt=(shards, engines),
-            )
-            self._insert_dispatcher(key, dispatcher)
-            return dispatcher
-
-    def _resolve_lineage(self, ruleset: "Automaton | str") -> RulesetVersion:
-        """The latest live version of the lineage ``ruleset`` names."""
-        if isinstance(ruleset, Automaton):
-            fingerprint = self.manager.fingerprint(ruleset)
-            with self._lock:
-                record = self._version_by_fp.get(fingerprint)
-            if record is None:
-                record = self.register_ruleset(ruleset, key=fingerprint)
-            with self._lock:
-                return self._lineages[record.lineage][-1]
-        with self._lock:
-            versions = self._lineages.get(ruleset)
-            if versions:
-                return versions[-1]
-            record = self._version_by_fp.get(ruleset)
-            if record is not None:
-                return self._lineages[record.lineage][-1]
-        raise SimulationError(f"unknown ruleset lineage: {ruleset!r}")
 
     def _pin(self, record: RulesetVersion) -> None:
+        """Pin ``record``'s component artifacts (``_pin_lock`` held since
+        before it entered the table, so no release can unpin first)."""
         if record.component_keys and self.manager.store is not None:
             self.manager.store.pin(record.component_keys)
 
-    def _unpin(self, record: RulesetVersion) -> None:
-        if record.component_keys and self.manager.store is not None:
-            self.manager.store.unpin(record.component_keys)
-
     def _retire_if_idle(self, record: RulesetVersion) -> None:
         """Release a retired version once its sessions have drained."""
-        evict = None
         with self._lock:
-            if not record.retired or record.sessions > 0:
+            versions = self._lineages.get(record.lineage, ())
+            if not record.retired or record.sessions or record not in versions:
                 return
-            versions = self._lineages.get(record.lineage)
-            if not versions or record not in versions:
-                return  # already released
             versions.remove(record)
-            if self._version_by_fp.get(record.fingerprint) is record:
-                del self._version_by_fp[record.fingerprint]
-            still_keyed = any(
-                r.fingerprint == record.fingerprint
-                for vs in self._lineages.values()
-                for r in vs
-            )
-            if not still_keyed:
-                evict = self._dispatchers.pop(record.fingerprint, None)
-                if evict is not None and evict._pool is not None:
-                    self._retired.append(evict)
-                    evict = None
-        if evict is not None:
-            evict.close()
-        self._unpin(record)
-        _RULESET_VERSIONS.labels().dec()
+            self._unlink(record)
+        self._released([record])
 
     # -- one-shot scans --------------------------------------------------
     def scan(
         self,
-        automaton: Automaton,
+        ruleset: "Automaton | str | RulesetVersion",
         data: bytes,
         *,
         chunk_size: int | None = None,
@@ -605,7 +645,10 @@ class MatchingService:
         ledger_design: str | None = None,
         trace: bool | None = None,
     ) -> ServiceResult:
-        """Scan one complete stream, reusing cached compiled shards.
+        """Scan one complete stream against ``ruleset`` — a handle (the
+        lineage's latest version, no hashing), an automaton (exactly
+        those rules, compiled on first sight) or a record
+        :meth:`resolve` returned.
 
         When the *default* kept-reports cap truncates recording, the
         service's (or the call's) ``on_truncation`` policy applies —
@@ -616,7 +659,7 @@ class MatchingService:
         service config's telemetry fields for this call (None = keep).
         """
         policy = (
-            self.on_truncation
+            self.config.on_truncation
             if on_truncation is None
             else check_truncation_policy(on_truncation)
         )
@@ -627,36 +670,36 @@ class MatchingService:
         )
         design = self._check_design(ledger_design)
         want_trace = self.config.trace if trace is None else trace
-        key = self.manager.fingerprint(automaton)
-        cached = key in self._dispatchers
         explicit = max_reports is not None
-        cap = max_reports if explicit else self.default_max_reports
-        size = self.chunk_size if chunk_size is None else chunk_size
+        cap = max_reports if explicit else self.config.max_reports
+        size = self.config.chunk_size if chunk_size is None else chunk_size
         trace = Trace() if want_trace else None
         ledger = None
 
-        def run():
-            dispatcher = self.dispatcher(automaton, key=key)
-            result = dispatcher.scan(data, chunk_size=size, max_reports=cap)
+        def run(span=None):
+            record, cached = self.resolve(ruleset)
+            if span is not None:
+                span.attrs["ruleset"] = record.automaton.name
+            result = record.dispatcher.scan(
+                data, chunk_size=size, max_reports=cap
+            )
             probe = None
             if want_ledger:
-                probe = self._ledger_probe(automaton, key, design)
+                probe = self._ledger_probe(record, design)
                 if trace is not None:
                     with trace.span("ledger.probe", design=design):
                         probe.run(data)
                 else:
                     probe.run(data)
-            return dispatcher, result, probe
+            return record, cached, result, probe
 
         start = time.perf_counter()
         if trace is not None:
             with start_trace(trace):
-                with trace.span(
-                    "service.scan", ruleset=automaton.name, bytes=len(data)
-                ):
-                    dispatcher, result, probe = run()
+                with trace.span("service.scan", bytes=len(data)) as span:
+                    record, cached, result, probe = run(span)
         else:
-            dispatcher, result, probe = run()
+            record, cached, result, probe = run()
         elapsed = time.perf_counter() - start
 
         if probe is not None:
@@ -668,9 +711,10 @@ class MatchingService:
         if result.truncated and not explicit:
             handle_truncation(
                 policy,
-                f"scan of {automaton.name!r} hit the kept-reports cap "
-                f"({cap}); further reports were counted but not recorded",
+                f"scan of {record.automaton.name!r} hit the kept-reports "
+                f"cap ({cap}); further reports were counted but not recorded",
             )
+        dispatcher = record.dispatcher
         return ServiceResult(
             reports=result.reports,
             stats=result.stats,
@@ -686,7 +730,7 @@ class MatchingService:
 
     def scan_many(
         self,
-        automaton: Automaton,
+        ruleset: "Automaton | str | RulesetVersion",
         streams: dict[str, bytes],
         *,
         chunk_size: int | None = None,
@@ -698,7 +742,8 @@ class MatchingService:
     ) -> dict[str, ServiceResult]:
         """Batch entry point: scan every named stream against one ruleset.
 
-        The ruleset compiles (at most) once; each stream gets its own
+        The ruleset resolves — and compiles, at most — once (see
+        :meth:`scan` for handle vs. automaton); each stream gets its own
         independent START_OF_DATA semantics, report offsets, and
         truncation handling (a truncating stream warns or errors per
         ``on_truncation`` without affecting its siblings).
@@ -725,10 +770,11 @@ class MatchingService:
             or want_ledger
             or want_trace
         ):
-            self.dispatcher(automaton)  # compile once, before the loop
+            # resolve (hash, compile) once, before the loop
+            record, _ = self.resolve(ruleset)
             return {
                 name: self.scan(
-                    automaton,
+                    record,
                     data,
                     chunk_size=chunk_size,
                     max_reports=max_reports,
@@ -740,7 +786,7 @@ class MatchingService:
                 for name, data in streams.items()
             }
         return self._scan_many_batched(
-            automaton,
+            ruleset,
             streams,
             chunk_size=chunk_size,
             max_reports=max_reports,
@@ -749,7 +795,7 @@ class MatchingService:
 
     def _scan_many_batched(
         self,
-        automaton: Automaton,
+        ruleset: "Automaton | str | RulesetVersion",
         streams: dict[str, bytes],
         *,
         chunk_size: int | None,
@@ -761,16 +807,15 @@ class MatchingService:
         from repro.service.merge import accumulate_stats
 
         policy = (
-            self.on_truncation
+            self.config.on_truncation
             if on_truncation is None
             else check_truncation_policy(on_truncation)
         )
         explicit = max_reports is not None
-        cap = max_reports if explicit else self.default_max_reports
-        size = self.chunk_size if chunk_size is None else chunk_size
-        key = self.manager.fingerprint(automaton)
-        cached = key in self._dispatchers
-        dispatcher = self.dispatcher(automaton, key=key)
+        cap = max_reports if explicit else self.config.max_reports
+        size = self.config.chunk_size if chunk_size is None else chunk_size
+        record, cached = self.resolve(ruleset)
+        dispatcher = record.dispatcher
         num_states = sum(len(s.global_ids) for s in dispatcher.shards)
         batch_rows = self.config.batch_max_rows
 
@@ -830,8 +875,8 @@ class MatchingService:
             if truncated[name] and not explicit:
                 handle_truncation(
                     policy,
-                    f"scan of {automaton.name!r} (stream {name!r}) hit "
-                    f"the kept-reports cap ({cap}); further reports "
+                    f"scan of {record.automaton.name!r} (stream {name!r}) "
+                    f"hit the kept-reports cap ({cap}); further reports "
                     f"were counted but not recorded",
                 )
             out[name] = ServiceResult(
@@ -849,7 +894,7 @@ class MatchingService:
     # -- streaming sessions ----------------------------------------------
     def open_session(
         self,
-        automaton: Automaton,
+        ruleset: "Automaton | str | RulesetVersion",
         name: str,
         *,
         max_reports: int | None = None,
@@ -857,7 +902,8 @@ class MatchingService:
         hardware_ledger: bool | None = None,
         ledger_design: str | None = None,
     ) -> Session:
-        """Open a named resumable stream against ``automaton``.
+        """Open a named resumable stream against ``ruleset`` (see
+        :meth:`scan` for handle vs. automaton).
 
         ``max_reports`` / ``on_truncation`` (and the hardware-ledger
         fields) default to the service config's values; pass any to
@@ -869,30 +915,26 @@ class MatchingService:
             else hardware_ledger
         )
         design = self._check_design(ledger_design)
-        key = self.manager.fingerprint(automaton)
-        dispatcher = self.dispatcher(automaton, key=key)
-        probe = None
-        if want_ledger:
-            probe = self._ledger_probe(automaton, key, design)
+        record, _ = self.resolve(ruleset)
+        probe = self._ledger_probe(record, design) if want_ledger else None
         with self._lock:
             if name in self.sessions and not self.sessions[name].closed:
                 raise SimulationError(f"session {name!r} is already open")
             session = Session(
                 name,
-                dispatcher,
+                record.dispatcher,
                 self.config.merged(
                     max_reports=max_reports, on_truncation=on_truncation
                 ),
                 ledger_probe=probe,
             )
             # bind the session to the ruleset version it opened against:
-            # a later update_ruleset retires this version only after the
-            # session closes, so the stream finishes on these engines
-            record = self._version_by_fp.get(key)
-            if record is not None:
-                record.sessions += 1
-                self._session_versions[name] = record
-                session.ruleset_version = record.version
+            # neither a later update_ruleset nor the table's LRU releases
+            # this version before the session closes, so the stream
+            # finishes on these engines
+            record.sessions += 1
+            self._session_versions[name] = record
+            session.ruleset_version = record.version
             self.sessions[name] = session
             _SESSIONS_OPEN.labels().inc()
             return session
@@ -904,14 +946,16 @@ class MatchingService:
                 session = self.sessions.pop(name)
             except KeyError:
                 raise SimulationError(f"no such session: {name!r}") from None
-            record = self._session_versions.pop(name, None)
-            if record is not None:
-                record.sessions -= 1
+            record = self._session_versions.pop(name)
+            record.sessions -= 1
+            # the stream may have been all that held its lineage in an
+            # over-full table
+            evicted = self._evict_lineages()
         _SESSIONS_OPEN.labels().dec()
         self._fold_ledger(session.ledger())
         result = session.close()
-        if record is not None:
-            self._retire_if_idle(record)
+        self._released(evicted)
+        self._retire_if_idle(record)
         return result
 
     def close(self) -> None:
@@ -919,8 +963,8 @@ class MatchingService:
 
         Idempotent and safe after a scan or feed raised mid-stream:
         every open session is closed (its accumulated result is
-        discarded), every dispatcher — including any the LRU already
-        evicted — releases its worker pool, and later use of the
+        discarded), every dispatcher — including any the table already
+        released — closes its worker pool, and later use of the
         service raises instead of silently recompiling.
         """
         with self._lock:
@@ -929,10 +973,9 @@ class MatchingService:
             self.closed = True
             sessions = list(self.sessions.values())
             self.sessions.clear()
-            dispatchers = list(self._dispatchers.values()) + self._retired
-            self._dispatchers.clear()
-            self._retired = []
             records = [r for vs in self._lineages.values() for r in vs]
+            dispatchers = [r.dispatcher for r in records] + self._retired
+            self._retired = []
             self._lineages.clear()
             self._version_by_fp.clear()
             self._session_versions.clear()
@@ -942,9 +985,7 @@ class MatchingService:
                 session.close()
         for dispatcher in dispatchers:
             dispatcher.close()
-        for record in records:
-            self._unpin(record)
-            _RULESET_VERSIONS.labels().dec()
+        self._released(records)
 
     def __enter__(self) -> "MatchingService":
         return self

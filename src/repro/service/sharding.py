@@ -147,23 +147,6 @@ def _init_worker(engines: list[Engine]) -> None:
     _WORKER_ENGINES = engines
 
 
-def _init_worker_artifacts(blobs: list[bytes]) -> None:
-    # Spawn path with an artifact store: the parent ships the
-    # per-shard serialized artifacts; each worker reconstructs its
-    # engines from the tables — no engine pickling, and the same bytes
-    # any other process (or machine sharing the store) would load.
-    # Bytes, not paths: the store's LRU may evict a file between pool
-    # creation and worker start, and a vanished path would wedge the
-    # pool.  The artifact records the resolved kernel, so the worker
-    # runs exactly the backend the parent compiled.
-    from repro.compile.artifact import CompiledArtifact
-
-    global _WORKER_ENGINES
-    _WORKER_ENGINES = [
-        CompiledArtifact.from_bytes(blob).engine() for blob in blobs
-    ]
-
-
 def _scan_shard(task: tuple[int, bytes, int, int]) -> SimulationResult:
     index, data, chunk_size, max_reports = task
     return chunked_scan(_WORKER_ENGINES[index], data, chunk_size, max_reports)
@@ -194,13 +177,11 @@ class Dispatcher:
                 family (native when the compiled loop loads).
             ``mp_start_method``
                 multiprocessing start method for the worker pool (None
-                = platform default).  Under ``spawn`` (or
-                ``forkserver``) with a manager that has an artifact
-                store, workers receive the per-shard *serialized
-                artifacts* and rebuild their engines from the tables
-                instead of having whole engines pickled to them; under
-                ``fork`` the engines arrive as copy-on-write pages,
-                which is already free.
+                = platform default).  The compiled shard engines reach
+                the workers once, at pool start: as copy-on-write pages
+                under ``fork``, pickled under ``spawn`` /
+                ``forkserver`` (the native kernel re-binds its compiled
+                loop on arrival).
         manager: optional shared :class:`RulesetManager`; shard engines
             are then cached by fingerprint and survive this dispatcher.
     """
@@ -415,50 +396,19 @@ class Dispatcher:
         """The persistent worker pool, created on first parallel scan.
 
         Compiled engines ship to the workers exactly once — as
-        copy-on-write pages under fork, or (with an artifact store and
-        a non-fork start method) as per-shard serialized artifacts the
-        workers rebuild engines from; only storeless spawn pools fall
-        back to pickling whole engines.  Repeat scans pay neither pool
-        startup nor recompilation.  Release with :meth:`close`.
+        copy-on-write pages under fork, pickled under the other start
+        methods — so repeat scans pay neither pool startup nor
+        recompilation.  Release with :meth:`close`.
         """
         with self._compile_lock:
             if self._pool is None:
                 ctx = multiprocessing.get_context(self.mp_start_method)
-                initializer = initargs = None
-                if ctx.get_start_method() != "fork":
-                    blobs = self._shard_artifact_blobs()
-                    if blobs is not None:
-                        initializer, initargs = _init_worker_artifacts, (blobs,)
-                if initializer is None:
-                    # fork (engines ship as copy-on-write pages) or no
-                    # shippable artifacts; only now force the parent
-                    # compile — with a warm store the blobs above come
-                    # straight off disk and the parent builds nothing
-                    initializer, initargs = _init_worker, (self.engines,)
                 self._pool = ctx.Pool(
                     processes=self.workers,
-                    initializer=initializer,
-                    initargs=initargs,
+                    initializer=_init_worker,
+                    initargs=(self.engines,),
                 )
             return self._pool
-
-    def _shard_artifact_blobs(self) -> list[bytes] | None:
-        """Per-shard serialized artifacts for worker shipping, or None
-        when unavailable (no manager/store, a non-serializable backend,
-        or a store whose LRU evicted a shard mid-collection — e.g. a
-        byte budget smaller than the combined shard artifacts)."""
-        if self._manager is None:
-            return None
-        blobs = []
-        for shard in self.shards:
-            path = self._manager.ensure_artifact(shard.automaton, self.backend)
-            if path is None:
-                return None
-            try:
-                blobs.append(path.read_bytes())
-            except OSError:  # evicted between ensure and read
-                return None
-        return blobs
 
     def close(self) -> None:
         """Shut down the worker pool (no-op for serial dispatchers).

@@ -5,8 +5,8 @@ Covers the cache-interplay contract: eviction of a live-referenced
 engine leaves the caller's engine working; a disk store turns
 evictions and process restarts into loads instead of recompiles;
 corrupt or version-skewed artifacts fall back to recompilation (never
-a wrong answer); spawn workers fed artifact paths scan byte-identically
-to serial dispatch; an uploaded artifact seeds the service cache.
+a wrong answer); spawn workers scan byte-identically to serial dispatch,
+with and without a store; an uploaded artifact seeds the service cache.
 """
 
 import pytest
@@ -19,8 +19,12 @@ from repro.compile import (
     CompiledArtifact,
     compile_ruleset,
 )
-from repro.service import Dispatcher, MatchingService, RulesetManager
-from repro.sim.engine import Engine
+from repro.service import (
+    Dispatcher,
+    MatchingService,
+    RulesetManager,
+    ruleset_fingerprint,
+)
 
 RULES_A = {"r1": "(a|b)e*cd+", "r2": "abc"}
 RULES_B = {"r1": "x+y", "r2": "qr*s"}
@@ -29,6 +33,11 @@ STREAM = b"aecdabcxxyqrrsaecdqs" * 60
 
 def keys_of(reports):
     return [(r.cycle, r.state_id, r.code) for r in reports]
+
+
+def artifact_key(manager, automaton, backend):
+    """The store key the manager's disk level files ``automaton`` under."""
+    return ruleset_fingerprint(automaton, manager.artifact_options(backend))
 
 
 @pytest.fixture()
@@ -47,7 +56,7 @@ class TestManagerDiskCache:
         first = RulesetManager(store=store)
         reports = first.engine(ruleset_a, "auto").run(STREAM).reports
         assert first.stats.disk_misses == 1
-        assert store.contains(first.artifact_key(ruleset_a, "auto"))
+        assert store.contains(artifact_key(first, ruleset_a, "auto"))
 
         restarted = RulesetManager(store=store)
         engine = restarted.engine(ruleset_a, "auto")
@@ -83,7 +92,7 @@ class TestManagerDiskCache:
         baseline = keys_of(
             manager.engine(ruleset_a, "sparse").run(STREAM).reports
         )
-        key = manager.artifact_key(ruleset_a, "sparse")
+        key = artifact_key(manager, ruleset_a, "sparse")
         # rewrite the stored artifact as a future format version
         artifact = CompiledArtifact.load(store.path(key))
         artifact.manifest["format_version"] = ARTIFACT_FORMAT_VERSION + 1
@@ -103,7 +112,7 @@ class TestManagerDiskCache:
         baseline = keys_of(
             manager.engine(ruleset_a, "sparse").run(STREAM).reports
         )
-        key = manager.artifact_key(ruleset_a, "sparse")
+        key = artifact_key(manager, ruleset_a, "sparse")
         path = store.path(key)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
 
@@ -121,30 +130,9 @@ class TestManagerDiskCache:
         assert len(store) == 0
         assert manager.stats.disk_hits == manager.stats.disk_misses == 0
 
-    def test_program_round_trips_through_store(self, ruleset_a, tmp_path):
-        store = ArtifactStore(tmp_path)
-        summary = RulesetManager(store=store).program(ruleset_a).summary()
-        fresh = RulesetManager(store=store)
-        assert fresh.program(ruleset_a).summary() == summary
-        assert fresh.stats.disk_hits == 1
-
-    def test_ensure_artifact_serializes_resident_engine(self, ruleset_a, tmp_path):
-        # engine compiled while no store was attached; ensure_artifact
-        # must serialize it without recompiling
-        manager = RulesetManager()
-        manager.engine(ruleset_a, "sparse")
-        manager.store = ArtifactStore(tmp_path)
-        path = manager.ensure_artifact(ruleset_a, "sparse")
-        assert path is not None and path.exists()
-        assert manager.stats.disk_misses == 0
-        loaded = CompiledArtifact.load(path)
-        assert keys_of(loaded.engine().run(STREAM).reports) == keys_of(
-            Engine(ruleset_a).run(STREAM).reports
-        )
-
 
 class TestArtifactDispatch:
-    def test_spawn_workers_load_artifacts(self, ruleset_a, tmp_path):
+    def test_spawn_workers_with_store(self, ruleset_a, tmp_path):
         manager = RulesetManager(store=ArtifactStore(tmp_path))
         with Dispatcher(
             ruleset_a, ScanConfig(num_shards=2), manager=manager
@@ -155,44 +143,17 @@ class TestArtifactDispatch:
             ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
             manager=manager,
         ) as dispatcher:
-            assert dispatcher._shard_artifact_blobs() is not None
             result = dispatcher.scan(STREAM, chunk_size=512)
         assert keys_of(result.reports) == keys_of(expected.reports)
         assert result.stats.num_cycles == expected.stats.num_cycles
 
-    def test_tiny_store_budget_survives_shard_eviction(
-        self, ruleset_a, tmp_path
-    ):
-        # a byte budget too small for the combined shard artifacts: the
-        # LRU evicts earlier shards while later ones are written, but
-        # workers ship *bytes* captured before the eviction, so the
-        # pool neither breaks nor depends on the files surviving
-        store = ArtifactStore(tmp_path, max_bytes=1)
-        manager = RulesetManager(store=store)
-        with Dispatcher(
-            ruleset_a, ScanConfig(num_shards=2), manager=manager
-        ) as serial:
-            expected = serial.scan(STREAM, chunk_size=512)
-        with Dispatcher(
-            ruleset_a,
-            ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
-            manager=manager,
-        ) as dispatcher:
-            blobs = dispatcher._shard_artifact_blobs()
-            assert blobs is not None and len(blobs) == 2
-            assert store.stats.evictions >= 1  # the budget really bit
-            result = dispatcher.scan(STREAM, chunk_size=512)
-        assert keys_of(result.reports) == keys_of(expected.reports)
-
     def test_spawn_without_store_still_correct(self, ruleset_a):
-        # no store: the pool falls back to pickled engines
         with Dispatcher(ruleset_a, ScanConfig(num_shards=2)) as serial:
             expected = serial.scan(STREAM, chunk_size=512)
         with Dispatcher(
             ruleset_a,
             ScanConfig(num_shards=2, workers=2, mp_start_method="spawn"),
         ) as dispatcher:
-            assert dispatcher._shard_artifact_blobs() is None
             result = dispatcher.scan(STREAM, chunk_size=512)
         assert keys_of(result.reports) == keys_of(expected.reports)
 

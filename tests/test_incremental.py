@@ -505,6 +505,63 @@ class TestServiceHotSwap:
             assert store.pinned_keys() == v2_only
         assert store.pinned_keys() == set()
 
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("backend", ["sparse", "bitparallel", "native"])
+    def test_handle_and_automaton_agree_with_oracle(self, num_shards, backend):
+        """The two ways to name a ruleset: a handle is the lineage (its
+        latest version), an automaton is exactly those rules."""
+        v1, v2 = ruleset(RULES), ruleset(dict(RULES, r5="xy+z"))
+        oracle_v1 = report_keys(oracle_run(v1, STREAM).reports)
+        oracle_v2 = report_keys(oracle_run(v2, STREAM).reports)
+        assert oracle_v1 != oracle_v2
+        streams = {"a": STREAM[:300], "b": STREAM[300:]}
+
+        def scans(service, named):
+            many = service.scan_many(named, streams)
+            return (
+                report_keys(service.scan(named, STREAM).reports),
+                {name: report_keys(many[name].reports) for name in streams},
+            )
+
+        def expected(automaton):
+            return (
+                report_keys(oracle_run(automaton, STREAM).reports),
+                {
+                    name: report_keys(oracle_run(automaton, data).reports)
+                    for name, data in streams.items()
+                },
+            )
+
+        with MatchingService(
+            ScanConfig(num_shards=num_shards, backend=backend)
+        ) as service:
+            handle = service.register_ruleset(v1).lineage
+            assert scans(service, handle) == scans(service, v1) == expected(v1)
+
+            draining = service.open_session(handle, "opened-on-v1")
+            half = len(STREAM) // 2
+            got = list(draining.feed(STREAM[:half]))
+            assert service.update_ruleset(handle, add={"r5": "xy+z"}).version == 2
+
+            # the handle moved on, the automaton did not
+            assert scans(service, handle) == scans(service, v2) == expected(v2)
+            assert scans(service, v1) == expected(v1)
+            fresh = service.open_session(handle, "opened-on-v2")
+            assert fresh.ruleset_version == 2
+            assert report_keys(fresh.feed(STREAM)) == oracle_v2
+            service.close_session(fresh.name)
+
+            got += list(draining.feed(STREAM[half:]))
+            service.close_session(draining.name)
+            assert report_keys(got) == oracle_v1
+            # v1 drained and was released; its exact rules still rebuild
+            assert service.ruleset_version(handle) is None
+            assert scans(service, v1) == expected(v1)
+            assert scans(service, handle) == expected(v2)
+            # ... and registering them again swaps the lineage back
+            assert service.register_ruleset(v1).version == 3
+            assert scans(service, handle) == expected(v1)
+
     def test_identity_update_is_a_noop(self):
         with MatchingService(ScanConfig()) as service:
             v1 = ruleset(RULES)
@@ -531,6 +588,41 @@ class TestServiceHotSwap:
             assert record3.version == 3
             # the remove round-tripped back to v1's language
             assert record3.fingerprint == record1.fingerprint
+
+    def test_any_live_versions_automaton_names_its_lineage(self):
+        # updating by a version's automaton (what RulesetHandle.update
+        # amounts to) continues that version's lineage, however many
+        # updates in, instead of founding a new one
+        from repro.api import Ruleset
+
+        with MatchingService(ScanConfig()) as service:
+            v1 = ruleset(RULES)
+            handle = service.register_ruleset(v1).lineage
+            v2 = service.update_ruleset(v1, add={"r5": "xy+z"})
+            v3 = service.update_ruleset(v2.automaton, add={"r6": "yx+z"})
+            assert (v2.version, v3.version) == (2, 3)
+            assert v2.lineage == v3.lineage == handle
+            assert service.register_ruleset(v3.automaton) is v3
+            assert service.version_summary()["lineages"] == 1
+            assert service.resolve(handle)[0] is v3
+            want = report_keys(oracle_run(v3.automaton, STREAM).reports)
+            assert report_keys(service.scan(handle, STREAM).reports) == want
+
+        with Ruleset(ruleset(RULES)).compile(scan=ScanConfig()) as facade:
+            lineage = facade.fingerprint
+            versions = [
+                facade.update(add={code: pattern}).version
+                for code, pattern in [("r5", "xy+z"), ("r6", "yx+z"), ("r7", "zz+")]
+            ]
+            assert versions == [2, 3, 4]
+            assert facade.service.version_summary()["lineages"] == 1
+            latest, _ = facade.service.resolve(lineage)
+            assert latest.fingerprint == facade.fingerprint
+            want = report_keys(oracle_run(facade.automaton, STREAM).reports)
+            assert report_keys(facade.scan(STREAM).reports) == want
+            assert (
+                report_keys(facade.service.scan(lineage, STREAM).reports) == want
+            )
 
 
 # -- the wire --------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.service import (
 )
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.sim.engine import Engine, ReportTruncationWarning
+from tests.oracle import oracle_run
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -64,11 +65,20 @@ def harness():
 
 
 class TestEndToEnd:
-    def test_scan_is_byte_identical_to_offline(self, harness, offline):
+    def test_scan_is_byte_identical_to_offline(
+        self, harness, offline, ruleset
+    ):
         with harness.client() as client:
             handle = client.register(RULES)
             result = client.scan(handle, STREAM)
         assert full_keys(result.reports) == full_keys(offline.reports)
+        # the same table row, named by handle in-process; both forms
+        # (and the wire) agree with the naive oracle
+        by_handle = harness.server.service.scan(handle, STREAM)
+        assert full_keys(by_handle.reports) == full_keys(offline.reports)
+        assert full_keys(offline.reports) == full_keys(
+            oracle_run(ruleset, STREAM).reports
+        )
         assert result.num_reports == offline.num_reports
         assert result.bytes_scanned == len(STREAM)
         assert not result.truncated
@@ -359,6 +369,18 @@ class TestArtifactUpload:
                 client.register_artifact(poisoned.to_bytes())
             assert exc_info.value.code == "bad-artifact"
 
+    def test_non_string_manifest_fingerprint_rejected(self, harness, artifact):
+        # the manifest is untrusted: a fingerprint that cannot be a table
+        # key is a bad artifact, not an internal error
+        from repro.compile import CompiledArtifact
+
+        bad = CompiledArtifact.from_bytes(artifact.to_bytes())
+        bad.manifest["ruleset_fingerprint"] = []
+        with harness.client() as client:
+            with pytest.raises(RemoteError, match="not a string") as exc_info:
+                client.register_artifact(bad.to_bytes())
+            assert exc_info.value.code == "bad-artifact"
+
     def test_corrupt_artifact_rejected_cleanly(self, harness, artifact):
         blob = artifact.to_bytes()
         with harness.client() as client:
@@ -380,6 +402,154 @@ class TestArtifactUpload:
 
         result = asyncio.run(run())
         assert full_keys(result.reports) == full_keys(offline.reports)
+
+
+class TestOneRulesetTable:
+    """The service's version records are the only ruleset registry: a
+    request's handle is looked up, never re-derived, and the table is
+    LRU-bounded."""
+
+    def test_served_requests_never_hash_the_ruleset(self, monkeypatch):
+        import repro.compile.fingerprint as fingerprint_module
+        import repro.service.ruleset as ruleset_module
+        from repro.api import Ruleset
+
+        calls = []
+        real = fingerprint_module.ruleset_fingerprint
+
+        def counting(automaton, options=None):
+            calls.append(automaton.name)
+            return real(automaton, options)
+
+        # the two names the service stack and the facade hash through
+        monkeypatch.setattr(fingerprint_module, "ruleset_fingerprint", counting)
+        monkeypatch.setattr(ruleset_module, "ruleset_fingerprint", counting)
+        streams = {f"s{i}": STREAM[i : i + 64] for i in range(32)}
+
+        with ServerHarness(config=ScanConfig(num_shards=2)) as harness:
+            with harness.client() as client:
+                handle = client.register(RULES)
+                calls.clear()
+                client.scan(handle, STREAM)
+                client.scan_many(handle, streams)
+                client.scan_many(handle, streams, trace=True)
+                session = client.open_session(handle, "hash-free")
+                session.feed(STREAM[:100])
+                session.close()
+                assert calls == []
+
+        automaton = compile_regex_set(RULES, name="counted")
+        with MatchingService(ScanConfig(num_shards=2)) as service:
+            service.scan(automaton, STREAM)  # cold: shard engines hash too
+            calls.clear()
+            service.scan(automaton, STREAM)
+            assert calls == ["counted"]
+            calls.clear()
+            service.scan_many(automaton, streams)
+            assert calls == ["counted"]
+            calls.clear()
+            service.scan_many(automaton, streams, trace=True)  # sequential
+            assert calls == ["counted"]
+
+        with Ruleset(automaton).compile(scan=ScanConfig()) as handle:
+            handle.scan(STREAM)
+            calls.clear()
+            handle.scan(STREAM)
+            handle.scan_many(streams)
+            with handle.stream("s") as stream:
+                stream.feed(STREAM)
+            assert handle.fingerprint and calls == []
+
+    def test_facade_updates_stay_in_the_served_lineage(self):
+        # a handle that serves keeps updating the lineage its remote
+        # clients hold, and keeps scanning exactly its own rules
+        from repro.api import Ruleset
+
+        data = b"xaby cdd eff ghh" * 8
+        rules = compile_regex_set({"ab": "ab+"}, name="served")
+        with Ruleset(rules).compile(scan=ScanConfig()) as handle:
+            lineage = handle.fingerprint
+            bg = handle.serve(port=0, background=True)
+            try:
+                with MatchingClient(port=bg.port) as client:
+                    assert handle.update(add={"cd": "cd+"}).version == 2
+                    assert handle.update(add={"ef": "ef+"}).version == 3
+                    assert handle.service.version_summary()["lineages"] == 1
+                    by_lineage = client.scan(lineage, data)
+                    assert full_keys(by_lineage.reports) == full_keys(
+                        oracle_run(handle.automaton, data).reports
+                    )
+                    # a remote update moves the lineage, not the handle:
+                    # the library scan still means handle.automaton
+                    assert client.update(lineage, add={"gh": "gh+"})["version"] == 4
+                    assert full_keys(handle.scan(data).reports) == full_keys(
+                        by_lineage.reports
+                    )
+                    assert len(client.scan(lineage, data).reports) > len(
+                        by_lineage.reports
+                    )
+            finally:
+                bg.stop()
+
+    def test_evicted_facade_handle_rebuilds(self):
+        from repro.api import Ruleset
+
+        rules = compile_regex_set(RULES, name="mine")
+        other = compile_regex_set({"o": "zq+"}, name="other")
+        want = full_keys(oracle_run(rules, STREAM).reports)
+        with Ruleset(rules).compile(scan=ScanConfig(cache_capacity=1)) as handle:
+            assert full_keys(handle.scan(STREAM).reports) == want
+            handle.service.scan(other, STREAM)  # evicts the handle's lineage
+            assert handle.service.ruleset_version(handle.fingerprint) is None
+            assert full_keys(handle.scan(STREAM).reports) == want
+            with handle.stream("after-eviction") as stream:
+                assert full_keys(stream.feed(STREAM)) == want
+
+    def test_table_is_bounded_and_open_sessions_survive(self, tmp_path):
+        patterns = [f"k{i:02d}+z" for i in range(12)]
+        stream = b"".join(f"k{i:02d}z".encode() for i in range(12)) * 20
+        config = ScanConfig(cache_capacity=4, artifact_store=tmp_path)
+        with ServerHarness(config=config) as harness:
+            service = harness.server.service
+            with harness.client() as client:
+                first = client.register({"p": patterns[0]})
+                held = client.register({"p": patterns[1]})
+                session = client.open_session(held, "survivor")
+                half = len(stream) // 2
+                got = list(session.feed(stream[:half]))
+                for pattern in patterns[2:]:
+                    client.register({"p": pattern})
+
+                stats = client.stats()
+                lineages = stats["ruleset_versions"]["lineages"]
+                assert stats["rulesets"] == lineages <= 4
+                live_keys = {
+                    key
+                    for versions in service._lineages.values()
+                    for record in versions
+                    for key in record.component_keys
+                }
+                assert live_keys
+                assert service.manager.store.pinned_keys() == live_keys
+
+                # the oldest handle went, from one place, with one code
+                with pytest.raises(RemoteError) as excinfo:
+                    client.scan(first, stream)
+                assert excinfo.value.code == "unknown-handle"
+                with pytest.raises(RemoteError) as excinfo:
+                    client.update(first, add={"q": "zz"})
+                assert excinfo.value.code == "unknown-handle"
+
+                # ... but never a lineage with a stream in flight
+                assert service.lineage_versions(held)
+                got += list(session.feed(stream[half:]))
+                session.close()
+                expected = oracle_run(
+                    compile_regex_set({"p": patterns[1]}), stream
+                ).reports
+                assert full_keys(got) == full_keys(expected)
+            assert service.manager.store is not None
+        assert service.manager.store.pinned_keys() == set()
 
 
 class TestConcurrentClients:

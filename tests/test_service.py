@@ -152,12 +152,6 @@ class TestRulesetManager:
         assert manager.engine(rules[0]) is not engines[0]
         assert manager.engine(rules[2]) is engines[2]
 
-    def test_machine_cache(self):
-        manager = RulesetManager()
-        nfa = glushkov_nfa("ab")
-        machine = manager.machine(nfa)
-        assert manager.machine(nfa) is machine
-
     def test_bad_capacity_rejected(self):
         with pytest.raises(Exception):
             RulesetManager(capacity=0)
@@ -413,6 +407,81 @@ class TestTeardown:
         service.close()
         assert first._pool is None
         assert service._retired == []
+
+    def test_table_bound_holds_under_concurrent_scans_and_sessions(
+        self, tmp_path
+    ):
+        """More threads than cores hammer a capacity-2 table with six
+        rulesets by automaton, by handle and through sessions: every
+        result stays right, the table ends within its bound and the store
+        pins exactly the live records' components."""
+        import sys
+        import threading
+
+        from repro.errors import UnknownRulesetError
+
+        rulesets = [
+            compile_regex_set({"p": f"{c}+z"}, name=f"r{c}") for c in "abcdef"
+        ]
+        data = b"aazbzcczdzeezffz" * 8
+        expected = [
+            report_keys(Engine(nfa).run(data).reports) for nfa in rulesets
+        ]
+        service = MatchingService(
+            ScanConfig(cache_capacity=2, artifact_store=tmp_path)
+        )
+        errors = []
+
+        def worker(seed: int) -> None:
+            try:
+                for step in range(40):
+                    index = (seed + step) % len(rulesets)
+                    nfa = rulesets[index]
+                    got = service.scan(nfa, data).reports
+                    assert report_keys(got) == expected[index]
+                    name = f"t{seed}-{step}"
+                    session = service.open_session(nfa, name)
+                    fed = session.feed(data)
+                    service.close_session(name)
+                    assert report_keys(fed) == expected[index]
+                    try:
+                        handle = service.register_ruleset(nfa).lineage
+                        got = service.scan(handle, data).reports
+                    except UnknownRulesetError:
+                        continue  # evicted by a sibling between the calls
+                    assert report_keys(got) == expected[index]
+            except Exception as exc:  # noqa: BLE001 — for the main thread
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        summary = service.version_summary()
+        assert summary["lineages"] <= 2 and summary["retiring"] == 0
+        records = {
+            record
+            for versions in service._lineages.values()
+            for record in versions
+        }
+        assert set(service._version_by_fp.values()) <= records
+        store = service.manager.store
+        assert store.pinned_keys() == {
+            key for record in records for key in record.component_keys
+        }
+        service.close()
+        assert store.pinned_keys() == set()
 
     def test_evicted_dispatcher_without_pool_closes_immediately(self):
         rules_a = compile_regex_set({"a1": "ab"}, name="a")
