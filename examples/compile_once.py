@@ -73,7 +73,7 @@ def main() -> None:
         service.scan(ruleset, PAYLOAD)
     with MatchingService(ScanConfig(artifact_store=cache)) as restarted:
         restarted.scan(ruleset, PAYLOAD)
-        stats = restarted.manager.stats
+        stats = restarted.cache_stats
         print(f"service restart: disk_hits={stats.disk_hits}, "
               f"disk_misses={stats.disk_misses} (0 = nothing recompiled)")
 

@@ -46,7 +46,7 @@ from repro.sim.backends.base import (
 #: definition; :mod:`repro.service.sharding` re-exports it
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
-#: default max compiled rulesets resident in the in-memory LRU —
+#: default max ruleset lineages resident in a service's table —
 #: canonical definition; :mod:`repro.service.ruleset` re-exports it
 DEFAULT_CACHE_CAPACITY = 32
 
@@ -168,7 +168,8 @@ class ScanConfig:
             balanced by state count).
         workers: processes for one-shot scans; 1 = serial.
         chunk_size: streaming granularity in bytes.
-        cache_capacity: max compiled rulesets resident in the LRU.
+        cache_capacity: max ruleset lineages resident in the service's
+            table (the in-memory cache of compiled rulesets).
         max_reports: kept-reports cap for scans and sessions that do
             not pass their own explicit cap.
         on_truncation: reaction when the *default* cap truncates

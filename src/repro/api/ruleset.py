@@ -123,13 +123,13 @@ class Ruleset:
         runs; a *different* ``config`` recompiles from the reconstructed
         automaton.  Otherwise the staged pipeline runs here, eagerly;
         with no explicit ``config`` the compile backend hint follows
-        the scan backend policy and the compiled engine seeds the
-        handle's service cache, so a first single-shard scan is warm.
-        (With an explicitly *different* compile backend, or sharded
-        scanning, the service compiles its own per-shard engines on
-        first use — the same "when the configuration lines up" seeding
-        rule as ``MatchingService.register_artifact``; the eager
-        compile still backs ``save()``/``artifact()``.)
+        the scan backend policy and the handle's service runs the
+        compiled engine itself, so a first single-shard scan compiles
+        nothing.  (With an explicitly *different* compile backend,
+        stride 2, or sharded scanning, the service compiles its own
+        per-shard engines — the rule of
+        ``MatchingService.register_artifact``; the eager compile still
+        backs ``save()``/``artifact()``.)
         """
         from repro.compile.pipeline import compile_ruleset
 
@@ -179,9 +179,9 @@ class RulesetHandle:
 
     Holds the compiled product plus a lazily built
     :class:`~repro.service.service.MatchingService` (created on the
-    first :meth:`scan` / :meth:`scan_many` / :meth:`stream` and seeded
-    with the compiled engine or adopted artifact where the backend and
-    sharding configuration lines up — see :meth:`Ruleset.compile`).
+    first :meth:`scan` / :meth:`scan_many` / :meth:`stream`, its table
+    record built around the compiled engine or adopted artifact — see
+    :meth:`Ruleset.compile`).
     Handles are context managers; leaving the ``with`` block releases
     the service's sessions and worker pools.
     """
@@ -240,13 +240,12 @@ class RulesetHandle:
                 and self.compile_config.backend == self.scan_config.backend
                 and self.compile_config.stride == 1
             ):
-                # seed the eager compile into the service cache so a
-                # single-shard scan skips recompilation entirely
-                service.manager.seed_engine(
+                # the eager compile already built the engine a
+                # single-shard service would compile: hand it over
+                service._found(
                     self.automaton,
-                    self.scan_config.backend,
-                    self._compiled.engine(),
-                    fingerprint=self.fingerprint,
+                    self.fingerprint,
+                    prebuilt=self._compiled.engine(),
                 )
             self._service = service
         return self._service

@@ -52,45 +52,19 @@ def connected_components(automaton: Automaton) -> list[list[int]]:
     return components
 
 
-def balanced_shards(
-    components: list[list[int]], num_shards: int
-) -> list[list[int]]:
-    """Pack connected components into at most ``num_shards`` groups.
-
-    Transitions never cross components, so each group induces an
-    independent sub-automaton that can be simulated in isolation — the
-    property the sharded dispatcher in :mod:`repro.service` relies on.
-    Greedy longest-processing-time packing: components largest-first,
-    each into the currently lightest group.  Groups are returned with
-    their state ids sorted; empty groups are dropped, so fewer than
-    ``num_shards`` groups come back when there are fewer components.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    groups: list[list[int]] = [[] for _ in range(min(num_shards, len(components)))]
-    if not groups:
-        return []
-    loads = [0] * len(groups)
-    for component in sorted(components, key=len, reverse=True):
-        lightest = loads.index(min(loads))
-        groups[lightest].extend(component)
-        loads[lightest] += len(component)
-    return [sorted(group) for group in groups if group]
-
-
 def balanced_component_groups(
     components: list[list[int]], num_shards: int
 ) -> list[list[int]]:
-    """Pack components into groups, keeping component identity.
+    """Pack components into at most ``num_shards`` groups of *component
+    indices*, balanced by state count.
 
-    The same greedy longest-processing-time packing as
-    :func:`balanced_shards` — identical tie-breaking, so the union of
-    each returned group equals the corresponding ``balanced_shards``
-    group — but returning *component indices* instead of flattened
-    state-id unions.  The incremental compiler needs the per-component
+    Greedy longest-processing-time packing: components largest-first,
+    each into the currently lightest group.  Empty groups are dropped,
+    so fewer than ``num_shards`` groups come back when there are fewer
+    components.  The incremental compiler needs the per-component
     structure to compose cached component artifacts block-by-block
-    (:mod:`repro.compile.incremental`); flattening would erase which
-    states belong to which cached artifact.
+    (:mod:`repro.compile.incremental`); :func:`balanced_shards` flattens
+    it for callers that only want state ids.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -108,6 +82,23 @@ def balanced_component_groups(
         groups[lightest].append(index)
         loads[lightest] += len(components[index])
     return [group for group in groups if group]
+
+
+def balanced_shards(
+    components: list[list[int]], num_shards: int
+) -> list[list[int]]:
+    """Pack connected components into at most ``num_shards`` groups of
+    sorted state ids: each :func:`balanced_component_groups` group,
+    flattened.
+
+    Transitions never cross components, so each group induces an
+    independent sub-automaton that can be simulated in isolation — the
+    property the sharded dispatcher in :mod:`repro.service` relies on.
+    """
+    return [
+        sorted(state for index in group for state in components[index])
+        for group in balanced_component_groups(components, num_shards)
+    ]
 
 
 def bfs_order(automaton: Automaton, component: list[int]) -> list[int]:

@@ -24,9 +24,10 @@ package makes that step explicit, inspectable and shippable:
 
 ``store``
     :class:`ArtifactStore` — a content-addressed artifact directory
-    with an LRU *byte* budget; the persistent second-level cache behind
-    :class:`~repro.service.ruleset.RulesetManager` and the spawn-worker
-    shipping of :class:`~repro.service.sharding.Dispatcher`.
+    with an LRU *byte* budget; the persistent level behind the
+    :class:`~repro.service.service.MatchingService` ruleset table,
+    read through by :class:`~repro.service.sharding.Dispatcher` builds
+    and the incremental compiler.
 
 Quick use::
 
@@ -62,7 +63,6 @@ from repro.compile.store import (
     DEFAULT_STORE_BYTES,
     ArtifactStore,
     StoreStats,
-    remote_fetcher,
 )
 
 __all__ = [
@@ -86,6 +86,5 @@ __all__ = [
     "composition_key",
     "incremental_compile",
     "load_source",
-    "remote_fetcher",
     "ruleset_fingerprint",
 ]

@@ -2,10 +2,10 @@
 
 One :class:`ArtifactStore` manages a directory of ``<key>.npz``
 artifacts (``key`` = ``ruleset_fingerprint(automaton, options)``).  It
-is the *second-level* cache behind the in-memory LRUs of
-:class:`~repro.service.ruleset.RulesetManager`: process restarts hit
-the disk instead of recompiling, and several
-processes can share one store directory (writes are atomic
+is the disk level behind a :class:`~repro.service.service.
+MatchingService`'s in-memory ruleset table: process restarts hit the
+disk instead of recompiling, and several processes — the nodes of a
+fleet — can share one store directory (writes are atomic
 tmp-file-plus-rename, reads treat any unreadable file as a miss).
 
 Eviction is LRU by *bytes*, not entries: when the directory exceeds
@@ -14,17 +14,10 @@ Eviction is LRU by *bytes*, not entries: when the directory exceeds
 again.  Corrupt or version-mismatched files are deleted on sight and
 counted in :attr:`StoreStats.invalid`.
 
-Two cluster-facing extensions:
-
-* **remote fetch seam** — construct with ``fetch=callable``; a local
-  miss asks the callable for the artifact bytes by key and publishes
-  them atomically before returning.  :func:`remote_fetcher` builds such
-  a callable from another store (or plain directory): how fleet nodes
-  pull compiled components from a shared store instead of recompiling.
-* **cross-process pins** — :meth:`pin` also drops a per-process token
-  file under ``<root>/.pins/<key>/``, so byte-pressure eviction in *any*
-  process sharing the directory skips artifacts a sibling process still
-  references.  Tokens of dead processes are swept opportunistically.
+Pins are cross-process: :meth:`pin` also drops a per-process token
+file under ``<root>/.pins/<key>/``, so byte-pressure eviction in *any*
+process sharing the directory skips artifacts a sibling process still
+references.  Tokens of dead processes are swept opportunistically.
 """
 
 from __future__ import annotations
@@ -70,29 +63,6 @@ def _rmdir_quiet(path: Path) -> None:
         pass
 
 
-def remote_fetcher(source):
-    """Build a ``fetch`` callable pulling artifact bytes from ``source``.
-
-    ``source`` may be another :class:`ArtifactStore` or a directory path
-    (the shared fleet store).  The returned callable maps a key to the
-    raw ``.npz`` bytes, or None when the source does not have it —
-    exactly the seam :class:`ArtifactStore(fetch=...)` consumes, so a
-    node's local store becomes a read-through cache over the shared one::
-
-        local = ArtifactStore(node_dir, fetch=remote_fetcher(shared_dir))
-    """
-    root = source.root if isinstance(source, ArtifactStore) else Path(source)
-
-    def fetch(key: str) -> bytes | None:
-        path = root / f"{key}{_SUFFIX}"
-        try:
-            return path.read_bytes()
-        except OSError:
-            return None
-
-    return fetch
-
-
 @dataclass
 class StoreStats:
     """Hit/miss/eviction counters of one :class:`ArtifactStore`."""
@@ -102,9 +72,6 @@ class StoreStats:
     evictions: int = 0
     #: corrupt / version-mismatched files discarded
     invalid: int = 0
-    #: local misses satisfied by the remote ``fetch`` seam (these count
-    #: as neither hit nor miss: the request was served, but not locally)
-    fetched: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -120,20 +87,14 @@ class ArtifactStore:
         root: str | Path,
         *,
         max_bytes: int = DEFAULT_STORE_BYTES,
-        fetch=None,
     ) -> None:
         if max_bytes < 1:
             raise ReproError("artifact store byte budget must be >= 1")
-        if fetch is not None and not callable(fetch):
-            raise ReproError("fetch must be a callable(key) -> bytes | None")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
         self.stats = StoreStats()
         self._lock = threading.Lock()
-        #: remote fill: called with a key on local miss, returns the
-        #: artifact's ``.npz`` bytes or None (see :func:`remote_fetcher`)
-        self._fetch = fetch
         #: refcounted eviction pins (key -> count); pinned artifacts are
         #: referenced by a live ruleset version and must survive byte
         #: pressure — evicting one mid-hot-swap would force a recompile
@@ -173,10 +134,8 @@ class ArtifactStore:
         path = self.path(key)
         with self._lock:
             if not path.exists():
-                fetched = self._fetch_remote(key, path)
-                if fetched is None:
-                    self.stats.misses += 1
-                return fetched
+                self.stats.misses += 1
+                return None
             try:
                 artifact = CompiledArtifact.load(path)
             except ArtifactError:
@@ -192,39 +151,6 @@ class ArtifactStore:
                 # the loaded artifact is still a perfectly good hit
                 pass
             return artifact
-
-    def _fetch_remote(self, key: str, path: Path) -> CompiledArtifact | None:
-        """Fill a local miss from the remote seam (lock held).
-
-        The bytes are validated *before* publication and the publish is
-        atomic (``save`` writes a tmp file then ``os.replace``), so a
-        reader in another process never observes a partial or corrupt
-        artifact.  Any fetcher failure is just a miss — the caller
-        falls back to compiling.
-        """
-        if self._fetch is None:
-            return None
-        try:
-            data = self._fetch(key)
-        except Exception:  # noqa: BLE001 — a flaky remote must degrade
-            # to a compile, never poison the compile pipeline
-            return None
-        if data is None:
-            return None
-        try:
-            artifact = CompiledArtifact.from_bytes(bytes(data))
-        except (ArtifactError, TypeError, ValueError):
-            self.stats.invalid += 1
-            return None
-        if artifact.key != key:
-            # the remote answered with *something*, but not this key's
-            # content — publishing it would poison the address space
-            self.stats.invalid += 1
-            return None
-        artifact.save(path)
-        self._evict_over_budget(keep=path)
-        self.stats.fetched += 1
-        return artifact
 
     def put(self, artifact: CompiledArtifact) -> Path:
         """Write an artifact under its own content-addressed key."""

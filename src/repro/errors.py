@@ -61,8 +61,9 @@ class UnknownRulesetError(SimulationError):
 class ArtifactError(ReproError):
     """A compiled-ruleset artifact is unreadable, corrupt, or carries an
     incompatible format version.  Callers that hold the source ruleset
-    (e.g. the :class:`~repro.service.ruleset.RulesetManager` disk cache)
-    treat this as a cache miss and recompile."""
+    (e.g. a :class:`~repro.service.sharding.Dispatcher` building its
+    engines through the disk store) treat this as a cache miss and
+    recompile."""
 
 
 class ModelError(ReproError):

@@ -13,15 +13,16 @@ Architecture (bottom-up)::
       Engine.run_chunk                stream position; START_OF_DATA means
       CamaMachine.run_chunk           start of *stream*, never chunk 2+
 
-    ruleset.RulesetManager            fingerprint (language content, not
-                                      names) -> LRU of compiled Engines,
-                                      with an optional persistent second
-                                      level of serialized artifacts
+    ruleset                           fingerprint (language content, not
+                                      names), CacheStats, and the options
+                                      artifacts are keyed under in the
+                                      persistent ArtifactStore
                                       (repro.compile: warm restarts load
                                       instead of recompiling)
 
     sharding.Dispatcher               connected-component shards, balanced
-                                      by state count; serial or
+                                      by state count, their engines read
+                                      through the store; serial or
                                       multiprocessing fan-out per stream
 
     merge                             sequential (chunk-after-chunk) and
@@ -42,7 +43,8 @@ Architecture (bottom-up)::
 
     service.MatchingService           the facade: the one LRU-bounded
                                       ruleset table (handle -> versions,
-                                      each owning its Dispatcher) +
+                                      each owning its Dispatcher; the only
+                                      in-memory cache of compiled rulesets) +
                                       sessions + scan / scan_many (two or
                                       more streams advance in lock-step
                                       batched kernel calls)
@@ -117,7 +119,6 @@ from repro.service.protocol import (
 from repro.service.ruleset import (
     DEFAULT_CACHE_CAPACITY,
     CacheStats,
-    RulesetManager,
     ruleset_fingerprint,
 )
 from repro.service.server import BackgroundServer, MatchingServer, run_server
@@ -150,7 +151,6 @@ __all__ = [
     "RemoteError",
     "RemoteScanResult",
     "RetryPolicy",
-    "RulesetManager",
     "ServiceResult",
     "Session",
     "Shard",

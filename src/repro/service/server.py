@@ -41,6 +41,7 @@ from repro.service.protocol import (
     ruleset_update_from_frame,
     scan_config_from_frame,
 )
+from repro.service.ruleset import ruleset_fingerprint
 from repro.service.service import MatchingService
 from repro.service.transport import (
     Background,
@@ -316,7 +317,7 @@ class MatchingServer(FrameServer):
 
     def _op_register(self, conn: Connection, frame: dict) -> dict:
         automaton = automaton_from_frame(frame)
-        handle = self.service.manager.fingerprint(automaton)
+        handle = ruleset_fingerprint(automaton)
         cached = self.service.ruleset_version(handle) is not None
         # compile (and cache) the shard engines now: registration is the
         # expensive step, scans against the handle stay warm.  Versioned
@@ -333,10 +334,10 @@ class MatchingServer(FrameServer):
 
     def _op_register_artifact(self, conn: Connection, frame: dict) -> dict:
         """Adopt a client-side precompiled ruleset ("compile once, load
-        anywhere"): the artifact's prebuilt tables seed the service
-        cache, so registration skips the compile the ``register`` op
-        would have paid (the table record's dispatcher hits the seeded
-        engine when the shard/backend shape lines up)."""
+        anywhere"): the table record is built around the artifact's
+        prebuilt tables, so registration skips the compile the
+        ``register`` op would have paid (a sharded service still
+        compiles its own shard engines)."""
         artifact = artifact_from_frame(frame)
         # the manifest's claim (a string: validate() checked); it is
         # register_artifact that verifies it against the content

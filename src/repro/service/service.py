@@ -1,11 +1,12 @@
 """The matching-service facade: cached rulesets, shards, sessions.
 
 :class:`MatchingService` is the one object a host application holds.
-It owns a :class:`RulesetManager` (compiled-artifact LRU) and the one
-ruleset table of the process — LRU-bounded lineages of
+It owns the one ruleset table of the process — LRU-bounded lineages of
 :class:`RulesetVersion` records, each holding its sharded
-:class:`Dispatcher` — and hands out :class:`Session`\\ s for streaming
-tenants.  One-shot work goes through :meth:`~MatchingService.scan` /
+:class:`Dispatcher`; the only in-memory home of compiled rulesets, with
+the optional :class:`~repro.compile.store.ArtifactStore` behind it on
+disk — and hands out :class:`Session`\\ s for streaming tenants.
+One-shot work goes through :meth:`~MatchingService.scan` /
 :meth:`~MatchingService.scan_many`, which report wall-clock throughput
 alongside the match results.
 
@@ -21,6 +22,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.api.config import ScanConfig
 from repro.automata.nfa import Automaton
@@ -30,10 +32,16 @@ from repro.compile.incremental import (
     apply_update,
 )
 from repro.errors import SimulationError, UnknownRulesetError
-from repro.service.ruleset import CacheStats, RulesetManager
+from repro.service.ruleset import (
+    CacheStats,
+    artifact_options,
+    open_store,
+    ruleset_fingerprint,
+)
 from repro.service.session import Session
 from repro.service.sharding import Dispatcher
 from repro.sim.backends.base import check_truncation_policy, handle_truncation
+from repro.sim.engine import Engine
 from repro.sim.reports import Report
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
@@ -171,27 +179,29 @@ class MatchingService:
     """
 
     def __init__(self, config: ScanConfig | None = None) -> None:
-        self.config = config if config is not None else ScanConfig()
-        self.manager = RulesetManager(
-            capacity=self.config.cache_capacity,
-            store=self.config.artifact_store,
-        )
+        config = config if config is not None else ScanConfig()
+        #: the disk level behind the table (or None), opened once: its
+        #: pins are refcounted in this process, and every dispatcher
+        #: built from ``config`` reads through it
+        self.store = open_store(config.artifact_store)
+        self.config = config.replace(artifact_store=self.store)
+        #: table hits, builds and LRU evictions, and the disk outcomes
+        #: of classic builds
+        self.cache_stats = CacheStats()
         self.sessions: dict[str, Session] = {}
-        # THE ruleset table: lineage handle -> live versions (oldest
-        # first), least-recently-used lineage first and bounded by the
-        # manager's capacity (a record pins its shard engines, so an
-        # unbounded table would defeat the cache cap); plus its
-        # fingerprint -> record index and the session-name -> record
-        # index.  All guarded by _lock.
+        # THE ruleset table, and the only in-memory cache of compiled
+        # rulesets: lineage handle -> live versions (oldest first),
+        # least-recently-used lineage first and bounded by
+        # config.cache_capacity (a record pins its shard engines); plus
+        # its fingerprint -> record index.  Both guarded by _lock.
         self._lineages: OrderedDict[str, list[RulesetVersion]] = OrderedDict()
         self._version_by_fp: dict[str, RulesetVersion] = {}
-        self._session_versions: dict[str, RulesetVersion] = {}
         # guards the ruleset table and the session table; held only for
         # dict operations, never while compiling or matching
         self._lock = threading.RLock()
-        # serializes ruleset compilation so concurrent threads neither
-        # double-compile one ruleset nor race the manager's LRU — without
-        # stalling table lookups (which only take ``_lock``)
+        # serializes ruleset compilation so concurrent threads never
+        # double-compile one ruleset — without stalling table lookups
+        # (which only take ``_lock``)
         self._compile_lock = threading.Lock()
         # orders a record's store pin before its unpin (both touch files,
         # so neither runs under ``_lock``): held from a record's insert
@@ -207,20 +217,16 @@ class MatchingService:
         from repro.telemetry.ledger import LedgerAccumulator
 
         self.ledger_totals = LedgerAccumulator()
-        # the incremental compiler shares the manager's store and forced
-        # options; None when the backend is an ExecutionBackend instance
-        # (no stable artifact key exists for those)
-        options = self.manager.artifact_options(self.config.backend)
+        # the incremental compiler shares the store and the classic
+        # build's options; None when the backend is an ExecutionBackend
+        # instance (no stable artifact key exists for those)
+        options = artifact_options(self.config.backend)
         self._incremental = (
-            IncrementalCompiler(store=self.manager.store, options=options)
+            IncrementalCompiler(store=self.store, options=options)
             if options is not None
             else None
         )
         self.closed = False
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self.manager.stats
 
     def dispatcher(
         self, automaton: Automaton, *, key: str | None = None
@@ -249,14 +255,19 @@ class MatchingService:
         exactly those rules, compiled on first sight; it is fingerprinted
         here — the only hash of a scan — unless the caller already holds
         its ``key`` (the fingerprint is O(states + transitions)).  A
-        record is itself.
+        record is itself, and not a lookup: :attr:`cache_stats` counts a
+        hit for a handle or an automaton found resident.
         """
         if isinstance(ruleset, RulesetVersion):
             return ruleset, True
         if isinstance(ruleset, Automaton):
             if key is None:
-                key = self.manager.fingerprint(ruleset)
-            return self._found(ruleset, key, None)
+                key = ruleset_fingerprint(ruleset)
+            record, resident = self._found(ruleset, key)
+            if resident:
+                with self._lock:
+                    self.cache_stats.count("hits")
+            return record, resident
         with self._lock:
             self._check_open()
             record = self._version_by_fp.get(ruleset)
@@ -269,6 +280,7 @@ class MatchingService:
                     f"first (or re-register: handles are LRU-bounded)"
                 )
             self._lineages.move_to_end(versions[-1].lineage)
+            self.cache_stats.count("hits")
             return versions[-1], True
 
     def _exact(self, key: str) -> RulesetVersion | None:
@@ -293,13 +305,16 @@ class MatchingService:
         self,
         automaton: Automaton,
         key: str,
-        composed: ComposedRuleset | None,
+        composed: ComposedRuleset | None = None,
+        prebuilt: Engine | None = None,
     ) -> tuple[RulesetVersion, bool]:
         """The record of exactly ``automaton``'s rules (fingerprint
         ``key``), and whether it was resident: the one lookup-or-build
-        path.  An absent one is built — composed from ``composed``'s
-        component artifacts, or by the classic whole-shard compile — as
-        version 1 of lineage ``key``, founding it when need be."""
+        path.  An absent one is built (a cache miss) — composed from
+        ``composed``'s component artifacts, around the ready
+        whole-ruleset engine ``prebuilt``, or by the classic
+        whole-shard compile — as version 1 of lineage ``key``, founding
+        it when need be."""
         record = self._exact(key)
         if record is not None:
             return record, True
@@ -313,12 +328,15 @@ class MatchingService:
                 version=1,
                 fingerprint=key,
                 automaton=automaton,
-                dispatcher=self._build_dispatcher(automaton, composed),
+                dispatcher=self._build_dispatcher(
+                    automaton, composed, prebuilt
+                ),
                 **_component_fields(composed),
             )
             with self._pin_lock:
                 with self._lock:
                     self._check_open()
+                    self.cache_stats.count("misses")
                     versions = self._lineages.setdefault(key, [])
                     # a lineage that moved on from its first rules keeps
                     # them only for callers that pass the automaton
@@ -333,20 +351,36 @@ class MatchingService:
         return record, False
 
     def _build_dispatcher(
-        self, automaton: Automaton, composed: ComposedRuleset | None
+        self,
+        automaton: Automaton,
+        composed: ComposedRuleset | None,
+        engine: Engine | None = None,
     ) -> Dispatcher:
         """Compile ``automaton``'s dispatcher (``_compile_lock`` held):
         composed from cached component artifacts when the incremental
-        compile ran, the classic whole-shard compile otherwise."""
+        compile ran, around the ready whole-ruleset ``engine`` when one
+        shard would compile exactly that, the classic whole-shard
+        compile otherwise."""
         prebuilt = None
         if composed is not None:
             prebuilt = composed.build_shards(
                 self.config.num_shards, self.config.backend
             )
-        dispatcher = Dispatcher(
-            automaton, self.config, manager=self.manager, prebuilt=prebuilt
-        )
-        dispatcher.engines  # compile (and cache) the shard engines now
+        dispatcher = Dispatcher(automaton, self.config, prebuilt=prebuilt)
+        if (
+            prebuilt is None
+            and engine is not None
+            and dispatcher.num_shards == 1
+            and not dispatcher.num_dropped_states
+        ):
+            # one shard that dropped no reporterless component IS the
+            # ruleset; anything else compiles its own shard engines
+            dispatcher = Dispatcher(
+                automaton, self.config, prebuilt=(dispatcher.shards, [engine])
+            )
+        # its shard builds count their disk outcomes with the service's
+        dispatcher.cache_stats = self.cache_stats
+        dispatcher.engines  # compile the shard engines now
         return dispatcher
 
     def _evict_lineages(self) -> list[RulesetVersion]:
@@ -354,13 +388,14 @@ class MatchingService:
         held), sparing the most recent one and any with an open session;
         returns their records for :meth:`_released`."""
         evicted: list[RulesetVersion] = []
-        excess = len(self._lineages) - self.manager.capacity
+        excess = len(self._lineages) - self.config.cache_capacity
         if excess <= 0:  # the common case, on every insert and close
             return evicted
         for handle in list(self._lineages)[:-1]:
             versions = self._lineages[handle]
             if not any(record.sessions for record in versions):
                 del self._lineages[handle]
+                self.cache_stats.count("evictions")
                 evicted += versions
                 excess -= 1
                 if not excess:
@@ -382,9 +417,9 @@ class MatchingService:
         """Finish releasing unlinked records, outside ``_lock`` (an
         unpin touches the store's files)."""
         for record in records:
-            if record.component_keys and self.manager.store is not None:
+            if record.component_keys and self.store is not None:
                 with self._pin_lock:
-                    self.manager.store.unpin(record.component_keys)
+                    self.store.unpin(record.component_keys)
             _RULESET_VERSIONS.labels().dec()
 
     # -- hardware-ledger plumbing -----------------------------------------
@@ -428,13 +463,13 @@ class MatchingService:
 
         ``artifact`` may be a :class:`~repro.compile.artifact.
         CompiledArtifact`, its raw bytes, or a path to one.  The
-        reconstructed automaton is the ruleset; its prebuilt engine is
-        seeded into the compiled-ruleset cache (so building the table
-        record skips compilation when the sharding/backend configuration
-        lines up), and the artifact is persisted to the service's store
-        when one is attached.  The handle is the ruleset fingerprint —
-        the same handle a source-level registration of the same rules
-        yields.
+        reconstructed automaton is the ruleset; the table record is
+        built around the artifact's prebuilt engine — no compile — when
+        the ruleset runs as one whole shard on a named backend (more
+        shards, or a backend instance, compile their own engines), and
+        the artifact is persisted to the service's store when one is
+        attached.  The handle is the ruleset fingerprint — the same
+        handle a source-level registration of the same rules yields.
         """
         from pathlib import Path
 
@@ -456,18 +491,14 @@ class MatchingService:
         handle = artifact.fingerprint
         with self._lock:
             self._check_open()
-        if self.manager.store is not None:
-            self.manager.store.put(artifact)
+        if self.store is not None:
+            self.store.put(artifact)
+        engine = None
         if isinstance(self.config.backend, str):
             # the "auto" -> "defer to the artifact's recorded kernel"
             # rewrite is resolved once, inside ScanConfig
-            self.manager.seed_engine(
-                automaton,
-                self.config.backend,
-                artifact.engine(backend=self.config.engine_backend),
-                fingerprint=handle,
-            )
-        self._found(automaton, handle, None)
+            engine = artifact.engine(backend=self.config.engine_backend)
+        self._found(automaton, handle, prebuilt=engine)
         return handle, automaton
 
     # -- versioned live rulesets ------------------------------------------
@@ -488,7 +519,7 @@ class MatchingService:
         lineage back (as its next version).
         """
         if key is None:
-            key = self.manager.fingerprint(automaton)
+            key = ruleset_fingerprint(automaton)
         with self._lock:
             versions = self._lineages.get(key)
             moved_on = bool(versions) and versions[-1].fingerprint != key
@@ -545,7 +576,7 @@ class MatchingService:
             automaton = apply_update(
                 latest.automaton, add=add, remove=remove, name=name
             )
-        new_key = self.manager.fingerprint(automaton)
+        new_key = ruleset_fingerprint(automaton)
         if new_key == latest.fingerprint:
             return latest
         composed = self._compile_incremental(automaton)
@@ -619,8 +650,8 @@ class MatchingService:
     def _pin(self, record: RulesetVersion) -> None:
         """Pin ``record``'s component artifacts (``_pin_lock`` held since
         before it entered the table, so no release can unpin first)."""
-        if record.component_keys and self.manager.store is not None:
-            self.manager.store.pin(record.component_keys)
+        if record.component_keys and self.store is not None:
+            self.store.pin(record.component_keys)
 
     def _retire_if_idle(self, record: RulesetVersion) -> None:
         """Release a retired version once its sessions have drained."""
@@ -918,7 +949,7 @@ class MatchingService:
         record, _ = self.resolve(ruleset)
         probe = self._ledger_probe(record, design) if want_ledger else None
         with self._lock:
-            if name in self.sessions and not self.sessions[name].closed:
+            if name in self.sessions:
                 raise SimulationError(f"session {name!r} is already open")
             session = Session(
                 name,
@@ -933,30 +964,39 @@ class MatchingService:
             # this version before the session closes, so the stream
             # finishes on these engines
             record.sessions += 1
-            self._session_versions[name] = record
             session.ruleset_version = record.version
+            session.on_close = partial(self._release_session, record)
             self.sessions[name] = session
             _SESSIONS_OPEN.labels().inc()
             return session
 
     def close_session(self, name: str):
-        """Close a session and return its accumulated result."""
+        """Close a session by name and return its accumulated result."""
         with self._lock:
-            try:
-                session = self.sessions.pop(name)
-            except KeyError:
-                raise SimulationError(f"no such session: {name!r}") from None
-            record = self._session_versions.pop(name)
+            session = self.sessions.get(name)
+        if session is None:
+            raise SimulationError(f"no such session: {name!r}")
+        return session.close()
+
+    def _release_session(
+        self, record: RulesetVersion, session: Session
+    ) -> None:
+        """Unbind a closing session from the ``record`` it opened
+        against: the one release path, run by :meth:`Session.close`.
+        A no-op for a session already released, or once the service is
+        closed (:meth:`close` released everything)."""
+        with self._lock:
+            if self.closed or self.sessions.get(session.name) is not session:
+                return
+            del self.sessions[session.name]
             record.sessions -= 1
             # the stream may have been all that held its lineage in an
             # over-full table
             evicted = self._evict_lineages()
         _SESSIONS_OPEN.labels().dec()
         self._fold_ledger(session.ledger())
-        result = session.close()
         self._released(evicted)
         self._retire_if_idle(record)
-        return result
 
     def close(self) -> None:
         """Tear the service down: sessions, dispatchers, worker pools.
@@ -978,11 +1018,9 @@ class MatchingService:
             self._retired = []
             self._lineages.clear()
             self._version_by_fp.clear()
-            self._session_versions.clear()
         for session in sessions:
             _SESSIONS_OPEN.labels().dec()
-            if not session.closed:
-                session.close()
+            session.close()
         for dispatcher in dispatchers:
             dispatcher.close()
         self._released(records)

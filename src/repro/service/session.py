@@ -52,7 +52,8 @@ class Session:
 
     Sessions are context managers: leaving the ``with`` block closes
     the stream (the accumulated result stays readable via
-    :attr:`reports` / :attr:`stats`).
+    :attr:`reports` / :attr:`stats`).  A service's session releases
+    its ruleset version exactly once, however it comes to close.
     """
 
     def __init__(
@@ -72,6 +73,9 @@ class Session:
         #: MatchingService when the ruleset is version-tracked); the
         #: session keeps these engines through any later hot-swap
         self.ruleset_version: int | None = None
+        #: called with the session the first time it closes (the owning
+        #: MatchingService's release; None for a standalone session)
+        self.on_close = None
         self._states = dispatcher.initial_states()
         self._reports: list[Report] = []
         self._stats = TraceStats(
@@ -214,8 +218,12 @@ class Session:
         self._states = decoded
 
     def close(self) -> SimulationResult:
-        """Finish the stream and return the accumulated result."""
-        self.closed = True
+        """Finish the stream and return the accumulated result
+        (idempotent: a closed session just returns it again)."""
+        if not self.closed:
+            self.closed = True
+            if self.on_close is not None:
+                self.on_close(self)
         return SimulationResult(
             reports=self._reports, stats=self._stats, truncated=self.truncated
         )
@@ -224,5 +232,4 @@ class Session:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.closed:
-            self.close()
+        self.close()

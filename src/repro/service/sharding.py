@@ -30,9 +30,13 @@ from dataclasses import dataclass
 from repro.api.config import DEFAULT_CHUNK_SIZE, ScanConfig
 from repro.automata.analysis import balanced_shards, connected_components
 from repro.automata.nfa import Automaton
-from repro.errors import ConfigError, SimulationError
+from repro.compile.artifact import CompiledArtifact
+from repro.compile.fingerprint import ruleset_fingerprint
+from repro.compile.pipeline import compile_ruleset
+from repro.compile.store import ArtifactStore
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.service.merge import accumulate_stats, merge_shard_results
-from repro.service.ruleset import RulesetManager
+from repro.service.ruleset import CacheStats, artifact_options, open_store
 from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS, ExecutionBackend
 from repro.sim.engine import Engine, EngineState, SimulationResult
 from repro.sim.trace import TraceStats
@@ -111,6 +115,41 @@ def make_shards(automaton: Automaton, num_shards: int) -> list[Shard]:
     return shards
 
 
+def _build_engine(
+    automaton: Automaton,
+    backend: str | ExecutionBackend,
+    store: ArtifactStore | None,
+    stats: CacheStats,
+) -> Engine:
+    """One shard's :class:`Engine`, read through ``store`` when given.
+
+    The store is keyed by fingerprint plus the service's compile
+    options (:func:`~repro.service.ruleset.artifact_options`): a stored
+    artifact loads instead of compiling, a missing or unusable one
+    compiles and is written back.  ``stats`` counts the outcome as a
+    disk hit or miss.  A backend *instance* has no stable key and
+    bypasses the store.
+    """
+    options = artifact_options(backend)
+    if store is None or options is None:
+        return Engine(automaton, backend=backend)
+    artifact = store.get(ruleset_fingerprint(automaton, options))
+    if artifact is not None:
+        try:
+            engine = artifact.engine()
+        except ReproError:
+            # loadable but unusable (e.g. table skew validate() cannot
+            # see): a cache miss, never a stuck ruleset
+            pass
+        else:
+            stats.count("disk_hits")
+            return engine
+    stats.count("disk_misses")
+    compiled = compile_ruleset(automaton, options)
+    store.put(CompiledArtifact.from_compiled(compiled))
+    return compiled.engine()
+
+
 def chunked_scan(
     engine: Engine,
     data: bytes,
@@ -182,8 +221,13 @@ class Dispatcher:
                 under ``fork``, pickled under ``spawn`` /
                 ``forkserver`` (the native kernel re-binds its compiled
                 loop on arrival).
-        manager: optional shared :class:`RulesetManager`; shard engines
-            are then cached by fingerprint and survive this dispatcher.
+            ``artifact_store``
+                optional :class:`~repro.compile.store.ArtifactStore`
+                (or directory) the shard engines are read through:
+                stored artifacts load instead of compiling.
+        prebuilt: ready ``(shards, engines)`` — the incremental
+            compiler's composition, or an adopted artifact's engine —
+            instead of the split-and-compile above.
     """
 
     def __init__(
@@ -191,29 +235,27 @@ class Dispatcher:
         automaton: Automaton,
         config: ScanConfig | None = None,
         *,
-        manager: RulesetManager | None = None,
         prebuilt: "tuple[list[Shard], list[Engine]] | None" = None,
     ) -> None:
         self.config = config if config is not None else ScanConfig()
         self.automaton = automaton
+        #: where the shard builds count their disk hits and misses (a
+        #: MatchingService points this at its own stats)
+        self.cache_stats = CacheStats()
+        self._engines: list[Engine] | None = None
         if prebuilt is not None:
-            # composed shards + engines from the incremental compiler:
-            # the expensive work (tables, kernels) already happened
-            # against cached component artifacts, so nothing is derived
-            # here and the lazy .engines path never compiles.
+            # the expensive work (tables, kernels) already happened, so
+            # nothing is derived here and .engines never compiles
             shards, engines = prebuilt
             if len(shards) != len(engines):
                 raise SimulationError(
                     "prebuilt shards and engines must pair up"
                 )
             self.shards = list(shards)
-            self._prebuilt_engines: list[Engine] | None = list(engines)
+            self._engines = list(engines)
         else:
             self.shards = make_shards(automaton, self.config.num_shards)
-            self._prebuilt_engines = None
         self.workers = min(self.config.workers, len(self.shards))
-        self._manager = manager
-        self._engines: list[Engine] | None = None
         self._pool: multiprocessing.pool.Pool | None = None
         # engine compilation and pool creation are check-then-create;
         # concurrent scans (e.g. server executor threads) must not race
@@ -239,22 +281,18 @@ class Dispatcher:
 
     @property
     def engines(self) -> list[Engine]:
-        """Per-shard engines, compiled lazily (and cached via the manager)."""
+        """Per-shard engines, built on first use (through the
+        configured artifact store, when there is one)."""
         if self._engines is None:
             with self._compile_lock:
                 if self._engines is None:
-                    if self._prebuilt_engines is not None:
-                        self._engines = self._prebuilt_engines
-                    elif self._manager is not None:
-                        self._engines = [
-                            self._manager.engine(s.automaton, self.backend)
-                            for s in self.shards
-                        ]
-                    else:
-                        self._engines = [
-                            Engine(s.automaton, backend=self.backend)
-                            for s in self.shards
-                        ]
+                    store = open_store(self.config.artifact_store)
+                    self._engines = [
+                        _build_engine(
+                            s.automaton, self.backend, store, self.cache_stats
+                        )
+                        for s in self.shards
+                    ]
         return self._engines
 
     @property

@@ -26,6 +26,7 @@ from repro.service import (
     RemoteError,
 )
 from repro.sim import Engine
+from repro.sim.backends.base import KERNEL_COMPILES
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxy" * 40
@@ -170,10 +171,28 @@ class TestRulesetFacade:
         with Ruleset.from_artifact(path).compile(
             scan=ScanConfig(backend="sparse")
         ) as handle:
+            compiles = KERNEL_COMPILES.labels("sparse").value
+            first = handle.scan(STREAM)
+            # the adopted artifact's engine serves the first scan: no
+            # kernel was compiled, and the only miss was the adoption
+            assert KERNEL_COMPILES.labels("sparse").value == compiles
+            assert first.backends == ["sparse"]
+            assert handle.service.cache_stats.misses == 1
+
+    def test_eager_compile_serves_the_first_scan(self):
+        with Ruleset.from_regexes(RULES).compile(
+            scan=ScanConfig(backend="sparse")
+        ) as handle:
+            compiles = KERNEL_COMPILES.labels("sparse").value
             handle.scan(STREAM)
-            stats = handle.service.cache_stats
-            # the adopted artifact seeded the engine cache: no misses
-            assert stats.hits >= 1 and stats.misses == 0
+            assert KERNEL_COMPILES.labels("sparse").value == compiles
+        # the negative case: two shards compile their own engines
+        with Ruleset.from_regexes(RULES).compile(
+            scan=ScanConfig(backend="sparse", num_shards=2)
+        ) as handle:
+            compiles = KERNEL_COMPILES.labels("sparse").value
+            assert handle.scan(STREAM).num_shards == 2
+            assert KERNEL_COMPILES.labels("sparse").value == compiles + 2
 
     def test_stream_inherits_config_truncation_policy(self):
         from repro.errors import SimulationError

@@ -21,7 +21,7 @@ from repro.automata.striding import pad_input, stride2
 from repro.automata.symbols import SymbolClass
 from repro.api.config import ScanConfig
 from repro.errors import SimulationError
-from repro.service import Dispatcher, MatchingService, RulesetManager
+from repro.service import Dispatcher, MatchingService
 from repro.sim.backends import (
     BACKEND_NAMES,
     DENSE_ACTIVITY_THRESHOLD,
@@ -390,19 +390,6 @@ class TestAutoPolicy:
             nfa, b"abcd"
         )
         assert report_keys(sparse_result.reports) == report_keys(result.reports[:2])
-
-
-class TestRulesetManagerBackends:
-    def test_backends_cached_separately(self):
-        manager = RulesetManager()
-        nfa = glushkov_nfa("abc")
-        sparse = manager.engine(nfa, "sparse")
-        bitp = manager.engine(nfa, "bitparallel")
-        assert sparse is not bitp
-        assert manager.engine(nfa, "sparse") is sparse
-        assert manager.engine(nfa, "bitparallel") is bitp
-        assert manager.stats.hits == 2
-        assert manager.stats.misses == 2
 
 
 class TestCsrCache:

@@ -41,7 +41,7 @@ from repro.cluster import (
     QuotaManager,
     TenantQuota,
 )
-from repro.compile import ArtifactStore, CompiledArtifact, compile_ruleset, remote_fetcher
+from repro.compile import ArtifactStore, CompiledArtifact, compile_ruleset
 from repro.errors import ConfigError, ReproError
 from repro.service import (
     BackgroundServer,
@@ -1014,43 +1014,6 @@ def _child_hammer(root, key, blob, rounds, queue):
         queue.put(("ok", bad))
     except BaseException as exc:  # noqa: BLE001
         queue.put(("error", repr(exc)))
-
-
-class TestStoreFetchSeam:
-    def test_miss_fetches_validates_and_publishes(self, tmp_path):
-        origin = ArtifactStore(tmp_path / "origin")
-        artifact = _artifact_for(RULES, "fetch-me")
-        origin.put(artifact)
-        edge = ArtifactStore(
-            tmp_path / "edge", fetch=remote_fetcher(tmp_path / "origin")
-        )
-        fetched = edge.get(artifact.key)
-        assert fetched is not None and fetched.key == artifact.key
-        assert edge.stats.fetched == 1
-        assert edge.stats.hits == 0
-        assert edge.contains(artifact.key)  # published locally
-        assert edge.get(artifact.key) is not None
-        assert edge.stats.hits == 1  # second read is a plain local hit
-
-    def test_fetch_failure_is_a_miss(self, tmp_path):
-        def broken(key):
-            raise OSError("remote down")
-
-        store = ArtifactStore(tmp_path, fetch=broken)
-        assert store.get("0" * 16) is None
-        assert store.stats.misses == 1
-
-    def test_wrong_key_answer_is_rejected(self, tmp_path):
-        imposter = _artifact_for({"z": "zz+"}, "imposter")
-        store = ArtifactStore(tmp_path, fetch=lambda key: imposter.to_bytes())
-        assert store.get("f" * 16) is None
-        assert store.stats.invalid == 1
-        assert not store.contains("f" * 16)  # never published
-
-    def test_garbage_bytes_rejected(self, tmp_path):
-        store = ArtifactStore(tmp_path, fetch=lambda key: b"not-an-npz")
-        assert store.get("a" * 16) is None
-        assert store.stats.invalid == 1
 
 
 class TestStoreCrossProcess:

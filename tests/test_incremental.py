@@ -338,22 +338,41 @@ class TestComposedOracle:
             naive = oracle_run(automaton, STREAM)
             assert report_keys(result.reports) == report_keys(naive.reports)
 
-    def test_group_union_matches_balanced_shards(self):
+    def test_one_packer_partitions_and_balances(self):
+        # the one LPT packer, seen through both of its faces: component
+        # groups (composition) and their flattened state ids (sharding)
         rng = random.Random(41)
         for _trial in range(15):
-            components = [
-                sorted(
-                    rng.sample(range(1000), rng.randint(1, 12))
-                )
-                for _ in range(rng.randint(1, 9))
-            ]
+            states = rng.sample(range(1000), 120)
+            components = []
+            while states and len(components) < 9:
+                take = rng.randint(1, 12)
+                components.append(sorted(states[:take]))
+                del states[:take]
+            sizes = [len(c) for c in components]
             for num_shards in (1, 2, 3, 5):
-                flat = balanced_shards(components, num_shards)
                 grouped = balanced_component_groups(components, num_shards)
-                assert [
-                    sorted(x for i in group for x in components[i])
-                    for group in grouped
-                ] == flat
+                # a partition of the components, no empty group
+                assert sorted(i for g in grouped for i in g) == list(
+                    range(len(components))
+                )
+                assert len(grouped) == min(num_shards, len(components))
+                # LPT: largest first, and no group is heavier than the
+                # lightest by more than the last component it received
+                loads = [sum(sizes[i] for i in g) for g in grouped]
+                for group, load in zip(grouped, loads):
+                    assert [sizes[i] for i in group] == sorted(
+                        (sizes[i] for i in group), reverse=True
+                    )
+                    assert load - sizes[group[-1]] <= min(loads)
+                # the flat face: sorted state ids, the same loads, and
+                # every state in exactly one shard
+                flat = balanced_shards(components, num_shards)
+                assert [len(group) for group in flat] == loads
+                assert all(group == sorted(group) for group in flat)
+                assert sorted(x for group in flat for x in group) == sorted(
+                    x for component in components for x in component
+                )
 
 
 # -- ruleset edits ---------------------------------------------------------
@@ -466,7 +485,7 @@ class TestServiceHotSwap:
         ) as service:
             record1 = service.register_ruleset(v1)
             assert record1.version == 1
-            store = service.manager.store
+            store = service.store
             assert set(record1.component_keys) <= store.pinned_keys()
 
             session = service.open_session(v1, "tenant-a")

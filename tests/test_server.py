@@ -411,7 +411,7 @@ class TestOneRulesetTable:
 
     def test_served_requests_never_hash_the_ruleset(self, monkeypatch):
         import repro.compile.fingerprint as fingerprint_module
-        import repro.service.ruleset as ruleset_module
+        import repro.service.service as service_module
         from repro.api import Ruleset
 
         calls = []
@@ -423,7 +423,7 @@ class TestOneRulesetTable:
 
         # the two names the service stack and the facade hash through
         monkeypatch.setattr(fingerprint_module, "ruleset_fingerprint", counting)
-        monkeypatch.setattr(ruleset_module, "ruleset_fingerprint", counting)
+        monkeypatch.setattr(service_module, "ruleset_fingerprint", counting)
         streams = {f"s{i}": STREAM[i : i + 64] for i in range(32)}
 
         with ServerHarness(config=ScanConfig(num_shards=2)) as harness:
@@ -440,7 +440,7 @@ class TestOneRulesetTable:
 
         automaton = compile_regex_set(RULES, name="counted")
         with MatchingService(ScanConfig(num_shards=2)) as service:
-            service.scan(automaton, STREAM)  # cold: shard engines hash too
+            service.scan(automaton, STREAM)  # cold
             calls.clear()
             service.scan(automaton, STREAM)
             assert calls == ["counted"]
@@ -530,7 +530,7 @@ class TestOneRulesetTable:
                     for key in record.component_keys
                 }
                 assert live_keys
-                assert service.manager.store.pinned_keys() == live_keys
+                assert service.store.pinned_keys() == live_keys
 
                 # the oldest handle went, from one place, with one code
                 with pytest.raises(RemoteError) as excinfo:
@@ -548,8 +548,71 @@ class TestOneRulesetTable:
                     compile_regex_set({"p": patterns[1]}), stream
                 ).reports
                 assert full_keys(got) == full_keys(expected)
-            assert service.manager.store is not None
-        assert service.manager.store.pinned_keys() == set()
+            assert service.store is not None
+        assert service.store.pinned_keys() == set()
+
+
+class TestCacheCounters:
+    """``cache_stats`` and the wire ``cache`` block count the ruleset
+    table — the one in-memory cache of compiled rulesets."""
+
+    def test_warm_lookups_are_hits(self):
+        automaton = compile_regex_set(RULES, name="counted")
+        with ServerHarness(config=ScanConfig(num_shards=2)) as harness:
+            service = harness.server.service
+            with harness.client() as client:
+                handle = client.register(RULES)
+                for _ in range(5):
+                    assert client.scan(handle, STREAM).cached
+                for _ in range(3):
+                    assert service.scan(automaton, STREAM).cached
+                cache = client.stats()["cache"]
+            stats = service.cache_stats
+            assert (stats.misses, stats.hits, stats.evictions) == (1, 8, 0)
+            assert cache == {
+                "hits": 8,
+                "misses": 1,
+                "evictions": 0,
+                "hit_rate": stats.hit_rate,
+            }
+            assert cache["hit_rate"] > 0.8
+
+    def test_evicted_lineages_leave_no_engine_behind(self):
+        import gc
+        import weakref
+
+        rulesets = [
+            compile_regex_set({"p": f"k{i}+z"}, name=f"ruleset-{i}")
+            for i in range(4)
+        ]
+        data = b"k0zk1zk2zk3z"
+        engines = []
+        with ServerHarness(config=ScanConfig(cache_capacity=2)) as harness:
+            service = harness.server.service
+
+            def build(index):
+                # the classic whole-shard build, as an ad-hoc scan does it
+                assert not service.scan(rulesets[index], data).cached
+                dispatcher = service.dispatcher(rulesets[index])
+                engines.append([weakref.ref(e) for e in dispatcher.engines])
+
+            build(0)
+            build(1)
+            service.scan(rulesets[0], data)  # 1 is now least recently used
+            build(2)  # evicts 1
+            service.scan(rulesets[0], data)
+            build(3)  # evicts 2 — in use order, not build order
+            with harness.client() as client:
+                cache = client.stats()["cache"]
+            assert cache["evictions"] == service.cache_stats.evictions == 2
+            assert cache["misses"] == 4
+            # the table is the only in-memory home of an engine: what
+            # it evicted is gone, what it kept is not
+            gc.collect()
+            reachable = [
+                any(ref() is not None for ref in refs) for refs in engines
+            ]
+            assert reachable == [True, False, False, True]
 
 
 class TestConcurrentClients:

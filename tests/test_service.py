@@ -15,7 +15,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.service import (
     Dispatcher,
     MatchingService,
-    RulesetManager,
+    Session,
     accumulate_stats,
     chunked_scan,
     iter_chunks,
@@ -117,7 +117,7 @@ class TestChunkedEquivalence:
         assert report_keys(reports) == report_keys(reference.reports)
 
 
-class TestRulesetManager:
+class TestRulesetFingerprint:
     def test_fingerprint_ignores_names(self):
         a = glushkov_nfa("ab*c")
         b = glushkov_nfa("ab*c")
@@ -134,27 +134,6 @@ class TestRulesetManager:
         assert ruleset_fingerprint(glushkov_nfa("ab")) != ruleset_fingerprint(
             anchored
         )
-
-    def test_cache_hits_and_misses(self):
-        manager = RulesetManager(capacity=4)
-        nfa = glushkov_nfa("ab*c")
-        first = manager.engine(nfa)
-        assert manager.engine(nfa) is first
-        assert manager.stats.misses == 1
-        assert manager.stats.hits == 1
-
-    def test_lru_eviction(self):
-        manager = RulesetManager(capacity=2)
-        rules = [glushkov_nfa(p) for p in ("ab", "cd", "ef")]
-        engines = [manager.engine(nfa) for nfa in rules]
-        assert manager.stats.evictions == 1
-        # oldest entry was evicted; re-requesting it recompiles
-        assert manager.engine(rules[0]) is not engines[0]
-        assert manager.engine(rules[2]) is engines[2]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(Exception):
-            RulesetManager(capacity=0)
 
 
 class TestSharding:
@@ -300,6 +279,88 @@ class TestSessions:
         session.feed(b"ababab")
         assert len(session.reports) == 2
         assert session.stats.num_reports == 6
+
+
+class TestSessionRelease:
+    """However a service's session closes, it releases its ruleset
+    version through the service, exactly once."""
+
+    @staticmethod
+    def sessions_open():
+        from repro.telemetry.metrics import default_registry
+
+        gauge = default_registry().gauge(
+            "repro_service_sessions_open",
+            "Streaming sessions currently open across MatchingService "
+            "instances",
+        )
+        return gauge.labels().value
+
+    @pytest.mark.parametrize(
+        "how", ["with", "close", "close-then-close_session"]
+    )
+    def test_direct_close_releases_the_ruleset_version(self, how, tmp_path):
+        held = compile_regex_set({"a1": "ab+", "a2": "cd"}, name="held")
+        other = compile_regex_set({"o1": "zq+"}, name="other")
+        config = ScanConfig(cache_capacity=1, artifact_store=tmp_path)
+        with MatchingService(config) as service:
+            baseline = self.sessions_open()
+            record = service.register_ruleset(held)
+            session = service.open_session(record.lineage, "x")
+            assert record.sessions == 1
+            assert self.sessions_open() == baseline + 1
+            if how == "with":
+                with session:
+                    session.feed(b"abbcd")
+            else:
+                session.feed(b"abbcd")
+                result = session.close()
+                assert result.num_reports == 3
+                # idempotent: the result again, nothing released twice
+                assert session.close().num_reports == 3
+            if how == "close-then-close_session":
+                # the name no longer names an open session
+                with pytest.raises(SimulationError, match="no such session"):
+                    service.close_session("x")
+            assert session.closed
+            assert record.sessions == 0
+            assert "x" not in service.sessions
+            assert self.sessions_open() == baseline
+
+            # nothing holds v1, so an update retires it at once ...
+            v2 = service.update_ruleset(record.lineage, add={"a3": "ef"})
+            assert service.version_summary() == {
+                "lineages": 1,
+                "live": 1,
+                "retiring": 0,
+            }
+            assert service.store.pinned_keys() == set(v2.component_keys)
+            # ... and with capacity 1 the next ruleset evicts the lineage
+            service.scan(other, b"zqq")
+            assert service.lineage_versions(record.lineage) == []
+            assert service.version_summary()["lineages"] == 1
+            assert service.store.pinned_keys() == set()
+            # the name is free again
+            with service.open_session(other, "x") as again:
+                assert again.feed(b"zq")
+            assert self.sessions_open() == baseline
+
+    def test_close_after_service_close_is_a_no_op(self, ruleset):
+        baseline = self.sessions_open()
+        service = MatchingService()
+        session = service.open_session(ruleset, "late")
+        session.feed(b"aecd")
+        service.close()
+        assert self.sessions_open() == baseline
+        assert session.close().num_reports == 1
+        assert self.sessions_open() == baseline
+
+    def test_standalone_session_is_unaffected(self, ruleset):
+        with Dispatcher(ruleset) as dispatcher:
+            with Session("solo", dispatcher) as session:
+                session.feed(b"aecd")
+            assert session.closed
+            assert session.close().num_reports == 1
 
 
 class TestMatchingService:
@@ -476,7 +537,7 @@ class TestTeardown:
             for record in versions
         }
         assert set(service._version_by_fp.values()) <= records
-        store = service.manager.store
+        store = service.store
         assert store.pinned_keys() == {
             key for record in records for key in record.component_keys
         }
