@@ -31,8 +31,8 @@ def ruleset_fingerprint(
     With ``options``, the digest also covers the pipeline-relevant
     compile options (stride, backend hint, optimization and encoding
     flags) — use this form to key compiled *artifacts*; the bare form
-    keys the ruleset's *language* (e.g. the in-memory engine LRU, where
-    the backend is already part of the cache key tuple).
+    keys the ruleset's *language* (the service's ruleset table, whose
+    records each own their compiled engines).
     """
     h = hashlib.sha256()
     h.update(len(automaton).to_bytes(8, "little"))

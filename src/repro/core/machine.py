@@ -28,13 +28,12 @@ from repro.errors import SimulationError
 from repro.sim.backends.base import (
     DEFAULT_MAX_KEPT_REPORTS,
     EngineState,
-    append_reports,
     cached_successor_csr,
     gather_successors,
     reporting_mask,
     start_ids,
 )
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch, ReportBuffer
 
 
 @dataclass
@@ -59,7 +58,7 @@ class CamaActivity:
 
 @dataclass
 class CamaRunResult:
-    reports: list[Report]
+    reports: ReportBatch
     activity: CamaActivity
 
     @property
@@ -155,7 +154,7 @@ class CamaMachine:
         with the reference simulator's.
         """
         activity = CamaActivity()
-        reports: list[Report] = []
+        out = ReportBuffer(self._report_codes, max_reports)
         base = state.position
         active = state.active
         encoder = self.program.encoder
@@ -210,12 +209,10 @@ class CamaMachine:
 
             firing = active[self._reporting[active]]
             if firing.size:
-                append_reports(
-                    reports, firing, cycle, self._report_codes, max_reports
-                )
+                out.append(cycle, firing)
         state.active = active
         state.position = base + len(data)
-        return CamaRunResult(reports=reports, activity=activity)
+        return CamaRunResult(out.batch(), activity)
 
     def _enabled_states(self, active: np.ndarray, first_cycle: bool) -> np.ndarray:
         succ = gather_successors(self._succ_offsets, self._succ_targets, active)

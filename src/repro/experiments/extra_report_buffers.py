@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentContext, ExperimentTable
 from repro.sim.buffers import buffer_activity
-from repro.sim.reports import Report
 
 
 def run(ctx: ExperimentContext) -> ExperimentTable:
@@ -22,8 +21,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         engine = ctx.engine(name)
         data = ctx.stream(name)
         result = engine.run(data)
-        reports = [Report(0, 0)] * result.stats.num_reports
-        activity = buffer_activity(len(data), reports)
+        activity = buffer_activity(len(data), result.stats.num_reports)
         hidden_count += activity.output_hidden
         rows.append(
             [

@@ -23,11 +23,10 @@ Architecture (bottom-up)::
     sharding.Dispatcher               connected-component shards, balanced
                                       by state count, their engines read
                                       through the store; serial or
-                                      multiprocessing fan-out per stream
-
-    merge                             sequential (chunk-after-chunk) and
-                                      parallel (shard) result merging,
-                                      remapping shard-local state ids
+                                      multiprocessing fan-out per stream;
+                                      shard ReportBatches merge by an id
+                                      gather and one lexsort (one whole-
+                                      ruleset shard passes through)
 
     session.Session                   one named stream's snapshot; feed()
                                       chunks as they arrive
@@ -104,12 +103,6 @@ from repro.service.client import (
     RemoteScanResult,
     RetryPolicy,
 )
-from repro.service.merge import (
-    accumulate_stats,
-    merge_shard_reports,
-    merge_shard_results,
-    merge_shard_stats,
-)
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_INFLIGHT,
@@ -154,14 +147,10 @@ __all__ = [
     "ServiceResult",
     "Session",
     "Shard",
-    "accumulate_stats",
     "chunked_scan",
     "feed_session_batch",
     "iter_chunks",
     "make_shards",
-    "merge_shard_reports",
-    "merge_shard_results",
-    "merge_shard_stats",
     "ruleset_fingerprint",
     "run_server",
 ]

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.sim.reports import Report
+from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.telemetry.metrics import default_registry
 
 _REGISTRY = default_registry()
@@ -79,14 +79,14 @@ def feed_session_batch(dispatcher, entries):
     """
     from repro.errors import SimulationError
 
-    outcomes: list[tuple[list[Report], BaseException | None] | None] = [
+    outcomes: list[tuple[ReportBatch, BaseException | None] | None] = [
         None
     ] * len(entries)
     live: list[int] = []
     for i, (session, _) in enumerate(entries):
         if session.closed:
             outcomes[i] = (
-                [],
+                EMPTY_REPORTS,
                 SimulationError(f"session {session.name!r} is closed"),
             )
         else:
@@ -102,7 +102,7 @@ def feed_session_batch(dispatcher, entries):
             try:
                 outcomes[i] = (session.absorb(chunk, result), None)
             except Exception as exc:  # e.g. on_truncation="error"
-                outcomes[i] = ([], exc)
+                outcomes[i] = (EMPTY_REPORTS, exc)
     return outcomes
 
 
@@ -146,7 +146,7 @@ class BatchScheduler:
         self.rows = 0
         self.flush_reasons = {reason: 0 for reason in FLUSH_REASONS}
 
-    async def submit(self, dispatcher, session, chunk) -> list:
+    async def submit(self, dispatcher, session, chunk) -> ReportBatch:
         """Queue one feed; resolves with the chunk's new reports."""
         future = asyncio.get_running_loop().create_future()
         lane = self._lanes.get(id(dispatcher))

@@ -122,7 +122,7 @@ import json
 
 from repro.api.config import ScanConfig
 from repro.errors import ConfigError, ReproError
-from repro.sim.reports import Report
+from repro.sim.reports import Report, ReportBatch
 
 #: protocol version advertised by ``ping`` (2: ``register_artifact``;
 #: still 2 after the optional ``config`` request field and the
@@ -227,9 +227,12 @@ def decode_data(text: str) -> bytes:
         ) from exc
 
 
-def encode_reports(reports: list[Report]) -> list[list]:
-    """Reports -> compact ``[cycle, state_id, code]`` wire triples."""
-    return [[r.cycle, r.state_id, r.code] for r in reports]
+def encode_reports(reports: ReportBatch) -> list[list]:
+    """Reports -> compact ``[cycle, state_id, code]`` wire triples, read
+    straight from the batch's arrays (no :class:`Report` is built)."""
+    codes = reports.codes
+    cycles, states = reports.cycles.tolist(), reports.state_ids.tolist()
+    return [[c, s, codes[s]] for c, s in zip(cycles, states)]
 
 
 def decode_reports(triples: list[list]) -> list[Report]:

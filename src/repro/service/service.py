@@ -42,7 +42,7 @@ from repro.service.session import Session
 from repro.service.sharding import Dispatcher
 from repro.sim.backends.base import check_truncation_policy, handle_truncation
 from repro.sim.engine import Engine
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.tracing import Trace, start_trace
@@ -115,9 +115,13 @@ class RulesetVersion:
 
 @dataclass
 class ServiceResult:
-    """One scan's outcome plus service-level metadata."""
+    """One scan's outcome plus service-level metadata.
 
-    reports: list[Report]
+    ``batch`` holds the recorded reports in columnar form; ``reports``
+    is the same batch read as a ``Sequence[Report]``.
+    """
+
+    batch: ReportBatch
     stats: TraceStats
     bytes_scanned: int
     elapsed_s: float
@@ -135,6 +139,10 @@ class ServiceResult:
     ledger: object | None = None
     #: the scan's span tree; present only under ``ScanConfig(trace=True)``
     trace: Trace | None = None
+
+    @property
+    def reports(self) -> ReportBatch:
+        return self.batch
 
     @property
     def trace_id(self) -> str | None:
@@ -747,7 +755,7 @@ class MatchingService:
             )
         dispatcher = record.dispatcher
         return ServiceResult(
-            reports=result.reports,
+            batch=result.batch,
             stats=result.stats,
             bytes_scanned=len(data),
             elapsed_s=elapsed,
@@ -835,7 +843,6 @@ class MatchingService:
     ) -> dict[str, ServiceResult]:
         """Batched core of :meth:`scan_many`: grouped lock-step scans."""
         from repro.service.batching import observe_flush
-        from repro.service.merge import accumulate_stats
 
         policy = (
             self.config.on_truncation
@@ -851,7 +858,8 @@ class MatchingService:
         batch_rows = self.config.batch_max_rows
 
         names = list(streams)
-        reports: dict[str, list[Report]] = {name: [] for name in names}
+        batches: dict[str, list[ReportBatch]] = {name: [] for name in names}
+        recorded = {name: 0 for name in names}
         stats = {name: TraceStats(num_states=num_states) for name in names}
         truncated = {name: False for name in names}
         elapsed: dict[str, float] = {}
@@ -877,9 +885,7 @@ class MatchingService:
                 ]
                 # shrinking per-stream budgets keep the per-tick trim
                 # identical to Dispatcher.scan's end-of-stream trim
-                budgets = [
-                    max(0, cap - len(reports[name])) for name in live
-                ]
+                budgets = [max(0, cap - recorded[name]) for name in live]
                 observe_flush(
                     len(live),
                     "rows_full" if len(live) == batch_rows else "drain",
@@ -891,8 +897,9 @@ class MatchingService:
                 )
                 for name, chunk, result in zip(live, chunks, results):
                     offsets[name] += len(chunk)
-                    reports[name].extend(result.reports)
-                    accumulate_stats(stats[name], result.stats)
+                    batches[name].append(result.batch)
+                    recorded[name] += len(result.batch)
+                    stats[name].accumulate(result.stats)
                     truncated[name] |= result.truncated
             group_elapsed = time.perf_counter() - start
             for name in group:
@@ -911,7 +918,7 @@ class MatchingService:
                     f"were counted but not recorded",
                 )
             out[name] = ServiceResult(
-                reports=reports[name],
+                batch=ReportBatch.concat(batches[name]),
                 stats=stats[name],
                 bytes_scanned=len(streams[name]),
                 elapsed_s=elapsed[name],

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from repro.api.config import ScanConfig
 from repro.errors import SimulationError
-from repro.service.merge import accumulate_stats
 from repro.service.sharding import Dispatcher, iter_chunks
 from repro.sim.backends.base import handle_truncation
 from repro.sim.engine import SimulationResult
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
 
@@ -77,7 +76,9 @@ class Session:
         #: MatchingService's release; None for a standalone session)
         self.on_close = None
         self._states = dispatcher.initial_states()
-        self._reports: list[Report] = []
+        # the batches of the chunks that recorded reports, and their total
+        self._batches: list[ReportBatch] = []
+        self._recorded = 0
         self._stats = TraceStats(
             num_states=sum(len(s.global_ids) for s in dispatcher.shards)
         )
@@ -100,9 +101,9 @@ class Session:
         return self._states[0].position if self._states else 0
 
     @property
-    def reports(self) -> list[Report]:
-        """All reports emitted so far (absolute stream offsets)."""
-        return list(self._reports)
+    def reports(self) -> ReportBatch:
+        """All reports recorded so far (absolute stream offsets)."""
+        return ReportBatch.concat(self._batches)
 
     @property
     def stats(self) -> TraceStats:
@@ -111,15 +112,15 @@ class Session:
     @property
     def report_budget(self) -> int:
         """Reports this stream may still record before hitting its cap."""
-        return max(0, self.max_reports - len(self._reports))
+        return max(0, self.max_reports - self._recorded)
 
     @property
     def shard_states(self):
         """The live per-shard engine states (advanced in place by feeds)."""
         return self._states
 
-    def feed(self, chunk: bytes) -> list[Report]:
-        """Consume one chunk; return only the reports it produced."""
+    def feed(self, chunk: bytes) -> ReportBatch:
+        """Consume one chunk; return only the reports it recorded."""
         if self.closed:
             raise SimulationError(f"session {self.name!r} is closed")
         result = self.dispatcher.run_chunk(
@@ -127,7 +128,7 @@ class Session:
         )
         return self.absorb(chunk, result)
 
-    def absorb(self, chunk: bytes, result: SimulationResult) -> list[Report]:
+    def absorb(self, chunk: bytes, result: SimulationResult) -> ReportBatch:
         """Record one already-dispatched chunk's result into the session.
 
         The bookkeeping half of :meth:`feed`, split out so a batch
@@ -147,8 +148,10 @@ class Session:
         _SESSION_FEED_BYTES.labels().inc(len(chunk))
         if self._ledger_probe is not None:
             self._ledger_probe.feed(chunk)
-        self._reports.extend(result.reports)
-        accumulate_stats(self._stats, result.stats)
+        if len(result.batch):
+            self._batches.append(result.batch)
+            self._recorded += len(result.batch)
+        self._stats.accumulate(result.stats)
         if result.truncated and not self.truncated:
             self.truncated = True
             handle_truncation(
@@ -158,14 +161,13 @@ class Session:
                 f"but not recorded",
                 stacklevel=3,
             )
-        return result.reports
+        return result.batch
 
-    def feed_all(self, data: bytes, chunk_size: int) -> list[Report]:
+    def feed_all(self, data: bytes, chunk_size: int) -> ReportBatch:
         """Feed ``data`` in ``chunk_size`` pieces; return its new reports."""
-        out: list[Report] = []
-        for chunk in iter_chunks(data, chunk_size):
-            out.extend(self.feed(chunk))
-        return out
+        return ReportBatch.concat(
+            [self.feed(chunk) for chunk in iter_chunks(data, chunk_size)]
+        )
 
     def ledger(self):
         """The running :class:`~repro.telemetry.ledger.HardwareLedger`
@@ -195,7 +197,7 @@ class Session:
 
         if self.closed:
             raise SimulationError(f"session {self.name!r} is closed")
-        if self.position != 0 or self._reports:
+        if self.position != 0 or self._recorded:
             raise SimulationError(
                 f"session {self.name!r} has already consumed data; "
                 f"only a fresh session can restore a snapshot"
@@ -224,9 +226,7 @@ class Session:
             self.closed = True
             if self.on_close is not None:
                 self.on_close(self)
-        return SimulationResult(
-            reports=self._reports, stats=self._stats, truncated=self.truncated
-        )
+        return SimulationResult(self.reports, self._stats, self.truncated)
 
     def __enter__(self) -> "Session":
         return self

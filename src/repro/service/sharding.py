@@ -27,6 +27,8 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.api.config import DEFAULT_CHUNK_SIZE, ScanConfig
 from repro.automata.analysis import balanced_shards, connected_components
 from repro.automata.nfa import Automaton
@@ -35,10 +37,10 @@ from repro.compile.fingerprint import ruleset_fingerprint
 from repro.compile.pipeline import compile_ruleset
 from repro.compile.store import ArtifactStore
 from repro.errors import ConfigError, ReproError, SimulationError
-from repro.service.merge import accumulate_stats, merge_shard_results
 from repro.service.ruleset import CacheStats, artifact_options, open_store
 from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS, ExecutionBackend
 from repro.sim.engine import Engine, EngineState, SimulationResult
+from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.tracing import current_trace
@@ -164,15 +166,17 @@ def chunked_scan(
     """
     state = engine.initial_state()
     stats = TraceStats(num_states=len(engine.automaton))
-    reports = []
+    batches = []
+    recorded = 0
     truncated = False
     for chunk in iter_chunks(data, chunk_size):
-        budget = max(0, max_reports - len(reports))
+        budget = max(0, max_reports - recorded)
         result = engine.run_chunk(chunk, state, max_reports=budget)
-        reports.extend(result.reports)
+        batches.append(result.batch)
+        recorded += len(result.batch)
         truncated |= result.truncated
-        accumulate_stats(stats, result.stats)
-    return SimulationResult(reports=reports, stats=stats, truncated=truncated)
+        stats.accumulate(result.stats)
+    return SimulationResult(ReportBatch.concat(batches), stats, truncated)
 
 
 # -- worker-process plumbing (top-level for picklability) -----------------
@@ -265,6 +269,13 @@ class Dispatcher:
         self.num_dropped_states = len(automaton) - sum(
             len(s.global_ids) for s in self.shards
         )
+        # shard -> global state ids and the global code table, for the
+        # report merge; no ids when one shard is the whole ruleset in
+        # its own order (its reports pass through)
+        ids = [np.asarray(s.global_ids, dtype=np.int64) for s in self.shards]
+        whole = len(ids) == 1 and np.array_equal(ids[0], range(len(automaton)))
+        self._id_maps = None if whole else ids
+        self._codes = [s.report_code for s in automaton.states]
 
     @property
     def backend(self) -> str | ExecutionBackend:
@@ -299,9 +310,6 @@ class Dispatcher:
     def backend_names(self) -> list[str]:
         """Resolved kernel name per shard (``auto`` decides per shard)."""
         return [engine.backend_name for engine in self.engines]
-
-    def global_ids(self) -> list[list[int]]:
-        return [s.global_ids for s in self.shards]
 
     # -- streaming ------------------------------------------------------
     def initial_states(self) -> list[EngineState]:
@@ -471,16 +479,53 @@ class Dispatcher:
     def _merge_capped(
         self, per_shard: list[SimulationResult], max_reports: int
     ) -> SimulationResult:
-        """Merge shard results, re-applying the recording cap globally.
+        """Merge shard results into the global automaton's view.
 
-        Each shard records up to ``max_reports`` on its own, so the
-        merged stream could hold ``num_shards x max_reports`` entries;
-        trim to the first ``max_reports`` in emission order (counting
-        via ``stats.num_reports`` is unaffected), matching what a
-        monolithic engine would have recorded.
+        Reports come out exactly as a monolithic :meth:`Engine.run`
+        emits them: global state ids, by cycle, then by state id within
+        a cycle.  A chunk no shard reported on costs nothing, one shard
+        that is the whole ruleset passes its batch through, and
+        otherwise the id remap is a gather and the interleave one
+        stable lexsort.  Each shard records up to ``max_reports`` on its
+        own, so the merged batch is trimmed to its first ``max_reports``
+        (counting via ``stats.num_reports`` is unaffected), matching
+        what a monolithic engine would have recorded.
         """
-        merged = merge_shard_results(per_shard, self.global_ids())
-        if len(merged.reports) > max_reports:
-            del merged.reports[max_reports:]
-            merged.truncated = True
-        return merged
+        truncated = any(result.truncated for result in per_shard)
+        if self._id_maps is None:
+            batch = per_shard[0].batch
+        else:
+            fired = [
+                (result.batch, ids)
+                for result, ids in zip(per_shard, self._id_maps)
+                if len(result.batch)
+            ]
+            batch = EMPTY_REPORTS
+            if fired:
+                cycles = np.concatenate([b.cycles for b, _ in fired])
+                states = np.concatenate([ids[b.state_ids] for b, ids in fired])
+                order = np.lexsort((states, cycles))
+                batch = ReportBatch(cycles[order], states[order], self._codes)
+        if len(batch) > max_reports:
+            batch, truncated = batch[:max_reports], True
+        stats = merge_shard_stats([result.stats for result in per_shard])
+        return SimulationResult(batch, stats, truncated)
+
+
+def merge_shard_stats(per_shard: list[TraceStats]) -> TraceStats:
+    """Combine statistics of shards that scanned the same stream.
+
+    Shards partition the state space, not the input: every shard ran
+    the same cycles, so ``num_cycles`` is taken from the longest shard
+    while state counts and report totals add across shards.  One
+    shard's statistics are the whole stream's.
+    """
+    if len(per_shard) == 1:
+        return per_shard[0]
+    merged = TraceStats(num_states=sum(s.num_states for s in per_shard))
+    for stats in per_shard:
+        merged.num_cycles = max(merged.num_cycles, stats.num_cycles)
+        merged.num_reports += stats.num_reports
+        merged.enabled_states_sum += stats.enabled_states_sum
+        merged.active_states_sum += stats.active_states_sum
+    return merged

@@ -27,7 +27,12 @@ from repro.sim.engine import (
     gather_successors,
     successor_csr,
 )
-from repro.sim.reports import Report, report_codes_at, report_positions
+from repro.sim.reports import (
+    Report,
+    ReportBatch,
+    report_codes_at,
+    report_positions,
+)
 from repro.sim.trace import PartitionAssignment, TraceStats
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "OUTPUT_BUFFER_ENTRIES",
     "PartitionAssignment",
     "Report",
+    "ReportBatch",
     "ReportTruncationWarning",
     "SimulationResult",
     "StridedEngine",

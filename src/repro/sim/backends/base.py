@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.automata.nfa import StartKind
 from repro.errors import SimulationError
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 
@@ -154,10 +154,8 @@ class BatchEngineState:
     """Struct-of-arrays state of many streams sharing one automaton.
 
     Row ``r`` is one stream: ``active_words[r]`` is its packed active
-    bitmap (``num_words(num_states)`` uint64 words), ``positions[r]``
-    its absolute stream position, ``reports_recorded[r]`` a running
-    count of reports recorded for it across batch steps (the scheduler
-    uses it for per-row budget bookkeeping).  This is the software CAMA
+    bitmap (``num_words(num_states)`` uint64 words) and ``positions[r]``
+    its absolute stream position.  This is the software CAMA
     array: one ``step_batch`` call advances every row with 2-D word
     operations, amortizing per-call overhead the way one CAM search
     amortizes over all stored state rows.
@@ -175,8 +173,6 @@ class BatchEngineState:
     positions: np.ndarray
     #: the shared automaton's state count (bit width of each row)
     num_states: int
-    #: reports recorded per row across batch steps, shape ``(rows,)``
-    reports_recorded: np.ndarray
 
     @property
     def num_rows(self) -> int:
@@ -199,7 +195,6 @@ class BatchEngineState:
                 count=len(states),
             ),
             num_states=num_states,
-            reports_recorded=np.zeros(len(states), dtype=np.int64),
         )
 
     def detach(self) -> "list[EngineState]":
@@ -244,7 +239,6 @@ class BatchEngineState:
             active_words=self.active_words.copy(),
             positions=self.positions.copy(),
             num_states=self.num_states,
-            reports_recorded=self.reports_recorded.copy(),
         )
 
 
@@ -265,17 +259,23 @@ def normalize_batch_caps(max_reports, num_rows: int) -> list[int]:
 
 @dataclass
 class SimulationResult:
-    """Reports plus activity statistics of one run (or one chunk).
+    """Recorded reports plus activity statistics of one run (or chunk).
 
-    ``truncated`` is True when at least one report was *counted* but not
-    *recorded* because the ``max_reports`` cap was reached; the engine
-    facade turns that into a :class:`ReportTruncationWarning` or
+    ``batch`` holds the recorded reports in columnar form; ``reports``
+    is the same batch read as a ``Sequence[Report]``.  ``truncated`` is
+    True when at least one report was *counted* but not *recorded*
+    because the ``max_reports`` cap was reached; the engine facade turns
+    that into a :class:`ReportTruncationWarning` or
     :class:`~repro.errors.SimulationError` when the cap was implicit.
     """
 
-    reports: list[Report]
+    batch: ReportBatch
     stats: TraceStats
     truncated: bool = False
+
+    @property
+    def reports(self) -> ReportBatch:
+        return self.batch
 
     @property
     def num_reports(self) -> int:
@@ -554,30 +554,6 @@ class KernelTables:
         return self
 
 
-def append_reports(
-    reports: list[Report],
-    firing: np.ndarray,
-    cycle: int,
-    report_codes: list[str | None],
-    max_reports: int,
-) -> bool:
-    """Record ``firing`` states' reports up to ``max_reports`` total.
-
-    Returns True when at least one report was dropped — the cap is
-    exact even under simultaneous firings (never overshoots by the
-    cycle's remainder).
-    """
-    truncated = False
-    for s in firing:
-        if len(reports) >= max_reports:
-            truncated = True
-            break
-        reports.append(
-            Report(cycle=cycle, state_id=int(s), code=report_codes[int(s)])
-        )
-    return truncated
-
-
 class PlacementTracker:
     """Accumulates partition-resolved activity into a :class:`TraceStats`.
 
@@ -765,9 +741,7 @@ class CompiledKernel(ABC):
         batch.active_words = bitwords.pack_rows(
             [s.active for s in states], batch.num_states
         )
-        for row, (state, result) in enumerate(zip(states, results)):
-            batch.positions[row] = state.position
-            batch.reports_recorded[row] += len(result.reports)
+        batch.positions[:] = [state.position for state in states]
         return results
 
 

@@ -35,14 +35,13 @@ from repro.sim.backends.base import (
     KernelTables,
     PlacementTracker,
     StepResult,
-    append_reports,
     cached_successor_csr,
     match_table,
     normalize_batch_caps,
     reporting_mask,
     start_ids,
 )
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBuffer
 from repro.sim.trace import PartitionAssignment, TraceStats
 
 #: beyond this many states the per-state successor rows (n^2/8 bytes)
@@ -169,8 +168,7 @@ class BitParallelKernel(CompiledKernel):
                 succ=(self._succ_offsets, self._succ_targets),
             )
 
-        reports: list[Report] = []
-        truncated = False
+        out = ReportBuffer(self._report_codes, max_reports)
         base = state.position
         active_ids = np.asarray(state.active, dtype=np.int64)
         if len(data):
@@ -214,12 +212,10 @@ class BitParallelKernel(CompiledKernel):
                 ).any():
                     firing = active_ids[self._reporting[active_ids]]
                     stats.num_reports += int(firing.size)
-                    truncated |= append_reports(
-                        reports, firing, cycle, self._report_codes, max_reports
-                    )
+                    out.append(cycle, firing)
         state.active = active_ids
         state.position = base + len(data)
-        return StepResult(reports=reports, stats=stats, truncated=truncated)
+        return StepResult(out.batch(), stats, out.truncated)
 
     # -- batched multi-stream execution ----------------------------------
     def step_batch(
@@ -267,7 +263,6 @@ class BitParallelKernel(CompiledKernel):
 
         words = batch.active_words[order]  # fancy index: a fresh matrix
         positions = batch.positions[order].copy()
-        sorted_caps = [caps[int(row)] for row in order]
 
         symbols = np.zeros((num_rows, longest), dtype=np.uint8)
         for i, row in enumerate(order):
@@ -284,8 +279,9 @@ class BitParallelKernel(CompiledKernel):
             -sorted_lens, -(np.arange(longest, dtype=np.int64) + 1), side="right"
         )
 
-        per_row_reports: list[list[Report]] = [[] for _ in range(num_rows)]
-        truncated = np.zeros(num_rows, dtype=bool)
+        per_row = [
+            ReportBuffer(self._report_codes, caps[int(row)]) for row in order
+        ]
         enabled_sums = np.zeros(num_rows, dtype=np.int64)
         active_sums = np.zeros(num_rows, dtype=np.int64)
         report_counts = np.zeros(num_rows, dtype=np.int64)
@@ -335,13 +331,7 @@ class BitParallelKernel(CompiledKernel):
                     ):
                         i = int(i)
                         report_counts[i] += firing.size
-                        truncated[i] |= append_reports(
-                            per_row_reports[i],
-                            firing,
-                            int(positions[i]) + t,
-                            self._report_codes,
-                            sorted_caps[i],
-                        )
+                        per_row[i].append(int(positions[i]) + t, firing)
 
         positions += sorted_lens
         batch.active_words = words[inverse]
@@ -355,13 +345,8 @@ class BitParallelKernel(CompiledKernel):
             stats.enabled_states_sum = int(enabled_sums[i])
             stats.active_states_sum = int(active_sums[i])
             stats.num_reports = int(report_counts[i])
-            batch.reports_recorded[row] += len(per_row_reports[i])
             results.append(
-                StepResult(
-                    reports=per_row_reports[i],
-                    stats=stats,
-                    truncated=bool(truncated[i]),
-                )
+                StepResult(per_row[i].batch(), stats, per_row[i].truncated)
             )
         return results
 

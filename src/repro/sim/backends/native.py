@@ -55,7 +55,7 @@ from repro.sim.backends.base import (
     normalize_batch_caps,
 )
 from repro.sim.backends.bitparallel import BitParallelKernel
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 
@@ -332,30 +332,26 @@ class NativeKernel(BitParallelKernel):
     def _step_words(
         self,
         words: np.ndarray,
-        symbols: np.ndarray,
+        data: bytes,
         base: int,
-        budget: int,
-        reports: list[Report],
+        cap: int,
         scratch: np.ndarray,
         rep_cycles: np.ndarray,
         rep_states: np.ndarray,
-    ) -> tuple[int, int, int, bool]:
-        """Drive the C loop over one stream's chunk, draining the
-        bounded report buffer whenever the C side pauses on it.
-
-        ``words`` is stepped in place; returns ``(enabled_states_sum,
-        active_states_sum, reports_fired, truncated)``.
-        """
-        lib = self._lib
+    ) -> StepResult:
+        """Drive the C loop over one stream's chunk, stepping ``words``
+        in place and draining the bounded report buffer into the
+        result's batch whenever the C side pauses on it (the C side
+        keeps the recording cap itself)."""
+        symbols = np.frombuffer(data, dtype=np.uint8)
         length = int(symbols.size)
         capacity = int(rep_cycles.size)
         counters = np.empty(5, dtype=np.int64)
-        codes = self._report_codes
-        enabled_sum = active_sum = fired = 0
-        truncated = False
+        stats = TraceStats(num_states=self._n, num_cycles=length)
+        codes, drained, truncated = self._report_codes, [], False
         offset = 0
         while offset < length:
-            next_offset = lib.cama_run_chunk(
+            next_offset = self._lib.cama_run_chunk(
                 self._c_tables,
                 symbols.ctypes.data,
                 length,
@@ -363,32 +359,28 @@ class NativeKernel(BitParallelKernel):
                 base,
                 words.ctypes.data,
                 scratch.ctypes.data,
-                budget,
+                cap,
                 rep_cycles.ctypes.data,
                 rep_states.ctypes.data,
                 capacity,
                 counters.ctypes.data,
             )
-            enabled_sum += int(counters[0])
-            active_sum += int(counters[1])
-            fired += int(counters[2])
+            stats.enabled_states_sum += int(counters[0])
+            stats.active_states_sum += int(counters[1])
+            stats.num_reports += int(counters[2])
             recorded = int(counters[3])
             truncated |= bool(counters[4])
             if recorded:
-                budget -= recorded
-                reports.extend(
-                    Report(cycle=cycle, state_id=state, code=codes[state])
-                    for cycle, state in zip(
-                        rep_cycles[:recorded].tolist(),
-                        rep_states[:recorded].tolist(),
-                    )
-                )
+                cap -= recorded
+                cycles = rep_cycles[:recorded].copy()
+                states = rep_states[:recorded].copy()
+                drained.append(ReportBatch(cycles, states, codes))
             if next_offset <= offset and not recorded:
                 raise SimulationError(
                     "native kernel made no progress (corrupt build?)"
                 )
             offset = int(next_offset)
-        return enabled_sum, active_sum, fired, truncated
+        return StepResult(ReportBatch.concat(drained), stats, truncated)
 
     def run_chunk(
         self,
@@ -408,35 +400,15 @@ class NativeKernel(BitParallelKernel):
                 keep_per_cycle=keep_per_cycle,
                 max_reports=max_reports,
             )
-        stats = TraceStats(num_states=self._n)
-        reports: list[Report] = []
-        truncated = False
-        base = state.position
-        if len(data):
-            symbols = np.frombuffer(data, dtype=np.uint8)
-            words = bitwords.pack_indices(
-                np.asarray(state.active, dtype=np.int64), self._n
-            )
-            scratch, rep_cycles, rep_states = self._report_buffers()
-            enabled_sum, active_sum, fired, truncated = self._step_words(
-                words,
-                symbols,
-                base,
-                max_reports,
-                reports,
-                scratch,
-                rep_cycles,
-                rep_states,
-            )
-            stats.num_cycles = len(data)
-            stats.enabled_states_sum = enabled_sum
-            stats.active_states_sum = active_sum
-            stats.num_reports = fired
-            state.active = bitwords.unpack_indices(words)
-        else:
-            state.active = np.asarray(state.active, dtype=np.int64)
-        state.position = base + len(data)
-        return StepResult(reports=reports, stats=stats, truncated=truncated)
+        words = bitwords.pack_indices(
+            np.asarray(state.active, dtype=np.int64), self._n
+        )
+        result = self._step_words(
+            words, data, state.position, max_reports, *self._report_buffers()
+        )
+        state.active = bitwords.unpack_indices(words)
+        state.position += len(data)
+        return result
 
     def step_batch(
         self,
@@ -462,34 +434,16 @@ class NativeKernel(BitParallelKernel):
             )
         caps = normalize_batch_caps(max_reports, num_rows)
         words = np.ascontiguousarray(batch.active_words, dtype=np.uint64)
-        scratch, rep_cycles, rep_states = self._report_buffers()
+        buffers = self._report_buffers()
         results = []
-        for row in range(num_rows):
-            chunk = chunks[row]
-            reports: list[Report] = []
-            stats = TraceStats(num_states=self._n)
-            truncated = False
-            if len(chunk):
-                symbols = np.frombuffer(chunk, dtype=np.uint8)
-                enabled_sum, active_sum, fired, truncated = self._step_words(
-                    words[row],
-                    symbols,
-                    int(batch.positions[row]),
-                    caps[row],
-                    reports,
-                    scratch,
-                    rep_cycles,
-                    rep_states,
-                )
-                stats.num_cycles = len(chunk)
-                stats.enabled_states_sum = enabled_sum
-                stats.active_states_sum = active_sum
-                stats.num_reports = fired
-                batch.positions[row] += len(chunk)
-            batch.reports_recorded[row] += len(reports)
+        for row, chunk in enumerate(chunks):
+            position = int(batch.positions[row])
             results.append(
-                StepResult(reports=reports, stats=stats, truncated=truncated)
+                self._step_words(
+                    words[row], chunk, position, caps[row], *buffers
+                )
             )
+            batch.positions[row] = position + len(chunk)
         batch.active_words = words
         return results
 

@@ -26,14 +26,13 @@ from repro.sim.backends.base import (
     KernelTables,
     PlacementTracker,
     StepResult,
-    append_reports,
     cached_successor_csr,
     gather_successors,
     match_table,
     reporting_mask,
     start_ids,
 )
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBuffer
 from repro.sim.trace import PartitionAssignment, TraceStats
 
 
@@ -119,8 +118,7 @@ class SparseKernel(CompiledKernel):
                 succ=(self._succ_offsets, self._succ_targets),
             )
 
-        reports: list[Report] = []
-        truncated = False
+        out = ReportBuffer(self._report_codes, max_reports)
         base = state.position
         active = state.active
         for offset, symbol in enumerate(data):
@@ -140,12 +138,10 @@ class SparseKernel(CompiledKernel):
             firing = active[self._reporting[active]]
             stats.num_reports += int(firing.size)
             if firing.size:
-                truncated |= append_reports(
-                    reports, firing, cycle, self._report_codes, max_reports
-                )
+                out.append(cycle, firing)
         state.active = active
         state.position = base + len(data)
-        return StepResult(reports=reports, stats=stats, truncated=truncated)
+        return StepResult(out.batch(), stats, out.truncated)
 
 
 class SparseBackend:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.sim.reports import Report
 
 INPUT_BUFFER_ENTRIES = 128
 OUTPUT_BUFFER_ENTRIES = 64
@@ -38,28 +37,28 @@ def input_interrupts(num_symbols: int, capacity: int = INPUT_BUFFER_ENTRIES) -> 
 
 
 def output_interrupts(
-    reports: list[Report], capacity: int = OUTPUT_BUFFER_ENTRIES
+    num_reports: int, capacity: int = OUTPUT_BUFFER_ENTRIES
 ) -> int:
-    """Number of buffer-full interrupts produced by ``reports``.
+    """Number of buffer-full interrupts produced by ``num_reports``.
 
     Every report occupies one entry (active state id, partition id,
     symbol, cycle — §VI.B); the buffer flushes to the CPU when full.
     """
     if capacity <= 0:
         raise SimulationError("output buffer capacity must be positive")
-    return len(reports) // capacity
+    return num_reports // capacity
 
 
 def buffer_activity(
     num_symbols: int,
-    reports: list[Report],
+    num_reports: int,
     *,
     input_capacity: int = INPUT_BUFFER_ENTRIES,
     output_capacity: int = OUTPUT_BUFFER_ENTRIES,
 ) -> BufferActivity:
     """Model both buffers for one run."""
     inputs = input_interrupts(num_symbols, input_capacity)
-    outputs = output_interrupts(reports, output_capacity)
+    outputs = output_interrupts(num_reports, output_capacity)
     return BufferActivity(
         input_interrupts=inputs,
         output_interrupts=outputs,

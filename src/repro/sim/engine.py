@@ -66,7 +66,7 @@ from repro.sim.backends.base import (
     reporting_mask,
     start_ids,
 )
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBuffer
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.tracing import current_trace
@@ -134,9 +134,10 @@ def _observe_chunk(
         )
 
 
-def _cap_message(kept: int, cap: int, what: str) -> str:
+def _cap_message(cap: int, what: str) -> str:
+    # a truncated run recorded exactly ``cap`` reports: the cap is exact
     return (
-        f"{what} hit the kept-reports cap: recorded {kept} of a stream "
+        f"{what} hit the kept-reports cap: recorded {cap} of a stream "
         f"that kept reporting past {cap}; raise max_kept_reports (or pass "
         f"an explicit max_reports) to silence"
     )
@@ -252,7 +253,8 @@ class Engine:
         stream position 0, and report cycles are absolute stream
         offsets (``state.position`` plus the chunk-local index).  The
         returned statistics cover only this chunk; accumulate across
-        chunks with :func:`repro.service.merge.accumulate_stats`.
+        chunks with :meth:`TraceStats.accumulate
+        <repro.sim.trace.TraceStats.accumulate>`.
         """
         explicit = max_reports is not None
         cap = max_reports if explicit else self.max_kept_reports
@@ -274,9 +276,7 @@ class Engine:
         if result.truncated and not explicit:
             handle_truncation(
                 self.on_truncation,
-                _cap_message(
-                    len(result.reports), cap, f"Engine({self.automaton.name!r})"
-                ),
+                _cap_message(cap, f"Engine({self.automaton.name!r})"),
             )
         return result
 
@@ -434,6 +434,10 @@ class StridedEngine:
         self._succ_offsets, self._succ_targets = cached_successor_csr(strided)
         self._start_all, self._start_sod = start_ids(strided)
         self._reporting = reporting_mask(strided)
+        # strided reports name the original automaton's state and carry
+        # no code: a code table of Nones over the original ids
+        origins = [s.report_origin for s in strided.states if s.reporting]
+        self._origin_codes = [None] * (max(origins, default=-1) + 1)
         if name == "bitparallel":
             # only the packed form is kept; the dense bool tables are
             # construction scaffolding here (2 x 256 x n bytes saved)
@@ -487,8 +491,7 @@ class StridedEngine:
             tracker = PlacementTracker(
                 placement, stats, self._n, what="strided automaton"
             )
-        out: list[Report] = []
-        truncated = False
+        out = ReportBuffer(self._origin_codes, cap)
         states = self.automaton.states
         if self.backend_name == "bitparallel":
             stepper = self._packed_cycles(pairs)
@@ -517,12 +520,10 @@ class StridedEngine:
                 for s in active[self._reporting[active]]
             }
             stats.num_reports += len(cycle_hits)
-            for cycle, origin in sorted(cycle_hits):
-                if len(out) < cap:
-                    out.append(Report(cycle=cycle, state_id=origin))
-                else:
-                    truncated = True
-        result = SimulationResult(reports=out, stats=stats, truncated=truncated)
+            if cycle_hits:
+                hits = np.array(sorted(cycle_hits), dtype=np.int64)
+                out.extend(hits[:, 0], hits[:, 1])
+        result = SimulationResult(out.batch(), stats, out.truncated)
         _observe_chunk(
             self._instruments,
             f"{self.backend_name}-strided",
@@ -530,12 +531,10 @@ class StridedEngine:
             data,
             result,
         )
-        if truncated and not explicit:
+        if out.truncated and not explicit:
             handle_truncation(
                 self.on_truncation,
-                _cap_message(
-                    len(out), cap, f"StridedEngine({self.automaton.name!r})"
-                ),
+                _cap_message(cap, f"StridedEngine({self.automaton.name!r})"),
             )
         return result
 

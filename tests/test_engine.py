@@ -184,22 +184,19 @@ class TestBuffers:
         assert input_interrupts(0) == 0
 
     def test_output_interrupts(self):
-        reports = [Report(i, 0) for i in range(130)]
-        assert output_interrupts(reports) == 2
+        assert output_interrupts(130) == 2
 
     def test_output_hidden_at_low_report_rate(self):
         # 0.4 reports/cycle (< 0.5): output interrupts stay behind input's
-        reports = [Report(i, 0) for i in range(400)]
-        activity = buffer_activity(1000, reports)
+        activity = buffer_activity(1000, 400)
         assert activity.output_hidden
 
     def test_output_not_hidden_at_high_report_rate(self):
-        reports = [Report(i, 0) for i in range(0, 3000)]
-        activity = buffer_activity(1000, reports)
+        activity = buffer_activity(1000, 3000)
         assert not activity.output_hidden
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(SimulationError):
             input_interrupts(5, capacity=0)
         with pytest.raises(SimulationError):
-            output_interrupts([], capacity=-1)
+            output_interrupts(0, capacity=-1)

@@ -1,0 +1,364 @@
+"""Columnar reports: the ReportBatch view, an oracle-differential matrix
+over every path that carries a batch, the zero-report path, and the
+served report bytes.
+
+A :class:`ReportBatch` rides from the kernel through ``Engine``,
+``Dispatcher``, ``Session`` and ``MatchingService`` to the server's
+encoder; every stage is compared here with ``tests/oracle.py`` —
+backends x shard counts (including a non-identity shard id remap) x
+chunk splits x recording caps, one stream dense enough that the native
+loop's 4096-entry report buffer pauses and resumes.
+"""
+
+import contextlib
+import json
+import pickle
+import socket
+
+import numpy as np
+import pytest
+
+from oracle import oracle_run
+from repro.api import ScanConfig
+from repro.automata.glushkov import compile_regex_set
+from repro.automata.nfa import Automaton, StartKind
+from repro.service import BackgroundServer, Dispatcher, MatchingService
+from repro.service.protocol import encode_data, encode_frame
+from repro.service.sharding import iter_chunks
+from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
+from repro.sim.backends.native import native_available
+from repro.sim.reports import EMPTY_REPORTS, Report, ReportBatch
+from repro.workloads import benchmark_input
+
+BACKENDS = ["sparse", "bitparallel", "native"]
+
+#: overlapping rules: a run of 'a' fires three states per byte
+RULES = {
+    "one": "a",
+    "run": "a+",
+    "pair": "[a-c]a",
+    "abc": "abc",
+    "tail": "b+c?",
+}
+
+#: ~9000 reports in the leading burst: more than the native loop's
+#: report buffer holds, so it pauses and resumes inside one chunk
+STREAM = b"a" * 3000 + b"xabcbbbc" * 20 + b"zz" * 40
+
+#: one chunk; a split 2000 bytes into the burst (6000 reports before
+#: it, so the pause happens on both sides of the split)
+CHUNKINGS = {"whole": len(STREAM), "mid-burst": 2000}
+
+#: 3 cuts cycle 1's three simultaneous reports after the first; 4098
+#: lands past the first drain of the native report buffer
+CAPS = [None, 0, 1, 3, 4098]
+
+
+def ruleset():
+    """RULES behind a reporterless component: the dispatcher drops it,
+    so even one shard maps local state ids through a non-identity
+    gather (local 0 is global 2)."""
+    nfa = Automaton(name="columnar")
+    quiet = nfa.add_state("q", start=StartKind.ALL_INPUT)
+    nfa.add_transition(quiet, nfa.add_state("z"))
+    nfa.merge(compile_regex_set(RULES))
+    return nfa
+
+
+@pytest.fixture(scope="module")
+def nfa():
+    return ruleset()
+
+
+@pytest.fixture(scope="module")
+def oracle(nfa):
+    return oracle_run(nfa, STREAM).reports
+
+
+def expected(oracle, cap):
+    """What a run capped at ``cap`` records, and whether it truncates."""
+    if cap is None:
+        cap = DEFAULT_MAX_KEPT_REPORTS
+    return oracle[:cap], len(oracle) > cap
+
+
+def assert_batch(batch, want):
+    assert isinstance(batch, ReportBatch)
+    assert batch.cycles.dtype == batch.state_ids.dtype == np.int64
+    assert batch == want
+
+
+def sample_batch():
+    return ReportBatch(
+        np.array([1, 1, 3, 5], dtype=np.int64),
+        np.array([0, 2, 1, 2], dtype=np.int64),
+        ["a", None, "c"],
+    )
+
+
+SAMPLE = [Report(1, 0, "a"), Report(1, 2, "c"), Report(3, 1), Report(5, 2, "c")]
+
+
+class TestView:
+    def test_len_index_and_negative_index(self):
+        batch = sample_batch()
+        assert len(batch) == 4
+        assert batch[0] == SAMPLE[0]
+        assert batch[-1] == SAMPLE[-1]
+        assert batch[-3] == SAMPLE[1]
+        with pytest.raises(IndexError):
+            batch[4]
+
+    def test_slices_are_batches(self):
+        batch = sample_batch()
+        for part in (slice(1, 3), slice(None, -1), slice(None, None, 2)):
+            assert isinstance(batch[part], ReportBatch)
+            assert batch[part] == SAMPLE[part]
+        assert batch[4:] == [] and not batch[4:]
+
+    def test_iteration_order_and_equality(self):
+        batch = sample_batch()
+        assert list(batch) == SAMPLE
+        assert batch == SAMPLE and SAMPLE == batch
+        assert batch == tuple(SAMPLE)
+        assert batch != SAMPLE[:-1]
+        assert batch != list(reversed(SAMPLE))
+        assert batch != "not reports"
+        assert Report(3, 1) in batch and batch.index(Report(3, 1)) == 2
+
+    def test_repr(self):
+        assert repr(sample_batch()[:1]) == (
+            "ReportBatch([Report(cycle=1, state_id=0, code='a')])"
+        )
+        assert repr(EMPTY_REPORTS) == "ReportBatch([])"
+        many = ReportBatch(np.arange(10), np.zeros(10, dtype=np.int64), ["x"])
+        assert repr(many).endswith(
+            "Report(cycle=5, state_id=0, code='x'), ... 4 more])"
+        )
+
+    def test_pickles(self):
+        batch = sample_batch()
+        again = pickle.loads(pickle.dumps(batch))
+        assert isinstance(again, ReportBatch) and again == SAMPLE
+
+    def test_empty_batch_is_immutable(self):
+        assert len(EMPTY_REPORTS) == 0 and EMPTY_REPORTS == []
+        with pytest.raises(ValueError):
+            EMPTY_REPORTS.cycles[:] = 1
+        with pytest.raises(AttributeError):
+            EMPTY_REPORTS.codes = ["x"]
+
+    def test_concat(self):
+        batch = sample_batch()
+        joined = ReportBatch.concat([batch[:2], EMPTY_REPORTS, batch[2:]])
+        assert joined == SAMPLE
+        assert ReportBatch.concat([EMPTY_REPORTS, batch]) is batch
+        assert ReportBatch.concat([]) is EMPTY_REPORTS
+
+
+# -- the oracle-differential matrix -----------------------------------------
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("chunking", list(CHUNKINGS))
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_matches_oracle(nfa, oracle, backend, shards, chunking, cap):
+    want, truncated = expected(oracle, cap)
+    config = ScanConfig(backend=backend, num_shards=shards)
+    with MatchingService(config) as service:
+        result = service.scan(
+            nfa, STREAM, chunk_size=CHUNKINGS[chunking], max_reports=cap
+        )
+    assert_batch(result.batch, want)
+    assert result.reports is result.batch
+    assert result.truncated == truncated
+    assert result.num_reports == len(oracle)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3, 4098])
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_session_feeds_match_oracle(nfa, oracle, backend, shards, cap):
+    want, truncated = expected(oracle, cap)
+    config = ScanConfig(backend=backend, num_shards=shards)
+    with MatchingService(config) as service:
+        session = service.open_session(
+            nfa, "s", max_reports=cap, on_truncation="ignore"
+        )
+        fed = [session.feed(chunk) for chunk in iter_chunks(STREAM, 2000)]
+        assert_batch(ReportBatch.concat(fed), want)
+        assert_batch(session.reports, want)
+        assert session.truncated == truncated
+        if cap is not None:
+            assert session.report_budget == cap - len(want)
+        closed = session.close()
+    assert closed.reports == want
+    assert closed.stats.num_reports == len(oracle)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_byte_chunks_match_oracle(nfa, backend, shards):
+    data = STREAM[2990:3100]
+    want = oracle_run(nfa, data).reports
+    config = ScanConfig(backend=backend, num_shards=shards)
+    with MatchingService(config) as service:
+        assert service.scan(nfa, data, chunk_size=1).reports == want
+        session = service.open_session(nfa, "bytes")
+        fed = [session.feed(data[i : i + 1]) for i in range(len(data))]
+        assert ReportBatch.concat(fed) == want
+        assert session.reports == want
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "sequential"])
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_many_matches_oracle(nfa, backend, shards, cap, batched):
+    streams = {
+        "burst": STREAM,
+        "mid": STREAM[2500:3100],
+        "quiet": b"zz" * 64,
+        "empty": b"",
+    }
+    config = ScanConfig(
+        backend=backend, num_shards=shards, batch_max_rows=64 if batched else 1
+    )
+    with MatchingService(config) as service:
+        results = service.scan_many(nfa, streams, chunk_size=700, max_reports=cap)
+    for name, data in streams.items():
+        want, truncated = expected(oracle_run(nfa, data).reports, cap)
+        assert_batch(results[name].batch, want)
+        assert results[name].truncated == truncated
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pool_batches_cross_the_pickle_boundary(nfa, oracle, backend):
+    config = ScanConfig(backend=backend, num_shards=3, workers=2)
+    with Dispatcher(nfa, config) as dispatcher:
+        for cap in (DEFAULT_MAX_KEPT_REPORTS, 4098):
+            want, truncated = expected(oracle, cap)
+            result = dispatcher.scan(STREAM, chunk_size=2000, max_reports=cap)
+            assert_batch(result.batch, want)
+            assert result.truncated == truncated
+
+
+# -- the zero-report path ----------------------------------------------------
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts of every np.concatenate and np.lexsort call from now on."""
+    calls = {"concatenate": 0, "lexsort": 0}
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counting(name))
+    return calls
+
+
+@pytest.mark.skipif(not native_available(), reason="needs the C loop")
+class TestZeroReportPath:
+    """Quiet chunks — the feeds of the fleet-hotswap and snort-quiet
+    workloads — share one empty batch and never merge anything."""
+
+    QUIET = b"zz" * 256
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_quiet_feed_and_scan_return_the_shared_empty_batch(
+        self, nfa, numpy_calls, shards
+    ):
+        config = ScanConfig(backend="native", num_shards=shards)
+        with MatchingService(config) as service:
+            service.dispatcher(nfa)  # compile outside the counted calls
+            numpy_calls.update(concatenate=0, lexsort=0)
+            session = service.open_session(nfa, "quiet")
+            assert session.feed(self.QUIET) is EMPTY_REPORTS
+            assert session.feed(self.QUIET) is EMPTY_REPORTS
+            assert session.reports is EMPTY_REPORTS
+            scan = service.scan(nfa, self.QUIET * 4, chunk_size=512)
+            assert scan.batch is EMPTY_REPORTS
+        assert numpy_calls == {"concatenate": 0, "lexsort": 0}
+
+    def test_one_whole_ruleset_shard_never_sorts(self, numpy_calls):
+        dispatcher = Dispatcher(
+            compile_regex_set(RULES), ScanConfig(backend="native")
+        )
+        dispatcher.engines  # compile outside the counted calls
+        result = dispatcher.scan(STREAM)
+        assert len(result.batch) > 4096
+        state = dispatcher.initial_states()
+        assert len(dispatcher.run_chunk(STREAM[:64], state).batch) > 64
+        assert numpy_calls["lexsort"] == 0
+
+
+# -- the served bytes ----------------------------------------------------------
+
+#: the benchmark's tiny-dense rules
+TINY_RULES = {
+    "shell": r"/bin/(sh|bash)",
+    "hex-blob": r"0x[0-9a-f]{4}",
+    "beacon": r"PING[0-9]+PONG",
+    "paper": "(a|b)e*cd+",
+}
+
+
+@contextlib.contextmanager
+def raw_requests(port):
+    """A raw connection: ``request(**frame)`` sends one frame and returns
+    the response line's bytes for ``scan`` / ``feed``, the decoded
+    response for any other op."""
+    ids = iter(range(1, 1 << 30))
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        with sock.makefile("rb") as lines:
+
+            def request(**frame):
+                sock.sendall(encode_frame({"id": next(ids), **frame}))
+                line = lines.readline()
+                response = json.loads(line)
+                assert response["ok"], response
+                return line if frame["op"] in ("scan", "feed") else response
+
+            yield request
+
+
+def report_triples(reports):
+    """The wire's ``[cycle, state_id, code]`` triples, built from
+    :class:`Report` objects one by one."""
+    return [[r.cycle, r.state_id, r.code] for r in reports]
+
+
+def test_served_report_bytes_match_the_oracle():
+    """Scan and feed frames carry exactly the bytes the oracle's reports
+    encode to: the same triples, in the same order, byte for byte."""
+    tiny = compile_regex_set(TINY_RULES, name="tiny")
+    data = benchmark_input(tiny, 8192, seed=5, injection_rate=0.05)
+    oracle = oracle_run(tiny, data).reports
+    assert len(oracle) > 1000
+
+    def expected_line(line, reports):
+        frame = json.loads(line)
+        return encode_frame(dict(frame, reports=report_triples(reports)))
+
+    with BackgroundServer(config=ScanConfig(backend="native")) as server:
+        with raw_requests(server.port) as request:
+            handle = request(op="register", rules=TINY_RULES)["handle"]
+            line = request(op="scan", handle=handle, data=encode_data(data))
+            assert line == expected_line(line, oracle)
+            request(op="open", handle=handle, session="s")
+            for offset in range(0, len(data), 512):
+                chunk = data[offset : offset + 512]
+                line = request(op="feed", session="s", data=encode_data(chunk))
+                fired = [
+                    r for r in oracle if offset <= r.cycle < offset + len(chunk)
+                ]
+                assert line == expected_line(line, fired)

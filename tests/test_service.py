@@ -16,15 +16,14 @@ from repro.service import (
     Dispatcher,
     MatchingService,
     Session,
-    accumulate_stats,
     chunked_scan,
     iter_chunks,
     make_shards,
-    merge_shard_reports,
     ruleset_fingerprint,
 )
-from repro.sim.engine import Engine, EngineState
-from repro.sim.reports import Report
+from repro.service.sharding import Shard
+from repro.sim.engine import Engine, EngineState, SimulationResult
+from repro.sim.reports import ReportBatch
 from repro.sim.trace import TraceStats
 from repro.workloads import BENCHMARK_NAMES, get_benchmark, multi_stream_inputs
 
@@ -206,14 +205,30 @@ class TestSharding:
 class TestMerge:
     def test_accumulate_requires_same_automaton(self):
         with pytest.raises(ValueError):
-            accumulate_stats(TraceStats(num_states=2), TraceStats(num_states=3))
+            TraceStats(num_states=2).accumulate(TraceStats(num_states=3))
 
     def test_merge_shard_reports_orders_like_monolithic(self):
-        per_shard = [
-            [Report(cycle=1, state_id=0), Report(cycle=3, state_id=1)],
-            [Report(cycle=1, state_id=0)],
+        # a 7-state ruleset served by two shards holding the components
+        # {5, 6} and {2}: the dispatcher's merge remaps and interleaves
+        nfa = compile_regex_set({"a": "ab", "b": "c", "c": "de", "d": "fg"})
+        shards = [
+            Shard(0, nfa.subautomaton([5, 6]), [5, 6]),
+            Shard(1, nfa.subautomaton([2]), [2]),
         ]
-        merged = merge_shard_reports(per_shard, [[5, 6], [2]])
+        dispatcher = Dispatcher(
+            nfa, prebuilt=(shards, [Engine(s.automaton) for s in shards])
+        )
+
+        def shard_result(cycles, states, size):
+            batch = ReportBatch(
+                np.array(cycles), np.array(states), [None] * size
+            )
+            return SimulationResult(batch, TraceStats(num_states=size))
+
+        merged = dispatcher._merge_capped(
+            [shard_result([1, 3], [0, 1], 2), shard_result([1], [0], 1)],
+            max_reports=10,
+        ).reports
         assert [(r.cycle, r.state_id) for r in merged] == [
             (1, 2),
             (1, 5),
