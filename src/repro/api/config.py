@@ -184,7 +184,9 @@ class ScanConfig:
         hardware_ledger: attach the modeled-hardware ledger (CAMA
             energy breakdown, cycle latency, tile occupancy — see
             :mod:`repro.telemetry.ledger`) to every scan result and
-            session.  Costs a reference side-simulation per scan.
+            session.  Costs a reference re-run of the input on the
+            Python sparse kernel: ~900x slower than a plain native
+            scan (0.033 vs 29.4 MB/s on Snort at 1/32 scale).
         ledger_design: which architecture model prices the ledger
             (any :data:`repro.arch.designs.ALL_DESIGNS` name).
         trace: record a per-scan span tree (scan -> shards -> chunks,

@@ -201,19 +201,14 @@ class RulesetHandle:
         self._compiled = compiled
         self._artifact = artifact
         self._service = None
-        self._fingerprint: str | None = None
 
     # -- identity ---------------------------------------------------------
     @property
     def fingerprint(self) -> str:
         """The ruleset's language fingerprint (the service's table
         handle, and the handle a server-side registration of these
-        rules yields); hashed once, on first use."""
-        if self._fingerprint is None:
-            from repro.compile.fingerprint import ruleset_fingerprint
-
-            self._fingerprint = ruleset_fingerprint(self.automaton)
-        return self._fingerprint
+        rules yields): the automaton's memoized name."""
+        return self.automaton.fingerprint
 
     @property
     def key(self) -> str:
@@ -243,18 +238,10 @@ class RulesetHandle:
                 # the eager compile already built the engine a
                 # single-shard service would compile: hand it over
                 service._found(
-                    self.automaton,
-                    self.fingerprint,
-                    prebuilt=self._compiled.engine(),
+                    self.automaton, prebuilt=self._compiled.engine()
                 )
             self._service = service
         return self._service
-
-    def _record(self):
-        """The service's table record of exactly this handle's rules:
-        looked up by the cached fingerprint (never a re-hash), rebuilt
-        if other rulesets sharing the service evicted it."""
-        return self.service.resolve(self.automaton, self.fingerprint)[0]
 
     def scan(
         self,
@@ -267,7 +254,7 @@ class RulesetHandle:
         """Scan one complete stream; returns a
         :class:`~repro.service.service.ServiceResult`."""
         return self.service.scan(
-            self._record(),
+            self.automaton,
             data,
             chunk_size=chunk_size,
             max_reports=max_reports,
@@ -284,7 +271,7 @@ class RulesetHandle:
     ):
         """Scan every named stream; returns ``{name: ServiceResult}``."""
         return self.service.scan_many(
-            self._record(),
+            self.automaton,
             streams,
             chunk_size=chunk_size,
             max_reports=max_reports,
@@ -318,14 +305,11 @@ class RulesetHandle:
         )
         # registered (not just scanned) first, so the new version
         # reuses this one's component artifacts and joins its lineage
-        current = self.service.register_ruleset(
-            self.automaton, key=self.fingerprint
-        )
+        current = self.service.register_ruleset(self.automaton)
         record = self.service.update_ruleset(
             current.lineage, automaton=updated
         )
         self.automaton = record.automaton
-        self._fingerprint = record.fingerprint
         self._compiled = None
         self._artifact = None
         return record
@@ -343,7 +327,7 @@ class RulesetHandle:
         ``max_reports`` / ``on_truncation`` default to the handle's
         :class:`ScanConfig` values."""
         return self.service.open_session(
-            self._record(),
+            self.automaton,
             name,
             max_reports=max_reports,
             on_truncation=on_truncation,
@@ -398,7 +382,7 @@ class RulesetHandle:
 
         # registered in the service the server fronts, before any client
         # asks: the first remote scan against the handle is already warm
-        self.service.register_ruleset(self.automaton, key=self.fingerprint)
+        self.service.register_ruleset(self.automaton)
         server = MatchingServer(
             self.service, host=host, port=port, **server_kwargs
         )

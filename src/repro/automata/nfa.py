@@ -16,28 +16,10 @@ import hashlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.automata.symbols import SymbolClass
 from repro.errors import AutomatonError
-
-
-def edges_digest(
-    num_states: int, successors: list[set[int]], salt: bytes = b""
-) -> str:
-    """Hex digest of a dense-id transition structure.
-
-    The one hashing scheme behind every ``structure_fingerprint`` —
-    :class:`Automaton` and :class:`~repro.automata.striding.
-    StridedAutomaton` share it so their cache keyspaces can never
-    drift apart.
-    """
-    h = hashlib.sha256()
-    h.update(salt)
-    h.update(num_states.to_bytes(8, "little"))
-    for u, succ in enumerate(successors):
-        for v in sorted(succ):
-            h.update(u.to_bytes(8, "little"))
-            h.update(v.to_bytes(8, "little"))
-    return h.hexdigest()
 
 
 class StartKind(enum.Enum):
@@ -50,9 +32,12 @@ class StartKind(enum.Enum):
     START_OF_DATA = "start-of-data"
 
 
-@dataclass
+@dataclass(frozen=True)
 class STE:
     """One state transition element of a homogeneous NFA.
+
+    Frozen: an automaton's fingerprint is memoized, so a state can only
+    change by building a new automaton.
 
     Attributes:
         ste_id: dense integer id, equal to the state's index in its
@@ -75,23 +60,141 @@ class STE:
         return self.name if self.name is not None else f"ste{self.ste_id}"
 
 
+def language_digest(
+    automaton: "Automaton",
+    ids: "list[int] | None" = None,
+    suffix: bytes = b"",
+) -> str:
+    """SHA-256 hex of an automaton's language-relevant content.
+
+    Serializes every state's symbol-class mask, start kind, reporting
+    flag and report code, then the transition relation, then
+    ``suffix``; names are left out, so the same rules under another
+    label digest alike.  With ``ids`` (ascending), the digest is that of
+    ``automaton.subautomaton(ids)`` without building it.  The one
+    serializer behind :attr:`Automaton.fingerprint` and
+    :mod:`repro.compile.fingerprint`.
+    """
+    keep = range(len(automaton.states)) if ids is None else ids
+    local = None if ids is None else {old: new for new, old in enumerate(ids)}
+    parts = [len(keep).to_bytes(8, "little")]
+    for old in keep:
+        ste = automaton.states[old]
+        # variable-length fields are length-prefixed so shifted record
+        # boundaries cannot make different rulesets serialize alike
+        start = ste.start.value.encode()
+        code = (ste.report_code or "").encode()
+        parts += (
+            ste.symbol_class.mask.to_bytes(32, "little"),
+            len(start).to_bytes(1, "little"),
+            start,
+            b"\x01" if ste.reporting else b"\x00",
+            len(code).to_bytes(4, "little"),
+            code,
+        )
+    # sources in local-id order, successors ascending: the remap is
+    # monotonic, so this is subautomaton(ids).transitions()'s order
+    for u, old in enumerate(keep):
+        src = u.to_bytes(8, "little")
+        for v in sorted(automaton._successors[old]):
+            if local is not None:
+                v = local.get(v)
+                if v is None:
+                    continue
+            parts += (src, v.to_bytes(8, "little"))
+    parts.append(suffix)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+class _Graph:
+    """Dense-id states plus forward adjacency, and the memo of values
+    derived from them.
+
+    The first read of a memoized value *seals* the graph: adding a
+    state or a transition afterwards raises, so nothing compiled from
+    it can drift from it.  The memo holds plain values (a hex string,
+    ndarrays), so a sealed graph pickles with it; two threads racing a
+    first read may both compute a value, and store the same one.
+    """
+
+    name: str
+    states: list
+    _successors: list[set[int]]
+    _memo: dict
+
+    def _derived(self, key: str, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def _check_unsealed(self) -> None:
+        if self._memo:
+            raise AutomatonError(
+                f"{self.name}: automaton is sealed (its fingerprint or "
+                f"successor CSR has been read); build a new one instead"
+            )
+
+    def _append_state(self, ste):
+        self._check_unsealed()
+        self.states.append(ste)
+        self._successors.append(set())
+        return ste
+
+    def _link(self, u: int, v: int, what: str) -> None:
+        self._check_unsealed()
+        n = len(self.states)
+        if not (0 <= u < n and 0 <= v < n):
+            raise AutomatonError(f"{what} ({u}, {v}) references unknown state")
+        self._successors[u].add(v)
+
+    def successor_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The successor CSR ``(offsets, targets)``, built once.
+
+        ``targets[offsets[s]:offsets[s + 1]]`` holds state ``s``'s
+        successors in ascending order.  Every kernel compiled from this
+        graph shares the arrays, so they are read-only.  Seals the graph.
+        """
+        return self._derived("csr", self._build_csr)
+
+    def _build_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets = np.zeros(len(self._successors) + 1, dtype=np.int64)
+        flat: list[int] = []
+        for s, succ in enumerate(self._successors):
+            flat.extend(sorted(succ))
+            offsets[s + 1] = len(flat)
+        return offsets, np.asarray(flat, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def successors(self, ste_id: int) -> frozenset[int]:
+        return frozenset(self._successors[ste_id])
+
+    def transitions(self) -> Iterator[tuple[int, int]]:
+        """Yield all transitions as (src, dst) pairs."""
+        for u, succ in enumerate(self._successors):
+            for v in sorted(succ):
+                yield u, v
+
+    def num_transitions(self) -> int:
+        return sum(len(s) for s in self._successors)
+
+
 @dataclass
-class Automaton:
+class Automaton(_Graph):
     """A homogeneous NFA: STEs plus an STE-to-STE transition relation.
 
     Transitions are stored as forward adjacency ``successors[u] = {v}``.
     States are created through :meth:`add_state` so ids stay dense, which
-    the simulator and mapper rely on.
+    the simulator and mapper rely on.  Reading :attr:`fingerprint` or
+    :meth:`successor_csr` seals the automaton (see :class:`_Graph`).
     """
 
     name: str = "automaton"
     states: list[STE] = field(default_factory=list)
     _successors: list[set[int]] = field(default_factory=list)
-    #: bumped on every structural mutation; invalidates cached fingerprints
-    _mutations: int = field(default=0, repr=False, compare=False)
-    _fingerprint: tuple[int, str] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- construction ---------------------------------------------------
     def add_state(
@@ -108,65 +211,37 @@ class Automaton:
             symbol_class = SymbolClass.parse(symbol_class)
         if not symbol_class:
             raise AutomatonError("a state must accept at least one symbol")
-        ste = STE(
-            ste_id=len(self.states),
-            symbol_class=symbol_class,
-            start=start,
-            reporting=reporting,
-            report_code=report_code,
-            name=name,
+        return self._append_state(
+            STE(
+                ste_id=len(self.states),
+                symbol_class=symbol_class,
+                start=start,
+                reporting=reporting,
+                report_code=report_code,
+                name=name,
+            )
         )
-        self.states.append(ste)
-        self._successors.append(set())
-        self._mutations += 1
-        return ste
 
     def add_transition(self, src: int | STE, dst: int | STE) -> None:
         """Add the transition ``src -> dst`` (idempotent)."""
         u = src.ste_id if isinstance(src, STE) else src
         v = dst.ste_id if isinstance(dst, STE) else dst
-        n = len(self.states)
-        if not (0 <= u < n and 0 <= v < n):
-            raise AutomatonError(f"transition ({u}, {v}) references unknown state")
-        self._successors[u].add(v)
-        self._mutations += 1
+        self._link(u, v, "transition")
 
     # -- accessors ------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.states)
+    @property
+    def fingerprint(self) -> str:
+        """The rules' name: :func:`language_digest` of the automaton.
 
-    def structure_fingerprint(self) -> str:
-        """Hex digest of the transition *structure* (ids + edges only).
-
-        Keys structure-derived caches — e.g. the successor CSR shared
-        across engine compilations — so it deliberately excludes symbol
-        classes, start kinds and reporting flags; use
-        :func:`repro.service.ruleset.ruleset_fingerprint` to key
-        *language*-derived artifacts.  Cached until the next structural
-        mutation.
+        Keys the service's ruleset table and every artifact built from
+        these rules.  Computed on first read, which seals the automaton.
         """
-        if self._fingerprint is not None and self._fingerprint[0] == self._mutations:
-            return self._fingerprint[1]
-        digest = edges_digest(len(self.states), self._successors)
-        self._fingerprint = (self._mutations, digest)
-        return digest
-
-    def successors(self, ste_id: int) -> frozenset[int]:
-        return frozenset(self._successors[ste_id])
+        return self._derived("fingerprint", lambda: language_digest(self))
 
     def predecessors(self, ste_id: int) -> frozenset[int]:
         return frozenset(
             u for u in range(len(self.states)) if ste_id in self._successors[u]
         )
-
-    def transitions(self) -> Iterator[tuple[int, int]]:
-        """Yield all transitions as (src, dst) pairs."""
-        for u, succ in enumerate(self._successors):
-            for v in sorted(succ):
-                yield u, v
-
-    def num_transitions(self) -> int:
-        return sum(len(s) for s in self._successors)
 
     def start_states(self) -> list[STE]:
         return [s for s in self.states if s.start is not StartKind.NONE]
@@ -223,6 +298,7 @@ class Automaton:
     # -- convenience ----------------------------------------------------
     def merge(self, other: "Automaton") -> dict[int, int]:
         """Append ``other``'s states/transitions; return old-id -> new-id."""
+        self._check_unsealed()
         offset = len(self.states)
         remap: dict[int, int] = {}
         for ste in other.states:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.automata.nfa import Automaton, StartKind, STE, edges_digest
+from repro.automata.nfa import STE, Automaton, StartKind, _Graph
 from repro.automata.symbols import SymbolClass
 from repro.errors import AutomatonError
 
@@ -48,7 +48,7 @@ class ProductClass:
         return f"ProductClass({self.first.to_anml()}, {self.second.to_anml()})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StridedSTE:
     """A state of a 2-strided automaton."""
 
@@ -63,17 +63,14 @@ class StridedSTE:
 
 
 @dataclass
-class StridedAutomaton:
-    """A homogeneous NFA over 16-bit (symbol-pair) inputs."""
+class StridedAutomaton(_Graph):
+    """A homogeneous NFA over 16-bit (symbol-pair) inputs, sealed by its
+    first :meth:`successor_csr` read like an :class:`Automaton`."""
 
     name: str
     states: list[StridedSTE] = field(default_factory=list)
     _successors: list[set[int]] = field(default_factory=list)
-    #: bumped on every structural mutation; invalidates cached fingerprints
-    _mutations: int = field(default=0, repr=False, compare=False)
-    _fingerprint: tuple[int, str] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add_state(
         self,
@@ -84,51 +81,19 @@ class StridedAutomaton:
         report_origin: int | None = None,
         reports_on_first_half: bool = False,
     ) -> StridedSTE:
-        ste = StridedSTE(
-            ste_id=len(self.states),
-            product=product,
-            start=start,
-            reporting=reporting,
-            report_origin=report_origin,
-            reports_on_first_half=reports_on_first_half,
+        return self._append_state(
+            StridedSTE(
+                ste_id=len(self.states),
+                product=product,
+                start=start,
+                reporting=reporting,
+                report_origin=report_origin,
+                reports_on_first_half=reports_on_first_half,
+            )
         )
-        self.states.append(ste)
-        self._successors.append(set())
-        self._mutations += 1
-        return ste
 
     def add_transition(self, src: int, dst: int) -> None:
-        n = len(self.states)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise AutomatonError(f"strided transition ({src}, {dst}) out of range")
-        self._successors[src].add(dst)
-        self._mutations += 1
-
-    def structure_fingerprint(self) -> str:
-        """Hex digest of the transition structure (see ``Automaton``'s).
-
-        Keys the shared successor-CSR cache; excludes product classes
-        and reporting metadata.  Cached until the next mutation.
-        """
-        if self._fingerprint is not None and self._fingerprint[0] == self._mutations:
-            return self._fingerprint[1]
-        digest = edges_digest(len(self.states), self._successors, salt=b"strided")
-        self._fingerprint = (self._mutations, digest)
-        return digest
-
-    def successors(self, ste_id: int) -> frozenset[int]:
-        return frozenset(self._successors[ste_id])
-
-    def transitions(self):
-        for u, succ in enumerate(self._successors):
-            for v in sorted(succ):
-                yield u, v
-
-    def num_transitions(self) -> int:
-        return sum(len(s) for s in self._successors)
-
-    def __len__(self) -> int:
-        return len(self.states)
+        self._link(src, dst, "strided transition")
 
 
 def stride2(automaton: Automaton) -> StridedAutomaton:

@@ -471,9 +471,7 @@ class ClusterRouter(FrameServer):
         """Fingerprint the ruleset locally, before any node is chosen."""
         if frame.get("op") == "register_artifact":
             return artifact_from_frame(frame).key
-        from repro.service.ruleset import ruleset_fingerprint
-
-        return ruleset_fingerprint(automaton_from_frame(frame))
+        return automaton_from_frame(frame).fingerprint
 
     async def _op_register(self, conn: _ClientConn, frame: dict) -> dict:
         """``register`` and ``register_artifact``: place, then register

@@ -177,7 +177,7 @@ class CompiledArtifact:
         manifest: dict = {
             "format_version": ARTIFACT_FORMAT_VERSION,
             "key": compiled.key,
-            "ruleset_fingerprint": ruleset_fingerprint(automaton),
+            "ruleset_fingerprint": automaton.fingerprint,
             "options": compiled.options.to_dict(),
             "backend": backend,
             "automaton": {
@@ -322,14 +322,15 @@ class CompiledArtifact:
         ]
         offsets = self.arrays["succ_offsets"]
         targets = self.arrays["succ_targets"].tolist()
-        automaton = Automaton(name=meta["name"])
-        automaton.states = states
-        automaton._successors = [
-            set(targets[int(offsets[i]) : int(offsets[i + 1])])
-            for i in range(n)
-        ]
-        self._automaton = automaton
-        return automaton
+        self._automaton = Automaton(
+            name=meta["name"],
+            states=states,
+            _successors=[
+                set(targets[int(offsets[i]) : int(offsets[i + 1])])
+                for i in range(n)
+            ],
+        )
+        return self._automaton
 
     def kernel_tables(self):
         """The prebuilt :class:`KernelTables` (start ids derived)."""
@@ -585,7 +586,7 @@ class CompiledArtifact:
         """
         self.validate()
         automaton = self.automaton()
-        actual = ruleset_fingerprint(automaton)
+        actual = automaton.fingerprint
         if actual != self.fingerprint:
             raise ArtifactError(
                 "artifact content does not match its recorded fingerprint "

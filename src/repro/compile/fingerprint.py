@@ -4,7 +4,9 @@ A *ruleset fingerprint* digests an automaton's language-relevant
 content — every state's symbol-class mask, start kind, reporting flag
 and report code, plus the full transition relation — and deliberately
 excludes its name and STE display names, so re-loading the same rules
-under a different label still hits every cache.
+under a different label still hits every cache.  The bare form is the
+automaton's own memoized name, :attr:`~repro.automata.nfa.Automaton.
+fingerprint`: computed once per automaton object, which it seals.
 
 Compiled *artifacts* additionally depend on how they were compiled:
 stride, backend hint, optimization and encoding knobs all change the
@@ -12,14 +14,15 @@ output, so :func:`ruleset_fingerprint` mixes the
 :class:`~repro.compile.ir.PipelineOptions` digest into the key when
 options are given.  Fingerprints with different options can therefore
 never alias one artifact (the ``test_fingerprint_covers_options``
-regression locks this in).
+regression locks this in).  Every form runs the one serializer,
+:func:`~repro.automata.nfa.language_digest`.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.automata.nfa import Automaton
+from repro.automata.nfa import Automaton, language_digest
 from repro.compile.ir import PipelineOptions
 
 
@@ -28,38 +31,22 @@ def ruleset_fingerprint(
 ) -> str:
     """A stable hex digest of the automaton's language-relevant content.
 
-    With ``options``, the digest also covers the pipeline-relevant
-    compile options (stride, backend hint, optimization and encoding
-    flags) — use this form to key compiled *artifacts*; the bare form
-    keys the ruleset's *language* (the service's ruleset table, whose
-    records each own their compiled engines).
+    The bare form is :attr:`Automaton.fingerprint` — the automaton's
+    memoized name, which keys the service's ruleset table.  With
+    ``options``, the digest also covers the pipeline-relevant compile
+    options (stride, backend hint, optimization and encoding flags):
+    use this form to key compiled *artifacts*.  It is not memoized.
     """
-    h = hashlib.sha256()
-    h.update(len(automaton).to_bytes(8, "little"))
-    for ste in automaton.states:
-        h.update(ste.symbol_class.mask.to_bytes(32, "little"))
-        # variable-length fields are length-prefixed so shifted record
-        # boundaries cannot make different rulesets serialize alike
-        start = ste.start.value.encode()
-        h.update(len(start).to_bytes(1, "little"))
-        h.update(start)
-        h.update(b"\x01" if ste.reporting else b"\x00")
-        code = (ste.report_code or "").encode()
-        h.update(len(code).to_bytes(4, "little"))
-        h.update(code)
-    for u, v in automaton.transitions():
-        h.update(u.to_bytes(8, "little"))
-        h.update(v.to_bytes(8, "little"))
-    if options is not None:
-        _mix_options(h, options)
-    return h.hexdigest()
+    if options is None:
+        return automaton.fingerprint
+    return language_digest(automaton, suffix=_options_suffix(options))
 
 
-def _mix_options(h: "hashlib._Hash", options: PipelineOptions) -> None:
+def _options_suffix(options: PipelineOptions | None) -> bytes:
+    if options is None:
+        return b""
     digest = options.digest().encode()
-    h.update(b"\x00options")
-    h.update(len(digest).to_bytes(2, "little"))
-    h.update(digest)
+    return b"\x00options" + len(digest).to_bytes(2, "little") + digest
 
 
 def component_fingerprint(
@@ -82,34 +69,9 @@ def component_fingerprint(
     reorders states within a component, so every component fingerprint
     — and hence :func:`composition_key` — is unchanged.
     """
-    keep = sorted(set(component))
-    remap = {old: new for new, old in enumerate(keep)}
-    h = hashlib.sha256()
-    h.update(len(keep).to_bytes(8, "little"))
-    for old in keep:
-        ste = automaton.states[old]
-        h.update(ste.symbol_class.mask.to_bytes(32, "little"))
-        start = ste.start.value.encode()
-        h.update(len(start).to_bytes(1, "little"))
-        h.update(start)
-        h.update(b"\x01" if ste.reporting else b"\x00")
-        code = (ste.report_code or "").encode()
-        h.update(len(code).to_bytes(4, "little"))
-        h.update(code)
-    # subautomaton's transitions() iterates sources in local-id order
-    # with sorted successors; the remap is monotonic, so sorting by old
-    # id reproduces that exact byte order.
-    for old in keep:
-        u = remap[old]
-        for v_old in sorted(automaton.successors(old)):
-            v = remap.get(v_old)
-            if v is None:
-                continue
-            h.update(u.to_bytes(8, "little"))
-            h.update(v.to_bytes(8, "little"))
-    if options is not None:
-        _mix_options(h, options)
-    return h.hexdigest()
+    return language_digest(
+        automaton, sorted(set(component)), _options_suffix(options)
+    )
 
 
 def composition_key(component_keys) -> str:

@@ -327,7 +327,7 @@ class IncrementalCompiler:
             automaton=automaton,
             options=self.options,
             key=ruleset_fingerprint(automaton, self.options),
-            fingerprint=ruleset_fingerprint(automaton),
+            fingerprint=automaton.fingerprint,
             composition_key=composition_key(keys),
             components=parts,
             num_dropped_states=len(automaton)

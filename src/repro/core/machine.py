@@ -28,7 +28,6 @@ from repro.errors import SimulationError
 from repro.sim.backends.base import (
     DEFAULT_MAX_KEPT_REPORTS,
     EngineState,
-    cached_successor_csr,
     gather_successors,
     reporting_mask,
     start_ids,
@@ -114,10 +113,10 @@ class CamaMachine:
         ]
 
         # Transition structures (the switch network's routing function),
-        # shared with the execution backends via the fingerprint-keyed
-        # CSR cache — a machine compiled after an engine (or vice versa)
+        # shared with the execution backends via the automaton's CSR
+        # memo — a machine compiled after an engine (or vice versa)
         # reuses the same arrays.
-        self._succ_offsets, self._succ_targets = cached_successor_csr(automaton)
+        self._succ_offsets, self._succ_targets = automaton.successor_csr()
         self._start_all, self._start_sod = start_ids(automaton)
         self._reporting = reporting_mask(automaton)
         self._report_codes = [s.report_code for s in automaton.states]

@@ -79,8 +79,8 @@ Quick use::
     session.feed(chunk1); session.feed(chunk2)      # resumable stream
     results = service.scan_many(handle, {"a": data_a, "b": data_b})
     service.update_ruleset(handle, add={"r9": "xy+z"})  # handle -> v2
-    service.scan(automaton, data)   # an Automaton: hashed once per call,
-                                    # exactly those rules (still v1)
+    service.scan(automaton, data)   # an Automaton: exactly those rules
+                                    # (still v1), hashed once per object
 
 A handle names a *lineage* (its latest version); the table holds
 ``ScanConfig.cache_capacity`` lineages, least recently used first out —

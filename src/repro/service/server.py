@@ -41,7 +41,6 @@ from repro.service.protocol import (
     ruleset_update_from_frame,
     scan_config_from_frame,
 )
-from repro.service.ruleset import ruleset_fingerprint
 from repro.service.service import MatchingService
 from repro.service.transport import (
     Background,
@@ -317,13 +316,13 @@ class MatchingServer(FrameServer):
 
     def _op_register(self, conn: Connection, frame: dict) -> dict:
         automaton = automaton_from_frame(frame)
-        handle = ruleset_fingerprint(automaton)
+        handle = automaton.fingerprint
         cached = self.service.ruleset_version(handle) is not None
         # compile (and cache) the shard engines now: registration is the
         # expensive step, scans against the handle stay warm.  Versioned
         # registration also writes per-component artifacts, so a later
         # ``update`` reuses every untouched component.
-        record = self.service.register_ruleset(automaton, key=handle)
+        record = self.service.register_ruleset(automaton)
         return {
             "handle": handle,
             "states": len(automaton),

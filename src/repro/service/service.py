@@ -12,8 +12,11 @@ alongside the match results.
 
 Every entry point names its ruleset one of two ways: a *handle* string
 (what registration returned) is a dictionary lookup, never a hash, and
-means the latest version of that lineage; an :class:`Automaton` is
-fingerprinted once per call and means exactly those rules.
+means the latest version of that lineage; an :class:`Automaton` means
+exactly those rules, and is looked up by its memoized
+:attr:`~repro.automata.nfa.Automaton.fingerprint` — hashed once per
+automaton *object*, not per call, and sealed against mutation from then
+on, so a table record can never drift from the engines compiled for it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from repro.service.ruleset import (
     CacheStats,
     artifact_options,
     open_store,
-    ruleset_fingerprint,
 )
 from repro.service.session import Session
 from repro.service.sharding import Dispatcher
@@ -236,13 +238,10 @@ class MatchingService:
         )
         self.closed = False
 
-    def dispatcher(
-        self, automaton: Automaton, *, key: str | None = None
-    ) -> Dispatcher:
+    def dispatcher(self, automaton: Automaton) -> Dispatcher:
         """The sharded dispatcher of ``automaton``'s table record
-        (compiled and inserted on first sight); ``key`` as in
-        :meth:`resolve`."""
-        return self.resolve(automaton, key)[0].dispatcher
+        (compiled and inserted on first sight)."""
+        return self.resolve(automaton)[0].dispatcher
 
     # -- the ruleset table -------------------------------------------------
     def _check_open(self) -> None:
@@ -250,9 +249,7 @@ class MatchingService:
             raise SimulationError("the matching service is closed")
 
     def resolve(
-        self,
-        ruleset: "Automaton | str | RulesetVersion",
-        key: str | None = None,
+        self, ruleset: "Automaton | str"
     ) -> tuple[RulesetVersion, bool]:
         """The record ``ruleset`` names, and whether it was resident.
 
@@ -260,18 +257,13 @@ class MatchingService:
         fingerprint — is a table lookup and means the lineage's latest
         version; :class:`~repro.errors.UnknownRulesetError` when the
         table does not (or no longer does) hold it.  An automaton means
-        exactly those rules, compiled on first sight; it is fingerprinted
-        here — the only hash of a scan — unless the caller already holds
-        its ``key`` (the fingerprint is O(states + transitions)).  A
-        record is itself, and not a lookup: :attr:`cache_stats` counts a
-        hit for a handle or an automaton found resident.
+        exactly those rules, compiled on first sight and looked up by
+        its memoized fingerprint (hashed on the object's first use
+        only).  :attr:`cache_stats` counts a hit for a handle or an
+        automaton found resident.
         """
-        if isinstance(ruleset, RulesetVersion):
-            return ruleset, True
         if isinstance(ruleset, Automaton):
-            if key is None:
-                key = ruleset_fingerprint(ruleset)
-            record, resident = self._found(ruleset, key)
+            record, resident = self._found(ruleset)
             if resident:
                 with self._lock:
                     self.cache_stats.count("hits")
@@ -312,17 +304,16 @@ class MatchingService:
     def _found(
         self,
         automaton: Automaton,
-        key: str,
         composed: ComposedRuleset | None = None,
         prebuilt: Engine | None = None,
     ) -> tuple[RulesetVersion, bool]:
-        """The record of exactly ``automaton``'s rules (fingerprint
-        ``key``), and whether it was resident: the one lookup-or-build
-        path.  An absent one is built (a cache miss) — composed from
-        ``composed``'s component artifacts, around the ready
-        whole-ruleset engine ``prebuilt``, or by the classic
-        whole-shard compile — as version 1 of lineage ``key``, founding
-        it when need be."""
+        """The record of exactly ``automaton``'s rules, and whether it
+        was resident: the one lookup-or-build path.  An absent one is
+        built (a cache miss) — composed from ``composed``'s component
+        artifacts, around the ready whole-ruleset engine ``prebuilt``,
+        or by the classic whole-shard compile — as version 1 of the
+        lineage named by its fingerprint, founding it when need be."""
+        key = automaton.fingerprint
         record = self._exact(key)
         if record is not None:
             return record, True
@@ -491,12 +482,12 @@ class MatchingService:
         # key to (content, options) and re-derives the match tables, so
         # a hand-edited artifact can neither poison another ruleset's
         # slot in a shared store nor smuggle in wrong match behaviour.
-        # It also recomputes the language fingerprint from the content
-        # and rejects a manifest that disagrees, so the handle below
-        # matches a source-level registration of the same rules.
+        # It also computes the language fingerprint from the content —
+        # the automaton's memoized name, so _found does not hash again —
+        # and rejects a manifest that disagrees, so the handle matches a
+        # source-level registration of the same rules.
         artifact.verify()
         automaton = artifact.automaton()
-        handle = artifact.fingerprint
         with self._lock:
             self._check_open()
         if self.store is not None:
@@ -506,13 +497,11 @@ class MatchingService:
             # the "auto" -> "defer to the artifact's recorded kernel"
             # rewrite is resolved once, inside ScanConfig
             engine = artifact.engine(backend=self.config.engine_backend)
-        self._found(automaton, handle, prebuilt=engine)
-        return handle, automaton
+        self._found(automaton, prebuilt=engine)
+        return automaton.fingerprint, automaton
 
     # -- versioned live rulesets ------------------------------------------
-    def register_ruleset(
-        self, automaton: Automaton, *, key: str | None = None
-    ) -> RulesetVersion:
+    def register_ruleset(self, automaton: Automaton) -> RulesetVersion:
         """Register ``automaton`` as version 1 of a live lineage.
 
         Idempotent: re-registering a fingerprint already tracked — as
@@ -526,8 +515,7 @@ class MatchingService:
         a lineage that has since been updated away from them swaps the
         lineage back (as its next version).
         """
-        if key is None:
-            key = ruleset_fingerprint(automaton)
+        key = automaton.fingerprint
         with self._lock:
             versions = self._lineages.get(key)
             moved_on = bool(versions) and versions[-1].fingerprint != key
@@ -538,7 +526,7 @@ class MatchingService:
             self._incremental is not None and not record.component_keys
         ):
             composed = self._compile_incremental(automaton)
-            record, _ = self._found(automaton, key, composed)
+            record, _ = self._found(automaton, composed)
             with self._pin_lock:
                 with self._lock:
                     adopted = (
@@ -584,7 +572,7 @@ class MatchingService:
             automaton = apply_update(
                 latest.automaton, add=add, remove=remove, name=name
             )
-        new_key = ruleset_fingerprint(automaton)
+        new_key = automaton.fingerprint
         if new_key == latest.fingerprint:
             return latest
         composed = self._compile_incremental(automaton)
@@ -674,7 +662,7 @@ class MatchingService:
     # -- one-shot scans --------------------------------------------------
     def scan(
         self,
-        ruleset: "Automaton | str | RulesetVersion",
+        ruleset: "Automaton | str",
         data: bytes,
         *,
         chunk_size: int | None = None,
@@ -685,9 +673,8 @@ class MatchingService:
         trace: bool | None = None,
     ) -> ServiceResult:
         """Scan one complete stream against ``ruleset`` — a handle (the
-        lineage's latest version, no hashing), an automaton (exactly
-        those rules, compiled on first sight) or a record
-        :meth:`resolve` returned.
+        lineage's latest version, no hashing) or an automaton (exactly
+        those rules, compiled on first sight).
 
         When the *default* kept-reports cap truncates recording, the
         service's (or the call's) ``on_truncation`` policy applies —
@@ -697,6 +684,31 @@ class MatchingService:
         ``hardware_ledger`` / ``ledger_design`` / ``trace`` override the
         service config's telemetry fields for this call (None = keep).
         """
+        return self._scan(
+            partial(self.resolve, ruleset),
+            data,
+            chunk_size=chunk_size,
+            max_reports=max_reports,
+            on_truncation=on_truncation,
+            hardware_ledger=hardware_ledger,
+            ledger_design=ledger_design,
+            trace=trace,
+        )
+
+    def _scan(
+        self,
+        resolve,
+        data: bytes,
+        *,
+        chunk_size: int | None,
+        max_reports: int | None,
+        on_truncation: str | None,
+        hardware_ledger: bool | None,
+        ledger_design: str | None,
+        trace: bool | None,
+    ) -> ServiceResult:
+        """:meth:`scan`'s body; ``resolve()`` returns the record and its
+        residency, inside the scan's timing and trace."""
         policy = (
             self.config.on_truncation
             if on_truncation is None
@@ -716,7 +728,7 @@ class MatchingService:
         ledger = None
 
         def run(span=None):
-            record, cached = self.resolve(ruleset)
+            record, cached = resolve()
             if span is not None:
                 span.attrs["ruleset"] = record.automaton.name
             result = record.dispatcher.scan(
@@ -769,7 +781,7 @@ class MatchingService:
 
     def scan_many(
         self,
-        ruleset: "Automaton | str | RulesetVersion",
+        ruleset: "Automaton | str",
         streams: dict[str, bytes],
         *,
         chunk_size: int | None = None,
@@ -809,11 +821,12 @@ class MatchingService:
             or want_ledger
             or want_trace
         ):
-            # resolve (hash, compile) once, before the loop
-            record, _ = self.resolve(ruleset)
+            # resolve (and compile) once, before the loop: every stream
+            # runs on this one version, as in the batched path
+            resolved = self.resolve(ruleset)
             return {
-                name: self.scan(
-                    record,
+                name: self._scan(
+                    lambda: resolved,
                     data,
                     chunk_size=chunk_size,
                     max_reports=max_reports,
@@ -834,7 +847,7 @@ class MatchingService:
 
     def _scan_many_batched(
         self,
-        ruleset: "Automaton | str | RulesetVersion",
+        ruleset: "Automaton | str",
         streams: dict[str, bytes],
         *,
         chunk_size: int | None,
@@ -932,7 +945,7 @@ class MatchingService:
     # -- streaming sessions ----------------------------------------------
     def open_session(
         self,
-        ruleset: "Automaton | str | RulesetVersion",
+        ruleset: "Automaton | str",
         name: str,
         *,
         max_reports: int | None = None,

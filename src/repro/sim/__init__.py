@@ -23,9 +23,7 @@ from repro.sim.engine import (
     EngineState,
     SimulationResult,
     StridedEngine,
-    cached_successor_csr,
     gather_successors,
-    successor_csr,
 )
 from repro.sim.reports import (
     Report,
@@ -54,7 +52,6 @@ __all__ = [
     "StridedEngine",
     "TraceStats",
     "buffer_activity",
-    "cached_successor_csr",
     "choose_backend_name",
     "gather_successors",
     "get_backend",
@@ -62,5 +59,4 @@ __all__ = [
     "output_interrupts",
     "report_codes_at",
     "report_positions",
-    "successor_csr",
 ]

@@ -56,11 +56,8 @@ from repro.sim.backends.base import (
     ReportTruncationWarning,
     SimulationResult,
     StepResult,
-    cached_successor_csr,
-    clear_csr_cache,
     gather_successors,
     normalize_batch_caps,
-    successor_csr,
 )
 from repro.sim.backends.bitparallel import (
     MAX_BITPARALLEL_STATES,
@@ -123,11 +120,8 @@ __all__ = [
     "SparseBackend",
     "SparseKernel",
     "StepResult",
-    "cached_successor_csr",
     "choose_backend_name",
-    "clear_csr_cache",
     "gather_successors",
     "get_backend",
     "native_available",
-    "successor_csr",
 ]

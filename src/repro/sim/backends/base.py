@@ -12,20 +12,19 @@ lives here:
 * the :class:`StepResult` / :class:`SimulationResult` contract,
   including the exact ``max_reports`` recording-cap semantics and the
   ``truncated`` flag;
-* the successor CSR builders and the fingerprint-keyed CSR cache that
-  lets repeated compilations of an identical ruleset skip the O(states
-  + transitions) rebuild;
+* the vectorized successor gather over an automaton's memoized
+  successor CSR (:meth:`~repro.automata.nfa.Automaton.successor_csr`,
+  built once per automaton and shared by every kernel compiled from
+  it);
 * the placement-resolved activity tracking the energy models consume.
 
-:mod:`repro.sim.engine` re-exports the public names for backwards
-compatibility; new code should import from :mod:`repro.sim.backends`.
+:mod:`repro.sim.backends` re-exports the public names.
 """
 
 from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -286,62 +285,7 @@ class SimulationResult:
 StepResult = SimulationResult
 
 
-# -- successor CSR (+ fingerprint-keyed cache) ----------------------------
-
-
-def successor_csr(automaton, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-state successor sets into a CSR pair.
-
-    ``automaton`` is anything with a ``successors(state)`` method over
-    dense ids ``0..n-1``.  Returns ``(offsets, targets)`` with
-    ``targets[offsets[s]:offsets[s+1]]`` holding state ``s``'s
-    successors in ascending order.
-    """
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    flat: list[int] = []
-    for s in range(n):
-        succ = sorted(automaton.successors(s))
-        offsets[s + 1] = offsets[s] + len(succ)
-        flat.extend(succ)
-    targets = np.asarray(flat, dtype=np.int64)
-    return offsets, targets
-
-
-_CSR_CACHE_CAPACITY = 128
-_CSR_CACHE: OrderedDict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = (
-    OrderedDict()
-)
-
-
-def cached_successor_csr(automaton) -> tuple[np.ndarray, np.ndarray]:
-    """The successor CSR of ``automaton``, shared across compilations.
-
-    Keyed by the automaton's structural fingerprint (transitions only),
-    so distinct-but-identical rulesets — e.g. the same rules re-loaded
-    for a second scan — share one CSR instead of rebuilding it in every
-    engine constructor.  The returned arrays are shared and must be
-    treated as read-only.  Falls back to a direct build for automata
-    without a ``structure_fingerprint`` method.
-    """
-    fingerprint = getattr(automaton, "structure_fingerprint", None)
-    n = len(automaton)
-    if fingerprint is None:
-        return successor_csr(automaton, n)
-    key = (type(automaton).__qualname__, fingerprint())
-    cached = _CSR_CACHE.get(key)
-    if cached is not None:
-        _CSR_CACHE.move_to_end(key)
-        return cached
-    built = successor_csr(automaton, n)
-    _CSR_CACHE[key] = built
-    if len(_CSR_CACHE) > _CSR_CACHE_CAPACITY:
-        _CSR_CACHE.popitem(last=False)
-    return built
-
-
-def clear_csr_cache() -> None:
-    """Drop every cached CSR (test isolation hook)."""
-    _CSR_CACHE.clear()
+# -- successor gathering --------------------------------------------------
 
 
 def gather_successors(
@@ -443,7 +387,7 @@ class KernelTables:
     def from_automaton(cls, automaton) -> "KernelTables":
         from repro.sim.backends import bitwords
 
-        offsets, targets = cached_successor_csr(automaton)
+        offsets, targets = automaton.successor_csr()
         start_all, start_sod = start_ids(automaton)
         return cls(
             match_words=np.stack(

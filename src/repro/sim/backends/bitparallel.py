@@ -35,7 +35,6 @@ from repro.sim.backends.base import (
     KernelTables,
     PlacementTracker,
     StepResult,
-    cached_successor_csr,
     match_table,
     normalize_batch_caps,
     reporting_mask,
@@ -81,9 +80,7 @@ class BitParallelKernel(CompiledKernel):
             self._match_words = np.stack(
                 [bitwords.pack_bool(row) for row in match_table(automaton)]
             )
-            self._succ_offsets, self._succ_targets = cached_successor_csr(
-                automaton
-            )
+            self._succ_offsets, self._succ_targets = automaton.successor_csr()
             start_all, start_sod = start_ids(automaton)
             self._reporting = reporting_mask(automaton)
             self._report_codes = [s.report_code for s in automaton.states]

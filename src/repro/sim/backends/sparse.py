@@ -26,7 +26,6 @@ from repro.sim.backends.base import (
     KernelTables,
     PlacementTracker,
     StepResult,
-    cached_successor_csr,
     gather_successors,
     match_table,
     reporting_mask,
@@ -49,9 +48,7 @@ class SparseKernel(CompiledKernel):
         self._n = n
         if tables is None:
             self._match_table = match_table(automaton)
-            self._succ_offsets, self._succ_targets = cached_successor_csr(
-                automaton
-            )
+            self._succ_offsets, self._succ_targets = automaton.successor_csr()
             self._start_all, self._start_sod = start_ids(automaton)
             self._reporting = reporting_mask(automaton)
             self._report_codes = [s.report_code for s in automaton.states]

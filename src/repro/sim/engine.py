@@ -53,11 +53,9 @@ from repro.sim.backends import (
     PlacementTracker,
     ReportTruncationWarning,
     SimulationResult,
-    cached_successor_csr,
     choose_backend_name,
     gather_successors,
     get_backend,
-    successor_csr,
 )
 from repro.sim.backends import bitwords
 from repro.sim.backends.base import (
@@ -70,9 +68,6 @@ from repro.sim.reports import ReportBuffer
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.tracing import current_trace
-
-#: backwards-compatible alias of :data:`DEFAULT_MAX_KEPT_REPORTS`
-_MAX_KEPT_REPORTS = DEFAULT_MAX_KEPT_REPORTS
 
 # -- kernel instrumentation (chunk granularity: the per-cycle loops stay
 # untouched, so the overhead is a few counter bumps per chunk) ----------
@@ -431,7 +426,7 @@ class StridedEngine:
                 hi[symbol, ste.ste_id] = True
             for symbol in ste.product.second:
                 lo[symbol, ste.ste_id] = True
-        self._succ_offsets, self._succ_targets = cached_successor_csr(strided)
+        self._succ_offsets, self._succ_targets = strided.successor_csr()
         self._start_all, self._start_sod = start_ids(strided)
         self._reporting = reporting_mask(strided)
         # strided reports name the original automaton's state and carry
@@ -583,7 +578,5 @@ __all__ = [
     "ReportTruncationWarning",
     "SimulationResult",
     "StridedEngine",
-    "cached_successor_csr",
     "gather_successors",
-    "successor_csr",
 ]

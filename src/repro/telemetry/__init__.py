@@ -15,8 +15,9 @@ Three pillars, importable independently:
 :mod:`repro.telemetry.ledger`
     The opt-in hardware ledger: modeled CAMA energy (Fig. 12
     breakdown), cycle latency, and tile occupancy attached to scan
-    results via a reference side-simulation that reproduces the
-    offline experiments' accounting exactly.
+    results via a reference re-run on the Python sparse kernel that
+    reproduces the offline experiments' accounting exactly — at ~900x
+    the cost of a plain native scan (0.033 vs 29.4 MB/s, Snort 1/32).
 
 Plus :mod:`repro.telemetry.log`, the JSON-lines structured logger the
 server uses.

@@ -28,12 +28,11 @@ from repro.sim.backends import (
     MAX_BITPARALLEL_STATES,
     ReportTruncationWarning,
     choose_backend_name,
-    clear_csr_cache,
     get_backend,
 )
 from repro.sim.backends import bitwords
 from repro.sim.backends.native import native_available, native_status
-from repro.sim.engine import Engine, StridedEngine, cached_successor_csr
+from repro.sim.engine import Engine, StridedEngine
 from repro.sim.trace import PartitionAssignment
 from repro.telemetry.metrics import default_registry
 from repro.workloads import BENCHMARK_NAMES, get_benchmark
@@ -56,6 +55,7 @@ def report_keys(reports):
 def random_automaton(rng: random.Random, num_states: int) -> Automaton:
     """A random valid homogeneous NFA (reachable, >=1 start, >=1 report)."""
     nfa = Automaton(name=f"rand{num_states}")
+    specs = []
     for i in range(num_states):
         roll = rng.random()
         if roll < 0.25:
@@ -76,9 +76,11 @@ def random_automaton(rng: random.Random, num_states: int) -> Automaton:
                 [StartKind.NONE, StartKind.NONE, StartKind.NONE,
                  StartKind.ALL_INPUT, StartKind.START_OF_DATA]
             )
-        nfa.add_state(cls, start=start, reporting=rng.random() < 0.3)
-    if not any(s.reporting for s in nfa.states):
-        nfa.states[-1].reporting = True
+        specs.append([cls, start, rng.random() < 0.3])
+    if not any(reporting for _, _, reporting in specs):
+        specs[-1][2] = True
+    for cls, start, reporting in specs:
+        nfa.add_state(cls, start=start, reporting=reporting)
     for v in range(1, num_states):
         # spanning edge keeps every state reachable from state 0
         nfa.add_transition(rng.randrange(v), v)
@@ -393,36 +395,14 @@ class TestAutoPolicy:
 
 
 class TestCsrCache:
-    def test_identical_structures_share_csr(self):
-        clear_csr_cache()
-        a = glushkov_nfa("abcd")
-        b = glushkov_nfa("abcd")
-        offs_a, tgts_a = cached_successor_csr(a)
-        offs_b, tgts_b = cached_successor_csr(b)
-        assert offs_a is offs_b and tgts_a is tgts_b
-
     def test_engine_constructors_reuse_cached_csr(self):
-        clear_csr_cache()
+        # the CSR is memoized on the automaton: every kernel compiled
+        # from one object shares it
         nfa = glushkov_nfa("(a|b)c*d")
         first = Engine(nfa, backend="sparse")
         second = Engine(nfa, backend="bitparallel")
         assert first.kernel._succ_offsets is second.kernel._succ_offsets
         assert first.kernel._succ_targets is second.kernel._succ_targets
-
-    def test_mutation_invalidates_fingerprint(self):
-        nfa = glushkov_nfa("ab")
-        before = nfa.structure_fingerprint()
-        nfa.add_transition(0, 0)
-        after = nfa.structure_fingerprint()
-        assert before != after
-        offs, _ = cached_successor_csr(nfa)
-        # the CSR reflects the new self-loop
-        assert offs[1] - offs[0] >= 1
-
-    def test_fingerprint_ignores_labels(self):
-        a = glushkov_nfa("ab")
-        b = glushkov_nfa("xy")  # different classes, same structure
-        assert a.structure_fingerprint() == b.structure_fingerprint()
 
 
 class TestTruncationControls:

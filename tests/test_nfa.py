@@ -1,9 +1,15 @@
 """Tests for the homogeneous NFA model."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.automata.nfa import Automaton, StartKind
+from repro.automata.striding import stride2
 from repro.automata.symbols import SymbolClass
+from repro.compile.fingerprint import component_fingerprint, ruleset_fingerprint
 from repro.errors import AutomatonError
 
 
@@ -66,8 +72,8 @@ class TestAccessors:
 
     def test_transitions_sorted(self):
         nfa = Automaton()
-        s = [nfa.add_state("a", start=StartKind.ALL_INPUT) for _ in range(3)]
-        s[0].reporting = True
+        for i in range(3):
+            nfa.add_state("a", start=StartKind.ALL_INPUT, reporting=i == 0)
         nfa.add_transition(0, 2)
         nfa.add_transition(0, 1)
         assert list(nfa.transitions()) == [(0, 1), (0, 2)]
@@ -148,3 +154,66 @@ class TestMergeAndSub:
         nfa = chain("abcd")
         sub = nfa.subautomaton([0, 3])
         assert sub.num_transitions() == 0
+
+
+class TestSealAndMemo:
+    """An automaton is named once: its fingerprint and successor CSR
+    are memoized, and the first read of either seals it."""
+
+    def test_ste_is_frozen(self):
+        ste = chain("ab").states[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ste.reporting = True
+
+    @pytest.mark.parametrize(
+        "read", [lambda a: a.fingerprint, lambda a: a.successor_csr()]
+    )
+    def test_first_read_seals(self, read):
+        nfa = chain("ab")
+        nfa.add_state("c")
+        nfa.add_transition(1, 2)
+        nfa.merge(chain("de"))
+        read(nfa)
+        with pytest.raises(AutomatonError, match="sealed"):
+            nfa.add_state("z")
+        with pytest.raises(AutomatonError, match="sealed"):
+            nfa.add_transition(0, 0)
+        with pytest.raises(AutomatonError, match="sealed"):
+            nfa.merge(chain("xy"))
+        assert len(nfa) == 5 and nfa.num_transitions() == 3
+
+    def test_reads_are_memoized(self):
+        nfa = chain("abc")
+        assert nfa.successor_csr() is nfa.successor_csr()
+        offsets, targets = nfa.successor_csr()
+        assert offsets.tolist() == [0, 1, 2, 2]
+        assert targets.tolist() == [1, 2]
+        assert nfa.fingerprint is nfa.fingerprint
+
+    def test_fingerprint_is_the_ruleset_fingerprint(self):
+        nfa = chain("abc")
+        assert nfa.fingerprint == ruleset_fingerprint(nfa)
+        # the component form runs the same serializer over chosen ids
+        assert nfa.fingerprint == component_fingerprint(nfa, [0, 1, 2])
+        assert nfa.fingerprint == chain("abc", name="other").fingerprint
+
+    def test_sealed_automaton_pickles_with_its_memo(self):
+        nfa = chain("abc")
+        fingerprint = nfa.fingerprint
+        offsets, targets = nfa.successor_csr()
+        clone = pickle.loads(pickle.dumps(nfa))
+        assert clone == nfa
+        assert clone._memo["fingerprint"] == fingerprint
+        assert np.array_equal(clone.successor_csr()[0], offsets)
+        assert np.array_equal(clone.successor_csr()[1], targets)
+        with pytest.raises(AutomatonError, match="sealed"):
+            clone.add_state("z")
+
+    def test_strided_automaton_seals_on_csr_read(self):
+        strided = stride2(chain("abc"))
+        strided.add_transition(0, 0)
+        strided.successor_csr()
+        with pytest.raises(AutomatonError, match="sealed"):
+            strided.add_transition(0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            strided.states[0].reporting = True

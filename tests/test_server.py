@@ -409,21 +409,33 @@ class TestOneRulesetTable:
     request's handle is looked up, never re-derived, and the table is
     LRU-bounded."""
 
-    def test_served_requests_never_hash_the_ruleset(self, monkeypatch):
+    @staticmethod
+    def count_hashes(monkeypatch) -> list:
+        """Record every language hash as (automaton name, form)."""
+        import repro.automata.nfa as nfa_module
         import repro.compile.fingerprint as fingerprint_module
-        import repro.service.service as service_module
-        from repro.api import Ruleset
 
         calls = []
-        real = fingerprint_module.ruleset_fingerprint
+        real = nfa_module.language_digest
 
-        def counting(automaton, options=None):
-            calls.append(automaton.name)
-            return real(automaton, options)
+        def counting(automaton, ids=None, suffix=b""):
+            form = (
+                "component"
+                if ids is not None
+                else "key" if suffix else "fingerprint"
+            )
+            calls.append((automaton.name, form))
+            return real(automaton, ids, suffix)
 
-        # the two names the service stack and the facade hash through
-        monkeypatch.setattr(fingerprint_module, "ruleset_fingerprint", counting)
-        monkeypatch.setattr(service_module, "ruleset_fingerprint", counting)
+        # the one serializer, under both names it is called by
+        monkeypatch.setattr(nfa_module, "language_digest", counting)
+        monkeypatch.setattr(fingerprint_module, "language_digest", counting)
+        return calls
+
+    def test_served_requests_never_hash_the_ruleset(self, monkeypatch):
+        from repro.api import Ruleset
+
+        calls = self.count_hashes(monkeypatch)
         streams = {f"s{i}": STREAM[i : i + 64] for i in range(32)}
 
         with ServerHarness(config=ScanConfig(num_shards=2)) as harness:
@@ -438,18 +450,19 @@ class TestOneRulesetTable:
                 session.close()
                 assert calls == []
 
+        # a library caller's Automaton is named once per object, on its
+        # first use, and never re-hashed per call
         automaton = compile_regex_set(RULES, name="counted")
         with MatchingService(ScanConfig(num_shards=2)) as service:
+            calls.clear()
             service.scan(automaton, STREAM)  # cold
+            assert calls.count(("counted", "fingerprint")) == 1
             calls.clear()
             service.scan(automaton, STREAM)
-            assert calls == ["counted"]
-            calls.clear()
             service.scan_many(automaton, streams)
-            assert calls == ["counted"]
-            calls.clear()
             service.scan_many(automaton, streams, trace=True)  # sequential
-            assert calls == ["counted"]
+            service.open_session(automaton, "s").close()
+            assert calls == []
 
         with Ruleset(automaton).compile(scan=ScanConfig()) as handle:
             handle.scan(STREAM)
@@ -459,6 +472,25 @@ class TestOneRulesetTable:
             with handle.stream("s") as stream:
                 stream.feed(STREAM)
             assert handle.fingerprint and calls == []
+
+    def test_registered_artifact_is_hashed_once(self, monkeypatch):
+        from repro.compile import CompiledArtifact, compile_ruleset
+
+        rules = compile_regex_set(RULES, name="uploaded")
+        blob = CompiledArtifact.from_compiled(
+            compile_ruleset(rules, backend="auto")
+        ).to_bytes()
+        calls = self.count_hashes(monkeypatch)
+        with MatchingService() as service:
+            handle, automaton = service.register_artifact(blob)
+            # verify() names the content and checks its key; _found and
+            # the handle reuse that name
+            assert calls == [("uploaded", "fingerprint"), ("uploaded", "key")]
+            assert handle == automaton.fingerprint == rules.fingerprint
+            calls.clear()
+            service.scan(handle, STREAM)
+            service.scan(automaton, STREAM)
+            assert calls == []
 
     def test_facade_updates_stay_in_the_served_lineage(self):
         # a handle that serves keeps updating the lineage its remote

@@ -9,6 +9,7 @@ import pytest
 from repro.api import ScanConfig
 from repro.automata import balanced_shards, glushkov_nfa
 from repro.automata.glushkov import compile_regex_set
+from repro.automata.nfa import Automaton
 from repro.core.compiler import compile_automaton
 from repro.core.machine import CamaMachine
 from repro.errors import ConfigError, SimulationError
@@ -119,10 +120,17 @@ class TestChunkedEquivalence:
 class TestRulesetFingerprint:
     def test_fingerprint_ignores_names(self):
         a = glushkov_nfa("ab*c")
-        b = glushkov_nfa("ab*c")
-        b.name = "renamed"
-        for ste in b.states:
-            ste.name = f"other{ste.ste_id}"
+        b = Automaton(name="renamed")
+        for ste in a.states:
+            b.add_state(
+                ste.symbol_class,
+                start=ste.start,
+                reporting=ste.reporting,
+                report_code=ste.report_code,
+                name=f"other{ste.ste_id}",
+            )
+        for u, v in a.transitions():
+            b.add_transition(u, v)
         assert ruleset_fingerprint(a) == ruleset_fingerprint(b)
 
     def test_fingerprint_sees_language_changes(self):
