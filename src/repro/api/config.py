@@ -166,7 +166,9 @@ class ScanConfig:
             (not serializable: :meth:`to_dict` rejects it).
         num_shards: shards per ruleset (whole connected components,
             balanced by state count).
-        workers: processes for one-shot scans; 1 = serial.
+        workers: processes for one-shot scans — ``scan`` and
+            ``scan_many`` alike run one pool task per shard, covering
+            every stream; 1 = in-process.
         chunk_size: streaming granularity in bytes.
         cache_capacity: max ruleset lineages resident in the service's
             table (the in-memory cache of compiled rulesets).
@@ -189,13 +191,15 @@ class ScanConfig:
             scan (0.033 vs 29.4 MB/s on Snort at 1/32 scale).
         ledger_design: which architecture model prices the ledger
             (any :data:`repro.arch.designs.ALL_DESIGNS` name).
-        trace: record a per-scan span tree (scan -> shards -> chunks,
-            compile passes) and carry its ``trace_id`` through results
-            and protocol frames.
+        trace: record a per-call span tree (scan -> dispatcher ->
+            kernel batches, compile passes, ledger probes) and carry its
+            ``trace_id`` through results and protocol frames; one
+            ``scan_many`` call is one trace, shared by all its streams.
         batch_max_rows: max stream rows coalesced into one batched
-            kernel step (``scan_many`` groups, and the server's batch
-            scheduler flushes with reason ``rows_full`` at this bound).
-            1 disables batching entirely — every stream steps alone.
+            kernel step (one-shot scans step ``scan_many``'s streams in
+            groups of this many, and the server's batch scheduler
+            flushes with reason ``rows_full`` at this bound).  1 steps
+            every stream alone: a one-row batch, the same path.
             There is no delay knob beside it: the server's scheduler
             is work-conserving, so a feed only ever waits behind a
             batch that is already running for its ruleset.

@@ -160,9 +160,6 @@ class NodePool:
     def names(self) -> list[str]:
         return sorted(self._nodes)
 
-    def alive_names(self) -> list[str]:
-        return sorted(n.name for n in self._nodes.values() if n.alive)
-
     def mark_dead(self, name: str) -> None:
         handle = self._nodes.get(name)
         if handle is not None:

@@ -147,7 +147,10 @@ class ComposedRuleset:
         shard's automaton and kernel tables are *composed* from the
         cached per-component artifacts — merged states plus a
         block-diagonal :meth:`KernelTables.concat` — so no table is
-        re-derived from scratch.
+        re-derived from scratch.  A group's components are laid out by
+        their first global state id, so a group whose components are
+        contiguous id ranges runs in global state order (one such
+        shard passes its reports through the dispatcher unmerged).
         """
         from repro.service.sharding import Shard
         from repro.sim.backends import KernelTables, get_backend
@@ -166,7 +169,9 @@ class ComposedRuleset:
             global_ids: list[int] = []
             tables: list[KernelTables] = []
             sizes: list[int] = []
-            for ci in member_indices:
+            for ci in sorted(
+                member_indices, key=lambda ci: self.components[ci].states[0]
+            ):
                 part = self.components[ci]
                 merged.merge(part.artifact.automaton())
                 global_ids.extend(part.states)

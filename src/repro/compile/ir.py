@@ -128,10 +128,6 @@ class CompiledRuleset:
     optimization: OptimizationReport | None = None
     timings: list[PassTiming] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(t.seconds for t in self.timings)
-
     def engine(self, **engine_kwargs):
         """Wrap the prebuilt kernel in an :class:`~repro.sim.engine.Engine`.
 

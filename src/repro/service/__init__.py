@@ -22,14 +22,19 @@ Architecture (bottom-up)::
 
     sharding.Dispatcher               connected-component shards, balanced
                                       by state count, their engines read
-                                      through the store; serial or
-                                      multiprocessing fan-out per stream;
-                                      shard ReportBatches merge by an id
-                                      gather and one lexsort (one whole-
-                                      ruleset shard passes through)
+                                      through the store; one step,
+                                      run_chunk_batch (run_chunk is its
+                                      one row), and one one-shot loop,
+                                      scan_many (scan is its one stream:
+                                      lock-step row batches, or one pool
+                                      task per shard); shard ReportBatches
+                                      merge by an id gather and one
+                                      lexsort (one whole-ruleset shard
+                                      passes through)
 
     session.Session                   one named stream's snapshot; feed()
-                                      chunks as they arrive
+                                      chunks as they arrive, each a one-
+                                      row feed_session_batch
 
     batching.BatchScheduler           cross-stream coalescing, work-
                                       conserving: a feed runs at once when
@@ -44,9 +49,9 @@ Architecture (bottom-up)::
                                       ruleset table (handle -> versions,
                                       each owning its Dispatcher; the only
                                       in-memory cache of compiled rulesets) +
-                                      sessions + scan / scan_many (two or
-                                      more streams advance in lock-step
-                                      batched kernel calls)
+                                      sessions + scan / scan_many (one
+                                      body: resolve once, one
+                                      Dispatcher.scan_many, one trace)
 
     protocol / server / client        the network face: newline-delimited
                                       JSON frames over TCP; an asyncio
@@ -95,7 +100,7 @@ Chunked, sharded, and cached execution all reproduce the one-shot
 ``tests/test_service.py`` assert this across every registry benchmark.
 """
 
-from repro.service.batching import BatchScheduler, feed_session_batch
+from repro.service.batching import BatchScheduler
 from repro.service.client import (
     AsyncMatchingClient,
     MatchingClient,
@@ -116,12 +121,11 @@ from repro.service.ruleset import (
 )
 from repro.service.server import BackgroundServer, MatchingServer, run_server
 from repro.service.service import MatchingService, ServiceResult
-from repro.service.session import Session
+from repro.service.session import Session, feed_session_batch
 from repro.service.sharding import (
     DEFAULT_CHUNK_SIZE,
     Dispatcher,
     Shard,
-    chunked_scan,
     iter_chunks,
     make_shards,
 )
@@ -147,7 +151,6 @@ __all__ = [
     "ServiceResult",
     "Session",
     "Shard",
-    "chunked_scan",
     "feed_session_batch",
     "iter_chunks",
     "make_shards",

@@ -6,11 +6,12 @@ matrix of stream rows (mirroring how one CAMA search key evaluates
 every stored state row at once).  This module supplies the service-side
 glue that *finds* those batches:
 
-- :func:`feed_session_batch` — the synchronous core: take N (session,
-  chunk) pairs that share a dispatcher, run one
+- :func:`~repro.service.session.feed_session_batch` — the synchronous
+  core, and the one feed path (a solo
+  :meth:`~repro.service.session.Session.feed` is its one-row call):
+  take N (session, chunk) pairs that share a dispatcher, run one
   :meth:`~repro.service.sharding.Dispatcher.run_chunk_batch`, and
-  absorb each per-stream result into its session exactly as a solo
-  :meth:`~repro.service.session.Session.feed` would.
+  absorb each per-stream result into its session.
 - :class:`BatchScheduler` — the asyncio half used by the NDJSON
   server, work-conserving: a feed whose dispatcher has no batch in
   flight runs at once (``immediate``); feeds arriving behind a running
@@ -30,13 +31,14 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.sim.reports import EMPTY_REPORTS, ReportBatch
+from repro.service.session import feed_session_batch
+from repro.sim.reports import ReportBatch
 from repro.telemetry.metrics import default_registry
 
 _REGISTRY = default_registry()
 _BATCH_ROWS = _REGISTRY.histogram(
     "repro_batch_rows",
-    "Stream rows advanced per batched kernel flush (occupancy)",
+    "Session feeds advanced per batch-scheduler flush (occupancy)",
     buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
 )
 _BATCH_FLUSHES = _REGISTRY.counter(
@@ -53,57 +55,6 @@ _BATCH_WAIT = _REGISTRY.histogram(
 
 # "max_delay" is always 0 now; benchmarks/e2e (topology, layers) index it
 FLUSH_REASONS = ("rows_full", "max_delay", "immediate", "drain", "backlog")
-
-
-def observe_flush(rows: int, reason: str) -> None:
-    """Record one batch flush in the telemetry registry."""
-    _BATCH_ROWS.labels().observe(rows)
-    _BATCH_FLUSHES.labels(reason).inc()
-
-
-def feed_session_batch(dispatcher, entries):
-    """Feed one chunk into each of several sessions in one batched step.
-
-    ``entries`` is a list of ``(session, chunk)`` pairs whose sessions
-    all run on ``dispatcher``.  Returns one ``(reports, exc)`` outcome
-    per entry: ``reports`` is the chunk's new reports (as
-    :meth:`Session.feed` would return) and ``exc`` is the exception the
-    equivalent solo feed would have raised (``on_truncation="error"``),
-    or None.  State bookkeeping happens even for erroring entries,
-    exactly as in the solo path.
-
-    Closed sessions are filtered out *before* the batched dispatch —
-    running their rows would advance their shard states even though
-    :meth:`Session.absorb` refuses the result — and get the same
-    ``SimulationError`` outcome the solo feed raises.
-    """
-    from repro.errors import SimulationError
-
-    outcomes: list[tuple[ReportBatch, BaseException | None] | None] = [
-        None
-    ] * len(entries)
-    live: list[int] = []
-    for i, (session, _) in enumerate(entries):
-        if session.closed:
-            outcomes[i] = (
-                EMPTY_REPORTS,
-                SimulationError(f"session {session.name!r} is closed"),
-            )
-        else:
-            live.append(i)
-    if live:
-        results = dispatcher.run_chunk_batch(
-            [entries[i][1] for i in live],
-            [entries[i][0].shard_states for i in live],
-            max_reports=[entries[i][0].report_budget for i in live],
-        )
-        for i, result in zip(live, results):
-            session, chunk = entries[i]
-            try:
-                outcomes[i] = (session.absorb(chunk, result), None)
-            except Exception as exc:  # e.g. on_truncation="error"
-                outcomes[i] = (EMPTY_REPORTS, exc)
-    return outcomes
 
 
 @dataclass
@@ -196,7 +147,8 @@ class BatchScheduler:
         self.batches += 1
         self.rows += len(entries)
         self.flush_reasons[reason] += 1
-        observe_flush(len(entries), reason)
+        _BATCH_ROWS.labels().observe(len(entries))
+        _BATCH_FLUSHES.labels(reason).inc()
         job = asyncio.get_running_loop().run_in_executor(
             self._executor, feed_session_batch, lane.dispatcher, entries
         )

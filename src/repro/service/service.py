@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -449,6 +450,16 @@ class MatchingService:
         build, engine = ref
         return LedgerProbe(automaton, design, build=build, engine=engine)
 
+    def _ledger_run(self, record: RulesetVersion, design: str, data, trace):
+        """A fresh probe run over one stream (a ``ledger.probe`` span)."""
+        probe = self._ledger_probe(record, design)
+        span = nullcontext() if trace is None else trace.span(
+            "ledger.probe", design=design
+        )
+        with span:
+            probe.run(data)
+        return probe
+
     def _fold_ledger(self, ledger) -> None:
         if ledger is None or self.ledger_totals is None:
             return
@@ -674,7 +685,8 @@ class MatchingService:
     ) -> ServiceResult:
         """Scan one complete stream against ``ruleset`` — a handle (the
         lineage's latest version, no hashing) or an automaton (exactly
-        those rules, compiled on first sight).
+        those rules, compiled on first sight): a one-stream
+        :meth:`scan_many`.
 
         When the *default* kept-reports cap truncates recording, the
         service's (or the call's) ``on_truncation`` policy applies —
@@ -684,100 +696,16 @@ class MatchingService:
         ``hardware_ledger`` / ``ledger_design`` / ``trace`` override the
         service config's telemetry fields for this call (None = keep).
         """
-        return self._scan(
-            partial(self.resolve, ruleset),
-            data,
+        return self.scan_many(
+            ruleset,
+            {None: data},  # the one stream, named None: no name to report
             chunk_size=chunk_size,
             max_reports=max_reports,
             on_truncation=on_truncation,
             hardware_ledger=hardware_ledger,
             ledger_design=ledger_design,
             trace=trace,
-        )
-
-    def _scan(
-        self,
-        resolve,
-        data: bytes,
-        *,
-        chunk_size: int | None,
-        max_reports: int | None,
-        on_truncation: str | None,
-        hardware_ledger: bool | None,
-        ledger_design: str | None,
-        trace: bool | None,
-    ) -> ServiceResult:
-        """:meth:`scan`'s body; ``resolve()`` returns the record and its
-        residency, inside the scan's timing and trace."""
-        policy = (
-            self.config.on_truncation
-            if on_truncation is None
-            else check_truncation_policy(on_truncation)
-        )
-        want_ledger = (
-            self.config.hardware_ledger
-            if hardware_ledger is None
-            else hardware_ledger
-        )
-        design = self._check_design(ledger_design)
-        want_trace = self.config.trace if trace is None else trace
-        explicit = max_reports is not None
-        cap = max_reports if explicit else self.config.max_reports
-        size = self.config.chunk_size if chunk_size is None else chunk_size
-        trace = Trace() if want_trace else None
-        ledger = None
-
-        def run(span=None):
-            record, cached = resolve()
-            if span is not None:
-                span.attrs["ruleset"] = record.automaton.name
-            result = record.dispatcher.scan(
-                data, chunk_size=size, max_reports=cap
-            )
-            probe = None
-            if want_ledger:
-                probe = self._ledger_probe(record, design)
-                if trace is not None:
-                    with trace.span("ledger.probe", design=design):
-                        probe.run(data)
-                else:
-                    probe.run(data)
-            return record, cached, result, probe
-
-        start = time.perf_counter()
-        if trace is not None:
-            with start_trace(trace):
-                with trace.span("service.scan", bytes=len(data)) as span:
-                    record, cached, result, probe = run(span)
-        else:
-            record, cached, result, probe = run()
-        elapsed = time.perf_counter() - start
-
-        if probe is not None:
-            ledger = probe.ledger()
-            self._fold_ledger(ledger)
-        _SERVICE_SCANS.labels("hit" if cached else "miss").inc()
-        _SERVICE_SCAN_BYTES.labels().inc(len(data))
-        _SERVICE_SCAN_SECONDS.labels().observe(elapsed)
-        if result.truncated and not explicit:
-            handle_truncation(
-                policy,
-                f"scan of {record.automaton.name!r} hit the kept-reports "
-                f"cap ({cap}); further reports were counted but not recorded",
-            )
-        dispatcher = record.dispatcher
-        return ServiceResult(
-            batch=result.batch,
-            stats=result.stats,
-            bytes_scanned=len(data),
-            elapsed_s=elapsed,
-            num_shards=dispatcher.num_shards,
-            cached=cached,
-            backends=dispatcher.backend_names,
-            truncated=result.truncated,
-            ledger=ledger,
-            trace=trace,
-        )
+        )[None]
 
     def scan_many(
         self,
@@ -794,151 +722,97 @@ class MatchingService:
         """Batch entry point: scan every named stream against one ruleset.
 
         The ruleset resolves — and compiles, at most — once (see
-        :meth:`scan` for handle vs. automaton); each stream gets its own
-        independent START_OF_DATA semantics, report offsets, and
-        truncation handling (a truncating stream warns or errors per
-        ``on_truncation`` without affecting its siblings).
+        :meth:`scan` for handle vs. automaton), so every stream runs on
+        one version; each stream gets its own independent START_OF_DATA
+        semantics, report offsets, and truncation handling (a
+        truncating stream warns or errors per ``on_truncation`` without
+        affecting its siblings).
 
-        With two or more streams (and ``ScanConfig.batch_max_rows >
-        1``), the streams advance *together*: groups of up to
-        ``batch_max_rows`` streams step through the input in batched
-        kernel calls (:meth:`Dispatcher.run_chunk_batch`), amortizing
+        The streams advance *together*: groups of up to
+        ``ScanConfig.batch_max_rows`` streams step through the input in
+        batched kernel calls (:meth:`Dispatcher.scan_many`), amortizing
         per-chunk dispatch across the whole group.  Results are
-        byte-identical to the sequential path; per-stream
-        ``elapsed_s`` then reports the group's shared wall-clock.
-        Hardware-ledger and trace runs fall back to sequential scans
-        (both instruments are inherently per-stream).
+        byte-identical to one :meth:`scan` per stream.  The ledger's
+        reference run, metrics and truncation policy then apply per
+        stream, inside the call's one timing and one trace: every
+        result's ``elapsed_s`` is the whole call's wall-clock, and under
+        ``trace`` every result carries the call's one trace.
         """
-        want_ledger = (
-            self.config.hardware_ledger
-            if hardware_ledger is None
-            else hardware_ledger
-        )
-        want_trace = self.config.trace if trace is None else trace
-        if (
-            len(streams) < 2
-            or self.config.batch_max_rows < 2
-            or want_ledger
-            or want_trace
-        ):
-            # resolve (and compile) once, before the loop: every stream
-            # runs on this one version, as in the batched path
-            resolved = self.resolve(ruleset)
-            return {
-                name: self._scan(
-                    lambda: resolved,
-                    data,
-                    chunk_size=chunk_size,
-                    max_reports=max_reports,
-                    on_truncation=on_truncation,
-                    hardware_ledger=hardware_ledger,
-                    ledger_design=ledger_design,
-                    trace=trace,
-                )
-                for name, data in streams.items()
-            }
-        return self._scan_many_batched(
-            ruleset,
-            streams,
-            chunk_size=chunk_size,
-            max_reports=max_reports,
-            on_truncation=on_truncation,
-        )
-
-    def _scan_many_batched(
-        self,
-        ruleset: "Automaton | str",
-        streams: dict[str, bytes],
-        *,
-        chunk_size: int | None,
-        max_reports: int | None,
-        on_truncation: str | None,
-    ) -> dict[str, ServiceResult]:
-        """Batched core of :meth:`scan_many`: grouped lock-step scans."""
-        from repro.service.batching import observe_flush
-
         policy = (
             self.config.on_truncation
             if on_truncation is None
             else check_truncation_policy(on_truncation)
         )
+        want_ledger = (
+            self.config.hardware_ledger
+            if hardware_ledger is None
+            else hardware_ledger
+        )
+        design = self._check_design(ledger_design)
+        want_trace = self.config.trace if trace is None else trace
         explicit = max_reports is not None
         cap = max_reports if explicit else self.config.max_reports
         size = self.config.chunk_size if chunk_size is None else chunk_size
-        record, cached = self.resolve(ruleset)
+        trace = Trace() if want_trace else None
+
+        def run(span=None):
+            record, cached = self.resolve(ruleset)
+            if span is not None:
+                span.attrs["ruleset"] = record.automaton.name
+            results = record.dispatcher.scan_many(
+                list(streams.values()), chunk_size=size, max_reports=cap
+            )
+            probes = [None] * len(results)
+            if want_ledger:
+                probes = [
+                    self._ledger_run(record, design, data, trace)
+                    for data in streams.values()
+                ]
+            return record, cached, results, probes
+
+        start = time.perf_counter()
+        if trace is not None:
+            total = sum(len(data) for data in streams.values())
+            with start_trace(trace):
+                with trace.span(
+                    "service.scan", bytes=total, streams=len(streams)
+                ) as span:
+                    record, cached, results, probes = run(span)
+        else:
+            record, cached, results, probes = run()
+        elapsed = time.perf_counter() - start
+
         dispatcher = record.dispatcher
-        num_states = sum(len(s.global_ids) for s in dispatcher.shards)
-        batch_rows = self.config.batch_max_rows
-
-        names = list(streams)
-        batches: dict[str, list[ReportBatch]] = {name: [] for name in names}
-        recorded = {name: 0 for name in names}
-        stats = {name: TraceStats(num_states=num_states) for name in names}
-        truncated = {name: False for name in names}
-        elapsed: dict[str, float] = {}
-
-        for group_start in range(0, len(names), batch_rows):
-            group = names[group_start : group_start + batch_rows]
-            states = {name: dispatcher.initial_states() for name in group}
-            offsets = {name: 0 for name in group}
-            start = time.perf_counter()
-            while True:
-                # streams leave the batch as they run dry; the group's
-                # live prefix shrinks until everyone has finished
-                live = [
-                    name
-                    for name in group
-                    if offsets[name] < len(streams[name])
-                ]
-                if not live:
-                    break
-                chunks = [
-                    streams[name][offsets[name] : offsets[name] + size]
-                    for name in live
-                ]
-                # shrinking per-stream budgets keep the per-tick trim
-                # identical to Dispatcher.scan's end-of-stream trim
-                budgets = [max(0, cap - recorded[name]) for name in live]
-                observe_flush(
-                    len(live),
-                    "rows_full" if len(live) == batch_rows else "drain",
-                )
-                results = dispatcher.run_chunk_batch(
-                    chunks,
-                    [states[name] for name in live],
-                    max_reports=budgets,
-                )
-                for name, chunk, result in zip(live, chunks, results):
-                    offsets[name] += len(chunk)
-                    batches[name].append(result.batch)
-                    recorded[name] += len(result.batch)
-                    stats[name].accumulate(result.stats)
-                    truncated[name] |= result.truncated
-            group_elapsed = time.perf_counter() - start
-            for name in group:
-                elapsed[name] = group_elapsed
-
-        out: dict[str, ServiceResult] = {}
-        for name in names:
+        out = {}
+        for (name, data), result, probe in zip(
+            streams.items(), results, probes
+        ):
+            ledger = None
+            if probe is not None:
+                ledger = probe.ledger()
+                self._fold_ledger(ledger)
             _SERVICE_SCANS.labels("hit" if cached else "miss").inc()
-            _SERVICE_SCAN_BYTES.labels().inc(len(streams[name]))
-            _SERVICE_SCAN_SECONDS.labels().observe(elapsed[name])
-            if truncated[name] and not explicit:
+            _SERVICE_SCAN_BYTES.labels().inc(len(data))
+            _SERVICE_SCAN_SECONDS.labels().observe(elapsed)
+            if result.truncated and not explicit:
+                stream = "" if name is None else f" (stream {name!r})"
                 handle_truncation(
                     policy,
-                    f"scan of {record.automaton.name!r} (stream {name!r}) "
-                    f"hit the kept-reports cap ({cap}); further reports "
-                    f"were counted but not recorded",
+                    f"scan of {record.automaton.name!r}{stream} hit the "
+                    f"kept-reports cap ({cap}); further reports were "
+                    f"counted but not recorded",
                 )
             out[name] = ServiceResult(
-                batch=ReportBatch.concat(batches[name]),
-                stats=stats[name],
-                bytes_scanned=len(streams[name]),
-                elapsed_s=elapsed[name],
+                batch=result.batch,
+                stats=result.stats,
+                bytes_scanned=len(data),
+                elapsed_s=elapsed,
                 num_shards=dispatcher.num_shards,
                 cached=cached,
                 backends=dispatcher.backend_names,
-                truncated=truncated[name],
+                truncated=result.truncated,
+                ledger=ledger,
+                trace=trace,
             )
         return out
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from repro.api.config import ScanConfig
 from repro.errors import SimulationError
-from repro.service.sharding import Dispatcher, iter_chunks
+from repro.service.sharding import Dispatcher, StreamTotals, iter_chunks
 from repro.sim.backends.base import handle_truncation
 from repro.sim.engine import SimulationResult
-from repro.sim.reports import ReportBatch
+from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
 
@@ -66,7 +66,6 @@ class Session:
         self.config = config if config is not None else ScanConfig()
         self.name = name
         self.dispatcher = dispatcher
-        self.truncated = False
         self.closed = False
         #: the ruleset version this stream opened against (set by
         #: MatchingService when the ruleset is version-tracked); the
@@ -76,12 +75,7 @@ class Session:
         #: MatchingService's release; None for a standalone session)
         self.on_close = None
         self._states = dispatcher.initial_states()
-        # the batches of the chunks that recorded reports, and their total
-        self._batches: list[ReportBatch] = []
-        self._recorded = 0
-        self._stats = TraceStats(
-            num_states=sum(len(s.global_ids) for s in dispatcher.shards)
-        )
+        self._totals = StreamTotals(dispatcher.num_states)
         # resumable reference accounting (:class:`~repro.telemetry.
         # ledger.LedgerProbe`): fed the same chunks as the shards, so a
         # running hardware ledger is available at any chunk boundary
@@ -103,16 +97,21 @@ class Session:
     @property
     def reports(self) -> ReportBatch:
         """All reports recorded so far (absolute stream offsets)."""
-        return ReportBatch.concat(self._batches)
+        return ReportBatch.concat(self._totals.batches)
 
     @property
     def stats(self) -> TraceStats:
-        return self._stats
+        return self._totals.stats
+
+    @property
+    def truncated(self) -> bool:
+        """True once the kept-reports cap has dropped a report."""
+        return self._totals.truncated
 
     @property
     def report_budget(self) -> int:
         """Reports this stream may still record before hitting its cap."""
-        return max(0, self.max_reports - self._recorded)
+        return self._totals.budget(self.max_reports)
 
     @property
     def shard_states(self):
@@ -120,27 +119,20 @@ class Session:
         return self._states
 
     def feed(self, chunk: bytes) -> ReportBatch:
-        """Consume one chunk; return only the reports it recorded."""
-        if self.closed:
-            raise SimulationError(f"session {self.name!r} is closed")
-        result = self.dispatcher.run_chunk(
-            chunk, self._states, max_reports=self.report_budget
-        )
-        return self.absorb(chunk, result)
+        """Consume one chunk; return only the reports it recorded (a
+        one-row :func:`feed_session_batch`)."""
+        [(reports, exc)] = feed_session_batch(self.dispatcher, [(self, chunk)])
+        if exc is not None:
+            raise exc
+        return reports
 
     def absorb(self, chunk: bytes, result: SimulationResult) -> ReportBatch:
-        """Record one already-dispatched chunk's result into the session.
+        """Record one already-dispatched chunk's result into the session:
+        the bookkeeping half of :func:`feed_session_batch`.
 
-        The bookkeeping half of :meth:`feed`, split out so a batch
-        scheduler can dispatch many sessions' chunks in one
-        :meth:`~repro.service.sharding.Dispatcher.run_chunk_batch` call
-        (against :attr:`shard_states`, capped at :attr:`report_budget`)
-        and still account each result exactly as a solo feed would.
-
-        Raises the same closed-session error :meth:`feed` does: the
-        batched path must never advance a closed stream's accounting
-        (batch dispatchers filter closed sessions out *before*
-        dispatch, so their shard states are never touched either).
+        Raises the closed-session error :meth:`feed` does: a closed
+        stream's accounting never advances (and
+        :func:`feed_session_batch` never steps its shard states).
         """
         if self.closed:
             raise SimulationError(f"session {self.name!r} is closed")
@@ -148,12 +140,9 @@ class Session:
         _SESSION_FEED_BYTES.labels().inc(len(chunk))
         if self._ledger_probe is not None:
             self._ledger_probe.feed(chunk)
-        if len(result.batch):
-            self._batches.append(result.batch)
-            self._recorded += len(result.batch)
-        self._stats.accumulate(result.stats)
-        if result.truncated and not self.truncated:
-            self.truncated = True
+        first_loss = result.truncated and not self.truncated
+        self._totals.add(result)
+        if first_loss:
             handle_truncation(
                 self.on_truncation,
                 f"session {self.name!r} hit its kept-reports cap "
@@ -197,7 +186,7 @@ class Session:
 
         if self.closed:
             raise SimulationError(f"session {self.name!r} is closed")
-        if self.position != 0 or self._recorded:
+        if self.position != 0 or self._totals.recorded:
             raise SimulationError(
                 f"session {self.name!r} has already consumed data; "
                 f"only a fresh session can restore a snapshot"
@@ -226,10 +215,45 @@ class Session:
             self.closed = True
             if self.on_close is not None:
                 self.on_close(self)
-        return SimulationResult(self.reports, self._stats, self.truncated)
+        return self._totals.result()
 
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def feed_session_batch(dispatcher, entries):
+    """Feed one chunk into each of several sessions in one batched
+    step: the one feed path (:meth:`Session.feed` is its one-row call).
+
+    ``entries`` is a list of ``(session, chunk)`` pairs whose sessions
+    all run on ``dispatcher``; each live row's result goes through
+    :meth:`Session.absorb`.  Returns one ``(reports, exc)`` outcome per
+    entry: the chunk's new reports, and the exception a feed of it
+    raises (a closed session, ``on_truncation="error"``) or None.
+    Closed sessions are filtered out *before* the dispatch, so their
+    shard states never advance.
+    """
+    outcomes: list = [None] * len(entries)
+    live: list[int] = []
+    for i, (session, _) in enumerate(entries):
+        if session.closed:
+            error = SimulationError(f"session {session.name!r} is closed")
+            outcomes[i] = (EMPTY_REPORTS, error)
+        else:
+            live.append(i)
+    if live:
+        results = dispatcher.run_chunk_batch(
+            [entries[i][1] for i in live],
+            [entries[i][0].shard_states for i in live],
+            max_reports=[entries[i][0].report_budget for i in live],
+        )
+        for i, result in zip(live, results):
+            session, chunk = entries[i]
+            try:
+                outcomes[i] = (session.absorb(chunk, result), None)
+            except Exception as exc:  # e.g. on_truncation="error"
+                outcomes[i] = (EMPTY_REPORTS, exc)
+    return outcomes

@@ -25,6 +25,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "Dispatcher",
     "Shard",
-    "chunked_scan",
     "iter_chunks",
     "make_shards",
 ]
@@ -57,21 +57,18 @@ __all__ = [
 _REGISTRY = default_registry()
 _DISPATCH_SCANS = _REGISTRY.counter(
     "repro_dispatcher_scans_total",
-    "One-shot Dispatcher.scan fan-outs, by execution mode (serial | pool)",
+    "One-shot Dispatcher.scan_many calls, by execution mode (serial | pool)",
     ("mode",),
 )
 _SHARD_RUNS = _REGISTRY.counter(
     "repro_dispatcher_shard_runs_total",
-    "Per-shard stream executions dispatched, by execution mode",
+    "Per-shard work dispatched, by execution mode: one batched step "
+    "(serial) or one whole-scan task (pool) per shard",
     ("mode",),
-)
-_CHUNK_RUNS = _REGISTRY.counter(
-    "repro_dispatcher_chunk_runs_total",
-    "Session chunks fanned across every shard via Dispatcher.run_chunk",
 )
 _BATCH_CHUNK_RUNS = _REGISTRY.counter(
     "repro_dispatcher_batch_runs_total",
-    "Batched multi-stream steps fanned across every shard",
+    "Row-batch steps (Dispatcher.run_chunk_batch) fanned across every shard",
 )
 
 
@@ -152,31 +149,72 @@ def _build_engine(
     return compiled.engine()
 
 
-def chunked_scan(
-    engine: Engine,
-    data: bytes,
-    chunk_size: int,
-    max_reports: int = DEFAULT_MAX_KEPT_REPORTS,
-) -> SimulationResult:
-    """Stream ``data`` through ``engine`` chunk by chunk.
+class StreamTotals:
+    """One stream's running result: the batches of the chunks that
+    recorded reports, the activity statistics, and whether the
+    kept-reports cap dropped any report."""
 
-    Equivalent to ``engine.run(data)`` (the chunked-equivalence tests
-    assert this exactly), but exercises the resumable path and bounds
-    the per-call working set.
+    __slots__ = ("batches", "recorded", "stats", "truncated")
+
+    def __init__(self, num_states: int) -> None:
+        self.batches: list[ReportBatch] = []
+        self.recorded = 0
+        self.stats = TraceStats(num_states=num_states)
+        self.truncated = False
+
+    def budget(self, cap: int) -> int:
+        """Reports the stream may still record under ``cap``."""
+        return max(0, cap - self.recorded)
+
+    def add(self, result: SimulationResult) -> None:
+        """Fold the next chunk's result in."""
+        if len(result.batch):
+            self.batches.append(result.batch)
+            self.recorded += len(result.batch)
+        self.stats.accumulate(result.stats)
+        self.truncated |= result.truncated
+
+    def result(self) -> SimulationResult:
+        return SimulationResult(
+            ReportBatch.concat(self.batches), self.stats, self.truncated
+        )
+
+
+def lockstep_scan(
+    step,
+    fresh,
+    num_states: int,
+    streams: "list[bytes]",
+    *,
+    chunk_size: int,
+    max_reports: int,
+    rows: int,
+) -> list[SimulationResult]:
+    """Scan complete ``streams``, ``rows`` at a time in lock-step.
+
+    Each group starts from ``fresh()`` states and advances one
+    ``chunk_size`` chunk per stream per ``step(chunks, states,
+    max_reports=budgets)`` call (:meth:`Dispatcher.run_chunk_batch`, or
+    one shard's :meth:`Engine.step_batch` in a pool worker); streams
+    leave as they run dry.  Budgets shrink by what each stream has
+    recorded, so the per-step trim is the end-of-stream trim of one
+    monolithic run.
     """
-    state = engine.initial_state()
-    stats = TraceStats(num_states=len(engine.automaton))
-    batches = []
-    recorded = 0
-    truncated = False
-    for chunk in iter_chunks(data, chunk_size):
-        budget = max(0, max_reports - recorded)
-        result = engine.run_chunk(chunk, state, max_reports=budget)
-        batches.append(result.batch)
-        recorded += len(result.batch)
-        truncated |= result.truncated
-        stats.accumulate(result.stats)
-    return SimulationResult(ReportBatch.concat(batches), stats, truncated)
+    totals = [StreamTotals(num_states) for _ in streams]
+    for first in range(0, len(streams), rows):
+        group = range(first, min(first + rows, len(streams)))
+        states = {index: fresh() for index in group}
+        longest = max(len(streams[index]) for index in group)
+        for offset in range(0, longest, chunk_size):
+            live = [i for i in group if offset < len(streams[i])]
+            results = step(
+                [streams[i][offset : offset + chunk_size] for i in live],
+                [states[i] for i in live],
+                max_reports=[totals[i].budget(max_reports) for i in live],
+            )
+            for index, result in zip(live, results):
+                totals[index].add(result)
+    return [stream.result() for stream in totals]
 
 
 # -- worker-process plumbing (top-level for picklability) -----------------
@@ -190,13 +228,27 @@ def _init_worker(engines: list[Engine]) -> None:
     _WORKER_ENGINES = engines
 
 
-def _scan_shard(task: tuple[int, bytes, int, int]) -> SimulationResult:
-    index, data, chunk_size, max_reports = task
-    return chunked_scan(_WORKER_ENGINES[index], data, chunk_size, max_reports)
+def _scan_shard(task: tuple) -> list[SimulationResult]:
+    """One shard's :func:`lockstep_scan` over every stream of a scan."""
+    index, streams, chunk_size, max_reports, rows = task
+    engine = _WORKER_ENGINES[index]
+    return lockstep_scan(
+        engine.step_batch,
+        engine.initial_state,
+        len(engine.automaton),
+        streams,
+        chunk_size=chunk_size,
+        max_reports=max_reports,
+        rows=rows,
+    )
 
 
 class Dispatcher:
     """Runs one ruleset, split into shards, over input streams.
+
+    One step, :meth:`run_chunk_batch` (:meth:`run_chunk` is its one-row
+    call), and one one-shot loop, :meth:`scan_many` (:meth:`scan` is
+    its one-stream call), which steps streams through it in lock-step.
 
     Args:
         automaton: the full ruleset.
@@ -207,11 +259,15 @@ class Dispatcher:
                 upper bound on independent shards (the component
                 structure may yield fewer).
             ``workers``
-                processes for :meth:`scan`; 1 means in-process serial
-                execution.  Parallelism is across *shards*, so workers
-                beyond ``len(shards)`` are never used.  Streaming
-                sessions always run serially — chunk N+1 of a stream
-                cannot start before chunk N finishes.
+                processes for the one-shot :meth:`scan_many` (and so
+                :meth:`scan`); 1 means in-process serial execution.
+                Parallelism is across *shards* — one pool task per
+                shard runs the lock-step loop over every stream — so
+                workers beyond ``len(shards)`` are never used.
+                Streaming sessions always run serially — chunk N+1 of
+                a stream cannot start before chunk N finishes.
+            ``batch_max_rows``
+                streams one :meth:`scan_many` step advances together.
             ``backend``
                 execution backend for the shard engines.  ``"auto"``
                 resolves *per shard*: each shard's sub-automaton is
@@ -260,6 +316,11 @@ class Dispatcher:
         else:
             self.shards = make_shards(automaton, self.config.num_shards)
         self.workers = min(self.config.workers, len(self.shards))
+        # the step's metric children, looked up once (as Engine does)
+        self._step_counters = (
+            _BATCH_CHUNK_RUNS.labels(),
+            _SHARD_RUNS.labels("serial"),
+        )
         self._pool: multiprocessing.pool.Pool | None = None
         # engine compilation and pool creation are check-then-create;
         # concurrent scans (e.g. server executor threads) must not race
@@ -289,6 +350,11 @@ class Dispatcher:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
+
+    @property
+    def num_states(self) -> int:
+        """States the shards run: the ruleset minus dropped components."""
+        return len(self.automaton) - self.num_dropped_states
 
     @property
     def engines(self) -> list[Engine]:
@@ -323,21 +389,14 @@ class Dispatcher:
         *,
         max_reports: int = DEFAULT_MAX_KEPT_REPORTS,
     ) -> SimulationResult:
-        """Feed one chunk to every shard, advancing ``states`` in place.
+        """Feed one chunk to every shard, advancing ``states`` in place:
+        a one-row :meth:`run_chunk_batch`.
 
         Returns the merged global-view result for this chunk only.
         """
-        if len(states) != len(self.shards):
-            raise SimulationError(
-                "state snapshot does not match shard count"
-            )
-        _CHUNK_RUNS.labels().inc()
-        _SHARD_RUNS.labels("serial").inc(len(self.shards))
-        per_shard = [
-            engine.run_chunk(data, state, max_reports=max_reports)
-            for engine, state in zip(self.engines, states)
-        ]
-        return self._merge_capped(per_shard, max_reports)
+        return self.run_chunk_batch(
+            [data], [states], max_reports=[max_reports]
+        )[0]
 
     def run_chunk_batch(
         self,
@@ -346,9 +405,8 @@ class Dispatcher:
         *,
         max_reports=DEFAULT_MAX_KEPT_REPORTS,
     ) -> list[SimulationResult]:
-        """Feed one chunk per stream to every shard in batched steps.
+        """Feed one chunk per stream to every shard: the one step.
 
-        The multi-stream analogue of :meth:`run_chunk`:
         ``states_per_stream[r]`` is stream ``r``'s per-shard snapshot
         list (advanced in place) and ``chunks[r]`` its next chunk.
         Each shard engine advances *all* streams in one
@@ -356,39 +414,34 @@ class Dispatcher:
         is paid once per shard instead of once per (stream, shard).
         ``max_reports`` is one shared cap or a per-stream budget
         sequence; returns one merged global-view result per stream,
-        byte-identical to per-stream :meth:`run_chunk` calls.
+        byte-identical to one monolithic engine per stream.
         """
-        num_streams = len(chunks)
-        if len(states_per_stream) != num_streams:
+        num_shards = len(self.shards)
+        if len(states_per_stream) != len(chunks):
             raise SimulationError(
                 f"got {len(states_per_stream)} state snapshots for "
-                f"{num_streams} chunks"
+                f"{len(chunks)} chunks"
             )
-        for snapshot in states_per_stream:
-            if len(snapshot) != len(self.shards):
-                raise SimulationError(
-                    "state snapshot does not match shard count"
-                )
+        if any(len(states) != num_shards for states in states_per_stream):
+            raise SimulationError("state snapshot does not match shard count")
         if isinstance(max_reports, int):
-            caps = [max_reports] * num_streams
+            caps = [max_reports] * len(chunks)
         else:
             caps = list(max_reports)
-        _BATCH_CHUNK_RUNS.labels().inc()
-        _SHARD_RUNS.labels("serial").inc(len(self.shards))
-        per_stream: list[list[SimulationResult]] = [
-            [] for _ in range(num_streams)
-        ]
-        for shard_index, engine in enumerate(self.engines):
-            shard_results = engine.step_batch(
+        steps, shard_runs = self._step_counters
+        steps.inc()
+        shard_runs.inc(num_shards)
+        per_shard = [
+            engine.step_batch(
                 chunks,
-                [snapshot[shard_index] for snapshot in states_per_stream],
+                [states[shard] for states in states_per_stream],
                 max_reports=caps,
             )
-            for stream, result in enumerate(shard_results):
-                per_stream[stream].append(result)
+            for shard, engine in enumerate(self.engines)
+        ]
         return [
-            self._merge_capped(results, caps[stream])
-            for stream, results in enumerate(per_stream)
+            self._merge_capped(results, cap)
+            for cap, *results in zip(caps, *per_shard)
         ]
 
     # -- one-shot scans -------------------------------------------------
@@ -399,44 +452,62 @@ class Dispatcher:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         max_reports: int = DEFAULT_MAX_KEPT_REPORTS,
     ) -> SimulationResult:
-        """Scan a complete stream across all shards and merge the results."""
+        """Scan one complete stream: a one-stream :meth:`scan_many`."""
+        return self.scan_many(
+            [data], chunk_size=chunk_size, max_reports=max_reports
+        )[0]
+
+    def scan_many(
+        self,
+        streams: "list[bytes]",
+        *,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        max_reports: int = DEFAULT_MAX_KEPT_REPORTS,
+    ) -> list[SimulationResult]:
+        """Scan complete streams, each from its own fresh state.
+
+        :func:`lockstep_scan` steps groups of ``config.batch_max_rows``
+        streams through :meth:`run_chunk_batch`.  With a worker pool,
+        each worker runs that loop on its own shard's engine over every
+        stream, and the per-shard results merge per stream at the end.
+        Either way each result is byte-identical to a monolithic
+        :meth:`Engine.run` of its stream capped at ``max_reports``.
+        """
+        if chunk_size < 1:
+            raise ConfigError("chunk size must be >= 1")
+        mode = "pool" if self.workers > 1 else "serial"
+        _DISPATCH_SCANS.labels(mode).inc()
         trace = current_trace()
-        if self.workers > 1:
-            _DISPATCH_SCANS.labels("pool").inc()
+        # worker-process kernel spans cannot cross the pickle boundary,
+        # so under a pool this one span records the whole fan-out
+        span = nullcontext() if trace is None else trace.span(
+            "dispatcher.scan",
+            mode=mode,
+            shards=len(self.shards),
+            streams=len(streams),
+        )
+        rows = self.config.batch_max_rows
+        with span:
+            if mode == "serial":
+                return lockstep_scan(
+                    self.run_chunk_batch,
+                    self.initial_states,
+                    self.num_states,
+                    streams,
+                    chunk_size=chunk_size,
+                    max_reports=max_reports,
+                    rows=rows,
+                )
             _SHARD_RUNS.labels("pool").inc(len(self.shards))
             tasks = [
-                (shard.index, data, chunk_size, max_reports)
+                (shard.index, streams, chunk_size, max_reports, rows)
                 for shard in self.shards
             ]
-            if trace is not None:
-                # worker-process kernel spans cannot cross the pickle
-                # boundary; one span records the whole fan-out instead
-                with trace.span(
-                    "dispatcher.pool", shards=len(self.shards), workers=self.workers
-                ):
-                    per_shard = self._worker_pool().map(_scan_shard, tasks)
-            else:
-                per_shard = self._worker_pool().map(_scan_shard, tasks)
-        else:
-            _DISPATCH_SCANS.labels("serial").inc()
-            _SHARD_RUNS.labels("serial").inc(len(self.shards))
-            per_shard = []
-            for shard, engine in zip(self.shards, self.engines):
-                if trace is not None:
-                    with trace.span(
-                        "dispatcher.shard",
-                        shard=shard.index,
-                        backend=engine.backend_name,
-                        states=len(shard.global_ids),
-                    ):
-                        per_shard.append(
-                            chunked_scan(engine, data, chunk_size, max_reports)
-                        )
-                else:
-                    per_shard.append(
-                        chunked_scan(engine, data, chunk_size, max_reports)
-                    )
-        return self._merge_capped(per_shard, max_reports)
+            per_shard = self._worker_pool().map(_scan_shard, tasks)
+        return [
+            self._merge_capped(list(results), max_reports)
+            for results in zip(*per_shard)
+        ]
 
     def _worker_pool(self) -> "multiprocessing.pool.Pool":
         """The persistent worker pool, created on first parallel scan.
@@ -491,21 +562,20 @@ class Dispatcher:
         (counting via ``stats.num_reports`` is unaffected), matching
         what a monolithic engine would have recorded.
         """
-        truncated = any(result.truncated for result in per_shard)
         if self._id_maps is None:
-            batch = per_shard[0].batch
-        else:
-            fired = [
-                (result.batch, ids)
-                for result, ids in zip(per_shard, self._id_maps)
-                if len(result.batch)
-            ]
-            batch = EMPTY_REPORTS
-            if fired:
-                cycles = np.concatenate([b.cycles for b, _ in fired])
-                states = np.concatenate([ids[b.state_ids] for b, ids in fired])
-                order = np.lexsort((states, cycles))
-                batch = ReportBatch(cycles[order], states[order], self._codes)
+            return per_shard[0]  # the kernel already kept max_reports
+        truncated = any(result.truncated for result in per_shard)
+        fired = [
+            (result.batch, ids)
+            for result, ids in zip(per_shard, self._id_maps)
+            if len(result.batch)
+        ]
+        batch = EMPTY_REPORTS
+        if fired:
+            cycles = np.concatenate([b.cycles for b, _ in fired])
+            states = np.concatenate([ids[b.state_ids] for b, ids in fired])
+            order = np.lexsort((states, cycles))
+            batch = ReportBatch(cycles[order], states[order], self._codes)
         if len(batch) > max_reports:
             batch, truncated = batch[:max_reports], True
         stats = merge_shard_stats([result.stats for result in per_shard])

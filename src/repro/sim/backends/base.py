@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.automata.nfa import StartKind
 from repro.errors import SimulationError
+from repro.sim.backends import bitwords
 from repro.sim.reports import ReportBatch
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
@@ -175,31 +176,23 @@ class BatchEngineState:
 
     @property
     def num_rows(self) -> int:
-        return int(self.active_words.shape[0])
+        return len(self.active_words)
 
     @classmethod
     def attach(
         cls, states: "list[EngineState]", num_states: int
     ) -> "BatchEngineState":
         """Stack per-stream states into one SoA batch (lossless)."""
-        from repro.sim.backends import bitwords
-
         return cls(
             active_words=bitwords.pack_rows(
                 [s.active for s in states], num_states
             ),
-            positions=np.fromiter(
-                (s.position for s in states),
-                dtype=np.int64,
-                count=len(states),
-            ),
+            positions=np.array([s.position for s in states], dtype=np.int64),
             num_states=num_states,
         )
 
     def detach(self) -> "list[EngineState]":
         """Fresh per-stream :class:`EngineState`\\ s, one per row."""
-        from repro.sim.backends import bitwords
-
         return [
             EngineState(active=active, position=int(position))
             for active, position in zip(
@@ -220,25 +213,12 @@ class BatchEngineState:
                 f"batch has {self.num_rows} rows, cannot detach into "
                 f"{len(states)} states"
             )
-        for state, fresh in zip(states, self.detach()):
-            state.active = fresh.active
-            state.position = fresh.position
-
-    def row_state(self, row: int) -> EngineState:
-        """One row as a standalone :class:`EngineState` (a copy)."""
-        from repro.sim.backends import bitwords
-
-        return EngineState(
-            active=bitwords.unpack_indices(self.active_words[row]),
-            position=int(self.positions[row]),
-        )
-
-    def copy(self) -> "BatchEngineState":
-        return BatchEngineState(
-            active_words=self.active_words.copy(),
-            positions=self.positions.copy(),
-            num_states=self.num_states,
-        )
+        rows = bitwords.unpack_rows(self.active_words, self.num_states)
+        for state, active, position in zip(
+            states, rows, self.positions.tolist()
+        ):
+            state.active = active
+            state.position = position
 
 
 def normalize_batch_caps(max_reports, num_rows: int) -> list[int]:
@@ -251,7 +231,7 @@ def normalize_batch_caps(max_reports, num_rows: int) -> list[int]:
             raise SimulationError(
                 f"got {len(caps)} report budgets for {num_rows} batch rows"
             )
-    if any(cap < 0 for cap in caps):
+    if caps and min(caps) < 0:
         raise SimulationError("report budgets must be >= 0")
     return caps
 
@@ -385,8 +365,6 @@ class KernelTables:
 
     @classmethod
     def from_automaton(cls, automaton) -> "KernelTables":
-        from repro.sim.backends import bitwords
-
         offsets, targets = automaton.successor_csr()
         start_all, start_sod = start_ids(automaton)
         return cls(
@@ -427,8 +405,6 @@ class KernelTables:
         the merged tables to CSR-only, which every kernel can rebuild
         from.
         """
-        from repro.sim.backends import bitwords
-
         if not tables or len(tables) != len(sizes):
             raise SimulationError("concat needs one size per table block")
         if len(tables) == 1:
@@ -480,8 +456,6 @@ class KernelTables:
 
     def check(self, n: int) -> "KernelTables":
         """Cheap structural consistency check against a state count."""
-        from repro.sim.backends import bitwords
-
         if (
             self.match_words.shape != (256, bitwords.num_words(n))
             or self.succ_offsets.shape != (n + 1,)
@@ -680,8 +654,6 @@ class CompiledKernel(ABC):
             self.run_chunk(bytes(chunk), state, max_reports=cap)
             for chunk, state, cap in zip(chunks, states, caps)
         ]
-        from repro.sim.backends import bitwords
-
         batch.active_words = bitwords.pack_rows(
             [s.active for s in states], batch.num_states
         )

@@ -242,6 +242,11 @@ class BitParallelKernel(CompiledKernel):
         Semantics per row are exactly :meth:`run_chunk`'s.
         """
         num_rows = batch.num_rows
+        if num_rows == 1:
+            # a lone row (every solo scan and feed): the 1-D loop costs
+            # about half the 2-D pass, whose per-cycle numpy calls only
+            # pay off across rows
+            return super().step_batch(chunks, batch, max_reports=max_reports)
         if len(chunks) != num_rows:
             raise SimulationError(
                 f"got {len(chunks)} chunks for {num_rows} batch rows"

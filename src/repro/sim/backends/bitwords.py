@@ -22,11 +22,6 @@ def num_words(n: int) -> int:
     return max(1, (n + WORD_BITS - 1) // WORD_BITS)
 
 
-def zero_words(n: int) -> np.ndarray:
-    """An all-zero packed vector sized for ``n`` states."""
-    return np.zeros(num_words(n), dtype=np.uint64)
-
-
 def pack_indices(ids: np.ndarray, n: int) -> np.ndarray:
     """Packed vector with exactly the bits in ``ids`` set."""
     words = np.zeros(num_words(n) * 8, dtype=np.uint8)
@@ -95,32 +90,36 @@ def expand_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pack_rows(id_lists, n: int) -> np.ndarray:
     """Pack per-row index arrays into a ``(rows, num_words(n))`` matrix.
 
-    The multi-stream analogue of :func:`pack_indices`: one scatter over
-    the concatenated ids instead of a per-row Python loop.
+    The multi-stream analogue of :func:`pack_indices`: one scatter of
+    the concatenated ids into a flat bit array, then one ``packbits``.
     """
-    rows = np.zeros((len(id_lists), num_words(n) * 8), dtype=np.uint8)
-    counts = np.fromiter(
-        (len(ids) for ids in id_lists), dtype=np.int64, count=len(id_lists)
-    )
-    if counts.sum():
-        row_idx = np.repeat(np.arange(len(id_lists), dtype=np.int64), counts)
-        ids = np.concatenate(
-            [np.asarray(ids, dtype=np.int64) for ids in id_lists if len(ids)]
-        )
-        np.bitwise_or.at(
-            rows, (row_idx, ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8)
-        )
-    return rows.view(np.uint64)
+    shape = (len(id_lists), num_words(n))
+    counts = [len(ids) for ids in id_lists]
+    if not sum(counts):  # quiet streams: nothing to scatter
+        return np.zeros(shape, dtype=np.uint64)
+    width = shape[1] * WORD_BITS
+    bits = np.zeros(shape[0] * width, dtype=np.uint8)
+    if shape[0] == 1:  # a solo stream: no row offsets to add
+        bits[id_lists[0]] = 1
+    else:
+        ids = np.concatenate(id_lists).astype(np.int64, copy=False)
+        bits[ids + np.repeat(np.arange(0, bits.size, width), counts)] = 1
+    return np.packbits(bits, bitorder="little").view(np.uint64).reshape(shape)
 
 
 def unpack_rows(words: np.ndarray, n: int) -> list[np.ndarray]:
     """Per-row ascending set-bit indices of a ``(rows, words)`` matrix."""
-    if words.shape[0] == 0:
-        return []
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n]
-    row_idx, ids = np.nonzero(bits)
-    counts = np.bincount(row_idx, minlength=words.shape[0])
-    return np.split(ids.astype(np.int64), np.cumsum(counts)[:-1])
+    rows = words.shape[0]
+    if rows == 1:  # a solo stream: exactly :func:`unpack_indices`' cost
+        return [unpack_indices(words[0])]
+    width = words.shape[1] * WORD_BITS
+    flat = np.flatnonzero(
+        np.unpackbits(words.view(np.uint8).reshape(-1), bitorder="little")
+    )
+    ids = flat % width
+    bounds = np.searchsorted(flat, np.arange(0, rows * width + 1, width))
+    bounds = bounds.tolist()
+    return [ids[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def nonzero_word_summary(words: np.ndarray) -> np.ndarray:
@@ -165,11 +164,6 @@ def or_shifted(
         # next one (the last word's carry is empty when it has no slot)
         carry = block[:, : out.shape[1] - word - 1] >> np.uint64(WORD_BITS - bit)
         out[:, word + 1 : word + 1 + carry.shape[1]] |= carry
-
-
-def any_bits(words: np.ndarray) -> bool:
-    """True when at least one bit is set."""
-    return bool(words.any())
 
 
 def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:

@@ -266,6 +266,8 @@ class NativeKernel(BitParallelKernel):
 
     def _bind_native(self) -> None:
         self._lib = load_native()
+        # per-thread C-loop workspace (see _workspace)
+        self._local = threading.local()
         if self._lib is None:
             return
         start_all = self._start_all_words
@@ -296,11 +298,13 @@ class NativeKernel(BitParallelKernel):
             for name, array in arrays.items()
         }
         self._nrep_total = int(bitwords.popcount(reporting))
-        self._c_tables = _CamaTables(
-            words=self._num_words,
-            start_enabled=int(bitwords.popcount(start_all)),
-            nrep_total=self._nrep_total,
-            **{name: a.ctypes.data for name, a in self._c_arrays.items()},
+        self._c_tables = ctypes.pointer(
+            _CamaTables(
+                words=self._num_words,
+                start_enabled=int(bitwords.popcount(start_all)),
+                nrep_total=self._nrep_total,
+                **{name: a.ctypes.data for name, a in self._c_arrays.items()},
+            )
         )
 
     # ctypes handles and raw pointers don't pickle; drop them and
@@ -309,7 +313,7 @@ class NativeKernel(BitParallelKernel):
     # stays None and run_chunk uses the numpy path.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_lib", "_c_arrays", "_c_tables"):
+        for key in ("_lib", "_local", "_c_arrays", "_c_tables"):
             state.pop(key, None)
         return state
 
@@ -317,59 +321,64 @@ class NativeKernel(BitParallelKernel):
         self.__dict__.update(state)
         self._bind_native()
 
-    def _report_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # capacity >= nrep_total guarantees the C loop always makes
-        # progress (see the pause contract in cama_kernel.c)
-        capacity = max(_REPORT_BUFFER_FLOOR, self._nrep_total)
-        # workspace: the successor OR plus two one-bit-per-word summaries
-        words = self._num_words
-        return (
-            np.empty(words + 2 * bitwords.num_words(words), dtype=np.uint64),
-            np.empty(capacity, dtype=np.int64),
-            np.empty(capacity, dtype=np.int64),
-        )
+    def _workspace(self) -> tuple:
+        """This thread's C-loop buffers (reports, counters, scratch) and
+        their addresses, made once: reading ``.ctypes.data`` costs more
+        than a short chunk's C loop.  Each thread has its own, since
+        calls run concurrently with the GIL released."""
+        space = getattr(self._local, "space", None)
+        if space is None:
+            # capacity >= nrep_total guarantees the C loop always makes
+            # progress (see the pause contract in cama_kernel.c)
+            capacity = max(_REPORT_BUFFER_FLOOR, self._nrep_total)
+            words = self._num_words
+            arrays = (
+                np.empty(capacity, dtype=np.int64),
+                np.empty(capacity, dtype=np.int64),
+                np.empty(5, dtype=np.int64),
+                # the successor OR plus two one-bit-per-word summaries
+                np.empty(words + 2 * bitwords.num_words(words), np.uint64),
+            )
+            pointers = tuple(array.ctypes.data for array in arrays)
+            space = self._local.space = (arrays, pointers)
+        return space
 
     def _step_words(
-        self,
-        words: np.ndarray,
-        data: bytes,
-        base: int,
-        cap: int,
-        scratch: np.ndarray,
-        rep_cycles: np.ndarray,
-        rep_states: np.ndarray,
+        self, active: int, data: bytes, base: int, cap: int
     ) -> StepResult:
-        """Drive the C loop over one stream's chunk, stepping ``words``
-        in place and draining the bounded report buffer into the
-        result's batch whenever the C side pauses on it (the C side
-        keeps the recording cap itself)."""
-        symbols = np.frombuffer(data, dtype=np.uint8)
-        length = int(symbols.size)
-        capacity = int(rep_cycles.size)
-        counters = np.empty(5, dtype=np.int64)
+        """Drive the C loop over one stream's chunk, stepping the packed
+        row at address ``active`` in place and draining the bounded
+        report buffer into the result's batch whenever the C side
+        pauses on it (the C side keeps the recording cap itself)."""
+        (rep_cycles, rep_states, counters, _), pointers = self._workspace()
+        cycles_at, states_at, counters_at, scratch_at = pointers
+        if type(data) is not bytes:
+            data = bytes(data)  # ctypes passes a bytes object's buffer
+        length = len(data)
+        capacity = len(rep_cycles)
         stats = TraceStats(num_states=self._n, num_cycles=length)
         codes, drained, truncated = self._report_codes, [], False
         offset = 0
         while offset < length:
             next_offset = self._lib.cama_run_chunk(
                 self._c_tables,
-                symbols.ctypes.data,
+                data,
                 length,
                 offset,
                 base,
-                words.ctypes.data,
-                scratch.ctypes.data,
+                active,
+                scratch_at,
                 cap,
-                rep_cycles.ctypes.data,
-                rep_states.ctypes.data,
+                cycles_at,
+                states_at,
                 capacity,
-                counters.ctypes.data,
+                counters_at,
             )
-            stats.enabled_states_sum += int(counters[0])
-            stats.active_states_sum += int(counters[1])
-            stats.num_reports += int(counters[2])
-            recorded = int(counters[3])
-            truncated |= bool(counters[4])
+            enabled, active_sum, reports, recorded, hit = counters.tolist()
+            stats.enabled_states_sum += enabled
+            stats.active_states_sum += active_sum
+            stats.num_reports += reports
+            truncated |= bool(hit)
             if recorded:
                 cap -= recorded
                 cycles = rep_cycles[:recorded].copy()
@@ -379,7 +388,7 @@ class NativeKernel(BitParallelKernel):
                 raise SimulationError(
                     "native kernel made no progress (corrupt build?)"
                 )
-            offset = int(next_offset)
+            offset = next_offset
         return StepResult(ReportBatch.concat(drained), stats, truncated)
 
     def run_chunk(
@@ -400,11 +409,9 @@ class NativeKernel(BitParallelKernel):
                 keep_per_cycle=keep_per_cycle,
                 max_reports=max_reports,
             )
-        words = bitwords.pack_indices(
-            np.asarray(state.active, dtype=np.int64), self._n
-        )
+        words = bitwords.pack_indices(state.active, self._n)
         result = self._step_words(
-            words, data, state.position, max_reports, *self._report_buffers()
+            words.ctypes.data, data, state.position, max_reports
         )
         state.active = bitwords.unpack_indices(words)
         state.position += len(data)
@@ -434,17 +441,15 @@ class NativeKernel(BitParallelKernel):
             )
         caps = normalize_batch_caps(max_reports, num_rows)
         words = np.ascontiguousarray(batch.active_words, dtype=np.uint64)
-        buffers = self._report_buffers()
-        results = []
-        for row, chunk in enumerate(chunks):
-            position = int(batch.positions[row])
-            results.append(
-                self._step_words(
-                    words[row], chunk, position, caps[row], *buffers
-                )
-            )
-            batch.positions[row] = position + len(chunk)
+        row_at, stride = words.ctypes.data, words.strides[0]
+        results, ends = [], []
+        positions = batch.positions.tolist()
+        for chunk, position, cap in zip(chunks, positions, caps):
+            results.append(self._step_words(row_at, chunk, position, cap))
+            ends.append(position + len(chunk))
+            row_at += stride
         batch.active_words = words
+        batch.positions = np.array(ends, dtype=np.int64)
         return results
 
 

@@ -105,6 +105,7 @@ def _kernel_instruments(backend: str):
         _KERNEL_CYCLES.labels(backend),
         _KERNEL_REPORTS.labels(backend),
         _KERNEL_SECONDS.labels(backend),
+        _KERNEL_BATCHES.labels(backend),
     )
 
 
@@ -112,7 +113,7 @@ def _observe_chunk(
     instruments, backend: str, elapsed: float, data: bytes, result
 ) -> None:
     """Record one executed chunk (metrics + an optional trace span)."""
-    chunks, cycles, reports, seconds = instruments
+    chunks, cycles, reports, seconds, _ = instruments
     chunks.inc()
     cycles.inc(result.stats.num_cycles)
     reports.inc(result.stats.num_reports)
@@ -306,11 +307,14 @@ class Engine:
         elapsed = time.perf_counter() - start
         batch.detach_into(states)
 
-        chunk_count, cycles, reports, seconds = self._instruments
-        _KERNEL_BATCHES.labels(self._kernel.name).inc()
+        total_cycles = total_reports = hit = 0
+        for result in results:
+            total_cycles += result.stats.num_cycles
+            total_reports += result.stats.num_reports
+            hit += result.truncated
+        chunk_count, cycles, reports, seconds, batches = self._instruments
+        batches.inc()
         chunk_count.inc(len(chunks))
-        total_cycles = sum(r.stats.num_cycles for r in results)
-        total_reports = sum(r.stats.num_reports for r in results)
         cycles.inc(total_cycles)
         reports.inc(total_reports)
         seconds.observe(elapsed)
@@ -325,16 +329,14 @@ class Engine:
                 cycles=total_cycles,
                 reports=total_reports,
             )
-        if not explicit:
-            hit = sum(1 for r in results if r.truncated)
-            if hit:
-                handle_truncation(
-                    self.on_truncation,
-                    f"batched step of Engine({self.automaton.name!r}) hit "
-                    f"the kept-reports cap on {hit} of {len(results)} "
-                    f"stream rows; raise max_kept_reports (or pass an "
-                    f"explicit max_reports) to silence",
-                )
+        if hit and not explicit:
+            handle_truncation(
+                self.on_truncation,
+                f"batched step of Engine({self.automaton.name!r}) hit "
+                f"the kept-reports cap on {hit} of {len(results)} "
+                f"stream rows; raise max_kept_reports (or pass an "
+                f"explicit max_reports) to silence",
+            )
         return results
 
     # -- full run ---------------------------------------------------------

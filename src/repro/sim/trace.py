@@ -144,12 +144,6 @@ class TraceStats:
     def avg_active_states(self) -> float:
         return self.active_states_sum / self.num_cycles if self.num_cycles else 0.0
 
-    def avg_enabled_partitions(self) -> float:
-        """Average number of partitions with >= 1 enabled state per cycle."""
-        if self.partition_enabled_cycles is None or not self.num_cycles:
-            return 0.0
-        return float(self.partition_enabled_cycles.sum()) / self.num_cycles
-
     def avg_enabled_states_per_enabled_partition(self) -> float:
         """Average enabled-state count in partitions that are enabled —
         the selective-precharge factor of CAMA-E."""
@@ -159,25 +153,6 @@ class TraceStats:
         if not total_cycles:
             return 0.0
         return float(self.partition_enabled_states_sum.sum()) / total_cycles
-
-    def avg_enabled_weight_per_enabled_partition(self) -> float:
-        """Average enabled weight (CAM entries) in enabled partitions."""
-        if (
-            self.partition_enabled_cycles is None
-            or self.partition_enabled_weight_sum is None
-        ):
-            return 0.0
-        total_cycles = float(self.partition_enabled_cycles.sum())
-        if not total_cycles:
-            return 0.0
-        return float(self.partition_enabled_weight_sum.sum()) / total_cycles
-
-    def avg_global_accesses(self) -> float:
-        return (
-            self.global_source_partitions_sum / self.num_cycles
-            if self.num_cycles
-            else 0.0
-        )
 
     def report_rate(self) -> float:
         return self.num_reports / self.num_cycles if self.num_cycles else 0.0

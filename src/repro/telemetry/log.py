@@ -58,9 +58,6 @@ class StructuredLogger:
     def name(self) -> str:
         return self._logger.name
 
-    def is_enabled_for(self, level: str) -> bool:
-        return self._logger.isEnabledFor(check_level(level))
-
     def _log(self, level: int, event: str, fields: dict) -> None:
         if not self._logger.isEnabledFor(level):
             return

@@ -22,7 +22,12 @@ from oracle import oracle_run
 from repro.api import ScanConfig
 from repro.automata.glushkov import compile_regex_set
 from repro.automata.nfa import Automaton, StartKind
-from repro.service import BackgroundServer, Dispatcher, MatchingService
+from repro.service import (
+    BackgroundServer,
+    Dispatcher,
+    MatchingClient,
+    MatchingService,
+)
 from repro.service.protocol import encode_data, encode_frame
 from repro.service.sharding import iter_chunks
 from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
@@ -233,6 +238,80 @@ def test_scan_many_matches_oracle(nfa, backend, shards, cap, batched):
         assert results[name].truncated == truncated
 
 
+#: scan_many configurations that once fell back to one scan per stream
+#: (ledger, trace), stepped one row at a time, or went serial (a pool)
+MANY_MODES = {
+    "ledger": ({}, {"hardware_ledger": True}),
+    "trace": ({}, {"trace": True}),
+    "rows1": ({"batch_max_rows": 1}, {}),
+    "pool": ({"workers": 2, "num_shards": 3}, {}),
+}
+
+
+def assert_same_ledger(mine, theirs):
+    mine, theirs = mine.to_dict(), theirs.to_dict()
+    assert mine.keys() == theirs.keys()
+    for key, value in mine.items():
+        if isinstance(value, float):
+            assert value == pytest.approx(theirs[key], rel=1e-12, abs=1e-12)
+        else:
+            assert value == theirs[key], key
+
+
+@pytest.mark.parametrize("mode", list(MANY_MODES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_many_modes_match_scan_and_oracle(nfa, backend, mode):
+    config_kwargs, call_kwargs = MANY_MODES[mode]
+    streams = {
+        "burst": STREAM[:3200],
+        "mid": STREAM[2500:3100],
+        "quiet": b"zz" * 64,
+        "empty": b"",
+    }
+    config = ScanConfig(backend=backend, **config_kwargs)
+    with MatchingService(config) as service:
+        many = service.scan_many(nfa, streams, chunk_size=700, **call_kwargs)
+        ledgered = service.ledger_totals.scans
+        solo = {
+            name: service.scan(nfa, data, chunk_size=700, **call_kwargs)
+            for name, data in streams.items()
+        }
+    assert ledgered == (len(streams) if mode == "ledger" else 0)
+    for name, data in streams.items():
+        want = oracle_run(nfa, data).reports
+        assert_batch(many[name].batch, want)
+        assert_batch(solo[name].batch, want)
+        assert many[name].stats == solo[name].stats
+        assert many[name].truncated is solo[name].truncated is False
+        assert many[name].backends == solo[name].backends
+        if mode == "ledger":
+            assert_same_ledger(many[name].ledger, solo[name].ledger)
+        else:
+            assert many[name].ledger is solo[name].ledger is None
+
+
+def test_scan_many_shares_one_trace(nfa):
+    """One scan_many call is one trace: every result carries it, and so
+    does every stream's wire ``trace_id``."""
+    streams = {"a": STREAM[:500], "b": STREAM[500:900], "c": b""}
+    config = ScanConfig(backend="native", num_shards=3)
+    with MatchingService(config) as service:
+        results = service.scan_many(nfa, streams, trace=True)
+    trace = results["a"].trace
+    assert all(result.trace is trace for result in results.values())
+    roots = [span for span in trace.spans if span.parent_id is None]
+    assert [span.name for span in roots] == ["service.scan"]
+    assert roots[0].attrs["streams"] == 3
+    assert {"dispatcher.scan", "kernel.batch"} <= {s.name for s in trace.spans}
+
+    with BackgroundServer(config=config) as server:
+        with MatchingClient(port=server.port) as client:
+            handle = client.register(RULES)
+            served = client.scan_many(handle, streams, trace=True)
+    trace_ids = {result.trace_id for result in served.values()}
+    assert len(trace_ids) == 1 and None not in trace_ids
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pool_batches_cross_the_pickle_boundary(nfa, oracle, backend):
     config = ScanConfig(backend=backend, num_shards=3, workers=2)
@@ -288,6 +367,23 @@ class TestZeroReportPath:
             scan = service.scan(nfa, self.QUIET * 4, chunk_size=512)
             assert scan.batch is EMPTY_REPORTS
         assert numpy_calls == {"concatenate": 0, "lexsort": 0}
+
+    def test_registered_ruleset_keeps_global_state_order(self, numpy_calls):
+        """A registered ruleset is composed from component artifacts;
+        when its components are contiguous id ranges, its one shard is
+        the whole ruleset in global order: no id map, and a reporting
+        scan by handle never sorts."""
+        tiny = compile_regex_set(TINY_RULES, name="tiny")
+        data = benchmark_input(tiny, 8192, seed=5, injection_rate=0.05)
+        with MatchingService(ScanConfig(backend="native")) as service:
+            record = service.register_ruleset(tiny)
+            assert record.component_keys  # the composed (incremental) build
+            assert record.dispatcher._id_maps is None
+            numpy_calls.update(lexsort=0)
+            result = service.scan(record.lineage, data)
+        assert len(result.batch) > 1000
+        assert result.batch == oracle_run(tiny, data).reports
+        assert numpy_calls["lexsort"] == 0
 
     def test_one_whole_ruleset_shard_never_sorts(self, numpy_calls):
         dispatcher = Dispatcher(

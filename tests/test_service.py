@@ -17,7 +17,6 @@ from repro.service import (
     Dispatcher,
     MatchingService,
     Session,
-    chunked_scan,
     iter_chunks,
     make_shards,
     ruleset_fingerprint,
@@ -49,6 +48,14 @@ def stream():
     return b"aecdabcxxyaecddabcyx" * 30
 
 
+def whole_dispatcher(automaton):
+    """One shard that is exactly one Engine over ``automaton`` (no
+    component dropped), so a chunked Dispatcher.scan matches its run
+    in statistics too."""
+    shard = Shard(0, automaton, list(range(len(automaton))))
+    return Dispatcher(automaton, prebuilt=([shard], [Engine(automaton)]))
+
+
 class TestChunkedEquivalence:
     """run_chunk over chunks == run over the whole stream, exactly."""
 
@@ -57,9 +64,9 @@ class TestChunkedEquivalence:
     def test_registry_benchmarks(self, name, chunk_size):
         bench = get_benchmark(name, scale=TEST_SCALE)
         data = bench.input_stream(STREAM_LENGTH)
-        engine = Engine(bench.automaton)
-        one_shot = engine.run(data)
-        chunked = chunked_scan(engine, data, chunk_size)
+        one_shot = Engine(bench.automaton).run(data)
+        dispatcher = whole_dispatcher(bench.automaton)
+        chunked = dispatcher.scan(data, chunk_size=chunk_size)
         assert report_keys(chunked.reports) == report_keys(one_shot.reports)
         assert chunked.stats.num_cycles == one_shot.stats.num_cycles
         assert chunked.stats.num_reports == one_shot.stats.num_reports
@@ -67,10 +74,11 @@ class TestChunkedEquivalence:
         assert chunked.stats.active_states_sum == one_shot.stats.active_states_sum
 
     def test_start_of_data_does_not_refire_at_chunk_boundaries(self):
-        engine = Engine(glushkov_nfa("ab", anchored=True))
-        one_shot = engine.run(b"abab")
+        automaton = glushkov_nfa("ab", anchored=True)
+        one_shot = Engine(automaton).run(b"abab")
+        dispatcher = whole_dispatcher(automaton)
         for chunk_size in (1, 2, 3):
-            chunked = chunked_scan(engine, b"abab", chunk_size)
+            chunked = dispatcher.scan(b"abab", chunk_size=chunk_size)
             assert report_keys(chunked.reports) == report_keys(one_shot.reports)
             assert chunked.num_reports == 1
 
