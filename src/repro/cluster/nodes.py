@@ -21,7 +21,11 @@ from __future__ import annotations
 import itertools
 
 from repro.errors import ReproError
-from repro.service.protocol import DEFAULT_MAX_FRAME_BYTES, ProtocolError
+from repro.service.protocol import (
+    DEFAULT_MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    ProtocolError,
+)
 from repro.service.transport import FrameChannel
 
 #: default per-request round-trip budget.  Generous, because a cold
@@ -115,6 +119,9 @@ class NodeHandle:
         self.requests = 0
         self.failures = 0
         self.last_health: dict | None = None
+        #: why the last health probe refused an answering node (a
+        #: protocol version mismatch); None when it was accepted
+        self.refusal: str | None = None
         #: dedicated probe channel (never shared with proxied traffic,
         #: so a wedged stream cannot block liveness checks)
         self.probe = self.new_channel()
@@ -177,6 +184,11 @@ class NodePool:
     ) -> dict | None:
         """Probe one node; returns its health payload or None (dead).
 
+        A node that answers with another ``version`` than
+        :data:`~repro.service.protocol.PROTOCOL_VERSION` counts as dead
+        too — its frames would not parse — and ``handle.refusal`` says
+        why, naming both versions.
+
         ``timeout_s`` overrides the probe channel's default — liveness
         probes can afford a much shorter budget than proxied work, so a
         hung node stops answering health checks quickly instead of
@@ -190,5 +202,13 @@ class NodePool:
             return None
         if not response.get("ok"):
             return None
+        version = response.get("version")
+        if version != PROTOCOL_VERSION:
+            handle.refusal = (
+                f"node {handle.name} speaks protocol version {version!r}; "
+                f"this router speaks version {PROTOCOL_VERSION}"
+            )
+            return None
+        handle.refusal = None
         handle.last_health = response
         return response

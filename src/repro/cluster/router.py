@@ -56,6 +56,7 @@ from repro.service.protocol import (
     ProtocolError,
     artifact_from_frame,
     automaton_from_frame,
+    report_count,
 )
 from repro.service.transport import Background, Connection, FrameServer
 from repro.telemetry.log import get_logger
@@ -454,7 +455,8 @@ class ClusterRouter(FrameServer):
         if health is None:
             self.pool.mark_dead(handle.name)
             raise ProtocolError(
-                f"node {handle.name} did not answer a health probe",
+                handle.refusal
+                or f"node {handle.name} did not answer a health probe",
                 code="unavailable",
             )
         return {"node": handle.name, "fleet": self.pool.names}
@@ -635,13 +637,14 @@ class ClusterRouter(FrameServer):
         except NodeError:
             response = await self._failover_feed(conn, record, frame)
         if response.get("ok"):
+            fired = report_count(response.get("reports"))
             # the checkpoint advances only on a received response, so a
             # replayed chunk after failover is exactly-once
             state = response.get("state")
             if state is not None:
                 record.state = state
             record.position = int(response.get("position", record.position))
-            record.num_reports += len(response.get("reports", ()))
+            record.num_reports += fired
             record.truncated = bool(response.get("truncated", False))
             if not record.client_checkpoint:
                 response.pop("state", None)
@@ -743,7 +746,11 @@ class ClusterRouter(FrameServer):
                 )
                 if health is None:
                     if handle.alive:
-                        _log.warning("node.health_failed", node=handle.name)
+                        _log.warning(
+                            "node.health_failed",
+                            node=handle.name,
+                            refusal=handle.refusal,
+                        )
                         self.pool.mark_dead(handle.name)
                 elif not handle.alive:
                     _log.info("node.recovered", node=handle.name)

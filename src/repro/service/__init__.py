@@ -54,7 +54,9 @@ Architecture (bottom-up)::
                                       Dispatcher.scan_many, one trace)
 
     protocol / server / client        the network face: newline-delimited
-                                      JSON frames over TCP; an asyncio
+                                      JSON frames over TCP, reports as
+                                      one columnar object per result
+                                      (decoded to a ReportBatch); an asyncio
                                       MatchingServer with per-connection
                                       backpressure, graceful drain, and
                                       precompiled-artifact upload

@@ -9,6 +9,12 @@ MNRL document, or an :class:`~repro.automata.nfa.Automaton`, shipped as
 MNRL), one-shot ``scan`` / ``scan_many``, named resumable sessions, and
 ``stats``.
 
+Reports come back columnar, as the server sent them: a scan result's
+``reports`` and what ``session.feed`` returns are
+:class:`~repro.sim.reports.ReportBatch` views over the decoded arrays,
+so a :class:`~repro.sim.reports.Report` is built only when an item is
+read.
+
 Engine-level report-cap semantics carry across the wire: a response
 whose ``warnings`` list is non-empty re-raises each entry as a
 :class:`~repro.sim.engine.ReportTruncationWarning`, and an error frame
@@ -54,7 +60,7 @@ from repro.service.protocol import (
 )
 from repro.service.transport import ChannelClosed, FrameChannel
 from repro.sim.backends import ReportTruncationWarning
-from repro.sim.reports import Report
+from repro.sim.reports import ReportBatch
 
 
 class RemoteError(ReproError):
@@ -107,7 +113,7 @@ class RetryPolicy:
 class RemoteScanResult:
     """One remote scan's outcome (the wire view of ``ServiceResult``)."""
 
-    reports: list[Report]
+    reports: ReportBatch
     num_reports: int
     truncated: bool
     bytes_scanned: int
@@ -286,7 +292,7 @@ class RemoteSession:
         #: opened with ``hardware_ledger``
         self.ledger: dict | None = None
 
-    def _absorb(self, payload: dict) -> list[Report]:
+    def _absorb(self, payload: dict) -> ReportBatch:
         self.position = payload["position"]
         self.truncated = payload["truncated"]
         if "ledger" in payload:
@@ -299,7 +305,7 @@ class RemoteSession:
             self.ledger = payload["ledger"]
         return payload
 
-    def feed(self, chunk: bytes) -> list[Report]:
+    def feed(self, chunk: bytes) -> ReportBatch:
         """Send one chunk; return only the reports it produced."""
         return self._client._call(
             {"op": "feed", "session": self.name, "data": encode_data(chunk)},

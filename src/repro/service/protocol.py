@@ -5,8 +5,20 @@ UTF-8 JSON object per line, terminated by ``\\n``.  Requests carry an
 ``id`` (echoed verbatim in the response so a pipelining client can
 match them up) and an ``op``; responses carry ``ok`` plus either the
 op's payload or ``error``/``code``.  Binary stream data travels as
-base64 (JSON has no bytes type), reports as compact ``[cycle,
-state_id, code]`` triples.
+base64 (JSON has no bytes type).  A response's reports are one
+columnar object, the shape of CAMA's output buffer (a state id and a
+cycle per entry, drained in bulk)::
+
+    {"n": 3, "cycle0": 17, "cycles": "<b64 <u4 deltas>",
+     "states": "<b64 <u4 state ids>", "codes": [[4, "r1"], [9, null]]}
+
+``cycles`` holds each report's cycle minus ``cycle0`` as a running
+delta (the first is 0), ``states`` the state ids, both little-endian
+``uint32``; ``codes`` maps each distinct state that fired to its report
+code.  A response with no reports carries :data:`EMPTY_WIRE_REPORTS`.
+:func:`encode_reports` writes it from a
+:class:`~repro.sim.reports.ReportBatch`'s arrays and
+:func:`decode_reports` reads it back into one.
 
 Frame reference (also in the README):
 
@@ -22,7 +34,8 @@ health     --                                            ``status``, ``uptime_s`
 register   ``kind`` ("regex"|"mnrl"), ``rules``|``text`` ``handle``, ``states``, ``cached``
 register-  ``data`` (b64 ``.npz`` compiled artifact —    ``handle``, ``states``, ``cached``,
 artifact   see :mod:`repro.compile.artifact`)            ``backend``
-scan       ``handle``, ``data`` (b64), ``chunk_size?``,  ``reports``, ``num_reports``,
+scan       ``handle``, ``data`` (b64), ``chunk_size?``,  ``reports`` (columnar),
+                                                         ``num_reports``,
            ``max_reports?``, ``on_truncation?``,         ``truncated``, ``bytes``,
            ``hardware_ledger?``, ``ledger_design?``,     ``elapsed_s``, ``backends``,
            ``trace?``                                    ``cached``, ``warnings``,
@@ -35,7 +48,8 @@ update     ``handle``, ``add?`` ({code: pattern} or      ``handle``, ``version``
            [pattern]), ``remove?`` ([code])              ``fingerprint``, ``states``,
                                                          ``reused_components``,
                                                          ``compiled_components``
-feed       ``session``, ``data`` (b64)                   ``reports``, ``position``,
+feed       ``session``, ``data`` (b64)                   ``reports`` (columnar),
+                                                         ``position``,
                                                          ``truncated``, ``warnings``,
                                                          ``ledger?``, ``state?``
 close      ``session``                                   ``num_reports``, ``cycles``,
@@ -60,7 +74,13 @@ version-incompatible compiled artifact), ``unknown-op``,
 when the quota is a rate), ``unavailable`` (no live node can serve the
 request; cluster router only), ``internal``.
 
-Cluster-mode additions (all backwards-compatible within version 2; see
+Version 3 changed the ``reports`` field from a list of ``[cycle,
+state_id, code]`` triples to the columnar object above.  Peers of
+different versions refuse each other: a client handed a triple list
+raises :class:`ProtocolError`, and a cluster router treats a node whose
+``health`` advertises another version as unavailable.
+
+Cluster-mode additions (made within version 2; see
 :mod:`repro.cluster`):
 
 * ``health`` — a light liveness/inventory probe (uptime, ruleset
@@ -120,17 +140,19 @@ from __future__ import annotations
 import base64
 import json
 
+import numpy as np
+
 from repro.api.config import ScanConfig
 from repro.errors import ConfigError, ReproError
-from repro.sim.reports import Report, ReportBatch
+from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 
-#: protocol version advertised by ``ping`` (2: ``register_artifact``;
-#: still 2 after the optional ``config`` request field and the
-#: ``config_digest`` response field, and still 2 after the observability
-#: additions — the ``metrics`` op, stats-frame v2 fields, and the
-#: optional ``ledger``/``trace_id`` response fields — all of which are
-#: backwards-compatible additions a v2 peer simply omits/ignores)
-PROTOCOL_VERSION = 2
+#: protocol version advertised by ``ping`` and ``health`` (2:
+#: ``register_artifact``, then backwards-compatible additions — the
+#: ``config`` request field, ``config_digest``, the ``metrics`` op, the
+#: stats-frame v2 fields, ``ledger``/``trace_id``; 3: columnar
+#: ``reports`` objects replace the ``[cycle, state_id, code]`` triples,
+#: which no v2 peer can read)
+PROTOCOL_VERSION = 3
 
 #: the :class:`~repro.api.config.ScanConfig` fields a request frame may
 #: override per scan/session; the rest (sharding, workers, caching) are
@@ -227,20 +249,157 @@ def decode_data(text: str) -> bytes:
         ) from exc
 
 
-def encode_reports(reports: ReportBatch) -> list[list]:
-    """Reports -> compact ``[cycle, state_id, code]`` wire triples, read
-    straight from the batch's arrays (no :class:`Report` is built)."""
+#: the ``reports`` value of every response that recorded nothing: one
+#: shared constant (never mutate it), so a quiet response costs no
+#: numpy or base64 call on either end
+EMPTY_WIRE_REPORTS = {
+    "n": 0,
+    "cycle0": 0,
+    "cycles": "",
+    "states": "",
+    "codes": [],
+}
+
+_U4 = np.dtype("<u4")
+_U4_MAX = 0xFFFFFFFF
+_U4_ZERO = bytes(4)
+_I8_MAX = 2**63 - 1
+#: state ids below this are checked against ``codes`` by table lookup
+_TABLE_IDS = 1 << 20
+
+
+def encode_reports(reports: ReportBatch) -> dict:
+    """A batch -> its columnar ``reports`` wire object.
+
+    ``n`` reports; ``cycle0`` the first cycle; ``cycles`` and ``states``
+    base64 ``<u4`` arrays (cycles as running deltas from ``cycle0``, so
+    session offsets past 2**32 travel as one JSON int); ``codes`` the
+    ``[state_id, code]`` pairs of the distinct states that fired, in
+    state-id order.  ``reports.codes`` must be indexable by state id
+    (the ruleset's per-state table).  Cycles must be non-decreasing,
+    as every kernel and merge emits them.
+    """
+    if not len(reports):
+        return EMPTY_WIRE_REPORTS
+    cycles, states = reports.cycles, reports.state_ids
+    cycle0 = int(cycles[0])
+    steps = cycles[1:] - cycles[:-1]
+    if steps.min(initial=0) < 0 or int(cycles[-1]) - cycle0 > _U4_MAX:
+        raise ValueError(
+            "report cycles must be non-decreasing and span < 2**32"
+        )
+    fired = np.flatnonzero(np.bincount(states)).tolist()
     codes = reports.codes
-    cycles, states = reports.cycles.tolist(), reports.state_ids.tolist()
-    return [[c, s, codes[s]] for c, s in zip(cycles, states)]
+    return {
+        "n": len(states),
+        "cycle0": cycle0,
+        "cycles": encode_data(_U4_ZERO + steps.astype(_U4).tobytes()),
+        "states": encode_data(states.astype(_U4).tobytes()),
+        "codes": [[state, codes[state]] for state in fired],
+    }
 
 
-def decode_reports(triples: list[list]) -> list[Report]:
-    """Wire triples -> :class:`Report` records."""
-    return [
-        Report(cycle=int(c), state_id=int(s), code=code)
-        for c, s, code in triples
-    ]
+def decode_reports(value) -> ReportBatch:
+    """A ``reports`` wire object -> :class:`ReportBatch` (arrays, no
+    :class:`Report` objects; ``codes`` becomes a ``{state_id: code}``
+    map).
+
+    Anything malformed — wrong types, bad base64, array lengths that
+    disagree with ``n``, a negative ``cycle0``, a state id missing from
+    ``codes``, or a protocol-version-2 triple list — raises
+    :class:`ProtocolError` (code ``bad-frame``).
+    """
+    if value == EMPTY_WIRE_REPORTS:
+        return EMPTY_REPORTS
+    n = report_count(value)
+    cycle0 = _wire_int(value, "cycle0")
+    deltas = _u4_array(value, "cycles", n)
+    states = _u4_array(value, "states", n)
+    codes = _code_map(value.get("codes"))
+    if not n:
+        return EMPTY_REPORTS
+    if deltas[0]:
+        raise ProtocolError("reports: cycles must start at cycle0")
+    offsets = deltas.astype(np.int64).cumsum()
+    if cycle0 + int(offsets[-1]) > _I8_MAX:
+        raise ProtocolError("reports: cycles overflow int64")
+    if not _all_coded(states, codes):
+        raise ProtocolError("reports: a state id is missing from codes")
+    return ReportBatch(offsets + cycle0, states.astype(np.int64), codes)
+
+
+def _all_coded(states: np.ndarray, codes: dict) -> bool:
+    """Whether every fired state has a ``codes`` entry: one lookup in a
+    bool table up to the largest id, or ``np.isin`` past
+    :data:`_TABLE_IDS` (a hostile id must not size an allocation)."""
+    top = int(states.max())
+    if top >= _TABLE_IDS:
+        return bool(np.isin(states, list(codes)).all())
+    known = np.zeros(top + 1, dtype=np.bool_)
+    known[[state for state in codes if state <= top]] = True
+    return bool(known.take(states).all())
+
+
+def report_count(value) -> int:
+    """The validated ``n`` of a ``reports`` wire object — what a proxy
+    counts without decoding the arrays."""
+    if isinstance(value, list):
+        raise ProtocolError(
+            "reports arrived as protocol version 2 [cycle, state_id, code] "
+            f"triples; this peer speaks protocol version {PROTOCOL_VERSION}"
+        )
+    if not isinstance(value, dict):
+        raise ProtocolError(
+            f"reports must be a JSON object, got {type(value).__name__}"
+        )
+    return _wire_int(value, "n")
+
+
+def _wire_int(value: dict, key: str) -> int:
+    number = value.get(key)
+    if type(number) is not int or not 0 <= number <= _I8_MAX:
+        raise ProtocolError(
+            f"reports: {key!r} must be an int in [0, 2**63), got {number!r}"
+        )
+    return number
+
+
+def _u4_array(value: dict, key: str, n: int) -> np.ndarray:
+    text = value.get(key)
+    if not isinstance(text, str):
+        raise ProtocolError(f"reports: {key!r} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ProtocolError(f"reports: {key!r} is not valid base64") from exc
+    if len(raw) != 4 * n:
+        raise ProtocolError(
+            f"reports: {key!r} holds {len(raw)} bytes, expected {4 * n} "
+            f"(n={n} <u4 values)"
+        )
+    return np.frombuffer(raw, dtype=_U4)
+
+
+def _code_map(pairs) -> dict:
+    if not isinstance(pairs, list):
+        raise ProtocolError("reports: 'codes' must be a list of pairs")
+    codes: dict = {}
+    for pair in pairs:
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or type(pair[0]) is not int
+            or not 0 <= pair[0] <= _U4_MAX
+            or not (pair[1] is None or isinstance(pair[1], str))
+        ):
+            raise ProtocolError(
+                f"reports: a codes entry must be [state_id, code], "
+                f"got {pair!r}"
+            )
+        codes[pair[0]] = pair[1]
+    if len(codes) != len(pairs):
+        raise ProtocolError("reports: a state id appears twice in codes")
+    return codes
 
 
 def automaton_from_frame(frame: dict):

@@ -39,10 +39,12 @@ class ReportBatch(Sequence):
     Report ``i`` is ``state_ids[i]`` firing at stream offset
     ``cycles[i]``, with code ``codes[state_ids[i]]`` — ``codes`` is the
     ruleset's per-state report-code table, held by reference, never
-    copied per report.  Kernels emit batches ordered by ``(cycle,
-    state_id)``.  As a ``Sequence[Report]`` a batch supports ``len``,
-    indexing (a :class:`Report`), slicing (a batch), iteration and
-    ``==`` against any sequence of reports.
+    copied per report (a batch decoded off the wire holds a
+    ``{state_id: code}`` map of just the states that fired).  Kernels
+    emit batches ordered by ``(cycle, state_id)``.  As a
+    ``Sequence[Report]`` a batch supports ``len``, indexing (a
+    :class:`Report`), slicing (a batch), iteration and ``==`` against
+    any sequence of reports.
     """
 
     cycles: np.ndarray

@@ -50,7 +50,12 @@ from repro.service import (
     RemoteError,
     RetryPolicy,
 )
-from repro.service.protocol import encode_data
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    decode_reports,
+    encode_data,
+)
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -511,6 +516,80 @@ class TestOverlongNodeResponse:
         assert stats["failovers"] == 0
 
 
+class _V2Node:
+    """A stub of a protocol-version-2 node: ``health`` advertises
+    version 2 and ``scan`` answers with the v2 report triples."""
+
+    def __init__(self):
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            threading.Thread(
+                target=self._answer, args=(conn,), daemon=True
+            ).start()
+
+    @staticmethod
+    def _answer(conn):
+        with conn, conn.makefile("rb") as lines:
+            for line in lines:
+                frame = json.loads(line)
+                reply = {"id": frame["id"], "ok": True}
+                if frame["op"] == "health":
+                    reply.update(status="ok", version=2)
+                else:
+                    reply.update(
+                        reports=[[3, 1, "r1"]], num_reports=1,
+                        truncated=False, bytes=4, elapsed_s=0.0,
+                        backends=["native"], cached=True, warnings=[],
+                    )  # fmt: skip
+                conn.sendall((json.dumps(reply) + "\n").encode())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._sock.close()
+
+
+class TestProtocolVersionMismatch:
+    def test_router_refuses_a_v2_node_on_hello(self, servers):
+        node = servers[0]
+        with _V2Node() as old, BackgroundRouter(
+            ClusterRouter(
+                [("127.0.0.1", node.port)],
+                replication=1,
+                health_interval_s=5.0,
+            )
+        ) as bg:
+            with RawConn(bg.port) as raw:
+                reply = raw.request(
+                    {"op": "hello", "host": "127.0.0.1", "port": old.port}
+                )
+            with MatchingClient(port=bg.port) as client:
+                stats = client.stats()
+        assert reply["ok"] is False
+        assert reply["code"] == "unavailable"
+        assert "version 2" in reply["error"]
+        assert "version 3" in reply["error"]
+        assert stats["nodes"][f"127.0.0.1:{old.port}"]["alive"] is False
+        assert stats["nodes"][f"127.0.0.1:{node.port}"]["alive"] is True
+
+    def test_client_refuses_v2_report_triples(self):
+        with _V2Node() as old, MatchingClient(port=old.port) as client:
+            with pytest.raises(ProtocolError) as err:
+                client.scan("0" * 16, b"abcd")
+        assert err.value.code == "bad-frame"
+        assert "version 2" in str(err.value)
+        assert "version 3" in str(err.value)
+
+
 class TestServerHealthOp:
     def test_health_fields(self, servers):
         server = servers[0]
@@ -522,7 +601,7 @@ class TestServerHealthOp:
         assert payload["rulesets"] >= 1
         assert isinstance(payload["ruleset_versions"], dict)
         assert payload["open_sessions"] == 0
-        assert payload["version"] >= 2
+        assert payload["version"] == PROTOCOL_VERSION
 
 
 class TestRouterQuotas:
@@ -641,7 +720,7 @@ class TestCheckpointResume:
             assert first["ok"]
             state = first["state"]
             assert isinstance(state, list) and state
-            reports = list(first["reports"])
+            reports = list(decode_reports(first["reports"]))
             a.request({"op": "close", "session": "mv"})
         with RawConn(servers[1].port) as b:
             resumed = b.request(
@@ -662,14 +741,14 @@ class TestCheckpointResume:
                 }
             )
             assert rest["ok"]
-            reports.extend(rest["reports"])
+            reports.extend(decode_reports(rest["reports"]))
             closed = b.request({"op": "close", "session": "mv2"})
         # feed positions are absolute stream offsets, but close counts
         # only the work done on *this* node — the router patches fleet
         # totals from its own bookkeeping after a failover
-        assert closed["num_reports"] == len(rest["reports"])
+        assert closed["num_reports"] == rest["reports"]["n"]
         assert closed["cycles"] == len(STREAM) - split
-        assert [tuple(r) for r in reports] == keys_of(offline.reports)
+        assert keys_of(reports) == keys_of(offline.reports)
 
     def test_feed_without_checkpoint_carries_no_state(self, servers):
         with MatchingClient(port=servers[0].port) as client:

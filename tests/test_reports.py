@@ -1,6 +1,6 @@
 """Columnar reports: the ReportBatch view, an oracle-differential matrix
-over every path that carries a batch, the zero-report path, and the
-served report bytes.
+over every path that carries a batch, the zero-report path, the served
+report bytes, and the wire codec (round trips and hostile payloads).
 
 A :class:`ReportBatch` rides from the kernel through ``Engine``,
 ``Dispatcher``, ``Session`` and ``MatchingService`` to the server's
@@ -10,13 +10,17 @@ chunk splits x recording caps, one stream dense enough that the native
 loop's 4096-entry report buffer pauses and resumes.
 """
 
+import base64
 import contextlib
 import json
 import pickle
 import socket
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import oracle_run
 from repro.api import ScanConfig
@@ -28,7 +32,17 @@ from repro.service import (
     MatchingClient,
     MatchingService,
 )
-from repro.service.protocol import encode_data, encode_frame
+from repro.service import protocol
+from repro.service.protocol import (
+    EMPTY_WIRE_REPORTS,
+    ProtocolError,
+    decode_frame,
+    decode_reports,
+    encode_data,
+    encode_frame,
+    encode_reports,
+    ok_frame,
+)
 from repro.service.sharding import iter_chunks
 from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
 from repro.sim.backends.native import native_available
@@ -427,15 +441,35 @@ def raw_requests(port):
             yield request
 
 
-def report_triples(reports):
-    """The wire's ``[cycle, state_id, code]`` triples, built from
-    :class:`Report` objects one by one."""
-    return [[r.cycle, r.state_id, r.code] for r in reports]
+def oracle_wire_reports(reports):
+    """The columnar ``reports`` object, built from :class:`Report`
+    objects one by one with ``struct`` (independent of the server's
+    numpy encoder): ``n``, ``cycle0``, base64 ``<u4`` cycle deltas and
+    state ids, and the ``[state_id, code]`` pairs in state-id order."""
+    cycle0 = reports[0].cycle if reports else 0
+    deltas, states, codes, previous = [], [], {}, cycle0
+    for report in reports:
+        deltas.append(report.cycle - previous)
+        previous = report.cycle
+        states.append(report.state_id)
+        codes[report.state_id] = report.code
+
+    def u4(values):
+        packed = struct.pack(f"<{len(values)}I", *values)
+        return base64.b64encode(packed).decode("ascii")
+
+    return {
+        "n": len(reports),
+        "cycle0": cycle0,
+        "cycles": u4(deltas),
+        "states": u4(states),
+        "codes": [[state, codes[state]] for state in sorted(codes)],
+    }
 
 
 def test_served_report_bytes_match_the_oracle():
     """Scan and feed frames carry exactly the bytes the oracle's reports
-    encode to: the same triples, in the same order, byte for byte."""
+    encode to: the same columns, in the same order, byte for byte."""
     tiny = compile_regex_set(TINY_RULES, name="tiny")
     data = benchmark_input(tiny, 8192, seed=5, injection_rate=0.05)
     oracle = oracle_run(tiny, data).reports
@@ -443,7 +477,7 @@ def test_served_report_bytes_match_the_oracle():
 
     def expected_line(line, reports):
         frame = json.loads(line)
-        return encode_frame(dict(frame, reports=report_triples(reports)))
+        return encode_frame(dict(frame, reports=oracle_wire_reports(reports)))
 
     with BackgroundServer(config=ScanConfig(backend="native")) as server:
         with raw_requests(server.port) as request:
@@ -458,3 +492,203 @@ def test_served_report_bytes_match_the_oracle():
                     r for r in oracle if offset <= r.cycle < offset + len(chunk)
                 ]
                 assert line == expected_line(line, fired)
+
+
+# -- the wire codec ----------------------------------------------------------
+
+
+def rows(reports):
+    return [(r.cycle, r.state_id, r.code) for r in reports]
+
+
+def code_table(num_states):
+    """A per-state code table with some code-less states."""
+    return tuple(None if i % 4 == 3 else f"c{i}" for i in range(num_states))
+
+
+@st.composite
+def report_batches(draw, min_size=0):
+    """Cycle-ordered batches over a 1-, 5- or 2627-state code table,
+    starting anywhere up to past 2**32."""
+    num_states = draw(st.sampled_from([1, 5, 2627]))
+    n = draw(st.integers(min_size, 120))
+    cycle0 = draw(st.sampled_from([0, 9, 2**32 - 1, 2**32, 2**40 + 3]))
+    gaps = draw(
+        st.lists(
+            st.one_of(st.integers(0, 2), st.integers(0, 1 << 20)),
+            min_size=max(n - 1, 0),
+            max_size=max(n - 1, 0),
+        )
+    )
+    states = draw(
+        st.lists(
+            st.integers(0, num_states - 1), min_size=n, max_size=n
+        )
+    )
+    cycles = cycle0 + np.cumsum([0] + gaps, dtype=np.int64)[:n]
+    return ReportBatch(
+        cycles, np.array(states, dtype=np.int64), code_table(num_states)
+    )
+
+
+def wire_round_trip(batch):
+    """``batch`` through the server's encoder, one framed response line
+    and the client's decoder."""
+    line = encode_frame(ok_frame(1, reports=encode_reports(batch)))
+    return decode_reports(decode_frame(line)["reports"])
+
+
+EDGE_BATCHES = {
+    "empty": EMPTY_REPORTS,
+    "one report": ReportBatch(
+        np.array([42], dtype=np.int64),
+        np.array([2], dtype=np.int64),
+        code_table(5),
+    ),
+    "past 2**32, widest delta": ReportBatch(
+        np.array([2**32 + 7, 2**32 + 7, 2**33 + 6], dtype=np.int64),
+        np.array([4, 0, 4], dtype=np.int64),
+        code_table(5),
+    ),
+    "every state of a 2627-state table": ReportBatch(
+        np.repeat(np.arange(3, dtype=np.int64), 2627),
+        np.tile(np.arange(2627, dtype=np.int64), 3),
+        code_table(2627),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_BATCHES)
+def test_wire_round_trip_of_edge_batches(name):
+    batch = EDGE_BATCHES[name]
+    decoded = wire_round_trip(batch)
+    assert isinstance(decoded, ReportBatch)
+    assert rows(decoded) == rows(batch)
+
+
+@settings(max_examples=120, deadline=None)
+@given(report_batches())
+def test_wire_round_trip_is_exact(batch):
+    wire = encode_reports(batch)
+    # the code table on the wire is the distinct states that fired,
+    # never the whole ruleset's
+    fired = sorted(set(batch.state_ids.tolist()))
+    assert [state for state, _ in wire["codes"]] == fired
+    decoded = wire_round_trip(batch)
+    assert rows(decoded) == rows(batch)
+    assert decoded.cycles.dtype == decoded.state_ids.dtype == np.int64
+
+
+def test_the_empty_batch_is_one_constant_both_ways(monkeypatch):
+    # neither end touches numpy or base64 for a quiet response
+    monkeypatch.setattr(protocol, "np", None)
+    monkeypatch.setattr(protocol, "base64", None)
+    assert encode_reports(EMPTY_REPORTS) is EMPTY_WIRE_REPORTS
+    line = encode_frame(ok_frame(1, reports=EMPTY_WIRE_REPORTS))
+    assert decode_reports(decode_frame(line)["reports"]) is EMPTY_REPORTS
+
+
+VALID = encode_reports(EDGE_BATCHES["past 2**32, widest delta"])
+
+HOSTILE = {
+    "not an object": "AAAA",
+    "null": None,
+    "a v2 empty triple list": [],
+    "v2 triples": [[3, 1, "r1"], [5, 2, None]],
+    "bad base64": dict(VALID, cycles="AAAA!AAA"),
+    "non-ascii base64": dict(VALID, states="AAAA\u00e9AAA"),
+    "byte length not a multiple of 4": dict(
+        VALID, n=1, cycles="AAAA", states=base64.b64encode(b"\0" * 5).decode()
+    ),
+    "arrays longer than n": dict(VALID, n=2),
+    "arrays shorter than n": dict(VALID, n=4),
+    "negative cycle0": dict(VALID, cycle0=-1),
+    "boolean n": dict(VALID, n=True),
+    "float cycle0": dict(VALID, cycle0=1.5),
+    "cycle0 past int64": dict(VALID, cycle0=2**63 - 2),
+    "missing n": {k: v for k, v in VALID.items() if k != "n"},
+    "state id missing from codes": dict(VALID, codes=[[0, "c0"]]),
+    "codes not a list": dict(VALID, codes={"0": "c0", "4": "c4"}),
+    "codes entry not a pair": dict(VALID, codes=[[0], [4, "c4"]]),
+    "codes entry with an int code": dict(VALID, codes=[[0, 1], [4, "c4"]]),
+    "codes entry with a string id": dict(
+        VALID, codes=[["0", "c0"], [4, None]]
+    ),
+    "duplicate codes entry": dict(
+        VALID, codes=[[0, "c0"], [4, "c4"], [4, "other"]]
+    ),
+    "a large state id missing from codes": dict(
+        VALID,
+        n=1,
+        cycles="AAAAAA==",
+        states=base64.b64encode(struct.pack("<I", 2**32 - 1)).decode(),
+        codes=[[4, "c4"]],
+    ),
+    "cycles not starting at cycle0": dict(
+        VALID, cycles=base64.b64encode(struct.pack("<3I", 1, 0, 0)).decode()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_report_payloads_raise_protocol_error(name):
+    with pytest.raises(ProtocolError) as err:
+        decode_reports(HOSTILE[name])
+    assert err.value.code == "bad-frame"
+
+
+def test_state_ids_past_any_table_decode():
+    # an id past the decoder's bool-table bound takes its np.isin path
+    reports = [Report(9, 2**20, None), Report(9, 2**32 - 1, "top")]
+    assert decode_reports(oracle_wire_reports(reports)) == reports
+
+
+def test_a_v2_triple_list_names_both_versions():
+    with pytest.raises(ProtocolError, match="version 2.*version 3"):
+        decode_reports(HOSTILE["v2 triples"])
+
+
+_JUNK = st.sampled_from([None, True, -1, 1.5, "x", "", {}, 2**64])
+
+
+def _mutations(wire, draw):
+    """One way of damaging (or harmlessly reshaping) ``wire``."""
+    key = draw(st.sampled_from(sorted(wire)))
+    text_key = draw(st.sampled_from(["cycles", "states"]))
+    text = wire[text_key]
+    cut = draw(st.integers(1, 4))
+    at = draw(st.integers(0, len(text)))
+    entry = draw(st.integers(0, len(wire["codes"]) - 1))
+    sid, code = wire["codes"][entry]
+    return [
+        {k: v for k, v in wire.items() if k != key},
+        dict(wire, **{key: draw(_JUNK)}),
+        dict(wire, n=wire["n"] + draw(st.sampled_from([-1, 1, -wire["n"]]))),
+        dict(wire, **{text_key: text[:-cut]}),
+        dict(wire, **{text_key: text + "AAAA"[:cut]}),
+        dict(wire, **{text_key: text[:at] + "*" + text[at:]}),
+        dict(wire, codes=wire["codes"][:entry] + wire["codes"][entry + 1 :]),
+        dict(wire, codes=wire["codes"] + [[sid, f"{code}-again"]]),
+        dict(wire, codes=[[sid, 7] if i == entry else p
+                          for i, p in enumerate(wire["codes"])]),  # fmt: skip
+        dict(wire, codes=[[str(sid), code] if i == entry else p
+                          for i, p in enumerate(wire["codes"])]),  # fmt: skip
+        # harmless: an unused code, an unknown field, reordered codes
+        dict(wire, codes=wire["codes"] + [[2**32 - 1, "unused"]]),
+        dict(wire, extra=[1, 2, 3]),
+        dict(wire, codes=wire["codes"][::-1]),
+        [wire],
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_batches(min_size=1), st.data())
+def test_mutated_payloads_fail_cleanly_or_decode_exactly(batch, data):
+    wire = json.loads(encode_frame(encode_reports(batch)))
+    mutated = data.draw(st.sampled_from(_mutations(wire, data.draw)))
+    try:
+        decoded = decode_reports(json.loads(encode_frame(mutated)))
+    except ProtocolError as exc:
+        assert exc.code == "bad-frame"
+    else:
+        assert rows(decoded) == rows(batch)

@@ -46,6 +46,7 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.service.transport import ChannelClosed, FrameChannel
+from repro.sim.reports import ReportBatch
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -307,9 +308,14 @@ VOLATILE = {"uptime_s", "elapsed_s", "throughput_mbps", "hit_rate"}
 
 
 def stable(value):
-    """``value`` with wall-clock fields dropped, recursively."""
+    """``value`` with wall-clock fields dropped, recursively; a report
+    batch compares as its ``(cycle, state_id, code)`` rows."""
+    if isinstance(value, ReportBatch):
+        return [(r.cycle, r.state_id, r.code) for r in value]
     if dataclasses.is_dataclass(value):
-        value = dataclasses.asdict(value)
+        value = {
+            f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+        }
     if isinstance(value, dict):
         return {k: stable(v) for k, v in value.items() if k not in VOLATILE}
     if isinstance(value, list):
