@@ -12,12 +12,15 @@ glue that *finds* those batches:
   take N (session, chunk) pairs that share a dispatcher, run one
   :meth:`~repro.service.sharding.Dispatcher.run_chunk_batch`, and
   absorb each per-stream result into its session.
-- :class:`BatchScheduler` — the asyncio half used by the NDJSON
-  server, work-conserving: a feed whose dispatcher has no batch in
-  flight runs at once (``immediate``); feeds arriving behind a running
-  batch accumulate and flush as one batched executor job the moment it
-  completes (``backlog``), sooner when the group fills (``rows_full``)
-  or the server drains (``drain``).  Nothing ever waits on a timer.
+- :class:`BatchScheduler` — the asyncio half, and the NDJSON server's
+  one feed path, work-conserving: a feed whose dispatcher has no batch
+  in flight runs at once (``immediate``): inline on the event loop
+  when the step is cheap (:meth:`~repro.service.session.Session.
+  steps_inline`), else as a one-row executor job; feeds arriving
+  behind a running batch accumulate and flush as one batched executor
+  job the moment it completes (``backlog``), sooner when the group
+  fills (``rows_full``) or the server drains (``drain``).  Nothing
+  ever waits on a timer.
 
 Batching never reorders a single stream (the server admits at most one
 in-flight chunk per session) and never changes results — every flush
@@ -74,12 +77,14 @@ class BatchScheduler:
 
     Owned by the asyncio server; must be used from its event loop.
     Work-conserving — batch while busy: ``submit`` runs a feed at once
-    when its dispatcher has no batch in flight and parks it behind a
-    running one; the parked group runs as one :func:`feed_session_batch`
-    job on ``executor`` the moment a batch of that dispatcher completes,
-    or as soon as it holds ``max_rows`` feeds.  Batch size follows load:
-    an idle server adds no wait, a busy one coalesces exactly the feeds
-    that would have queued anyway.
+    when its dispatcher has no batch in flight (on the loop itself when
+    the session :meth:`~repro.service.session.Session.steps_inline` it,
+    on ``executor`` otherwise) and parks it behind a running one; the
+    parked group runs as one :func:`feed_session_batch` job on
+    ``executor`` the moment a batch of that dispatcher completes, or as
+    soon as it holds ``max_rows`` feeds (``max_rows=1``: never
+    coalesce).  Batch size follows load: an idle server adds no wait, a
+    busy one coalesces exactly the feeds that would have queued anyway.
 
     A completing batch is the only thing that releases a parked group,
     so it does so unconditionally — before its outcome is looked at,
@@ -99,8 +104,19 @@ class BatchScheduler:
 
     async def submit(self, dispatcher, session, chunk) -> ReportBatch:
         """Queue one feed; resolves with the chunk's new reports."""
-        future = asyncio.get_running_loop().create_future()
+        # a lane lives exactly while a batch of its dispatcher runs
         lane = self._lanes.get(id(dispatcher))
+        if lane is None and session.steps_inline(chunk):
+            # idle dispatcher, cheap step: the hand-off to a worker and
+            # back would cost more than the step itself
+            self._count("immediate", [0.0])
+            [(reports, exc)] = feed_session_batch(
+                dispatcher, [(session, chunk)]
+            )
+            if exc is not None:
+                raise exc
+            return reports
+        future = asyncio.get_running_loop().create_future()
         if lane is None:
             lane = self._lanes[id(dispatcher)] = _Lane(dispatcher)
         lane.entries.append((session, chunk))
@@ -125,6 +141,8 @@ class BatchScheduler:
 
     def stats(self) -> dict:
         """Plain-dict counters for the server's ``stats`` frame."""
+        if self._max_rows == 1:
+            return {"enabled": False}
         return {
             "enabled": True,
             "batches": self.batches,
@@ -139,20 +157,26 @@ class BatchScheduler:
         entries, futures = lane.entries, lane.futures
         if not entries:
             return
-        now, wait = time.perf_counter(), _BATCH_WAIT.labels()
-        for since in lane.submitted:
-            wait.observe(now - since)
+        now = time.perf_counter()
+        self._count(reason, [now - since for since in lane.submitted])
         lane.entries, lane.futures, lane.submitted = [], [], []
         lane.running += 1
-        self.batches += 1
-        self.rows += len(entries)
-        self.flush_reasons[reason] += 1
-        _BATCH_ROWS.labels().observe(len(entries))
-        _BATCH_FLUSHES.labels(reason).inc()
         job = asyncio.get_running_loop().run_in_executor(
             self._executor, feed_session_batch, lane.dispatcher, entries
         )
         job.add_done_callback(partial(self._completed, lane, futures))
+
+    def _count(self, reason: str, waits: list) -> None:
+        """Account one flush of ``len(waits)`` rows, each parked for
+        its ``waits`` entry in seconds."""
+        self.batches += 1
+        self.rows += len(waits)
+        self.flush_reasons[reason] += 1
+        wait = _BATCH_WAIT.labels()
+        for seconds in waits:
+            wait.observe(seconds)
+        _BATCH_ROWS.labels().observe(len(waits))
+        _BATCH_FLUSHES.labels(reason).inc()
 
     def _completed(self, lane: _Lane, futures: list, done) -> None:
         # free the lane first: nothing else ever releases its backlog

@@ -10,11 +10,16 @@ cache plus sharded backends) serving many remote tenants.
 The listening side — connection loop, frame limits, in-flight
 backpressure, drain, error frames — is the shared
 :class:`~repro.service.transport.FrameServer`; this module supplies its
-op table.  The event loop only frames, parses and routes: every op that
-touches the service runs on the transport's thread pool, so shard
-fan-out and the sparse/bit-parallel kernels never block the loop, and
-``feed`` parks on the cross-connection
-:class:`~repro.service.batching.BatchScheduler` when batching is on.
+op table.  The event loop frames, parses and routes, and answers the
+light ops (``ping``, ``health``, ``stats``) itself.  Every ``feed``
+goes through the cross-connection
+:class:`~repro.service.batching.BatchScheduler`: a small chunk of a
+C-loop session whose ruleset is idle steps inline on the loop (the
+kernel work is shorter than a hand-off to a worker thread), every
+other feed runs on the transport's thread pool, coalesced with the
+feeds parked behind a running batch.  Every other op that touches the
+service runs on that pool too, so compiles, scans and the Python
+kernels never block the loop.
 
 Sessions opened over the network are scoped to their connection: two
 clients may both open a session called ``"s"``, and a dropped
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.api.config import ScanConfig
 from repro.errors import ArtifactError, ConfigError, ReproError
+from repro.service.batching import BatchScheduler
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_INFLIGHT,
@@ -103,7 +109,8 @@ class MatchingServer(FrameServer):
         host, port, max_frame_bytes, max_inflight, executor_workers,
             allow_shutdown: see
             :class:`~repro.service.transport.FrameServer`; the thread
-            pool is where all matching work runs.
+            pool is where scans, compiles and every feed the scheduler
+            does not step inline run.
     """
 
     def __init__(
@@ -130,7 +137,7 @@ class MatchingServer(FrameServer):
                 "scan": heavy(self._op_scan),
                 "scan_many": heavy(self._op_scan_many),
                 "open": heavy(self._op_open),
-                "feed": self._dispatch_feed,
+                "feed": self._op_feed,
                 "close": heavy(self._op_close),
             },
             host=host,
@@ -156,31 +163,20 @@ class MatchingServer(FrameServer):
         self._backend_stats: dict[str, _BackendStats] = {}
         # ops run on executor threads; guard their shared mutable state
         self._state_lock = threading.Lock()
-        # cross-connection feed coalescing (created in start(); None
-        # when ScanConfig.batch_max_rows disables batching)
-        self._batcher = None
+        # the one feed path: feeds from concurrent connections that
+        # arrive while their ruleset's kernel is busy coalesce into one
+        # batched step (batch_max_rows=1: never); per-connection order
+        # is untouched (one in-flight frame per connection)
+        self._batcher = BatchScheduler(
+            self._executor, max_rows=service.config.batch_max_rows
+        )
 
     # -- lifecycle --------------------------------------------------------
-    async def start(self) -> None:
-        cfg = self.service.config
-        if self._batcher is None and cfg.batch_max_rows > 1:
-            from repro.service.batching import BatchScheduler
-
-            # feeds from concurrent connections that arrive while their
-            # ruleset's kernel is busy coalesce into one batched step;
-            # per-connection ordering is untouched (one in-flight frame
-            # per connection)
-            self._batcher = BatchScheduler(
-                self._executor, max_rows=cfg.batch_max_rows
-            )
-        await super().start()
-
     async def drain(self) -> None:
-        if self._batcher is not None:
-            # flush what is parked and stop parking: feeds racing in
-            # behind the drain (frames already read off a socket) then
-            # run at once instead of queueing behind a running batch
-            self._batcher.close()
+        # flush what is parked and stop parking: feeds racing in behind
+        # the drain (frames already read off a socket) then run at once
+        # instead of queueing behind a running batch
+        self._batcher.close()
         await super().drain()
 
     async def stop(self) -> None:
@@ -207,14 +203,6 @@ class MatchingServer(FrameServer):
         """Table entry for an op that touches the service (payloads,
         compiles, or its lock): always the thread pool, never the loop."""
         return lambda conn, frame: self._offload(handler, conn, frame)
-
-    def _dispatch_feed(self, conn: Connection, frame: dict):
-        if self._batcher is not None:
-            # batched feeds go through the scheduler (event-loop side):
-            # straight to the executor when their ruleset is idle, parked
-            # and coalesced into one batched kernel step when it is busy
-            return self._op_feed_batched(conn, frame)
-        return self._offload(self._op_feed, conn, frame)
 
     # -- shared op plumbing ----------------------------------------------
     @staticmethod
@@ -453,19 +441,11 @@ class MatchingServer(FrameServer):
             payload["config_digest"] = digest
         return payload
 
-    def _op_feed(self, conn: Connection, frame: dict) -> dict:
-        record = conn.session(frame)
-        data = decode_data(frame.get("data", ""))
-        session = self.service.sessions[record.internal]
-        return self._feed_payload(record, session, session.feed(data))
-
-    async def _op_feed_batched(self, conn: Connection, frame: dict) -> dict:
-        """The batched ``feed`` path: park the chunk on the scheduler.
-
-        Identical wire behaviour to :meth:`_op_feed` — same payload,
-        same truncation policy — but the kernel step may advance many
-        sessions at once when other connections feed concurrently.
-        """
+    async def _op_feed(self, conn: Connection, frame: dict) -> dict:
+        """Step one chunk through the scheduler: inline on the loop
+        when its ruleset is idle and the step is cheap, else on the
+        thread pool, where it may advance with other connections'
+        feeds in one batched kernel step."""
         record = conn.session(frame)
         data = decode_data(frame.get("data", ""))
         session = self.service.sessions[record.internal]
@@ -552,9 +532,7 @@ class MatchingServer(FrameServer):
                 "metrics_enabled": _REGISTRY.enabled,
                 "hardware_ledger": self.service.config.hardware_ledger,
             },
-            "batching": self._batcher.stats()
-            if self._batcher is not None
-            else {"enabled": False},
+            "batching": self._batcher.stats(),
             "draining": self.draining,
         }
         totals = self.service.ledger_totals

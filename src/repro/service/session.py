@@ -31,6 +31,11 @@ _SESSION_FEED_BYTES = _REGISTRY.counter(
     "Input bytes consumed by streaming-session feeds",
 )
 
+#: the longest chunk :meth:`Session.steps_inline` calls cheap: the C
+#: loop runs Snort at ~21 ns/B, so 4 KiB is ~90 us of kernel work —
+#: less than the ~120 us a hand-off to a worker thread and back costs
+INLINE_FEED_BYTES = 4096
+
 
 class Session:
     """One resumable stream scanned against one dispatcher's shards.
@@ -74,12 +79,18 @@ class Session:
         #: called with the session the first time it closes (the owning
         #: MatchingService's release; None for a standalone session)
         self.on_close = None
+        # builds every shard engine: no feed of this session compiles
         self._states = dispatcher.initial_states()
         self._totals = StreamTotals(dispatcher.num_states)
         # resumable reference accounting (:class:`~repro.telemetry.
         # ledger.LedgerProbe`): fed the same chunks as the shards, so a
         # running hardware ledger is available at any chunk boundary
         self._ledger_probe = ledger_probe
+        # every shard is the C loop and nothing re-runs a chunk in
+        # Python (the probe runs the sparse kernel): see steps_inline
+        self._c_only = ledger_probe is None and all(
+            name == "native" for name in dispatcher.backend_names
+        )
 
     @property
     def max_reports(self) -> int:
@@ -117,6 +128,14 @@ class Session:
     def shard_states(self):
         """The live per-shard engine states (advanced in place by feeds)."""
         return self._states
+
+    def steps_inline(self, chunk: bytes) -> bool:
+        """Whether feeding ``chunk`` is cheap enough to run on the
+        caller's thread rather than a worker's: every shard engine is
+        the C loop, the session has no ledger probe, and the chunk is
+        at most :data:`INLINE_FEED_BYTES`.  The engines were built when
+        the session opened, so such a feed never compiles."""
+        return self._c_only and len(chunk) <= INLINE_FEED_BYTES
 
     def feed(self, chunk: bytes) -> ReportBatch:
         """Consume one chunk; return only the reports it recorded (a

@@ -31,9 +31,11 @@ lives here once; the endpoints built on it only say what their ops do.
 
 Concurrency model of a served connection:
 
-* the event loop only frames, parses and routes; a handler that does
-  real work returns an awaitable (:meth:`FrameServer._offload` hands a
-  blocking callable to the endpoint's thread pool);
+* the event loop frames, parses and routes; a handler that does real
+  work returns an awaitable (:meth:`FrameServer._offload` hands a
+  blocking callable to the endpoint's thread pool) — except a small
+  C-loop feed, which the matching server steps inline because the
+  step costs less than the hand-off (:mod:`repro.service.batching`);
 * frames of one connection execute strictly in order (chunk N+1 of a
   session cannot start before chunk N finishes), while different
   connections proceed in parallel;

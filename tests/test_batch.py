@@ -11,6 +11,7 @@ ticks, and shrinking kept-reports budgets.
 import asyncio
 import concurrent.futures
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,12 +19,23 @@ import pytest
 from repro.api.config import ScanConfig
 from repro.automata.glushkov import compile_regex_set
 from repro.errors import ConfigError, SimulationError
-from repro.service import Dispatcher, MatchingService
+from repro.service import (
+    BackgroundServer,
+    Dispatcher,
+    MatchingClient,
+    MatchingService,
+    RemoteError,
+    batching,
+    sharding,
+)
 from repro.service.batching import BatchScheduler, feed_session_batch
+from repro.service.session import INLINE_FEED_BYTES
 from repro.sim.backends import STATE_FORMAT_VERSION, BatchEngineState
 from repro.sim.backends.base import EngineState
+from repro.sim.backends.native import native_available
 from repro.sim.engine import Engine
 from repro.telemetry.metrics import default_registry
+from tests.oracle import oracle_run
 
 BACKENDS = ["sparse", "bitparallel", "native", "auto"]
 
@@ -833,6 +845,168 @@ def test_server_batched_feeds_match_unbatched():
     assert batched_stats["batching"]["enabled"] is True
     assert batched_stats["batching"]["rows"] >= len(streams)
     assert solo_stats["batching"] == {"enabled": False}
+
+
+# -- the inline feed path ---------------------------------------------------
+
+
+@pytest.fixture
+def feed_threads(monkeypatch):
+    """The thread that ran each served ``feed_session_batch`` call."""
+    threads = []
+    real = batching.feed_session_batch
+
+    def recording(dispatcher, entries):
+        threads.append(threading.current_thread())
+        return real(dispatcher, entries)
+
+    monkeypatch.setattr(batching, "feed_session_batch", recording)
+    return threads
+
+
+def _serve_one_feed(monkeypatch, config, chunk, **open_options):
+    """Feed ``chunk`` into a fresh session on a fresh server.  Returns
+    the reports, the server's loop thread, the executor jobs submitted
+    during the feed, and the ``batching`` block of the stats frame."""
+    submitted = []
+    with BackgroundServer(config=config, executor_workers=2) as bg:
+        executor = bg.server._executor
+        real_submit = executor.submit
+
+        def counting_submit(fn, *args, **kwargs):
+            submitted.append(fn)
+            return real_submit(fn, *args, **kwargs)
+
+        with MatchingClient(port=bg.port) as client:
+            handle = client.register(RULES)
+            session = client.open_session(handle, "s", **open_options)
+
+            def no_compile(*args, **kwargs):
+                raise AssertionError("a feed compiled a shard engine")
+
+            # open_session built the engines; no feed may build one
+            monkeypatch.setattr(sharding, "_build_engine", no_compile)
+            monkeypatch.setattr(executor, "submit", counting_submit)
+            reports = session.feed(chunk)
+            stats = client.stats()["batching"]
+        return _keys(reports), bg._thread, submitted, stats
+
+
+def _feed_chunk(size):
+    return (b"abcddx123zfoobarbaz q nd" * (size // 24 + 1))[:size]
+
+
+@pytest.mark.skipif(not native_available(), reason="needs the C loop")
+@pytest.mark.parametrize("batch_rows", [64, 1])
+def test_idle_native_feed_steps_inline_on_the_loop(
+    monkeypatch, feed_threads, batch_rows
+):
+    """A 512 B feed on a C-loop session whose ruleset is idle runs on
+    the event-loop thread and never reaches the executor; it still
+    counts as one 'immediate' flush of one row.  batch_max_rows=1
+    only turns coalescing off."""
+    chunk = _feed_chunk(512)
+    config = ScanConfig(backend="native", batch_max_rows=batch_rows)
+    reports, loop_thread, submitted, stats = _serve_one_feed(
+        monkeypatch, config, chunk
+    )
+    assert feed_threads == [loop_thread]
+    assert submitted == []
+    assert reports == _keys(oracle_run(_automaton(), chunk).reports)
+    if batch_rows == 1:
+        assert stats == {"enabled": False}
+    else:
+        assert stats["batches"] == stats["rows"] == 1
+        assert stats["flush_reasons"]["immediate"] == 1
+
+
+@pytest.mark.parametrize(
+    "config, size, open_options",
+    [
+        (ScanConfig(backend="native"), 512, {"hardware_ledger": True}),
+        (ScanConfig(backend="bitparallel"), 512, {}),
+        (ScanConfig(backend="sparse"), 512, {}),
+        (ScanConfig(), 512, {}),  # auto: sparse for these rules
+        (ScanConfig(backend="native"), INLINE_FEED_BYTES + 1, {}),
+    ],
+    ids=["ledgered", "bitparallel", "sparse", "auto", "4097B"],
+)
+def test_other_feeds_run_on_an_executor_thread(
+    monkeypatch, feed_threads, config, size, open_options
+):
+    """A ledger probe, a numpy or Python kernel, or a chunk past
+    INLINE_FEED_BYTES keeps the feed on the thread pool."""
+    chunk = _feed_chunk(size)
+    reports, loop_thread, submitted, stats = _serve_one_feed(
+        monkeypatch, config, chunk, **open_options
+    )
+    [thread] = feed_threads
+    assert thread is not loop_thread
+    assert thread.name.startswith("repro-server_")
+    assert len(submitted) == 1
+    assert reports == _keys(oracle_run(_automaton(), chunk).reports)
+    assert stats["flush_reasons"]["immediate"] == 1
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_inline_and_executor_feeds_match_the_oracle(seed):
+    """Random splits — 1-byte chunks, small ones, ~512 B and some past
+    INLINE_FEED_BYTES, so one stream crosses both paths on a native
+    server — give byte-identical reports on native and sparse servers,
+    equal to the naive oracle's."""
+    rng = random.Random(seed)
+    data = bytes(rng.choice(ALPHABET) for _ in range(12_000))
+    chunks = [data[i : i + 1] for i in range(48)]
+    start = len(chunks)
+    while start < len(data):
+        size = rng.choice(
+            [1, rng.randrange(2, 64), rng.randrange(400, 600), 4096, 4097]
+        )
+        chunks.append(data[start : start + size])
+        start += size
+    expected = _keys(oracle_run(_automaton(), data).reports)
+    for backend in ("native", "sparse"):
+        config = ScanConfig(backend=backend)
+        with BackgroundServer(config=config) as bg:
+            with MatchingClient(port=bg.port) as client:
+                session = client.open_session(client.register(RULES), "s")
+                got = [key for c in chunks for key in _keys(session.feed(c))]
+        assert got == expected, backend
+
+
+def test_inline_and_executor_feeds_fail_alike():
+    """A closed session and the strict report cap give the same error
+    frames whether the feed steps inline (native) or on the executor
+    (sparse); the strict stream stays usable afterwards."""
+    outcomes = {}
+    for backend in ("native", "sparse"):
+        with BackgroundServer(config=ScanConfig(backend=backend)) as bg:
+            with MatchingClient(port=bg.port) as client:
+                handle = client.register(RULES)
+                strict = client.open_session(
+                    handle, "strict", max_reports=2, on_truncation="error"
+                )
+                with pytest.raises(SimulationError) as truncated:
+                    strict.feed(_feed_chunk(512))
+                after = _keys(strict.feed(b"abcddx"))
+                gone = client.open_session(handle, "gone")
+                # closed under the connection's feet: the scheduler's
+                # own closed-session check answers, not the lookup
+                [served] = [
+                    s
+                    for name, s in bg.server.service.sessions.items()
+                    if name.endswith("/gone")
+                ]
+                served.closed = True
+                with pytest.raises(RemoteError) as closed:
+                    gone.feed(b"abc")
+        outcomes[backend] = [
+            (type(e.value), str(e.value), getattr(e.value, "code", None))
+            for e in (truncated, closed)
+        ] + [after, strict.position]
+    assert outcomes["native"] == outcomes["sparse"]
+    assert "kept-reports cap" in outcomes["native"][0][1]
+    assert "closed" in outcomes["native"][1][1]
 
 
 # -- config syntax ---------------------------------------------------------

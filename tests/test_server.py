@@ -11,6 +11,7 @@ and drain are in ``tests/test_transport.py``.)
 
 import asyncio
 import threading
+import time
 import warnings
 
 import pytest
@@ -24,6 +25,7 @@ from repro.service import (
     MatchingClient,
     MatchingService,
     RemoteError,
+    batching,
 )
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.sim.engine import Engine, ReportTruncationWarning
@@ -645,6 +647,51 @@ class TestCacheCounters:
                 any(ref() is not None for ref in refs) for refs in engines
             ]
             assert reachable == [True, False, False, True]
+
+
+class TestLoopLiveness:
+    def test_ping_and_health_answer_while_every_worker_is_busy(
+        self, monkeypatch
+    ):
+        """``ping`` and ``health`` run on the loop: they answer while a
+        feed holds the only executor thread.  The held feed runs the
+        Python sparse kernel, which must never step inline — a scheduler
+        that ran slow kernels on the loop would stall both here."""
+        started, gate = threading.Event(), threading.Event()
+        real = batching.feed_session_batch
+
+        def held(dispatcher, entries):
+            started.set()
+            assert gate.wait(30)
+            return real(dispatcher, entries)
+
+        monkeypatch.setattr(batching, "feed_session_batch", held)
+        errors = []
+        config = ScanConfig(backend="sparse")
+        with ServerHarness(config=config, executor_workers=1) as harness:
+
+            def feed():
+                try:
+                    with harness.client() as client:
+                        handle = client.register(RULES)
+                        client.open_session(handle, "held").feed(STREAM[:512])
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            feeding = threading.Thread(target=feed)
+            feeding.start()
+            try:
+                assert started.wait(30)
+                with harness.client(timeout=5) as client:
+                    for call in (client.ping, client.health):
+                        begin = time.perf_counter()
+                        call()
+                        assert time.perf_counter() - begin < 1.0, call
+            finally:
+                gate.set()
+                feeding.join(30)
+        assert not feeding.is_alive()
+        assert not errors, errors
 
 
 class TestConcurrentClients:
