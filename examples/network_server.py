@@ -16,7 +16,7 @@ Shown here:
 
 1. register — rules ship as regexes (or MNRL / an Automaton); the
    server fingerprints, compiles, shards and caches them once;
-2. one-shot scans — base64 payloads in, columnar reports out (a
+2. one-shot scans — raw bytes in, columnar reports out (a
    ``ReportBatch``), byte-identical to an in-process ``Engine.run``;
 3. streaming sessions — chunks arrive as frames, reports come back
    with stream-absolute offsets, even across chunk boundaries;

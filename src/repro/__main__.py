@@ -472,7 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     p_scan.set_defaults(fn=cmd_scan)
 
     p_serve = sub.add_parser(
-        "serve", help="run the network matching server (NDJSON over TCP)"
+        "serve",
+        help="run the network matching server (protocol v4: length-"
+        "prefixed frames with raw attachments, over TCP)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(

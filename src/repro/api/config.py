@@ -1,7 +1,7 @@
 """Typed configuration objects: the single source of option validation.
 
 Four PRs grew four parallel entry points — ``Engine``/``CamaMachine``,
-:class:`~repro.service.service.MatchingService`, the NDJSON server, and
+:class:`~repro.service.service.MatchingService`, the network server, and
 the ``repro.compile`` pipeline — each re-declaring the same knobs as
 loose keyword arguments.  This module collapses them into two frozen
 dataclasses:

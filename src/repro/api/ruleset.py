@@ -363,7 +363,7 @@ class RulesetHandle:
         background: bool = False,
         **server_kwargs,
     ):
-        """Serve this handle's service over TCP (NDJSON frames).
+        """Serve this handle's service over TCP (length-prefixed frames).
 
         The ruleset is preloaded server-side, so remote clients can
         ``scan`` against :attr:`fingerprint` without registering first.

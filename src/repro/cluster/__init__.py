@@ -12,7 +12,7 @@ across many :class:`~repro.service.server.MatchingServer` *processes*:
   ``over-quota`` rejections;
 - :mod:`~repro.cluster.nodes` — raw frame channels and the fleet
   membership pool the router drives;
-- :mod:`~repro.cluster.router` — the NDJSON proxy clients talk to:
+- :mod:`~repro.cluster.router` — the frame proxy clients talk to:
   single-compile fleet registration through the shared artifact store,
   round-robin scan spreading, and checkpoint-replay failover that
   resumes a mid-stream session byte-identically on a replica;

@@ -41,7 +41,7 @@ class NodeError(ReproError):
 
 
 class NodeChannel(FrameChannel):
-    """One raw NDJSON request/response connection to a node.
+    """One raw request/response frame connection to a node.
 
     The channel assigns its own frame ids and strips them from
     responses — the router re-stamps the client's id.
@@ -70,8 +70,8 @@ class NodeChannel(FrameChannel):
         round-trips exceeding ``timeout_s`` (the channel's default when
         None) close the channel and raise :class:`NodeError` — a hung
         node must look exactly like a dead one to the failover path.
-        A response line over ``max_frame_bytes`` is not one of them: the
-        node answered, so it surfaces as the channel's
+        A response frame over ``max_frame_bytes`` is not one of them:
+        the node answered, so it surfaces as the channel's
         ``frame-too-large`` :class:`ProtocolError` (and only this one
         connection is dropped).
         """
@@ -185,9 +185,10 @@ class NodePool:
         """Probe one node; returns its health payload or None (dead).
 
         A node that answers with another ``version`` than
-        :data:`~repro.service.protocol.PROTOCOL_VERSION` counts as dead
-        too — its frames would not parse — and ``handle.refusal`` says
-        why, naming both versions.
+        :data:`~repro.service.protocol.PROTOCOL_VERSION`, or that does
+        not answer in frames at all (a version-3 node's JSON line),
+        counts as dead too, and ``handle.refusal`` says why, naming
+        both versions.
 
         ``timeout_s`` overrides the probe channel's default — liveness
         probes can afford a much shorter budget than proxied work, so a
@@ -198,7 +199,10 @@ class NodePool:
             response = await handle.probe.request(
                 {"op": "health"}, timeout_s=timeout_s
             )
-        except (NodeError, ProtocolError):
+        except NodeError:
+            return None
+        except ProtocolError as exc:
+            handle.refusal = f"node {handle.name}: {exc}"
             return None
         if not response.get("ok"):
             return None

@@ -1,4 +1,4 @@
-"""The cluster router: one NDJSON endpoint fronting a fleet of nodes.
+"""The cluster router: one frame endpoint fronting a fleet of nodes.
 
 Clients speak the ordinary service protocol
 (:mod:`repro.service.protocol`) to the router exactly as they would to
@@ -56,6 +56,7 @@ from repro.service.protocol import (
     ProtocolError,
     artifact_from_frame,
     automaton_from_frame,
+    decode_data,
     report_count,
 )
 from repro.service.transport import Background, Connection, FrameServer
@@ -83,11 +84,6 @@ _ROUTER_QUOTA_REJECTIONS = _REGISTRY.counter(
 
 #: tenant frames without an explicit id are billed to this shared pool
 DEFAULT_TENANT = "default"
-
-
-def _approx_decoded_bytes(encoded: str) -> int:
-    """Size of a base64 payload once decoded (close enough for quota)."""
-    return (len(encoded) * 3) // 4
 
 
 @dataclass
@@ -559,13 +555,13 @@ class ClusterRouter(FrameServer):
         """``scan`` and ``scan_many``: admit the payload bytes, then
         forward (idempotent, so retried across alive replicas)."""
         if self.quotas is not None:
-            payloads = [frame.get("data", "")]
+            payloads = [frame.get("data", b"")]
             streams = frame.get("streams")
             if isinstance(streams, dict):
                 payloads += streams.values()
             self.quotas.admit_request_bytes(
                 self._tenant(frame),
-                sum(_approx_decoded_bytes(str(data)) for data in payloads),
+                sum(len(decode_data(data)) for data in payloads),
             )
         fleet = self._fleet_ruleset(frame)
         return (await self._forward_any(conn, fleet, frame))[1]
@@ -629,8 +625,7 @@ class ClusterRouter(FrameServer):
         record = conn.session(frame)
         if self.quotas is not None:
             self.quotas.admit_request_bytes(
-                record.tenant,
-                _approx_decoded_bytes(str(frame.get("data", ""))),
+                record.tenant, len(decode_data(frame.get("data", b"")))
             )
         try:
             response = await self._forward(conn, record.node, frame)

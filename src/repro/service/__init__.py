@@ -53,9 +53,11 @@ Architecture (bottom-up)::
                                       body: resolve once, one
                                       Dispatcher.scan_many, one trace)
 
-    protocol / server / client        the network face: newline-delimited
-                                      JSON frames over TCP, reports as
-                                      one columnar object per result
+    protocol / server / client        the network face: length-prefixed
+                                      frames over TCP (a JSON header,
+                                      stream bytes and report arrays as
+                                      raw attachments), reports as one
+                                      columnar object per result
                                       (decoded to a ReportBatch); an asyncio
                                       MatchingServer with per-connection
                                       backpressure, graceful drain, and

@@ -12,7 +12,7 @@ glue that *finds* those batches:
   take N (session, chunk) pairs that share a dispatcher, run one
   :meth:`~repro.service.sharding.Dispatcher.run_chunk_batch`, and
   absorb each per-stream result into its session.
-- :class:`BatchScheduler` — the asyncio half, and the NDJSON server's
+- :class:`BatchScheduler` — the asyncio half, and the network server's
   one feed path, work-conserving: a feed whose dispatcher has no batch
   in flight runs at once (``immediate``): inline on the event loop
   when the step is cheap (:meth:`~repro.service.session.Session.

@@ -52,11 +52,13 @@ from repro.errors import ConfigError, ReproError, SimulationError
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     IDEMPOTENT_OPS,
+    PREFIX_BYTES,
     ProtocolError,
-    decode_frame,
+    decode_frame_body,
     decode_reports,
     encode_data,
     encode_frame,
+    frame_body_bytes,
 )
 from repro.service.transport import ChannelClosed, FrameChannel
 from repro.sim.backends import ReportTruncationWarning
@@ -579,26 +581,32 @@ class MatchingClient(_ServiceSurface):
                 wire = self._wire(frame)
                 sent = True  # from here the server may have seen it
                 self._sock.sendall(encode_frame(wire))
-                line = self._file.readline(self.max_frame_bytes + 1)
-                if not line:
-                    raise ChannelClosed("connection closed by server")
-                if len(line) > self.max_frame_bytes:
-                    # a partial line was consumed; the stream can no
-                    # longer be framed, so drop the connection rather
-                    # than desync it
-                    self.close()
-                    raise ProtocolError(
-                        f"response exceeds max_frame_bytes "
-                        f"({self.max_frame_bytes})",
-                        code="frame-too-large",
-                    )
-                return _checked(decode_frame(line), wire["id"])
+                return _checked(self._read_frame(), wire["id"])
             except OSError as exc:
                 self.close()
                 time.sleep(
                     self._retry_delay(exc, frame.get("op"), attempt, sent)
                 )
                 attempt += 1
+
+    def _read_frame(self) -> dict:
+        """Read one response frame, checking its prefix before the body
+        (:func:`~repro.service.protocol.frame_body_bytes`).  A response
+        that cannot be read whole — not a frame, over
+        ``max_frame_bytes``, a bad header — drops the connection rather
+        than desync it."""
+        prefix = self._file.read(PREFIX_BYTES)
+        if len(prefix) < PREFIX_BYTES and prefix[:1] != b"{":
+            raise ChannelClosed("connection closed by server")
+        try:
+            size = frame_body_bytes(prefix, self.max_frame_bytes)
+            body = self._file.read(size)
+            if len(body) < size:
+                raise ChannelClosed("connection closed by server mid-frame")
+            return decode_frame_body(prefix, body)
+        except ProtocolError:
+            self.close()
+            raise
 
 
 class AsyncMatchingClient(_ServiceSurface):

@@ -1,22 +1,41 @@
 """Wire protocol of the network matching service.
 
-The server and both clients speak *newline-delimited JSON frames*: one
-UTF-8 JSON object per line, terminated by ``\\n``.  Requests carry an
-``id`` (echoed verbatim in the response so a pipelining client can
-match them up) and an ``op``; responses carry ``ok`` plus either the
-op's payload or ``error``/``code``.  Binary stream data travels as
-base64 (JSON has no bytes type).  A response's reports are one
-columnar object, the shape of CAMA's output buffer (a state id and a
-cycle per entry, drained in bulk)::
+The server, the router and both clients speak *length-prefixed frames*
+(protocol version 4).  A frame is three parts::
 
-    {"n": 3, "cycle0": 17, "cycles": "<b64 <u4 deltas>",
-     "states": "<b64 <u4 state ids>", "codes": [[4, "r1"], [9, null]]}
+    prefix    14 bytes: magic 0xCA, attachment count, header bytes,
+              attachment bytes (three little-endian uint32), then "\n"
+    header    one UTF-8 JSON object
+    body      the attachments, raw, back to back
+
+Any bytes-like value (``bytes``, ``bytearray``, ``memoryview``) in a
+frame dict, at any depth, travels as an *attachment*: the header holds
+``{"$bytes": <length>}`` in its place, and the attachments follow the
+header in the order the header names them.  The reader knows a frame's
+full size from the prefix before it reads any of the rest, so
+``max_frame_bytes`` bounds memory before a body is read.  Decoding
+hands attachments back as ``memoryview`` slices of the received frame
+(no copy).  A header dict that merely looks like a reference (its only
+key ``$bytes``, an int value) makes the reference count disagree with
+the prefix, so such a frame fails as ``bad-frame`` rather than being
+rewritten.  The magic byte is not ``{``: a version-3 peer's
+newline-delimited JSON is recognized on its first byte and refused, and
+the prefix ends in ``\n`` so a version-3 reader answers it at once.
+
+Requests carry an ``id`` (echoed verbatim in the response so a
+pipelining client can match them up) and an ``op``; responses carry
+``ok`` plus either the op's payload or ``error``/``code``.  A
+response's reports are one columnar object, the shape of CAMA's output
+buffer (a state id and a cycle per entry, drained in bulk)::
+
+    {"n": 3, "cycle0": 17, "cycles": <attachment: <u4 deltas>,
+     "states": <attachment: <u4 state ids>, "codes": [[4, "r1"], [9, null]]}
 
 ``cycles`` holds each report's cycle minus ``cycle0`` as a running
 delta (the first is 0), ``states`` the state ids, both little-endian
 ``uint32``; ``codes`` maps each distinct state that fired to its report
-code.  A response with no reports carries :data:`EMPTY_WIRE_REPORTS`.
-:func:`encode_reports` writes it from a
+code.  A response with no reports carries :data:`EMPTY_WIRE_REPORTS`
+(no attachments).  :func:`encode_reports` writes it from a
 :class:`~repro.sim.reports.ReportBatch`'s arrays and
 :func:`decode_reports` reads it back into one.
 
@@ -32,15 +51,16 @@ health     --                                            ``status``, ``uptime_s`
                                                          ``open_sessions``,
                                                          ``inflight``, ``connections``
 register   ``kind`` ("regex"|"mnrl"), ``rules``|``text`` ``handle``, ``states``, ``cached``
-register-  ``data`` (b64 ``.npz`` compiled artifact —    ``handle``, ``states``, ``cached``,
-artifact   see :mod:`repro.compile.artifact`)            ``backend``
-scan       ``handle``, ``data`` (b64), ``chunk_size?``,  ``reports`` (columnar),
-                                                         ``num_reports``,
+register-  ``data`` (attachment: ``.npz`` compiled       ``handle``, ``states``, ``cached``,
+artifact   artifact, see :mod:`repro.compile.artifact`)  ``backend``
+scan       ``handle``, ``data`` (attachment),            ``reports`` (columnar),
+           ``chunk_size?``,                              ``num_reports``,
            ``max_reports?``, ``on_truncation?``,         ``truncated``, ``bytes``,
            ``hardware_ledger?``, ``ledger_design?``,     ``elapsed_s``, ``backends``,
            ``trace?``                                    ``cached``, ``warnings``,
                                                          ``ledger?``, ``trace_id?``
-scan_many  ``handle``, ``streams`` ({name: b64}), ...    ``results`` ({name: scan payload})
+scan_many  ``handle``, ``streams`` ({name:               ``results`` ({name: scan payload})
+           attachment}), ...
 open       ``handle``, ``session``, ``max_reports?``,    ``session``, ``version?``
            ``on_truncation?``, ``checkpoint?``,
            ``state?`` (handoff resume)
@@ -48,7 +68,7 @@ update     ``handle``, ``add?`` ({code: pattern} or      ``handle``, ``version``
            [pattern]), ``remove?`` ([code])              ``fingerprint``, ``states``,
                                                          ``reused_components``,
                                                          ``compiled_components``
-feed       ``session``, ``data`` (b64)                   ``reports`` (columnar),
+feed       ``session``, ``data`` (attachment)            ``reports`` (columnar),
                                                          ``position``,
                                                          ``truncated``, ``warnings``,
                                                          ``ledger?``, ``state?``
@@ -64,36 +84,48 @@ metrics    --                                            ``metrics`` (Prometheus
 shutdown   --                                            ``draining``
 ========== ============================================= ==============
 
-Error codes: ``bad-frame`` (not JSON / not an object), ``bad-request``
-(missing or invalid fields), ``bad-artifact`` (corrupt, truncated or
-version-incompatible compiled artifact), ``unknown-op``,
-``unknown-handle``, ``unknown-session``, ``frame-too-large``
-(connection closes), ``truncated`` (strict report-cap policy),
-``over-quota`` (tenant admission control rejected the request — see
+Error codes: ``bad-frame`` (a header that is not a JSON object, or
+references that disagree with the prefix; an unframeable byte stream
+closes the connection), ``bad-request`` (missing or invalid fields),
+``bad-artifact`` (corrupt, truncated or version-incompatible compiled
+artifact), ``unknown-op``, ``unknown-handle``, ``unknown-session``,
+``frame-too-large`` (connection closes when a request declares it),
+``truncated`` (strict report-cap policy), ``over-quota`` (tenant
+admission control rejected the request — see
 :mod:`repro.cluster.quotas`; the error frame carries ``retry_after_s``
 when the quota is a rate), ``unavailable`` (no live node can serve the
 request; cluster router only), ``internal``.
 
-Version 3 changed the ``reports`` field from a list of ``[cycle,
-state_id, code]`` triples to the columnar object above.  Peers of
-different versions refuse each other: a client handed a triple list
-raises :class:`ProtocolError`, and a cluster router treats a node whose
-``health`` advertises another version as unavailable.
+Versions.  Peers of different versions refuse each other:
 
-Cluster-mode additions (made within version 2; see
-:mod:`repro.cluster`):
+* 4 replaced the newline-delimited JSON line with the frame above;
+  stream data and report arrays went from base64 text to raw
+  attachments.  A version-4 server answers a first byte ``{`` with one
+  JSON error line naming both versions, then closes; a version-4
+  client or router that reads ``{`` raises :class:`ProtocolError`
+  naming both.
+* 3 changed the ``reports`` field from a list of ``[cycle, state_id,
+  code]`` triples to the columnar object above; a decoder handed a
+  triple list raises :class:`ProtocolError`, and a cluster router
+  treats a node whose ``health`` advertises another version as
+  unavailable.
+* 2 added ``register_artifact`` (version-1 servers answer it with
+  ``unknown-op``), then, without a version bump, the additions below.
+
+Additions of version 2, all still current:
 
 * ``health`` — a light liveness/inventory probe (uptime, ruleset
   versions, open sessions, queued frames).  The cluster router polls it
-  per node; it is equally useful against a standalone server.  The
-  router answers its own ``health`` with a fleet view (``nodes`` map).
+  per node (see :mod:`repro.cluster`) and answers its own ``health``
+  with a fleet view (``nodes`` map).
 * session handoff — ``open`` accepts ``checkpoint`` (every ``feed``
   response then carries ``state``, the serialized per-shard
-  :class:`~repro.sim.backends.base.EngineState` list) and ``state`` (a
-  previously checkpointed snapshot to resume from, position included).
-  This is the failover mechanism: the router checkpoints after every
-  acknowledged chunk and replays the last snapshot onto a replica when
-  a node dies mid-stream, so the stream resumes byte-identically.
+  :class:`~repro.sim.backends.base.EngineState` list, as JSON) and
+  ``state`` (a previously checkpointed snapshot to resume from,
+  position included).  This is the failover mechanism: the router
+  checkpoints after every acknowledged chunk and replays the last
+  snapshot onto a replica when a node dies mid-stream, so the stream
+  resumes byte-identically.
 * ``tenant`` — any request frame may carry a tenant id (a string).
   Nodes ignore it; the cluster router uses it for per-tenant admission
   control (token-bucket byte rates, session caps, compile budgets) and
@@ -101,10 +133,20 @@ Cluster-mode additions (made within version 2; see
 * ``hello`` — router only: ``{"op": "hello", "host": "10.0.0.5",
   "port": 7100}`` (or the compact ``"node": "host:port"`` form) adds a
   node to the fleet at runtime (new placements see it).
-
-The ``register_artifact`` op (wire name; the table row is wrapped) was
-added in protocol version 2; version-1 servers answer it with
-``unknown-op``, which clients can treat as "upload source instead".
+* ``update`` hot-swaps a registered ruleset to a new *version* through
+  the incremental compile path: the handle keeps naming the lineage
+  (new scans and sessions bind the latest version), while sessions
+  already open finish their streams on the version they opened
+  against.  ``register`` and ``open`` responses carry ``version``.
+* scan-shaped requests (``scan``, ``scan_many``, ``open``) may carry a
+  ``config`` object — a :meth:`repro.api.ScanConfig.to_dict` payload —
+  instead of (or alongside; loose fields win) the loose ``chunk_size``
+  / ``max_reports`` / ``on_truncation`` fields.  The server validates
+  it through :class:`~repro.api.config.ScanConfig` itself (the single
+  validation surface) and echoes ``config_digest`` so the client can
+  assert the config survived the wire byte-identically.  Only the
+  per-scan fields apply remotely; sharding/worker/caching fields are
+  server deployment policy.
 
 A ``handle`` is the fingerprint of the rules first registered under it
 and names a *lineage* in the server's one ruleset table
@@ -113,32 +155,13 @@ carries one is a table lookup — nothing is re-hashed or recompiled.
 The table keeps the server's ``cache_capacity`` most recently used
 lineages and never drops one with an open session; a handle it dropped
 answers ``unknown-handle`` until it is registered again.
-
-The ``update`` op hot-swaps a registered ruleset to a new *version*
-through the incremental compile path: the handle keeps naming the
-lineage (new scans and sessions bind the latest version), while
-sessions already open finish their streams on the version they opened
-against.  ``register`` and ``open`` responses gained ``version``
-fields alongside it.  A version-2 addition like the others: old
-servers answer ``update`` with ``unknown-op``, old clients ignore the
-extra fields.
-
-Scan-shaped requests (``scan``, ``scan_many``, ``open``) may carry a
-``config`` object — a :meth:`repro.api.ScanConfig.to_dict` payload —
-instead of (or alongside; loose fields win) the loose ``chunk_size`` /
-``max_reports`` / ``on_truncation`` fields.  The server validates it
-through :class:`~repro.api.config.ScanConfig` itself (the single
-validation surface) and echoes ``config_digest`` in the response so the
-client can assert the config survived the wire byte-identically.  Only
-the per-scan fields apply remotely; sharding/worker/caching fields are
-server deployment policy.  Both additions are backwards-compatible
-within protocol version 2.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import struct
+import threading
 
 import numpy as np
 
@@ -146,13 +169,10 @@ from repro.api.config import ScanConfig
 from repro.errors import ConfigError, ReproError
 from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 
-#: protocol version advertised by ``ping`` and ``health`` (2:
-#: ``register_artifact``, then backwards-compatible additions — the
-#: ``config`` request field, ``config_digest``, the ``metrics`` op, the
-#: stats-frame v2 fields, ``ledger``/``trace_id``; 3: columnar
-#: ``reports`` objects replace the ``[cycle, state_id, code]`` triples,
-#: which no v2 peer can read)
-PROTOCOL_VERSION = 3
+#: protocol version advertised by ``ping`` and ``health`` (see the
+#: module docstring: 3 made ``reports`` columnar, 4 made frames
+#: length-prefixed with raw attachments)
+PROTOCOL_VERSION = 4
 
 #: the :class:`~repro.api.config.ScanConfig` fields a request frame may
 #: override per scan/session; the rest (sharding, workers, caching) are
@@ -206,22 +226,186 @@ class ProtocolError(ReproError):
         super().__init__(message)
 
 
-def encode_frame(frame: dict) -> bytes:
-    """Serialize one frame to its newline-terminated wire form."""
-    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+#: first byte of every frame; never ``{``, the first byte of a
+#: version-3 (newline-delimited JSON) frame
+FRAME_MAGIC = 0xCA
+_MAGIC_BYTE = bytes([FRAME_MAGIC])
+#: magic, attachment count, header bytes, attachment bytes, ``\n``
+FRAME_PREFIX = struct.Struct("<BIIIB")
+PREFIX_BYTES = FRAME_PREFIX.size
+_NEWLINE = 0x0A
+#: the one key of the header dict that stands for an attachment
+_REF = "$bytes"
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
-def decode_frame(line: bytes) -> dict:
-    """Parse one wire line into a frame dict.
+class _Decoder:
+    """One thread's JSON scanner, built once (building one per frame, as
+    ``json.loads(object_hook=)`` does, costs a few microseconds a
+    frame): it hands each decoded object to :meth:`_resolve`, which
+    swaps a reference for the next slice of the frame being decoded."""
 
-    Raises :class:`ProtocolError` (code ``bad-frame``) for anything that
-    is not a JSON object — the caller decides whether the connection
-    survives.
-    """
+    __slots__ = ("scan", "body", "left", "offset")
+
+    def __init__(self) -> None:
+        self.scan = json.JSONDecoder(object_hook=self._resolve).scan_once
+        self.body = None
+        self.left = self.offset = 0
+
+    def decode(self, header: str, count: int, body: memoryview):
+        """``header`` parsed, each reference swapped for the next slice
+        of ``body``, the references checked against the prefix."""
+        self.left, self.body, self.offset = count, body, 0
+        try:
+            frame = _parse(self.scan, header)
+        finally:
+            self.body = None  # the frame's buffer is not kept
+        if self.left or self.offset != len(body):
+            raise ProtocolError(
+                f"frame header references {count - self.left} attachments "
+                f"({self.offset} bytes); the prefix declares {count} "
+                f"({len(body)} bytes)"
+            )
+        return frame
+
+    def _resolve(self, obj: dict):
+        if len(obj) != 1 or type(obj.get(_REF)) is not int:
+            return obj
+        start = self.offset
+        end = start + obj[_REF]
+        if not self.left or end < start or end > len(self.body):
+            raise ProtocolError(
+                "frame header references more attachment bytes than the "
+                "prefix declares"
+            )
+        self.left -= 1
+        self.offset = end
+        return self.body[start:end]
+
+
+_threads = threading.local()
+
+
+def _decoder() -> _Decoder:
     try:
-        frame = json.loads(line)
+        return _threads.decoder
+    except AttributeError:
+        _threads.decoder = decoder = _Decoder()
+        return decoder
+
+
+def _parse(scan, header: str):
+    """One JSON value spanning all of ``header``."""
+    try:
+        value, end = scan(header, 0)
+    except StopIteration as stop:
+        raise ProtocolError(
+            f"frame header is not valid JSON (at char {stop.value})"
+        ) from None
+    if end != len(header):
+        raise ProtocolError(
+            f"frame header is not valid JSON (extra data at char {end})"
+        )
+    return value
+
+
+def _hoist(value):
+    # the C encoder calls this only for values JSON cannot spell
+    if not isinstance(value, _BYTES_LIKE):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    view = memoryview(value)
+    _threads.attachments.append(view)
+    return {_REF: view.nbytes}
+
+
+#: one encoder for every frame: ``json.dumps(default=)`` builds a
+#: ``JSONEncoder`` per call, about a tenth of a quiet 512 B feed's
+#: whole codec; :func:`_hoist` collects into the calling thread's list
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_hoist)
+
+
+def encode_frame(frame: dict) -> bytes:
+    """Serialize one frame: prefix, JSON header, then every bytes-like
+    value of ``frame`` (at any depth) as a raw attachment."""
+    _threads.attachments = attachments = []
+    try:
+        header = _ENCODER.encode(frame).encode()
+    finally:
+        _threads.attachments = None  # the frame's buffers are not kept
+    prefix = FRAME_PREFIX.pack(
+        FRAME_MAGIC,
+        len(attachments),
+        len(header),
+        sum([view.nbytes for view in attachments]),
+        _NEWLINE,
+    )
+    return b"".join([prefix, header, *attachments])
+
+
+def check_frame_start(head: bytes) -> None:
+    """Refuse a byte stream whose first byte does not start a frame: a
+    ``{`` is a version-3 peer's JSON line, refused by name."""
+    if head[:1] == b"{":
+        raise ProtocolError(
+            f"the peer speaks protocol version 3 (newline-delimited "
+            f"JSON); this end speaks protocol version {PROTOCOL_VERSION} "
+            f"(length-prefixed frames)"
+        )
+    if head[:1] != _MAGIC_BYTE:
+        raise ProtocolError(
+            f"not a protocol version {PROTOCOL_VERSION} frame: it starts "
+            f"with {bytes(head[:1])!r}"
+        )
+
+
+def frame_body_bytes(prefix: bytes, max_frame_bytes: int) -> int:
+    """How many bytes follow ``prefix`` in its frame.
+
+    Checks the magic (:func:`check_frame_start`) and the declared size
+    against ``max_frame_bytes`` before the caller reads or allocates
+    any of the body.  Raises :class:`ProtocolError`: ``bad-frame`` when
+    the stream cannot be framed, ``frame-too-large`` when the frame is
+    over the limit.
+    """
+    check_frame_start(prefix)
+    if len(prefix) != PREFIX_BYTES or prefix[-1] != _NEWLINE:
+        raise ProtocolError(
+            f"not a protocol version {PROTOCOL_VERSION} frame prefix: "
+            f"{bytes(prefix[:PREFIX_BYTES])!r}"
+        )
+    _, _, header_bytes, attachment_bytes, _ = FRAME_PREFIX.unpack(prefix)
+    body = header_bytes + attachment_bytes
+    if PREFIX_BYTES + body > max_frame_bytes:
+        raise ProtocolError(
+            f"frame of {PREFIX_BYTES + body} bytes exceeds max_frame_bytes "
+            f"({max_frame_bytes})",
+            code="frame-too-large",
+        )
+    return body
+
+
+def decode_frame_body(prefix: bytes, body) -> dict:
+    """Parse one frame from its checked ``prefix`` (see
+    :func:`frame_body_bytes`) and the ``body`` bytes that followed it.
+
+    Attachments come back as ``memoryview`` slices of ``body``.
+    Raises :class:`ProtocolError` (code ``bad-frame``) for a header
+    that is not a JSON object or references that disagree with the
+    prefix — the frame's bounds are known, so the caller decides
+    whether the connection survives.
+    """
+    _, count, header_bytes, attachment_bytes, _ = FRAME_PREFIX.unpack(prefix)
+    if len(body) != header_bytes + attachment_bytes:
+        raise ProtocolError(
+            f"frame body holds {len(body)} bytes; the prefix declares "
+            f"{header_bytes + attachment_bytes}"
+        )
+    view = memoryview(body)
+    try:
+        header = str(view[:header_bytes], "utf-8")
+        frame = _decoder().decode(header, count, view[header_bytes:])
     except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+        raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(frame).__name__}"
@@ -229,40 +413,37 @@ def decode_frame(line: bytes) -> dict:
     return frame
 
 
-def encode_data(data: bytes) -> str:
-    """Binary stream data -> base64 text for a JSON frame."""
-    return base64.b64encode(data).decode("ascii")
+def decode_frame(frame) -> dict:
+    """Parse one whole frame (prefix included) into a frame dict."""
+    prefix = bytes(frame[:PREFIX_BYTES])
+    frame_body_bytes(prefix, DEFAULT_MAX_FRAME_BYTES)
+    return decode_frame_body(prefix, memoryview(frame)[PREFIX_BYTES:])
 
 
-def decode_data(text: str) -> bytes:
-    """Base64 text from a frame -> binary stream data."""
-    if not isinstance(text, str):
+def encode_data(data) -> memoryview:
+    """Binary stream data -> its attachment form (a byte view the frame
+    carries raw)."""
+    return memoryview(data).cast("B")
+
+
+def decode_data(value):
+    """A frame's ``data`` attachment -> the stream bytes (the same
+    bytes-like object; nothing is copied)."""
+    if not isinstance(value, _BYTES_LIKE):
         raise ProtocolError(
-            f"data must be a base64 string, got {type(text).__name__}",
+            f"data must be a bytes attachment, got {type(value).__name__}",
             code="bad-request",
         )
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError) as exc:
-        raise ProtocolError(
-            f"data is not valid base64: {exc}", code="bad-request"
-        ) from exc
+    return value
 
 
 #: the ``reports`` value of every response that recorded nothing: one
 #: shared constant (never mutate it), so a quiet response costs no
-#: numpy or base64 call on either end
-EMPTY_WIRE_REPORTS = {
-    "n": 0,
-    "cycle0": 0,
-    "cycles": "",
-    "states": "",
-    "codes": [],
-}
+#: numpy call on either end and carries no attachment
+EMPTY_WIRE_REPORTS = {"n": 0, "cycle0": 0, "codes": []}
 
 _U4 = np.dtype("<u4")
 _U4_MAX = 0xFFFFFFFF
-_U4_ZERO = bytes(4)
 _I8_MAX = 2**63 - 1
 #: state ids below this are checked against ``codes`` by table lookup
 _TABLE_IDS = 1 << 20
@@ -272,8 +453,9 @@ def encode_reports(reports: ReportBatch) -> dict:
     """A batch -> its columnar ``reports`` wire object.
 
     ``n`` reports; ``cycle0`` the first cycle; ``cycles`` and ``states``
-    base64 ``<u4`` arrays (cycles as running deltas from ``cycle0``, so
-    session offsets past 2**32 travel as one JSON int); ``codes`` the
+    ``<u4`` arrays as memoryviews, which the frame carries as raw
+    attachments (cycles as running deltas from ``cycle0``, so session
+    offsets past 2**32 travel as one JSON int); ``codes`` the
     ``[state_id, code]`` pairs of the distinct states that fired, in
     state-id order.  ``reports.codes`` must be indexable by state id
     (the ruleset's per-state table).  Cycles must be non-decreasing,
@@ -288,13 +470,16 @@ def encode_reports(reports: ReportBatch) -> dict:
         raise ValueError(
             "report cycles must be non-decreasing and span < 2**32"
         )
+    deltas = np.empty(len(cycles), dtype=_U4)
+    deltas[0] = 0
+    deltas[1:] = steps
     fired = np.flatnonzero(np.bincount(states)).tolist()
     codes = reports.codes
     return {
         "n": len(states),
         "cycle0": cycle0,
-        "cycles": encode_data(_U4_ZERO + steps.astype(_U4).tobytes()),
-        "states": encode_data(states.astype(_U4).tobytes()),
+        "cycles": deltas.data,
+        "states": states.astype(_U4).data,
         "codes": [[state, codes[state]] for state in fired],
     }
 
@@ -304,8 +489,8 @@ def decode_reports(value) -> ReportBatch:
     :class:`Report` objects; ``codes`` becomes a ``{state_id: code}``
     map).
 
-    Anything malformed — wrong types, bad base64, array lengths that
-    disagree with ``n``, a negative ``cycle0``, a state id missing from
+    Anything malformed — wrong types, arrays that are not attachments,
+    array lengths that disagree with ``n``, a negative ``cycle0``, a state id missing from
     ``codes``, or a protocol-version-2 triple list — raises
     :class:`ProtocolError` (code ``bad-frame``).
     """
@@ -320,12 +505,13 @@ def decode_reports(value) -> ReportBatch:
         return EMPTY_REPORTS
     if deltas[0]:
         raise ProtocolError("reports: cycles must start at cycle0")
-    offsets = deltas.astype(np.int64).cumsum()
-    if cycle0 + int(offsets[-1]) > _I8_MAX:
+    cycles = deltas.cumsum(dtype=np.int64)
+    if cycle0 + int(cycles[-1]) > _I8_MAX:
         raise ProtocolError("reports: cycles overflow int64")
     if not _all_coded(states, codes):
         raise ProtocolError("reports: a state id is missing from codes")
-    return ReportBatch(offsets + cycle0, states.astype(np.int64), codes)
+    cycles += cycle0
+    return ReportBatch(cycles, states.astype(np.int64), codes)
 
 
 def _all_coded(states: np.ndarray, codes: dict) -> bool:
@@ -365,16 +551,13 @@ def _wire_int(value: dict, key: str) -> int:
 
 
 def _u4_array(value: dict, key: str, n: int) -> np.ndarray:
-    text = value.get(key)
-    if not isinstance(text, str):
-        raise ProtocolError(f"reports: {key!r} must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ProtocolError(f"reports: {key!r} is not valid base64") from exc
-    if len(raw) != 4 * n:
+    raw = value.get(key)
+    if not isinstance(raw, _BYTES_LIKE):
+        raise ProtocolError(f"reports: {key!r} must be a bytes attachment")
+    size = memoryview(raw).nbytes
+    if size != 4 * n:
         raise ProtocolError(
-            f"reports: {key!r} holds {len(raw)} bytes, expected {4 * n} "
+            f"reports: {key!r} holds {size} bytes, expected {4 * n} "
             f"(n={n} <u4 values)"
         )
     return np.frombuffer(raw, dtype=_U4)
@@ -437,10 +620,10 @@ def artifact_from_frame(frame: dict):
     from repro.compile.artifact import CompiledArtifact
     from repro.errors import ArtifactError
 
-    data = decode_data(frame.get("data", ""))
+    data = decode_data(frame.get("data", b""))
     if not data:
         raise ProtocolError(
-            "register_artifact needs 'data' (base64 .npz artifact)",
+            "register_artifact needs 'data' (the .npz artifact bytes)",
             code="bad-request",
         )
     try:

@@ -2,8 +2,9 @@
 
 :class:`MatchingServer` exposes the full service surface — ruleset
 registration, one-shot ``scan`` / ``scan_many``, named resumable
-sessions, and service statistics — over TCP as newline-delimited JSON
-frames (:mod:`repro.service.protocol`).  It is the deployment shape the
+sessions, and service statistics — over TCP as length-prefixed frames
+whose stream data and report arrays travel raw
+(:mod:`repro.service.protocol`).  It is the deployment shape the
 paper motivates: one shared accelerator (here, the compiled-ruleset
 cache plus sharded backends) serving many remote tenants.
 
@@ -99,7 +100,7 @@ class _BackendStats:
 
 
 class MatchingServer(FrameServer):
-    """Serve a :class:`MatchingService` over TCP (NDJSON frames).
+    """Serve a :class:`MatchingService` over TCP (length-prefixed frames).
 
     Args:
         service: the service to expose; one is built from ``config``
@@ -364,7 +365,7 @@ class MatchingServer(FrameServer):
 
     def _op_scan(self, conn: Connection, frame: dict) -> dict:
         handle = self._handle(frame)
-        data = decode_data(frame.get("data", ""))
+        data = decode_data(frame.get("data", b""))
         cfg, explicit_cap, digest = self._scan_config(frame)
         result = self.service.scan(handle, data, **self._scan_options(cfg))
         payload = self._scan_payload(result, cfg, explicit_cap)
@@ -377,7 +378,7 @@ class MatchingServer(FrameServer):
         streams = frame.get("streams")
         if not isinstance(streams, dict):
             raise ProtocolError(
-                "scan_many needs a 'streams' dict of name -> base64 data",
+                "scan_many needs a 'streams' dict of name -> data attachment",
                 code="bad-request",
             )
         cfg, explicit_cap, digest = self._scan_config(frame)
@@ -447,7 +448,7 @@ class MatchingServer(FrameServer):
         thread pool, where it may advance with other connections'
         feeds in one batched kernel step."""
         record = conn.session(frame)
-        data = decode_data(frame.get("data", ""))
+        data = decode_data(frame.get("data", b""))
         session = self.service.sessions[record.internal]
         reports = await self._batcher.submit(session.dispatcher, session, data)
         return self._feed_payload(record, session, reports)

@@ -499,6 +499,9 @@ class Dispatcher:
                     rows=rows,
                 )
             _SHARD_RUNS.labels("pool").inc(len(self.shards))
+            # a served stream is a memoryview of its frame, which cannot
+            # be pickled; the pickle copies the bytes anyway
+            streams = [bytes(stream) for stream in streams]
             tasks = [
                 (shard.index, streams, chunk_size, max_reports, rows)
                 for shard in self.shards

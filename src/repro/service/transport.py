@@ -1,7 +1,11 @@
-"""The one NDJSON transport under the server, the router and the clients.
+"""The one frame transport under the server, the router and the clients.
 
-Everything that moves frames (:mod:`repro.service.protocol`) over TCP
-lives here once; the endpoints built on it only say what their ops do.
+Everything that moves length-prefixed frames
+(:mod:`repro.service.protocol`) over TCP lives here once; the endpoints
+built on it only say what their ops do.  :func:`read_frame` is the one
+asyncio reader: it checks a frame's prefix — magic and declared size —
+before it reads the rest, so ``max_frame_bytes`` bounds memory per
+frame.
 
 :class:`FrameServer`
     The listening side.  It owns the lifecycle (``start`` /
@@ -52,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import itertools
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -61,10 +66,13 @@ from repro.errors import ConfigError, ReproError, SimulationError
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_INFLIGHT,
+    PREFIX_BYTES,
     ProtocolError,
-    decode_frame,
+    check_frame_start,
+    decode_frame_body,
     encode_frame,
     error_frame,
+    frame_body_bytes,
     ok_frame,
 )
 from repro.telemetry.log import get_logger
@@ -96,8 +104,39 @@ _CONNECTIONS_TOTAL = _REGISTRY.counter(
     "Client connections accepted over the server's lifetime",
 )
 
-#: queue marker for an oversized frame (the line itself was unrecoverable)
-_OVERSIZED = object()
+
+async def read_frame(
+    reader: asyncio.StreamReader, max_frame_bytes: int
+) -> tuple[bytes, bytes] | None:
+    """Read one frame off ``reader`` as ``(prefix, body)``; None at EOF
+    between frames.
+
+    The first byte is read alone, so a version-3 peer's JSON line is
+    refused before this waits for a whole prefix.  Raises
+    :class:`ProtocolError` from
+    :func:`~repro.service.protocol.frame_body_bytes` (the stream can no
+    longer be framed) and :class:`asyncio.IncompleteReadError` when the
+    peer hangs up mid-frame.
+    """
+    try:
+        first = await reader.readexactly(1)
+    except asyncio.IncompleteReadError:
+        return None
+    check_frame_start(first)
+    prefix = first + await reader.readexactly(PREFIX_BYTES - 1)
+    body = await reader.readexactly(frame_body_bytes(prefix, max_frame_bytes))
+    return prefix, body
+
+
+def _refusal_wire(exc: ProtocolError) -> bytes:
+    """What a refused request stream is told before its connection
+    closes: an over-limit frame gets an error frame; a stream that is
+    not frames at all (a version-3 peer's JSON lines) gets one JSON
+    error line, the one answer such a peer can read."""
+    response = error_frame(None, str(exc), exc.code)
+    if exc.code == "frame-too-large":
+        return encode_frame(response)
+    return json.dumps(response).encode() + b"\n"
 
 
 @dataclass(eq=False)  # identity-hashed: it lives in the server's set
@@ -114,9 +153,9 @@ class Connection:
     conn_id: int
     sessions: dict = field(default_factory=dict)
     #: the task serving this connection (what :meth:`FrameServer.drain`
-    #: waits for), the task moving its request lines into its queue, and
-    #: whether that one is idle in ``readline`` — the one place drain
-    #: may interrupt it without losing a frame
+    #: waits for), the task moving its request frames into its queue,
+    #: and whether that one is reading a frame — the one place drain
+    #: may interrupt it without losing a frame already read
     task: asyncio.Task | None = None
     read_task: asyncio.Task | None = None
     reading: bool = False
@@ -150,7 +189,7 @@ class Connection:
 
 
 class FrameServer:
-    """Serve an op table over TCP as newline-delimited JSON frames.
+    """Serve an op table over TCP as length-prefixed frames.
 
     Args:
         ops: the op table — ``{name: handler(conn, frame)}``.  A handler
@@ -159,8 +198,9 @@ class FrameServer:
             ``metrics`` and ``shutdown`` are provided here.
         host, port: bind address (``port=0`` picks a free port; read the
             bound one from :attr:`port` after :meth:`start`).
-        max_frame_bytes: reject request lines longer than this and
-            replace over-long responses with an error frame.
+        max_frame_bytes: reject request frames that declare more bytes
+            than this (before reading them) and replace over-long
+            responses with an error frame.
         max_inflight: per-connection bound on parsed-but-unprocessed
             frames; the socket is not read past it.
         executor_workers: size of the thread pool behind
@@ -325,47 +365,46 @@ class FrameServer:
         reader: asyncio.StreamReader,
         queue: asyncio.Queue,
     ) -> None:
-        """Move one connection's request lines from socket to queue.
+        """Move one connection's request frames from socket to queue.
 
         Blocks on the full queue — that is the back-pressure — and ends
-        at EOF, a reset, an oversized line, or :meth:`drain`, which
-        cancels the wait for a *next* line (``conn.reading``) but never
-        the hand-off of a line already read.  Always finishes with the
-        ``None`` sentinel: the processor consumes until it sees one,
-        even after a write failure, so that put can never wedge.
+        at EOF, a reset, a stream that can no longer be framed, or
+        :meth:`drain`, which cancels the wait for a *next* frame
+        (``conn.reading``) but never the hand-off of a frame already
+        read.  Always finishes with the ``None`` sentinel: the
+        processor consumes until it sees one, even after a write
+        failure, so that put can never wedge.
         """
         try:
             while not self.draining:
                 conn.reading = True
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    line = _OVERSIZED
-                except (ConnectionError, OSError) as exc:
+                    frame = await read_frame(reader, self.max_frame_bytes)
+                except ProtocolError as exc:
+                    # unframeable or over the limit: refuse, stop reading
+                    _log.warning(
+                        "connection.refused",
+                        conn_id=conn.conn_id,
+                        code=exc.code,
+                        error=str(exc),
+                    )
+                    # queued as bytes (a frame is a (prefix, body) pair)
+                    await queue.put(_refusal_wire(exc))
+                    break
+                except (asyncio.IncompleteReadError, OSError) as exc:
                     _log.debug(
                         "connection.reset",
                         conn_id=conn.conn_id,
                         error=str(exc),
                     )
-                    break  # client reset the connection
+                    break  # the client hung up mid-frame or reset
                 finally:
                     conn.reading = False
-                if not line:
+                if frame is None:
                     break  # EOF
-                if line is _OVERSIZED:
-                    # the line exceeded max_frame_bytes; the stream can no
-                    # longer be framed, so reject and stop reading
-                    _log.warning(
-                        "connection.frame_too_large",
-                        conn_id=conn.conn_id,
-                        limit=self.max_frame_bytes,
-                    )
-                    await queue.put(_OVERSIZED)
-                    break
-                if line.strip():
-                    await queue.put(line)
-                    self._inflight += 1
-                    _INFLIGHT.labels().inc()
+                await queue.put(frame)
+                self._inflight += 1
+                _INFLIGHT.labels().inc()
         except asyncio.CancelledError:
             pass  # drain() called off the wait for a next frame
         finally:
@@ -380,9 +419,9 @@ class FrameServer:
         """Execute one connection's frames strictly in order.
 
         Never exits before the reader's ``None`` sentinel: a dead peer
-        (write failure) or a fatal protocol error switches to discard
-        mode instead of returning, so the reader can always complete
-        its (bounded, possibly full) queue handoff and reach its own
+        (write failure) or a refused stream switches to discard mode
+        instead of returning, so the reader can always complete its
+        (bounded, possibly full) queue handoff and reach its own
         cleanup — a blocked ``queue.put`` with no consumer would hang
         the connection task, and with it :meth:`drain`, forever.
         """
@@ -391,32 +430,30 @@ class FrameServer:
             item = await queue.get()
             if item is None:
                 return
-            if item is not _OVERSIZED:
+            refused = isinstance(item, bytes)
+            if not refused:
                 self._inflight -= 1
                 _INFLIGHT.labels().dec()
             if discarding:
                 continue
-            if item is _OVERSIZED:
-                response = error_frame(
-                    None,
-                    f"frame exceeds max_frame_bytes ({self.max_frame_bytes})",
-                    "frame-too-large",
-                )
-                discarding = True  # once this rejection is written
+            if refused:
+                self._frames_processed += 1
+                payload = item
+                discarding = True  # once this refusal is written
             else:
                 response = await self._respond(conn, item)
-            self._frames_processed += 1
-            payload = encode_frame(response)
-            if len(payload) > self.max_frame_bytes:
-                payload = encode_frame(
-                    error_frame(
-                        response.get("id"),
-                        f"response exceeds max_frame_bytes "
-                        f"({self.max_frame_bytes}); lower max_reports or "
-                        f"use smaller chunks",
-                        "frame-too-large",
+                self._frames_processed += 1
+                payload = encode_frame(response)
+                if len(payload) > self.max_frame_bytes:
+                    payload = encode_frame(
+                        error_frame(
+                            response.get("id"),
+                            f"response exceeds max_frame_bytes "
+                            f"({self.max_frame_bytes}); lower max_reports "
+                            f"or use smaller chunks",
+                            "frame-too-large",
+                        )
                     )
-                )
             try:
                 writer.write(payload)
                 await writer.drain()
@@ -428,13 +465,16 @@ class FrameServer:
                 )
                 discarding = True
 
-    async def _respond(self, conn: Connection, line: bytes) -> dict:
-        """Turn one raw request line into its response frame."""
+    async def _respond(
+        self, conn: Connection, raw: tuple[bytes, bytes]
+    ) -> dict:
+        """Turn one raw request frame (prefix, body) into its response
+        frame."""
         request_id = None
         op = "unknown"
         start = time.perf_counter()
         try:
-            frame = decode_frame(line)
+            frame = decode_frame_body(*raw)
             request_id = frame.get("id")
             raw_op = frame.get("op")
             if not isinstance(raw_op, str):
@@ -615,7 +655,7 @@ class ChannelClosed(ConnectionError):
 
 
 class FrameChannel:
-    """One raw NDJSON request/response connection on asyncio streams.
+    """One raw request/response frame connection on asyncio streams.
 
     Round trips are serialized by a lock — the peer answers a
     connection's frames in order, so interleaved writers would
@@ -664,17 +704,17 @@ class FrameChannel:
             except (ConnectionError, OSError):
                 pass
 
-    async def _exchange(self, wire: dict) -> bytes:
+    async def _exchange(self, wire: dict) -> dict:
         await self._connect()
         self._writer.write(encode_frame(wire))
         await self._writer.drain()
         try:
-            return await self._reader.readline()
-        except ValueError:  # how readline spells "longer than limit"
-            raise ProtocolError(
-                f"response exceeds max_frame_bytes ({self.max_frame_bytes})",
-                code="frame-too-large",
-            ) from None
+            frame = await read_frame(self._reader, self.max_frame_bytes)
+        except asyncio.IncompleteReadError:
+            frame = None  # the peer hung up mid-frame
+        if frame is None:
+            raise ChannelClosed("connection closed by peer")
+        return decode_frame_body(*frame)
 
     async def round_trip(
         self, wire: dict, *, timeout_s: float | None = None
@@ -686,18 +726,15 @@ class FrameChannel:
         closes the channel before it propagates, so the next call
         starts on a fresh connection: ``OSError`` for connect failures,
         resets and timeouts (:class:`TimeoutError` is one),
-        :class:`ChannelClosed` for EOF, and :class:`ProtocolError`
-        (``frame-too-large``) for a response line over
-        ``max_frame_bytes`` — the buffer is then mid-frame and the
-        stream can no longer be framed.
+        :class:`ChannelClosed` for EOF, and :class:`ProtocolError` for
+        a response that is not a frame (a version-3 peer's JSON line),
+        has a bad header, or declares more than ``max_frame_bytes``
+        (``frame-too-large``; its body is never read).
         """
         timeout = self.timeout_s if timeout_s is None else timeout_s
         async with self._lock:
             try:
-                line = await asyncio.wait_for(self._exchange(wire), timeout)
-                if not line:
-                    raise ChannelClosed("connection closed by peer")
+                return await asyncio.wait_for(self._exchange(wire), timeout)
             except (OSError, ProtocolError):
                 await self.close()
                 raise
-        return decode_frame(line)

@@ -18,7 +18,6 @@ Three harness tiers, cheapest first:
 """
 
 import asyncio
-import itertools
 import json
 import multiprocessing
 import os
@@ -53,9 +52,11 @@ from repro.service import (
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    decode_frame,
     decode_reports,
     encode_data,
 )
+from wire import RawConn, read_raw_frame
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -63,33 +64,6 @@ STREAM = b"aecdabcxxyaecddabcyx" * 40
 
 def keys_of(reports):
     return [(r.cycle, r.state_id, r.code) for r in reports]
-
-
-class RawConn:
-    """A bare NDJSON connection for frames the typed clients don't send
-    (checkpoint/state session moves, deliberately malformed requests)."""
-
-    def __init__(self, port, host="127.0.0.1"):
-        self._sock = socket.create_connection((host, port))
-        self._file = self._sock.makefile("rb")
-        self._ids = itertools.count(1)
-
-    def request(self, frame):
-        wire = {"id": next(self._ids), **frame}
-        self._sock.sendall((json.dumps(wire) + "\n").encode())
-        line = self._file.readline()
-        assert line, "server closed the connection mid-request"
-        return json.loads(line)
-
-    def close(self):
-        self._file.close()
-        self._sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
 
 
 @pytest.fixture(scope="module")
@@ -516,9 +490,11 @@ class TestOverlongNodeResponse:
         assert stats["failovers"] == 0
 
 
-class _V2Node:
-    """A stub of a protocol-version-2 node: ``health`` advertises
-    version 2 and ``scan`` answers with the v2 report triples."""
+class _V3Node:
+    """A stub of a protocol-version-3 node: newline-delimited JSON in
+    and out, ``health`` advertises version 3, and a line that is not
+    JSON (the first line of a version-4 frame) gets the error line a
+    version-3 server writes."""
 
     def __init__(self):
         self._sock = socket.create_server(("127.0.0.1", 0))
@@ -539,16 +515,17 @@ class _V2Node:
     def _answer(conn):
         with conn, conn.makefile("rb") as lines:
             for line in lines:
-                frame = json.loads(line)
-                reply = {"id": frame["id"], "ok": True}
-                if frame["op"] == "health":
-                    reply.update(status="ok", version=2)
+                try:
+                    frame = json.loads(line)
+                except ValueError:
+                    reply = {
+                        "id": None, "ok": False, "code": "bad-frame",
+                        "error": "frame is not valid JSON",
+                    }  # fmt: skip
                 else:
-                    reply.update(
-                        reports=[[3, 1, "r1"]], num_reports=1,
-                        truncated=False, bytes=4, elapsed_s=0.0,
-                        backends=["native"], cached=True, warnings=[],
-                    )  # fmt: skip
+                    reply = {"id": frame["id"], "ok": True}
+                    if frame["op"] == "health":
+                        reply.update(status="ok", version=3)
                 conn.sendall((json.dumps(reply) + "\n").encode())
 
     def __enter__(self):
@@ -559,9 +536,9 @@ class _V2Node:
 
 
 class TestProtocolVersionMismatch:
-    def test_router_refuses_a_v2_node_on_hello(self, servers):
+    def test_router_refuses_a_v3_node_on_hello(self, servers):
         node = servers[0]
-        with _V2Node() as old, BackgroundRouter(
+        with _V3Node() as old, BackgroundRouter(
             ClusterRouter(
                 [("127.0.0.1", node.port)],
                 replication=1,
@@ -576,18 +553,19 @@ class TestProtocolVersionMismatch:
                 stats = client.stats()
         assert reply["ok"] is False
         assert reply["code"] == "unavailable"
-        assert "version 2" in reply["error"]
         assert "version 3" in reply["error"]
+        assert "version 4" in reply["error"]
         assert stats["nodes"][f"127.0.0.1:{old.port}"]["alive"] is False
         assert stats["nodes"][f"127.0.0.1:{node.port}"]["alive"] is True
 
-    def test_client_refuses_v2_report_triples(self):
-        with _V2Node() as old, MatchingClient(port=old.port) as client:
+    def test_client_refuses_a_v3_server(self):
+        with _V3Node() as old, MatchingClient(port=old.port) as client:
             with pytest.raises(ProtocolError) as err:
                 client.scan("0" * 16, b"abcd")
+            assert client._sock is None  # the stream is dropped
         assert err.value.code == "bad-frame"
-        assert "version 2" in str(err.value)
         assert "version 3" in str(err.value)
+        assert "version 4" in str(err.value)
 
 
 class TestServerHealthOp:
@@ -634,13 +612,46 @@ class TestRouterQuotas:
         assert err.value.code == "over-quota"
         assert "retry in" in str(err.value)
 
+    def test_feed_bytes_are_billed_exactly(self, servers):
+        # a burst of N admits N bytes of feeds and not one byte more
+        # (the clock stands still, so nothing refills in between); a
+        # 1-byte chunk is billed 1 byte, not its encoded size
+        n = 64
+        quotas = QuotaManager(
+            None,
+            per_tenant={"metered": TenantQuota(bytes_per_s=n, window_s=1.0)},
+            clock=FakeClock(),
+        )
+        router = ClusterRouter(
+            [("127.0.0.1", servers[0].port)],
+            replication=1,
+            quotas=quotas,
+            health_interval_s=5.0,
+        )
+        with BackgroundRouter(router) as bg:
+            with MatchingClient(port=bg.port, tenant="metered") as client:
+                handle = client.register(RULES)
+                session = client.open_session(handle, "s")
+                session.feed(STREAM[: n - 1])
+                session.feed(b"a")
+                with pytest.raises(RemoteError) as err:
+                    session.feed(b"a")
+                assert err.value.code == "over-quota"
+            with RawConn(bg.port) as raw:
+                # data that is not bytes is refused before admission
+                bad = raw.request(
+                    {"op": "scan", "handle": handle, "data": "YQ==",
+                     "tenant": "metered"}
+                )  # fmt: skip
+        assert bad["code"] == "bad-request"
+
     def test_error_frame_carries_retry_hint(self, quota_router):
         with MatchingClient(port=quota_router.port, tenant="noisy") as client:
             handle = client.register(RULES)
             client.scan(handle, b"a")
         with RawConn(quota_router.port) as raw:
             frame = raw.request(
-                {"op": "scan", "handle": handle, "data": "", "tenant": "noisy"}
+                {"op": "scan", "handle": handle, "data": b"", "tenant": "noisy"}
             )
         assert frame["ok"] is False
         assert frame["code"] == "over-quota"
@@ -949,17 +960,17 @@ class FlakyProxy:
             cfile = client.makefile("rb")
             ufile = upstream.makefile("rb")
             while True:
-                line = cfile.readline()
-                if not line:
+                request = read_raw_frame(cfile)
+                if not request:
                     return
-                op = json.loads(line).get("op")
+                op = decode_frame(request).get("op")
                 with self._lock:
                     self.forwarded_ops.append(op)
                     drop = op in self.drop_response_ops
                     if drop and self.drop_once:
                         self.drop_response_ops.discard(op)
-                upstream.sendall(line)
-                response = ufile.readline()
+                upstream.sendall(request)
+                response = read_raw_frame(ufile)
                 if not response:
                     return
                 if drop:

@@ -10,11 +10,7 @@ chunk splits x recording caps, one stream dense enough that the native
 loop's 4096-entry report buffer pauses and resumes.
 """
 
-import base64
-import contextlib
-import json
 import pickle
-import socket
 import struct
 
 import numpy as np
@@ -48,6 +44,7 @@ from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
 from repro.sim.backends.native import native_available
 from repro.sim.reports import EMPTY_REPORTS, Report, ReportBatch
 from repro.workloads import benchmark_input
+from wire import RawConn
 
 BACKENDS = ["sparse", "bitparallel", "native"]
 
@@ -337,6 +334,29 @@ def test_pool_batches_cross_the_pickle_boundary(nfa, oracle, backend):
             assert result.truncated == truncated
 
 
+def test_served_streams_cross_the_pickle_boundary():
+    """A served stream is a view of its request frame; a worker pool
+    scans it all the same, and scan and scan_many answer exactly what
+    the same service answers in process."""
+    config = ScanConfig(num_shards=3, workers=2)
+    rules = compile_regex_set(RULES)
+    streams = {"a": STREAM[:2500], "b": STREAM[2500:], "c": b""}
+    with MatchingService(config) as service:
+        want = service.scan(rules, STREAM, chunk_size=2000)
+        want_many = service.scan_many(rules, streams, chunk_size=2000)
+    with BackgroundServer(config=config) as server:
+        with MatchingClient(port=server.port) as client:
+            handle = client.register(RULES)
+            got = client.scan(handle, STREAM, chunk_size=2000)
+            got_many = client.scan_many(handle, streams, chunk_size=2000)
+    assert got.num_reports == want.num_reports > 0
+    assert rows(got.reports) == rows(want.batch)
+    assert set(got_many) == set(streams)
+    for name, result in got_many.items():
+        assert rows(result.reports) == rows(want_many[name].batch)
+        assert result.truncated == want_many[name].truncated
+
+
 # -- the zero-report path ----------------------------------------------------
 
 
@@ -422,31 +442,15 @@ TINY_RULES = {
 }
 
 
-@contextlib.contextmanager
-def raw_requests(port):
-    """A raw connection: ``request(**frame)`` sends one frame and returns
-    the response line's bytes for ``scan`` / ``feed``, the decoded
-    response for any other op."""
-    ids = iter(range(1, 1 << 30))
-    with socket.create_connection(("127.0.0.1", port), 10) as sock:
-        with sock.makefile("rb") as lines:
-
-            def request(**frame):
-                sock.sendall(encode_frame({"id": next(ids), **frame}))
-                line = lines.readline()
-                response = json.loads(line)
-                assert response["ok"], response
-                return line if frame["op"] in ("scan", "feed") else response
-
-            yield request
-
-
 def oracle_wire_reports(reports):
     """The columnar ``reports`` object, built from :class:`Report`
     objects one by one with ``struct`` (independent of the server's
-    numpy encoder): ``n``, ``cycle0``, base64 ``<u4`` cycle deltas and
-    state ids, and the ``[state_id, code]`` pairs in state-id order."""
-    cycle0 = reports[0].cycle if reports else 0
+    numpy encoder): ``n``, ``cycle0``, the ``<u4`` cycle deltas and
+    state ids as raw bytes, and the ``[state_id, code]`` pairs in
+    state-id order; no arrays when nothing fired."""
+    if not reports:
+        return {"n": 0, "cycle0": 0, "codes": []}
+    cycle0 = reports[0].cycle
     deltas, states, codes, previous = [], [], {}, cycle0
     for report in reports:
         deltas.append(report.cycle - previous)
@@ -455,8 +459,7 @@ def oracle_wire_reports(reports):
         codes[report.state_id] = report.code
 
     def u4(values):
-        packed = struct.pack(f"<{len(values)}I", *values)
-        return base64.b64encode(packed).decode("ascii")
+        return struct.pack(f"<{len(values)}I", *values)
 
     return {
         "n": len(reports),
@@ -475,23 +478,28 @@ def test_served_report_bytes_match_the_oracle():
     oracle = oracle_run(tiny, data).reports
     assert len(oracle) > 1000
 
-    def expected_line(line, reports):
-        frame = json.loads(line)
+    def expected_frame(raw, reports):
+        frame = decode_frame(raw)
+        assert frame["ok"], frame
         return encode_frame(dict(frame, reports=oracle_wire_reports(reports)))
 
     with BackgroundServer(config=ScanConfig(backend="native")) as server:
-        with raw_requests(server.port) as request:
-            handle = request(op="register", rules=TINY_RULES)["handle"]
-            line = request(op="scan", handle=handle, data=encode_data(data))
-            assert line == expected_line(line, oracle)
-            request(op="open", handle=handle, session="s")
+        with RawConn(server.port) as conn:
+            handle = conn.request({"op": "register", "rules": TINY_RULES})[
+                "handle"
+            ]
+            conn.send({"id": 2, "op": "scan", "handle": handle, "data": data})
+            raw = conn.read_raw()
+            assert raw == expected_frame(raw, oracle)
+            conn.request({"op": "open", "handle": handle, "session": "s"})
             for offset in range(0, len(data), 512):
                 chunk = data[offset : offset + 512]
-                line = request(op="feed", session="s", data=encode_data(chunk))
+                conn.send({"id": 3, "op": "feed", "session": "s", "data": chunk})
+                raw = conn.read_raw()
                 fired = [
                     r for r in oracle if offset <= r.cycle < offset + len(chunk)
                 ]
-                assert line == expected_line(line, fired)
+                assert raw == expected_frame(raw, fired)
 
 
 # -- the wire codec ----------------------------------------------------------
@@ -532,10 +540,10 @@ def report_batches(draw, min_size=0):
 
 
 def wire_round_trip(batch):
-    """``batch`` through the server's encoder, one framed response line
-    and the client's decoder."""
-    line = encode_frame(ok_frame(1, reports=encode_reports(batch)))
-    return decode_reports(decode_frame(line)["reports"])
+    """``batch`` through the server's encoder, one response frame and
+    the client's decoder."""
+    frame = encode_frame(ok_frame(1, reports=encode_reports(batch)))
+    return decode_reports(decode_frame(frame)["reports"])
 
 
 EDGE_BATCHES = {
@@ -580,26 +588,47 @@ def test_wire_round_trip_is_exact(batch):
 
 
 def test_the_empty_batch_is_one_constant_both_ways(monkeypatch):
-    # neither end touches numpy or base64 for a quiet response
+    # neither end touches numpy for a quiet response, and it carries
+    # no attachment
     monkeypatch.setattr(protocol, "np", None)
-    monkeypatch.setattr(protocol, "base64", None)
     assert encode_reports(EMPTY_REPORTS) is EMPTY_WIRE_REPORTS
-    line = encode_frame(ok_frame(1, reports=EMPTY_WIRE_REPORTS))
-    assert decode_reports(decode_frame(line)["reports"]) is EMPTY_REPORTS
+    frame = encode_frame(ok_frame(1, reports=EMPTY_WIRE_REPORTS))
+    assert decode_reports(decode_frame(frame)["reports"]) is EMPTY_REPORTS
+    assert protocol.FRAME_PREFIX.unpack_from(frame)[1] == 0
 
 
-VALID = encode_reports(EDGE_BATCHES["past 2**32, widest delta"])
+def test_non_monotone_cycles_are_refused_by_the_encoder():
+    backwards = ReportBatch(
+        np.array([5, 3], dtype=np.int64),
+        np.array([0, 1], dtype=np.int64),
+        code_table(2),
+    )
+    with pytest.raises(ValueError, match="non-decreasing"):
+        encode_reports(backwards)
+
+
+VALID = {
+    key: bytes(value) if isinstance(value, memoryview) else value
+    for key, value in encode_reports(
+        EDGE_BATCHES["past 2**32, widest delta"]
+    ).items()
+}
 
 HOSTILE = {
     "not an object": "AAAA",
     "null": None,
     "a v2 empty triple list": [],
     "v2 triples": [[3, 1, "r1"], [5, 2, None]],
+    # a version-3 peer's base64 text is not an attachment
     "bad base64": dict(VALID, cycles="AAAA!AAA"),
     "non-ascii base64": dict(VALID, states="AAAA\u00e9AAA"),
+    "valid base64": dict(VALID, cycles="AAAAAAAAAAAAAAAA"),
+    "cycles a list of ints": dict(VALID, cycles=[0, 0, 2**32 - 1]),
+    "missing states": {k: v for k, v in VALID.items() if k != "states"},
     "byte length not a multiple of 4": dict(
-        VALID, n=1, cycles="AAAA", states=base64.b64encode(b"\0" * 5).decode()
+        VALID, n=1, cycles=bytes(4), states=bytes(5)
     ),
+    "cycles shorter than states": dict(VALID, cycles=VALID["cycles"][:8]),
     "arrays longer than n": dict(VALID, n=2),
     "arrays shorter than n": dict(VALID, n=4),
     "negative cycle0": dict(VALID, cycle0=-1),
@@ -620,12 +649,15 @@ HOSTILE = {
     "a large state id missing from codes": dict(
         VALID,
         n=1,
-        cycles="AAAAAA==",
-        states=base64.b64encode(struct.pack("<I", 2**32 - 1)).decode(),
+        cycles=bytes(4),
+        states=struct.pack("<I", 2**32 - 1),
         codes=[[4, "c4"]],
     ),
     "cycles not starting at cycle0": dict(
-        VALID, cycles=base64.b64encode(struct.pack("<3I", 1, 0, 0)).decode()
+        VALID, cycles=struct.pack("<3I", 1, 0, 0)
+    ),
+    "deltas overflowing int64": dict(
+        VALID, cycle0=2**63 - 2**32, cycles=struct.pack("<3I", 0, 2**32 - 1, 1)
     ),
 }
 
@@ -644,29 +676,30 @@ def test_state_ids_past_any_table_decode():
 
 
 def test_a_v2_triple_list_names_both_versions():
-    with pytest.raises(ProtocolError, match="version 2.*version 3"):
+    with pytest.raises(ProtocolError, match="version 2.*version 4"):
         decode_reports(HOSTILE["v2 triples"])
 
 
-_JUNK = st.sampled_from([None, True, -1, 1.5, "x", "", {}, 2**64])
+_JUNK = st.sampled_from([None, True, -1, 1.5, "x", "", b"", {}, 2**64])
 
 
 def _mutations(wire, draw):
     """One way of damaging (or harmlessly reshaping) ``wire``."""
     key = draw(st.sampled_from(sorted(wire)))
-    text_key = draw(st.sampled_from(["cycles", "states"]))
-    text = wire[text_key]
+    array_key = draw(st.sampled_from(["cycles", "states"]))
+    raw = wire[array_key]
     cut = draw(st.integers(1, 4))
-    at = draw(st.integers(0, len(text)))
+    at = draw(st.integers(0, len(raw)))
     entry = draw(st.integers(0, len(wire["codes"]) - 1))
     sid, code = wire["codes"][entry]
     return [
         {k: v for k, v in wire.items() if k != key},
         dict(wire, **{key: draw(_JUNK)}),
         dict(wire, n=wire["n"] + draw(st.sampled_from([-1, 1, -wire["n"]]))),
-        dict(wire, **{text_key: text[:-cut]}),
-        dict(wire, **{text_key: text + "AAAA"[:cut]}),
-        dict(wire, **{text_key: text[:at] + "*" + text[at:]}),
+        dict(wire, **{array_key: raw[:-cut]}),
+        dict(wire, **{array_key: raw + bytes(cut)}),
+        dict(wire, **{array_key: raw[:at] + b"*" + raw[at:]}),
+        dict(wire, **{array_key: raw.hex()}),
         dict(wire, codes=wire["codes"][:entry] + wire["codes"][entry + 1 :]),
         dict(wire, codes=wire["codes"] + [[sid, f"{code}-again"]]),
         dict(wire, codes=[[sid, 7] if i == entry else p
@@ -684,10 +717,11 @@ def _mutations(wire, draw):
 @settings(max_examples=150, deadline=None)
 @given(report_batches(min_size=1), st.data())
 def test_mutated_payloads_fail_cleanly_or_decode_exactly(batch, data):
-    wire = json.loads(encode_frame(encode_reports(batch)))
+    wire = decode_frame(encode_frame(encode_reports(batch)))
+    wire = {k: bytes(v) if isinstance(v, memoryview) else v for k, v in wire.items()}
     mutated = data.draw(st.sampled_from(_mutations(wire, data.draw)))
     try:
-        decoded = decode_reports(json.loads(encode_frame(mutated)))
+        decoded = decode_reports(decode_frame(encode_frame({"r": mutated}))["r"])
     except ProtocolError as exc:
         assert exc.code == "bad-frame"
     else:

@@ -11,20 +11,25 @@ Three suites:
   client and checks the async client sends byte-identical request
   frames and decodes equal results;
 * **frame channel** — the raw channel's limit / EOF / id mapping that
-  ``NodeChannel`` and ``AsyncMatchingClient`` both stand on.
+  ``NodeChannel`` and ``AsyncMatchingClient`` both stand on;
+* **frame codec** — hypothesis round trips of bytes-like leaves at any
+  depth, and every truncation or damaged prefix / reference either
+  failing as :class:`ProtocolError` or decoding exactly, with no read
+  past ``max_frame_bytes``.
 """
 
 import asyncio
 import contextlib
 import dataclasses
 import inspect
-import json
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.api import ScanConfig
 from repro.automata import compile_regex_set
@@ -42,11 +47,16 @@ from repro.service import (
 from repro.service.client import RemoteSession
 from repro.service.protocol import (
     DEFAULT_MAX_INFLIGHT,
+    FRAME_PREFIX,
+    PREFIX_BYTES,
+    decode_frame,
+    decode_frame_body,
     encode_data,
     encode_frame,
 )
-from repro.service.transport import ChannelClosed, FrameChannel
+from repro.service.transport import ChannelClosed, FrameChannel, read_frame
 from repro.sim.reports import ReportBatch
+from wire import RawConn, raw_frame, read_raw_frame
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -88,36 +98,48 @@ def endpoint(request):
         yield bg
 
 
-@contextlib.contextmanager
-def raw(port):
-    with socket.create_connection(("127.0.0.1", port), 5) as sock:
-        yield sock, sock.makefile("rb")
-
-
 class TestWireConformance:
     def test_malformed_json_keeps_connection(self, endpoint):
-        with raw(endpoint.port) as (sock, file):
-            sock.sendall(b"not json at all\n")
-            response = json.loads(file.readline())
+        with RawConn(endpoint.port) as conn:
+            conn.sock.sendall(raw_frame(b"not json at all"))
+            response = conn.read()
             assert response["ok"] is False
             assert response["code"] == "bad-frame"
             assert response["id"] is None
-            # the connection survives a malformed frame
-            sock.sendall(encode_frame({"id": 1, "op": "ping"}))
-            response = json.loads(file.readline())
+            # the frame's bounds were known: the connection survives
+            conn.send({"id": 1, "op": "ping"})
+            response = conn.read()
             assert response["ok"] is True and response["pong"] is True
 
     def test_non_object_frame_rejected(self, endpoint):
-        with raw(endpoint.port) as (sock, file):
-            sock.sendall(b"[1,2,3]\n")
-            response = json.loads(file.readline())
+        with RawConn(endpoint.port) as conn:
+            conn.sock.sendall(raw_frame(b"[1,2,3]"))
+            response = conn.read()
             assert response["ok"] is False
             assert response["code"] == "bad-frame"
 
+    def test_references_disagreeing_with_the_prefix_are_bad_frame(
+        self, endpoint
+    ):
+        header = b'{"id":2,"op":"ping","d":{"$bytes":2}}'
+        with RawConn(endpoint.port) as conn:
+            for frame in [
+                raw_frame(header, b"ab", count=2),  # count disagrees
+                raw_frame(header, b"abc", count=1),  # a byte left over
+                raw_frame(header.replace(b"2}", b"9}"), b"ab", count=1),
+            ]:
+                conn.sock.sendall(frame)
+                assert conn.read()["code"] == "bad-frame"
+            # a user dict shaped like a reference is never rewritten
+            conn.send({"id": 3, "op": "ping", "x": {"$bytes": 0}, "d": b"ab"})
+            assert conn.read()["code"] == "bad-frame"
+            conn.sock.sendall(raw_frame(header, b"ab", count=1))
+            assert conn.read()["pong"] is True
+
     def test_missing_op_echoes_the_id(self, endpoint):
-        with raw(endpoint.port) as (sock, file):
-            sock.sendall(encode_frame({"id": 7, "handle": "x"}))
-            response = json.loads(file.readline())
+        with RawConn(endpoint.port) as conn:
+            conn.send({"id": 7, "handle": "x"})
+            response = conn.read()
             assert response["code"] == "bad-request"
             assert response["id"] == 7
 
@@ -130,22 +152,37 @@ class TestWireConformance:
                 client._request({"op": "scan"})
             assert excinfo.value.code == "bad-request"
 
-    def test_blank_lines_are_ignored(self, endpoint):
-        with raw(endpoint.port) as (sock, file):
-            sock.sendall(b"\n  \n" + encode_frame({"id": 3, "op": "ping"}))
-            response = json.loads(file.readline())
-            # the first response on the wire is the ping's
-            assert response["id"] == 3 and response["pong"] is True
-
     def test_oversized_request_is_rejected_then_closed(self, kind):
         with serve(kind, max_frame_bytes=2048) as bg:
-            with raw(bg.port) as (sock, file):
-                sock.sendall(b"x" * 5000 + b"\n")
-                response = json.loads(file.readline())
+            with RawConn(bg.port) as conn:
+                # only the prefix is sent: the refusal must come from
+                # the declared size, before any body is read
+                conn.sock.sendall(FRAME_PREFIX.pack(0xCA, 0, 5000, 0, 10))
+                response = conn.read()
                 assert response["ok"] is False
                 assert response["code"] == "frame-too-large"
-                assert response["id"] is None  # the line was unreadable
-                assert file.readline() == b""  # EOF: connection closed
+                assert response["id"] is None  # the frame was never read
+                assert conn.at_eof()  # connection closed
+
+    @pytest.mark.parametrize(
+        "line", [b'{"id": 1, "op": "ping"}\n', b"{}\n"], ids=["ping", "short"]
+    )
+    def test_a_version_3_line_is_refused_then_closed(self, endpoint, line):
+        with RawConn(endpoint.port) as conn:
+            conn.sock.sendall(line)
+            response = conn.read_line()  # the one answer a v3 peer reads
+            assert response["ok"] is False
+            assert response["code"] == "bad-frame"
+            assert "version 3" in response["error"]
+            assert "version 4" in response["error"]
+            assert conn.at_eof()
+
+    def test_an_unframeable_stream_is_refused_then_closed(self, endpoint):
+        with RawConn(endpoint.port) as conn:
+            conn.sock.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            response = conn.read_line()
+            assert response["code"] == "bad-frame"
+            assert conn.at_eof()
 
     def test_oversized_response_is_replaced_with_error(self, kind):
         # tiny frame budget: a scan whose report list exceeds it must
@@ -171,8 +208,8 @@ class TestWireConformance:
             with MatchingClient(port=bg.port) as setup:
                 handle = setup.register(RULES)
             data = encode_data(STREAM * 4)  # slow enough to queue up
-            with raw(bg.port) as (sock, file):
-                sock.sendall(
+            with RawConn(bg.port) as conn:
+                conn.sock.sendall(
                     b"".join(
                         encode_frame(
                             {"id": i, "op": "scan", "handle": handle, "data": data}
@@ -186,7 +223,7 @@ class TestWireConformance:
                     depth.append(bg.server._inflight)
                     time.sleep(0.005)
                 assert max(depth) == DEFAULT_MAX_INFLIGHT
-                answered = [json.loads(file.readline()) for _ in range(frames)]
+                answered = [conn.read() for _ in range(frames)]
             assert [r["id"] for r in answered] == list(range(frames))
             assert all(r["ok"] for r in answered)
 
@@ -264,16 +301,17 @@ class TestWireConformance:
         """Frames pipelined behind a ``shutdown`` on the same connection
         were read before the drain began: each gets its response."""
         with serve(kind) as bg:
-            with raw(bg.port) as (sock, file):
-                sock.sendall(
+            with RawConn(bg.port) as conn:
+                conn.sock.sendall(
                     encode_frame({"id": 0, "op": "shutdown"})
                     + b"".join(
                         encode_frame({"id": i, "op": "ping"}) for i in (1, 2, 3)
                     )
                 )
-                first = json.loads(file.readline())
+                first = conn.read()
                 assert first["id"] == 0 and first["draining"] is True
-                rest = [json.loads(line) for line in file]  # until EOF
+                rest = [conn.read() for _ in range(3)]
+                assert conn.at_eof()
             assert [r["id"] for r in rest] == [1, 2, 3]
             assert all(r["pong"] for r in rest)
 
@@ -456,8 +494,8 @@ class TestClientParity:
 
 
 class ScriptedPeer:
-    """A one-connection TCP peer that answers each request line with the
-    next scripted reply (bytes written verbatim; None = hang up)."""
+    """A one-connection TCP peer that answers each request frame with
+    the next scripted reply (bytes written verbatim; None = hang up)."""
 
     def __init__(self, *replies):
         self._replies = list(replies)
@@ -475,7 +513,7 @@ class ScriptedPeer:
             except OSError:
                 return
             with conn, conn.makefile("rb") as file:
-                while self._replies and file.readline():
+                while self._replies and read_raw_frame(file):
                     reply = self._replies.pop(0)
                     if reply is None:
                         break
@@ -510,7 +548,7 @@ class TestFrameChannel:
             assert asyncio.run(main()) == {"id": None, "ok": False, "code": "x"}
 
     def test_overlong_response_is_frame_too_large_and_closes(self):
-        with ScriptedPeer(b"x" * 5000 + b"\n", ok(1)) as peer:
+        with ScriptedPeer(ok(1, blob="x" * 5000), ok(1)) as peer:
 
             async def main():
                 channel = FrameChannel(
@@ -539,7 +577,7 @@ class TestFrameChannel:
             asyncio.run(main())
 
     def test_node_channel_maps_only_transport_failures_to_node_error(self):
-        with ScriptedPeer(b"x" * 5000 + b"\n", None) as peer:
+        with ScriptedPeer(ok(1, blob="x" * 5000), None) as peer:
 
             async def main():
                 channel = NodeChannel(
@@ -584,3 +622,168 @@ class TestFrameChannel:
                 await channel.close()
 
             asyncio.run(main())
+
+
+# ---------------------------------------------------------------------------
+# the frame codec
+# ---------------------------------------------------------------------------
+
+
+def plain(value):
+    """``value`` with every bytes-like leaf as ``bytes``."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    return value
+
+
+def looks_like_a_reference(value) -> bool:
+    """Whether ``value`` holds a dict the decoder reads as a reference."""
+    if isinstance(value, dict):
+        if len(value) == 1 and type(value.get("$bytes")) is int:
+            return True
+        return any(looks_like_a_reference(v) for v in value.values())
+    if isinstance(value, list):
+        return any(looks_like_a_reference(v) for v in value)
+    return False
+
+
+#: keys, including ones shaped like the reference key or a reference
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["$bytes", '{"$bytes":0}', "data", "streams"]),
+)
+_BLOBS = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    _BLOBS,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+FRAMES = st.dictionaries(_KEYS, _VALUES, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRAMES)
+def test_frames_round_trip(frame):
+    wire = encode_frame(frame)
+    try:
+        decoded = decode_frame(wire)
+    except ProtocolError as exc:
+        # only a user dict shaped like a reference may fail, and then
+        # as bad-frame, never silently rewritten
+        assert looks_like_a_reference(frame), exc
+        assert exc.code == "bad-frame"
+    else:
+        assert plain(decoded) == plain(frame)
+
+
+@pytest.mark.parametrize("count", [0, 1, 32])
+def test_scan_many_frames_round_trip(count):
+    names = ["$bytes", '{"$bytes":3}', "", "s"] + [f"s{i}" for i in range(28)]
+    streams = {
+        name: bytes([i]) * (i % 5) for i, name in enumerate(names[:count])
+    }
+    frame = {"id": 1, "op": "scan_many", "handle": "h", "streams": streams}
+    decoded = decode_frame(encode_frame(frame))
+    assert plain(decoded) == frame
+    assert all(type(v) is memoryview for v in decoded["streams"].values())
+
+
+def test_every_truncation_is_a_protocol_error():
+    frame = {"id": 1, "op": "feed", "data": b"abc", "x": [b"", {"y": b"z"}]}
+    wire = encode_frame(frame)
+    for cut in range(len(wire)):
+        with pytest.raises(ProtocolError):
+            decode_frame(wire[:cut])
+
+
+class _SizedReader(asyncio.StreamReader):
+    """Records the largest read a frame reader asked for."""
+
+    largest = 0
+
+    async def readexactly(self, n):
+        self.largest = max(self.largest, n)
+        return await super().readexactly(n)
+
+
+def read_back(wire: bytes, limit: int):
+    """``wire`` through the stream reader with ``limit``: ``(decoded
+    frame or the exception, largest read)``."""
+
+    async def main():
+        reader = _SizedReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        try:
+            parts = await read_frame(reader, limit)
+            outcome = None if parts is None else decode_frame_body(*parts)
+        except (ProtocolError, asyncio.IncompleteReadError) as exc:
+            outcome = exc
+        return outcome, reader.largest
+
+    return asyncio.run(main())
+
+
+def _damaged(wire: bytes, draw) -> bytes:
+    """``wire`` with one of: a cut, a changed prefix byte, a rewritten
+    prefix field, or a rewritten reference length (the header-length
+    field kept consistent, so the frame stays framed)."""
+    magic, count, header, body, newline = FRAME_PREFIX.unpack_from(wire)
+    fields = [magic, count, header, body, newline]
+    kind = draw(st.sampled_from(["cut", "byte", "field", "reference"]))
+    if kind == "cut":
+        return wire[: draw(st.integers(0, len(wire) - 1))]
+    if kind == "byte":
+        at = draw(st.integers(0, PREFIX_BYTES - 1))
+        return wire[:at] + bytes([draw(st.integers(0, 255))]) + wire[at + 1 :]
+    if kind == "field":
+        field = draw(st.sampled_from([1, 2, 3]))
+        fields[field] = draw(
+            st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1))
+        )
+        return FRAME_PREFIX.pack(*fields) + wire[PREFIX_BYTES:]
+    text = wire[PREFIX_BYTES : PREFIX_BYTES + header]
+    refs = [i for i in range(len(text)) if text.startswith(b'{"$bytes":', i)]
+    if not refs:
+        return wire
+    at = draw(st.sampled_from(refs)) + len(b'{"$bytes":')
+    end = text.index(b"}", at)
+    size = str(draw(st.integers(-5, 2**40))).encode()
+    text = text[:at] + size + text[end:]
+    fields[2] = len(text)
+    return (
+        FRAME_PREFIX.pack(*fields) + text + wire[PREFIX_BYTES + header :]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(FRAMES, st.data())
+def test_damaged_frames_fail_cleanly_or_decode_exactly(frame, data):
+    # a valid frame: one holding a reference-shaped dict already fails
+    assume(not looks_like_a_reference(frame))
+    wire = encode_frame(frame)
+    limit = len(wire) + 8
+    outcome, largest = read_back(_damaged(wire, data.draw), limit)
+    assert largest <= limit  # nothing read past the declared bound
+    if isinstance(outcome, dict):
+        assert plain(outcome) == plain(frame)
+    elif isinstance(outcome, ProtocolError):
+        assert outcome.code in ("bad-frame", "frame-too-large")
