@@ -86,6 +86,11 @@ class Session:
         # ledger.LedgerProbe`): fed the same chunks as the shards, so a
         # running hardware ledger is available at any chunk boundary
         self._ledger_probe = ledger_probe
+        # the feed counters' children, looked up once (as Engine does)
+        self._feed_counters = (
+            _SESSION_FEEDS.labels(),
+            _SESSION_FEED_BYTES.labels(),
+        )
         # every shard is the C loop and nothing re-runs a chunk in
         # Python (the probe runs the sparse kernel): see steps_inline
         self._c_only = ledger_probe is None and all(
@@ -155,8 +160,9 @@ class Session:
         """
         if self.closed:
             raise SimulationError(f"session {self.name!r} is closed")
-        _SESSION_FEEDS.labels().inc()
-        _SESSION_FEED_BYTES.labels().inc(len(chunk))
+        feeds, fed_bytes = self._feed_counters
+        feeds.inc()
+        fed_bytes.inc(len(chunk))
         if self._ledger_probe is not None:
             self._ledger_probe.feed(chunk)
         first_loss = result.truncated and not self.truncated
@@ -199,7 +205,11 @@ class Session:
         resumes from the snapshot's position, so reports produced by
         subsequent feeds carry the same absolute offsets the original
         stream would have.  Shard count must match (same ruleset, same
-        sharding) and every shard must sit at the same position.
+        sharding) and every shard must sit at the same position.  A
+        snapshot is untrusted input: each shard state is packed against
+        its shard's width, which refuses ids outside ``[0, n)``, out of
+        order or repeated, and a position that is not a non-negative
+        integer (:meth:`~repro.sim.backends.base.EngineState.checked`).
         """
         from repro.sim.backends.base import EngineState
 
@@ -220,6 +230,10 @@ class Session:
                 f"runs {len(self._states)} shards (ruleset or sharding "
                 f"mismatch)"
             )
+        decoded = [
+            state.checked(len(engine.automaton))
+            for state, engine in zip(decoded, self.dispatcher.engines)
+        ]
         positions = {state.position for state in decoded}
         if len(positions) > 1:
             raise SimulationError(
@@ -256,18 +270,19 @@ def feed_session_batch(dispatcher, entries):
     shard states never advance.
     """
     outcomes: list = [None] * len(entries)
-    live: list[int] = []
-    for i, (session, _) in enumerate(entries):
+    live, chunks, states, budgets = [], [], [], []
+    for i, (session, chunk) in enumerate(entries):
         if session.closed:
             error = SimulationError(f"session {session.name!r} is closed")
             outcomes[i] = (EMPTY_REPORTS, error)
         else:
             live.append(i)
+            chunks.append(chunk)
+            states.append(session.shard_states)
+            budgets.append(session.report_budget)
     if live:
         results = dispatcher.run_chunk_batch(
-            [entries[i][1] for i in live],
-            [entries[i][0].shard_states for i in live],
-            max_reports=[entries[i][0].report_budget for i in live],
+            chunks, states, max_reports=budgets
         )
         for i, result in zip(live, results):
             session, chunk = entries[i]

@@ -422,8 +422,11 @@ class Dispatcher:
                 f"got {len(states_per_stream)} state snapshots for "
                 f"{len(chunks)} chunks"
             )
-        if any(len(states) != num_shards for states in states_per_stream):
-            raise SimulationError("state snapshot does not match shard count")
+        for states in states_per_stream:
+            if len(states) != num_shards:
+                raise SimulationError(
+                    "state snapshot does not match shard count"
+                )
         if isinstance(max_reports, int):
             caps = [max_reports] * len(chunks)
         else:
@@ -431,6 +434,14 @@ class Dispatcher:
         steps, shard_runs = self._step_counters
         steps.inc()
         shard_runs.inc(num_shards)
+        if self._id_maps is None:
+            # one shard that is the whole ruleset: its rows are the
+            # global view, already capped by the kernel
+            return self.engines[0].step_batch(
+                chunks,
+                [states[0] for states in states_per_stream],
+                max_reports=caps,
+            )
         per_shard = [
             engine.step_batch(
                 chunks,
@@ -557,16 +568,15 @@ class Dispatcher:
 
         Reports come out exactly as a monolithic :meth:`Engine.run`
         emits them: global state ids, by cycle, then by state id within
-        a cycle.  A chunk no shard reported on costs nothing, one shard
-        that is the whole ruleset passes its batch through, and
+        a cycle.  A chunk no shard reported on costs nothing, and
         otherwise the id remap is a gather and the interleave one
-        stable lexsort.  Each shard records up to ``max_reports`` on its
-        own, so the merged batch is trimmed to its first ``max_reports``
-        (counting via ``stats.num_reports`` is unaffected), matching
-        what a monolithic engine would have recorded.
+        stable lexsort (one shard that is the whole ruleset never gets
+        here: its results pass through).  Each shard records up to
+        ``max_reports`` on its own, so the merged batch is trimmed to
+        its first ``max_reports`` (counting via ``stats.num_reports``
+        is unaffected), matching what a monolithic engine would have
+        recorded.
         """
-        if self._id_maps is None:
-            return per_shard[0]  # the kernel already kept max_reports
         truncated = any(result.truncated for result in per_shard)
         fired = [
             (result.batch, ids)

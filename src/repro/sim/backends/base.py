@@ -6,9 +6,10 @@ advancing an :class:`EngineState` and producing :class:`StepResult`\\ s
 (reports + activity statistics).  Everything every kernel agrees on
 lives here:
 
-* the resumable :class:`EngineState` (active-state *indices* + stream
-  position — the interchange format, so a session snapshot taken under
-  one backend resumes under another);
+* the resumable :class:`EngineState` (the packed active row the C loop
+  steps in place, plus the stream position; active-state *indices* are
+  its derived view and the interchange format, so a session snapshot
+  taken under one backend resumes under another);
 * the :class:`StepResult` / :class:`SimulationResult` contract,
   including the exact ``max_reports`` recording-cap semantics and the
   ``truncated`` flag;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -94,24 +95,132 @@ def handle_truncation(
 # -- resumable state and results ------------------------------------------
 
 
-@dataclass
+#: the largest stream position a snapshot may carry: cycles stay int64
+#: in the C loop with room for any chunk after it
+_MAX_POSITION = 1 << 62
+
+
 class EngineState:
     """Resumable execution state of one input stream.
 
-    ``active`` holds the active-state indices after the last consumed
-    symbol; ``position`` is the number of stream symbols consumed so
-    far.  ``Engine.run_chunk`` (and ``CamaMachine.run_chunk``) advance a
-    state in place; use :meth:`copy` to snapshot one — e.g. to fork a
-    speculative continuation or checkpoint a session.  Indices (not
-    packed bitmaps) are the interchange format: every backend accepts
-    and produces them, so states migrate freely between backends.
+    The canonical form is the packed row: ``ceil(n / 64)`` little-endian
+    uint64 words, bit ``s`` set iff state ``s`` is active after the last
+    consumed symbol — what the native kernel steps in place, chunk after
+    chunk, without converting it.  :attr:`active` (ascending state ids)
+    is a view derived from the row on demand: for :meth:`to_dict`,
+    snapshots and the index-set kernels (sparse, numpy bit-parallel, the
+    CAMA machine), which read it and assign new ids back.  Assigned or
+    constructed ids stay the state until a packed-row kernel needs the
+    row (:meth:`row`), which packs — and validates — them once.
+    ``position`` is the number of stream symbols consumed so far.
+
+    ``Engine.run_chunk`` (and ``CamaMachine.run_chunk``) advance a state
+    in place; use :meth:`copy` to snapshot one — e.g. to fork a
+    speculative continuation or checkpoint a session.  Ids are the
+    interchange format (:meth:`to_dict`), so states migrate freely
+    between backends.
     """
 
-    active: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
-    position: int = 0
+    __slots__ = ("_ids", "_row", "_row_at", "position")
+
+    def __init__(self, active=None, position: int = 0) -> None:
+        self._ids = (
+            _EMPTY_IDS if active is None else np.asarray(active, dtype=np.int64)
+        )
+        self._row: np.ndarray | None = None
+        self._row_at = 0  # the row's address, once a C call needed it
+        self.position = position
+
+    @classmethod
+    def from_row(cls, row: np.ndarray, position: int) -> "EngineState":
+        """A state holding ``row`` (taken over, not copied)."""
+        state = cls(None, position)
+        state._ids, state._row = None, row
+        return state
+
+    @property
+    def active(self) -> np.ndarray:
+        """Ascending active-state ids (derived from the row if packed)."""
+        if self._row is not None:
+            return bitwords.unpack_indices(self._row)
+        return self._ids
+
+    @active.setter
+    def active(self, ids) -> None:
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._row, self._row_at = None, 0
+
+    def row(self, num_states: int) -> np.ndarray:
+        """The packed row of an automaton of ``num_states`` states.
+
+        Packs the ids on first use, refusing any that are not ascending,
+        unique and inside ``[0, num_states)`` — such a row would send
+        the C loop past its tables.
+        """
+        row = self._row
+        if row is None:
+            ids = self._ids
+            if ids.ndim != 1 or (
+                len(ids)
+                and (
+                    ids[0] < 0
+                    or ids[-1] >= num_states
+                    or (np.diff(ids) <= 0).any()
+                )
+            ):
+                raise SimulationError(
+                    f"engine state ids must be ascending, unique and in "
+                    f"[0, {num_states}); got {ids.tolist()[:8]}..."
+                )
+            row = self._row = bitwords.pack_indices(ids, num_states)
+            self._ids = None
+        return row
+
+    def row_address(self, num_states: int) -> int:
+        """Address of :meth:`row`'s buffer, the C loop's operand; read
+        once per row (``.ctypes.data`` costs more than a short chunk)."""
+        if not self._row_at:
+            self._row_at = self.row(num_states).ctypes.data
+        return self._row_at
+
+    def assign_row(self, row: np.ndarray) -> None:
+        """Adopt a copy of a packed row as the active set."""
+        self._ids, self._row, self._row_at = None, row.copy(), 0
 
     def copy(self) -> "EngineState":
-        return EngineState(active=self.active.copy(), position=self.position)
+        """An independent snapshot: stepping either leaves the other be."""
+        if self._row is not None:
+            return EngineState.from_row(self._row.copy(), self.position)
+        return EngineState(self._ids.copy(), self.position)
+
+    def checked(self, num_states: int) -> "EngineState":
+        """A fresh packed copy, validated against an automaton of
+        ``num_states`` states: the ids as :meth:`row` demands, and a
+        non-negative integer ``position`` (a restored snapshot is
+        untrusted input)."""
+        position = self.position
+        if (
+            isinstance(position, bool)
+            or not isinstance(position, (int, np.integer))
+            or not 0 <= position <= _MAX_POSITION
+        ):
+            raise SimulationError(
+                f"engine state position must be an integer in "
+                f"[0, {_MAX_POSITION}]; got {position!r}"
+            )
+        state = EngineState(self.active, int(position))
+        state.row(num_states)
+        return state
+
+    def __reduce__(self):
+        # the cached row address is process-local: rebuild from ids
+        return (EngineState, (self.active, self.position))
+
+    def __repr__(self) -> str:
+        return (
+            f"EngineState(active={self.active.tolist()}, "
+            f"position={self.position})"
+        )
 
     @property
     def at_start(self) -> bool:
@@ -129,13 +238,20 @@ class EngineState:
         """
         return {
             "format_version": STATE_FORMAT_VERSION,
-            "active": [int(s) for s in self.active],
+            "active": self.active.tolist(),
             "position": int(self.position),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineState":
-        """Rebuild a snapshot, refusing version skew."""
+        """Rebuild a snapshot, refusing version skew and ids that are
+        not JSON integers (their range, order and the position are
+        checked where the state is packed, see :meth:`checked`)."""
+        if not isinstance(data, dict):
+            raise SimulationError(
+                f"engine-state snapshot must be an object, not "
+                f"{type(data).__name__}"
+            )
         version = data.get("format_version")
         if version != STATE_FORMAT_VERSION:
             raise SimulationError(
@@ -143,10 +259,21 @@ class EngineState:
                 f"this build reads version {STATE_FORMAT_VERSION} — "
                 f"re-snapshot under the current build"
             )
-        return cls(
-            active=np.asarray(data["active"], dtype=np.int64),
-            position=int(data["position"]),
-        )
+        active, position = data.get("active"), data.get("position")
+        if not isinstance(active, list) or any(
+            type(state) is not int for state in active
+        ):
+            raise SimulationError(
+                "engine-state snapshot 'active' must be a list of "
+                "integer state ids"
+            )
+        try:
+            ids = np.array(active, dtype=np.int64)
+        except OverflowError as exc:
+            raise SimulationError(
+                "engine-state snapshot has an out-of-range state id"
+            ) from exc
+        return cls(ids, position)
 
 
 @dataclass
@@ -154,16 +281,16 @@ class BatchEngineState:
     """Struct-of-arrays state of many streams sharing one automaton.
 
     Row ``r`` is one stream: ``active_words[r]`` is its packed active
-    bitmap (``num_words(num_states)`` uint64 words) and ``positions[r]``
-    its absolute stream position.  This is the software CAMA
-    array: one ``step_batch`` call advances every row with 2-D word
-    operations, amortizing per-call overhead the way one CAM search
-    amortizes over all stored state rows.
+    row (``num_words(num_states)`` uint64 words, the
+    :class:`EngineState` canonical form) and ``positions[r]`` its
+    absolute stream position.  This is the software CAMA array: one
+    ``step_batch`` call advances every row, amortizing per-call
+    overhead the way one CAM search amortizes over all stored state
+    rows.
 
-    :meth:`attach` / :meth:`detach` convert losslessly to and from the
-    per-stream :class:`EngineState` interchange form, so snapshots,
-    resume and the sharded dispatcher keep working unchanged — a batch
-    is a view a kernel holds for the duration of one step, not a new
+    :meth:`attach` / :meth:`detach` convert losslessly to and from
+    per-stream :class:`EngineState`\\ s by copying rows — a batch is a
+    view a kernel holds for the duration of one step, not a new
     persistence format.
     """
 
@@ -183,9 +310,12 @@ class BatchEngineState:
         cls, states: "list[EngineState]", num_states: int
     ) -> "BatchEngineState":
         """Stack per-stream states into one SoA batch (lossless)."""
+        rows = [state.row(num_states) for state in states]
         return cls(
-            active_words=bitwords.pack_rows(
-                [s.active for s in states], num_states
+            active_words=(
+                np.stack(rows)
+                if rows
+                else np.zeros((0, bitwords.num_words(num_states)), np.uint64)
             ),
             positions=np.array([s.position for s in states], dtype=np.int64),
             num_states=num_states,
@@ -194,10 +324,9 @@ class BatchEngineState:
     def detach(self) -> "list[EngineState]":
         """Fresh per-stream :class:`EngineState`\\ s, one per row."""
         return [
-            EngineState(active=active, position=int(position))
-            for active, position in zip(
-                bitwords.unpack_rows(self.active_words, self.num_states),
-                self.positions,
+            EngineState.from_row(row.copy(), position)
+            for row, position in zip(
+                self.active_words, self.positions.tolist()
             )
         ]
 
@@ -213,11 +342,10 @@ class BatchEngineState:
                 f"batch has {self.num_rows} rows, cannot detach into "
                 f"{len(states)} states"
             )
-        rows = bitwords.unpack_rows(self.active_words, self.num_states)
-        for state, active, position in zip(
-            states, rows, self.positions.tolist()
+        for state, row, position in zip(
+            states, self.active_words, self.positions.tolist()
         ):
-            state.active = active
+            state.assign_row(row)
             state.position = position
 
 
@@ -627,37 +755,40 @@ class CompiledKernel(ABC):
     def step_batch(
         self,
         chunks: "list[bytes]",
-        batch: BatchEngineState,
+        rows: "BatchEngineState | list[EngineState]",
         *,
         max_reports=DEFAULT_MAX_KEPT_REPORTS,
     ) -> "list[StepResult]":
-        """Consume one chunk per stream row, advancing ``batch`` in place.
+        """Consume one chunk per stream row, advancing ``rows`` in place.
 
-        Row ``r`` of ``batch`` consumes ``chunks[r]`` with exactly the
-        semantics of :meth:`run_chunk` on that row's detached
-        :class:`EngineState` — same reports (absolute cycles, tagged to
-        their row by list position), same stats, same final state; the
-        oracle-differential batch property tests assert byte equality.
-        ``max_reports`` is one shared cap or a per-row budget sequence.
+        ``rows`` is a :class:`BatchEngineState` matrix or a list of
+        per-stream :class:`EngineState`\\ s (a dispatcher's sessions).
+        Row ``r`` consumes ``chunks[r]`` with exactly the semantics of
+        :meth:`run_chunk` on that row's state — same reports (absolute
+        cycles, tagged to their row by list position), same stats, same
+        final state; the oracle-differential batch property tests
+        assert byte equality.  ``max_reports`` is one shared cap or a
+        per-row budget sequence.
 
         This base implementation is the correct per-row loop (the
-        sparse backend's batch path); vectorized kernels override it
-        with a single 2-D pass over all rows.
+        sparse backend's batch path); the packed kernels override it
+        with one pass over all rows.
         """
-        if len(chunks) != batch.num_rows:
+        matrix = isinstance(rows, BatchEngineState)
+        states = rows.detach() if matrix else rows
+        if len(chunks) != len(states):
             raise SimulationError(
-                f"got {len(chunks)} chunks for {batch.num_rows} batch rows"
+                f"got {len(chunks)} chunks for {len(states)} batch rows"
             )
-        caps = normalize_batch_caps(max_reports, batch.num_rows)
-        states = batch.detach()
+        caps = normalize_batch_caps(max_reports, len(states))
         results = [
             self.run_chunk(bytes(chunk), state, max_reports=cap)
             for chunk, state, cap in zip(chunks, states, caps)
         ]
-        batch.active_words = bitwords.pack_rows(
-            [s.active for s in states], batch.num_states
-        )
-        batch.positions[:] = [state.position for state in states]
+        if matrix:
+            stepped = BatchEngineState.attach(states, rows.num_states)
+            rows.active_words = stepped.active_words
+            rows.positions = stepped.positions
         return results
 
 

@@ -17,8 +17,8 @@ the inner loop touches numpy only through AND/OR/popcount.
 
 Semantics are bit-for-bit those of the sparse kernel (the cross-backend
 property tests enforce identical reports, stats and final states);
-:class:`EngineState` stays in index form, converted at chunk
-boundaries, so streams migrate freely between backends.
+each chunk reads the :class:`EngineState`'s active ids and assigns
+the new ones back, so streams migrate freely between backends.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class BitParallelKernel(CompiledKernel):
     def step_batch(
         self,
         chunks: list[bytes],
-        batch: BatchEngineState,
+        batch: "BatchEngineState | list[EngineState]",
         *,
         max_reports=DEFAULT_MAX_KEPT_REPORTS,
     ) -> list[StepResult]:
@@ -239,14 +239,21 @@ class BitParallelKernel(CompiledKernel):
         Rows are processed in descending chunk-length order so the live
         rows of any cycle form a contiguous matrix prefix; shorter rows
         simply stop being touched once their chunk is consumed.
-        Semantics per row are exactly :meth:`run_chunk`'s.
+        Semantics per row are exactly :meth:`run_chunk`'s; a list of
+        states is stacked into a matrix for the pass and written back.
         """
-        num_rows = batch.num_rows
+        matrix = isinstance(batch, BatchEngineState)
+        num_rows = batch.num_rows if matrix else len(batch)
         if num_rows == 1:
             # a lone row (every solo scan and feed): the 1-D loop costs
             # about half the 2-D pass, whose per-cycle numpy calls only
             # pay off across rows
             return super().step_batch(chunks, batch, max_reports=max_reports)
+        if not matrix:
+            stacked = BatchEngineState.attach(batch, self._n)
+            results = self.step_batch(chunks, stacked, max_reports=max_reports)
+            stacked.detach_into(batch)
+            return results
         if len(chunks) != num_rows:
             raise SimulationError(
                 f"got {len(chunks)} chunks for {num_rows} batch rows"

@@ -23,14 +23,9 @@ def num_words(n: int) -> int:
 
 
 def pack_indices(ids: np.ndarray, n: int) -> np.ndarray:
-    """Packed vector with exactly the bits in ``ids`` set."""
-    words = np.zeros(num_words(n) * 8, dtype=np.uint8)
-    if len(ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        np.bitwise_or.at(
-            words, ids >> 3, np.left_shift(1, ids & 7).astype(np.uint8)
-        )
-    return words.view(np.uint64)
+    """Packed vector with exactly the bits in ``ids`` set: a one-row
+    :func:`pack_rows`."""
+    return pack_rows([ids], n)[0]
 
 
 def pack_bool(mask: np.ndarray) -> np.ndarray:
@@ -90,8 +85,8 @@ def expand_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pack_rows(id_lists, n: int) -> np.ndarray:
     """Pack per-row index arrays into a ``(rows, num_words(n))`` matrix.
 
-    The multi-stream analogue of :func:`pack_indices`: one scatter of
-    the concatenated ids into a flat bit array, then one ``packbits``.
+    One scatter of the concatenated ids into a flat bit array, then
+    one ``packbits`` (:func:`pack_indices` is the one-row call).
     """
     shape = (len(id_lists), num_words(n))
     counts = [len(ids) for ids in id_lists]

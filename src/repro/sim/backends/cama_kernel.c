@@ -5,10 +5,19 @@
  * (per-symbol match masks, successor-row OR-reduce, report
  * extraction), with the per-cycle Python/numpy dispatch overhead
  * removed.  The Python side owns all memory: every pointer passed in
- * is a C-contiguous numpy array, and the function is pure compute —
- * no allocation, no globals, no Python API — so ctypes can call it
- * with the GIL released and rows of a batch can be stepped from the
+ * is a C-contiguous buffer, and the code is pure compute — no
+ * allocation, no globals, no Python API — so ctypes can call it with
+ * the GIL released and calls on separate workspaces can step from the
  * same tables concurrently.
+ *
+ * One entry point, cama_step_rows, steps a *batch of rows*: row r is
+ * one stream, its packed active bitmap at rows[r] (a session's own
+ * state row, or a row of a batch matrix — the loop steps it in place,
+ * so state never changes form between chunks) and its chunk a slice
+ * of one input buffer.  Rows are independent streams run one after
+ * another from the same tables; a single stream's chunk is the
+ * one-row call.  This is the software form of CAMA's one search over
+ * every stored state row.
  *
  * Work follows activity, not capacity.  A cycle is
  *
@@ -41,6 +50,17 @@
  * stream.  Report extraction, the budget and the pause contract below
  * are full width too: they only run on cycles that report.
  *
+ * Report-buffer contract (resumability, per row): the rows share one
+ * bounded (cycle, state) scratch buffer, filled in row order.  Before
+ * every cycle the loop checks that the row's worst-case report burst —
+ * every reporting state firing at once (`nrep_total`), or what the
+ * row's budget still allows if less — fits in what is left; if not it
+ * stops, the row's `done` field naming the next unconsumed symbol, so
+ * Python can drain the buffer and call again from that row.  A pause
+ * can land mid-row or between rows.  A capacity >= nrep_total
+ * guarantees that a call which starts with an empty buffer makes
+ * progress.
+ *
  * The file compiles two ways:
  *
  *   - at install time by setup.py as the extension module
@@ -53,13 +73,6 @@
  *     the package was never installed with a compiler at hand.  This
  *     path deliberately needs no Python headers, and no -march flag:
  *     the digest-keyed cache may be shared between hosts.
- *
- * Report-buffer contract (resumability): the caller hands a bounded
- * (cycle, state) scratch buffer.  Before every cycle the loop checks
- * that a worst-case report burst — every reporting state firing at
- * once, `nrep_total` — still fits; if not it returns early with the
- * next unconsumed offset so Python can drain the buffer and resume.
- * A capacity >= nrep_total therefore guarantees forward progress.
  */
 
 #include <stdint.h>
@@ -97,14 +110,24 @@ static int64_t cama_ctz_soft(uint64_t x) {
 #define CAMA_RESTRICT
 #endif
 
-/* counters layout (this call's totals, written on return) */
+/* One row's records in work->row_in / work->row_out, mirrored by
+ * native.py.  The caller writes the inputs and zeroes the outputs
+ * before the first call of a step; resumed calls add to the outputs.
+ * A row's chunk starts where the previous row's ends in `data`. */
 enum {
-    CAMA_CTR_ENABLED_SUM = 0, /* sum of enabled-state counts per cycle   */
-    CAMA_CTR_ACTIVE_SUM = 1,  /* sum of active-state counts per cycle    */
-    CAMA_CTR_FIRED = 2,       /* reports fired (recorded or not)         */
-    CAMA_CTR_RECORDED = 3,    /* reports written to rep_cycles/rep_states */
-    CAMA_CTR_TRUNCATED = 4,   /* 1 if any firing report exceeded budget  */
-    CAMA_CTR_COUNT = 5
+    CAMA_IN_LENGTH = 0,      /* symbols in the row's chunk              */
+    CAMA_IN_BASE = 1,        /* absolute cycle of its first symbol      */
+    CAMA_IN_CAP = 2,         /* reports the row may record this step    */
+    CAMA_IN_FIELDS = 3
+};
+enum {
+    CAMA_OUT_DONE = 0,       /* symbols consumed so far                 */
+    CAMA_OUT_ENABLED = 1,    /* sum of enabled-state counts             */
+    CAMA_OUT_ACTIVE = 2,     /* sum of active-state counts              */
+    CAMA_OUT_FIRED = 3,      /* reports fired (recorded or not)         */
+    CAMA_OUT_RECORDED = 4,   /* reports written to the buffer           */
+    CAMA_OUT_TRUNCATED = 5,  /* 1 if a firing report exceeded CAP       */
+    CAMA_OUT_FIELDS = 6
 };
 
 /* Per-kernel read-only tables; mirrored field for field by the ctypes
@@ -125,6 +148,19 @@ typedef struct {
     int64_t nrep_total;            /* popcount(reporting): worst burst     */
 } cama_tables;
 
+/* One caller's workspace (a thread's, in native.py); mirrored by its
+ * ctypes structure. */
+typedef struct {
+    uint64_t *const *rows;  /* (rows,) each row's packed active bitmap  */
+    const int64_t *row_in;  /* (rows, CAMA_IN_FIELDS) row inputs        */
+    int64_t *row_out;       /* (rows, CAMA_OUT_FIELDS) row outputs      */
+    uint64_t *scratch;      /* (words + 2 * swords,) the successor OR,
+                               then the `touched` and `live` summaries */
+    int64_t *rep_cycles;    /* (rep_capacity,) report buffer: cycles   */
+    int64_t *rep_states;    /* (rep_capacity,) and state ids           */
+    int64_t rep_capacity;
+} cama_work;
+
 /* live = one bit per non-zero word of bitmap */
 static void cama_summarize(
     const uint64_t *bitmap, int64_t words, uint64_t *live)
@@ -137,25 +173,24 @@ static void cama_summarize(
     }
 }
 
-/* The step loop behind cama_run_chunk (documented there).  `words` is
- * a parameter so that the one-word call site below compiles to a loop
- * in which every bitmap and summary is a single register-sized word:
- * rulesets of <= 64 states pay nothing for the span and summary
- * bookkeeping that wide ones need. */
-static CAMA_ALWAYS_INLINE int64_t cama_step(
+/* Step one row from out[DONE] towards in[LENGTH], appending its
+ * reports to the buffer at `written`; returns the new fill level.
+ * `words` is a parameter so that the one-word instance below compiles
+ * to a loop in which every bitmap and summary is a single
+ * register-sized word: rulesets of <= 64 states pay nothing for the
+ * span and summary bookkeeping that wide ones need. */
+static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     const cama_tables *tables,
     const int64_t words,
-    const uint8_t *data,
-    int64_t length,
-    int64_t start_offset,
-    int64_t base_cycle,
+    const uint8_t *CAMA_RESTRICT symbols,
     uint64_t *CAMA_RESTRICT active,
     uint64_t *CAMA_RESTRICT scratch,
-    int64_t budget,
+    const int64_t *in,
+    int64_t *CAMA_RESTRICT out,
     int64_t *CAMA_RESTRICT rep_cycles,
     int64_t *CAMA_RESTRICT rep_states,
-    int64_t rep_capacity,
-    int64_t *counters)
+    const int64_t rep_capacity,
+    int64_t written)
 {
     const int64_t swords = (words + 63) >> 6;
     const uint64_t *match_words = tables->match_words;
@@ -170,21 +205,27 @@ static CAMA_ALWAYS_INLINE int64_t cama_step(
     const uint8_t *start_reports = tables->start_reports;
     const int64_t start_enabled = tables->start_enabled;
     const int64_t nrep_total = tables->nrep_total;
+    const int64_t length = in[CAMA_IN_LENGTH];
+    const int64_t base_cycle = in[CAMA_IN_BASE];
+    const int64_t budget = in[CAMA_IN_CAP];
+    int64_t off = out[CAMA_OUT_DONE];
+    if (off >= length) {
+        return written;
+    }
     /* dyn and touched are all-zero between cycles: whoever reads a
      * word clears it */
     uint64_t *dyn = scratch;
     uint64_t *touched = scratch + words;
     uint64_t *live = touched + swords;
-    memset(scratch, 0, (size_t)(words + swords) * sizeof(uint64_t));
+    memset(dyn, 0, (size_t)(words + swords) * sizeof(uint64_t));
     cama_summarize(active, words, live);
 
-    int64_t enabled_sum = 0, active_sum = 0;
-    int64_t fired = 0, recorded = 0, truncated = 0;
-    int64_t off;
-    for (off = start_offset; off < length; off++) {
+    int64_t enabled_sum = 0, active_sum = 0, fired = 0, truncated = 0;
+    int64_t recorded = out[CAMA_OUT_RECORDED];
+    for (; off < length; off++) {
         int64_t budget_left = budget - recorded;
         int64_t worst = nrep_total < budget_left ? nrep_total : budget_left;
-        if (rep_capacity - recorded < worst) {
+        if (rep_capacity - written < worst) {
             break; /* pause: caller drains the report buffer */
         }
 
@@ -214,7 +255,7 @@ static CAMA_ALWAYS_INLINE int64_t cama_step(
         }
 
         /* active = (start | dyn) & match_words[symbol]; accumulate stats */
-        const int64_t symbol = data[off];
+        const int64_t symbol = symbols[off];
         const uint64_t *match = match_words + symbol * words;
         int64_t enabled_count, active_count;
         uint64_t any_reporting;
@@ -273,8 +314,9 @@ static CAMA_ALWAYS_INLINE int64_t cama_step(
                 while (bits) {
                     fired++;
                     if (recorded < budget) {
-                        rep_cycles[recorded] = cycle;
-                        rep_states[recorded] = w * 64 + CAMA_CTZ64(bits);
+                        rep_cycles[written] = cycle;
+                        rep_states[written] = w * 64 + CAMA_CTZ64(bits);
+                        written++;
                         recorded++;
                     } else {
                         truncated = 1;
@@ -284,59 +326,79 @@ static CAMA_ALWAYS_INLINE int64_t cama_step(
             }
         }
     }
-    counters[CAMA_CTR_ENABLED_SUM] = enabled_sum;
-    counters[CAMA_CTR_ACTIVE_SUM] = active_sum;
-    counters[CAMA_CTR_FIRED] = fired;
-    counters[CAMA_CTR_RECORDED] = recorded;
-    counters[CAMA_CTR_TRUNCATED] = truncated;
-    return off;
+    out[CAMA_OUT_DONE] = off;
+    out[CAMA_OUT_ENABLED] += enabled_sum;
+    out[CAMA_OUT_ACTIVE] += active_sum;
+    out[CAMA_OUT_FIRED] += fired;
+    out[CAMA_OUT_RECORDED] = recorded;
+    out[CAMA_OUT_TRUNCATED] |= truncated;
+    return written;
 }
 
-/* Step `active` through data[start_offset..length); returns the next
- * unconsumed offset (== length when the chunk completed, less when the
- * loop paused to let the caller drain the report buffer).
- *
- *   tables       the kernel's read-only tables
- *   data         input symbols, `length` of them
- *   base_cycle   absolute cycle of data[0] (start_first applies only
- *                at absolute cycle 0); report cycles are absolute
- *   active       (words,) in/out current active bitmap
- *   scratch      (words + 2 * swords,) caller-provided workspace: the
- *                successor OR, then the `touched` and `live` summaries
- *   budget       max reports still recordable (beyond it: counted,
- *                truncated flag set, nothing written)
- *   rep_cycles / rep_states  (rep_capacity,) report output buffer
- *   counters     (CAMA_CTR_COUNT,) out: this call's statistics
- */
-int64_t cama_run_chunk(
+/* cama_step_rows (below) for one `words`, constant in the one-word
+ * instance: each instance holds its own copy of the step loop. */
+static CAMA_ALWAYS_INLINE int64_t cama_step_rows_words(
     const cama_tables *tables,
+    const int64_t words,
+    const cama_work *work,
     const uint8_t *data,
-    int64_t length,
-    int64_t start_offset,
-    int64_t base_cycle,
-    uint64_t *active,
-    uint64_t *scratch,
-    int64_t budget,
-    int64_t *rep_cycles,
-    int64_t *rep_states,
-    int64_t rep_capacity,
-    int64_t *counters)
+    int64_t num_rows,
+    int64_t first_row)
+{
+    int64_t written = 0;
+    for (int64_t r = 0; r < first_row; r++) {
+        data += work->row_in[r * CAMA_IN_FIELDS + CAMA_IN_LENGTH];
+    }
+    for (int64_t r = first_row; r < num_rows; r++) {
+        const int64_t *in = work->row_in + r * CAMA_IN_FIELDS;
+        int64_t *out = work->row_out + r * CAMA_OUT_FIELDS;
+        written = cama_step_row(
+            tables, words, data, work->rows[r], work->scratch, in, out,
+            work->rep_cycles, work->rep_states, work->rep_capacity, written);
+        if (out[CAMA_OUT_DONE] < in[CAMA_IN_LENGTH]) {
+            break;
+        }
+        data += in[CAMA_IN_LENGTH];
+    }
+    return written;
+}
+
+/* Step rows first_row .. num_rows - 1, in order, row r through the
+ * next in[LENGTH] symbols of `data` (the rows' chunks are back to
+ * back); returns how many (cycle, state) pairs this call wrote to the
+ * report buffer, row by row in row order (out[RECORDED] grows by each
+ * row's share).  The call stops early at the first row whose
+ * out[DONE] is still short of in[LENGTH] — it paused for the caller
+ * to drain the buffer (see the contract above); call again from that
+ * row.
+ *
+ *   tables   the kernel's read-only tables
+ *   work     row pointers, row records, scratch and report buffer
+ *   data     every row's input symbols, back to back
+ *
+ * Report cycles are absolute (in[BASE] + offset in the chunk), and
+ * start_first applies only at absolute cycle 0.
+ */
+int64_t cama_step_rows(
+    const cama_tables *tables,
+    const cama_work *work,
+    const uint8_t *data,
+    int64_t num_rows,
+    int64_t first_row)
 {
     if (tables->words == 1) {
-        return cama_step(tables, 1, data, length, start_offset, base_cycle,
-                         active, scratch, budget, rep_cycles, rep_states,
-                         rep_capacity, counters);
+        return cama_step_rows_words(
+            tables, 1, work, data, num_rows, first_row);
     }
-    return cama_step(tables, tables->words, data, length, start_offset,
-                     base_cycle, active, scratch, budget, rep_cycles,
-                     rep_states, rep_capacity, counters);
+    return cama_step_rows_words(
+        tables, tables->words, work, data, num_rows, first_row);
 }
 
 #ifdef CAMA_BUILD_PYEXT
 /* Minimal module shell so setuptools can build/install this file as
  * `repro.sim.backends._cama_native`.  Nothing imports it for its
  * Python surface — the loader resolves the shared object's path and
- * binds cama_run_chunk through ctypes. */
+ * binds cama_step_rows through ctypes. */
 #include <Python.h>
 
 static struct PyModuleDef cama_native_module = {

@@ -2,14 +2,23 @@
 
 ``cama_kernel.c`` (next to this module) implements the packed-uint64
 cycle — successor-row OR-reduce, per-symbol match mask AND, report
-extraction — as one plain-C function called through ctypes, removing
-the per-cycle numpy dispatch the pure-python :class:`BitParallelKernel`
-pays, with per-cycle work that follows the active set rather than the
-row width: :meth:`NativeKernel._bind_native` derives, once per kernel
-and from the dense tables every kernel already has, each state's
-non-zero successor span and the always-enabled starts' per-symbol
-contribution (see the C file's header).  The shared object is found
-two ways, tried in order:
+extraction — in plain C called through ctypes, removing the per-cycle
+numpy dispatch the pure-python :class:`BitParallelKernel` pays, with
+per-cycle work that follows the active set rather than the row width:
+:meth:`NativeKernel._bind_native` derives, once per kernel and from the
+dense tables every kernel already has, each state's non-zero successor
+span and the always-enabled starts' per-symbol contribution (see the C
+file's header).
+
+One C entry, ``cama_step_rows``, steps every row of a batch from an
+array of row pointers: a :class:`BatchEngineState`'s matrix rows, or
+each stream's own :class:`EngineState` row — the packed form is the
+state's canonical one, so a stream's row is stepped in place chunk
+after chunk, never converted to ids and back.  A single stream's chunk
+(:meth:`NativeKernel.run_chunk`) is the one-row call; per-row base
+cycles, report budgets and counters travel in one record per row, and
+the rows share one bounded report buffer that the C side pauses on and
+Python drains.  The shared object is found two ways, tried in order:
 
 1. the extension module ``repro.sim.backends._cama_native`` built at
    install time by ``setup.py`` (its Python surface is an empty shell;
@@ -55,7 +64,7 @@ from repro.sim.backends.base import (
     normalize_batch_caps,
 )
 from repro.sim.backends.bitparallel import BitParallelKernel
-from repro.sim.reports import ReportBatch
+from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 
@@ -177,24 +186,75 @@ class _CamaTables(ctypes.Structure):
     ]
 
 
+class _CamaWork(ctypes.Structure):
+    """``cama_work`` of ``cama_kernel.c``, field for field."""
+
+    _fields_ = [
+        ("rows", ctypes.c_void_p),
+        ("row_in", ctypes.c_void_p),
+        ("row_out", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+        ("rep_cycles", ctypes.c_void_p),
+        ("rep_states", ctypes.c_void_p),
+        ("rep_capacity", ctypes.c_int64),
+    ]
+
+
+#: one row's records in the workspace (``CAMA_IN_*`` / ``CAMA_OUT_*`` in
+#: cama_kernel.c): length, base cycle and cap in; symbols done,
+#: enabled / active sums, fired, recorded and truncated out
+_IN_FIELDS, _OUT_FIELDS = 3, 6
+_DONE, _RECORDED = 0, 4
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    fn = lib.cama_run_chunk
+    fn = lib.cama_step_rows
     fn.restype = ctypes.c_int64
     fn.argtypes = [
         ctypes.POINTER(_CamaTables),  # tables
+        ctypes.POINTER(_CamaWork),  # work
         ctypes.c_void_p,  # data
-        ctypes.c_int64,  # length
-        ctypes.c_int64,  # start_offset
-        ctypes.c_int64,  # base_cycle
-        ctypes.c_void_p,  # active
-        ctypes.c_void_p,  # scratch
-        ctypes.c_int64,  # budget
-        ctypes.c_void_p,  # rep_cycles
-        ctypes.c_void_p,  # rep_states
-        ctypes.c_int64,  # rep_capacity
-        ctypes.c_void_p,  # counters
+        ctypes.c_int64,  # num_rows
+        ctypes.c_int64,  # first_row
     ]
     return lib
+
+
+class _Workspace:
+    """One thread's C-loop buffers — report buffer, scratch, row
+    pointers and row records — and the ``cama_work`` pointing at them,
+    made once and grown with the widest batch seen: reading
+    ``.ctypes.data`` costs more than a short chunk's C loop.  The row
+    records are ctypes arrays because slicing one to or from a list is
+    the cheapest way across for a handful of integers."""
+
+    def __init__(self, num_words: int, capacity: int) -> None:
+        self.rep_cycles = np.empty(capacity, dtype=np.int64)
+        self.rep_states = np.empty(capacity, dtype=np.int64)
+        # the successor OR plus two one-bit-per-word summaries
+        scratch = num_words + 2 * bitwords.num_words(num_words)
+        self.scratch = np.empty(scratch, dtype=np.uint64)
+        self.work = _CamaWork(
+            scratch=self.scratch.ctypes.data,
+            rep_cycles=self.rep_cycles.ctypes.data,
+            rep_states=self.rep_states.ctypes.data,
+            rep_capacity=capacity,
+        )
+        self.pointer = ctypes.pointer(self.work)
+        self.max_rows = 0
+        self.reserve(1)
+
+    def reserve(self, num_rows: int) -> None:
+        """Make room for ``num_rows`` rows' pointers and records."""
+        if num_rows <= self.max_rows:
+            return
+        self.max_rows = max(num_rows, 2 * self.max_rows)
+        self.rows = (ctypes.c_uint64 * self.max_rows)()
+        self.row_in = (ctypes.c_int64 * (self.max_rows * _IN_FIELDS))()
+        self.row_out = (ctypes.c_int64 * (self.max_rows * _OUT_FIELDS))()
+        self.work.rows = ctypes.addressof(self.rows)
+        self.work.row_in = ctypes.addressof(self.row_in)
+        self.work.row_out = ctypes.addressof(self.row_out)
 
 
 def load_native() -> "ctypes.CDLL | None":
@@ -252,10 +312,12 @@ def _reset_probe_cache() -> None:
 class NativeKernel(BitParallelKernel):
     """The bit-parallel kernel with its cycle loop in compiled C.
 
-    Tables, interchange state and statistics are inherited; only the
-    hot loop differs.  Runs that need per-cycle visibility —
-    ``placement`` tracking or ``keep_per_cycle`` — use the inherited
-    numpy path, so the whole engine feature surface keeps working.
+    Tables and statistics are inherited; the hot loop differs, and it
+    steps each stream's packed :class:`EngineState` row in place.  Runs
+    that need per-cycle visibility — ``placement`` tracking or
+    ``keep_per_cycle`` — use the inherited numpy path (which reads and
+    assigns the state's ids), so the whole engine feature surface keeps
+    working.
     """
 
     name = "native"
@@ -321,75 +383,99 @@ class NativeKernel(BitParallelKernel):
         self.__dict__.update(state)
         self._bind_native()
 
-    def _workspace(self) -> tuple:
-        """This thread's C-loop buffers (reports, counters, scratch) and
-        their addresses, made once: reading ``.ctypes.data`` costs more
-        than a short chunk's C loop.  Each thread has its own, since
-        calls run concurrently with the GIL released."""
+    def _workspace(self, num_rows: int) -> _Workspace:
+        """This thread's C-loop workspace, with room for ``num_rows``
+        rows.  Each thread has its own, since calls run concurrently
+        with the GIL released."""
         space = getattr(self._local, "space", None)
         if space is None:
             # capacity >= nrep_total guarantees the C loop always makes
             # progress (see the pause contract in cama_kernel.c)
             capacity = max(_REPORT_BUFFER_FLOOR, self._nrep_total)
-            words = self._num_words
-            arrays = (
-                np.empty(capacity, dtype=np.int64),
-                np.empty(capacity, dtype=np.int64),
-                np.empty(5, dtype=np.int64),
-                # the successor OR plus two one-bit-per-word summaries
-                np.empty(words + 2 * bitwords.num_words(words), np.uint64),
-            )
-            pointers = tuple(array.ctypes.data for array in arrays)
-            space = self._local.space = (arrays, pointers)
+            space = self._local.space = _Workspace(self._num_words, capacity)
+        space.reserve(num_rows)
         return space
 
-    def _step_words(
-        self, active: int, data: bytes, base: int, cap: int
-    ) -> StepResult:
-        """Drive the C loop over one stream's chunk, stepping the packed
-        row at address ``active`` in place and draining the bounded
-        report buffer into the result's batch whenever the C side
-        pauses on it (the C side keeps the recording cap itself)."""
-        (rep_cycles, rep_states, counters, _), pointers = self._workspace()
-        cycles_at, states_at, counters_at, scratch_at = pointers
-        if type(data) is not bytes:
-            data = bytes(data)  # ctypes passes a bytes object's buffer
-        length = len(data)
-        capacity = len(rep_cycles)
-        stats = TraceStats(num_states=self._n, num_cycles=length)
-        codes, drained, truncated = self._report_codes, [], False
-        offset = 0
-        while offset < length:
-            next_offset = self._lib.cama_run_chunk(
-                self._c_tables,
-                data,
-                length,
-                offset,
-                base,
-                active,
-                scratch_at,
-                cap,
-                cycles_at,
-                states_at,
-                capacity,
-                counters_at,
-            )
-            enabled, active_sum, reports, recorded, hit = counters.tolist()
-            stats.enabled_states_sum += enabled
-            stats.active_states_sum += active_sum
-            stats.num_reports += reports
-            truncated |= bool(hit)
-            if recorded:
-                cap -= recorded
-                cycles = rep_cycles[:recorded].copy()
-                states = rep_states[:recorded].copy()
-                drained.append(ReportBatch(cycles, states, codes))
-            if next_offset <= offset and not recorded:
+    def _step_rows(self, chunks, row_at, bases, caps) -> list[StepResult]:
+        """One C entry over the packed rows at addresses ``row_at``:
+        row ``r`` is stepped in place through ``chunks[r]`` from
+        absolute cycle ``bases[r]``, recording at most ``caps[r]``
+        reports.
+
+        Rows share the workspace's report buffer; when the C side
+        pauses on it, the buffer is drained into the rows' batches and
+        the call resumes from the paused row."""
+        num_rows = len(chunks)
+        space = self._workspace(num_rows)
+        if num_rows == 1:
+            data = chunks[0]
+            if type(data) is not bytes:
+                data = bytes(data)  # ctypes passes a bytes object's buffer
+        else:
+            data = b"".join(chunks)
+        lengths, fields = [], []
+        for chunk, base, cap in zip(chunks, bases, caps):
+            lengths.append(len(chunk))
+            fields += (lengths[-1], base, cap)
+        space.row_in[0 : len(fields)] = fields
+        width = num_rows * _OUT_FIELDS
+        ctypes.memset(space.work.row_out, 0, 8 * width)
+        space.rows[0:num_rows] = row_at
+        step, tables = self._lib.cama_step_rows, self._c_tables
+        first, drained, resume = 0, {}, (0, 0)
+        # nothing written means nothing paused: a call that starts with
+        # an empty buffer always fits a worst-case burst
+        while step(tables, space.pointer, data, num_rows, first):
+            outs = space.row_out[0:width]
+            paused = self._drain(space, outs, lengths, first, drained)
+            if paused is None:
+                break
+            if paused <= resume:  # each call gets at least one cycle on
                 raise SimulationError(
                     "native kernel made no progress (corrupt build?)"
                 )
-            offset = next_offset
-        return StepResult(ReportBatch.concat(drained), stats, truncated)
+            resume, first = paused, paused[0]
+        n, results = self._n, []
+        records = zip(lengths, *[iter(space.row_out[0:width])] * _OUT_FIELDS)
+        for row, record in enumerate(records):
+            length, done, enabled, active, fired, _, truncated = record
+            if done != length:
+                raise SimulationError(
+                    "native kernel made no progress (corrupt build?)"
+                )
+            parts = drained.get(row)
+            results.append(
+                StepResult(
+                    ReportBatch.concat(parts) if parts else EMPTY_REPORTS,
+                    TraceStats(n, length, fired, enabled, active),
+                    truncated != 0,
+                )
+            )
+        return results
+
+    def _drain(self, space, outs, lengths, first, drained):
+        """Move the report buffer's contents into per-row batch lists
+        (``drained[row]``): rows from ``first`` on wrote them in row
+        order, each its ``RECORDED`` growth since the last drain.
+        Returns ``(row, symbols done)`` where the call paused, or None
+        when every row is done."""
+        at = 0
+        for row in range(first, len(lengths)):
+            record = row * _OUT_FIELDS
+            parts = drained.setdefault(row, [])
+            got = outs[record + _RECORDED] - sum(map(len, parts))
+            if got:
+                parts.append(
+                    ReportBatch(
+                        space.rep_cycles[at : at + got].copy(),
+                        space.rep_states[at : at + got].copy(),
+                        self._report_codes,
+                    )
+                )
+                at += got
+            if outs[record + _DONE] < lengths[row]:
+                return row, outs[record + _DONE]
+        return None
 
     def run_chunk(
         self,
@@ -400,6 +486,8 @@ class NativeKernel(BitParallelKernel):
         keep_per_cycle: bool = False,
         max_reports: int = DEFAULT_MAX_KEPT_REPORTS,
     ) -> StepResult:
+        """One stream's chunk: the one-row call of the C entry, which
+        steps the state's packed row in place."""
         if self._lib is None or placement is not None or keep_per_cycle:
             # per-cycle visibility isn't surfaced by the C loop
             return super().run_chunk(
@@ -409,47 +497,66 @@ class NativeKernel(BitParallelKernel):
                 keep_per_cycle=keep_per_cycle,
                 max_reports=max_reports,
             )
-        words = bitwords.pack_indices(state.active, self._n)
-        result = self._step_words(
-            words.ctypes.data, data, state.position, max_reports
+        [result] = self._step_rows(
+            (data,), (state.row_address(self._n),), (state.position,),
+            (max_reports,),
         )
-        state.active = bitwords.unpack_indices(words)
         state.position += len(data)
         return result
+
+    def _step_states(self, chunks, states, caps) -> list[StepResult]:
+        """Step per-stream states, each through its own packed row."""
+        n = self._n
+        results = self._step_rows(
+            chunks,
+            [state.row_address(n) for state in states],
+            [state.position for state in states],
+            caps,
+        )
+        for state, chunk in zip(states, chunks):
+            state.position += len(chunk)
+        return results
 
     def step_batch(
         self,
         chunks: list[bytes],
-        batch: BatchEngineState,
+        rows: "BatchEngineState | list[EngineState]",
         *,
         max_reports=DEFAULT_MAX_KEPT_REPORTS,
     ) -> list[StepResult]:
-        """Advance every stream row one chunk, each row in native code.
+        """Advance every stream row one chunk in one C entry.
 
-        Rows of a batch are independent streams, so the C chunk loop
-        runs row by row directly on the batch's packed matrix.  The
-        per-cycle interpreter overhead the numpy ``step_batch``
-        amortizes across rows is already gone in C, and per-row
-        semantics stay exactly :meth:`run_chunk`'s.
+        The C side walks an array of row pointers, so the rows are
+        stepped where they live: a :class:`BatchEngineState`'s matrix
+        rows, or each session state's own packed row — no stacking, no
+        copying back.  Rows share one report buffer and pause on it one
+        row at a time, and per-row semantics stay exactly
+        :meth:`run_chunk`'s.
         """
         if self._lib is None:
-            return super().step_batch(chunks, batch, max_reports=max_reports)
-        num_rows = batch.num_rows
+            return super().step_batch(chunks, rows, max_reports=max_reports)
+        matrix = isinstance(rows, BatchEngineState)
+        num_rows = rows.num_rows if matrix else len(rows)
         if len(chunks) != num_rows:
             raise SimulationError(
                 f"got {len(chunks)} chunks for {num_rows} batch rows"
             )
         caps = normalize_batch_caps(max_reports, num_rows)
-        words = np.ascontiguousarray(batch.active_words, dtype=np.uint64)
+        if not matrix:
+            return self._step_states(chunks, rows, caps)
+        # the matrix's rows, stepped where they live
+        words = np.ascontiguousarray(rows.active_words, dtype=np.uint64)
         row_at, stride = words.ctypes.data, words.strides[0]
-        results, ends = [], []
-        positions = batch.positions.tolist()
-        for chunk, position, cap in zip(chunks, positions, caps):
-            results.append(self._step_words(row_at, chunk, position, cap))
-            ends.append(position + len(chunk))
-            row_at += stride
-        batch.active_words = words
-        batch.positions = np.array(ends, dtype=np.int64)
+        bases = rows.positions.tolist()
+        results = self._step_rows(
+            chunks, range(row_at, row_at + stride * num_rows, stride), bases,
+            caps,
+        )
+        rows.active_words = words
+        rows.positions = np.array(
+            [base + len(chunk) for base, chunk in zip(bases, chunks)],
+            dtype=np.int64,
+        )
         return results
 
 

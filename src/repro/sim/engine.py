@@ -116,7 +116,8 @@ def _observe_chunk(
     chunks, cycles, reports, seconds, _ = instruments
     chunks.inc()
     cycles.inc(result.stats.num_cycles)
-    reports.inc(result.stats.num_reports)
+    if result.stats.num_reports:  # adding 0 would only take the lock
+        reports.inc(result.stats.num_reports)
     seconds.observe(elapsed)
     trace = current_trace()
     if trace is not None:
@@ -301,11 +302,9 @@ class Engine:
             )
         explicit = max_reports is not None
         cap = max_reports if explicit else self.max_kept_reports
-        batch = BatchEngineState.attach(states, len(self.automaton))
         start = time.perf_counter()
-        results = self._kernel.step_batch(chunks, batch, max_reports=cap)
+        results = self._kernel.step_batch(chunks, states, max_reports=cap)
         elapsed = time.perf_counter() - start
-        batch.detach_into(states)
 
         total_cycles = total_reports = hit = 0
         for result in results:
@@ -316,7 +315,8 @@ class Engine:
         batches.inc()
         chunk_count.inc(len(chunks))
         cycles.inc(total_cycles)
-        reports.inc(total_reports)
+        if total_reports:  # adding 0 would only take the lock
+            reports.inc(total_reports)
         seconds.observe(elapsed)
         trace = current_trace()
         if trace is not None:

@@ -180,6 +180,9 @@ class Family:
 
     def labels(self, *values: str) -> Counter | Gauge | Histogram:
         """The child for one label-value tuple (created on first use)."""
+        child = self._children.get(values)
+        if child is not None:  # string values of an existing child
+            return child
         if len(values) != len(self.label_names):
             raise ConfigError(
                 f"metric {self.name!r} takes labels {self.label_names}, "

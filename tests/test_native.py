@@ -30,6 +30,8 @@ from repro.sim.backends import (
 )
 from repro.sim.backends.base import BatchEngineState
 from repro.sim.backends.bitparallel import BitParallelKernel
+from repro.service import MatchingService
+from repro.sim.backends import native as native_module
 from repro.sim.backends.native import (
     NativeBackend,
     NativeKernel,
@@ -393,6 +395,139 @@ def test_step_batch_rows_equal_solo_run_chunk(seed):
         assert got.stats.active_states_sum == want.stats.active_states_sum
         assert _active(after) == _active(solo_state)
         assert after.position == solo_state.position
+
+
+# -- the packed row is the state ------------------------------------------
+#
+# A native stream's EngineState holds the packed row the C loop steps in
+# place; ids are derived for snapshots and for the index-set kernels.
+
+
+def _oracle_chunk(nfa, prefix: bytes, chunk: bytes, cap: int):
+    """What one chunk after ``prefix`` must give: its capped reports,
+    the fired count, truncation and the two activity sums."""
+    before, after = oracle_run(nfa, prefix), oracle_run(nfa, prefix + chunk)
+    fired = [r for r in after.reports if r.cycle >= len(prefix)]
+    return (
+        _keys(fired[:cap]),
+        len(fired),
+        len(fired) > cap,
+        after.enabled_states_sum - before.enabled_states_sum,
+        after.active_states_sum - before.active_states_sum,
+    )
+
+
+class _CountingLib:
+    """The bound library, recording each C call's ``first_row``."""
+
+    def __init__(self, lib) -> None:
+        self.lib, self.first_rows = lib, []
+
+    def cama_step_rows(self, tables, work, data, num_rows, first_row):
+        self.first_rows.append(first_row)
+        return self.lib.cama_step_rows(tables, work, data, num_rows, first_row)
+
+
+@needs_native
+@pytest.mark.parametrize("matrix", [False, True], ids=["states", "matrix"])
+def test_one_c_entry_pauses_mid_row_and_between_rows(monkeypatch, matrix):
+    """A one-slot report buffer (the floor monkeypatched to 1, so the
+    capacity is the worst burst) makes the one C entry pause on nearly
+    every reporting cycle — inside rows and at row boundaries — across
+    rows at cycle 0 and mid-stream with per-row caps; every row still
+    matches the oracle, as a list of session states and as a matrix."""
+    monkeypatch.setattr(native_module, "_REPORT_BUFFER_FLOOR", 1)
+    nfa = compile_regex_set({"a": "a", "ab": "[ab]", "bc": "b+c?"}, name="p")
+    kernel = get_backend("native").compile(nfa)  # a fresh workspace
+    lib = kernel._lib = _CountingLib(kernel._lib)
+    rng = random.Random(31337)
+    prefixes = [b"", b"", b"ab" * 9, b"bbc", b"a" * 40, b"", b"cab"]
+    chunks = [
+        bytes(rng.choice(b"abc") for _ in range(length))
+        for length in (60, 0, 45, 1, 70, 33, 52)
+    ]
+    caps = [10_000, 3, 0, 1, 7, 10_000, 2]
+    states = [kernel.initial_state() for _ in prefixes]
+    for state, prefix in zip(states, prefixes):
+        kernel.run_chunk(prefix, state)
+    reference = Engine(nfa, backend="sparse")
+    want_states = [reference.initial_state() for _ in prefixes]
+    for state, prefix, chunk in zip(want_states, prefixes, chunks):
+        reference.run_chunk(prefix + chunk, state)
+    lib.first_rows.clear()
+    if matrix:
+        batch = BatchEngineState.attach(states, len(nfa))
+        results = kernel.step_batch(chunks, batch, max_reports=caps)
+        states = batch.detach()
+    else:
+        results = kernel.step_batch(chunks, states, max_reports=caps)
+    # paused mid-row (a row resumed) and stopped short of later rows
+    assert len(lib.first_rows) > len(chunks)
+    assert len(set(lib.first_rows)) < len(lib.first_rows)
+    for got, prefix, chunk, cap, state, want in zip(
+        results, prefixes, chunks, caps, states, want_states
+    ):
+        keys, fired, truncated, enabled, active = _oracle_chunk(
+            nfa, prefix, chunk, cap
+        )
+        assert _keys(got.reports) == keys
+        assert got.stats.num_reports == fired
+        assert got.truncated == truncated
+        assert got.stats.num_cycles == len(chunk)
+        assert got.stats.enabled_states_sum == enabled
+        assert got.stats.active_states_sum == active
+        assert _active(state) == _active(want)
+        assert state.position == len(prefix) + len(chunk)
+
+
+@needs_native
+def test_snapshots_do_not_alias_the_live_row():
+    """A native feed steps the session's packed rows in place, so a
+    snapshot (and ``EngineState.copy``) must own its row: feeding after
+    one leaves it as it was."""
+    nfa = compile_regex_set(RULES, name="alias")
+    data = b"abcdfoobarba123qn" * 3
+    with MatchingService(ScanConfig(backend="native", num_shards=2)) as service:
+        session = service.open_session(nfa, "s")
+        session.feed(data[:11])
+        snapshot = session.snapshot()
+        taken = [state.to_dict() for state in snapshot]
+        session.feed(data[11:])
+        assert [s.to_dict() for s in session.snapshot()] != taken
+        assert [state.to_dict() for state in snapshot] == taken
+    kernel = get_backend("native").compile(nfa)
+    state = kernel.initial_state()
+    kernel.run_chunk(data[:11], state)
+    copy = state.copy()
+    taken = copy.to_dict()
+    kernel.run_chunk(data[11:], state)
+    assert state.to_dict() != taken
+    assert copy.to_dict() == taken
+    # and stepping the copy leaves the original alone
+    kernel.run_chunk(data[11:], copy)
+    assert copy.to_dict() == state.to_dict()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restore_native_to_sparse_to_native_matches_oracle(seed):
+    """One stream checkpointed across three services — native, then the
+    sparse kernel (which reads ids and assigns them back), then native
+    again (which packs them) — reports exactly the oracle's stream."""
+    rng = random.Random(6200 + seed)
+    nfa = random_automaton(rng, rng.choice([20, 64, 65, 130]))
+    data = random_input(rng, 240)
+    cuts = sorted(rng.sample(range(1, len(data)), 2))
+    pieces = [data[: cuts[0]], data[cuts[0] : cuts[1]], data[cuts[1] :]]
+    got, snapshot = [], None
+    for backend, piece in zip(["native", "sparse", "native"], pieces):
+        config = ScanConfig(backend=backend, num_shards=2)
+        with MatchingService(config) as service:
+            session = service.open_session(nfa, "s")
+            if snapshot is not None:
+                session.restore(snapshot)
+            got.extend(session.feed_all(piece, rng.choice([7, 64, 512])))
+            snapshot = [state.to_dict() for state in session.snapshot()]
+    assert _keys(got) == _keys(oracle_run(nfa, data).reports)
 
 
 # -- degradation -----------------------------------------------------------

@@ -10,6 +10,7 @@ and drain are in ``tests/test_transport.py``.)
 """
 
 import asyncio
+import json
 import threading
 import time
 import warnings
@@ -27,7 +28,7 @@ from repro.service import (
     RemoteError,
     batching,
 )
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, decode_reports
 from repro.sim.engine import Engine, ReportTruncationWarning
 from tests.oracle import oracle_run
 
@@ -213,6 +214,120 @@ class TestProtocolViolations:
             with pytest.raises(RemoteError) as excinfo:
                 client.open_session(handle, "dup")
             assert excinfo.value.code == "bad-request"
+
+
+class TestRestoredState:
+    """``open``'s ``state`` is untrusted input: a snapshot is packed
+    into the row the C loop steps only after every id and the position
+    check out, so a hostile one is refused as ``bad-request`` — it never
+    reaches the kernel (ids past ``n`` would read past its tables)."""
+
+    #: the 4-regex ruleset of the e2e ``tiny`` workloads: 31 states
+    TINY = {
+        "shell": r"/bin/(sh|bash)",
+        "hex-blob": r"0x[0-9a-f]{4}",
+        "beacon": r"PING[0-9]+PONG",
+        "paper": "(a|b)e*cd+",
+    }
+
+    @staticmethod
+    def _state(active, position=3):
+        return {"format_version": 1, "active": active, "position": position}
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        with ServerHarness(config=ScanConfig(backend="native")) as h:
+            with h.client() as client:
+                yield client, client.register(self.TINY)
+
+    def test_the_tiny_ruleset_has_31_states(self):
+        assert len(compile_regex_set(self.TINY)) == 31
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            _state([40]),
+            _state([63]),
+            _state([-1]),
+            _state([31]),
+            _state([5, 3]),
+            _state([4, 4]),
+            _state([2.0]),
+            _state([True]),
+            _state(["3"]),
+            _state(None),
+            _state([1], position=-5),
+            _state([1], position=1.5),
+            _state([1], position=True),
+            _state([1], position="x"),
+            _state([1], position=None),
+            _state([1], position=1 << 70),
+            _state([1 << 70]),
+            [1, 2],
+            "snapshot",
+        ],
+        ids=lambda state: repr(state)[:60],
+    )
+    def test_hostile_state_is_a_bad_request(self, tiny, state):
+        client, handle = tiny
+        snapshot = state if isinstance(state, list) else [state]
+        with pytest.raises(RemoteError) as excinfo:
+            client._request({"op": "open", "handle": handle,
+                             "session": "hostile", "state": snapshot})  # fmt: skip
+        assert excinfo.value.code == "bad-request"
+        # refused sessions are released: the name is free again
+        client._request({"op": "open", "handle": handle, "session": "hostile"})
+        client._request({"op": "close", "session": "hostile"})
+
+    def test_valid_state_resumes_the_stream(self, tiny):
+        client, handle = tiny
+        stream = b"xx/bin/bash 0xbeef PING12PONG aecdd" * 3
+        nfa = compile_regex_set(self.TINY)
+        expected = full_keys(oracle_run(nfa, stream).reports)
+        client._request({"op": "open", "handle": handle, "session": "a",
+                         "checkpoint": True})  # fmt: skip
+        first = client._request({"op": "feed", "session": "a",
+                                 "data": stream[:23]})  # fmt: skip
+        client._request({"op": "open", "handle": handle, "session": "b",
+                         "state": first["state"]})  # fmt: skip
+        second = client._request({"op": "feed", "session": "b",
+                                  "data": stream[23:]})  # fmt: skip
+        got = [
+            (r.cycle, r.state_id, r.code)
+            for reply in (first, second)
+            for r in decode_reports(reply["reports"])
+        ]
+        assert got == expected
+        for name in ("a", "b"):
+            client._request({"op": "close", "session": name})
+
+    def test_checkpoint_state_json_is_pinned(self):
+        """A native session's checkpoint ``state`` keeps its JSON byte
+        for byte: ascending ids derived from the packed rows, per shard,
+        as the index-form states always wrote them."""
+        rules = {"word": "[a-z]+x", "hex": "[0-9a-f]{3}z",
+                 "paper": "(a|b)e*cd+", "abc": "abc"}  # fmt: skip
+        config = ScanConfig(num_shards=2, backend="native")
+        with ServerHarness(config=config) as h, h.client() as client:
+            handle = client.register(rules)
+            client._request({"op": "open", "handle": handle, "session": "g",
+                             "checkpoint": True})  # fmt: skip
+            states = [
+                client._request(
+                    {"op": "feed", "session": "g", "data": chunk}
+                )["state"]
+                for chunk in (b"bee", b"cab1", b"", b"0fabc")
+            ]
+        assert json.dumps(states) == (
+            '[[{"format_version": 1, "active": [0, 4], "position": 3}, '
+            '{"format_version": 1, "active": [0, 1, 2], "position": 3}], '
+            '[{"format_version": 1, "active": [], "position": 7}, '
+            '{"format_version": 1, "active": [0, 1, 2], "position": 7}], '
+            '[{"format_version": 1, "active": [], "position": 7}, '
+            '{"format_version": 1, "active": [0, 1, 2], "position": 7}], '
+            '[{"format_version": 1, "active": [0, 5], "position": 12}, '
+            '{"format_version": 1, "active": [0, 1, 2, 6], "position": 12}]]'
+        )
 
 
 class TestReportCapPolicies:
