@@ -734,7 +734,8 @@ class FrameChannel:
         timeout = self.timeout_s if timeout_s is None else timeout_s
         async with self._lock:
             try:
-                return await asyncio.wait_for(self._exchange(wire), timeout)
+                async with asyncio.timeout(timeout):
+                    return await self._exchange(wire)
             except (OSError, ProtocolError):
                 await self.close()
                 raise

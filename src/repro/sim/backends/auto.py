@@ -24,7 +24,7 @@ shard, so one ruleset can mix kernels — from
   engine).
 
 Since the C loop's own cost follows the active set (block-local
-successor spans, hoisted starts) it also beats ``sparse`` below the
+successor spans, folded starts) it also beats ``sparse`` below the
 threshold — ~60x on Snort — but the default does not use that yet:
 sending every automaton that fits to ``native`` is ROADMAP item 3's
 open part.  Pin ``backend="native"`` to get it today.

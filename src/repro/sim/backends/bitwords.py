@@ -117,16 +117,6 @@ def unpack_rows(words: np.ndarray, n: int) -> list[np.ndarray]:
     return [ids[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
-def nonzero_word_summary(words: np.ndarray) -> np.ndarray:
-    """One bit per *word* of a ``(rows, words)`` packed matrix: bit
-    ``w`` of a row's summary is set iff word ``w`` of the row is
-    non-zero.  Shape ``(rows, num_words(words))``."""
-    rows, width = words.shape
-    flags = np.zeros((rows, num_words(width) * WORD_BITS), dtype=np.uint8)
-    flags[:, :width] = words != 0
-    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
-
-
 def nonzero_word_spans(words: np.ndarray) -> np.ndarray:
     """Per row of a ``(rows, words)`` packed matrix, the tightest word
     slice holding all its set bits, as ``(first, count)`` int32 pairs;

@@ -6,9 +6,9 @@
  * extraction), with the per-cycle Python/numpy dispatch overhead
  * removed.  The Python side owns all memory: every pointer passed in
  * is a C-contiguous buffer, and the code is pure compute — no
- * allocation, no globals, no Python API — so ctypes can call it with
- * the GIL released and calls on separate workspaces can step from the
- * same tables concurrently.
+ * allocation, no state of its own, no Python API — so ctypes can call
+ * it with the GIL released and calls on separate workspaces can step
+ * from the same tables concurrently.
  *
  * One entry point, cama_step_rows, steps a *batch of rows*: row r is
  * one stream, its packed active bitmap at rows[r] (a session's own
@@ -24,8 +24,8 @@
  *     enabled = start_all | OR(succ_rows[s] for s in active)
  *     active' = enabled & match_words[symbol]
  *
- * and three tables derived once per kernel (native.py:_bind_native)
- * keep every step of it off the full `words`-wide bitmap:
+ * and tables derived once per kernel (native.py:_derive_tables) keep
+ * every step of it off the full `words`-wide bitmap:
  *
  *   - succ_span[s] = (first, count): the word slice of succ_rows[s]
  *     that is non-zero.  Successors stay inside a state's connected
@@ -33,22 +33,45 @@
  *     is a word or two however wide the automaton is; only it is
  *     ORed.
  *   - start_match[symbol] = start_all & match_words[symbol], with its
- *     popcount (start_active), its non-zero-word summary
- *     (start_summary) and an any-reporting flag (start_reports).  The
- *     always-enabled starts contribute the same bits every time a
- *     symbol is seen, so a cycle *begins* as a copy of that row plus
- *     constants, and only `extra = dyn & ~start_all` — the successor
- *     bits that are not starts anyway — is counted and matched.
+ *     popcount (start_active) and an any-reporting flag
+ *     (start_reports): the always-enabled starts that a symbol makes
+ *     active, the same bits every time the symbol is seen.
+ *   - start_succ: per symbol, a sparse list (CSR over symbols:
+ *     start_succ_at, then word index and bits) of the non-start
+ *     successor words of start_match[symbol]'s states — a word or two
+ *     per symbol, where the row is `words` wide.
  *   - summary bitmaps, one bit per word (`ceil(words / 64)` uint64s):
- *     `live` marks the non-zero words of `active`, `touched` the words
+ *     `live` marks the non-zero words of the row, `touched` the words
  *     the successor OR wrote.  Both passes iterate set bits of a
  *     summary, so idle words are never read.
+ *
+ * The starts are folded out of the row.  From a call's second cycle
+ * on, a row holds only its non-start hits D (the previous cycle's
+ * start hits are start_match[prev], known from the symbol), so a
+ * cycle is
+ *
+ *     dyn = start_succ[prev] | OR(succ_rows[s] for s in D)
+ *     D'  = (dyn & ~start_all) & match_words[symbol]
+ *
+ * counting start_enabled + popcount(dyn & ~start_all) enabled and
+ * start_active[symbol] + popcount(D') active states.  When D is empty
+ * — only starts are active, the usual cycle on traffic that matches
+ * little — dyn is just the list, each word once, so the cycle ANDs
+ * the listed words with the match row and skips the OR pass and the
+ * summaries.  A call's first cycle reads the whole row it was handed
+ * (any active set, starts included) and writes D'; report extraction
+ * ORs start_match[symbol] back in word by word, so reports stay in
+ * ascending state order; and when the call returns or pauses the row
+ * is materialised once (`|= start_match[prev]`), so between calls a
+ * row is always the whole active set.
  *
  * One cycle is exempt: absolute cycle 0 enables `start_first`
  * (start_all plus the START_OF_DATA states) instead of start_all,
  * which no per-symbol table covers, so it runs full width — once per
- * stream.  Report extraction, the budget and the pause contract below
- * are full width too: they only run on cycles that report.
+ * stream.  start_first contains start_all, so its start hits are
+ * start_match[symbol] too and the row keeps only the rest.  Report
+ * extraction, the budget and the pause contract below are full width
+ * too: they only run on cycles that report.
  *
  * Report-buffer contract (resumability, per row): the rows share one
  * bounded (cycle, state) scratch buffer, filled in row order.  Before
@@ -71,44 +94,55 @@
  *
  *   - at runtime by `cc -O3 -shared -fPIC` into a per-user cache when
  *     the package was never installed with a compiler at hand.  This
- *     path deliberately needs no Python headers, and no -march flag:
- *     the digest-keyed cache may be shared between hosts.
+ *     path deliberately needs no Python headers, and no -m/-march
+ *     flag: the digest-keyed cache may be shared between hosts.
+ *
+ * Popcount is the CPU instruction all the same.  On x86 the loop is
+ * compiled twice, once for the `popcnt` target and once portable (a
+ * SWAR popcount, inline: without the target the builtin is a libgcc
+ * call per word), and cama_step_rows picks one by what the CPU it
+ * runs on supports, so one build runs on any x86-64.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-/* Without -mpopcnt (the runtime build passes no -m flag) the builtin
- * compiles to a libgcc call per word; the SWAR form stays inline. */
-#if defined(__POPCNT__) && (defined(__GNUC__) || defined(__clang__))
-#define CAMA_POPCOUNT64(x) ((int64_t)__builtin_popcountll(x))
+#if defined(__GNUC__) || defined(__clang__)
+#define CAMA_ALWAYS_INLINE inline __attribute__((always_inline))
+#define CAMA_RESTRICT __restrict__
+#define CAMA_CTZ64(x) ((int64_t)__builtin_ctzll(x))
+#if defined(__x86_64__) || defined(__i386__)
+/* the popcnt instruction is optional on x86: compile the loop twice */
+#define CAMA_POPCNT_DISPATCH 1
+#endif
 #else
-static inline int64_t cama_popcount_swar(uint64_t x) {
+#define CAMA_ALWAYS_INLINE inline
+#define CAMA_RESTRICT
+#endif
+
+static CAMA_ALWAYS_INLINE int64_t cama_popcount_swar(uint64_t x) {
     x = x - ((x >> 1) & 0x5555555555555555ull);
     x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
     x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
     return (int64_t)((x * 0x0101010101010101ull) >> 56);
 }
-#define CAMA_POPCOUNT64(x) cama_popcount_swar(x)
+
+#ifndef CAMA_CTZ64
+/* popcount of the bits below the lowest set one */
+#define CAMA_CTZ64(x) cama_popcount_swar(((x) & (0 - (x))) - 1)
 #endif
 
+/* `hw` is a constant in every instance of the loop: the instruction
+ * where the instance is compiled for it, the SWAR form otherwise. */
+static CAMA_ALWAYS_INLINE int64_t cama_popcount(uint64_t x, const int hw) {
 #if defined(__GNUC__) || defined(__clang__)
-#define CAMA_CTZ64(x) ((int64_t)__builtin_ctzll(x))
-#else
-static int64_t cama_ctz_soft(uint64_t x) {
-    /* popcount of the bits below the lowest set one */
-    return cama_popcount_swar((x & (0 - x)) - 1);
+    if (hw) {
+        return (int64_t)__builtin_popcountll(x);
+    }
+#endif
+    (void)hw;
+    return cama_popcount_swar(x);
 }
-#define CAMA_CTZ64(x) cama_ctz_soft(x)
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-#define CAMA_ALWAYS_INLINE inline __attribute__((always_inline))
-#define CAMA_RESTRICT __restrict__
-#else
-#define CAMA_ALWAYS_INLINE inline
-#define CAMA_RESTRICT
-#endif
 
 /* One row's records in work->row_in / work->row_out, mirrored by
  * native.py.  The caller writes the inputs and zeroes the outputs
@@ -131,25 +165,27 @@ enum {
 };
 
 /* Per-kernel read-only tables; mirrored field for field by the ctypes
- * structure in native.py (`swords` below is ceil(words / 64)). */
+ * structure in native.py (`k` below is start_succ_at[256]). */
 typedef struct {
-    const uint64_t *match_words;   /* (256, words) per-symbol match masks  */
-    const uint64_t *succ_rows;     /* (n, words) successor bitmap per state */
-    const int32_t *succ_span;      /* (n, 2) non-zero slice: first, count  */
-    const uint64_t *start_all;     /* (words,) always-enabled starts       */
-    const uint64_t *start_first;   /* (words,) starts of absolute cycle 0  */
-    const uint64_t *reporting;     /* (words,) reporting states            */
-    const uint64_t *start_match;   /* (256, words) start_all & match_words */
-    const uint64_t *start_summary; /* (256, swords) its non-zero words     */
-    const int64_t *start_active;   /* (256,) its popcount                  */
-    const uint8_t *start_reports;  /* (256,) it meets `reporting`          */
-    int64_t words;                 /* words per bitmap row                 */
-    int64_t start_enabled;         /* popcount(start_all)                  */
-    int64_t nrep_total;            /* popcount(reporting): worst burst     */
+    const uint64_t *match_words;     /* (256, words) per-symbol match masks */
+    const uint64_t *succ_rows;       /* (n, words) successor bitmap per state */
+    const int32_t *succ_span;        /* (n, 2) non-zero slice: first, count  */
+    const uint64_t *start_all;       /* (words,) always-enabled starts       */
+    const uint64_t *start_first;     /* (words,) starts of absolute cycle 0  */
+    const uint64_t *reporting;       /* (words,) reporting states            */
+    const uint64_t *start_match;     /* (256, words) start_all & match_words */
+    const int64_t *start_active;     /* (256,) its popcount                  */
+    const uint8_t *start_reports;    /* (256,) it meets `reporting`          */
+    const int64_t *start_succ_at;    /* (257,) symbol -> first list entry    */
+    const int32_t *start_succ_word;  /* (k,) entry -> word index, ascending  */
+    const uint64_t *start_succ_bits; /* (k,) its non-start successor bits    */
+    int64_t words;                   /* words per bitmap row                 */
+    int64_t start_enabled;           /* popcount(start_all)                  */
+    int64_t nrep_total;              /* popcount(reporting): worst burst     */
 } cama_tables;
 
 /* One caller's workspace (a thread's, in native.py); mirrored by its
- * ctypes structure. */
+ * ctypes structure (`swords` is ceil(words / 64)). */
 typedef struct {
     uint64_t *const *rows;  /* (rows,) each row's packed active bitmap  */
     const int64_t *row_in;  /* (rows, CAMA_IN_FIELDS) row inputs        */
@@ -175,13 +211,15 @@ static void cama_summarize(
 
 /* Step one row from out[DONE] towards in[LENGTH], appending its
  * reports to the buffer at `written`; returns the new fill level.
- * `words` is a parameter so that the one-word instance below compiles
- * to a loop in which every bitmap and summary is a single
- * register-sized word: rulesets of <= 64 states pay nothing for the
- * span and summary bookkeeping that wide ones need. */
+ * `words` and `hw` are parameters so that each instance below
+ * compiles its own loop: in the one-word instance every bitmap and
+ * summary is a single register-sized word, so rulesets of <= 64
+ * states pay nothing for the span and summary bookkeeping that wide
+ * ones need. */
 static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     const cama_tables *tables,
     const int64_t words,
+    const int hw,
     const uint8_t *CAMA_RESTRICT symbols,
     uint64_t *CAMA_RESTRICT active,
     uint64_t *CAMA_RESTRICT scratch,
@@ -200,9 +238,11 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     const uint64_t *start_first = tables->start_first;
     const uint64_t *reporting = tables->reporting;
     const uint64_t *start_match = tables->start_match;
-    const uint64_t *start_summary = tables->start_summary;
     const int64_t *start_active = tables->start_active;
     const uint8_t *start_reports = tables->start_reports;
+    const int64_t *start_succ_at = tables->start_succ_at;
+    const int32_t *start_succ_word = tables->start_succ_word;
+    const uint64_t *start_succ_bits = tables->start_succ_bits;
     const int64_t start_enabled = tables->start_enabled;
     const int64_t nrep_total = tables->nrep_total;
     const int64_t length = in[CAMA_IN_LENGTH];
@@ -213,13 +253,20 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
         return written;
     }
     /* dyn and touched are all-zero between cycles: whoever reads a
-     * word clears it */
+     * word clears it — as the successor pass does with the row's */
     uint64_t *dyn = scratch;
     uint64_t *touched = scratch + words;
     uint64_t *live = touched + swords;
     memset(dyn, 0, (size_t)(words + swords) * sizeof(uint64_t));
-    cama_summarize(active, words, live);
+    if (words > 1) {
+        cama_summarize(active, words, live);
+    }
 
+    /* the previous cycle's symbol, once this call has stepped a cycle:
+     * from then on the row holds only non-start hits, and its start
+     * hits are start_match[prev] */
+    int64_t prev = -1;
+    uint64_t held = 0; /* non-zero when the row holds a non-start hit */
     int64_t enabled_sum = 0, active_sum = 0, fired = 0, truncated = 0;
     int64_t recorded = out[CAMA_OUT_RECORDED];
     for (; off < length; off++) {
@@ -229,88 +276,122 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
             break; /* pause: caller drains the report buffer */
         }
 
-        /* dyn = OR(succ_rows[s] for s in active), span by span */
-        for (int64_t sw = 0; sw < swords; sw++) {
-            uint64_t live_bits = live[sw];
-            while (live_bits) {
-                int64_t w = sw * 64 + CAMA_CTZ64(live_bits);
-                uint64_t bits = active[w];
-                while (bits) {
-                    int64_t state = w * 64 + CAMA_CTZ64(bits);
-                    const uint64_t *row = succ_rows + state * words;
-                    if (words == 1) {
-                        dyn[0] |= row[0]; /* the row is its own span */
-                    } else {
-                        int64_t t = succ_span[2 * state];
-                        int64_t end = t + succ_span[2 * state + 1];
-                        for (; t < end; t++) {
-                            dyn[t] |= row[t];
-                            touched[t >> 6] |= (uint64_t)1 << (t & 63);
-                        }
-                    }
-                    bits &= bits - 1;
-                }
-                live_bits &= live_bits - 1;
-            }
-        }
-
-        /* active = (start | dyn) & match_words[symbol]; accumulate stats */
+        /* active' = (start | dyn) & match_words[symbol]: its start hits
+         * are start_match[symbol], counted as constants; the row keeps
+         * the rest */
         const int64_t symbol = symbols[off];
         const uint64_t *match = match_words + symbol * words;
-        int64_t enabled_count, active_count;
-        uint64_t any_reporting;
-        if (base_cycle + off == 0) {
-            /* start_first has no per-symbol table: full width, once */
-            enabled_count = active_count = 0;
-            any_reporting = 0;
-            for (int64_t w = 0; w < words; w++) {
-                uint64_t enabled = dyn[w] | start_first[w];
-                uint64_t next = enabled & match[w];
-                enabled_count += CAMA_POPCOUNT64(enabled);
-                active_count += CAMA_POPCOUNT64(next);
-                any_reporting |= next & reporting[w];
-                active[w] = next;
-                dyn[w] = 0;
+        int64_t enabled_count = start_enabled;
+        int64_t active_count = start_active[symbol];
+        uint64_t any_reporting = start_reports[symbol];
+        if (prev >= 0 && !held) {
+            /* only folded starts are active, so dyn is their list,
+             * each word once: match it word by word, no OR pass */
+            for (int64_t k = start_succ_at[prev]; k < start_succ_at[prev + 1];
+                 k++) {
+                int64_t w = start_succ_word[k];
+                uint64_t extra = start_succ_bits[k];
+                uint64_t hit = extra & match[w];
+                enabled_count += cama_popcount(extra, hw);
+                if (hit) {
+                    active_count += cama_popcount(hit, hw);
+                    any_reporting |= hit & reporting[w];
+                    active[w] = hit;
+                    live[w >> 6] |= (uint64_t)1 << (w & 63);
+                    held = 1;
+                }
             }
-            memset(touched, 0, (size_t)swords * sizeof(uint64_t));
-            cama_summarize(active, words, live);
         } else {
-            memcpy(active, start_match + symbol * words,
-                   (size_t)words * sizeof(uint64_t));
-            memcpy(live, start_summary + symbol * swords,
-                   (size_t)swords * sizeof(uint64_t));
-            enabled_count = start_enabled;
-            active_count = start_active[symbol];
-            any_reporting = start_reports[symbol];
+            /* dyn = the active states' successors: the folded starts'
+             * from their list, the row's span by span (the row is
+             * cleared as it is read) */
+            if (prev >= 0) {
+                for (int64_t k = start_succ_at[prev];
+                     k < start_succ_at[prev + 1]; k++) {
+                    int64_t t = start_succ_word[k];
+                    dyn[t] |= start_succ_bits[k];
+                    touched[t >> 6] |= (uint64_t)1 << (t & 63);
+                }
+            }
             for (int64_t sw = 0; sw < swords; sw++) {
-                /* one word: always visit it, cheaper than asking */
-                uint64_t touched_bits = words == 1 ? 1 : touched[sw];
-                touched[sw] = 0;
-                while (touched_bits) {
-                    int64_t w = sw * 64 + CAMA_CTZ64(touched_bits);
-                    /* starts are already counted and matched */
-                    uint64_t extra = dyn[w] & ~start_all[w];
-                    uint64_t hit = extra & match[w];
-                    dyn[w] = 0;
-                    enabled_count += CAMA_POPCOUNT64(extra);
-                    if (words == 1 || hit) {
-                        active_count += CAMA_POPCOUNT64(hit);
-                        any_reporting |= hit & reporting[w];
-                        active[w] |= hit;
-                        live[sw] |= (uint64_t)(hit != 0) << (w & 63);
+                /* one word: its live bit is whether it is non-zero */
+                uint64_t live_bits = words == 1 ? active[0] != 0 : live[sw];
+                live[sw] = 0;
+                while (live_bits) {
+                    int64_t w = sw * 64 + CAMA_CTZ64(live_bits);
+                    uint64_t bits = active[w];
+                    active[w] = 0;
+                    while (bits) {
+                        int64_t state = w * 64 + CAMA_CTZ64(bits);
+                        const uint64_t *row = succ_rows + state * words;
+                        if (words == 1) {
+                            dyn[0] |= row[0]; /* the row is its own span */
+                        } else {
+                            int64_t t = succ_span[2 * state];
+                            int64_t end = t + succ_span[2 * state + 1];
+                            for (; t < end; t++) {
+                                dyn[t] |= row[t];
+                                touched[t >> 6] |= (uint64_t)1 << (t & 63);
+                            }
+                        }
+                        bits &= bits - 1;
                     }
-                    touched_bits &= touched_bits - 1;
+                    live_bits &= live_bits - 1;
+                }
+            }
+            held = 0;
+            if (base_cycle + off == 0) {
+                /* start_first has no per-symbol table: full width, once */
+                enabled_count = active_count = 0;
+                any_reporting = 0;
+                for (int64_t w = 0; w < words; w++) {
+                    uint64_t enabled = dyn[w] | start_first[w];
+                    uint64_t next = enabled & match[w];
+                    enabled_count += cama_popcount(enabled, hw);
+                    active_count += cama_popcount(next, hw);
+                    any_reporting |= next & reporting[w];
+                    active[w] = next & ~start_all[w];
+                    held |= active[w];
+                    dyn[w] = 0;
+                }
+                memset(touched, 0, (size_t)swords * sizeof(uint64_t));
+                if (words > 1) {
+                    cama_summarize(active, words, live);
+                }
+            } else {
+                for (int64_t sw = 0; sw < swords; sw++) {
+                    /* one word: always visit it, cheaper than asking */
+                    uint64_t touched_bits = words == 1 ? 1 : touched[sw];
+                    touched[sw] = 0;
+                    while (touched_bits) {
+                        int64_t w = sw * 64 + CAMA_CTZ64(touched_bits);
+                        /* starts are already counted and matched */
+                        uint64_t extra = dyn[w] & ~start_all[w];
+                        uint64_t hit = extra & match[w];
+                        dyn[w] = 0;
+                        enabled_count += cama_popcount(extra, hw);
+                        if (words == 1 || hit) {
+                            active_count += cama_popcount(hit, hw);
+                            any_reporting |= hit & reporting[w];
+                            active[w] = hit;
+                            held |= hit;
+                            live[sw] |= (uint64_t)(hit != 0) << (w & 63);
+                        }
+                        touched_bits &= touched_bits - 1;
+                    }
                 }
             }
         }
+        prev = symbol;
         enabled_sum += enabled_count;
         active_sum += active_count;
 
         /* report extraction: firing bits in ascending state order */
         if (any_reporting) {
             int64_t cycle = base_cycle + off;
+            const uint64_t *starts = start_match + symbol * words;
             for (int64_t w = 0; w < words; w++) {
-                uint64_t bits = active[w] & reporting[w];
+                uint64_t bits = (active[w] | starts[w]) & reporting[w];
                 while (bits) {
                     fired++;
                     if (recorded < budget) {
@@ -326,6 +407,13 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
             }
         }
     }
+    if (prev >= 0) {
+        /* the row leaves whole: its starts back in */
+        const uint64_t *starts = start_match + prev * words;
+        for (int64_t w = 0; w < words; w++) {
+            active[w] |= starts[w];
+        }
+    }
     out[CAMA_OUT_DONE] = off;
     out[CAMA_OUT_ENABLED] += enabled_sum;
     out[CAMA_OUT_ACTIVE] += active_sum;
@@ -335,11 +423,12 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     return written;
 }
 
-/* cama_step_rows (below) for one `words`, constant in the one-word
- * instance: each instance holds its own copy of the step loop. */
+/* cama_step_rows (below) for one `words` and popcount, constants in
+ * each instance: each instance holds its own copy of the step loop. */
 static CAMA_ALWAYS_INLINE int64_t cama_step_rows_words(
     const cama_tables *tables,
     const int64_t words,
+    const int hw,
     const cama_work *work,
     const uint8_t *data,
     int64_t num_rows,
@@ -353,7 +442,7 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_rows_words(
         const int64_t *in = work->row_in + r * CAMA_IN_FIELDS;
         int64_t *out = work->row_out + r * CAMA_OUT_FIELDS;
         written = cama_step_row(
-            tables, words, data, work->rows[r], work->scratch, in, out,
+            tables, words, hw, data, work->rows[r], work->scratch, in, out,
             work->rep_cycles, work->rep_states, work->rep_capacity, written);
         if (out[CAMA_OUT_DONE] < in[CAMA_IN_LENGTH]) {
             break;
@@ -362,6 +451,35 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_rows_words(
     }
     return written;
 }
+
+/* The one-word and the wide instance, for one popcount. */
+static CAMA_ALWAYS_INLINE int64_t cama_step_rows_hw(
+    const cama_tables *tables,
+    const int hw,
+    const cama_work *work,
+    const uint8_t *data,
+    int64_t num_rows,
+    int64_t first_row)
+{
+    if (tables->words == 1) {
+        return cama_step_rows_words(
+            tables, 1, hw, work, data, num_rows, first_row);
+    }
+    return cama_step_rows_words(
+        tables, tables->words, hw, work, data, num_rows, first_row);
+}
+
+#ifdef CAMA_POPCNT_DISPATCH
+__attribute__((target("popcnt"))) static int64_t cama_step_rows_popcnt(
+    const cama_tables *tables,
+    const cama_work *work,
+    const uint8_t *data,
+    int64_t num_rows,
+    int64_t first_row)
+{
+    return cama_step_rows_hw(tables, 1, work, data, num_rows, first_row);
+}
+#endif
 
 /* Step rows first_row .. num_rows - 1, in order, row r through the
  * next in[LENGTH] symbols of `data` (the rows' chunks are back to
@@ -386,12 +504,16 @@ int64_t cama_step_rows(
     int64_t num_rows,
     int64_t first_row)
 {
-    if (tables->words == 1) {
-        return cama_step_rows_words(
-            tables, 1, work, data, num_rows, first_row);
+#ifdef CAMA_POPCNT_DISPATCH
+    if (__builtin_cpu_supports("popcnt")) {
+        return cama_step_rows_popcnt(
+            tables, work, data, num_rows, first_row);
     }
-    return cama_step_rows_words(
-        tables, tables->words, work, data, num_rows, first_row);
+    return cama_step_rows_hw(tables, 0, work, data, num_rows, first_row);
+#else
+    /* elsewhere the builtin is the instruction, or the best there is */
+    return cama_step_rows_hw(tables, 1, work, data, num_rows, first_row);
+#endif
 }
 
 #ifdef CAMA_BUILD_PYEXT
@@ -403,11 +525,10 @@ int64_t cama_step_rows(
 
 static struct PyModuleDef cama_native_module = {
     PyModuleDef_HEAD_INIT,
-    "_cama_native",
-    "Carrier for the native CAMA step loop; symbols are bound via "
-    "ctypes from the shared object, not through this module.",
-    -1,
-    NULL,
+    .m_name = "_cama_native",
+    .m_doc = "Carrier for the native CAMA step loop; symbols are bound "
+             "via ctypes from the shared object, not through this module.",
+    .m_size = -1,
 };
 
 PyMODINIT_FUNC PyInit__cama_native(void) {

@@ -5,10 +5,16 @@ cycle — successor-row OR-reduce, per-symbol match mask AND, report
 extraction — in plain C called through ctypes, removing the per-cycle
 numpy dispatch the pure-python :class:`BitParallelKernel` pays, with
 per-cycle work that follows the active set rather than the row width:
-:meth:`NativeKernel._bind_native` derives, once per kernel and from the
-dense tables every kernel already has, each state's non-zero successor
-span and the always-enabled starts' per-symbol contribution (see the C
-file's header).
+:meth:`NativeKernel._derive_tables` derives, on a kernel's first C
+step and from the dense tables every kernel already has, each state's
+non-zero successor span, and per symbol the always-enabled starts it
+makes active and those starts' non-start successor words
+(:func:`_start_successors`).
+With them the C loop folds the starts out of a row while it steps it —
+a cycle ORs a word or two for all of them instead of copying a
+``words``-wide start row — and hands the row back whole (see the C
+file's header).  Popcount is the CPU instruction where the CPU has
+one, picked inside the shared object, so one build runs anywhere.
 
 One C entry, ``cama_step_rows``, steps every row of a batch from an
 array of row pointers: a :class:`BatchEngineState`'s matrix rows, or
@@ -61,6 +67,7 @@ from repro.sim.backends.base import (
     EngineState,
     KernelTables,
     StepResult,
+    gather_successors,
     normalize_batch_caps,
 )
 from repro.sim.backends.bitparallel import BitParallelKernel
@@ -81,6 +88,8 @@ _C_DTYPES = {
     "succ_span": np.int32,
     "start_active": np.int64,
     "start_reports": np.uint8,
+    "start_succ_at": np.int64,
+    "start_succ_word": np.int32,
 }
 
 _SOURCE_PATH = Path(__file__).with_name("cama_kernel.c")
@@ -166,6 +175,28 @@ def _runtime_build() -> Path | None:
     return lib_path
 
 
+def _start_successors(start_match, offsets, targets, start_all):
+    """Per symbol, the non-start successor words of the starts that
+    ``start_match[symbol]`` holds: the C loop's ``start_succ`` lists,
+    as CSR over the 256 symbols — ``(257,)`` offsets, then each
+    entry's word index (ascending within a symbol) and bits."""
+    symbols, starts = bitwords.expand_rows(start_match)
+    # one (symbol, successor) pair per successor of each listed start
+    succ = gather_successors(offsets, targets, starts)
+    fanout = offsets[starts + 1] - offsets[starts]
+    table = np.zeros_like(start_match)
+    np.bitwise_or.at(
+        table,
+        (np.repeat(symbols, fanout), succ >> 6),
+        np.uint64(1) << (succ & 63).astype(np.uint64),
+    )
+    table &= ~start_all
+    at = np.zeros(257, dtype=np.int64)
+    np.cumsum(np.count_nonzero(table, axis=1), out=at[1:])
+    rows, words = np.nonzero(table)
+    return at, words, table[rows, words]
+
+
 class _CamaTables(ctypes.Structure):
     """``cama_tables`` of ``cama_kernel.c``, field for field."""
 
@@ -177,9 +208,11 @@ class _CamaTables(ctypes.Structure):
         ("start_first", ctypes.c_void_p),
         ("reporting", ctypes.c_void_p),
         ("start_match", ctypes.c_void_p),
-        ("start_summary", ctypes.c_void_p),
         ("start_active", ctypes.c_void_p),
         ("start_reports", ctypes.c_void_p),
+        ("start_succ_at", ctypes.c_void_p),
+        ("start_succ_word", ctypes.c_void_p),
+        ("start_succ_bits", ctypes.c_void_p),
         ("words", ctypes.c_int64),
         ("start_enabled", ctypes.c_int64),
         ("nrep_total", ctypes.c_int64),
@@ -330,15 +363,31 @@ class NativeKernel(BitParallelKernel):
         self._lib = load_native()
         # per-thread C-loop workspace (see _workspace)
         self._local = threading.local()
-        if self._lib is None:
-            return
+        # the C loop's tables, derived by the first C step (_tables): a
+        # kernel built only to export its tables — the compile
+        # pipeline builds one per component — never pays for them
+        self._c_tables = None
+        self._c_lock = threading.Lock()
+
+    def _tables(self):
+        """The ``cama_tables`` the C loop steps from, derived once."""
+        if self._c_tables is None:
+            with self._c_lock:
+                if self._c_tables is None:
+                    self._derive_tables()
+        return self._c_tables
+
+    def _derive_tables(self) -> None:
         start_all = self._start_all_words
         reporting = self._reporting_words
         # what the C loop needs to make a cycle's cost follow the
         # active set (see the cama_kernel.c header), derived from the
         # dense tables: each state's non-zero successor slice, and the
-        # always-enabled starts' per-symbol contribution
+        # always-enabled starts' per-symbol hits and successors
         start_match = self._match_words & start_all
+        succ_at, succ_word, succ_bits = _start_successors(
+            start_match, self._succ_offsets, self._succ_targets, start_all
+        )
         arrays = {
             "match_words": self._match_words,
             "succ_rows": self._succ_rows,
@@ -347,9 +396,11 @@ class NativeKernel(BitParallelKernel):
             "start_first": self._start_first_words,
             "reporting": reporting,
             "start_match": start_match,
-            "start_summary": bitwords.nonzero_word_summary(start_match),
             "start_active": bitwords.popcount_rows(start_match),
             "start_reports": (start_match & reporting).any(axis=1),
+            "start_succ_at": succ_at,
+            "start_succ_word": succ_word,
+            "start_succ_bits": succ_bits,
         }
         # the exact C-contiguous buffers the struct points into, kept
         # alive with it; contiguous inherited tables stay views
@@ -370,12 +421,12 @@ class NativeKernel(BitParallelKernel):
         )
 
     # ctypes handles and raw pointers don't pickle; drop them and
-    # re-probe (and re-derive the C-side tables) on arrival.  A kernel
-    # landing on a host without the native library keeps working: _lib
-    # stays None and run_chunk uses the numpy path.
+    # re-probe on arrival (the C-side tables are re-derived on use).  A
+    # kernel landing on a host without the native library keeps
+    # working: _lib stays None and run_chunk uses the numpy path.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_lib", "_local", "_c_arrays", "_c_tables"):
+        for key in ("_lib", "_local", "_c_arrays", "_c_tables", "_c_lock"):
             state.pop(key, None)
         return state
 
@@ -406,6 +457,7 @@ class NativeKernel(BitParallelKernel):
         pauses on it, the buffer is drained into the rows' batches and
         the call resumes from the paused row."""
         num_rows = len(chunks)
+        tables = self._tables()
         space = self._workspace(num_rows)
         if num_rows == 1:
             data = chunks[0]
@@ -421,7 +473,7 @@ class NativeKernel(BitParallelKernel):
         width = num_rows * _OUT_FIELDS
         ctypes.memset(space.work.row_out, 0, 8 * width)
         space.rows[0:num_rows] = row_at
-        step, tables = self._lib.cama_step_rows, self._c_tables
+        step = self._lib.cama_step_rows
         first, drained, resume = 0, {}, (0, 0)
         # nothing written means nothing paused: a call that starts with
         # an empty buffer always fits a worst-case burst

@@ -17,7 +17,6 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.registry import (
     Benchmark,
-    all_benchmarks,
     get_benchmark,
     profile_of,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_STREAM_LENGTH",
     "PROFILES",
     "PaperNumbers",
-    "all_benchmarks",
     "benchmark_input",
     "generate",
     "get_benchmark",

@@ -52,8 +52,3 @@ def _cached(name: str, scale: float) -> Benchmark:
 def get_benchmark(name: str, scale: float = DEFAULT_SCALE) -> Benchmark:
     """Generate (and cache) the named benchmark at the given scale."""
     return _cached(name, scale)
-
-
-def all_benchmarks(scale: float = DEFAULT_SCALE) -> list[Benchmark]:
-    """All 21 benchmarks, in the paper's table order."""
-    return [get_benchmark(name, scale) for name in BENCHMARK_NAMES]

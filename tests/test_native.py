@@ -184,7 +184,7 @@ def test_native_kernel_is_thread_safe():
 
 # -- the activity-proportional loop's edge geometry ------------------------
 #
-# The C loop ORs only each state's non-zero successor slice, hoists the
+# The C loop ORs only each state's non-zero successor slice, folds the
 # always-enabled starts into per-symbol tables and skips idle words
 # through summary bitmaps.  Every way those shortcuts could diverge
 # from the full-width cycle gets an automaton shaped to hit it:
@@ -268,6 +268,7 @@ def test_interleaved_numbering_gives_wide_and_empty_spans():
     nfa.add_transition(fan, ids[2][128])  # 'c' -> word 6
     kernel = Engine(nfa, backend="native").kernel
     if isinstance(kernel, NativeKernel) and kernel._lib is not None:
+        kernel._tables()
         spans = kernel._c_arrays["succ_span"]
         assert spans[fan].tolist() == [0, 7]
         assert spans[ids[0][-1]].tolist() == [0, 0]
@@ -300,55 +301,182 @@ def test_more_than_64_words_uses_two_summary_words(shape):
     _assert_differential(nfa, data, chunks=random_chunks(rng, data), cap=50)
 
 
+def _filler(nfa, states):
+    """``states`` states of unrelated components ahead of a test's own,
+    so that those sit past the first word and take the multi-word
+    loop (0 keeps them in the one-word loop)."""
+    for _ in range(states // 5):
+        _literal(nfa, "zzzzx")
+
+
 def test_start_of_data_across_cycle_zero_splits():
-    nfa = Automaton(name="anchored")
-    _literal(nfa, "abab", start=StartKind.START_OF_DATA)
-    _literal(nfa, "ab")
-    anchored_loop = _literal(nfa, "a", start=StartKind.START_OF_DATA)[0]
-    nfa.add_transition(anchored_loop, anchored_loop)
-    data = b"ababaaabab"
-    for chunks in (
-        [data],
-        [b"", data],  # nothing consumed: cycle 0 is still ahead
-        [data[:1], data[1:]],  # cycle 0 alone, resume at base 1
-        [b"", data[:1], b"", data[1:2], data[2:]],
-        [data[:5], data[5:]],  # resume well past cycle 0
-    ):
-        _assert_differential(nfa, data, chunks=chunks)
-    # a stream that starts elsewhere never sees the anchored states
-    engine = Engine(nfa, backend="native")
-    state = engine.initial_state()
-    state.position = 7
-    late = engine.run_chunk(data, state)
-    ref_state = Engine(nfa, backend="sparse").initial_state()
-    ref_state.position = 7
-    ref = Engine(nfa, backend="sparse").run_chunk(data, ref_state)
-    assert _keys(late.reports) == _keys(ref.reports)
-    assert late.stats.enabled_states_sum == ref.stats.enabled_states_sum
+    for filler in (0, 70):  # one word, then past it
+        nfa = Automaton(name="anchored")
+        _filler(nfa, filler)
+        _literal(nfa, "abab", start=StartKind.START_OF_DATA)
+        _literal(nfa, "ab")
+        anchored_loop = _literal(nfa, "a", start=StartKind.START_OF_DATA)[0]
+        nfa.add_transition(anchored_loop, anchored_loop)
+        assert (len(nfa) > 64) == (filler > 0)
+        data = b"ababaaabab"
+        for chunks in (
+            [data],
+            [b"", data],  # nothing consumed: cycle 0 is still ahead
+            [data[:1], data[1:]],  # cycle 0 alone, resume at base 1
+            [b"", data[:1], b"", data[1:2], data[2:]],
+            [data[:5], data[5:]],  # resume well past cycle 0
+        ):
+            _assert_differential(nfa, data, chunks=chunks)
+        # a stream that starts elsewhere never sees the anchored states
+        engine = Engine(nfa, backend="native")
+        state = engine.initial_state()
+        state.position = 7
+        late = engine.run_chunk(data, state)
+        ref_state = Engine(nfa, backend="sparse").initial_state()
+        ref_state.position = 7
+        ref = Engine(nfa, backend="sparse").run_chunk(data, ref_state)
+        assert _keys(late.reports) == _keys(ref.reports)
+        assert late.stats.enabled_states_sum == ref.stats.enabled_states_sum
 
 
 def test_start_state_that_is_also_a_successor_is_counted_once():
-    # 1 is always enabled *and* enabled by 0 and by itself: the hoisted
+    # 1 is always enabled *and* enabled by 0 and by itself: the folded
     # start count plus the successor pass must not count it twice
-    nfa = Automaton(name="double-count")
-    a = SymbolClass.from_symbols([ord("a")])
-    s0 = nfa.add_state(a, start=StartKind.ALL_INPUT).ste_id
-    s1 = nfa.add_state(
-        a, start=StartKind.ALL_INPUT, reporting=True, report_code="hit"
+    for filler in (0, 70):  # one word, then past it
+        nfa = Automaton(name="double-count")
+        _filler(nfa, filler)
+        a = SymbolClass.from_symbols([ord("a")])
+        s0 = nfa.add_state(a, start=StartKind.ALL_INPUT).ste_id
+        s1 = nfa.add_state(
+            a, start=StartKind.ALL_INPUT, reporting=True, report_code="hit"
+        ).ste_id
+        b = SymbolClass.from_symbols([ord("b")])
+        s2 = nfa.add_state(b, reporting=True, report_code="b").ste_id
+        assert (s2 >= 64) == (filler > 0)
+        nfa.add_transition(s0, s1)
+        nfa.add_transition(s1, s1)
+        nfa.add_transition(s1, s2)
+        data = b"aaabaabbbaaa"
+        engine = _assert_differential(nfa, data)
+        result = engine.run(data)
+        # enabled each cycle: {0, 1} and the filler's starts always,
+        # plus 2 after every 'a' (no filler state ever becomes active)
+        starts = 2 + filler // 5
+        assert result.stats.enabled_states_sum == starts * len(
+            data
+        ) + data[:-1].count(b"a")
+
+
+# -- the folded starts ------------------------------------------------------
+#
+# Past a call's first cycle a multi-word row holds only its non-start
+# hits; the starts' successors come from per-symbol lists, reports OR
+# the symbol's start hits back in, and the row is made whole again
+# when the call returns or pauses.
+
+
+def test_start_successors_that_are_starts_and_non_starts_in_two_words():
+    # s (word 0) enables a start t (word 1) and a non-start u (word 2):
+    # the folded starts' successor list must keep u and drop t, which
+    # the start count already covers
+    nfa = Automaton(name="fan-out")
+    ab = SymbolClass.from_symbols(b"ab")
+    s = nfa.add_state(
+        SymbolClass.from_symbols(b"a"), start=StartKind.ALL_INPUT
     ).ste_id
-    s2 = nfa.add_state(
-        SymbolClass.from_symbols([ord("b")]), reporting=True, report_code="b"
+    _filler(nfa, 70)
+    t = nfa.add_state(
+        ab, start=StartKind.ALL_INPUT, reporting=True, report_code="t"
     ).ste_id
-    nfa.add_transition(s0, s1)
-    nfa.add_transition(s1, s1)
-    nfa.add_transition(s1, s2)
-    data = b"aaabaabbbaaa"
-    engine = _assert_differential(nfa, data)
-    result = engine.run(data)
-    # enabled each cycle: {0, 1} always, plus 2 after every 'a'
-    assert result.stats.enabled_states_sum == 2 * len(data) + data[:-1].count(
-        b"a"
-    )
+    _filler(nfa, 60)
+    u = nfa.add_state(ab, reporting=True, report_code="u").ste_id
+    assert (s // 64, t // 64, u // 64) == (0, 1, 2)
+    nfa.add_transition(s, t)
+    nfa.add_transition(s, u)
+    nfa.add_transition(t, u)
+    kernel = Engine(nfa, backend="native").kernel
+    if isinstance(kernel, NativeKernel) and kernel._lib is not None:
+        kernel._tables()
+        at = kernel._c_arrays["start_succ_at"]
+        entries = slice(at[ord("a")], at[ord("a") + 1])
+        # 'a' makes s and t active; of their successors t and u, only
+        # u is listed, and t's word, left empty, is dropped
+        assert kernel._c_arrays["start_succ_word"][entries].tolist() == [2]
+        bits = kernel._c_arrays["start_succ_bits"][entries].tolist()
+        assert bits == [1 << (u % 64)]
+    rng = random.Random(2112)
+    data = b"abba" + bytes(rng.choice(b"abz") for _ in range(300))
+    _assert_differential(nfa, data)
+    for _ in range(4):
+        _assert_differential(nfa, data, chunks=random_chunks(rng, data))
+
+
+def test_start_and_non_start_firing_in_one_word_report_in_order():
+    # after "x", 'y' fires non-start n1, start r and non-start n2 — ids
+    # 71 < 72 < 73, one word — and must report them in that order
+    nfa = Automaton(name="interleaved-reports")
+    _filler(nfa, 70)
+    x = SymbolClass.from_symbols(b"x")
+    y = SymbolClass.from_symbols(b"y")
+    p = nfa.add_state(x, start=StartKind.ALL_INPUT).ste_id
+    n1 = nfa.add_state(y, reporting=True, report_code="n1").ste_id
+    r = nfa.add_state(
+        y, start=StartKind.ALL_INPUT, reporting=True, report_code="r"
+    ).ste_id
+    n2 = nfa.add_state(y, reporting=True, report_code="n2").ste_id
+    assert n1 // 64 == n2 // 64 == 1 and n1 < r < n2
+    nfa.add_transition(p, n1)
+    nfa.add_transition(p, n2)
+    data = b"xyyxxyzy"
+    candidate = _assert_differential(nfa, data)
+    for chunks in ([data[:1], data[1:]], [data[:3], data[3:]]):
+        _assert_differential(nfa, data, chunks=chunks)
+    fired = [(rep.cycle, rep.state_id) for rep in candidate.run(data).reports]
+    assert fired == [
+        (1, n1), (1, r), (1, n2), (2, r), (5, n1), (5, r), (5, n2), (7, r),
+    ]
+
+
+@needs_native
+def test_a_pause_while_folded_leaves_the_row_whole(monkeypatch):
+    """A one-slot report buffer pauses the C loop after nearly every
+    reporting cycle, mid-chunk, with the starts folded out of the row:
+    the row it leaves — stepped on by the resumed call, and read by a
+    snapshot — must be the whole active set."""
+    monkeypatch.setattr(native_module, "_REPORT_BUFFER_FLOOR", 1)
+    nfa = Automaton(name="folded-pause")
+    _filler(nfa, 70)
+    ab = _literal(nfa, "ab")
+    nfa.add_transition(ab[1], ab[0])  # into a start
+    ba = _literal(nfa, "ba")
+    nfa.add_transition(ba[1], ba[1])  # a reporting non-start loop
+    _filler(nfa, 60)
+    aa = _literal(nfa, "aab")
+    assert aa[-1] // 64 == 2
+    kernel = get_backend("native").compile(nfa)  # a fresh workspace
+    lib = kernel._lib = _CountingLib(kernel._lib)
+    reference = Engine(nfa, backend="sparse")
+    rng = random.Random(404)
+    data = bytes(rng.choice(b"abz") for _ in range(400))
+    state, ref_state = kernel.initial_state(), reference.initial_state()
+    chunks = random_chunks(rng, data)
+    for chunk in chunks:
+        got = kernel.run_chunk(chunk, state)
+        want = reference.run_chunk(chunk, ref_state)
+        assert _keys(got.reports) == _keys(want.reports)
+        assert got.stats.enabled_states_sum == want.stats.enabled_states_sum
+        assert got.stats.active_states_sum == want.stats.active_states_sum
+        assert _active(state) == _active(ref_state)
+    assert len(lib.first_rows) > len(chunks) + 10  # it paused, often
+    snapshots = []
+    for backend in ("native", "sparse"):
+        with MatchingService(ScanConfig(backend=backend)) as service:
+            session = service.open_session(nfa, "s")
+            for chunk in chunks:
+                session.feed(chunk)
+            snapshots.append([s.to_dict() for s in session.snapshot()])
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0][0]["active"] == _active(ref_state)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 4097, 5000, 8999, 20_000])
@@ -551,7 +679,8 @@ def test_env_switch_degrades_to_pure_numpy(no_native):
 @needs_native
 def test_native_engine_pickle_round_trip():
     """The ctypes handle and every C-side table (raw pointers into this
-    process) are dropped on pickle; arrival re-probes and re-derives."""
+    process) are dropped on pickle; arrival re-probes, and the first
+    step re-derives."""
     nfa = compile_regex_set(RULES, name="pickle")
     engine = Engine(nfa, backend="native")
     data = b"abcddxfoobar123z" * 20
@@ -562,13 +691,13 @@ def test_native_engine_pickle_round_trip():
     assert not any(isinstance(v, ctypes.Structure) for v in pickled.values())
     clone = pickle.loads(pickle.dumps(engine))
     assert clone.backend_name == "native"
+    result = clone.run(data)
     assert clone.kernel._c_arrays.keys() == kernel._c_arrays.keys()
     for name, table in kernel._c_arrays.items():
         rebuilt = clone.kernel._c_arrays[name]
         assert rebuilt is not table
         assert rebuilt.dtype == table.dtype
         assert np.array_equal(rebuilt, table)
-    result = clone.run(data)
     assert _keys(result.reports) == _keys(expected.reports)
     assert result.stats.num_reports == expected.stats.num_reports
 
