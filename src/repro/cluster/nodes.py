@@ -88,12 +88,14 @@ class NodeChannel(FrameChannel):
             else:
                 detail = f"i/o failed: {exc}"
             raise NodeError(f"{node} {detail}") from exc
-        if response.get("ok") and response.get("id") != request_id:
+        answered = response.pop("id", None)
+        # a null id is a connection-level refusal; any other must match
+        if answered != request_id and (answered is not None or response.get("ok")):
+            await self.close()  # the stream is out of step: resync
             raise ProtocolError(
                 f"{node} answered out of order "
-                f"(expected id {request_id}, got {response.get('id')!r})"
+                f"(expected id {request_id}, got {answered!r})"
             )
-        response.pop("id", None)
         return response
 
 

@@ -377,10 +377,10 @@ class ClusterRouter(FrameServer):
         return True
 
     # -- local ops ---------------------------------------------------------
-    async def _op_ping(self, conn: _ClientConn, frame: dict) -> dict:
+    def _op_ping(self, conn: _ClientConn, frame: dict) -> dict:
         return {"pong": True, "version": PROTOCOL_VERSION, "router": True}
 
-    async def _op_health(self, conn: _ClientConn, frame: dict) -> dict:
+    def _op_health(self, conn: _ClientConn, frame: dict) -> dict:
         return {
             "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
@@ -400,7 +400,7 @@ class ClusterRouter(FrameServer):
             },
         }
 
-    async def _op_stats(self, conn: _ClientConn, frame: dict) -> dict:
+    def _op_stats(self, conn: _ClientConn, frame: dict) -> dict:
         payload = {
             "stats_version": 2,
             "router": True,

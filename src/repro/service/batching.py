@@ -15,8 +15,9 @@ glue that *finds* those batches:
 - :class:`BatchScheduler` — the asyncio half, and the network server's
   one feed path, work-conserving: a feed whose dispatcher has no batch
   in flight runs at once (``immediate``): inline on the event loop
-  when the step is cheap (:meth:`~repro.service.session.Session.
-  steps_inline`), else as a one-row executor job; feeds arriving
+  when the step is cheap (:meth:`BatchScheduler.step_inline`, which
+  asks :meth:`~repro.service.session.Session.steps_inline`), else as a
+  one-row executor job (:meth:`BatchScheduler.submit`); feeds arriving
   behind a running batch accumulate and flush as one batched executor
   job the moment it completes (``backlog``), sooner when the group
   fills (``rows_full``) or the server drains (``drain``).  Nothing
@@ -76,10 +77,10 @@ class BatchScheduler:
     """Coalesces concurrent session feeds into batched kernel steps.
 
     Owned by the asyncio server; must be used from its event loop.
-    Work-conserving — batch while busy: ``submit`` runs a feed at once
-    when its dispatcher has no batch in flight (on the loop itself when
-    the session :meth:`~repro.service.session.Session.steps_inline` it,
-    on ``executor`` otherwise) and parks it behind a running one; the
+    Work-conserving — batch while busy: :meth:`step_inline` steps a
+    cheap feed on the loop itself when its dispatcher has no batch in
+    flight; ``submit`` runs any other feed at once on ``executor`` when
+    the dispatcher is idle and parks it behind a running batch; the
     parked group runs as one :func:`feed_session_batch` job on
     ``executor`` the moment a batch of that dispatcher completes, or as
     soon as it holds ``max_rows`` feeds (``max_rows=1``: never
@@ -102,20 +103,25 @@ class BatchScheduler:
         self.rows = 0
         self.flush_reasons = {reason: 0 for reason in FLUSH_REASONS}
 
-    async def submit(self, dispatcher, session, chunk) -> ReportBatch:
-        """Queue one feed; resolves with the chunk's new reports."""
+    def step_inline(self, dispatcher, session, chunk) -> ReportBatch | None:
+        """Step one feed on the calling thread when its dispatcher has
+        no batch in flight and the session
+        :meth:`~repro.service.session.Session.steps_inline` it (the
+        hand-off to a worker and back would cost more than the step);
+        None when the feed must go through :meth:`submit`."""
         # a lane lives exactly while a batch of its dispatcher runs
+        if id(dispatcher) in self._lanes or not session.steps_inline(chunk):
+            return None
+        self._count("immediate", [0.0])
+        [(reports, exc)] = feed_session_batch(dispatcher, [(session, chunk)])
+        if exc is not None:
+            raise exc
+        return reports
+
+    async def submit(self, dispatcher, session, chunk) -> ReportBatch:
+        """Queue one feed for ``executor``; resolves with the chunk's
+        new reports."""
         lane = self._lanes.get(id(dispatcher))
-        if lane is None and session.steps_inline(chunk):
-            # idle dispatcher, cheap step: the hand-off to a worker and
-            # back would cost more than the step itself
-            self._count("immediate", [0.0])
-            [(reports, exc)] = feed_session_batch(
-                dispatcher, [(session, chunk)]
-            )
-            if exc is not None:
-                raise exc
-            return reports
         future = asyncio.get_running_loop().create_future()
         if lane is None:
             lane = self._lanes[id(dispatcher)] = _Lane(dispatcher)

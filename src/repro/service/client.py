@@ -227,20 +227,21 @@ def _scan_frame(op: str, handle: str, *, config=None, **options) -> dict:
 
 def _checked(response: dict, request_id) -> dict:
     """Validate one response frame; surface warnings and errors."""
+    answered = response.get("id")
+    if answered != request_id and (answered is not None or response.get("ok")):
+        raise ProtocolError(
+            f"out-of-order response: expected id {request_id!r}, "
+            f"got {answered!r}"
+        )
     if not response.get("ok", False):
         # connection-level rejections (e.g. an oversized request line)
-        # carry id null; surface the server's error either way
+        # carry id null; any other id matched above
         message = response.get("error", "unknown server error")
         code = response.get("code", "internal")
         if code == "truncated":
             # the strict report-cap policy: match the engine's exception
             raise SimulationError(message)
         raise RemoteError(message, code)
-    if response.get("id") != request_id:
-        raise ProtocolError(
-            f"out-of-order response: expected id {request_id!r}, "
-            f"got {response.get('id')!r}"
-        )
     for message in response.get("warnings", ()):
         warnings.warn(message, ReportTruncationWarning, stacklevel=3)
     return response
@@ -582,6 +583,11 @@ class MatchingClient(_ServiceSurface):
                 sent = True  # from here the server may have seen it
                 self._sock.sendall(encode_frame(wire))
                 return _checked(self._read_frame(), wire["id"])
+            except ProtocolError:
+                # an answer that cannot be read whole or is not this
+                # request's: drop the connection rather than desync it
+                self.close()
+                raise
             except OSError as exc:
                 self.close()
                 time.sleep(
@@ -591,22 +597,15 @@ class MatchingClient(_ServiceSurface):
 
     def _read_frame(self) -> dict:
         """Read one response frame, checking its prefix before the body
-        (:func:`~repro.service.protocol.frame_body_bytes`).  A response
-        that cannot be read whole — not a frame, over
-        ``max_frame_bytes``, a bad header — drops the connection rather
-        than desync it."""
+        (:func:`~repro.service.protocol.frame_body_bytes`)."""
         prefix = self._file.read(PREFIX_BYTES)
         if len(prefix) < PREFIX_BYTES and prefix[:1] != b"{":
             raise ChannelClosed("connection closed by server")
-        try:
-            size = frame_body_bytes(prefix, self.max_frame_bytes)
-            body = self._file.read(size)
-            if len(body) < size:
-                raise ChannelClosed("connection closed by server mid-frame")
-            return decode_frame_body(prefix, body)
-        except ProtocolError:
-            self.close()
-            raise
+        size = frame_body_bytes(prefix, self.max_frame_bytes)
+        body = self._file.read(size)
+        if len(body) < size:
+            raise ChannelClosed("connection closed by server mid-frame")
+        return decode_frame_body(prefix, body)
 
 
 class AsyncMatchingClient(_ServiceSurface):
@@ -664,6 +663,9 @@ class AsyncMatchingClient(_ServiceSurface):
                 sent = True  # from here the server may have seen it
                 response = await self._channel.round_trip(wire)
                 return _checked(response, wire["id"])
+            except ProtocolError:
+                await self._channel.close()  # out of step: resync
+                raise
             except OSError as exc:  # the channel closed itself
                 await asyncio.sleep(
                     self._retry_delay(exc, frame.get("op"), attempt, sent)

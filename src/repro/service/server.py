@@ -8,19 +8,20 @@ whose stream data and report arrays travel raw
 paper motivates: one shared accelerator (here, the compiled-ruleset
 cache plus sharded backends) serving many remote tenants.
 
-The listening side — connection loop, frame limits, in-flight
-backpressure, drain, error frames — is the shared
+The listening side — one buffered protocol per connection, frame
+limits, in-flight backpressure, drain, error frames — is the shared
 :class:`~repro.service.transport.FrameServer`; this module supplies its
-op table.  The event loop frames, parses and routes, and answers the
-light ops (``ping``, ``health``, ``stats``) itself.  Every ``feed``
-goes through the cross-connection
+op table.  The light ops (``ping``, ``health``, ``stats``) return a
+dict, answered in the socket callback that read the frame.  Every
+``feed`` goes through the cross-connection
 :class:`~repro.service.batching.BatchScheduler`: a small chunk of a
-C-loop session whose ruleset is idle steps inline on the loop (the
-kernel work is shorter than a hand-off to a worker thread), every
-other feed runs on the transport's thread pool, coalesced with the
-feeds parked behind a running batch.  Every other op that touches the
-service runs on that pool too, so compiles, scans and the Python
-kernels never block the loop.
+C-loop session whose ruleset is idle steps inline and is answered in
+that same callback (the kernel work is shorter than a hand-off to a
+worker thread); every other feed runs on the transport's thread pool,
+coalesced with the feeds parked behind a running batch, and is
+answered on the connection's task.  Every other op that touches the
+service is a thread-pool future, answered in its done-callback, so
+compiles, scans and the Python kernels never block the loop.
 
 Sessions opened over the network are scoped to their connection: two
 clients may both open a session called ``"s"``, and a dropped
@@ -442,14 +443,20 @@ class MatchingServer(FrameServer):
             payload["config_digest"] = digest
         return payload
 
-    async def _op_feed(self, conn: Connection, frame: dict) -> dict:
+    def _op_feed(self, conn: Connection, frame: dict):
         """Step one chunk through the scheduler: inline on the loop
-        when its ruleset is idle and the step is cheap, else on the
-        thread pool, where it may advance with other connections'
-        feeds in one batched kernel step."""
+        (answered at once) when its ruleset is idle and the step is
+        cheap, else on the thread pool, where it may advance with other
+        connections' feeds in one batched kernel step."""
         record = conn.session(frame)
         data = decode_data(frame.get("data", b""))
         session = self.service.sessions[record.internal]
+        reports = self._batcher.step_inline(session.dispatcher, session, data)
+        if reports is None:
+            return self._feed_later(record, session, data)
+        return self._feed_payload(record, session, reports)
+
+    async def _feed_later(self, record, session, data) -> dict:
         reports = await self._batcher.submit(session.dispatcher, session, data)
         return self._feed_payload(record, session, reports)
 

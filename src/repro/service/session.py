@@ -32,8 +32,9 @@ _SESSION_FEED_BYTES = _REGISTRY.counter(
 )
 
 #: the longest chunk :meth:`Session.steps_inline` calls cheap: the C
-#: loop runs Snort at ~21 ns/B, so 4 KiB is ~90 us of kernel work —
-#: less than the ~120 us a hand-off to a worker thread and back costs
+#: loop runs Snort at ~11 ns/B, so 4 KiB is ~45 us of kernel work —
+#: less than the ~135-175 us a hand-off to a worker thread and back
+#: adds to a served 512 B feed (p50, 2 vCPU x86-64 host)
 INLINE_FEED_BYTES = 4096
 
 

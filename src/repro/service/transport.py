@@ -2,65 +2,53 @@
 
 Everything that moves length-prefixed frames
 (:mod:`repro.service.protocol`) over TCP lives here once; the endpoints
-built on it only say what their ops do.  :func:`read_frame` is the one
-asyncio reader: it checks a frame's prefix — magic and declared size —
-before it reads the rest, so ``max_frame_bytes`` bounds memory per
-frame.
+built on it only say what their ops do.  Both sides check a frame's
+prefix — magic and declared size — before they read or allocate the
+rest, so ``max_frame_bytes`` bounds memory per frame.
 
-:class:`FrameServer`
-    The listening side.  It owns the lifecycle (``start`` /
-    ``serve_forever`` / ``drain`` / ``stop``), the per-connection
-    reader and in-order processor, both frame-size limits, the bounded
-    in-flight queue, op-table dispatch, the mapping of failures to
-    error frames, and the request instruments.
-    :class:`~repro.service.server.MatchingServer` and
-    :class:`~repro.cluster.router.ClusterRouter` subclass it with an op
-    table (``{op name: handler(conn, frame)}``) and three hooks: what a
-    connection carries (:attr:`FrameServer.connection_type`), how a
-    dropped one is released (:meth:`FrameServer._release_connection`),
-    and which extra error-frame fields a typed failure earns
-    (:meth:`FrameServer._error_fields`).
+* :class:`FrameServer` — the listening side (lifecycle, limits, op
+  dispatch, error frames, instruments); the matching server and the
+  cluster router subclass it with an op table and three hooks.
+* :class:`Background` / :func:`run_until_shutdown` — run one on a
+  daemon thread with its own loop, or blocking the calling thread.
+* :class:`FrameChannel` — the connecting side on asyncio streams
+  (:func:`read_frame`), under ``NodeChannel`` and
+  ``AsyncMatchingClient``.
 
-:class:`Background` / :func:`run_until_shutdown`
-    The two ways to run one: on a daemon thread with its own loop
-    (tests, benchmarks, ``handle.serve(background=True)``), or blocking
-    the calling thread (``repro serve`` / ``repro route``).
+Concurrency model of a served connection — one buffered protocol
+(:class:`_FrameProtocol`), no reader task and no queue:
 
-:class:`FrameChannel`
-    The connecting side on asyncio streams: one request frame out, one
-    response frame back, under a lock.  The cluster's
-    :class:`~repro.cluster.nodes.NodeChannel` and the
-    :class:`~repro.service.client.AsyncMatchingClient` are both thin
-    layers over it.
-
-Concurrency model of a served connection:
-
-* the event loop frames, parses and routes; a handler that does real
-  work returns an awaitable (:meth:`FrameServer._offload` hands a
-  blocking callable to the endpoint's thread pool) — except a small
-  C-loop feed, which the matching server steps inline because the
-  step costs less than the hand-off (:mod:`repro.service.batching`);
-* frames of one connection execute strictly in order (chunk N+1 of a
-  session cannot start before chunk N finishes), while different
-  connections proceed in parallel;
-* each connection owns a bounded in-flight queue; when a client
-  pipelines more frames than ``max_inflight``, its socket is not read
-  until work drains — ordinary TCP backpressure, no unbounded buffering;
+* the socket callback frames what it reads: a frame that arrived whole
+  is sliced out of a small staging buffer, the rest of a longer body is
+  read straight into the frame's own buffer;
+* the same callback answers the frame when its handler returns a dict
+  (the light ops, and a small C-loop feed stepped inline —
+  :mod:`repro.service.batching`); a thread-pool future
+  (:meth:`FrameServer._offload`) is answered in its done-callback, a
+  coroutine (the router's ops, a parked feed) on the connection's one
+  long-lived task, in the step where it ends;
+* frames of one connection execute strictly in order — the next starts
+  once the previous response is written — while different connections
+  proceed in parallel;
+* at most ``max_inflight`` parsed frames wait per connection; at the
+  bound, or while the peer leaves its responses unread, the socket is
+  not read — ordinary TCP backpressure;
 * :meth:`FrameServer.drain` (or a client ``shutdown`` frame) stops
-  accepting new connections, lets every queued frame finish and flushes
-  its response, then closes the connections.
+  accepting and reading, answers every frame already parsed, then
+  closes the connections.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import itertools
 import json
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import ConfigError, ReproError, SimulationError
 from repro.service.protocol import (
@@ -104,6 +92,12 @@ _CONNECTIONS_TOTAL = _REGISTRY.counter(
     "Client connections accepted over the server's lifetime",
 )
 
+#: what one socket read between frames may bring in: a frame that
+#: arrived whole is sliced out of it, and only the first bytes of a
+#: longer body pass through it (the rest is read straight into the
+#: frame's own buffer)
+_STAGING_BYTES = 8192
+
 
 async def read_frame(
     reader: asyncio.StreamReader, max_frame_bytes: int
@@ -139,7 +133,7 @@ def _refusal_wire(exc: ProtocolError) -> bytes:
     return json.dumps(response).encode() + b"\n"
 
 
-@dataclass(eq=False)  # identity-hashed: it lives in the server's set
+@dataclass(eq=False)  # identity-hashed: it keys the server's table
 class Connection:
     """Per-connection state.
 
@@ -152,13 +146,6 @@ class Connection:
 
     conn_id: int
     sessions: dict = field(default_factory=dict)
-    #: the task serving this connection (what :meth:`FrameServer.drain`
-    #: waits for), the task moving its request frames into its queue,
-    #: and whether that one is reading a frame — the one place drain
-    #: may interrupt it without losing a frame already read
-    task: asyncio.Task | None = None
-    read_task: asyncio.Task | None = None
-    reading: bool = False
 
     def new_session_name(self, frame: dict) -> str:
         """The ``session`` an ``open`` frame names, checked unused."""
@@ -246,7 +233,8 @@ class FrameServer:
         )
         self._server: asyncio.base_events.Server | None = None
         self._conn_ids = itertools.count(1)
-        self._conns: set[Connection] = set()
+        #: every open connection, mapped to the protocol serving it
+        self._conns: dict[Connection, _FrameProtocol] = {}
         self.draining = False
         self._drain_task: asyncio.Task | None = None  # a shutdown op's
         self._stopped = asyncio.Event()
@@ -271,11 +259,8 @@ class FrameServer:
         """Bind and start accepting connections."""
         if self._server is not None:
             raise SimulationError(f"{self.role} is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self._requested_port,
-            limit=self.max_frame_bytes,
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_FrameProtocol, self), self.host, self._requested_port
         )
 
     async def serve_forever(self) -> None:
@@ -287,21 +272,20 @@ class FrameServer:
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish queued work, close.
 
-        Every frame already read from a socket is processed and its
-        response flushed before the connection closes; nothing new is
+        Every frame already parsed off a socket is processed and its
+        response written before the connection closes; nothing new is
         read or accepted.
         """
         if self._server is None:
             return
         _log.info(f"{self.role}.draining", connections=len(self._conns))
         self.draining = True
-        for conn in self._conns:
-            if conn.reading:
-                conn.read_task.cancel()
+        for protocol in list(self._conns.values()):
+            protocol.stop_reading()
         self._server.close()
         await self._server.wait_closed()
         if self._conns:
-            await asyncio.wait([conn.task for conn in self._conns])
+            await asyncio.wait([p.task for p in self._conns.values()])
         self._stopped.set()
 
     async def stop(self) -> None:
@@ -323,199 +307,6 @@ class FrameServer:
             self._executor, fn, *args
         )
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = self.connection_type(next(self._conn_ids))
-        conn.task = asyncio.current_task()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_inflight)
-        self._conns.add(conn)
-        self._connections_total += 1
-        _CONNECTIONS_TOTAL.labels().inc()
-        _CONNECTIONS_ACTIVE.labels().inc()
-        _log.debug(
-            "connection.open",
-            conn_id=conn.conn_id,
-            peer=str(writer.get_extra_info("peername")),
-        )
-        conn.read_task = asyncio.create_task(
-            self._read_frames(conn, reader, queue)
-        )
-        try:
-            await self._process_frames(conn, queue, writer)
-        finally:
-            # the reader's sentinel ended the processor, so this is a
-            # no-op — unless this task itself is being torn down
-            conn.read_task.cancel()
-            await asyncio.wait([conn.read_task])
-            await self._release_connection(conn)
-            _CONNECTIONS_ACTIVE.labels().dec()
-            _log.debug("connection.close", conn_id=conn.conn_id)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._conns.discard(conn)
-
-    async def _read_frames(
-        self,
-        conn: Connection,
-        reader: asyncio.StreamReader,
-        queue: asyncio.Queue,
-    ) -> None:
-        """Move one connection's request frames from socket to queue.
-
-        Blocks on the full queue — that is the back-pressure — and ends
-        at EOF, a reset, a stream that can no longer be framed, or
-        :meth:`drain`, which cancels the wait for a *next* frame
-        (``conn.reading``) but never the hand-off of a frame already
-        read.  Always finishes with the ``None`` sentinel: the
-        processor consumes until it sees one, even after a write
-        failure, so that put can never wedge.
-        """
-        try:
-            while not self.draining:
-                conn.reading = True
-                try:
-                    frame = await read_frame(reader, self.max_frame_bytes)
-                except ProtocolError as exc:
-                    # unframeable or over the limit: refuse, stop reading
-                    _log.warning(
-                        "connection.refused",
-                        conn_id=conn.conn_id,
-                        code=exc.code,
-                        error=str(exc),
-                    )
-                    # queued as bytes (a frame is a (prefix, body) pair)
-                    await queue.put(_refusal_wire(exc))
-                    break
-                except (asyncio.IncompleteReadError, OSError) as exc:
-                    _log.debug(
-                        "connection.reset",
-                        conn_id=conn.conn_id,
-                        error=str(exc),
-                    )
-                    break  # the client hung up mid-frame or reset
-                finally:
-                    conn.reading = False
-                if frame is None:
-                    break  # EOF
-                await queue.put(frame)
-                self._inflight += 1
-                _INFLIGHT.labels().inc()
-        except asyncio.CancelledError:
-            pass  # drain() called off the wait for a next frame
-        finally:
-            await queue.put(None)
-
-    async def _process_frames(
-        self,
-        conn: Connection,
-        queue: asyncio.Queue,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Execute one connection's frames strictly in order.
-
-        Never exits before the reader's ``None`` sentinel: a dead peer
-        (write failure) or a refused stream switches to discard mode
-        instead of returning, so the reader can always complete its
-        (bounded, possibly full) queue handoff and reach its own
-        cleanup — a blocked ``queue.put`` with no consumer would hang
-        the connection task, and with it :meth:`drain`, forever.
-        """
-        discarding = False
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            refused = isinstance(item, bytes)
-            if not refused:
-                self._inflight -= 1
-                _INFLIGHT.labels().dec()
-            if discarding:
-                continue
-            if refused:
-                self._frames_processed += 1
-                payload = item
-                discarding = True  # once this refusal is written
-            else:
-                response = await self._respond(conn, item)
-                self._frames_processed += 1
-                payload = encode_frame(response)
-                if len(payload) > self.max_frame_bytes:
-                    payload = encode_frame(
-                        error_frame(
-                            response.get("id"),
-                            f"response exceeds max_frame_bytes "
-                            f"({self.max_frame_bytes}); lower max_reports "
-                            f"or use smaller chunks",
-                            "frame-too-large",
-                        )
-                    )
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, OSError) as exc:
-                _log.debug(
-                    "connection.write_failed",
-                    conn_id=conn.conn_id,
-                    error=str(exc),
-                )
-                discarding = True
-
-    async def _respond(
-        self, conn: Connection, raw: tuple[bytes, bytes]
-    ) -> dict:
-        """Turn one raw request frame (prefix, body) into its response
-        frame."""
-        request_id = None
-        op = "unknown"
-        start = time.perf_counter()
-        try:
-            frame = decode_frame_body(*raw)
-            request_id = frame.get("id")
-            raw_op = frame.get("op")
-            if not isinstance(raw_op, str):
-                raise ProtocolError("frame has no 'op' field", code="bad-request")
-            op = raw_op
-            handler = self._ops.get(op)
-            if handler is None:
-                raise ProtocolError(f"unknown op {op!r}", code="unknown-op")
-            payload = handler(conn, frame)
-            if inspect.isawaitable(payload):
-                payload = await payload
-            # a payload may itself be a relayed error frame (the router
-            # passes a node's answer through): its ``ok`` wins
-            response = ok_frame(request_id, **payload)
-            outcome = "ok" if response["ok"] else str(response.get("code", "error"))
-        except ReproError as exc:
-            outcome, extra = self._error_fields(exc)
-            _log.info(
-                "request.rejected",
-                conn_id=conn.conn_id,
-                op=op,
-                code=outcome,
-                error=str(exc),
-            )
-            response = {**error_frame(request_id, str(exc), outcome), **extra}
-        except Exception as exc:  # noqa: BLE001 — a handler bug must not
-            # kill the connection; report it to the client instead
-            _log.error(
-                "request.internal_error",
-                conn_id=conn.conn_id,
-                op=op,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            response = error_frame(
-                request_id, f"{type(exc).__name__}: {exc}", "internal"
-            )
-            outcome = "internal"
-        _REQUESTS.labels(op, outcome).inc()
-        _REQUEST_SECONDS.labels(op).observe(time.perf_counter() - start)
-        return response
-
     # -- ops every endpoint answers the same way ---------------------------
     def _op_metrics(self, conn: Connection, frame: dict) -> dict:
         """The process-wide metrics registry in the Prometheus text
@@ -532,10 +323,285 @@ class FrameServer:
                 f"remote shutdown is disabled on this {self.role}",
                 code="bad-request",
             )
-        # runs on the event loop, so the drain task starts only after
-        # this frame's response is written
+        # this frame's response is written before the callback that
+        # answers it returns, so before the drain task's first step
         self._drain_task = asyncio.create_task(self.drain())
         return {"draining": True}
+
+
+class _FrameProtocol(asyncio.BufferedProtocol):
+    """One served connection, framed and answered in its socket
+    callbacks (see the module docstring); :attr:`task` runs its
+    coroutine handlers and releases it once it closes."""
+
+    def __init__(self, server: FrameServer) -> None:
+        self.server = server
+        self.frames: deque = deque()  # parsed, not started, oldest first
+        self._staging = bytearray(_STAGING_BYTES)
+        self._start = self._end = 0  # staged bytes not framed yet
+        self._body: tuple[bytes, bytearray] | None = None  # read straight in
+        self._got = 0  # bytes of ``_body`` read so far
+        self._busy = False  # a started frame is not answered yet
+        self._id = self._op = self._began = None  # its id, op, start time
+        self._job = None  # a coroutine handler's, for the task
+        self._wake: asyncio.Future | None = None  # the idle task's
+        self._writable = True  # the peer is reading its responses
+        self._eof = False  # the peer sent everything it will send
+        self._stopped = False  # frame nothing more (drain, refusal, reset)
+        self._refusal: bytes | None = None  # written after the rest
+        self._closing = False
+
+    # -- asyncio callbacks ------------------------------------------------
+    def connection_made(self, transport) -> None:
+        server = self.server
+        self.transport = transport
+        self.conn = conn = server.connection_type(next(server._conn_ids))
+        server._conns[conn] = self
+        server._connections_total += 1
+        _CONNECTIONS_TOTAL.labels().inc()
+        _CONNECTIONS_ACTIVE.labels().inc()
+        _log.debug(
+            "connection.open",
+            conn_id=conn.conn_id,
+            peer=str(transport.get_extra_info("peername")),
+        )
+        loop = asyncio.get_running_loop()
+        self._lost = loop.create_future()
+        self.task = loop.create_task(self._serve())
+        if server.draining:
+            self.stop_reading()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._body is not None:
+            return memoryview(self._body[1])[self._got :]
+        if self._start:  # less than a prefix is left: to the front
+            kept = self._end - self._start
+            self._staging[:kept] = self._staging[self._start : self._end]
+            self._start, self._end = 0, kept
+        return memoryview(self._staging)[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._body is None:
+            self._end += nbytes
+        else:
+            self._got += nbytes
+            if self._got < len(self._body[1]):
+                return
+            self._parsed(*self._body)
+            self._body = None
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._advance()
+        return True  # stay open: parsed frames are still answered
+
+    def connection_lost(self, exc) -> None:
+        if exc is not None:
+            _log.debug(
+                "connection.reset", conn_id=self.conn.conn_id, error=str(exc)
+            )
+        self._lost.set_result(None)
+        self._inflight(-len(self.frames))  # nothing more is answered
+        self.frames.clear()
+        self.stop_reading()
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._advance()
+
+    def stop_reading(self) -> None:
+        """Frame nothing more; answer what is parsed, then close."""
+        self._stopped = True
+        self._body = None  # a partly read frame was never parsed
+        self._advance()
+
+    # -- framing ----------------------------------------------------------
+    def _inflight(self, frames: int) -> None:
+        self.server._inflight += frames
+        _INFLIGHT.labels().inc(frames)
+
+    def _parsed(self, prefix: bytes, body: bytearray) -> None:
+        self.frames.append((prefix, body))
+        self._inflight(1)
+
+    def _frame(self) -> None:
+        """Frame the staged bytes, up to the in-flight bound.  A frame
+        not staged whole gets its own body buffer (its size checked
+        first), and the rest of it is read straight in."""
+        staging, server = self._staging, self.server
+        while not self._stopped and len(self.frames) < server.max_inflight:
+            start, end = self._start, self._end
+            try:
+                if end - start < PREFIX_BYTES:
+                    if end > start:  # one byte refuses a version-3 line
+                        check_frame_start(staging[start : start + 1])
+                    return
+                prefix = bytes(staging[start : start + PREFIX_BYTES])
+                size = frame_body_bytes(prefix, server.max_frame_bytes)
+            except ProtocolError as exc:
+                _log.warning(
+                    "connection.refused",
+                    conn_id=self.conn.conn_id,
+                    code=exc.code,
+                    error=str(exc),
+                )
+                self._refusal = _refusal_wire(exc)
+                self._stopped = True
+                return
+            start += PREFIX_BYTES
+            if start + size <= end:
+                self._start = start + size
+                self._parsed(prefix, staging[start : self._start])
+                continue
+            self._body = (prefix, bytearray(size))
+            self._got = end - start
+            self._body[1][: self._got] = memoryview(staging)[start:end]
+            self._start = self._end = 0
+            return
+
+    # -- answering --------------------------------------------------------
+    def _advance(self) -> None:
+        """Start parsed frames in order while each is answered at once,
+        then read on, pause at the bound, or close."""
+        server = self.server
+        while True:
+            self._frame()
+            if self._busy or not self.frames or not self._writable:
+                break
+            self._inflight(-1)
+            self._busy = True
+            outcome = self._dispatch(self.frames.popleft())
+            if isinstance(outcome, asyncio.Future):
+                outcome.add_done_callback(self._settled)
+            elif outcome is not None:
+                self._job = outcome
+                self._wake_task()
+        if self._stopped or len(self.frames) >= server.max_inflight:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()  # a no-op after EOF
+        if (self._stopped or self._eof) and not (
+            self._busy or self.frames or self._closing
+        ):
+            # all answered, nothing more will be: refuse, then release
+            if self._refusal is not None:
+                server._frames_processed += 1
+                self.transport.write(self._refusal)
+            self._closing = True
+            self._wake_task()
+
+    def _dispatch(self, raw: tuple[bytes, bytearray]):
+        """Decode one raw frame (prefix, body) and run its handler;
+        answer it now when that returned a dict (or failed), else return
+        the awaitable its payload comes from."""
+        self._id, self._op, self._began = None, "unknown", time.perf_counter()
+        try:
+            frame = decode_frame_body(*raw)
+            self._id = frame.get("id")
+            op = frame.get("op")
+            if not isinstance(op, str):
+                raise ProtocolError("frame has no 'op' field", code="bad-request")
+            self._op = op
+            handler = self.server._ops.get(op)
+            if handler is None:
+                raise ProtocolError(f"unknown op {op!r}", code="unknown-op")
+            payload = handler(self.conn, frame)
+            if not isinstance(payload, dict):
+                return payload
+            self._reply(payload)
+        except Exception as exc:  # noqa: BLE001 — see _reply
+            self._reply(exc=exc)
+        return None
+
+    def _reply(self, payload: dict | None = None, exc=None) -> None:
+        """Write the response to the frame being answered — ``payload``,
+        or the error frame for the failure ``exc`` (a handler bug is an
+        ``internal`` error frame, never a dead connection) — and let
+        the next frame start.  Raises before it writes anything."""
+        server = self.server
+        if exc is None:
+            # a payload may itself be a relayed error frame (the router
+            # passes a node's answer through): its ``ok`` wins
+            response = ok_frame(self._id, **payload)
+            outcome = "ok" if response["ok"] else str(response.get("code", "error"))
+        elif isinstance(exc, ReproError):
+            outcome, extra = server._error_fields(exc)
+            _log.info(
+                "request.rejected",
+                conn_id=self.conn.conn_id,
+                op=self._op,
+                code=outcome,
+                error=str(exc),
+            )
+            response = {**error_frame(self._id, str(exc), outcome), **extra}
+        else:
+            _log.error(
+                "request.internal_error",
+                conn_id=self.conn.conn_id,
+                op=self._op,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            response = error_frame(
+                self._id, f"{type(exc).__name__}: {exc}", "internal"
+            )
+            outcome = "internal"
+        _REQUESTS.labels(self._op, outcome).inc()
+        _REQUEST_SECONDS.labels(self._op).observe(
+            time.perf_counter() - self._began
+        )
+        wire = encode_frame(response)
+        if len(wire) > server.max_frame_bytes:
+            wire = encode_frame(
+                error_frame(
+                    self._id,
+                    f"response exceeds max_frame_bytes ({server.max_frame_bytes}); "
+                    f"lower max_reports or use smaller chunks",
+                    "frame-too-large",
+                )
+            )
+        server._frames_processed += 1
+        self.transport.write(wire)
+        self._busy = False
+
+    def _settled(self, future: asyncio.Future) -> None:
+        try:
+            self._reply(future.result())
+        except (Exception, asyncio.CancelledError) as exc:
+            self._reply(exc=exc)
+        self._advance()
+
+    def _wake_task(self) -> None:
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
+
+    async def _serve(self) -> None:
+        """The connection's one task: run each coroutine handler and
+        answer its frame in the step where it ends; release the
+        connection once it closes."""
+        server, conn = self.server, self.conn
+        try:
+            while not self._closing:
+                if self._job is None:
+                    self._wake = asyncio.get_running_loop().create_future()
+                    await self._wake
+                    continue
+                job, self._job = self._job, None
+                try:
+                    self._reply(await job)
+                except Exception as exc:  # noqa: BLE001 — see _reply
+                    self._reply(exc=exc)
+                self._advance()
+        finally:
+            await server._release_connection(conn)
+            _CONNECTIONS_ACTIVE.labels().dec()
+            _log.debug("connection.close", conn_id=conn.conn_id)
+            self.transport.close()
+            await self._lost
+            del server._conns[conn]
 
 
 async def _serve(server: FrameServer, started) -> None:
@@ -722,8 +788,10 @@ class FrameChannel:
         """Send one frame (connecting first if need be), return the next.
 
         ``timeout_s`` (the channel's default when None; None = wait
-        forever) bounds connect + write + read together.  Every failure
-        closes the channel before it propagates, so the next call
+        forever) bounds connect + write + read together.  Whatever ends
+        an exchange early closes the channel before it propagates — a
+        cancellation too, which would otherwise leave this frame's
+        answer on the wire for the next call to read — so the next call
         starts on a fresh connection: ``OSError`` for connect failures,
         resets and timeouts (:class:`TimeoutError` is one),
         :class:`ChannelClosed` for EOF, and :class:`ProtocolError` for
@@ -736,6 +804,6 @@ class FrameChannel:
             try:
                 async with asyncio.timeout(timeout):
                     return await self._exchange(wire)
-            except (OSError, ProtocolError):
+            except BaseException:
                 await self.close()
                 raise

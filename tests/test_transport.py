@@ -1,6 +1,6 @@
 """The shared transport (:mod:`repro.service.transport`), outside in.
 
-Three suites:
+The suites:
 
 * **wire conformance** — every framing, limit, back-pressure and drain
   behaviour of the frame server, run against both endpoints built on
@@ -12,6 +12,10 @@ Three suites:
   frames and decodes equal results;
 * **frame channel** — the raw channel's limit / EOF / id mapping that
   ``NodeChannel`` and ``AsyncMatchingClient`` both stand on;
+* **served connection** — the server's per-connection protocol driven
+  callback by callback on a fake transport: any segmentation of a frame
+  stream gets the same answers, within the in-flight bound, and a light
+  frame or inline feed is answered in the callback that delivered it;
 * **frame codec** — hypothesis round trips of bytes-like leaves at any
   depth, and every truncation or damaged prefix / reference either
   failing as :class:`ProtocolError` or decoding exactly, with no read
@@ -22,6 +26,7 @@ import asyncio
 import contextlib
 import dataclasses
 import inspect
+import json
 import socket
 import struct
 import threading
@@ -47,14 +52,22 @@ from repro.service import (
 from repro.service.client import RemoteSession
 from repro.service.protocol import (
     DEFAULT_MAX_INFLIGHT,
+    FRAME_MAGIC,
     FRAME_PREFIX,
     PREFIX_BYTES,
     decode_frame,
     decode_frame_body,
     encode_data,
     encode_frame,
+    frame_body_bytes,
 )
-from repro.service.transport import ChannelClosed, FrameChannel, read_frame
+from repro.service.transport import (
+    ChannelClosed,
+    FrameChannel,
+    _FrameProtocol,
+    read_frame,
+)
+from repro.sim.backends.native import native_available
 from repro.sim.reports import ReportBatch
 from wire import RawConn, raw_frame, read_raw_frame
 
@@ -605,23 +618,268 @@ class TestFrameChannel:
             asyncio.run(main())
 
     def test_every_client_checks_the_response_id(self):
-        # the peer answers with somebody else's id: a desynchronised
-        # stream must be an error, never a misattributed result
-        with ScriptedPeer(ok(99), ok(99), ok(99)) as peer:
+        # the peer answers with somebody else's id — in an ok frame,
+        # then in an error frame: a desynchronised stream must be an
+        # error that drops the connection, never a misattributed result
+        wrong = encode_frame({"id": 99, "ok": False, "error": "e", "code": "x"})
+        with ScriptedPeer(*[ok(99), wrong] * 3) as peer:
             with MatchingClient(port=peer.port) as client:
-                with pytest.raises(ProtocolError, match="out-of-order"):
-                    client.ping()
+                for _ in range(2):
+                    with pytest.raises(ProtocolError, match="out-of-order"):
+                        client.ping()
+                    assert client._sock is None
 
             async def main():
                 async with AsyncMatchingClient(port=peer.port) as client:
-                    with pytest.raises(ProtocolError, match="out-of-order"):
-                        await client.ping()
+                    for _ in range(2):
+                        with pytest.raises(ProtocolError, match="out-of-order"):
+                            await client.ping()
+                        assert not client._channel.connected
                 channel = NodeChannel("127.0.0.1", peer.port)
-                with pytest.raises(ProtocolError, match="out of order"):
-                    await channel.request({"op": "ping"})
-                await channel.close()
+                for _ in range(2):
+                    with pytest.raises(ProtocolError, match="out of order"):
+                        await channel.request({"op": "ping"})
+                    assert not channel.connected
 
             asyncio.run(main())
+
+    def test_a_cancelled_request_does_not_desync_the_channel(self):
+        # regression: a request cancelled mid-exchange left its answer
+        # on the wire, so every later request read its predecessor's
+        dense = "native" if native_available() else "bitparallel"
+        config = ScanConfig(num_shards=1, backend=dense)  # a quick scan
+        with BackgroundServer(config=config) as bg:
+
+            async def main():
+                async with AsyncMatchingClient(port=bg.port) as client:
+                    handle = await client.register(RULES)
+                    with pytest.raises(TimeoutError):
+                        await asyncio.wait_for(
+                            client.scan(handle, bytes(4 << 20)), 0.001
+                        )
+                    assert not client._channel.connected
+                    for _ in range(3):
+                        assert (await client.ping())["pong"] is True
+
+            asyncio.run(main())
+
+
+# ---------------------------------------------------------------------------
+# one served connection, callback by callback
+# ---------------------------------------------------------------------------
+
+
+class FakeTransport(asyncio.Transport):
+    """Collects what a served connection's protocol writes; reading is
+    paused and resumed by the protocol, and delivery honours it."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = bytearray()
+        self.paused = self.closed = False
+
+    def write(self, data):
+        self.written += data
+
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            loop = asyncio.get_running_loop()
+            loop.call_soon(self.protocol.connection_lost, None)
+
+
+def connect(server):
+    """A protocol for one new connection to ``server`` (never started:
+    nothing listens), on a fake transport."""
+    transport = FakeTransport()
+    transport.protocol = protocol = _FrameProtocol(server)
+    protocol.connection_made(transport)
+    return transport, protocol
+
+
+def deliver(protocol, transport, data, depth=None) -> memoryview:
+    """Hand ``data`` over as a socket would — each callback one
+    ``recv_into`` of at most the buffer offered — until it is all in or
+    reading pauses; returns what is left.  ``depth`` collects the
+    in-flight count after every callback."""
+    view = memoryview(data)
+    while view and not transport.paused:
+        buffer = protocol.get_buffer(-1)
+        n = min(len(buffer), len(view))
+        buffer[:n], view = view[:n], view[n:]
+        protocol.buffer_updated(n)
+        if depth is not None:
+            depth.append(protocol.server._inflight)
+    return view
+
+
+def responses(wire: bytes) -> list:
+    """The frames (and a refusal's JSON line) a connection wrote, with
+    wall-clock fields dropped."""
+    out, view = [], memoryview(wire)
+    while view:
+        if view[0] != FRAME_MAGIC:
+            out.append(json.loads(bytes(view)))
+            break
+        size = PREFIX_BYTES + frame_body_bytes(bytes(view[:PREFIX_BYTES]), 1 << 30)
+        out.append(stable(plain(decode_frame(view[:size]))))
+        view = view[size:]
+    return out
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A matching server that is never started, its ruleset registered:
+    its protocol is driven by hand."""
+    dense = "native" if native_available() else "bitparallel"
+    server = MatchingServer(
+        config=ScanConfig(num_shards=1, backend=dense),
+        max_frame_bytes=8192,
+        max_inflight=2,
+        executor_workers=2,
+    )
+    automaton = compile_regex_set(RULES)
+    server.service.register_ruleset(automaton)
+    server.handle = automaton.fingerprint
+    yield server
+    server._executor.shutdown()
+    server.service.close()
+
+
+async def answered(transport, count: int) -> list:
+    """Wait until the connection has written ``count`` responses."""
+    for _ in range(5000):
+        got = responses(transport.written)
+        if len(got) >= count:
+            return got
+        await asyncio.sleep(0.001)
+    raise AssertionError(f"{count} responses expected, got {got}")
+
+
+_FRAMES = st.lists(
+    st.one_of(
+        st.just({"op": "ping"}),
+        st.binary(max_size=600).map(lambda d: {"op": "feed", "data": d}),
+        st.binary(max_size=3000).map(lambda d: {"op": "scan", "data": d}),
+    ),
+    max_size=8,
+)
+#: what may follow the valid frames: nothing, a prefix declaring more
+#: than the server's 8192-byte limit, or bytes that are not a frame
+_TAILS = st.sampled_from(
+    [b"", FRAME_PREFIX.pack(FRAME_MAGIC, 0, 9000, 0, 10), b"{", b"\x00"]
+)
+
+
+class TestServedConnection:
+    @settings(max_examples=60, deadline=None)
+    @given(_FRAMES, _TAILS, st.data())
+    def test_any_segmentation_gets_the_same_answers(
+        self, served, frames, tail, data
+    ):
+        frames = [{"op": "open", "session": "s"}, *frames]
+        stream = tail.join(
+            [
+                b"".join(
+                    encode_frame(
+                        {"id": i, "session": "s", "handle": served.handle, **f}
+                    )
+                    for i, f in enumerate(frames)
+                ),
+                b"",
+            ]
+        )
+        cuts = sorted(
+            set(data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=12)))
+        )
+        pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+        async def serve(pieces):
+            transport, protocol = connect(served)
+            depth = []
+            for piece in pieces:
+                while piece := deliver(protocol, transport, piece, depth):
+                    if transport.closed:
+                        break
+                    await asyncio.sleep(0.001)  # paused: let work drain
+            protocol.eof_received()
+            await protocol.task
+            assert max(depth, default=0) <= served.max_inflight
+            return responses(transport.written)
+
+        whole = asyncio.run(serve([stream]))
+        assert asyncio.run(serve(pieces)) == whole
+        assert [r.get("id") for r in whole[: len(frames)]] == list(
+            range(len(frames))
+        )
+        assert all(r["ok"] for r in whole[: len(frames)])
+        if tail:
+            assert len(whole) == len(frames) + 1
+            assert whole[-1]["code"] in ("bad-frame", "frame-too-large")
+        assert served._inflight == 0
+
+    def test_unread_responses_hold_back_the_next_frame(self, served):
+        async def main():
+            transport, protocol = connect(served)
+            protocol.pause_writing()  # the peer stopped reading
+            pings = b"".join(encode_frame({"id": i, "op": "ping"}) for i in range(3))
+            deliver(protocol, transport, pings)
+            # nothing starts; two frames parsed (the bound), one staged
+            assert transport.written == b"" and transport.paused
+            assert served._inflight == served.max_inflight
+            protocol.resume_writing()
+            assert [r["id"] for r in responses(transport.written)] == [0, 1, 2]
+            assert served._inflight == 0 and not transport.paused
+            protocol.eof_received()
+            await protocol.task
+
+        asyncio.run(main())
+
+    @pytest.mark.skipif(not native_available(), reason="needs the C loop")
+    def test_light_frames_and_inline_feeds_answer_in_the_delivering_callback(
+        self, served
+    ):
+        offloaded = []
+        offload = served._offload
+
+        def recording(fn, *args):
+            offloaded.append(offload(fn, *args))
+            return offloaded[-1]
+
+        async def main():
+            transport, protocol = connect(served)
+            served._offload = recording
+            try:
+                deliver(protocol, transport, encode_frame({"id": 1, "op": "ping"}))
+                # written before the callback that read it returned
+                assert responses(transport.written)[0]["pong"] is True
+                assert served._inflight == 0
+                opening = {"id": 2, "op": "open", "handle": served.handle}
+                deliver(protocol, transport, encode_frame({**opening, "session": "s"}))
+                await answered(transport, 2)
+                feed = {"id": 3, "op": "feed", "session": "s", "data": STREAM[:512]}
+                deliver(protocol, transport, encode_frame(feed))
+                assert responses(transport.written)[2]["position"] == 512
+                assert served._inflight == 0
+                scan = {"id": 4, "op": "scan", "handle": served.handle, "data": STREAM}
+                deliver(protocol, transport, encode_frame(scan))
+                # a scan leaves the loop: answered once its future is done
+                assert len(responses(transport.written)) == 3
+                assert not offloaded[-1].done()
+                await offloaded[-1]
+                assert (await answered(transport, 4))[3]["id"] == 4
+            finally:
+                served._offload = offload
+            protocol.eof_received()
+            await protocol.task
+
+        asyncio.run(main())
 
 
 # ---------------------------------------------------------------------------
