@@ -10,9 +10,14 @@ pipeline on the same edited automaton.  Every run writes
 machine-readable ``BENCH_incremental.json`` results.  Run directly:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_incremental.py -q -s
+
+``test_cold_compile_at_quarter_scale`` (CI runs it as its own step)
+compiles Snort at 1/4 into a fresh store and records seconds per pass
+and the store's eviction scans in ``BENCH_incremental_scale.json``.
 """
 
 import time
+from collections import defaultdict
 
 from repro.compile import (
     ArtifactStore,
@@ -127,3 +132,58 @@ def test_composed_engines_scan_identically_to_cold(tmp_path):
     assert [(r.cycle, r.state_id, r.code) for r in fast.reports] == [
         (r.cycle, r.state_id, r.code) for r in cold.reports
     ]
+
+
+#: the cold-compile scale cell: 17.7k states in 827 components
+SCALE_CELL = 1.0 / 4.0
+
+
+def test_cold_compile_at_quarter_scale(tmp_path, bench_json, monkeypatch):
+    """A cold incremental compile of Snort 1/4 into a fresh store.
+
+    Records wall seconds, seconds per pipeline pass summed over the
+    components, and how often the store scanned its directory for
+    eviction.  No time bound: what keeps the compile linear is the
+    counted guard in ``tests/test_compile_linear.py``; this cell puts
+    the seconds on record.  Every compiled component passes the key
+    re-check against its planned key.
+    """
+    automaton = get_benchmark(CORPUS_NAME, SCALE_CELL).automaton
+    store = ArtifactStore(tmp_path)
+    scans = []
+    evict = ArtifactStore._evict_over_budget
+
+    def counted(self, keep):
+        scans.append(len(keep))
+        return evict(self, keep)
+
+    monkeypatch.setattr(ArtifactStore, "_evict_over_budget", counted)
+    compiler = IncrementalCompiler(store, PipelineOptions(backend="native"))
+    start = time.perf_counter()
+    composed = compiler.compile(automaton)
+    seconds = time.perf_counter() - start
+    passes = defaultdict(float)
+    for part in composed.components:
+        for timing in part.artifact.manifest["timings"]:
+            passes[timing["name"]] += timing["seconds"]
+    assert composed.compiled_components == len(composed.components)
+    assert scans == [len(composed.components)]
+    print(
+        f"\nSnort 1/4 cold compile: {len(automaton)} states, "
+        f"{len(composed.components)} components, {seconds:.2f} s, "
+        f"{len(scans)} eviction scan(s)"
+    )
+    for name, spent in passes.items():
+        print(f"  {name:<9} {spent:8.3f} s")
+    bench_json(
+        "incremental_scale",
+        {
+            "corpus": CORPUS_NAME,
+            "scale": SCALE_CELL,
+            "states": len(automaton),
+            "components": len(composed.components),
+            "cold_compile_s": round(seconds, 3),
+            "pass_s": {name: round(spent, 3) for name, spent in passes.items()},
+            "eviction_scans": len(scans),
+        },
+    )

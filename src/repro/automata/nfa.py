@@ -330,9 +330,13 @@ class Automaton(_Graph):
                 report_code=ste.report_code,
                 name=ste.name,
             )
-        for u, v in self.transitions():
-            if u in remap and v in remap:
-                sub.add_transition(remap[u], remap[v])
+        # only the kept states' successors, by source then ascending
+        # successor: language_digest(ids=keep) walks the same order
+        for u, old in enumerate(keep):
+            for v in sorted(self._successors[old]):
+                new = remap.get(v)
+                if new is not None:
+                    sub.add_transition(u, new)
         return sub
 
     def average_symbol_class_size(self) -> float:

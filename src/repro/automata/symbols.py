@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
 
+import numpy as np
+
 from repro.errors import AutomatonError
 from repro.utils.bitvec import bit_positions, bits_from_positions, mask_of_width
 
@@ -61,6 +63,13 @@ class SymbolClass:
                 raise AutomatonError(f"symbol out of range 0..255: {sym}")
             mask |= 1 << sym
         return cls(mask)
+
+    @classmethod
+    def from_membership(cls, member: np.ndarray) -> "SymbolClass":
+        """Class of the symbols ``s`` with ``member[s]`` true (a length-256
+        boolean vector; a row of :func:`membership_matrix`)."""
+        packed = np.packbits(np.asarray(member, dtype=bool), bitorder="little")
+        return cls(int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def from_bytes(cls, data: bytes | str) -> "SymbolClass":
@@ -209,6 +218,18 @@ class SymbolClass:
 
     def __repr__(self) -> str:
         return f"SymbolClass({self.to_anml()!r})"
+
+
+def membership_matrix(classes: Iterable[SymbolClass]) -> np.ndarray:
+    """``(len(classes), 256)`` uint8 matrix: entry ``[i, s]`` is 1 iff
+    symbol ``s`` is in class ``i``.  One ``unpackbits`` over the classes'
+    little-endian masks, so no per-symbol Python loop."""
+    masks = b"".join(c.mask.to_bytes(32, "little") for c in classes)
+    return np.unpackbits(
+        np.frombuffer(masks, dtype=np.uint8).reshape(-1, 32),
+        axis=1,
+        bitorder="little",
+    )
 
 
 _RANGE = -1  # sentinel emitted by _parse_char_sequence for an unescaped '-'

@@ -28,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -637,7 +638,11 @@ class CompiledArtifact:
         """Write atomically to ``path`` (tmp file + rename)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+        # one tmp file per writing thread: two threads saving one key
+        # never write into the same file
+        tmp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
+        )
         try:
             with open(tmp, "wb") as fh:
                 self._write(fh)

@@ -258,11 +258,6 @@ class IncrementalCompiler:
         while len(self._memory) > self._memory_entries:
             self._memory.popitem(last=False)
 
-    def _admit(self, artifact: CompiledArtifact) -> None:
-        self._remember(artifact)
-        if self.store is not None:
-            self.store.put(artifact)
-
     # -- the incremental path ---------------------------------------------
 
     def plan(self, automaton: Automaton):
@@ -315,16 +310,20 @@ class IncrementalCompiler:
                         f"{keys[i][:12]}..., compiled {artifact.key[:12]}..."
                     )
                 cached[i] = artifact
-                self._admit(artifact)
+                self._remember(artifact)
+            if self.store is not None:
+                # one write batch: the store evicts once, after all of it
+                self.store.put_many(fresh)
             self.stats.compiled += len(missing)
             for _ in missing:
                 _COMPONENTS.labels("compiled").inc()
+        compiled = set(missing)
         parts = [
             ComponentCompile(
                 key=keys[i],
                 states=components[i],
                 artifact=cached[i],
-                reused=i not in set(missing),
+                reused=i not in compiled,
             )
             for i in range(len(components))
         ]

@@ -11,8 +11,11 @@ tmp-file-plus-rename, reads treat any unreadable file as a miss).
 Eviction is LRU by *bytes*, not entries: when the directory exceeds
 ``max_bytes`` the least-recently-used artifacts (by file mtime, which
 :meth:`get` refreshes on every hit) are deleted until the budget holds
-again.  Corrupt or version-mismatched files are deleted on sight and
-counted in :attr:`StoreStats.invalid`.
+again.  Eviction runs once per write batch: :meth:`put_many` writes all
+of a batch (an incremental compile's new components) and then scans the
+directory once, never evicting an artifact of the batch it just wrote;
+:meth:`put` is its one-artifact call.  Corrupt or version-mismatched
+files are deleted on sight and counted in :attr:`StoreStats.invalid`.
 
 Pins are cross-process: :meth:`pin` also drops a per-process token
 file under ``<root>/.pins/<key>/``, so byte-pressure eviction in *any*
@@ -154,10 +157,22 @@ class ArtifactStore:
 
     def put(self, artifact: CompiledArtifact) -> Path:
         """Write an artifact under its own content-addressed key."""
+        return self.put_many([artifact])[0]
+
+    def put_many(self, artifacts) -> list[Path]:
+        """Write a batch of artifacts, then evict over budget once.
+
+        No artifact of the batch is evicted, even when the batch alone
+        exceeds the budget — the caller is about to use all of them.
+        The writes run outside the store lock: each is a tmp file plus
+        an atomic rename, so a reader sees a whole artifact or none.
+        The lock covers only the eviction pass, so another thread's
+        :meth:`get` or :meth:`pin` never waits for the batch's writes.
+        """
+        paths = [a.save(self.path(a.key)) for a in artifacts]
         with self._lock:
-            path = artifact.save(self.path(artifact.key))
-            self._evict_over_budget(keep=path)
-            return path
+            self._evict_over_budget(keep=set(paths))
+        return paths
 
     def clear(self) -> None:
         with self._lock:
@@ -297,13 +312,13 @@ class ArtifactStore:
             for p in self.root.glob(f"*{_MANIFEST_SUFFIX}")
         )
 
-    def _evict_over_budget(self, keep: Path) -> None:
+    def _evict_over_budget(self, keep: set[Path]) -> None:
         """Delete least-recently-used artifacts past the byte budget.
 
-        The just-written artifact is never evicted, even when it alone
-        exceeds the budget — the caller is about to use it.  Pinned
-        artifacts are skipped too (they still count toward the total,
-        so unpinned entries absorb the pressure).
+        The just-written artifacts ``keep`` are never evicted, even when
+        they alone exceed the budget.  Pinned artifacts are skipped too
+        (they still count toward the total, so unpinned entries absorb
+        the pressure).
         """
         entries = []
         total = 0
@@ -315,7 +330,7 @@ class ArtifactStore:
                 continue
             total += stat.st_size
             if (
-                path != keep
+                path not in keep
                 and path.stem not in self._pins
                 and path.stem not in disk_pinned
             ):

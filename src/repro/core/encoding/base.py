@@ -95,7 +95,9 @@ class Encoding(ABC):
         # match rule: stored & ~code == 0, with ~code taken within L bits
         full = np.uint64((1 << self.code_length) - 1)
         hits = (np.uint64(stored) & (codes ^ full)) == 0
-        return SymbolClass.from_symbols(int(s) for s in symbols[hits])
+        member = np.zeros(256, dtype=bool)
+        member[symbols[hits]] = True
+        return SymbolClass.from_membership(member)
 
     @cached_property
     def weight(self) -> int:

@@ -12,6 +12,16 @@ symbol with the highest estimated probability of co-occurring with the
 cluster's current members (we use the co-occurrence count
 P(X, C) = sum over c in C of #classes containing both X and c),
 until the cluster is full; repeat until all symbols are assigned.
+
+P(X, C) is kept as a running affinity vector over all 256 symbols:
+placing a symbol adds its co-occurrence column, so each placement costs
+one vector add and one ``argmax`` instead of re-gathering the
+candidates x members block.  Assigned and out-of-alphabet symbols hold
+a large negative score, so the ``argmax`` sees only candidates and
+returns the lowest-numbered best one.  The tie-breaks are the rule's:
+highest affinity, then lowest symbol; when nothing co-occurs with the
+cluster (every candidate's affinity is 0), the most frequent remaining
+symbol, then lowest symbol — the same order that picks each seed.
 """
 
 from __future__ import annotations
@@ -23,6 +33,10 @@ import numpy as np
 
 from repro.automata.symbols import SymbolClass
 from repro.errors import EncodingError
+
+#: the score of a symbol that may not be picked: below any sum of
+#: co-occurrence counts added to it, which stay far under 2**53
+_CLOSED = np.int64(-(1 << 62))
 
 
 def cooccurrence_matrix(symbol_classes: Iterable[SymbolClass]) -> np.ndarray:
@@ -60,29 +74,28 @@ def cluster_symbols(
             f"{max_clusters} clusters of {cluster_capacity}"
         )
     matrix = cooccurrence_matrix(symbol_classes)
-    frequency = matrix.diagonal().copy()
-    unassigned = set(symbols)
+    # the scores of the unassigned symbols; a placed symbol is closed
+    frequency = np.full(256, _CLOSED)
+    frequency[symbols] = matrix.diagonal()[symbols]
+    remaining = len(symbols)
     clusters: list[list[int]] = []
-    while unassigned:
-        # Seed with the most frequent unassigned symbol (stable tie-break
-        # on symbol value for determinism).
-        seed = max(unassigned, key=lambda s: (frequency[s], -s))
+    while remaining:
+        # Seed with the most frequent unassigned symbol (ties: lowest).
+        seed = int(frequency.argmax())
         cluster = [seed]
-        unassigned.remove(seed)
-        while len(cluster) < cluster_capacity and unassigned:
-            members = np.fromiter(cluster, dtype=np.int64)
-            # Sorted for determinism: set iteration order is unstable and
-            # argmax ties must resolve the same way on every run.
-            candidates = np.fromiter(sorted(unassigned), dtype=np.int64)
-            affinity = matrix[np.ix_(candidates, members)].sum(axis=1)
-            if affinity.max() > 0:
-                best = int(candidates[int(affinity.argmax())])
-            else:
+        affinity = np.where(frequency > _CLOSED, matrix[:, seed], _CLOSED)
+        frequency[seed] = affinity[seed] = _CLOSED
+        remaining -= 1
+        while len(cluster) < cluster_capacity and remaining:
+            best = int(affinity.argmax())
+            if affinity[best] <= 0:
                 # Nothing co-occurs with this cluster; fill with the most
                 # frequent remaining symbol (the paper fills all clusters).
-                best = max(unassigned, key=lambda s: (frequency[s], -s))
+                best = int(frequency.argmax())
             cluster.append(best)
-            unassigned.remove(best)
+            affinity += matrix[:, best]
+            frequency[best] = affinity[best] = _CLOSED
+            remaining -= 1
         clusters.append(cluster)
         if len(clusters) > max_clusters:
             raise EncodingError("clustering exceeded the cluster budget")

@@ -32,6 +32,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.automata.nfa import StartKind
+from repro.automata.symbols import membership_matrix
 from repro.errors import SimulationError
 from repro.sim.backends import bitwords
 from repro.sim.reports import ReportBatch
@@ -452,11 +453,8 @@ def match_table(automaton) -> np.ndarray:
     sparse kernel indexes it directly and the bit-parallel kernel packs
     its rows into uint64 words.
     """
-    table = np.zeros((256, len(automaton)), dtype=bool)
-    for ste in automaton.states:
-        for symbol in ste.symbol_class:
-            table[symbol, ste.ste_id] = True
-    return table
+    members = membership_matrix(ste.symbol_class for ste in automaton.states)
+    return np.ascontiguousarray(members.T, dtype=bool)
 
 
 @dataclass
@@ -496,9 +494,7 @@ class KernelTables:
         offsets, targets = automaton.successor_csr()
         start_all, start_sod = start_ids(automaton)
         return cls(
-            match_words=np.stack(
-                [bitwords.pack_bool(row) for row in match_table(automaton)]
-            ),
+            match_words=bitwords.pack_bool_rows(match_table(automaton)),
             succ_offsets=offsets,
             succ_targets=targets,
             start_all=start_all,

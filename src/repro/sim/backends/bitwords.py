@@ -29,11 +29,18 @@ def pack_indices(ids: np.ndarray, n: int) -> np.ndarray:
 
 
 def pack_bool(mask: np.ndarray) -> np.ndarray:
-    """Packed vector of a boolean state vector (index ``s`` = bit ``s``)."""
-    n = len(mask)
-    padded = np.zeros(num_words(n) * WORD_BITS, dtype=np.uint8)
-    padded[:n] = mask
-    return np.packbits(padded, bitorder="little").view(np.uint64)
+    """Packed vector of a boolean state vector (index ``s`` = bit ``s``):
+    a one-row :func:`pack_bool_rows`."""
+    return pack_bool_rows(np.reshape(mask, (1, -1)))[0]
+
+
+def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
+    """Pack a ``(rows, n)`` boolean matrix into ``(rows, num_words(n))``
+    words, row by row (column ``s`` = bit ``s``), in one ``packbits``."""
+    count, n = np.shape(rows)
+    padded = np.zeros((count, num_words(n) * WORD_BITS), dtype=np.uint8)
+    padded[:, :n] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 def unpack_indices(words: np.ndarray) -> np.ndarray:
@@ -158,17 +165,16 @@ def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarr
     enable step of the bit-parallel kernel ORs the rows of the active
     states, replacing the CSR gather + sort of the sparse kernel.
     """
-    w = num_words(n)
-    rows = np.zeros((n, w * 8), dtype=np.uint8)
-    for s in range(n):
-        succ = targets[offsets[s] : offsets[s + 1]]
-        if succ.size:
-            np.bitwise_or.at(
-                rows[s],
-                succ >> 3,
-                np.left_shift(1, succ & 7).astype(np.uint8),
-            )
-    return rows.view(np.uint64)
+    width = num_words(n) * 8
+    rows = np.zeros(n * width, dtype=np.uint8)
+    targets = np.asarray(targets[offsets[0] : offsets[n]], dtype=np.int64)
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets[: n + 1]))
+    np.bitwise_or.at(
+        rows,
+        sources * width + (targets >> 3),
+        np.left_shift(1, targets & 7).astype(np.uint8),
+    )
+    return rows.reshape(n, width).view(np.uint64)
 
 
 def or_reduce_rows(rows: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -68,9 +68,7 @@ class SparseKernel(CompiledKernel):
         from repro.sim.backends import bitwords
 
         return KernelTables(
-            match_words=np.stack(
-                [bitwords.pack_bool(row) for row in self._match_table]
-            ),
+            match_words=bitwords.pack_bool_rows(self._match_table),
             succ_offsets=self._succ_offsets,
             succ_targets=self._succ_targets,
             start_all=self._start_all,

@@ -51,3 +51,61 @@ def test_component_fingerprint():
     )
     # the keyed form equals the standalone sub-automaton's
     assert rules.subautomaton(component).fingerprint == COMPONENT
+
+
+def artifact_digest(artifacts) -> str:
+    """SHA-256 over compiled artifacts' content, pass timings excluded.
+
+    Per artifact: the manifest without ``timings`` (canonical JSON),
+    then every array's name, dtype, shape and bytes, in name order.
+    ``to_bytes()`` is no stand-in: the manifest carries wall-clock pass
+    timings, so it differs between runs.
+    """
+    import hashlib
+    import json
+
+    h = hashlib.sha256()
+    for artifact in artifacts:
+        manifest = {k: v for k, v in artifact.manifest.items() if k != "timings"}
+        h.update(json.dumps(manifest, sort_keys=True).encode())
+        for name in sorted(artifact.arrays):
+            array = artifact.arrays[name]
+            h.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+#: every component artifact of a cold incremental compile, pinned so a
+#: faster compile cannot change what it writes
+COMPILED_DIGESTS = {
+    ("Snort", "bitparallel"): (
+        "7e61ef50c4a7b0c3e96ca025280b4edae7faf5befbe8a5e7d9d4174c2de4d2c9"
+    ),
+    ("Ranges1", "sparse"): (
+        "2be8903d9fd7da96f772bb5f72eae5b8a2eb47851cfe69308a719fc6295130b8"
+    ),
+    ("TCP", "bitparallel"): (
+        "7cef5f7b28100c4a484d29124939290c5096f07c36c8d5d1533f1eea21bee6ca"
+    ),
+    ("Dotstar03", None): (
+        "91079a65e418b40a046ba22d94c8d085a8c9460c39982d53bb97e4ea87813053"
+    ),
+}
+
+
+def test_component_artifacts_are_pinned(tmp_path):
+    from repro.compile import ArtifactStore, IncrementalCompiler
+    from repro.workloads.registry import get_benchmark
+
+    for (name, backend), expected in COMPILED_DIGESTS.items():
+        automaton = get_benchmark(name, 1 / 32).automaton
+        # backend None compiles no kernel: the tables come from
+        # KernelTables.from_automaton
+        options = PipelineOptions(optimize=False, stride=1, backend=backend)
+        compiler = IncrementalCompiler(
+            ArtifactStore(tmp_path / f"{name}-{backend}"), options
+        )
+        composed = compiler.compile(automaton)
+        assert artifact_digest(c.artifact for c in composed.components) == (
+            expected
+        ), (name, backend)

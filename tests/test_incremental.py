@@ -449,11 +449,14 @@ class TestStorePins:
         )
         for key in keys:
             assert store.contains(key), "pinned artifact was evicted"
-        # the unpinned filler artifacts absorbed the pressure (the
-        # last-written artifact is always kept)
-        assert (
-            sum(store.contains(k) for k in filler.component_keys) <= 1
-        )
+        # a write batch is kept whole by its own eviction pass ...
+        assert all(store.contains(k) for k in filler.component_keys)
+        # ... and the unpinned filler absorbs the next batch's pressure
+        later = incremental_compile(ruleset({"h1": "ww+x"}), store=store)
+        for key in keys:
+            assert store.contains(key), "pinned artifact was evicted"
+        assert not any(store.contains(k) for k in filler.component_keys)
+        assert all(store.contains(k) for k in later.component_keys)
         # unpinning returns them to the eviction pool
         store.unpin(keys)
         incremental_compile(
