@@ -12,8 +12,9 @@ machine-readable ``BENCH_incremental.json`` results.  Run directly:
     PYTHONPATH=src python -m pytest benchmarks/bench_incremental.py -q -s
 
 ``test_cold_compile_at_quarter_scale`` (CI runs it as its own step)
-compiles Snort at 1/4 into a fresh store and records seconds per pass
-and the store's eviction scans in ``BENCH_incremental_scale.json``.
+compiles Snort at 1/4 into a fresh store and records seconds per pass,
+the store's eviction scans, its bytes and the seconds a warm reload of
+every component artifact takes in ``BENCH_incremental_scale.json``.
 """
 
 import time
@@ -142,8 +143,9 @@ def test_cold_compile_at_quarter_scale(tmp_path, bench_json, monkeypatch):
     """A cold incremental compile of Snort 1/4 into a fresh store.
 
     Records wall seconds, seconds per pipeline pass summed over the
-    components, and how often the store scanned its directory for
-    eviction.  No time bound: what keeps the compile linear is the
+    components, how often the store scanned its directory for
+    eviction, the store's bytes, and the seconds a fresh store object
+    takes to load every component artifact back.  No time bound: what keeps the compile linear is the
     counted guard in ``tests/test_compile_linear.py``; this cell puts
     the seconds on record.  Every compiled component passes the key
     re-check against its planned key.
@@ -164,14 +166,21 @@ def test_cold_compile_at_quarter_scale(tmp_path, bench_json, monkeypatch):
     seconds = time.perf_counter() - start
     passes = defaultdict(float)
     for part in composed.components:
-        for timing in part.artifact.manifest["timings"]:
-            passes[timing["name"]] += timing["seconds"]
+        for timing in part.artifact.timings:
+            passes[timing.name] += timing.seconds
     assert composed.compiled_components == len(composed.components)
     assert scans == [len(composed.components)]
+    reloaded = ArtifactStore(tmp_path)
+    start = time.perf_counter()
+    loaded = [reloaded.get(key) for key in composed.component_keys]
+    reload_s = time.perf_counter() - start
+    assert all(loaded) and reloaded.stats.hits == len(loaded)
+    store_bytes = store.total_bytes()
     print(
         f"\nSnort 1/4 cold compile: {len(automaton)} states, "
         f"{len(composed.components)} components, {seconds:.2f} s, "
-        f"{len(scans)} eviction scan(s)"
+        f"{len(scans)} eviction scan(s); store {store_bytes} B, "
+        f"warm reload {reload_s * 1e3:.1f} ms"
     )
     for name, spent in passes.items():
         print(f"  {name:<9} {spent:8.3f} s")
@@ -185,5 +194,7 @@ def test_cold_compile_at_quarter_scale(tmp_path, bench_json, monkeypatch):
             "cold_compile_s": round(seconds, 3),
             "pass_s": {name: round(spent, 3) for name, spent in passes.items()},
             "eviction_scans": len(scans),
+            "store_bytes": store_bytes,
+            "warm_reload_s": round(reload_s, 4),
         },
     )

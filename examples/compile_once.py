@@ -5,7 +5,7 @@
 Walks the deployment shape the artifact layer exists for:
 
 1. compile a ruleset through the staged pipeline (per-pass timings);
-2. serialize it to a single ``.npz`` artifact;
+2. serialize it to a single artifact file (one frame);
 3. "cold-start" a second consumer from the artifact alone — no
    parsing, no encoding selection, no mapping — and check the reports
    are byte-identical;
@@ -48,7 +48,7 @@ def main() -> None:
     # 2. Serialize.  The key is content-addressed: language fingerprint
     #    mixed with the pipeline options.
     artifact_path = CompiledArtifact.from_compiled(compiled).save(
-        workdir / "ruleset.npz"
+        workdir / "ruleset.cama"
     )
     print(f"\nartifact: {artifact_path.name} "
           f"({artifact_path.stat().st_size} bytes)")

@@ -41,7 +41,7 @@ def main() -> None:
 
     # 3. Compile once, load anywhere: the artifact round trip.
     with tempfile.TemporaryDirectory() as tmp:
-        path = handle.save(Path(tmp) / "quickstart.npz")
+        path = handle.save(Path(tmp) / "quickstart.cama")
         warm = Ruleset.from_artifact(path).compile()
         again = warm.scan(data)
         assert report_positions(again.reports) == report_positions(

@@ -2,10 +2,10 @@
 
     python -m repro compile rules.anml            # compile + summary
     python -m repro compile rules.mnrl --optimize --timings
-    python -m repro compile rules.regex --out rules.npz  # save artifact
+    python -m repro compile rules.regex --out rules.cama # save artifact
     python -m repro compile rules.regex --incremental \
         --artifact-cache ~/.cache/repro --compile-workers 4
-    python -m repro inspect rules.npz             # artifact manifest
+    python -m repro inspect rules.cama            # artifact manifest
     python -m repro run rules.anml input.bin      # reports to stdout
     python -m repro scan rules.anml input.bin \
         --chunk-size 65536 --shards 4 --workers 2 # streaming service scan
@@ -155,17 +155,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         artifact.verify()
     rows = [[key, value] for key, value in artifact.summary().items()]
     print(format_table(["property", "value"], rows))
-    timings = artifact.manifest.get("timings") or []
-    if timings:
-        from repro.compile.ir import render_timing_rows
-
-        print(
-            format_table(
-                ["pass", "ms", "notes"],
-                render_timing_rows(timings),
-                title="compiled with",
-            )
-        )
     if args.verify:
         print("content verified: fingerprint matches")
     return 0
@@ -355,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     p_compile.add_argument(
         "--out",
         default=None,
-        metavar="ARTIFACT.npz",
+        metavar="ARTIFACT",
         help="save a serializable compiled-ruleset artifact",
     )
     p_compile.add_argument(

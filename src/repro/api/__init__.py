@@ -21,8 +21,8 @@ engines (:mod:`repro.sim`), the matching service and the network server
         result = handle.scan(payload)                # one-shot, cached
         with handle.stream("tenant-a") as session:   # resumable stream
             session.feed(chunk1); session.feed(chunk2)
-        handle.save("rules.npz")                     # compile once ...
-        warm = Ruleset.from_artifact("rules.npz").compile()  # load anywhere
+        handle.save("rules.cama")                     # compile once ...
+        warm = Ruleset.from_artifact("rules.cama").compile()  # load anywhere
         handle.serve(port=8765)                      # ... or serve it
 """
 

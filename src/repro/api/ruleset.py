@@ -16,8 +16,8 @@ whole deployment surface::
     batch = handle.scan_many({"a": data_a, "b": data_b})
     with handle.stream("tenant-a") as session:    # resumable stream
         session.feed(chunk1); session.feed(chunk2)
-    handle.save("rules.npz")                      # compile once ...
-    warm = Ruleset.from_artifact("rules.npz").compile()   # load anywhere
+    handle.save("rules.cama")                      # compile once ...
+    warm = Ruleset.from_artifact("rules.cama").compile()   # load anywhere
     handle.serve(port=8765)                       # ... or serve it
 
 Everything underneath is the existing machinery —
@@ -91,14 +91,14 @@ class Ruleset:
     @classmethod
     def from_artifact(cls, source) -> "Ruleset":
         """From a precompiled artifact — a
-        :class:`~repro.compile.artifact.CompiledArtifact`, its raw
-        ``.npz`` bytes, or a path to one.  Compiling this ruleset
+        :class:`~repro.compile.artifact.CompiledArtifact`, its bytes,
+        or the path of a saved one.  Compiling this ruleset
         adopts the artifact's prebuilt tables instead of recompiling
         ("compile once, load anywhere")."""
         from repro.compile.artifact import CompiledArtifact
 
         if isinstance(source, (bytes, bytearray)):
-            artifact = CompiledArtifact.from_bytes(bytes(source))
+            artifact = CompiledArtifact.from_bytes(source)
         elif isinstance(source, (str, Path)):
             artifact = CompiledArtifact.load(source)
         elif isinstance(source, CompiledArtifact):

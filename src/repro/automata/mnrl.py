@@ -115,7 +115,10 @@ def dumps_mnrl(automaton: Automaton) -> str:
         if ste.reporting and ste.report_code is not None:
             node["attributes"]["reportId"] = ste.report_code
         nodes.append(node)
-    return json.dumps({"id": automaton.name, "nodes": nodes}, indent=2)
+    # compact: without ``indent`` the C encoder writes the document
+    return json.dumps(
+        {"id": automaton.name, "nodes": nodes}, separators=(",", ":")
+    )
 
 
 def dump_mnrl(automaton: Automaton, path: str | Path) -> None:

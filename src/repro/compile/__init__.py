@@ -17,10 +17,10 @@ package makes that step explicit, inspectable and shippable:
     configuration, so differently configured artifacts never alias.
 
 ``artifact``
-    :class:`CompiledArtifact` — a single ``.npz`` (numpy tables + JSON
-    manifest, ``allow_pickle=False``) that rebuilds the automaton, a
-    warm engine, and the CAMA program in any process: save in one,
-    load in another, upload over the network server.
+    :class:`CompiledArtifact` — one frame (a JSON manifest plus raw
+    numpy tables, the wire's frame layout) that rebuilds the
+    automaton, a warm engine, and the CAMA program in any process:
+    save in one, load in another, upload over the network server.
 
 ``store``
     :class:`ArtifactStore` — a content-addressed artifact directory
@@ -34,9 +34,9 @@ Quick use::
     from repro.compile import compile_ruleset, CompiledArtifact
 
     compiled = compile_ruleset(automaton, backend="auto")
-    CompiledArtifact.from_compiled(compiled).save("snort.npz")
+    CompiledArtifact.from_compiled(compiled).save("snort.cama")
     # ... any other process, later ...
-    engine = CompiledArtifact.load("snort.npz").engine()
+    engine = CompiledArtifact.load("snort.cama").engine()
 """
 
 from repro.compile.artifact import ARTIFACT_FORMAT_VERSION, CompiledArtifact

@@ -1,31 +1,25 @@
 """Serializable compiled-ruleset artifacts ("compile once, load anywhere").
 
-A :class:`CompiledArtifact` is the on-disk / on-the-wire form of one
-pipeline product: a single ``.npz`` file (a zip of plain numpy arrays,
-``allow_pickle=False`` end to end) holding every table the execution
-kernels and the CAMA program need, plus a JSON *manifest* (format
-version, content-addressed key, pipeline options, encoding parameters,
-pass timings).  Loading an artifact rebuilds the
-:class:`~repro.automata.nfa.Automaton`, a warm
-:class:`~repro.sim.engine.Engine` (kernels are constructed from the
-prebuilt :class:`~repro.sim.backends.base.KernelTables`, skipping every
-derivation pass), and — when the encode/map passes ran — the full
-:class:`~repro.core.compiler.CamaProgram`.
+A :class:`CompiledArtifact` is one pipeline product as one frame of
+typed arrays (:mod:`repro.frames`): a JSON *manifest* (key, pipeline
+options, encoding parameters) plus every table the kernels and the
+CAMA program need.  A store file, :meth:`to_bytes` and a
+``register_artifact`` upload are the same bytes; equal compiles write
+equal bytes (pass timings are not stored).  Loading reads a file once
+and rebuilds, from read-only views of it, the automaton, a warm engine
+(kernels built from the prebuilt tables, no derivation pass) and, when
+the encode/map passes ran, the :class:`~repro.core.compiler.CamaProgram`.
 
-Artifacts are *content-addressed*: the manifest key is
-``ruleset_fingerprint(automaton, options)``, so one byte of key names
-exactly one (ruleset, compile-configuration) pair and a store lookup
-can never return an artifact compiled under different options.
-
-Anything unreadable — truncated files, non-zip bytes, missing arrays,
-inconsistent shapes, or an incompatible ``format_version`` — raises
-:class:`~repro.errors.ArtifactError`; cache layers treat that as a miss
-and recompile.
+The key is ``ruleset_fingerprint(automaton, options)``, so a store
+lookup never returns an artifact compiled under other options.
+Anything unreadable — a corrupt frame, a disallowed dtype, missing or
+inconsistent arrays, another format version (a version-1 zip
+included) — raises :class:`~repro.errors.ArtifactError`, which
+cache layers treat as a miss and recompile.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -39,22 +33,30 @@ from repro.automata.symbols import SymbolClass
 from repro.compile.fingerprint import ruleset_fingerprint
 from repro.compile.ir import CompiledRuleset, PipelineOptions
 from repro.errors import ArtifactError, ReproError
+from repro.frames import FrameError, array_frame_parts, decode_array_frame
 
-#: bumped on any incompatible change to the manifest or array schema
-ARTIFACT_FORMAT_VERSION = 1
+#: version of the file: 1 was a numpy zip archive, 2 is one frame
+ARTIFACT_FORMAT_VERSION = 2
+#: version of the manifest's fields and of the arrays it names, which
+#: the frame container left unchanged
+MANIFEST_VERSION = 1
 
 _START_KINDS = (StartKind.NONE, StartKind.ALL_INPUT, StartKind.START_OF_DATA)
 _START_CODE = {kind: code for code, kind in enumerate(_START_KINDS)}
 
-#: arrays every artifact must carry (program arrays are conditional)
-_REQUIRED_ARRAYS = (
-    "state_class_words",
-    "state_start",
-    "state_reporting",
-    "succ_offsets",
-    "succ_targets",
-    "match_words",
-)
+#: the kernels' arrays and their dtypes: every artifact carries them
+#: but ``succ_words`` (a sparse compile has none); program arrays come
+#: with a program
+_ARRAY_DTYPES = dict(
+    state_class_words="<u8", state_start="|u1", state_reporting="|b1",
+    succ_offsets="<i8", succ_targets="<i8", match_words="<u8", succ_words="<u8",
+)  # fmt: skip
+_PROGRAM_ARRAYS = (
+    "enc_offsets enc_patterns enc_negated map_state_switch map_state_position "
+    "map_state_entries map_cross_edges switch_mode switch_entry_count "
+    "switch_in switch_out switch_state_offsets switch_state_flat tile_mode "
+    "tile_switches"
+).split()
 
 _SWITCH_MODES = ("rcb", "fcb")
 _TILE_MODES = ("rcb16", "fcb16", "mode32")
@@ -62,12 +64,26 @@ _TILE_MODES = ("rcb16", "fcb16", "mode32")
 
 def _class_words(states) -> np.ndarray:
     """Per-state 256-bit symbol-class masks as (n, 4) little uint64."""
-    words = np.zeros((len(states), 4), dtype="<u8")
-    for i, ste in enumerate(states):
-        mask = ste.symbol_class.mask
-        for w in range(4):
-            words[i, w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    return words
+    masks = b"".join(s.symbol_class.mask.to_bytes(32, "little") for s in states)
+    return np.frombuffer(masks, dtype="<u8").reshape(-1, 4)
+
+
+def _ints(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.int64)
+
+
+def _offsets(lists) -> np.ndarray:
+    """CSR offsets of a sequence of lists: 0, then running lengths."""
+    return np.cumsum([0, *map(len, lists)], dtype=np.int64)
+
+
+def _strings_or_none(values, n: int) -> bool:
+    """Whether a manifest list is None or ``n`` strings-or-None."""
+    return values is None or (
+        isinstance(values, list)
+        and len(values) == n
+        and all(v is None or isinstance(v, str) for v in values)
+    )
 
 
 def _optional_strings(values: list) -> list | None:
@@ -83,10 +99,13 @@ class CompiledArtifact:
     names to numpy arrays.  Reconstruction accessors
     (:meth:`automaton`, :meth:`engine`, :meth:`program`) are cached per
     instance — loading once and building several views is cheap.
+    ``timings`` are the pass timings of the compile that built this
+    artifact (empty for a loaded one); they are not stored.
     """
 
     manifest: dict
     arrays: dict[str, np.ndarray]
+    timings: list = field(default_factory=list, repr=False)
     _automaton: Automaton | None = field(default=None, repr=False)
 
     # -- identity ---------------------------------------------------------
@@ -117,7 +136,7 @@ class CompiledArtifact:
         """Human-readable manifest digest (the ``repro inspect`` view)."""
         meta = self.manifest["automaton"]
         out = {
-            "format_version": self.manifest["format_version"],
+            "format_version": ARTIFACT_FORMAT_VERSION,
             "key": self.key,
             "ruleset_fingerprint": self.fingerprint,
             "automaton": meta["name"],
@@ -171,12 +190,11 @@ class CompiledArtifact:
             "match_words": tables.match_words.astype("<u8"),
         }
         if tables.succ_words is not None:
-            # packed successor rows from a bit-parallel/native kernel:
-            # optional (older artifacts lack it), lets warm loads skip
-            # the per-state derivation loop entirely
+            # packed successor rows (not from a sparse kernel): warm
+            # loads skip the per-state derivation loop
             arrays["succ_words"] = tables.succ_words.astype("<u8")
         manifest: dict = {
-            "format_version": ARTIFACT_FORMAT_VERSION,
+            "format_version": MANIFEST_VERSION,
             "key": compiled.key,
             "ruleset_fingerprint": automaton.fingerprint,
             "options": compiled.options.to_dict(),
@@ -193,11 +211,12 @@ class CompiledArtifact:
                 ),
             },
             "program": None,
-            "timings": [t.to_dict() for t in compiled.timings],
         }
         if compiled.program is not None:
             cls._pack_program(compiled.program, manifest, arrays)
-        return cls(manifest=manifest, arrays=arrays)
+        return cls(
+            manifest=manifest, arrays=arrays, timings=list(compiled.timings)
+        )
 
     @staticmethod
     def _pack_program(program, manifest: dict, arrays: dict) -> None:
@@ -207,71 +226,54 @@ class CompiledArtifact:
 
         choice = program.choice
         encoding = choice.encoding
-        enc_meta: dict = {
-            "alphabet_mask": format(encoding.alphabet.mask, "x"),
-        }
+        enc_meta: dict = {"alphabet_mask": format(encoding.alphabet.mask, "x")}
         if isinstance(encoding, OneZeroEncoding):
             enc_meta["kind"] = "one-zero"
         elif isinstance(encoding, MultiZerosEncoding):
             enc_meta["kind"] = "multi-zeros"
             enc_meta["length"] = encoding.code_length
         elif isinstance(encoding, PrefixEncoding):
-            enc_meta["kind"] = "prefix"
-            enc_meta["suffix_length"] = encoding.suffix_length
-            enc_meta["prefix_length"] = encoding.prefix_length
-            enc_meta["prefix_zeros"] = encoding.prefix_zeros
+            enc_meta.update(
+                kind="prefix",
+                suffix_length=encoding.suffix_length,
+                prefix_length=encoding.prefix_length,
+                prefix_zeros=encoding.prefix_zeros,
+            )
             assignment = encoding.assignment
             symbols = sorted(assignment)
-            arrays["enc_symbols"] = np.array(symbols, dtype=np.int64)
-            arrays["enc_clusters"] = np.array(
-                [assignment[s][0] for s in symbols], dtype=np.int64
-            )
-            arrays["enc_slots"] = np.array(
-                [assignment[s][1] for s in symbols], dtype=np.int64
-            )
+            arrays["enc_symbols"] = _ints(symbols)
+            arrays["enc_clusters"] = _ints(assignment[s][0] for s in symbols)
+            arrays["enc_slots"] = _ints(assignment[s][1] for s in symbols)
         else:
             raise ArtifactError(
                 f"cannot serialize encoding type {type(encoding).__name__}"
             )
 
-        offsets = np.zeros(len(program.state_encodings) + 1, dtype=np.int64)
-        patterns: list[int] = []
-        negated = np.zeros(len(program.state_encodings), dtype=bool)
-        for i, se in enumerate(program.state_encodings):
-            patterns.extend(se.patterns)
-            offsets[i + 1] = len(patterns)
-            negated[i] = se.negated
-        arrays["enc_offsets"] = offsets
-        arrays["enc_patterns"] = np.array(patterns, dtype="<u8")
-        arrays["enc_negated"] = negated
+        encodings = program.state_encodings
+        arrays["enc_offsets"] = _offsets(se.patterns for se in encodings)
+        arrays["enc_patterns"] = np.array(
+            [p for se in encodings for p in se.patterns], dtype="<u8"
+        )
+        arrays["enc_negated"] = np.array([se.negated for se in encodings], bool)
 
         mapping = program.mapping
-        arrays["map_state_switch"] = mapping.state_switch.astype(np.int64)
-        arrays["map_state_position"] = mapping.state_position.astype(np.int64)
-        arrays["map_state_entries"] = mapping.state_entries.astype(np.int64)
-        arrays["map_cross_edges"] = np.array(
-            mapping.cross_edges, dtype=np.int64
-        ).reshape(-1, 2)
         switches = mapping.switches
-        arrays["switch_mode"] = np.array(
-            [_SWITCH_MODES.index(s.mode) for s in switches], dtype=np.uint8
+        arrays.update(
+            map_state_switch=mapping.state_switch.astype(np.int64),
+            map_state_position=mapping.state_position.astype(np.int64),
+            map_state_entries=mapping.state_entries.astype(np.int64),
+            map_cross_edges=np.array(
+                mapping.cross_edges, dtype=np.int64
+            ).reshape(-1, 2),
+            switch_mode=np.array(
+                [_SWITCH_MODES.index(s.mode) for s in switches], np.uint8
+            ),
+            switch_entry_count=_ints(s.entry_count for s in switches),
+            switch_in=_ints(s.in_signals for s in switches),
+            switch_out=_ints(s.out_signals for s in switches),
         )
-        arrays["switch_entry_count"] = np.array(
-            [s.entry_count for s in switches], dtype=np.int64
-        )
-        arrays["switch_in"] = np.array(
-            [s.in_signals for s in switches], dtype=np.int64
-        )
-        arrays["switch_out"] = np.array(
-            [s.out_signals for s in switches], dtype=np.int64
-        )
-        sw_offsets = np.zeros(len(switches) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, s in enumerate(switches):
-            flat.extend(s.states)
-            sw_offsets[i + 1] = len(flat)
-        arrays["switch_state_offsets"] = sw_offsets
-        arrays["switch_state_flat"] = np.array(flat, dtype=np.int64)
+        arrays["switch_state_offsets"] = _offsets(s.states for s in switches)
+        arrays["switch_state_flat"] = _ints(i for s in switches for i in s.states)
         arrays["tile_mode"] = np.array(
             [_TILE_MODES.index(t.mode) for t in mapping.tiles], dtype=np.uint8
         )
@@ -303,32 +305,29 @@ class CompiledArtifact:
         n = meta["num_states"]
         codes = meta.get("report_codes") or [None] * n
         names = meta.get("state_names") or [None] * n
-        start = self.arrays["state_start"]
-        reporting = self.arrays["state_reporting"]
-        mask_bytes = (
-            self.arrays["state_class_words"].astype("<u8", copy=False).tobytes()
-        )
+        masks = self.arrays["state_class_words"].tobytes()
+        start = self.arrays["state_start"].tolist()
+        reporting = self.arrays["state_reporting"].tolist()
+        offsets = self.arrays["succ_offsets"].tolist()
+        targets = self.arrays["succ_targets"].tolist()
         states = [
             STE(
                 ste_id=i,
                 symbol_class=SymbolClass(
-                    int.from_bytes(mask_bytes[32 * i : 32 * i + 32], "little")
+                    int.from_bytes(masks[32 * i : 32 * i + 32], "little")
                 ),
-                start=_START_KINDS[int(start[i])],
-                reporting=bool(reporting[i]),
+                start=_START_KINDS[start[i]],
+                reporting=reporting[i],
                 report_code=codes[i],
                 name=names[i],
             )
             for i in range(n)
         ]
-        offsets = self.arrays["succ_offsets"]
-        targets = self.arrays["succ_targets"].tolist()
         self._automaton = Automaton(
             name=meta["name"],
             states=states,
             _successors=[
-                set(targets[int(offsets[i]) : int(offsets[i + 1])])
-                for i in range(n)
+                set(targets[offsets[i] : offsets[i + 1]]) for i in range(n)
             ],
         )
         return self._automaton
@@ -337,27 +336,17 @@ class CompiledArtifact:
         """The prebuilt :class:`KernelTables` (start ids derived)."""
         from repro.sim.backends.base import KernelTables
 
-        meta = self.manifest["automaton"]
-        n = meta["num_states"]
         start = self.arrays["state_start"]
-        codes = meta.get("report_codes") or [None] * n
+        codes = self.manifest["automaton"].get("report_codes")
         return KernelTables(
-            match_words=np.ascontiguousarray(
-                self.arrays["match_words"], dtype=np.uint64
-            ),
+            match_words=self.arrays["match_words"],
             succ_offsets=self.arrays["succ_offsets"],
             succ_targets=self.arrays["succ_targets"],
-            start_all=np.nonzero(start == 1)[0].astype(np.int64),
-            start_sod=np.nonzero(start == 2)[0].astype(np.int64),
+            start_all=np.flatnonzero(start == 1),
+            start_sod=np.flatnonzero(start == 2),
             reporting=self.arrays["state_reporting"].astype(bool),
-            report_codes=list(codes),
-            succ_words=(
-                np.ascontiguousarray(
-                    self.arrays["succ_words"], dtype=np.uint64
-                )
-                if "succ_words" in self.arrays
-                else None
-            ),
+            report_codes=codes or [None] * len(start),
+            succ_words=self.arrays.get("succ_words"),
         )
 
     def engine(self, backend: str | None = None, **engine_kwargs):
@@ -392,6 +381,12 @@ class CompiledArtifact:
                 "this artifact was compiled without the encode/map passes "
                 "(no CAMA program to load)"
             )
+        try:
+            return self._unpack_program(meta)
+        except (ReproError, KeyError, IndexError, TypeError, ValueError) as e:
+            raise ArtifactError(f"artifact program is malformed: {e!r}") from e
+
+    def _unpack_program(self, meta: dict):
         from repro.core.compiler import CamaProgram
         from repro.core.encoding.encoder import InputEncoder
         from repro.core.encoding.negation import StateEncoding
@@ -404,6 +399,7 @@ class CompiledArtifact:
             TilePlan,
         )
 
+        arrays = self.arrays
         automaton = self.automaton()
         encoding = self._rebuild_encoding(meta["encoding"])
         choice = EncodingChoice(
@@ -413,24 +409,21 @@ class CompiledArtifact:
             alphabet_size=meta["alphabet_size"],
             mean_class_size_no=meta["mean_class_size_no"],
         )
-        offsets = self.arrays["enc_offsets"]
-        patterns = self.arrays["enc_patterns"].tolist()
-        negated = self.arrays["enc_negated"]
+        offsets = arrays["enc_offsets"].tolist()
+        patterns = arrays["enc_patterns"].tolist()
+        negated = arrays["enc_negated"].tolist()
         state_encodings = [
             StateEncoding(
-                patterns=tuple(
-                    patterns[int(offsets[i]) : int(offsets[i + 1])]
-                ),
-                negated=bool(negated[i]),
+                patterns=tuple(patterns[offsets[i] : offsets[i + 1]]),
+                negated=negated[i],
             )
             for i in range(len(automaton))
         ]
-
-        sw_offsets = self.arrays["switch_state_offsets"]
-        sw_flat = self.arrays["switch_state_flat"].tolist()
+        sw_offsets = arrays["switch_state_offsets"].tolist()
+        sw_flat = arrays["switch_state_flat"].tolist()
         switches = []
-        for i, mode_code in enumerate(self.arrays["switch_mode"]):
-            mode = _SWITCH_MODES[int(mode_code)]
+        for i, mode_code in enumerate(arrays["switch_mode"]):
+            mode = _SWITCH_MODES[mode_code]
             capacity = RCB_POSITIONS if mode == "rcb" else FCB_POSITIONS
             switches.append(
                 SwitchPlan(
@@ -438,21 +431,21 @@ class CompiledArtifact:
                     mode=mode,
                     capacity_states=capacity,
                     capacity_entries=capacity,
-                    states=sw_flat[int(sw_offsets[i]) : int(sw_offsets[i + 1])],
-                    entry_count=int(self.arrays["switch_entry_count"][i]),
-                    in_signals=int(self.arrays["switch_in"][i]),
-                    out_signals=int(self.arrays["switch_out"][i]),
+                    states=sw_flat[sw_offsets[i] : sw_offsets[i + 1]],
+                    entry_count=int(arrays["switch_entry_count"][i]),
+                    in_signals=int(arrays["switch_in"][i]),
+                    out_signals=int(arrays["switch_out"][i]),
                 )
             )
         tiles = [
             TilePlan(
                 index=i,
-                mode=_TILE_MODES[int(mode_code)],
-                switch_indices=[
-                    int(s) for s in self.arrays["tile_switches"][i] if s >= 0
-                ],
+                mode=_TILE_MODES[mode_code],
+                switch_indices=[s for s in switch_pair if s >= 0],
             )
-            for i, mode_code in enumerate(self.arrays["tile_mode"])
+            for i, (mode_code, switch_pair) in enumerate(
+                zip(arrays["tile_mode"].tolist(), arrays["tile_switches"].tolist())
+            )
         ]
         map_meta = meta["mapping"]
         mapping = CamaMapping(
@@ -460,12 +453,10 @@ class CompiledArtifact:
             code_length=map_meta["code_length"],
             switches=switches,
             tiles=tiles,
-            state_switch=self.arrays["map_state_switch"].astype(np.int64),
-            state_position=self.arrays["map_state_position"].astype(np.int64),
-            state_entries=self.arrays["map_state_entries"].astype(np.int64),
-            cross_edges=[
-                (int(u), int(v)) for u, v in self.arrays["map_cross_edges"]
-            ],
+            state_switch=arrays["map_state_switch"].astype(np.int64),
+            state_position=arrays["map_state_position"].astype(np.int64),
+            state_entries=arrays["map_state_entries"].astype(np.int64),
+            cross_edges=[tuple(e) for e in arrays["map_cross_edges"].tolist()],
             num_global_switches=map_meta["num_global_switches"],
             oversubscribed_ports=map_meta["oversubscribed_ports"],
         )
@@ -490,21 +481,10 @@ class CompiledArtifact:
             return MultiZerosEncoding(alphabet, meta["length"])
         if kind != "prefix":
             raise ArtifactError(f"unknown encoding kind {kind!r}")
-        try:
-            assignment = {
-                int(symbol): (int(cluster), int(slot))
-                for symbol, cluster, slot in zip(
-                    self.arrays["enc_symbols"],
-                    self.arrays["enc_clusters"],
-                    self.arrays["enc_slots"],
-                )
-            }
-        except KeyError as exc:
-            raise ArtifactError(
-                "prefix-encoded artifact lacks its assignment arrays"
-            ) from exc
+        columns = ("enc_symbols", "enc_clusters", "enc_slots")
+        symbols, clusters, slots = (self.arrays[c].tolist() for c in columns)
         return PrefixEncoding(
-            assignment,
+            dict(zip(symbols, zip(clusters, slots))),
             meta["suffix_length"],
             meta["prefix_length"],
             meta["prefix_zeros"],
@@ -513,59 +493,76 @@ class CompiledArtifact:
     # -- validation -------------------------------------------------------
     def validate(self) -> "CompiledArtifact":
         """Structural checks; raises :class:`ArtifactError` when broken."""
-        version = self.manifest.get("format_version")
-        if version != ARTIFACT_FORMAT_VERSION:
+        manifest, arrays = self.manifest, self.arrays
+        version = manifest.get("format_version")
+        if version != MANIFEST_VERSION:
             raise ArtifactError(
-                f"artifact format version {version!r} is not supported "
-                f"(this build reads v{ARTIFACT_FORMAT_VERSION}); recompile"
+                f"artifact manifest format version {version!r} is not "
+                f"supported (this build reads v{MANIFEST_VERSION}); recompile"
             )
-        for key in ("key", "ruleset_fingerprint", "options", "automaton"):
-            if key not in self.manifest:
-                raise ArtifactError(f"artifact manifest lacks {key!r}")
         for key in ("key", "ruleset_fingerprint"):  # used as table keys
-            if not isinstance(self.manifest[key], str):
+            if not isinstance(manifest.get(key), str):
                 raise ArtifactError(f"artifact manifest {key!r} is not a string")
-        missing = [a for a in _REQUIRED_ARRAYS if a not in self.arrays]
+        meta = manifest.get("automaton")
+        n = meta.get("num_states") if isinstance(meta, dict) else None
+        if (
+            type(n) is not int
+            or n < 0
+            or not isinstance(meta.get("name"), str)
+            or not _strings_or_none(meta.get("report_codes"), n)
+            or not _strings_or_none(meta.get("state_names"), n)
+            or not isinstance(manifest.get("backend"), (str, type(None)))
+            or not isinstance(manifest.get("program") or {}, dict)
+            or not isinstance(manifest.get("options"), dict)
+        ):
+            raise ArtifactError("artifact manifest is malformed")
+        required = list(_ARRAY_DTYPES)[:-1]  # succ_words is optional
+        if manifest.get("program"):
+            required += _PROGRAM_ARRAYS
+        missing = [name for name in required if name not in arrays]
         if missing:
             raise ArtifactError(
                 f"artifact lacks required arrays: {', '.join(missing)}"
             )
-        meta = self.manifest["automaton"]
-        n = meta.get("num_states")
         from repro.sim.backends import bitwords
 
-        if (
-            not isinstance(n, int)
-            or self.arrays["state_class_words"].shape != (n, 4)
-            or self.arrays["state_start"].shape != (n,)
-            or self.arrays["state_reporting"].shape != (n,)
-            or self.arrays["succ_offsets"].shape != (n + 1,)
-            or self.arrays["match_words"].shape != (256, bitwords.num_words(n))
-            or (
-                "succ_words" in self.arrays
-                and self.arrays["succ_words"].shape
-                != (n, bitwords.num_words(n))
+        words = bitwords.num_words(n)
+        shapes = dict(
+            state_class_words=(n, 4), state_start=(n,), state_reporting=(n,),
+            succ_offsets=(n + 1,), match_words=(256, words), succ_words=(n, words),
+        )  # fmt: skip
+        if any(
+            name in arrays
+            and (
+                arrays[name].dtype.str != dtype
+                or shapes.get(name, arrays[name].shape) != arrays[name].shape
             )
+            for name, dtype in _ARRAY_DTYPES.items()
         ):
             raise ArtifactError("artifact arrays are inconsistent; recompile")
-        offsets = self.arrays["succ_offsets"]
-        targets = self.arrays["succ_targets"]
+        # a bit past state n-1 would make the C loop read past its tables
+        packed = [arrays[a] for a in ("match_words", "succ_words") if a in arrays]
+        if n % 64 and any((rows[:, -1] >> n % 64).any() for rows in packed):
+            raise ArtifactError("artifact bitmaps set bits past the last state")
+        if n and int(arrays["state_start"].max()) >= len(_START_KINDS):
+            raise ArtifactError("artifact start kinds are out of range")
+        offsets = arrays["succ_offsets"]
+        targets = arrays["succ_targets"]
         # a truncated targets array would otherwise be silently sliced
         # short in automaton(), dropping transitions — wrong answers,
         # not a crash, so it must be caught here
         if (
             int(offsets[0]) != 0
             or targets.shape != (int(offsets[-1]),)
-            or (np.diff(offsets) < 0).any()
+            or (offsets[1:] < offsets[:-1]).any()
             or (targets.size and (targets.min() < 0 or targets.max() >= n))
         ):
             raise ArtifactError("artifact transition tables are inconsistent")
         try:
             self.options  # validates option names/values
         except ReproError as exc:
-            # e.g. an option added by a future build without a format
-            # bump: unreadable-for-us must mean miss-and-recompile, so
-            # it has to surface as ArtifactError like every other skew
+            # e.g. an option a future build added without a format bump:
+            # unreadable-for-us must mean miss-and-recompile
             raise ArtifactError(
                 f"artifact pipeline options are not readable: {exc}"
             ) from exc
@@ -577,13 +574,12 @@ class CompiledArtifact:
         Recomputes the language fingerprint from the automaton arrays,
         re-binds the content-address ``key`` to (content, options) —
         so a manifest key can never point a shared store at different
-        rules — and re-derives the packed match words, which fully
-        covers the engine execution path (the CSR, start kinds,
-        reporting flags and report codes are all inside the
-        fingerprint).  Program arrays are checked for internal
-        consistency (per-state CAM entry counts must match the
-        placement's), not re-derived: re-running the mapper would be a
-        recompile.
+        rules — and re-derives the packed match words and successor
+        rows, which covers the engine execution path (the CSR, start
+        kinds, reporting flags and report codes are inside the
+        fingerprint).  Program arrays are checked for consistency
+        (per-state CAM entry counts must match the placement's), not
+        re-derived: re-running the mapper would be a recompile.
         """
         self.validate()
         automaton = self.automaton()
@@ -599,53 +595,47 @@ class CompiledArtifact:
                 "artifact key does not match its content and options "
                 f"({actual_key[:12]}... != {self.key[:12]}...)"
             )
+        from repro.sim.backends import bitwords
         from repro.sim.backends.base import KernelTables
 
         derived = KernelTables.from_automaton(automaton).match_words
-        stored = np.ascontiguousarray(
-            self.arrays["match_words"], dtype=np.uint64
-        )
-        if derived.shape != stored.shape or not np.array_equal(derived, stored):
+        if not np.array_equal(derived, self.arrays["match_words"]):
             raise ArtifactError(
                 "artifact match tables do not match its symbol classes"
             )
-        if self.manifest.get("program"):
-            entries = self.arrays["enc_offsets"]
-            per_state = entries[1:] - entries[:-1]
-            if not np.array_equal(
-                per_state, self.arrays["map_state_entries"]
-            ):
-                raise ArtifactError(
-                    "artifact CAM entries disagree with its placement"
-                )
+        rows = self.arrays.get("succ_words")
+        if rows is not None and not np.array_equal(
+            rows, bitwords.successor_rows(*automaton.successor_csr(), len(rows))
+        ):
+            raise ArtifactError("artifact successor rows disagree with its CSR")
+        if self.manifest.get("program") and not np.array_equal(
+            np.diff(self.arrays["enc_offsets"]),
+            self.arrays["map_state_entries"],
+        ):
+            raise ArtifactError("artifact CAM entries disagree with its placement")
         return self
 
     # -- (de)serialization -------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """The single-file ``.npz`` wire form (manifest included)."""
-        buffer = io.BytesIO()
-        self._write(buffer)
-        return buffer.getvalue()
+    def _frame_parts(self) -> list:
+        version = ARTIFACT_FORMAT_VERSION
+        header = {"format_version": version, "manifest": self.manifest}
+        return array_frame_parts(header, self.arrays)
 
-    def _write(self, fh) -> None:
-        np.savez(
-            fh,
-            manifest=np.array(json.dumps(self.manifest)),
-            **self.arrays,
-        )
+    def to_bytes(self) -> bytes:
+        """The single-frame form: a store file's and an upload's bytes."""
+        return b"".join(self._frame_parts())
 
     def save(self, path: str | Path) -> Path:
         """Write atomically to ``path`` (tmp file + rename)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # one tmp file per writing thread: two threads saving one key
-        # never write into the same file
+        # one tmp file per thread: two threads saving one key share none
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
         )
         try:
             with open(tmp, "wb") as fh:
-                self._write(fh)
+                fh.writelines(self._frame_parts())
             os.replace(tmp, path)
         finally:
             if tmp.exists():
@@ -653,35 +643,44 @@ class CompiledArtifact:
         return path
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CompiledArtifact":
-        return cls._read(io.BytesIO(data), what="artifact bytes")
+    def from_bytes(cls, data) -> "CompiledArtifact":
+        # the views outlive the call, a connection's buffer may not
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        return cls._read(np.frombuffer(data, np.uint8), "artifact bytes")
 
     @classmethod
     def load(cls, path: str | Path) -> "CompiledArtifact":
-        path = Path(path)
-        if not path.exists():
-            raise ArtifactError(f"no such artifact: {path}")
-        with open(path, "rb") as fh:
-            return cls._read(fh, what=str(path))
+        try:
+            buffer = np.fromfile(path, dtype=np.uint8)
+        except FileNotFoundError:
+            raise ArtifactError(f"no such artifact: {path}") from None
+        except OSError as exc:
+            raise ArtifactError(f"{path}: unreadable artifact ({exc})") from exc
+        return cls._read(buffer, str(path))
 
     @classmethod
-    def _read(cls, fh, *, what: str) -> "CompiledArtifact":
+    def _read(cls, buffer: np.ndarray, what: str) -> "CompiledArtifact":
+        if bytes(buffer[:2]) == b"PK":
+            raise ArtifactError(
+                f"{what}: not a compiled artifact of format version "
+                f"{ARTIFACT_FORMAT_VERSION}: it is a zip, as format version "
+                "1 wrote; recompile"
+            )
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                if "manifest" not in npz.files:
-                    raise ArtifactError(f"{what}: not a compiled artifact")
-                manifest = json.loads(str(npz["manifest"]))
-                arrays = {
-                    name: npz[name]
-                    for name in npz.files
-                    if name != "manifest"
-                }
-        except ArtifactError:
-            raise
-        except Exception as exc:  # zip/format/JSON corruption
+            header, arrays = decode_array_frame(buffer)
+        except FrameError as exc:
             raise ArtifactError(
                 f"{what}: corrupt or truncated artifact ({exc})"
-            ) from exc
+            ) from None
+        version = header.get("format_version")
+        if version != ARTIFACT_FORMAT_VERSION:
+            raise ArtifactError(
+                f"{what}: artifact format version {version!r} is not "
+                f"supported (this build reads v{ARTIFACT_FORMAT_VERSION}); "
+                "recompile"
+            )
+        manifest = header.get("manifest")
         if not isinstance(manifest, dict):
-            raise ArtifactError(f"{what}: artifact manifest is not an object")
+            raise ArtifactError(f"{what}: not a compiled artifact")
         return cls(manifest=manifest, arrays=arrays).validate()

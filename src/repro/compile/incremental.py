@@ -65,7 +65,8 @@ _COMPONENTS = default_registry().counter(
 
 
 def _compile_component_job(task):
-    """Process-pool job: compile one component, return artifact bytes.
+    """Process-pool job: compile one component, return its artifact
+    bytes and pass timings.
 
     Top-level so it pickles under any multiprocessing start method; the
     artifact round-trips as bytes because engines and kernels do not
@@ -73,7 +74,7 @@ def _compile_component_job(task):
     """
     sub, options = task
     compiled = compile_ruleset(sub, options)
-    return CompiledArtifact.from_compiled(compiled).to_bytes()
+    return CompiledArtifact.from_compiled(compiled).to_bytes(), compiled.timings
 
 
 @dataclass
@@ -202,8 +203,8 @@ class IncrementalStats:
 class IncrementalCompiler:
     """Compile rulesets component-by-component, reusing cached artifacts.
 
-    Backed by an :class:`ArtifactStore` when one is given (per-component
-    ``.npz`` files plus ``<ruleset key>.manifest.json`` sidecars) and
+    Backed by an :class:`ArtifactStore` when one is given (one artifact
+    file per component plus ``<ruleset key>.manifest.json`` sidecars) and
     always by a bounded in-memory artifact LRU, so storeless services
     still get fast updates within one process.
 
@@ -352,8 +353,12 @@ class IncrementalCompiler:
             ctx = multiprocessing.get_context(mp_start_method)
             tasks = [(sub, self.options) for sub in subs]
             with ctx.Pool(processes=min(workers, len(subs))) as pool:
-                blobs = pool.map(_compile_component_job, tasks)
-            return [CompiledArtifact.from_bytes(blob) for blob in blobs]
+                results = pool.map(_compile_component_job, tasks)
+            artifacts = []
+            for blob, timings in results:
+                artifacts.append(CompiledArtifact.from_bytes(blob))
+                artifacts[-1].timings = timings
+            return artifacts
         return [
             CompiledArtifact.from_compiled(compile_ruleset(sub, self.options))
             for sub in subs

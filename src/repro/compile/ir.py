@@ -41,30 +41,19 @@ class PassTiming:
     #: pass-specific facts (state counts, chosen scheme, kernel name...)
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seconds": self.seconds,
-            "skipped": self.skipped,
-            "detail": self.detail,
-        }
-
 
 def render_timing_rows(timings) -> list[list]:
     """``[pass, ms, note]`` table rows from :class:`PassTiming` objects
-    or their ``to_dict`` form (e.g. out of an artifact manifest) — the
-    one renderer behind ``repro compile --timings`` and ``repro
-    inspect``, ending with a total row."""
+    (what ``repro compile --timings`` prints), ending with a total
+    row."""
     rows = []
     total = 0.0
     for timing in timings:
-        if isinstance(timing, PassTiming):
-            timing = timing.to_dict()
-        total += timing["seconds"]
-        note = timing.get("skipped") or ", ".join(
-            f"{k}={v}" for k, v in (timing.get("detail") or {}).items()
+        total += timing.seconds
+        note = timing.skipped or ", ".join(
+            f"{k}={v}" for k, v in timing.detail.items()
         )
-        rows.append([timing["name"], f"{timing['seconds'] * 1e3:.2f}", note])
+        rows.append([timing.name, f"{timing.seconds * 1e3:.2f}", note])
     rows.append(["total", f"{total * 1e3:.2f}", ""])
     return rows
 

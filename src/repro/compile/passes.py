@@ -71,7 +71,7 @@ def load_source(source, *, name: str | None = None) -> Automaton:
 class CompilePass:
     """Base class: one stage of the pipeline."""
 
-    #: stable pass name (appears in timings, manifests, and the CLI)
+    #: stable pass name (appears in timings and the CLI)
     name: str = "pass"
     #: IR fields that must be populated before this pass runs
     requires: tuple[str, ...] = ()

@@ -1,12 +1,15 @@
 """On-disk artifact store: a content-addressed cache with a byte budget.
 
-One :class:`ArtifactStore` manages a directory of ``<key>.npz``
-artifacts (``key`` = ``ruleset_fingerprint(automaton, options)``).  It
-is the disk level behind a :class:`~repro.service.service.
-MatchingService`'s in-memory ruleset table: process restarts hit the
-disk instead of recompiling, and several processes — the nodes of a
-fleet — can share one store directory (writes are atomic
-tmp-file-plus-rename, reads treat any unreadable file as a miss).
+One :class:`ArtifactStore` manages a directory of artifact files, one
+frame each (see :mod:`repro.compile.artifact`), named by their key
+(``ruleset_fingerprint(automaton, options)``) and the suffix ``.npz``
+that format version 1 wrote, so a version-1 file left at a key's path
+is found, counted invalid and recompiled.  The store is the disk level
+behind a :class:`~repro.service.service.MatchingService`'s in-memory
+ruleset table: process restarts hit the disk instead of recompiling,
+and several processes — the nodes of a fleet — can share one store
+directory (writes are atomic tmp-file-plus-rename, reads treat any
+unreadable file as a miss).
 
 Eviction is LRU by *bytes*, not entries: when the directory exceeds
 ``max_bytes`` the least-recently-used artifacts (by file mtime, which
@@ -17,10 +20,12 @@ directory once, never evicting an artifact of the batch it just wrote;
 :meth:`put` is its one-artifact call.  Corrupt or version-mismatched
 files are deleted on sight and counted in :attr:`StoreStats.invalid`.
 
-Pins are cross-process: :meth:`pin` also drops a per-process token
-file under ``<root>/.pins/<key>/``, so byte-pressure eviction in *any*
-process sharing the directory skips artifacts a sibling process still
-references.  Tokens of dead processes are swept opportunistically.
+Pins are cross-process: each store object keeps one token file,
+``<root>/.pins/<pid>-<object id>.pin``, listing the keys it has pinned, so
+byte-pressure eviction in *any* process sharing the directory skips
+artifacts a sibling process still references.  The token is rewritten
+atomically when the set of pinned keys changes and removed when the set
+is empty.  Tokens of dead processes are swept opportunistically.
 """
 
 from __future__ import annotations
@@ -56,14 +61,6 @@ def _pid_alive(pid: int) -> bool:
     except OSError:
         return False
     return True
-
-
-def _rmdir_quiet(path: Path) -> None:
-    """Remove a directory if (still) empty; races are fine."""
-    try:
-        path.rmdir()
-    except OSError:
-        pass
 
 
 @dataclass
@@ -180,13 +177,8 @@ class ArtifactStore:
                 path.unlink(missing_ok=True)
             for path in self.root.glob(f"*{_MANIFEST_SUFFIX}"):
                 path.unlink(missing_ok=True)
-            pins_dir = self.root / _PINS_DIR
-            if pins_dir.is_dir():
-                for key_dir in pins_dir.iterdir():
-                    if key_dir.is_dir():
-                        for token in key_dir.iterdir():
-                            token.unlink(missing_ok=True)
-                        _rmdir_quiet(key_dir)
+            for token in (self.root / _PINS_DIR).glob("*.pin"):
+                token.unlink(missing_ok=True)
             self._pins.clear()
 
     # -- eviction pins -----------------------------------------------------
@@ -195,29 +187,33 @@ class ArtifactStore:
 
         Live ruleset versions pin the component artifacts their
         composition manifests reference; byte-budget pressure then falls
-        entirely on unpinned entries.  The first pin of a key in this
-        process also drops a pid token file under ``.pins/<key>/``, so
-        *other* processes sharing the directory honour the pin too.
+        entirely on unpinned entries.  A first pin of a key rewrites
+        this store's token file, so *other* processes sharing the
+        directory honour the pin too.
         """
         with self._lock:
+            added = False
             for key in keys:
                 count = self._pins.get(key, 0)
                 self._pins[key] = count + 1
-                if count == 0:
-                    self._write_pin_token(key)
+                added |= count == 0
+            if added:
+                self._write_pin_token()
 
     def unpin(self, keys) -> None:
         """Drop one pin reference per key; fully unpinned artifacts
         rejoin the LRU eviction pool (in every sharing process, once
-        this process's pid token is removed)."""
+        this store's token no longer lists them)."""
         with self._lock:
+            removed = False
             for key in keys:
                 count = self._pins.get(key, 0) - 1
                 if count > 0:
                     self._pins[key] = count
                 else:
-                    self._pins.pop(key, None)
-                    self._remove_pin_token(key)
+                    removed |= self._pins.pop(key, None) is not None
+            if removed:
+                self._write_pin_token()
 
     def pinned_keys(self) -> set[str]:
         """Keys pinned by this process *or* any live sibling process."""
@@ -225,56 +221,42 @@ class ArtifactStore:
             return set(self._pins) | self._disk_pinned_stems()
 
     # -- cross-process pin tokens ------------------------------------------
-    def _pin_token_path(self, key: str) -> Path:
-        return self.root / _PINS_DIR / key / f"{os.getpid()}.pin"
-
-    def _write_pin_token(self, key: str) -> None:
-        token = self._pin_token_path(key)
+    def _write_pin_token(self) -> None:
+        """Rewrite this store's token to list the keys pinned now (tmp
+        file + rename), or remove it when none are.  The name carries
+        the object's id: two stores of one directory in one process
+        keep separate tokens."""
+        token = self.root / _PINS_DIR / f"{os.getpid()}-{id(self):x}.pin"
         try:
-            token.parent.mkdir(parents=True, exist_ok=True)
-            token.touch()
+            if not self._pins:
+                token.unlink(missing_ok=True)
+                return
+            token.parent.mkdir(exist_ok=True)
+            tmp = token.with_suffix(".tmp")
+            tmp.write_text("\n".join(sorted(self._pins)))
+            os.replace(tmp, token)
         except OSError:
             # a read-only shared store still gets in-process pins; the
             # cross-process guarantee just doesn't extend to it
             pass
 
-    def _remove_pin_token(self, key: str) -> None:
-        token = self._pin_token_path(key)
-        try:
-            token.unlink(missing_ok=True)
-            _rmdir_quiet(token.parent)
-        except OSError:
-            pass
-
     def _disk_pinned_stems(self) -> set[str]:
-        """Keys with a live pid token on disk; dead tokens are swept.
+        """Keys listed in a live process's token; dead tokens are swept.
 
         A token whose pid no longer exists belongs to a crashed (or
         SIGKILLed) process — its pins die with it, otherwise one dead
         node would exempt its artifacts from eviction forever.
         """
-        pins_dir = self.root / _PINS_DIR
         pinned: set[str] = set()
-        if not pins_dir.is_dir():
-            return pinned
-        for key_dir in pins_dir.iterdir():
-            if not key_dir.is_dir():
+        for token in (self.root / _PINS_DIR).glob("*.pin"):
+            pid = token.stem.partition("-")[0]
+            if not pid.isdigit() or not _pid_alive(int(pid)):
+                token.unlink(missing_ok=True)
                 continue
-            alive = False
-            for token in key_dir.glob("*.pin"):
-                try:
-                    pid = int(token.stem)
-                except ValueError:
-                    token.unlink(missing_ok=True)
-                    continue
-                if _pid_alive(pid):
-                    alive = True
-                else:
-                    token.unlink(missing_ok=True)
-            if alive:
-                pinned.add(key_dir.name)
-            else:
-                _rmdir_quiet(key_dir)
+            try:
+                pinned.update(token.read_text().split())
+            except OSError:  # its process unpinned everything meanwhile
+                pass
         return pinned
 
     # -- composition manifests ---------------------------------------------

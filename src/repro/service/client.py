@@ -172,7 +172,8 @@ def _artifact_frame(artifact) -> dict:
     """Build the upload frame for a precompiled ruleset artifact.
 
     Accepts a :class:`~repro.compile.artifact.CompiledArtifact`, its
-    raw ``.npz`` bytes, or a filesystem path to one.
+    bytes (:meth:`~repro.compile.artifact.CompiledArtifact.to_bytes`),
+    or a filesystem path to a saved one.
     """
     from pathlib import Path
 
@@ -391,8 +392,8 @@ class _ServiceSurface:
 
         The server adopts the artifact's prebuilt engine instead of
         compiling, so registering a large ruleset costs an upload, not
-        a compile.  ``artifact`` may be a ``CompiledArtifact``, raw
-        ``.npz`` bytes, or a path.
+        a compile.  ``artifact`` may be a ``CompiledArtifact``, its
+        bytes, or the path of a saved one.
         """
         return self._call(_artifact_frame(artifact), itemgetter("handle"))
 

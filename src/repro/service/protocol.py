@@ -1,24 +1,14 @@
 """Wire protocol of the network matching service.
 
 The server, the router and both clients speak *length-prefixed frames*
-(protocol version 4).  A frame is three parts::
-
-    prefix    14 bytes: magic 0xCA, attachment count, header bytes,
-              attachment bytes (three little-endian uint32), then "\n"
-    header    one UTF-8 JSON object
-    body      the attachments, raw, back to back
-
-Any bytes-like value (``bytes``, ``bytearray``, ``memoryview``) in a
-frame dict, at any depth, travels as an *attachment*: the header holds
-``{"$bytes": <length>}`` in its place, and the attachments follow the
-header in the order the header names them.  The reader knows a frame's
-full size from the prefix before it reads any of the rest, so
-``max_frame_bytes`` bounds memory before a body is read.  Decoding
-hands attachments back as ``memoryview`` slices of the received frame
-(no copy).  A header dict that merely looks like a reference (its only
-key ``$bytes``, an int value) makes the reference count disagree with
-the prefix, so such a frame fails as ``bad-frame`` rather than being
-rewritten.  The magic byte is not ``{``: a version-3 peer's
+(protocol version 4): the layout of :mod:`repro.frames` — a 14-byte
+prefix, a JSON header, then raw attachments, every bytes-like value of
+a frame dict travelling as an attachment and decoding back as a
+``memoryview`` slice of the received frame (no copy).  This module adds
+the wire's rules on top.  The reader knows a frame's full size from the
+prefix before it reads any of the rest, so ``max_frame_bytes`` bounds
+memory before a body is read.  A malformed frame fails as
+``bad-frame``.  The magic byte is not ``{``: a version-3 peer's
 newline-delimited JSON is recognized on its first byte and refused, and
 the prefix ends in ``\n`` so a version-3 reader answers it at once.
 
@@ -51,8 +41,8 @@ health     --                                            ``status``, ``uptime_s`
                                                          ``open_sessions``,
                                                          ``inflight``, ``connections``
 register   ``kind`` ("regex"|"mnrl"), ``rules``|``text`` ``handle``, ``states``, ``cached``
-register-  ``data`` (attachment: ``.npz`` compiled       ``handle``, ``states``, ``cached``,
-artifact   artifact, see :mod:`repro.compile.artifact`)  ``backend``
+register-  ``data`` (attachment: a compiled artifact's    ``handle``, ``states``, ``cached``,
+artifact   frame, see :mod:`repro.compile.artifact`)     ``backend``
 scan       ``handle``, ``data`` (attachment),            ``reports`` (columnar),
            ``chunk_size?``,                              ``num_reports``,
            ``max_reports?``, ``on_truncation?``,         ``truncated``, ``bytes``,
@@ -159,14 +149,20 @@ answers ``unknown-handle`` until it is registered again.
 
 from __future__ import annotations
 
-import json
-import struct
-import threading
-
 import numpy as np
 
+from repro import frames
 from repro.api.config import ScanConfig
 from repro.errors import ConfigError, ReproError
+from repro.frames import (
+    BYTES_LIKE,
+    FRAME_MAGIC,
+    FRAME_PREFIX,
+    PREFIX_BYTES,
+    FrameError,
+    encode_frame,
+    unpack_prefix,
+)
 from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 
 #: protocol version advertised by ``ping`` and ``health`` (see the
@@ -226,120 +222,7 @@ class ProtocolError(ReproError):
         super().__init__(message)
 
 
-#: first byte of every frame; never ``{``, the first byte of a
-#: version-3 (newline-delimited JSON) frame
-FRAME_MAGIC = 0xCA
 _MAGIC_BYTE = bytes([FRAME_MAGIC])
-#: magic, attachment count, header bytes, attachment bytes, ``\n``
-FRAME_PREFIX = struct.Struct("<BIIIB")
-PREFIX_BYTES = FRAME_PREFIX.size
-_NEWLINE = 0x0A
-#: the one key of the header dict that stands for an attachment
-_REF = "$bytes"
-_BYTES_LIKE = (bytes, bytearray, memoryview)
-
-
-class _Decoder:
-    """One thread's JSON scanner, built once (building one per frame, as
-    ``json.loads(object_hook=)`` does, costs a few microseconds a
-    frame): it hands each decoded object to :meth:`_resolve`, which
-    swaps a reference for the next slice of the frame being decoded."""
-
-    __slots__ = ("scan", "body", "left", "offset")
-
-    def __init__(self) -> None:
-        self.scan = json.JSONDecoder(object_hook=self._resolve).scan_once
-        self.body = None
-        self.left = self.offset = 0
-
-    def decode(self, header: str, count: int, body: memoryview):
-        """``header`` parsed, each reference swapped for the next slice
-        of ``body``, the references checked against the prefix."""
-        self.left, self.body, self.offset = count, body, 0
-        try:
-            frame = _parse(self.scan, header)
-        finally:
-            self.body = None  # the frame's buffer is not kept
-        if self.left or self.offset != len(body):
-            raise ProtocolError(
-                f"frame header references {count - self.left} attachments "
-                f"({self.offset} bytes); the prefix declares {count} "
-                f"({len(body)} bytes)"
-            )
-        return frame
-
-    def _resolve(self, obj: dict):
-        if len(obj) != 1 or type(obj.get(_REF)) is not int:
-            return obj
-        start = self.offset
-        end = start + obj[_REF]
-        if not self.left or end < start or end > len(self.body):
-            raise ProtocolError(
-                "frame header references more attachment bytes than the "
-                "prefix declares"
-            )
-        self.left -= 1
-        self.offset = end
-        return self.body[start:end]
-
-
-_threads = threading.local()
-
-
-def _decoder() -> _Decoder:
-    try:
-        return _threads.decoder
-    except AttributeError:
-        _threads.decoder = decoder = _Decoder()
-        return decoder
-
-
-def _parse(scan, header: str):
-    """One JSON value spanning all of ``header``."""
-    try:
-        value, end = scan(header, 0)
-    except StopIteration as stop:
-        raise ProtocolError(
-            f"frame header is not valid JSON (at char {stop.value})"
-        ) from None
-    if end != len(header):
-        raise ProtocolError(
-            f"frame header is not valid JSON (extra data at char {end})"
-        )
-    return value
-
-
-def _hoist(value):
-    # the C encoder calls this only for values JSON cannot spell
-    if not isinstance(value, _BYTES_LIKE):
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    view = memoryview(value)
-    _threads.attachments.append(view)
-    return {_REF: view.nbytes}
-
-
-#: one encoder for every frame: ``json.dumps(default=)`` builds a
-#: ``JSONEncoder`` per call, about a tenth of a quiet 512 B feed's
-#: whole codec; :func:`_hoist` collects into the calling thread's list
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_hoist)
-
-
-def encode_frame(frame: dict) -> bytes:
-    """Serialize one frame: prefix, JSON header, then every bytes-like
-    value of ``frame`` (at any depth) as a raw attachment."""
-    _threads.attachments = attachments = []
-    try:
-        header = _ENCODER.encode(frame).encode()
-    finally:
-        _threads.attachments = None  # the frame's buffers are not kept
-    prefix = FRAME_PREFIX.pack(
-        FRAME_MAGIC,
-        len(attachments),
-        len(header),
-        sum([view.nbytes for view in attachments]),
-        _NEWLINE,
-    )
-    return b"".join([prefix, header, *attachments])
 
 
 def check_frame_start(head: bytes) -> None:
@@ -368,12 +251,13 @@ def frame_body_bytes(prefix: bytes, max_frame_bytes: int) -> int:
     over the limit.
     """
     check_frame_start(prefix)
-    if len(prefix) != PREFIX_BYTES or prefix[-1] != _NEWLINE:
+    try:
+        _, header_bytes, attachment_bytes = unpack_prefix(prefix)
+    except FrameError:
         raise ProtocolError(
             f"not a protocol version {PROTOCOL_VERSION} frame prefix: "
             f"{bytes(prefix[:PREFIX_BYTES])!r}"
-        )
-    _, _, header_bytes, attachment_bytes, _ = FRAME_PREFIX.unpack(prefix)
+        ) from None
     body = header_bytes + attachment_bytes
     if PREFIX_BYTES + body > max_frame_bytes:
         raise ProtocolError(
@@ -394,23 +278,10 @@ def decode_frame_body(prefix: bytes, body) -> dict:
     prefix — the frame's bounds are known, so the caller decides
     whether the connection survives.
     """
-    _, count, header_bytes, attachment_bytes, _ = FRAME_PREFIX.unpack(prefix)
-    if len(body) != header_bytes + attachment_bytes:
-        raise ProtocolError(
-            f"frame body holds {len(body)} bytes; the prefix declares "
-            f"{header_bytes + attachment_bytes}"
-        )
-    view = memoryview(body)
     try:
-        header = str(view[:header_bytes], "utf-8")
-        frame = _decoder().decode(header, count, view[header_bytes:])
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"frame header is not valid JSON: {exc}") from exc
-    if not isinstance(frame, dict):
-        raise ProtocolError(
-            f"frame must be a JSON object, got {type(frame).__name__}"
-        )
-    return frame
+        return frames.decode_frame_body(prefix, body)
+    except FrameError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def decode_frame(frame) -> dict:
@@ -429,7 +300,7 @@ def encode_data(data) -> memoryview:
 def decode_data(value):
     """A frame's ``data`` attachment -> the stream bytes (the same
     bytes-like object; nothing is copied)."""
-    if not isinstance(value, _BYTES_LIKE):
+    if not isinstance(value, BYTES_LIKE):
         raise ProtocolError(
             f"data must be a bytes attachment, got {type(value).__name__}",
             code="bad-request",
@@ -552,7 +423,7 @@ def _wire_int(value: dict, key: str) -> int:
 
 def _u4_array(value: dict, key: str, n: int) -> np.ndarray:
     raw = value.get(key)
-    if not isinstance(raw, _BYTES_LIKE):
+    if not isinstance(raw, BYTES_LIKE):
         raise ProtocolError(f"reports: {key!r} must be a bytes attachment")
     size = memoryview(raw).nbytes
     if size != 4 * n:
@@ -623,7 +494,7 @@ def artifact_from_frame(frame: dict):
     data = decode_data(frame.get("data", b""))
     if not data:
         raise ProtocolError(
-            "register_artifact needs 'data' (the .npz artifact bytes)",
+            "register_artifact needs 'data' (the compiled artifact bytes)",
             code="bad-request",
         )
     try:

@@ -486,7 +486,7 @@ class MatchingService:
         from repro.compile.artifact import CompiledArtifact
 
         if isinstance(artifact, (bytes, bytearray)):
-            artifact = CompiledArtifact.from_bytes(bytes(artifact))
+            artifact = CompiledArtifact.from_bytes(artifact)
         elif isinstance(artifact, (str, Path)):
             artifact = CompiledArtifact.load(artifact)
         # Uploads are untrusted: verify() re-binds the content-address

@@ -5,18 +5,23 @@ loaded in another, produces *byte-identical* reports to an in-process
 compile — checked here against both a fresh engine and the naive
 differential oracle, including a genuine cross-process round trip.
 Corruption, truncation and format-version skew must surface as
-:class:`ArtifactError` (never a wrong answer), and the on-disk store
-must hold its LRU byte budget.
+:class:`ArtifactError` (never a wrong answer) — a derandomized fuzz of
+mutated frames checks it — and the on-disk store must hold its LRU
+byte budget.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import oracle_run
 from repro.automata import compile_regex_set
@@ -25,11 +30,13 @@ from repro.compile import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactStore,
     CompiledArtifact,
+    IncrementalCompiler,
     PipelineOptions,
     compile_ruleset,
 )
 from repro.core.machine import CamaMachine
 from repro.errors import ArtifactError
+from repro.frames import FRAME_MAGIC, FRAME_PREFIX, PREFIX_BYTES, decode_array_frame
 from repro.sim.engine import Engine
 from repro.workloads.registry import get_benchmark
 
@@ -75,6 +82,18 @@ def compiled_regex():
 @pytest.fixture(scope="module")
 def artifact_bytes(compiled_regex):
     return CompiledArtifact.from_compiled(compiled_regex).to_bytes()
+
+
+@pytest.fixture(scope="module")
+def native_bytes():
+    """A kernel with packed successor rows, a CAMA program and a state
+    count that leaves padding bits in the last word."""
+    automaton = compile_regex_set(RULES, name="native-artifact")
+    artifact = CompiledArtifact.from_compiled(
+        compile_ruleset(automaton, backend="native")
+    )
+    assert "succ_words" in artifact.arrays and artifact.num_states % 64
+    return artifact.to_bytes()
 
 
 class TestRoundTrip:
@@ -167,6 +186,36 @@ class TestCorruption:
     def test_garbage_bytes_rejected(self):
         with pytest.raises(ArtifactError):
             CompiledArtifact.from_bytes(b"\x00\x01garbage" * 100)
+
+    def test_version_1_zip_rejected_by_name(self):
+        buffer = io.BytesIO()
+        np.savez(buffer, manifest=np.array('{"format_version": 1}'))
+        with pytest.raises(ArtifactError, match="format version 1"):
+            CompiledArtifact.from_bytes(buffer.getvalue())
+
+    def test_container_version_mismatch_rejected(self, artifact_bytes):
+        header, body = _split(artifact_bytes)
+        header["format_version"] = ARTIFACT_FORMAT_VERSION + 1
+        with pytest.raises(ArtifactError, match="format version 3"):
+            CompiledArtifact.from_bytes(_join(header, body))
+
+    def test_padding_bits_past_the_last_state_rejected(self, native_bytes):
+        # the C loop would read successor rows past its tables
+        artifact = CompiledArtifact.from_bytes(native_bytes)
+        words = artifact.arrays["match_words"].copy()
+        words[ord("a"), -1] |= np.uint64(1 << 63)
+        artifact.arrays["match_words"] = words
+        with pytest.raises(ArtifactError, match="past the last state"):
+            CompiledArtifact.from_bytes(artifact.to_bytes())
+
+    def test_verify_detects_successor_row_tamper(self, native_bytes):
+        artifact = CompiledArtifact.from_bytes(native_bytes)
+        rows = artifact.arrays["succ_words"].copy()
+        rows[0, 0] ^= np.uint64(1)
+        artifact.arrays["succ_words"] = rows
+        tampered = CompiledArtifact.from_bytes(artifact.to_bytes())
+        with pytest.raises(ArtifactError, match="successor rows"):
+            tampered.verify()
 
     def test_non_artifact_npz_rejected(self, tmp_path):
         path = tmp_path / "plain.npz"
@@ -312,6 +361,16 @@ class TestStore:
         assert store.contains(artifacts["one"].key)
         assert not store.contains(artifacts["two"].key)
 
+    def test_version_1_file_is_a_counted_miss(self, compiled_regex, tmp_path):
+        store = ArtifactStore(tmp_path)
+        artifact = CompiledArtifact.from_compiled(compiled_regex)
+        path = store.path(artifact.key)
+        with open(path, "wb") as fh:  # what format version 1 left there
+            np.savez(fh, manifest=np.array('{"format_version": 1}'))
+        assert store.get(artifact.key) is None
+        assert (store.stats.invalid, store.stats.misses) == (1, 1)
+        assert not path.exists()
+
     def test_clear(self, compiled_regex, tmp_path):
         store = ArtifactStore(tmp_path)
         store.put(CompiledArtifact.from_compiled(compiled_regex))
@@ -354,3 +413,169 @@ print(compiled.key)
         oracle = oracle_run(automaton, STREAM)
         assert keys_of(fresh.reports) == keys_of(direct.reports)
         assert keys_of(fresh.reports) == keys_of(oracle.reports)
+
+
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """An artifact frame's header (references left as written) and the
+    attachment bytes after it."""
+    _, _, header_bytes, _, _ = FRAME_PREFIX.unpack_from(blob)
+    end = PREFIX_BYTES + header_bytes
+    return json.loads(blob[PREFIX_BYTES:end]), blob[end:]
+
+
+def _join(header: dict, body: bytes, count_delta=0, length_delta=0) -> bytes:
+    """A frame of an edited header and ``body``, its checksum renewed:
+    the edit reaches the loader's checks past the checksum."""
+    text = json.dumps(header).encode()
+    prefix = FRAME_PREFIX.pack(
+        FRAME_MAGIC,
+        len(header["arrays"]) + 1 + count_delta,
+        len(text),
+        len(body) + length_delta,
+        10,
+    )
+    frame = prefix + text + body[:-4]
+    return frame + zlib.crc32(frame).to_bytes(4, "little")
+
+
+class TestFrameFormat:
+    def test_file_upload_and_to_bytes_are_one_frame(self, compiled_regex, tmp_path):
+        artifact = CompiledArtifact.from_compiled(compiled_regex)
+        blob = artifact.to_bytes()
+        assert artifact.save(tmp_path / "rules.cama").read_bytes() == blob
+        assert blob[0] == FRAME_MAGIC
+        header, _ = _split(blob)
+        assert header["format_version"] == ARTIFACT_FORMAT_VERSION == 2
+        assert "timings" not in header["manifest"]
+        assert set(header["arrays"]) == set(artifact.arrays)
+
+    def test_views_are_aligned_and_read_only(self, artifact_bytes, tmp_path):
+        path = tmp_path / "rules.cama"
+        path.write_bytes(artifact_bytes)
+        # the same frame one byte into a buffer: every view is copied
+        shifted = np.frombuffer(b"\0" + artifact_bytes, np.uint8)[1:]
+        for arrays in (
+            CompiledArtifact.load(path).arrays,
+            CompiledArtifact.from_bytes(artifact_bytes).arrays,
+            CompiledArtifact.from_bytes(memoryview(b"\0" + artifact_bytes)[1:]).arrays,
+            decode_array_frame(shifted)[1],
+        ):
+            for name, array in arrays.items():
+                # an empty array has no data to misalign
+                assert not array.size or (
+                    array.ctypes.data % array.dtype.itemsize == 0
+                ), name
+                assert not array.flags.writeable, name
+
+    def test_changed_bit_fails_the_checksum(self, native_bytes, tmp_path):
+        # a bit flipped in a stored table must be a miss, not a wrong
+        # match: one bit of the last (1-byte) array, which no
+        # structural check would notice
+        store = ArtifactStore(tmp_path)
+        artifact = CompiledArtifact.from_bytes(native_bytes)
+        path = store.put(artifact)
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 1
+        path.write_bytes(bytes(blob))
+        assert store.get(artifact.key) is None
+        assert store.stats.invalid == 1
+
+    def test_unknown_dtype_and_wrong_length_rejected(self, artifact_bytes):
+        for field, value in (("dtype", "<f8"), ("dtype", ">u8"), ("shape", [7])):
+            header, body = _split(artifact_bytes)
+            entry = header["arrays"]["match_words"]
+            entry[{"dtype": 0, "shape": 1}[field]] = value
+            with pytest.raises(ArtifactError, match="match_words"):
+                CompiledArtifact.from_bytes(_join(header, body))
+
+    def test_equal_compiles_write_equal_files(self, tmp_path):
+        """Two cold compiles of one ruleset, in two processes, into two
+        fresh stores write byte-identical artifact files."""
+        script = f"""
+from repro.compile import ArtifactStore, IncrementalCompiler, PipelineOptions
+from repro.workloads.registry import get_benchmark
+
+automaton = get_benchmark("Bro217", scale=1 / 64).automaton
+store = ArtifactStore({str(tmp_path / "a")!r})
+IncrementalCompiler(store, PipelineOptions(backend="auto")).compile(automaton)
+"""
+        src_dir = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src_dir}{os.pathsep}" + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        here = ArtifactStore(tmp_path / "b")
+        automaton = get_benchmark("Bro217", scale=1 / 64).automaton
+        IncrementalCompiler(here, PipelineOptions(backend="auto")).compile(automaton)
+        there = ArtifactStore(tmp_path / "a")
+        assert here.keys() == there.keys() and len(here.keys()) > 1
+        for key in here.keys():
+            assert here.path(key).read_bytes() == there.path(key).read_bytes()
+
+
+#: what a fuzzed artifact runs on, against the oracle
+FUZZ_INPUT = STREAM[:96]
+#: ways to break a frame; the header edits re-serialize the header
+#: (dropping its alignment padding, so views land misaligned too)
+MUTATIONS = ("flip", "header-flip", "truncate", "extend", "dtype", "shape",
+             "count", "lengths", "reference")  # fmt: skip
+
+
+def _mutate(blob: bytes, kind: str, data) -> bytes:
+    _, _, header_bytes, _, _ = FRAME_PREFIX.unpack_from(blob)
+    if kind in ("flip", "header-flip"):
+        end = PREFIX_BYTES + header_bytes if kind == "header-flip" else len(blob)
+        at = data.draw(st.integers(0, end - 1))
+        return blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1 :]
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + data.draw(st.binary(min_size=1, max_size=64))
+    header, body = _split(blob)
+    name = data.draw(st.sampled_from(sorted(header["arrays"])))
+    entry = header["arrays"][name]
+    if kind == "dtype":
+        entry[0] = data.draw(
+            st.sampled_from(["<u8", "<i8", "|u1", "|b1", "<u4", ">u8", "<f8", "", 8, None])
+        )
+    elif kind == "shape":
+        entry[1] = data.draw(
+            st.one_of(
+                st.lists(st.integers(-2, 300), max_size=3),
+                st.just(entry[1][::-1]),
+                st.just([*entry[1], 1]),
+                st.just(7),
+            )
+        )
+    elif kind == "reference":
+        entry[2] = {"$bytes": entry[2]["$bytes"] + data.draw(st.integers(-9, 9))}
+    else:
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        if kind == "count":
+            return _join(header, body, count_delta=delta)
+        return _join(header, body, length_delta=delta)
+    return _join(header, body)
+
+
+class TestFuzzedArtifacts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_frame_is_an_error_or_a_correct_engine(self, native_bytes, data):
+        """Every mutation is an ArtifactError or loads to an engine that
+        runs (built before the deep check, as a store load builds it)
+        and, once verified, agrees with the oracle."""
+        mutated = _mutate(native_bytes, data.draw(st.sampled_from(MUTATIONS)), data)
+        try:
+            loaded = CompiledArtifact.from_bytes(mutated)
+            run = loaded.engine().run(FUZZ_INPUT)
+            loaded.verify()
+        except ArtifactError:
+            return
+        expected = oracle_run(loaded.automaton(), FUZZ_INPUT)
+        assert keys_of(run.reports) == keys_of(expected.reports)

@@ -1090,6 +1090,19 @@ def _child_pressure(root, max_bytes, n, queue):
         queue.put(("error", repr(exc)))
 
 
+def _child_pin(root, keys, queue, release):
+    """Hold pins on a shared store from another process until released."""
+    try:
+        store = ArtifactStore(root)
+        store.pin(keys)
+        queue.put(("ok", "pinned"))
+        release.wait(timeout=60)
+        store.unpin(keys)
+        queue.put(("ok", "unpinned"))
+    except BaseException as exc:  # noqa: BLE001 — report, don't hang join
+        queue.put(("error", repr(exc)))
+
+
 def _child_hammer(root, key, blob, rounds, queue):
     """Concurrent put/get of one key: every get must be valid or a miss."""
     try:
@@ -1137,15 +1150,58 @@ class TestStoreCrossProcess:
         artifact = _artifact_for(RULES, "stale-pin")
         store = ArtifactStore(tmp_path, max_bytes=1)
         store.put(artifact)
-        token_dir = tmp_path / ".pins" / artifact.key
-        token_dir.mkdir(parents=True)
         bogus = 2**22 + os.getpid()  # beyond pid_max on default configs
-        (token_dir / f"{bogus}.pin").touch()
+        token = tmp_path / ".pins" / f"{bogus}-0.pin"
+        token.parent.mkdir()
+        token.write_text(artifact.key)
         # a dead process's pin no longer protects the key
         assert store.pinned_keys() == set()
+        assert not token.exists()
         other = _artifact_for({"q": "qq+"}, "evictor")
         store.put(other)  # budget of 1 byte: everything unpinned goes
         assert not store.contains(artifact.key)
+
+    def test_one_token_file_lists_a_stores_pins(self, tmp_path, monkeypatch):
+        """Pinning 99 keys writes one token, rewritten only when the set
+        of pinned keys changes; unpinning them all removes it."""
+        store = ArtifactStore(tmp_path)
+        keys = [f"{i:064x}" for i in range(99)]
+        writes = []
+        write = ArtifactStore._write_pin_token
+        monkeypatch.setattr(
+            ArtifactStore,
+            "_write_pin_token",
+            lambda self: writes.append(len(self._pins)) or write(self),
+        )
+        store.pin(keys)
+        store.pin(keys[:3])  # refcounts only: the same set of keys
+        assert writes == [99]
+        assert len(list((tmp_path / ".pins").iterdir())) == 1
+        store.unpin(keys)
+        assert store.pinned_keys() == set(keys[:3])
+        store.unpin(keys[:3])
+        assert writes == [99, 3, 0]
+        assert list((tmp_path / ".pins").iterdir()) == []
+        assert store.pinned_keys() == set()
+
+    def test_pinned_keys_sees_a_live_siblings_pins(self, tmp_path):
+        keys = [f"{i:064x}" for i in range(5)]
+        store = ArtifactStore(tmp_path)
+        ctx = multiprocessing.get_context("spawn")
+        queue, release = ctx.Queue(), ctx.Event()
+        child = ctx.Process(
+            target=_child_pin, args=(str(tmp_path), keys, queue, release)
+        )
+        child.start()
+        try:
+            assert queue.get(timeout=120) == ("ok", "pinned")
+            assert store.pinned_keys() == set(keys)
+        finally:
+            release.set()
+            status = queue.get(timeout=60)
+            child.join(timeout=30)
+        assert status == ("ok", "unpinned")
+        assert store.pinned_keys() == set()
 
     def test_pins_dir_invisible_to_cache_accounting(self, tmp_path):
         artifact = _artifact_for(RULES, "hidden")

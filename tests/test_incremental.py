@@ -281,6 +281,14 @@ class TestIncrementalCompiler:
         assert sorted(one.component_keys) == sorted(many.component_keys)
         assert one.key == many.key
         assert one.composition_key == many.composition_key
+        # pass timings come back from the pool beside the artifacts,
+        # which the two runs wrote byte for byte alike
+        assert all(part.artifact.timings for part in many.components)
+        for key in one.component_keys:
+            assert (
+                serial.store.path(key).read_bytes()
+                == fanned.store.path(key).read_bytes()
+            )
 
     def test_key_matches_classic_artifact_key(self):
         from repro.compile import compile_ruleset

@@ -10,11 +10,13 @@ and drain are in ``tests/test_transport.py``.)
 """
 
 import asyncio
+import io
 import json
 import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.api import ScanConfig
@@ -505,6 +507,15 @@ class TestArtifactUpload:
                 client.register_artifact(blob[: len(blob) // 2])
             assert exc_info.value.code == "bad-artifact"
             assert client.ping()["pong"] is True  # connection survives
+
+    def test_version_1_artifact_rejected_by_name(self, harness):
+        # format version 1 wrote numpy zip archives
+        buffer = io.BytesIO()
+        np.savez(buffer, manifest=np.array('{"format_version": 1}'))
+        with harness.client() as client:
+            with pytest.raises(RemoteError, match="version 1") as exc_info:
+                client.register_artifact(buffer.getvalue())
+            assert exc_info.value.code == "bad-artifact"
 
     def test_empty_artifact_rejected(self, harness):
         with harness.client() as client:
