@@ -144,10 +144,10 @@ def test_artifact_key_covers_backend_options(tmp_path):
     sparse_key = ruleset_fingerprint(
         automaton, OPTIONS.replace(backend="sparse")
     )
-    bitp_key = ruleset_fingerprint(
-        automaton, OPTIONS.replace(backend="bitparallel")
+    native_key = ruleset_fingerprint(
+        automaton, OPTIONS.replace(backend="native")
     )
-    assert sparse_key != bitp_key
+    assert sparse_key != native_key
     assert sparse_key != ruleset_fingerprint(automaton)
 
 

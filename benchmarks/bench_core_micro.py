@@ -2,11 +2,9 @@
 
 These are ablation-grade measurements (not paper artifacts): simulator
 throughput, compile time, CAM-machine overhead, the cost of the
-encoding passes, and the sparse-vs-bit-parallel backend comparison, so
+encoding passes, and the sparse-vs-native backend comparison, so
 regressions in the substrate are visible.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -87,22 +85,11 @@ def test_class_compression(benchmark, ctx):
 
 
 def test_sparse_backend_dense_workload(benchmark):
-    """Sparse kernel on the dense-activity workload (the losing regime)."""
+    """Sparse kernel on the dense-activity workload."""
     automaton = dense_activity_automaton(
         DENSE_STATES, match_width=DENSE_MATCH_WIDTH
     )
     engine = Engine(automaton, backend="sparse")
-    data = _dense_stream()
-    result = benchmark(engine.run, data, max_reports=0)
-    assert result.stats.num_cycles == len(data)
-
-
-def test_bitparallel_backend_dense_workload(benchmark):
-    """Bit-parallel kernel on the same workload (its winning regime)."""
-    automaton = dense_activity_automaton(
-        DENSE_STATES, match_width=DENSE_MATCH_WIDTH
-    )
-    engine = Engine(automaton, backend="bitparallel")
     data = _dense_stream()
     result = benchmark(engine.run, data, max_reports=0)
     assert result.stats.num_cycles == len(data)
@@ -120,67 +107,6 @@ def test_native_backend_dense_workload(benchmark):
     data = _dense_stream()
     result = benchmark(engine.run, data, max_reports=0)
     assert result.stats.num_cycles == len(data)
-
-
-def test_bitparallel_backend_sparse_workload(benchmark, ctx):
-    """Bit-parallel kernel on Snort — the regime where sparse wins."""
-    engine = Engine(ctx.benchmark("Snort").automaton, backend="bitparallel")
-    data = ctx.stream("Snort")
-    result = benchmark(engine.run, data, max_reports=0)
-    assert result.stats.num_cycles == len(data)
-
-
-def test_backend_crossover():
-    """Locate the sparse/bit-parallel crossover and print it.
-
-    Sweeps the dense-activity family from narrow to wide match classes
-    (rising per-cycle active fraction), times both kernels at each
-    point, and emits the measured active fraction where the bit-
-    parallel kernel starts winning — the quantity the ``auto`` policy's
-    DENSE_ACTIVITY_THRESHOLD approximates.  Run with ``pytest -s`` to
-    see the table.
-    """
-    data = _dense_stream(4000)
-    have_native = native_available()
-    rows = []
-    crossover = None
-    for width in (2, 8, 32, 96, 160, 230):
-        automaton = dense_activity_automaton(512, match_width=width)
-        sparse = Engine(automaton, backend="sparse")
-        bitp = Engine(automaton, backend="bitparallel")
-        measured = sparse.run(data, max_reports=0)
-        fraction = measured.stats.avg_active_states() / len(automaton)
-        t0 = time.perf_counter()
-        sparse.run(data, max_reports=0)
-        t1 = time.perf_counter()
-        bitp.run(data, max_reports=0)
-        t2 = time.perf_counter()
-        tn = None
-        if have_native:
-            nat = Engine(automaton, backend="native")
-            nat.run(data[:64], max_reports=0)  # bind outside the timing
-            t3 = time.perf_counter()
-            nat.run(data, max_reports=0)
-            tn = time.perf_counter() - t3
-        speedup = (t1 - t0) / (t2 - t1)
-        rows.append((width, fraction, t1 - t0, t2 - t1, tn, speedup))
-        if crossover is None and speedup >= 1.0:
-            crossover = fraction
-    print("\nwidth  active%  sparse_s  bitparallel_s  native_s  speedup")
-    for width, fraction, ts, tb, tn, speedup in rows:
-        native_col = f"{tn:8.4f}" if tn is not None else "     n/a"
-        print(
-            f"{width:5d}  {100 * fraction:6.2f}  {ts:8.4f}  {tb:13.4f}  "
-            f"{native_col}  {speedup:6.2f}x"
-        )
-    print(
-        "crossover active fraction: "
-        + (f"{crossover:.4f}" if crossover is not None else ">measured range")
-    )
-    # at the dense end the packed kernel must win outright (the ISSUE's
-    # acceptance bar is >=2x; keep the CI assertion tolerant of noisy
-    # shared runners)
-    assert rows[-1][-1] > 1.2, rows
 
 
 def test_cama_machine_step_rate(benchmark, ctx):

@@ -1,10 +1,10 @@
-"""Bench: the compiled C step loop vs the pure-numpy bit-parallel kernel.
+"""Bench: the compiled C step loop vs the sparse reference kernel.
 
-The scoreboard for the native backend: the same packed-uint64 cycle —
-successor-row OR-reduce, match-mask AND, report extraction — run as one
-C function call per chunk instead of per-cycle numpy dispatch.  Both
-execution paths are measured: the solo ``run_chunk`` stream loop and
-the 64-stream ``step_batch`` matrix.  Skipped (not failed) on hosts
+The scoreboard for the native backend: the cycle of the sparse kernel
+(successor gather, start merge, match filter, report extraction) run
+over packed uint64 rows as one C function call per chunk instead of
+per-cycle numpy dispatch.  Both execution paths are measured: the solo
+``run_chunk`` stream loop and the 64-stream ``step_batch`` call.  Skipped (not failed) on hosts
 where the compiled kernel cannot be loaded.  Run directly::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_native.py -q -s
@@ -89,11 +89,11 @@ def _race(baseline_run, native_run):
 
 
 def test_native_speedup_4x(ctx, bench_json):
-    """The acceptance ratio: native >= 4x the numpy kernel (target ~10x)
-    on both the solo run_chunk path and the batched step_batch path.
+    """The acceptance ratio: native >= 4x the sparse kernel on both the
+    solo run_chunk path and the batched step_batch path.
 
     Snort at bench scale keeps few states active per cycle, so the
-    numpy kernel's cost is per-cycle Python/numpy dispatch — exactly
+    sparse kernel's cost is per-cycle Python/numpy dispatch — exactly
     the overhead the C loop removes.  Correctness is asserted before
     any timing; BENCH_native.json is always written, win or lose.
     """
@@ -104,13 +104,13 @@ def test_native_speedup_4x(ctx, bench_json):
         bench.input_stream(BATCH_STREAM_BYTES, seed=i)
         for i in range(NUM_STREAMS)
     ]
-    baseline = Engine(automaton, backend="bitparallel")
+    baseline = Engine(automaton, backend="sparse")
     native = Engine(automaton, backend="native")
     assert native.backend_name == "native"
     baseline.run(solo_data[:64])  # compile outside the measured region
     native.run(solo_data[:64])
 
-    # correctness first: the C loop must reproduce the numpy kernel
+    # correctness first: the C loop must reproduce the sparse kernel
     assert _keys(_run_solo(native, solo_data)) == _keys(
         _run_solo(baseline, solo_data)
     )
@@ -137,7 +137,7 @@ def test_native_speedup_4x(ctx, bench_json):
                 "batch_streams": NUM_STREAMS,
                 "batch_stream_bytes": BATCH_STREAM_BYTES,
                 "chunk_bytes": CHUNK_BYTES,
-                "baseline": "bitparallel",
+                "baseline": "sparse",
             },
             "solo": {
                 "baseline_median_s": round(solo_base, 6),

@@ -8,7 +8,7 @@ Python surface — see `repro/sim/backends/native.py`).  The extension
 is strictly best-effort: on a host without a working C toolchain the
 install still succeeds, the `.c` source ships as package data, and the
 native backend either compiles it at runtime or degrades to the
-pure-numpy bit-parallel kernel.
+sparse reference kernel.
 """
 
 import sys

@@ -91,7 +91,7 @@ class CompileConfig:
             StridedEngine`; the CAMA encoding/mapping passes apply only
             at stride 1.
         backend: execution-backend *hint* for the kernel-prebuild pass
-            ("sparse" / "bitparallel" / "native" / "auto"), or None to
+            ("sparse" / "native" / "auto"), or None to
             skip kernel prebuild (program-only compilations).
         allow_negation: apply negation optimization per state.
         clustered: apply frequency-first symbol clustering.
@@ -159,9 +159,9 @@ class ScanConfig:
 
     Args:
         backend: execution backend policy — ``"sparse"``,
-            ``"bitparallel"``, ``"native"`` (compiled C loop, degrades
-            to bitparallel when no compiled library is loadable),
-            ``"auto"`` (resolves per shard), or an
+            ``"native"`` (compiled C loop, degrades to sparse when no
+            compiled library is loadable), ``"auto"`` (resolves per
+            shard), or an
             :class:`~repro.sim.backends.ExecutionBackend` instance
             (not serializable: :meth:`to_dict` rejects it).
         num_shards: shards per ruleset (whole connected components,

@@ -16,9 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.automata.nfa import Automaton, StartKind
+from repro.automata.nfa import Automaton
 
 
 def connected_components(automaton: Automaton) -> list[list[int]]:
@@ -145,58 +143,6 @@ def bandwidth_under_order(automaton: Automaton, order: list[int]) -> int:
         if u in position and v in position:
             width = max(width, abs(position[u] - position[v]))
     return width
-
-
-def _match_probabilities(automaton) -> np.ndarray:
-    """Per-state probability that a uniform random symbol matches.
-
-    Works for byte automata (``symbol_class`` over 256 symbols) and for
-    2-strided automata (``product`` classes over 256 x 256 pairs).
-    """
-    probs = np.empty(len(automaton.states), dtype=np.float64)
-    for i, state in enumerate(automaton.states):
-        if hasattr(state, "product"):
-            probs[i] = len(state.product) / 65536.0
-        else:
-            probs[i] = len(state.symbol_class) / 256.0
-    return probs
-
-
-def estimate_active_fraction(automaton, *, iterations: int = 12) -> float:
-    """Expected steady-state fraction of active states under random input.
-
-    Fixed-point iteration on per-state activation probabilities,
-    treating states as independent: a state is enabled when it is an
-    all-input start or when at least one predecessor was active, and
-    active when additionally its symbol class matches (probability
-    ``|C(s)| / 256`` under a uniform symbol).  The result steers the
-    ``auto`` execution-backend policy — it decides sparse-vs-bit-
-    parallel crossover, so a rough estimate is enough; the benchmark
-    harness measures the real fraction when precision matters.
-    """
-    n = len(automaton)
-    if n == 0:
-        return 0.0
-    match_p = _match_probabilities(automaton)
-    start_all = np.zeros(n, dtype=bool)
-    for state in automaton.states:
-        if state.start is StartKind.ALL_INPUT:
-            start_all[state.ste_id] = True
-    edges = list(automaton.transitions())
-    if edges:
-        src = np.fromiter((u for u, _ in edges), dtype=np.int64)
-        dst = np.fromiter((v for _, v in edges), dtype=np.int64)
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
-    p = start_all * match_p
-    for _ in range(iterations):
-        # P(no predecessor active) via a log-space scatter-product
-        log_miss = np.zeros(n, dtype=np.float64)
-        if src.size:
-            np.add.at(log_miss, dst, np.log1p(-np.minimum(p[src], 1.0 - 1e-12)))
-        enabled_p = np.where(start_all, 1.0, 1.0 - np.exp(log_miss))
-        p = enabled_p * match_p
-    return float(p.mean())
 
 
 @dataclass(frozen=True)

@@ -358,14 +358,21 @@ class CompiledArtifact:
         (match table, CSR, validation) runs.
         """
         from repro.errors import SimulationError
-        from repro.sim.backends import get_backend
+        from repro.sim.backends import BACKEND_NAMES, get_backend
         from repro.sim.engine import Engine
 
         automaton = self.automaton()
-        name = backend or self.backend or self.options.backend or "sparse"
-        # "native" degrades to a plain BitParallelKernel on hosts
-        # without the compiled library, so artifacts recorded as
-        # "native" stay loadable anywhere
+        recorded = self.backend
+        if recorded not in BACKEND_NAMES:
+            # a kernel this build no longer has (the numpy bit-parallel
+            # one a native compile recorded on a host without the C
+            # loop): every kernel reads the same tables, so the compile
+            # option decides
+            recorded = None
+        name = backend or recorded or self.options.backend or "sparse"
+        # "native" degrades to a SparseKernel on hosts without the
+        # compiled library, so artifacts recorded as "native" stay
+        # loadable anywhere
         try:
             rebuild = get_backend(name).from_tables
         except (SimulationError, AttributeError):

@@ -56,7 +56,7 @@ class ExperimentContext:
     stream_length: int = 10_000
     benchmarks: Sequence[str] = BENCHMARK_NAMES
     #: execution backend for the simulation engines ("sparse" keeps the
-    #: published-trace baseline; "auto"/"bitparallel" trade it for speed)
+    #: published-trace baseline; "auto"/"native" trade it for speed)
     engine_backend: str = "sparse"
     lib: CircuitLibrary = field(default_factory=CircuitLibrary)
     _programs: dict[str, CamaProgram] = field(default_factory=dict)

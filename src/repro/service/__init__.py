@@ -66,11 +66,10 @@ Architecture (bottom-up)::
                                       asyncio clients
 
 Execution is backend-pluggable (:mod:`repro.sim.backends`): the service
-defaults to the ``auto`` policy, which resolves each shard to a
-concrete kernel from size and estimated activity — sparse below the
-crossover, the packed family (the compiled ``native`` loop when it
-loads, numpy ``bitparallel`` otherwise) above it; pass
-``ScanConfig(backend="native")`` (or another name) to pin one.
+defaults to the ``auto`` policy, which resolves each shard to the
+compiled ``native`` loop when it loads and the shard fits its
+successor matrix, and to the ``sparse`` reference kernel otherwise;
+pass ``ScanConfig(backend="sparse")`` (or another name) to pin one.
 
 Configuration is one typed object — :class:`repro.api.ScanConfig` —
 consumed by the service, dispatcher, session, server protocol and CLI

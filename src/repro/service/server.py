@@ -50,6 +50,7 @@ from repro.service.protocol import (
     scan_config_from_frame,
 )
 from repro.service.service import MatchingService
+from repro.service.sharding import abandoned_when
 from repro.service.transport import (
     Background,
     Connection,
@@ -203,8 +204,14 @@ class MatchingServer(FrameServer):
 
     def _heavy(self, handler):
         """Table entry for an op that touches the service (payloads,
-        compiles, or its lock): always the thread pool, never the loop."""
-        return lambda conn, frame: self._offload(handler, conn, frame)
+        compiles, or its lock): always the thread pool, never the loop.
+        A scan it runs stops between chunks once the connection is lost."""
+
+        def run(conn: Connection, frame: dict):
+            with abandoned_when(conn.lost):
+                return handler(conn, frame)
+
+        return lambda conn, frame: self._offload(run, conn, frame)
 
     # -- shared op plumbing ----------------------------------------------
     @staticmethod

@@ -22,10 +22,11 @@ reports are unaffected.
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import threading
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,24 @@ class StreamTotals:
         )
 
 
+#: once set, the running request is abandoned (its connection is gone):
+#: :func:`lockstep_scan` stops between chunks instead of scanning on
+_ABANDONED: contextvars.ContextVar[threading.Event | None] = (
+    contextvars.ContextVar("repro_abandoned", default=None)
+)
+
+
+@contextmanager
+def abandoned_when(event: threading.Event) -> Iterator[None]:
+    """Scans run inside this block stop at their next chunk once
+    ``event`` is set, raising :class:`SimulationError`."""
+    token = _ABANDONED.set(event)
+    try:
+        yield
+    finally:
+        _ABANDONED.reset(token)
+
+
 def lockstep_scan(
     step,
     fresh,
@@ -198,14 +217,18 @@ def lockstep_scan(
     one shard's :meth:`Engine.step_batch` in a pool worker); streams
     leave as they run dry.  Budgets shrink by what each stream has
     recorded, so the per-step trim is the end-of-stream trim of one
-    monolithic run.
+    monolithic run.  Under :func:`abandoned_when` it stops between
+    chunks once that event is set.
     """
+    abandoned = _ABANDONED.get()
     totals = [StreamTotals(num_states) for _ in streams]
     for first in range(0, len(streams), rows):
         group = range(first, min(first + rows, len(streams)))
         states = {index: fresh() for index in group}
         longest = max(len(streams[index]) for index in group)
         for offset in range(0, longest, chunk_size):
+            if abandoned is not None and abandoned.is_set():
+                raise SimulationError("scan abandoned: its request is gone")
             live = [i for i in group if offset < len(streams[i])]
             results = step(
                 [streams[i][offset : offset + chunk_size] for i in live],

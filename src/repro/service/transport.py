@@ -43,6 +43,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -146,6 +148,9 @@ class Connection:
 
     conn_id: int
     sessions: dict = field(default_factory=dict)
+    #: set once the connection is gone: a request still running for it
+    #: is abandoned (a scan stops between chunks)
+    lost: threading.Event = field(default_factory=threading.Event)
 
     def new_session_name(self, frame: dict) -> str:
         """The ``session`` an ``open`` frame names, checked unused."""
@@ -402,6 +407,7 @@ class _FrameProtocol(asyncio.BufferedProtocol):
                 "connection.reset", conn_id=self.conn.conn_id, error=str(exc)
             )
         self._lost.set_result(None)
+        self.conn.lost.set()
         self._inflight(-len(self.frames))  # nothing more is answered
         self.frames.clear()
         self.stop_reading()
@@ -770,6 +776,19 @@ class FrameChannel:
             except (ConnectionError, OSError):
                 pass
 
+    def _abort(self) -> None:
+        """Drop the connection with a reset, not a close: a server
+        answers what a half-closed peer sent, but stops the work of a
+        reset one (:attr:`Connection.lost`)."""
+        if self._writer is not None:
+            writer, self._reader, self._writer = self._writer, None, None
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            writer.transport.abort()
+
     async def _exchange(self, wire: dict) -> dict:
         await self._connect()
         self._writer.write(encode_frame(wire))
@@ -797,13 +816,19 @@ class FrameChannel:
         :class:`ChannelClosed` for EOF, and :class:`ProtocolError` for
         a response that is not a frame (a version-3 peer's JSON line),
         has a bad header, or declares more than ``max_frame_bytes``
-        (``frame-too-large``; its body is never read).
+        (``frame-too-large``; its body is never read).  A cancellation
+        or timeout resets the connection instead of closing it, so the
+        server stops the abandoned request's scan
+        (:attr:`Connection.lost`).
         """
         timeout = self.timeout_s if timeout_s is None else timeout_s
         async with self._lock:
             try:
                 async with asyncio.timeout(timeout):
                     return await self._exchange(wire)
+            except (asyncio.CancelledError, TimeoutError):
+                self._abort()  # the request may still run: stop it too
+                raise
             except BaseException:
                 await self.close()
                 raise

@@ -13,33 +13,27 @@ Shipped backends:
 
 ``sparse``
     Active-state index sets over the successor CSR — cost follows the
-    active set.  The reference kernel, the numpy choice at the
-    few-percent active fractions of the paper's benchmarks, and the
-    only one without a state-count limit.
-``bitparallel``
-    Packed uint64 state bitmaps with precomputed per-symbol match masks
-    and per-state successor rows — cost follows ``n/64`` words, with no
-    sorting.  The numpy choice on dense-activity workloads.
+    active set.  The reference kernel every other path is checked
+    against, the only one without a state-count limit, and what a
+    host without the compiled library runs.
 ``native``
-    The bit-parallel step loop compiled to machine code (a C extension
-    built at install time, or compiled at runtime via ctypes) — same
-    tables, same semantics, no per-cycle interpreter cost, and work
-    that follows the active set instead of the row width.  Degrades
-    to ``bitparallel`` when no compiled library is loadable, so it is
-    always safe to request.
+    The CAMA step loop compiled to machine code (a C extension built
+    at install time, or compiled at runtime via ctypes) over packed
+    uint64 state rows, with per-symbol match masks and per-state
+    successor rows, no per-cycle interpreter cost, and work that
+    follows the active set instead of the row width.  The serving
+    kernel.  Degrades to ``sparse`` when no compiled library is
+    loadable, so it is always safe to request.
 ``auto``
-    Resolves per automaton (per *shard*, under the dispatcher) to one
-    concrete kernel from the state count and the estimated or measured
-    active fraction: ``sparse`` below the crossover, above it
-    ``native`` whenever the compiled loop loads and ``bitparallel``
-    otherwise.
+    Resolves per automaton (per *shard*, under the dispatcher) to
+    ``native`` whenever the compiled loop loads and the automaton is
+    within the successor-matrix cap, ``sparse`` otherwise.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.sim.backends.auto import (
-    DENSE_ACTIVITY_THRESHOLD,
     KERNEL_BACKENDS,
     AutoBackend,
     choose_backend_name,
@@ -59,12 +53,8 @@ from repro.sim.backends.base import (
     gather_successors,
     normalize_batch_caps,
 )
-from repro.sim.backends.bitparallel import (
-    MAX_BITPARALLEL_STATES,
-    BitParallelBackend,
-    BitParallelKernel,
-)
 from repro.sim.backends.native import (
+    MAX_DENSE_SUCCESSOR_STATES,
     NativeBackend,
     NativeKernel,
     native_available,
@@ -103,15 +93,12 @@ __all__ = [
     "AutoBackend",
     "BACKENDS",
     "BACKEND_NAMES",
-    "BitParallelBackend",
-    "BitParallelKernel",
     "CompiledKernel",
     "DEFAULT_MAX_KEPT_REPORTS",
-    "DENSE_ACTIVITY_THRESHOLD",
     "EngineState",
     "ExecutionBackend",
     "KernelTables",
-    "MAX_BITPARALLEL_STATES",
+    "MAX_DENSE_SUCCESSOR_STATES",
     "NativeBackend",
     "NativeKernel",
     "PlacementTracker",

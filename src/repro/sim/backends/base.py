@@ -109,8 +109,8 @@ class EngineState:
     consumed symbol — what the native kernel steps in place, chunk after
     chunk, without converting it.  :attr:`active` (ascending state ids)
     is a view derived from the row on demand: for :meth:`to_dict`,
-    snapshots and the index-set kernels (sparse, numpy bit-parallel, the
-    CAMA machine), which read it and assign new ids back.  Assigned or
+    snapshots and the index-set kernels (sparse, the CAMA machine),
+    which read it and assign new ids back.  Assigned or
     constructed ids stay the state until a packed-row kernel needs the
     row (:meth:`row`), which packs — and validates — them once.
     ``position`` is the number of stream symbols consumed so far.
@@ -450,8 +450,8 @@ def match_table(automaton) -> np.ndarray:
     """``table[symbol]`` is the boolean vector of states accepting it.
 
     This is exactly the bit-vector representation of CA/Impala; the
-    sparse kernel indexes it directly and the bit-parallel kernel packs
-    its rows into uint64 words.
+    sparse kernel indexes it directly and the native kernel packs its
+    rows into uint64 words.
     """
     members = membership_matrix(ste.symbol_class for ste in automaton.states)
     return np.ascontiguousarray(members.T, dtype=bool)
@@ -465,8 +465,8 @@ class KernelTables:
     (:mod:`repro.compile.artifact`): every array a kernel constructor
     would otherwise derive from the automaton by Python loops, in a
     backend-neutral layout (the match table is packed uint64 words —
-    the bit-parallel kernel uses it directly, the sparse kernel unpacks
-    it in one vectorized ``np.unpackbits``).  Building a kernel from
+    the native kernel uses it directly, the sparse kernel unpacks it in
+    one vectorized ``np.unpackbits``).  Building a kernel from
     tables skips ``automaton.validate()`` too: validation happened at
     compile time and the tables are trusted compile output.
     """
@@ -484,9 +484,9 @@ class KernelTables:
     #: per-state report codes (None for non-reporting states)
     report_codes: list
     #: optional packed per-state successor rows, shape (n, num_words(n))
-    #: — exported by the packed-bitmap kernels so artifact warm loads
-    #: skip the per-state Python derivation loop; None when the
-    #: producing kernel never built them (e.g. sparse)
+    #: — exported by the native kernel so artifact warm loads skip
+    #: rebuilding them; None when the producing kernel never built
+    #: them (sparse)
     succ_words: "np.ndarray | None" = None
 
     @classmethod
@@ -599,9 +599,10 @@ class KernelTables:
 class PlacementTracker:
     """Accumulates partition-resolved activity into a :class:`TraceStats`.
 
-    One tracker serves both the sparse and bit-parallel kernels (they
-    hand it enabled/active *index* arrays each cycle) so the energy
-    models see identical statistics regardless of backend.  Pass the
+    The sparse kernel and the strided engine hand it enabled/active
+    *index* arrays each cycle; the native kernel's placement runs step
+    the sparse kernel, so the energy models see identical statistics
+    regardless of backend.  Pass the
     successor CSR to also track cross-partition (global-switch)
     traffic; the strided engine omits it.
     """
@@ -694,8 +695,7 @@ class CompiledKernel(ABC):
     sessions.
     """
 
-    #: resolved backend name ("sparse" / "bitparallel" / "native"),
-    #: set per kernel
+    #: resolved backend name ("sparse" / "native"), set per kernel
     name: str
 
     def __init__(self, automaton) -> None:
@@ -767,8 +767,8 @@ class CompiledKernel(ABC):
         per-row budget sequence.
 
         This base implementation is the correct per-row loop (the
-        sparse backend's batch path); the packed kernels override it
-        with one pass over all rows.
+        sparse backend's batch path); the native kernel overrides it
+        with one C call over all rows.
         """
         matrix = isinstance(rows, BatchEngineState)
         states = rows.detach() if matrix else rows
@@ -797,7 +797,7 @@ class ExecutionBackend(Protocol):
     caches by ruleset fingerprint.
     """
 
-    #: registry name ("sparse", "bitparallel", "auto", ...)
+    #: registry name ("sparse", "native", "auto", ...)
     name: str
 
     def compile(self, automaton) -> CompiledKernel:

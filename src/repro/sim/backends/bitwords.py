@@ -1,4 +1,4 @@
-"""Packed uint64 bitmap helpers for the bit-parallel kernels.
+"""Packed uint64 bitmap helpers for the packed state rows.
 
 A state set over ``n`` dense ids is represented as ``ceil(n / 64)``
 little-endian uint64 words: bit ``s % 64`` of word ``s // 64`` is state
@@ -26,12 +26,6 @@ def pack_indices(ids: np.ndarray, n: int) -> np.ndarray:
     """Packed vector with exactly the bits in ``ids`` set: a one-row
     :func:`pack_rows`."""
     return pack_rows([ids], n)[0]
-
-
-def pack_bool(mask: np.ndarray) -> np.ndarray:
-    """Packed vector of a boolean state vector (index ``s`` = bit ``s``):
-    a one-row :func:`pack_bool_rows`."""
-    return pack_bool_rows(np.reshape(mask, (1, -1)))[0]
 
 
 def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
@@ -109,21 +103,6 @@ def pack_rows(id_lists, n: int) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64).reshape(shape)
 
 
-def unpack_rows(words: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per-row ascending set-bit indices of a ``(rows, words)`` matrix."""
-    rows = words.shape[0]
-    if rows == 1:  # a solo stream: exactly :func:`unpack_indices`' cost
-        return [unpack_indices(words[0])]
-    width = words.shape[1] * WORD_BITS
-    flat = np.flatnonzero(
-        np.unpackbits(words.view(np.uint8).reshape(-1), bitorder="little")
-    )
-    ids = flat % width
-    bounds = np.searchsorted(flat, np.arange(0, rows * width + 1, width))
-    bounds = bounds.tolist()
-    return [ids[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
-
-
 def nonzero_word_spans(words: np.ndarray) -> np.ndarray:
     """Per row of a ``(rows, words)`` packed matrix, the tightest word
     slice holding all its set bits, as ``(first, count)`` int32 pairs;
@@ -162,7 +141,7 @@ def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarr
     """Per-state packed successor bitmaps, shape ``(n, num_words(n))``.
 
     Row ``s`` has bit ``t`` set iff ``s -> t`` is a transition; the
-    enable step of the bit-parallel kernel ORs the rows of the active
+    enable step of the native kernel ORs the rows of the active
     states, replacing the CSR gather + sort of the sparse kernel.
     """
     width = num_words(n) * 8
@@ -175,12 +154,3 @@ def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarr
         np.left_shift(1, targets & 7).astype(np.uint8),
     )
     return rows.reshape(n, width).view(np.uint64)
-
-
-def or_reduce_rows(rows: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """OR the packed rows selected by ``ids`` into ``out`` (in place)."""
-    if len(ids):
-        np.bitwise_or.reduce(rows[ids], axis=0, out=out)
-    else:
-        out[:] = 0
-    return out

@@ -1,14 +1,14 @@
 /* cama_kernel.c — the bit-parallel automata step loop, in C.
  *
- * This is the native half of `repro.sim.backends.native`: the exact
- * packed-uint64 semantics of the pure-numpy BitParallelKernel
+ * This is the native half of `repro.sim.backends.native`: the cycle
+ * semantics of the sparse reference kernel over packed uint64 rows
  * (per-symbol match masks, successor-row OR-reduce, report
- * extraction), with the per-cycle Python/numpy dispatch overhead
- * removed.  The Python side owns all memory: every pointer passed in
- * is a C-contiguous buffer, and the code is pure compute — no
- * allocation, no state of its own, no Python API — so ctypes can call
- * it with the GIL released and calls on separate workspaces can step
- * from the same tables concurrently.
+ * extraction), with no per-cycle Python/numpy dispatch.  The Python
+ * side owns all memory: every pointer passed in is a C-contiguous
+ * buffer, and the code is pure compute — no allocation, no state of
+ * its own, no Python API — so ctypes can call it with the GIL released
+ * and calls on separate workspaces can step from the same tables
+ * concurrently.
  *
  * One entry point, cama_step_rows, steps a *batch of rows*: row r is
  * one stream, its packed active bitmap at rows[r] (a session's own

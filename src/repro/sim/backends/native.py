@@ -1,14 +1,13 @@
-"""The native compiled backend: the bit-parallel step loop in C.
+"""The native compiled backend: the CAMA step loop in C.
 
 ``cama_kernel.c`` (next to this module) implements the packed-uint64
 cycle — successor-row OR-reduce, per-symbol match mask AND, report
-extraction — in plain C called through ctypes, removing the per-cycle
-numpy dispatch the pure-python :class:`BitParallelKernel` pays, with
-per-cycle work that follows the active set rather than the row width:
+extraction — in plain C called through ctypes, with per-cycle work
+that follows the active set rather than the row width:
 :meth:`NativeKernel._derive_tables` derives, on a kernel's first C
-step and from the dense tables every kernel already has, each state's
-non-zero successor span, and per symbol the always-enabled starts it
-makes active and those starts' non-start successor words
+step and from the kernel's dense tables, each state's non-zero
+successor span, and per symbol the always-enabled starts it makes
+active and those starts' non-start successor words
 (:func:`_start_successors`).
 With them the C loop folds the starts out of a row while it steps it —
 a cycle ORs a word or two for all of them instead of copying a
@@ -35,15 +34,15 @@ Python drains.  The shared object is found two ways, tried in order:
 
 When neither works (no compiler, no prebuilt extension, or
 ``REPRO_NATIVE=0``), everything degrades cleanly: ``NativeBackend``
-hands out plain :class:`BitParallelKernel` objects, so ``backend=
-"native"`` is always safe to request and artifacts compiled with the
-native kernel load anywhere.
+hands out :class:`SparseKernel` objects (counted in
+``repro_native_fallbacks_total``), so ``backend="native"`` is always
+safe to request and artifacts compiled with the native kernel load
+anywhere; ``kernel.name`` names the kernel that actually runs.
 
-:class:`NativeKernel` subclasses the bit-parallel kernel: tables,
-state interchange and the observability surface are shared, and any
-feature the C loop doesn't implement (placement tracking, per-cycle
-statistics) transparently falls back to the numpy path.  Semantics
-are pinned byte-for-byte by the differential oracle suite.
+Any feature the C loop doesn't implement (placement tracking,
+per-cycle statistics) steps a :class:`SparseKernel` built from the
+kernel's own tables.  Semantics are pinned byte-for-byte by the
+differential oracle suite.
 """
 
 from __future__ import annotations
@@ -64,20 +63,26 @@ from repro.sim.backends import bitwords
 from repro.sim.backends.base import (
     DEFAULT_MAX_KEPT_REPORTS,
     BatchEngineState,
+    CompiledKernel,
     EngineState,
     KernelTables,
     StepResult,
     gather_successors,
     normalize_batch_caps,
 )
-from repro.sim.backends.bitparallel import BitParallelKernel
+from repro.sim.backends.sparse import SparseKernel
 from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
 
-#: set to ``0``/``off``/``false`` to force the pure-python fallback
+#: set to ``0``/``off``/``false`` to force the sparse-kernel fallback
 #: (also how CI simulates a compiler-less host)
 ENV_SWITCH = "REPRO_NATIVE"
+
+#: beyond this many states the dense per-state successor matrix
+#: (n^2/8 bytes) stops being worth its memory; the auto policy sends
+#: larger automata to the sparse kernel
+MAX_DENSE_SUCCESSOR_STATES = 1 << 14
 
 #: report-buffer floor: large enough that buffer drains are rare, small
 #: enough (64 KB of int64 pairs) to allocate per call without thought
@@ -97,7 +102,7 @@ _EXT_MODULE = "repro.sim.backends._cama_native"
 
 _NATIVE_FALLBACKS = default_registry().counter(
     "repro_native_fallbacks_total",
-    "Native-kernel requests served by the pure-numpy kernel instead",
+    "Native-kernel requests served by the sparse kernel instead",
     ("cause",),
 )
 
@@ -342,22 +347,101 @@ def _reset_probe_cache() -> None:
         _load_error = None
 
 
-class NativeKernel(BitParallelKernel):
-    """The bit-parallel kernel with its cycle loop in compiled C.
+class NativeKernel(CompiledKernel):
+    """Compiled C step loop for one :class:`Automaton`.
 
-    Tables and statistics are inherited; the hot loop differs, and it
-    steps each stream's packed :class:`EngineState` row in place.  Runs
-    that need per-cycle visibility — ``placement`` tracking or
-    ``keep_per_cycle`` — use the inherited numpy path (which reads and
-    assigns the state's ids), so the whole engine feature surface keeps
-    working.
+    Holds the packed tables — per-symbol match words, per-state
+    successor rows, start and reporting words — and steps each stream's
+    packed :class:`EngineState` row in place.  Runs that need per-cycle
+    visibility — ``placement`` tracking or ``keep_per_cycle`` — and
+    every run of a kernel without the library (one unpickled on a host
+    that cannot load it) step through a :class:`SparseKernel` built
+    from this kernel's own exported tables, so the whole engine
+    feature surface keeps working.
     """
 
     name = "native"
 
     def __init__(self, automaton, *, tables: KernelTables | None = None) -> None:
-        super().__init__(automaton, tables=tables)
+        if tables is None:
+            automaton.validate()
+        super().__init__(automaton)
+        n = len(automaton)
+        if n > MAX_DENSE_SUCCESSOR_STATES:
+            # fail fast: beyond this the successor matrix alone is
+            # n^2/8 bytes — an explicit backend choice should error
+            # clearly, not OOM
+            raise SimulationError(
+                f"automaton has {n} states, above the native kernel's "
+                f"limit of {MAX_DENSE_SUCCESSOR_STATES} (the packed "
+                f"successor matrix would need ~{n * n // 8 / 1e6:.0f} "
+                f"MB); use the 'sparse' or 'auto' backend"
+            )
+        self._n = n
+        self._num_words = bitwords.num_words(n)
+        if tables is None:
+            tables = KernelTables.from_automaton(automaton)
+        else:
+            tables.check(n)
+        # match_words[symbol] is the packed vector of states accepting it
+        self._match_words = tables.match_words
+        self._succ_offsets = tables.succ_offsets
+        self._succ_targets = tables.succ_targets
+        self._start_all = tables.start_all
+        self._start_sod = tables.start_sod
+        self._reporting = tables.reporting
+        self._report_codes = list(tables.report_codes)
+        if tables.succ_words is not None:
+            # artifact warm path: the packed successor matrix was
+            # exported at compile time, skip rebuilding it
+            self._succ_rows = np.ascontiguousarray(
+                tables.succ_words, dtype=np.uint64
+            )
+        else:
+            self._succ_rows = bitwords.successor_rows(
+                self._succ_offsets, self._succ_targets, n
+            )
+        self._start_all_words = bitwords.pack_indices(self._start_all, n)
+        self._start_first_words = self._start_all_words | bitwords.pack_indices(
+            self._start_sod, n
+        )
+        self._reporting_words = bitwords.pack_bool_rows(
+            self._reporting.reshape(1, -1)
+        )[0]
         self._bind_native()
+
+    def export_tables(self) -> KernelTables:
+        """This kernel's structures in the serializable interchange form."""
+        return KernelTables(
+            match_words=self._match_words,
+            succ_offsets=self._succ_offsets,
+            succ_targets=self._succ_targets,
+            start_all=self._start_all,
+            start_sod=self._start_sod,
+            reporting=self._reporting,
+            report_codes=list(self._report_codes),
+            succ_words=self._succ_rows,
+        )
+
+    def _sparse(self) -> SparseKernel:
+        """The reference kernel over this kernel's tables, built on the
+        first run the C loop cannot serve."""
+        if self._sparse_kernel is None:
+            with self._c_lock:
+                if self._sparse_kernel is None:
+                    self._sparse_kernel = SparseKernel(
+                        self.automaton, tables=self.export_tables()
+                    )
+        return self._sparse_kernel
+
+    # -- single-step API (parity with the sparse kernel) -----------------
+    def enabled_at(self, active: np.ndarray, first_cycle: bool) -> np.ndarray:
+        """Indices of states enabled next cycle, given active indices."""
+        return self._sparse().enabled_at(active, first_cycle)
+
+    def match(self, enabled: np.ndarray, symbol: int) -> np.ndarray:
+        """Subset of ``enabled`` whose class contains ``symbol``."""
+        return self._sparse().match(enabled, symbol)
 
     def _bind_native(self) -> None:
         self._lib = load_native()
@@ -368,6 +452,7 @@ class NativeKernel(BitParallelKernel):
         # pipeline builds one per component — never pays for them
         self._c_tables = None
         self._c_lock = threading.Lock()
+        self._sparse_kernel = None
 
     def _tables(self):
         """The ``cama_tables`` the C loop steps from, derived once."""
@@ -403,7 +488,7 @@ class NativeKernel(BitParallelKernel):
             "start_succ_bits": succ_bits,
         }
         # the exact C-contiguous buffers the struct points into, kept
-        # alive with it; contiguous inherited tables stay views
+        # alive with it; contiguous tables stay views
         self._c_arrays = {
             name: np.ascontiguousarray(
                 array, dtype=_C_DTYPES.get(name, np.uint64)
@@ -423,10 +508,13 @@ class NativeKernel(BitParallelKernel):
     # ctypes handles and raw pointers don't pickle; drop them and
     # re-probe on arrival (the C-side tables are re-derived on use).  A
     # kernel landing on a host without the native library keeps
-    # working: _lib stays None and run_chunk uses the numpy path.
+    # working: _lib stays None and every run steps the sparse kernel.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_lib", "_local", "_c_arrays", "_c_tables", "_c_lock"):
+        for key in (
+            "_lib", "_local", "_c_arrays", "_c_tables", "_c_lock",
+            "_sparse_kernel",
+        ):
             state.pop(key, None)
         return state
 
@@ -542,7 +630,7 @@ class NativeKernel(BitParallelKernel):
         steps the state's packed row in place."""
         if self._lib is None or placement is not None or keep_per_cycle:
             # per-cycle visibility isn't surfaced by the C loop
-            return super().run_chunk(
+            return self._sparse().run_chunk(
                 data,
                 state,
                 placement=placement,
@@ -586,7 +674,9 @@ class NativeKernel(BitParallelKernel):
         :meth:`run_chunk`'s.
         """
         if self._lib is None:
-            return super().step_batch(chunks, rows, max_reports=max_reports)
+            return self._sparse().step_batch(
+                chunks, rows, max_reports=max_reports
+            )
         matrix = isinstance(rows, BatchEngineState)
         num_rows = rows.num_rows if matrix else len(rows)
         if len(chunks) != num_rows:
@@ -614,8 +704,8 @@ class NativeKernel(BitParallelKernel):
 
 class NativeBackend:
     """Backend producing :class:`NativeKernel`\\ s when the compiled
-    library loads, plain :class:`BitParallelKernel`\\ s otherwise —
-    requesting ``backend="native"`` is always safe."""
+    library loads, :class:`SparseKernel`\\ s otherwise — requesting
+    ``backend="native"`` is always safe."""
 
     name = "native"
 
@@ -625,12 +715,12 @@ class NativeBackend:
         KERNEL_COMPILES.labels(self.name).inc()
         if load_native() is None:
             _NATIVE_FALLBACKS.labels("compile").inc()
-            return BitParallelKernel(automaton)
+            return SparseKernel(automaton)
         return NativeKernel(automaton)
 
     def from_tables(self, automaton, tables: KernelTables):
         """Rebuild a kernel from prebuilt (artifact) tables."""
         if load_native() is None:
             _NATIVE_FALLBACKS.labels("from_tables").inc()
-            return BitParallelKernel(automaton, tables=tables)
+            return SparseKernel(automaton, tables=tables)
         return NativeKernel(automaton, tables=tables)

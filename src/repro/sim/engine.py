@@ -4,11 +4,10 @@ This plays the role VASim plays for the paper: it executes an automaton
 one input symbol per cycle and records reports plus the activity
 statistics the energy models need.  Execution itself is delegated to a
 pluggable backend (:mod:`repro.sim.backends`): the ``sparse`` kernel
-propagates active-state index sets (right for few-percent active
-fractions, the paper's benchmark regime), the ``bitparallel`` kernel
-steps packed uint64 state bitmaps (right for dense activity), the
-``native`` kernel is that loop in C with work following the active set,
-and ``auto`` resolves per automaton to one of them.
+propagates active-state index sets (the reference every other path is
+checked against), the ``native`` kernel steps packed uint64 state rows
+in C with work following the active set (the serving kernel), and
+``auto`` resolves per automaton to one of them.
 
 Per-cycle semantics (identical to AP/CA/Impala/eAP/CAMA, and identical
 across backends — enforced by the cross-backend property tests):
@@ -53,11 +52,9 @@ from repro.sim.backends import (
     PlacementTracker,
     ReportTruncationWarning,
     SimulationResult,
-    choose_backend_name,
     gather_successors,
     get_backend,
 )
-from repro.sim.backends import bitwords
 from repro.sim.backends.base import (
     check_truncation_policy,
     handle_truncation,
@@ -146,10 +143,9 @@ class Engine:
     Args:
         automaton: the automaton to compile.
         backend: execution backend — ``"sparse"`` (default, the
-            reference kernel), ``"bitparallel"``, ``"native"`` (the
-            compiled C step loop, degrading to bitparallel when
-            unavailable), ``"auto"``, or an :class:`ExecutionBackend`
-            instance.
+            reference kernel), ``"native"`` (the compiled C step loop,
+            degrading to sparse when unavailable), ``"auto"``, or an
+            :class:`ExecutionBackend` instance.
         max_kept_reports: recording cap applied when a call does not
             pass its own ``max_reports``.
         on_truncation: what to do when the *implicit* cap truncates
@@ -217,7 +213,7 @@ class Engine:
 
     @property
     def backend_name(self) -> str:
-        """Resolved kernel name ("sparse", "bitparallel" or "native")."""
+        """Resolved kernel name ("sparse" or "native")."""
         return self._kernel.name
 
     # -- single-step API (used by the CAMA machine for lock-step checks) --
@@ -371,14 +367,12 @@ class Engine:
 class StridedEngine:
     """Simulator for 2-strided automata (16-bit symbol pairs per cycle).
 
-    Selects between the built-in execution *strategies* by name:
-    ``sparse`` walks active index sets, ``bitparallel`` steps packed
-    bitmaps with the stride's match mask formed as ``hi[first] &
-    lo[second]``, and ``auto`` picks from the strided automaton's
-    estimated activity.  Unlike :class:`Engine`, custom
+    Walks active index sets, with the stride's match as ``hi[first] &
+    lo[second]`` over the product classes.  Every built-in backend name
+    is accepted and runs this one stepper: the C loop has no strided
+    product-class step.  Unlike :class:`Engine`, custom
     :class:`ExecutionBackend` instances are not supported here — the
-    product-class match step is strided-specific, so both strategies
-    are implemented in this class.
+    product-class match step is strided-specific.
     """
 
     def __init__(
@@ -401,24 +395,16 @@ class StridedEngine:
                 "backend instances (the product-class match step is "
                 "strided-specific)"
             )
-        name = backend
-        # the compiled loop has no strided product-class step: auto's
-        # dense choice is the numpy packed kernel, and an explicit
-        # native request degrades to the same representation
-        if name == "auto":
-            name = choose_backend_name(strided, compiled_loop=False)
-        if name == "native":
-            name = "bitparallel"
-        if name not in ("sparse", "bitparallel"):
+        if backend not in BACKEND_NAMES:
             raise SimulationError(
-                f"unknown execution backend {name!r}; "
+                f"unknown execution backend {backend!r}; "
                 f"known: {', '.join(BACKEND_NAMES)}"
             )
-        self.backend_name = name
+        self.backend_name = "sparse"
         # strided runs get their own metric series: their cycle consumes
         # two input bytes, so mixing them with 1-stride counts would
         # skew cycles-per-chunk ratios
-        self._instruments = _kernel_instruments(f"{name}-strided")
+        self._instruments = _kernel_instruments("sparse-strided")
         n = len(strided)
         self._n = n
         hi = np.zeros((256, n), dtype=bool)
@@ -428,6 +414,8 @@ class StridedEngine:
                 hi[symbol, ste.ste_id] = True
             for symbol in ste.product.second:
                 lo[symbol, ste.ste_id] = True
+        self._hi_table = hi
+        self._lo_table = lo
         self._succ_offsets, self._succ_targets = strided.successor_csr()
         self._start_all, self._start_sod = start_ids(strided)
         self._reporting = reporting_mask(strided)
@@ -435,22 +423,6 @@ class StridedEngine:
         # no code: a code table of Nones over the original ids
         origins = [s.report_origin for s in strided.states if s.reporting]
         self._origin_codes = [None] * (max(origins, default=-1) + 1)
-        if name == "bitparallel":
-            # only the packed form is kept; the dense bool tables are
-            # construction scaffolding here (2 x 256 x n bytes saved)
-            self._hi_table = self._lo_table = None
-            self._hi_words = bitwords.pack_bool_rows(hi)
-            self._lo_words = bitwords.pack_bool_rows(lo)
-            self._succ_rows = bitwords.successor_rows(
-                self._succ_offsets, self._succ_targets, n
-            )
-            self._start_all_words = bitwords.pack_indices(self._start_all, n)
-            self._start_first_words = (
-                self._start_all_words | bitwords.pack_indices(self._start_sod, n)
-            )
-        else:
-            self._hi_table = hi
-            self._lo_table = lo
 
     # Same pickling contract as Engine: metric children are
     # process-local, rebind them against this process's registry.
@@ -490,19 +462,15 @@ class StridedEngine:
             )
         out = ReportBuffer(self._origin_codes, cap)
         states = self.automaton.states
-        if self.backend_name == "bitparallel":
-            stepper = self._packed_cycles(pairs)
-        else:
-            stepper = self._sparse_cycles(pairs)
-        for stride_idx, enabled_count, enabled_ids, active in stepper:
+        for stride_idx, enabled, active in self._sparse_cycles(pairs):
             stats.num_cycles += 1
-            stats.enabled_states_sum += enabled_count
+            stats.enabled_states_sum += int(enabled.size)
             stats.active_states_sum += int(active.size)
             if keep_per_cycle:
-                stats.enabled_per_cycle.append(enabled_count)
+                stats.enabled_per_cycle.append(int(enabled.size))
                 stats.active_per_cycle.append(int(active.size))
             if tracker is not None:
-                tracker.update(enabled_ids(), active)
+                tracker.update(enabled, active)
 
             # (cycle, origin) keys of distinct strided reporters can
             # collide only within one stride cycle (cycle 2k/2k+1 pairs
@@ -536,7 +504,7 @@ class StridedEngine:
         return result
 
     def _sparse_cycles(self, pairs):
-        """Yield (stride_idx, enabled_count, enabled_ids, active) sparsely."""
+        """Yield (stride_idx, enabled, active) index sets per cycle."""
         active = np.empty(0, dtype=np.int64)
         for stride_idx, (first, second) in enumerate(pairs):
             succ = gather_successors(
@@ -549,27 +517,7 @@ class StridedEngine:
             enabled = np.unique(merged)
             match = self._hi_table[first, enabled] & self._lo_table[second, enabled]
             active = enabled[match]
-            yield stride_idx, int(enabled.size), (lambda e=enabled: e), active
-
-    def _packed_cycles(self, pairs):
-        """Yield the same cycle tuples via packed uint64 words."""
-        active_ids = np.empty(0, dtype=np.int64)
-        enabled_words = np.empty(bitwords.num_words(self._n), dtype=np.uint64)
-        for stride_idx, (first, second) in enumerate(pairs):
-            bitwords.or_reduce_rows(self._succ_rows, active_ids, enabled_words)
-            enabled_words |= (
-                self._start_first_words if stride_idx == 0 else self._start_all_words
-            )
-            active_words = (
-                enabled_words & self._hi_words[first] & self._lo_words[second]
-            )
-            active_ids = bitwords.unpack_indices(active_words)
-            yield (
-                stride_idx,
-                bitwords.popcount(enabled_words),
-                (lambda w=enabled_words: bitwords.unpack_indices(w)),
-                active_ids,
-            )
+            yield stride_idx, enabled, active
 
 
 __all__ = [

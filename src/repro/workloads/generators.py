@@ -395,9 +395,9 @@ def dense_activity_automaton(
     Chains of wide-class (``match_width`` symbols out of 256) states
     whose heads are all all-input starts: under uniform random input a
     large fraction of states is active every cycle — the opposite of
-    the paper's few-percent regime, and the regime where the
-    bit-parallel backend overtakes the sparse one (used by the backend
-    crossover benchmark and the ``auto``-policy tests).  Reports stay
+    the paper's few-percent regime, and the one where a bit-vector
+    design pays least for its capacity (used by the dense kernel
+    tests and benchmarks).  Reports stay
     rare: each chain's reporter requires one extra symbol outside the
     wide class, so throughput measures matching, not report recording.
     """

@@ -45,7 +45,7 @@ class TestCompileConfig:
         assert PipelineOptions is CompileConfig
 
     def test_round_trip_dict_and_digest(self):
-        cfg = CompileConfig(optimize=True, stride=2, backend="bitparallel")
+        cfg = CompileConfig(optimize=True, stride=2, backend="native")
         back = CompileConfig.from_dict(cfg.to_dict())
         assert back == cfg
         assert back.digest() == cfg.digest()
@@ -140,7 +140,7 @@ class TestScanConfig:
         # the one place the "auto" -> defer-to-artifact rewrite lives
         assert ScanConfig(backend="auto").engine_backend is None
         assert ScanConfig(backend="sparse").engine_backend == "sparse"
-        assert ScanConfig(backend="bitparallel").engine_backend == "bitparallel"
+        assert ScanConfig(backend="native").engine_backend == "native"
 
 
 class TestRulesetFacade:

@@ -35,7 +35,7 @@ CACHE_EVENTS = default_registry().counter(
 RULES_A = {"r1": "(a|b)e*cd+", "r2": "abc"}
 RULES_B = {"r1": "x+y", "r2": "qr*s"}
 STREAM = b"aecdabcxxyqrrsaecdqs" * 60
-BACKENDS = ("sparse", "bitparallel", "native")
+BACKENDS = ("sparse", "native")
 
 
 def keys_of(reports):

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_run
+from repro.api.config import ScanConfig
 from repro.automata import compile_regex_set
 from repro.automata.nfa import Automaton, StartKind
 from repro.compile import (
@@ -37,6 +38,8 @@ from repro.compile import (
 from repro.core.machine import CamaMachine
 from repro.errors import ArtifactError
 from repro.frames import FRAME_MAGIC, FRAME_PREFIX, PREFIX_BYTES, decode_array_frame
+from repro.service import MatchingService
+from repro.sim.backends import NativeKernel
 from repro.sim.engine import Engine
 from repro.workloads.registry import get_benchmark
 
@@ -89,9 +92,11 @@ def native_bytes():
     """A kernel with packed successor rows, a CAMA program and a state
     count that leaves padding bits in the last word."""
     automaton = compile_regex_set(RULES, name="native-artifact")
-    artifact = CompiledArtifact.from_compiled(
-        compile_ruleset(automaton, backend="native")
-    )
+    compiled = compile_ruleset(automaton, backend="native")
+    # the native kernel's tables on any host: one without the C loop
+    # compiles the sparse kernel, which has no packed successor rows
+    compiled.kernel = NativeKernel(compiled.automaton)
+    artifact = CompiledArtifact.from_compiled(compiled)
     assert "succ_words" in artifact.arrays and artifact.num_states % 64
     return artifact.to_bytes()
 
@@ -110,15 +115,41 @@ class TestRoundTrip:
         assert keys_of(fresh.reports) == keys_of(oracle.reports)
         assert fresh.stats.num_reports == oracle.num_reports
 
-    @pytest.mark.parametrize("backend", ["sparse", "bitparallel"])
+    @pytest.mark.parametrize("backend", ["sparse", "native"])
     def test_backend_override_on_load(self, artifact_bytes, backend):
         loaded = CompiledArtifact.from_bytes(artifact_bytes)
         engine = loaded.engine(backend=backend)
-        assert engine.backend_name == backend
         direct = Engine(loaded.automaton(), backend=backend)
+        # "native" names the sparse kernel on a host without the library
+        assert engine.backend_name == direct.backend_name
         assert keys_of(engine.run(STREAM).reports) == keys_of(
             direct.run(STREAM).reports
         )
+
+    def test_a_recorded_bitparallel_kernel_loads_as_native(self, native_bytes):
+        # format-2 artifacts written before the numpy bit-parallel kernel
+        # went record it for a native compile on a host without the C
+        # loop; their arrays are the ones the C loop reads
+        header, body = _split(native_bytes)
+        header["manifest"]["backend"] = "bitparallel"
+        blob = _join(header, body)
+        loaded = CompiledArtifact.from_bytes(blob)
+        engine = loaded.engine()
+        direct = Engine(loaded.automaton(), backend="native")
+        assert engine.backend_name == direct.backend_name
+        expected = keys_of(direct.run(STREAM).reports)
+        assert keys_of(engine.run(STREAM).reports) == expected
+        # an upload under the default (auto) config scans the same
+        with MatchingService(ScanConfig()) as service:
+            handle, _ = service.register_artifact(blob)
+            assert keys_of(service.scan(handle, STREAM).reports) == expected
+
+    def test_a_bitparallel_compile_option_is_unreadable(self, native_bytes):
+        # the option is gone: a store treats such an artifact as a miss
+        header, body = _split(native_bytes)
+        header["manifest"]["options"]["backend"] = "bitparallel"
+        with pytest.raises(ArtifactError, match="not readable"):
+            CompiledArtifact.from_bytes(_join(header, body))
 
     def test_file_round_trip(self, compiled_regex, tmp_path):
         path = CompiledArtifact.from_compiled(compiled_regex).save(

@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.automata.analysis import estimate_active_fraction
 from repro.automata.glushkov import compile_regex_set, glushkov_nfa
 from repro.automata.nfa import Automaton, StartKind
 from repro.automata.striding import pad_input, stride2
@@ -24,13 +23,13 @@ from repro.errors import SimulationError
 from repro.service import Dispatcher, MatchingService
 from repro.sim.backends import (
     BACKEND_NAMES,
-    DENSE_ACTIVITY_THRESHOLD,
-    MAX_BITPARALLEL_STATES,
+    MAX_DENSE_SUCCESSOR_STATES,
+    NativeKernel,
     ReportTruncationWarning,
     choose_backend_name,
     get_backend,
 )
-from repro.sim.backends import bitwords
+from repro.sim.backends import auto, bitwords
 from repro.sim.backends.native import native_available, native_status
 from repro.sim.engine import Engine, StridedEngine
 from repro.sim.trace import PartitionAssignment
@@ -44,8 +43,8 @@ needs_native = pytest.mark.skipif(
     not native_available(),
     reason=f"compiled kernel not loadable here ({native_status()})",
 )
-#: what the auto policy's dense choice resolves to on this host
-DENSE_KERNEL = "native" if native_available() else "bitparallel"
+#: the kernel that serves on this host: the C loop where it loads
+SERVING_KERNEL = "native" if native_available() else "sparse"
 
 
 def report_keys(reports):
@@ -104,7 +103,7 @@ def random_chunks(rng: random.Random, data: bytes) -> list[bytes]:
 
 
 class TestRandomizedEquivalence:
-    """sparse == bitparallel on generated automata x inputs x splits."""
+    """sparse == native on generated automata x inputs x splits."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_shot_and_chunked(self, seed):
@@ -112,35 +111,35 @@ class TestRandomizedEquivalence:
         nfa = random_automaton(rng, rng.randint(1, 90))
         data = random_input(rng, rng.randint(0, 300))
         sparse = Engine(nfa, backend="sparse")
-        bitp = Engine(nfa, backend="bitparallel")
+        nat = Engine(nfa, backend="native")
 
         one_sparse = sparse.run(data)
-        one_bitp = bitp.run(data)
-        assert report_keys(one_bitp.reports) == report_keys(one_sparse.reports)
-        assert one_bitp.stats.num_reports == one_sparse.stats.num_reports
+        one_nat = nat.run(data)
+        assert report_keys(one_nat.reports) == report_keys(one_sparse.reports)
+        assert one_nat.stats.num_reports == one_sparse.stats.num_reports
         assert (
-            one_bitp.stats.enabled_states_sum
+            one_nat.stats.enabled_states_sum
             == one_sparse.stats.enabled_states_sum
         )
         assert (
-            one_bitp.stats.active_states_sum
+            one_nat.stats.active_states_sum
             == one_sparse.stats.active_states_sum
         )
 
         # random chunk splits: reports and final state must agree too
         state_sparse = sparse.initial_state()
-        state_bitp = bitp.initial_state()
-        chunked_sparse, chunked_bitp = [], []
+        state_nat = nat.initial_state()
+        chunked_sparse, chunked_nat = [], []
         for chunk in random_chunks(rng, data):
             chunked_sparse.extend(
                 sparse.run_chunk(chunk, state_sparse).reports
             )
-            chunked_bitp.extend(bitp.run_chunk(chunk, state_bitp).reports)
+            chunked_nat.extend(nat.run_chunk(chunk, state_nat).reports)
         assert report_keys(chunked_sparse) == report_keys(one_sparse.reports)
-        assert report_keys(chunked_bitp) == report_keys(one_sparse.reports)
-        assert state_sparse.position == state_bitp.position == len(data)
+        assert report_keys(chunked_nat) == report_keys(one_sparse.reports)
+        assert state_sparse.position == state_nat.position == len(data)
         assert np.array_equal(
-            np.sort(state_sparse.active), np.sort(state_bitp.active)
+            np.sort(state_sparse.active), np.sort(state_nat.active)
         )
 
     @pytest.mark.parametrize("seed", range(8))
@@ -151,7 +150,7 @@ class TestRandomizedEquivalence:
         data = random_input(rng, 200)
         engines = [
             Engine(nfa, backend="sparse"),
-            Engine(nfa, backend="bitparallel"),
+            Engine(nfa, backend="native"),
         ]
         reference = engines[0].run(data)
         state = engines[0].initial_state()
@@ -173,7 +172,7 @@ class TestRandomizedEquivalence:
         rs = Engine(nfa, backend="sparse").run(
             data, placement=placement, keep_per_cycle=True
         )
-        rb = Engine(nfa, backend="bitparallel").run(
+        rb = Engine(nfa, backend="native").run(
             data, placement=placement, keep_per_cycle=True
         )
         assert rb.stats.enabled_per_cycle == rs.stats.enabled_per_cycle
@@ -204,7 +203,7 @@ class TestRandomizedEquivalence:
         data = random_input(rng, 200)
         for cap in (0, 1, 3, 10):
             rs = Engine(nfa, backend="sparse").run(data, max_reports=cap)
-            rb = Engine(nfa, backend="bitparallel").run(data, max_reports=cap)
+            rb = Engine(nfa, backend="native").run(data, max_reports=cap)
             assert report_keys(rb.reports) == report_keys(rs.reports)
             assert rb.stats.num_reports == rs.stats.num_reports
             assert rb.truncated == rs.truncated
@@ -218,14 +217,14 @@ class TestRegistryBenchmarkEquivalence:
         bench = get_benchmark(name, scale=TEST_SCALE)
         data = bench.input_stream(400)
         sparse = Engine(bench.automaton, backend="sparse").run(data)
-        bitp = Engine(bench.automaton, backend="bitparallel").run(data)
-        assert report_keys(bitp.reports) == report_keys(sparse.reports)
-        assert bitp.stats.num_reports == sparse.stats.num_reports
-        assert bitp.stats.enabled_states_sum == sparse.stats.enabled_states_sum
-        assert bitp.stats.active_states_sum == sparse.stats.active_states_sum
+        nat = Engine(bench.automaton, backend="native").run(data)
+        assert report_keys(nat.reports) == report_keys(sparse.reports)
+        assert nat.stats.num_reports == sparse.stats.num_reports
+        assert nat.stats.enabled_states_sum == sparse.stats.enabled_states_sum
+        assert nat.stats.active_states_sum == sparse.stats.active_states_sum
 
-        # chunked through the bitparallel backend
-        engine = Engine(bench.automaton, backend="bitparallel")
+        # chunked through the native backend
+        engine = Engine(bench.automaton, backend="native")
         state = engine.initial_state()
         chunked = []
         for start in range(0, len(data), 61):
@@ -234,9 +233,9 @@ class TestRegistryBenchmarkEquivalence:
             )
         assert report_keys(chunked) == report_keys(sparse.reports)
 
-        # sharded via the dispatcher, pinned to the bitparallel backend
+        # sharded via the dispatcher, pinned to the native backend
         dispatcher = Dispatcher(
-            bench.automaton, ScanConfig(num_shards=4, backend="bitparallel")
+            bench.automaton, ScanConfig(num_shards=4, backend="native")
         )
         sharded = dispatcher.scan(data, chunk_size=97)
         assert report_keys(sharded.reports) == report_keys(sparse.reports)
@@ -253,7 +252,7 @@ class TestRegistryBenchmarkEquivalence:
         strided = stride2(nfa)
         data = pad_input(b"aecdabcaeccdd" * 9)
         rs = StridedEngine(strided, backend="sparse").run(data)
-        rb = StridedEngine(strided, backend="bitparallel").run(data)
+        rb = StridedEngine(strided, backend="native").run(data)
         assert report_keys(rb.reports) == report_keys(rs.reports)
         assert rb.stats.enabled_states_sum == rs.stats.enabled_states_sum
         assert rb.stats.active_states_sum == rs.stats.active_states_sum
@@ -261,27 +260,26 @@ class TestRegistryBenchmarkEquivalence:
 
 
 class TestAutoPolicy:
-    """``auto`` resolves to a concrete kernel: sparse below the
-    activity crossover, above it the compiled loop where it loads and
-    the numpy packed kernel where it does not."""
+    """``auto`` resolves to a concrete kernel: the compiled loop where
+    it loads and the automaton fits its successor matrix, the sparse
+    kernel otherwise."""
 
-    def test_low_activity_automata_take_sparse(self):
-        # narrow classes -> tiny expected activity -> the sparse kernel,
-        # with or without the compiled loop
+    @needs_native
+    def test_low_activity_automata_take_the_compiled_loop(self):
+        # the C loop's work follows the active set, so narrow classes
+        # and few-percent activity take it too
         nfa = glushkov_nfa("abc")
-        assert choose_backend_name(nfa) == "sparse"
-        assert Engine(nfa, backend="auto").backend_name == "sparse"
+        assert choose_backend_name(nfa) == "native"
+        assert Engine(nfa, backend="auto").backend_name == "native"
         bench = get_benchmark("Snort", scale=TEST_SCALE)
-        assert choose_backend_name(bench.automaton) == "sparse"
+        assert choose_backend_name(bench.automaton) == "native"
 
     @needs_native
     def test_dense_automata_take_the_compiled_loop(self):
         small = dense_activity_automaton(48, chain_length=16, match_width=230)
         assert choose_backend_name(small) == "native"
         assert Engine(small, backend="auto").backend_name == "native"
-        dense = dense_activity_automaton(512)
-        assert estimate_active_fraction(dense) >= DENSE_ACTIVITY_THRESHOLD
-        assert choose_backend_name(dense) == "native"
+        assert choose_backend_name(dense_activity_automaton(512)) == "native"
 
     @needs_native
     def test_served_default_resolves_through_the_policy(self):
@@ -304,59 +302,42 @@ class TestAutoPolicy:
         )
         assert native_choices() == before + 1
 
-    def test_dense_automata_take_bitparallel_without_the_loop(
-        self, no_native
-    ):
+    def test_automata_take_sparse_without_the_loop(self, no_native):
         small = dense_activity_automaton(48, chain_length=16, match_width=230)
-        assert choose_backend_name(small) == "bitparallel"
-        assert Engine(small, backend="auto").backend_name == "bitparallel"
+        assert choose_backend_name(small) == "sparse"
+        assert Engine(small, backend="auto").backend_name == "sparse"
         assert choose_backend_name(glushkov_nfa("abc")) == "sparse"
 
-    def test_measured_fraction_overrides_estimate(self):
-        bench = get_benchmark("Snort", scale=TEST_SCALE)
-        assert (
-            choose_backend_name(bench.automaton, active_fraction=0.5)
-            == DENSE_KERNEL
-        )
-        dense = dense_activity_automaton(512)
-        assert (
-            choose_backend_name(dense, active_fraction=0.001) == "sparse"
-        )
-
-    def test_strided_auto_keeps_the_numpy_crossover(self):
-        # no strided C step: auto chooses between the numpy strategies
-        # whatever the host loads, and explicit native maps to packed
+    def test_strided_auto_runs_sparse(self):
+        # no strided C step: every accepted name runs the one stepper
         narrow = stride2(glushkov_nfa("abcd"))
-        assert StridedEngine(narrow, backend="auto").backend_name == "sparse"
         dense = stride2(
             dense_activity_automaton(48, chain_length=16, match_width=230)
         )
-        assert (
-            StridedEngine(dense, backend="auto").backend_name == "bitparallel"
-        )
-        assert (
-            StridedEngine(narrow, backend="native").backend_name
-            == "bitparallel"
-        )
+        for strided in (narrow, dense):
+            for name in ("auto", "native", "sparse"):
+                engine = StridedEngine(strided, backend=name)
+                assert engine.backend_name == "sparse"
+        with pytest.raises(SimulationError, match="unknown execution"):
+            StridedEngine(narrow, backend="gpu")
 
-    def test_huge_automata_stay_sparse(self):
+    def test_huge_automata_stay_sparse(self, monkeypatch):
+        nfa = glushkov_nfa("abcd")
+        monkeypatch.setattr(auto, "MAX_DENSE_SUCCESSOR_STATES", len(nfa) - 1)
+        assert choose_backend_name(nfa) == "sparse"
+        assert Engine(nfa, backend="auto").backend_name == "sparse"
+
+    def test_explicit_native_fails_fast_above_limit(self):
+        # the cap is checked before the C loop binds: on every host
         class FakeHuge:
             def __len__(self):
-                return MAX_BITPARALLEL_STATES + 1
-
-        assert choose_backend_name(FakeHuge()) == "sparse"
-        assert choose_backend_name(FakeHuge(), compiled_loop=False) == "sparse"
-
-    def test_explicit_bitparallel_fails_fast_above_limit(self):
-        class FakeHuge:
-            def __len__(self):
-                return MAX_BITPARALLEL_STATES + 1
+                return MAX_DENSE_SUCCESSOR_STATES + 1
 
             def validate(self):
                 pass
 
-        with pytest.raises(SimulationError, match="bit-parallel limit"):
-            get_backend("bitparallel").compile(FakeHuge())
+        with pytest.raises(SimulationError, match="native kernel's limit"):
+            NativeKernel(FakeHuge())
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="unknown execution backend"):
@@ -365,29 +346,25 @@ class TestAutoPolicy:
             Engine(glushkov_nfa("a"), backend="nope")
 
     def test_backend_names_registry(self):
-        assert set(BACKEND_NAMES) == {
-            "sparse",
-            "bitparallel",
-            "native",
-            "auto",
-        }
+        assert set(BACKEND_NAMES) == {"sparse", "native", "auto"}
 
-    def test_auto_dispatcher_resolves_per_shard(self):
-        # a dense component and a narrow-literal component end up on
+    def test_auto_dispatcher_resolves_per_shard(self, monkeypatch):
+        # one dense 48-state chain + one narrow literal = two
+        # components; with the cap between their sizes they end up on
         # different kernels under one auto dispatcher
-        # one dense 48-state chain + one narrow literal = two components
         mixed = dense_activity_automaton(48, chain_length=48, match_width=230)
         mixed.merge(compile_regex_set(["abc"]))
+        monkeypatch.setattr(auto, "MAX_DENSE_SUCCESSOR_STATES", 16)
         dispatcher = Dispatcher(mixed, ScanConfig(num_shards=2, backend="auto"))
         assert sorted(dispatcher.backend_names) == sorted(
-            [DENSE_KERNEL, "sparse"]
+            [SERVING_KERNEL, "sparse"]
         )
 
     def test_service_reports_backends(self):
-        service = MatchingService(ScanConfig(backend="bitparallel"))
+        service = MatchingService(ScanConfig(backend="native"))
         nfa = compile_regex_set(["ab", "cd"])
         result = service.scan(nfa, b"abcdabcd")
-        assert result.backends == ["bitparallel"]
+        assert result.backends == [SERVING_KERNEL]
         sparse_result = MatchingService(ScanConfig(backend="sparse")).scan(
             nfa, b"abcd"
         )
@@ -400,7 +377,7 @@ class TestCsrCache:
         # from one object shares it
         nfa = glushkov_nfa("(a|b)c*d")
         first = Engine(nfa, backend="sparse")
-        second = Engine(nfa, backend="bitparallel")
+        second = Engine(nfa, backend="native")
         assert first.kernel._succ_offsets is second.kernel._succ_offsets
         assert first.kernel._succ_targets is second.kernel._succ_targets
 
@@ -463,14 +440,6 @@ class TestBitwords:
             words = bitwords.pack_indices(ids, n)
             assert np.array_equal(bitwords.unpack_indices(words), ids)
             assert bitwords.popcount(words) == len(ids)
-
-    def test_pack_bool_matches_pack_indices(self):
-        mask = np.zeros(100, dtype=bool)
-        mask[[0, 63, 64, 99]] = True
-        assert np.array_equal(
-            bitwords.pack_bool(mask),
-            bitwords.pack_indices(np.flatnonzero(mask), 100),
-        )
 
     def test_popcount_rows_table_fallback(self, monkeypatch):
         """The _POPCOUNT8 path (numpy < 2, no np.bitwise_count) must

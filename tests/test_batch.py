@@ -37,7 +37,7 @@ from repro.sim.engine import Engine
 from repro.telemetry.metrics import default_registry
 from tests.oracle import oracle_run
 
-BACKENDS = ["sparse", "bitparallel", "native", "auto"]
+BACKENDS = ["sparse", "native", "auto"]
 
 #: overlapping rules with multi-byte matches, so chunk splits land
 #: mid-pattern and several states report on the same cycle
@@ -721,7 +721,9 @@ def test_server_drain_releases_feed_parked_behind_a_running_batch(
 
     monkeypatch.setattr(batching, "feed_session_batch", held_first)
     got, errors = {}, []
-    config = ScanConfig(batch_max_rows=64)
+    # the sparse kernel: only feeds that do not step inline reach the
+    # batch scheduler this test holds
+    config = ScanConfig(backend="sparse", batch_max_rows=64)
     with BackgroundServer(config=config, executor_workers=2) as bg:
 
         def worker(name):
@@ -897,16 +899,23 @@ def _feed_chunk(size):
 
 
 @pytest.mark.skipif(not native_available(), reason="needs the C loop")
-@pytest.mark.parametrize("batch_rows", [64, 1])
+@pytest.mark.parametrize(
+    "backend, batch_rows",
+    [
+        pytest.param("native", 64, id="64"),
+        pytest.param("native", 1, id="1"),
+        pytest.param("auto", 64, id="auto"),  # auto takes the C loop
+    ],
+)
 def test_idle_native_feed_steps_inline_on_the_loop(
-    monkeypatch, feed_threads, batch_rows
+    monkeypatch, feed_threads, backend, batch_rows
 ):
     """A 512 B feed on a C-loop session whose ruleset is idle runs on
     the event-loop thread and never reaches the executor; it still
     counts as one 'immediate' flush of one row.  batch_max_rows=1
     only turns coalescing off."""
     chunk = _feed_chunk(512)
-    config = ScanConfig(backend="native", batch_max_rows=batch_rows)
+    config = ScanConfig(backend=backend, batch_max_rows=batch_rows)
     reports, loop_thread, submitted, stats = _serve_one_feed(
         monkeypatch, config, chunk
     )
@@ -924,17 +933,15 @@ def test_idle_native_feed_steps_inline_on_the_loop(
     "config, size, open_options",
     [
         (ScanConfig(backend="native"), 512, {"hardware_ledger": True}),
-        (ScanConfig(backend="bitparallel"), 512, {}),
         (ScanConfig(backend="sparse"), 512, {}),
-        (ScanConfig(), 512, {}),  # auto: sparse for these rules
         (ScanConfig(backend="native"), INLINE_FEED_BYTES + 1, {}),
     ],
-    ids=["ledgered", "bitparallel", "sparse", "auto", "4097B"],
+    ids=["ledgered", "sparse", "4097B"],
 )
 def test_other_feeds_run_on_an_executor_thread(
     monkeypatch, feed_threads, config, size, open_options
 ):
-    """A ledger probe, a numpy or Python kernel, or a chunk past
+    """A ledger probe, the sparse kernel, or a chunk past
     INLINE_FEED_BYTES keeps the feed on the thread pool."""
     chunk = _feed_chunk(size)
     reports, loop_thread, submitted, stats = _serve_one_feed(

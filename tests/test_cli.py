@@ -5,6 +5,7 @@ import pytest
 from repro.__main__ import load_automaton, main
 from repro.automata import dumps_anml, dumps_mnrl, glushkov_nfa
 from repro.errors import ReproError
+from repro.sim.backends.native import native_available
 
 
 @pytest.fixture()
@@ -178,7 +179,7 @@ class TestCommands:
         scan_out = capsys.readouterr().out.splitlines()
         assert run_out[:10] == scan_out[:10]
 
-    @pytest.mark.parametrize("backend", ["sparse", "bitparallel", "auto"])
+    @pytest.mark.parametrize("backend", ["sparse", "native", "auto"])
     def test_run_backend_flag(self, anml_file, input_file, capsys, backend):
         assert (
             main(
@@ -190,7 +191,7 @@ class TestCommands:
 
     def test_backend_choice_identical_reports(self, anml_file, input_file, capsys):
         outputs = []
-        for backend in ("sparse", "bitparallel"):
+        for backend in ("sparse", "native"):
             main(
                 [
                     "scan",
@@ -204,7 +205,9 @@ class TestCommands:
             )
             lines = capsys.readouterr().out.splitlines()
             outputs.append([l for l in lines if not l.startswith("#")])
-            assert f"backend {backend}" in lines[-1]
+            # the kernel that ran: "native" is sparse without the C loop
+            ran = "native" if backend == "native" and native_available() else "sparse"
+            assert f"backend {ran}" in lines[-1]
         assert outputs[0] == outputs[1]
 
     def test_scan_max_kept_reports_controls_recording(

@@ -256,9 +256,6 @@ class TestPacking:
         expected = np.stack([reference_pack_bool(row) for row in table])
         assert got.dtype == np.uint64 and got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(
-            bitwords.pack_bool(table[7]), reference_pack_bool(table[7])
-        )
 
     @settings(max_examples=100, deadline=None)
     @given(automata_with_ids())

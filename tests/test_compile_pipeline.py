@@ -56,7 +56,7 @@ class TestOptions:
         variants = [
             base.replace(optimize=True),
             base.replace(stride=2),
-            base.replace(backend="bitparallel"),
+            base.replace(backend="native"),
             base.replace(backend=None),
             base.replace(allow_negation=False),
             base.replace(clustered=False),
@@ -124,8 +124,9 @@ class TestPipelineDriver:
             Pipeline().run_pass("vectorize", state)
 
     def test_option_kwargs_front_door(self, ruleset):
-        compiled = compile_ruleset(ruleset, backend="bitparallel")
-        assert compiled.kernel.name == "bitparallel"
+        compiled = compile_ruleset(ruleset, backend=None)
+        assert compiled.options.backend is None
+        assert compiled.kernel is None
 
     def test_bad_source_type(self):
         with pytest.raises(ReproError, match="cannot compile"):

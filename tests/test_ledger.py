@@ -24,6 +24,7 @@ from repro.automata import compile_regex_set
 from repro.errors import ConfigError
 from repro.service import BackgroundServer, MatchingClient, MatchingService
 from repro.service.client import RemoteError
+from repro.sim.backends import NativeKernel
 from repro.sim.engine import Engine
 from repro.telemetry.ledger import (
     HardwareLedger,
@@ -83,7 +84,9 @@ class TestLedgerCore:
             check_ledger_design("CAMA-X")
 
     def test_probe_requires_sparse_engine(self, ruleset):
-        fast = Engine(ruleset, backend="bitparallel")
+        # the packed kernel itself (on a host without the C loop
+        # backend="native" would hand out the sparse kernel)
+        fast = Engine.from_kernel(NativeKernel(ruleset))
         with pytest.raises(ConfigError, match="sparse reference kernel"):
             LedgerProbe(ruleset, engine=fast)
 

@@ -1,15 +1,18 @@
 """The native compiled kernel: differential, degradation, packaging.
 
 The C step loop in ``cama_kernel.c`` must be byte-identical to the
-pure-numpy bit-parallel kernel on every path — full runs, chunked
-resumes, report caps (including the pause/resume dance when a chunk
-fires more reports than the C-side buffer holds), batched stepping and
-artifact round trips.  It must also *degrade* identically: with
-``REPRO_NATIVE=0`` (or no compiler) ``backend="native"`` silently hands
-out the numpy kernel, so requesting it is always safe.
+sparse reference kernel on every path — full runs, chunked resumes,
+report caps (including the pause/resume dance when a chunk fires more
+reports than the C-side buffer holds), batched stepping and artifact
+round trips.  The runs it hands to the sparse kernel (placement,
+per-cycle statistics, no library) must be too, and it must *degrade*
+identically: with ``REPRO_NATIVE=0`` (or no compiler)
+``backend="native"`` silently hands out the sparse kernel, so
+requesting it is always safe.
 """
 
 import ctypes
+import dataclasses
 import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +32,7 @@ from repro.sim.backends import (
     get_backend,
 )
 from repro.sim.backends.base import BatchEngineState
-from repro.sim.backends.bitparallel import BitParallelKernel
+from repro.sim.backends.sparse import SparseKernel
 from repro.service import MatchingService
 from repro.sim.backends import native as native_module
 from repro.sim.backends.native import (
@@ -39,6 +42,8 @@ from repro.sim.backends.native import (
     native_status,
 )
 from repro.sim.engine import Engine
+from repro.sim.trace import PartitionAssignment
+from repro.workloads import get_benchmark
 from test_backends import (
     dense_activity_automaton,
     needs_native,
@@ -111,14 +116,14 @@ def test_native_engine_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_native_chunked_resume_matches_bitparallel(seed):
+def test_native_chunked_resume_matches_sparse(seed):
     """Chunked execution with report caps: reports, truncation flags,
-    stats and the resumable state itself all match the numpy kernel."""
+    stats and the resumable state itself all match the sparse kernel."""
     rng = random.Random(7100 + seed)
     nfa = random_automaton(rng, rng.randint(2, 60))
     data = random_input(rng, 300)
     cap = rng.choice([0, 1, 3, 10, 10_000])
-    reference = Engine(nfa, backend="bitparallel")
+    reference = Engine(nfa, backend="sparse")
     candidate = Engine(nfa, backend="native")
     ref_state = reference.initial_state()
     cand_state = candidate.initial_state()
@@ -140,7 +145,7 @@ def test_native_report_buffer_pause_resume():
     nfa = compile_regex_set({"r": "a"}, name="buffer-resume")
     data = b"a" * 9000
     cap = 8000
-    ref = Engine(nfa, backend="bitparallel").run(data, max_reports=cap)
+    ref = Engine(nfa, backend="sparse").run(data, max_reports=cap)
     got = Engine(nfa, backend="native").run(data, max_reports=cap)
     assert len(got.reports) == cap
     assert got.truncated is True
@@ -150,15 +155,73 @@ def test_native_report_buffer_pause_resume():
 
 
 def test_native_keep_per_cycle_and_placement_still_work():
-    """Features the C loop doesn't implement fall back to numpy and
-    keep their full semantics."""
+    """Features the C loop doesn't implement step the sparse kernel
+    and keep their full semantics."""
     nfa = compile_regex_set(RULES, name="fallback-features")
     data = b"abcddxfoobar123zqnd" * 10
-    ref = Engine(nfa, backend="bitparallel").run(data, keep_per_cycle=True)
+    ref = Engine(nfa, backend="sparse").run(data, keep_per_cycle=True)
     got = Engine(nfa, backend="native").run(data, keep_per_cycle=True)
     assert _keys(got.reports) == _keys(ref.reports)
     assert got.stats.enabled_per_cycle == ref.stats.enabled_per_cycle
     assert got.stats.active_per_cycle == ref.stats.active_per_cycle
+
+
+def _stats_fields(stats):
+    """Every TraceStats field, arrays as lists (comparable with ==)."""
+    values = {}
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        values[field.name] = (
+            value.tolist() if isinstance(value, np.ndarray) else value
+        )
+    return values
+
+
+@pytest.mark.parametrize("path", ["placement", "keep_per_cycle", "no_library"])
+def test_delegated_runs_equal_the_sparse_kernel(path):
+    """The runs a NativeKernel hands to the SparseKernel built from its
+    own tables — placement tracking, per-cycle statistics, a kernel
+    without the library — give the sparse kernel's reports, every
+    TraceStats field (partition counters included) and final state,
+    chunk by chunk, on a registry benchmark."""
+    bench = get_benchmark("Snort", scale=1 / 32)
+    nfa = bench.automaton
+    data = bench.input_stream(600)
+    rng = np.random.default_rng(5)
+    kwargs = {}
+    if path == "placement":
+        kwargs["placement"] = PartitionAssignment(
+            partition_of=rng.integers(0, 4, len(nfa)),
+            num_partitions=4,
+            weights=rng.random(len(nfa)),
+        )
+    elif path == "keep_per_cycle":
+        kwargs["keep_per_cycle"] = True
+    kernel = NativeKernel(nfa)
+    if path == "no_library":
+        kernel._lib = None
+    reference = SparseKernel(nfa)
+    state, ref_state = kernel.initial_state(), reference.initial_state()
+    for start in range(0, len(data), 250):
+        chunk = data[start : start + 250]
+        got = kernel.run_chunk(chunk, state, **kwargs)
+        ref = reference.run_chunk(chunk, ref_state, **kwargs)
+        assert _keys(got.reports) == _keys(ref.reports)
+        assert got.truncated == ref.truncated
+        assert _stats_fields(got.stats) == _stats_fields(ref.stats)
+        assert _active(state) == _active(ref_state)
+        assert state.position == ref_state.position
+    if path == "no_library":
+        chunks = [data[:100], data[100:350], b""]
+        rows, ref_rows = kernel.initial_batch(3), reference.initial_batch(3)
+        got = kernel.step_batch(chunks, rows, max_reports=[5, 0, 5])
+        ref = reference.step_batch(chunks, ref_rows, max_reports=[5, 0, 5])
+        for g, r in zip(got, ref):
+            assert _keys(g.reports) == _keys(r.reports)
+            assert g.truncated == r.truncated
+            assert _stats_fields(g.stats) == _stats_fields(r.stats)
+        assert np.array_equal(rows.active_words, ref_rows.active_words)
+        assert np.array_equal(rows.positions, ref_rows.positions)
 
 
 @needs_native
@@ -663,17 +726,28 @@ def test_restore_native_to_sparse_to_native_matches_oracle(seed):
 
 def test_env_switch_degrades_to_pure_numpy(no_native):
     """REPRO_NATIVE=0 (CI's compiler-less stand-in): the native backend
-    hands out plain BitParallelKernel objects and stays correct."""
+    hands out SparseKernel objects, named for the kernel that runs,
+    and stays correct."""
     assert native_available() is False
     assert "unavailable" in native_status()
     nfa = compile_regex_set(RULES, name="degraded")
     kernel = get_backend("native").compile(nfa)
-    assert type(kernel) is BitParallelKernel
-    assert kernel.name == "bitparallel"
-    data = b"abcddxfoobarbaz123zqnd" * 5
-    expected = oracle_run(nfa, data)
-    result = Engine(nfa, backend="native").run(data)
-    assert _keys(result.reports) == _keys(expected.reports)
+    assert type(kernel) is SparseKernel
+    assert kernel.name == "sparse"
+    rebuilt = get_backend("native").from_tables(nfa, kernel.export_tables())
+    assert type(rebuilt) is SparseKernel
+    bench = get_benchmark("Snort", scale=1 / 32)
+    for nfa, data in (
+        (nfa, b"abcddxfoobarbaz123zqnd" * 5),
+        (bench.automaton, bench.input_stream(300)),
+    ):
+        engine = Engine(nfa, backend="native")
+        assert engine.backend_name == "sparse"
+        expected = oracle_run(nfa, data)
+        result = engine.run(data)
+        assert _keys(result.reports) == _keys(expected.reports)
+        assert result.stats.enabled_states_sum == expected.enabled_states_sum
+        assert result.stats.active_states_sum == expected.active_states_sum
 
 
 @needs_native
@@ -709,11 +783,11 @@ def test_exported_tables_carry_packed_successor_rows():
     """export_tables ships succ_words and a tables-built kernel uses
     them verbatim instead of re-deriving the packed rows."""
     nfa = compile_regex_set(RULES, name="tables")
-    kernel = get_backend("bitparallel").compile(nfa)
+    kernel = NativeKernel(nfa)
     tables = kernel.export_tables()
     assert tables.succ_words is not None
     assert tables.succ_words.shape == kernel._succ_rows.shape
-    rebuilt = BitParallelKernel(nfa, tables=tables)
+    rebuilt = NativeKernel(nfa, tables=tables)
     assert np.array_equal(rebuilt._succ_rows, kernel._succ_rows)
     data = b"abcddxfoobarbaz123zqnd" * 5
     assert _keys(rebuilt.run_chunk(data, rebuilt.initial_state()).reports) == (
@@ -723,16 +797,15 @@ def test_exported_tables_carry_packed_successor_rows():
 
 def test_artifact_round_trip_with_native_backend():
     """compile -> artifact bytes -> engine, recorded backend "native":
-    succ_words ships in the .npz and the loaded engine is exact (even
-    when the loading host must degrade to the numpy kernel)."""
+    succ_words ships in the artifact and the loaded engine is exact.  A
+    host without the library compiles, records and loads the sparse
+    kernel, whose tables carry no packed successor rows."""
     nfa = compile_regex_set(RULES, name="native-artifact")
     compiled = compile_ruleset(nfa, backend="native")
     artifact = CompiledArtifact.from_compiled(compiled)
     loaded = CompiledArtifact.from_bytes(artifact.to_bytes()).validate()
-    assert "succ_words" in loaded.arrays
-    tables = loaded.kernel_tables()
-    assert tables.succ_words is not None
-    expected_name = "native" if native_available() else "bitparallel"
+    assert ("succ_words" in loaded.arrays) == native_available()
+    expected_name = "native" if native_available() else "sparse"
     engine = loaded.engine()
     assert engine.backend_name == expected_name
     data = b"abcddxfoobarbaz123zqnd" * 10

@@ -27,11 +27,10 @@ from test_backends import random_automaton, random_chunks, random_input
 TEST_SCALE = 1.0 / 64.0
 
 #: every non-strided execution path under differential test, by name
-#: ("native" degrades to the pure-numpy kernel on compiler-less hosts,
-#: so it is always safe to include)
+#: ("native" degrades to the sparse kernel on compiler-less hosts, so it
+#: is always safe to include)
 ENGINE_FACTORIES = {
     "sparse": lambda nfa: Engine(nfa, backend="sparse"),
-    "bitparallel": lambda nfa: Engine(nfa, backend="bitparallel"),
     "native": lambda nfa: Engine(nfa, backend="native"),
     "auto": lambda nfa: Engine(nfa, backend="auto"),
 }
@@ -119,7 +118,7 @@ class TestRandomRegexesAgainstOracle:
         _, nfa = random_ruleset(rng)
         data = regex_input(rng, rng.randint(1, 250))
         expected = oracle_run(nfa, data)
-        for backend in ("sparse", "bitparallel"):
+        for backend in ("sparse", "native"):
             engine = Engine(nfa, backend=backend)
             state = engine.initial_state()
             reports = []
@@ -150,7 +149,7 @@ class TestRandomRegexesAgainstOracle:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_strided_engines_match_oracle(self, seed):
-        """stride2 x {sparse, bitparallel} vs the (unstrided) oracle.
+        """stride2 x {sparse, native} vs the (unstrided) oracle.
 
         Strided reports carry the original automaton's state id but no
         code, and the input is padded to even length — so compare
@@ -165,7 +164,7 @@ class TestRandomRegexesAgainstOracle:
         ]
         strided = stride2(nfa)
         padded = pad_input(data)
-        for strategy in ("sparse", "bitparallel"):
+        for strategy in ("sparse", "native"):
             result = StridedEngine(strided, backend=strategy).run(padded)
             got = [
                 (cycle, state)
@@ -218,7 +217,7 @@ class TestWorkloadsAgainstOracle:
         bench = get_benchmark(name, scale=TEST_SCALE)
         data = bench.input_stream(250)
         expected = oracle_run(bench.automaton, data)
-        for backend in ("sparse", "bitparallel"):
+        for backend in ("sparse", "native"):
             result = Engine(bench.automaton, backend=backend).run(data)
             assert full_keys(result.reports) == full_keys(
                 expected.reports

@@ -46,7 +46,7 @@ from repro.sim.reports import EMPTY_REPORTS, Report, ReportBatch
 from repro.workloads import benchmark_input
 from wire import RawConn
 
-BACKENDS = ["sparse", "bitparallel", "native"]
+BACKENDS = ["sparse", "native"]
 
 #: overlapping rules: a run of 'a' fires three states per byte
 RULES = {

@@ -78,9 +78,9 @@ class TestMetricsRegistry:
         family = registry.counter("by_backend_total", "help", ("backend",))
         assert family.labels("sparse") is family.labels("sparse")
         family.labels("sparse").inc()
-        family.labels("bitparallel").inc(2)
+        family.labels("native").inc(2)
         assert family.labels("sparse").value == 1.0
-        assert family.labels("bitparallel").value == 2.0
+        assert family.labels("native").value == 2.0
 
     def test_label_arity_checked(self):
         registry = MetricsRegistry()

@@ -81,10 +81,12 @@ STREAM = b"aecdabcxxyaecddabcyx" * 40
 
 
 @contextlib.contextmanager
-def serve(kind, **transport):
+def serve(kind, backend="auto", **transport):
     """A started endpoint of ``kind``; ``transport`` holds the options
-    both constructors share (``max_frame_bytes``, ``allow_shutdown``)."""
-    config = ScanConfig(num_shards=1)
+    both constructors share (``max_frame_bytes``, ``allow_shutdown``).
+    The queueing tests pin ``backend="sparse"``: its scans are slow
+    enough on every host for frames to wait behind them."""
+    config = ScanConfig(num_shards=1, backend=backend)
     if kind == "server":
         with BackgroundServer(config=config, **transport) as bg:
             yield bg
@@ -217,7 +219,7 @@ class TestWireConformance:
         past it (TCP back-pressure), and every frame is still answered,
         in order, once the client reads."""
         frames = 3 * DEFAULT_MAX_INFLIGHT
-        with serve(kind) as bg:
+        with serve(kind, backend="sparse") as bg:
             with MatchingClient(port=bg.port) as setup:
                 handle = setup.register(RULES)
             data = encode_data(STREAM * 4)  # slow enough to queue up
@@ -246,7 +248,7 @@ class TestWireConformance:
         deadlock the connection task (and with it, drain/stop): the
         response write fails, and with the reader blocked on the full
         queue a processor that simply exits would strand it forever."""
-        with serve(kind) as bg:
+        with serve(kind, backend="sparse") as bg:
             with MatchingClient(port=bg.port) as setup:
                 handle = setup.register(RULES)
             for _ in range(2):
@@ -646,8 +648,7 @@ class TestFrameChannel:
     def test_a_cancelled_request_does_not_desync_the_channel(self):
         # regression: a request cancelled mid-exchange left its answer
         # on the wire, so every later request read its predecessor's
-        dense = "native" if native_available() else "bitparallel"
-        config = ScanConfig(num_shards=1, backend=dense)  # a quick scan
+        config = ScanConfig(num_shards=1, backend="native")
         with BackgroundServer(config=config) as bg:
 
             async def main():
@@ -662,6 +663,28 @@ class TestFrameChannel:
                         assert (await client.ping())["pong"] is True
 
             asyncio.run(main())
+
+    def test_an_abandoned_scan_stops_between_chunks(self):
+        # regression: the server scanned to the end for a client that had
+        # given up, so stopping waited for it (the sparse kernel needs
+        # ~50 s for these 4 MiB; the reset stops it within a chunk)
+        config = ScanConfig(num_shards=1, backend="sparse")
+        bg = BackgroundServer(config=config).start()
+        try:
+
+            async def main():
+                async with AsyncMatchingClient(port=bg.port) as client:
+                    handle = await client.register(RULES)
+                    with pytest.raises(TimeoutError):
+                        await asyncio.wait_for(
+                            client.scan(handle, bytes(4 << 20)), 0.5
+                        )
+
+            asyncio.run(main())
+        finally:
+            began = time.perf_counter()
+            bg.stop()
+        assert time.perf_counter() - began < 5
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +760,8 @@ def responses(wire: bytes) -> list:
 def served():
     """A matching server that is never started, its ruleset registered:
     its protocol is driven by hand."""
-    dense = "native" if native_available() else "bitparallel"
     server = MatchingServer(
-        config=ScanConfig(num_shards=1, backend=dense),
+        config=ScanConfig(num_shards=1, backend="native"),
         max_frame_bytes=8192,
         max_inflight=2,
         executor_workers=2,
