@@ -274,7 +274,7 @@ class ScanConfig:
         """The backend to rebuild an adopted artifact's engine with.
 
         ``"auto"`` resolves to None — *defer to the backend the
-        artifact recorded at compile time* — while a pinned backend
+        artifact was compiled for* — while a pinned backend
         passes through.  This is the one place the ``"auto"`` policy is
         rewritten; every consumer (service artifact registration, the
         facade) reads it from here instead of re-deriving it.

@@ -60,6 +60,10 @@ class STE:
         return self.name if self.name is not None else f"ste{self.ste_id}"
 
 
+#: pieces hashed per ``update`` by :func:`language_digest`
+_DIGEST_BATCH = 4096
+
+
 def language_digest(
     automaton: "Automaton",
     ids: "list[int] | None" = None,
@@ -77,7 +81,16 @@ def language_digest(
     """
     keep = range(len(automaton.states)) if ids is None else ids
     local = None if ids is None else {old: new for new, old in enumerate(ids)}
+    digest = hashlib.sha256()
     parts = [len(keep).to_bytes(8, "little")]
+
+    def flush() -> None:
+        # hash a batch at a time: a full-size ruleset has ~10^6 pieces,
+        # and one join of them all is a second copy of its content
+        if len(parts) >= _DIGEST_BATCH:
+            digest.update(b"".join(parts))
+            parts.clear()
+
     for old in keep:
         ste = automaton.states[old]
         # variable-length fields are length-prefixed so shifted record
@@ -92,6 +105,7 @@ def language_digest(
             len(code).to_bytes(4, "little"),
             code,
         )
+        flush()
     # sources in local-id order, successors ascending: the remap is
     # monotonic, so this is subautomaton(ids).transitions()'s order
     for u, old in enumerate(keep):
@@ -102,8 +116,10 @@ def language_digest(
                 if v is None:
                     continue
             parts += (src, v.to_bytes(8, "little"))
+        flush()
     parts.append(suffix)
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    digest.update(b"".join(parts))
+    return digest.hexdigest()
 
 
 class _Graph:

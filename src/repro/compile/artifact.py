@@ -44,12 +44,11 @@ MANIFEST_VERSION = 1
 _START_KINDS = (StartKind.NONE, StartKind.ALL_INPUT, StartKind.START_OF_DATA)
 _START_CODE = {kind: code for code, kind in enumerate(_START_KINDS)}
 
-#: the kernels' arrays and their dtypes: every artifact carries them
-#: but ``succ_words`` (a sparse compile has none); program arrays come
-#: with a program
+#: the kernels' arrays and their dtypes: every artifact carries them;
+#: program arrays come with a program
 _ARRAY_DTYPES = dict(
     state_class_words="<u8", state_start="|u1", state_reporting="|b1",
-    succ_offsets="<i8", succ_targets="<i8", match_words="<u8", succ_words="<u8",
+    succ_offsets="<i8", succ_targets="<i8", match_words="<u8",
 )  # fmt: skip
 _PROGRAM_ARRAYS = (
     "enc_offsets enc_patterns enc_negated map_state_switch map_state_position "
@@ -125,7 +124,7 @@ class CompiledArtifact:
 
     @property
     def backend(self) -> str | None:
-        """Resolved kernel name recorded at compile time."""
+        """The kernel the compile asked for (its ``backend`` option)."""
         return self.manifest.get("backend")
 
     @property
@@ -172,10 +171,8 @@ class CompiledArtifact:
             compiled.kernel, "export_tables"
         ):
             tables = compiled.kernel.export_tables()
-            backend = compiled.kernel.name
         else:
             tables = KernelTables.from_automaton(automaton)
-            backend = None
 
         arrays: dict[str, np.ndarray] = {
             "state_class_words": _class_words(automaton.states),
@@ -189,16 +186,15 @@ class CompiledArtifact:
             "succ_targets": tables.succ_targets.astype(np.int64),
             "match_words": tables.match_words.astype("<u8"),
         }
-        if tables.succ_words is not None:
-            # packed successor rows (not from a sparse kernel): warm
-            # loads skip the per-state derivation loop
-            arrays["succ_words"] = tables.succ_words.astype("<u8")
         manifest: dict = {
             "format_version": MANIFEST_VERSION,
             "key": compiled.key,
             "ruleset_fingerprint": automaton.fingerprint,
             "options": compiled.options.to_dict(),
-            "backend": backend,
+            # the requested kernel, not the one that ran: every kernel
+            # exports the same tables, so the bytes are the same on a
+            # host with or without the C loop
+            "backend": compiled.options.backend,
             "automaton": {
                 "name": automaton.name,
                 "num_states": n,
@@ -346,32 +342,24 @@ class CompiledArtifact:
             start_sod=np.flatnonzero(start == 2),
             reporting=self.arrays["state_reporting"].astype(bool),
             report_codes=codes or [None] * len(start),
-            succ_words=self.arrays.get("succ_words"),
         )
 
     def engine(self, backend: str | None = None, **engine_kwargs):
         """A warm :class:`~repro.sim.engine.Engine` for this ruleset.
 
-        ``backend`` overrides the artifact's recorded kernel; ``auto``
-        re-runs the policy against the reconstructed automaton.  Kernel
-        construction uses the prebuilt tables, so no derivation pass
-        (match table, CSR, validation) runs.
+        ``backend`` overrides the kernel the compile asked for; ``auto``
+        re-runs the policy on the loading host.  Kernel construction
+        uses the prebuilt tables, so no derivation pass (match table,
+        CSR, validation) runs.
         """
         from repro.errors import SimulationError
-        from repro.sim.backends import BACKEND_NAMES, get_backend
+        from repro.sim.backends import get_backend
         from repro.sim.engine import Engine
 
         automaton = self.automaton()
-        recorded = self.backend
-        if recorded not in BACKEND_NAMES:
-            # a kernel this build no longer has (the numpy bit-parallel
-            # one a native compile recorded on a host without the C
-            # loop): every kernel reads the same tables, so the compile
-            # option decides
-            recorded = None
-        name = backend or recorded or self.options.backend or "sparse"
+        name = backend or self.options.backend or "sparse"
         # "native" degrades to a SparseKernel on hosts without the
-        # compiled library, so artifacts recorded as "native" stay
+        # compiled library, so artifacts compiled for "native" stay
         # loadable anywhere
         try:
             rebuild = get_backend(name).from_tables
@@ -523,7 +511,7 @@ class CompiledArtifact:
             or not isinstance(manifest.get("options"), dict)
         ):
             raise ArtifactError("artifact manifest is malformed")
-        required = list(_ARRAY_DTYPES)[:-1]  # succ_words is optional
+        required = list(_ARRAY_DTYPES)
         if manifest.get("program"):
             required += _PROGRAM_ARRAYS
         missing = [name for name in required if name not in arrays]
@@ -536,7 +524,7 @@ class CompiledArtifact:
         words = bitwords.num_words(n)
         shapes = dict(
             state_class_words=(n, 4), state_start=(n,), state_reporting=(n,),
-            succ_offsets=(n + 1,), match_words=(256, words), succ_words=(n, words),
+            succ_offsets=(n + 1,), match_words=(256, words),
         )  # fmt: skip
         if any(
             name in arrays
@@ -548,8 +536,7 @@ class CompiledArtifact:
         ):
             raise ArtifactError("artifact arrays are inconsistent; recompile")
         # a bit past state n-1 would make the C loop read past its tables
-        packed = [arrays[a] for a in ("match_words", "succ_words") if a in arrays]
-        if n % 64 and any((rows[:, -1] >> n % 64).any() for rows in packed):
+        if n % 64 and (arrays["match_words"][:, -1] >> n % 64).any():
             raise ArtifactError("artifact bitmaps set bits past the last state")
         if n and int(arrays["state_start"].max()) >= len(_START_KINDS):
             raise ArtifactError("artifact start kinds are out of range")
@@ -581,12 +568,12 @@ class CompiledArtifact:
         Recomputes the language fingerprint from the automaton arrays,
         re-binds the content-address ``key`` to (content, options) —
         so a manifest key can never point a shared store at different
-        rules — and re-derives the packed match words and successor
-        rows, which covers the engine execution path (the CSR, start
-        kinds, reporting flags and report codes are inside the
-        fingerprint).  Program arrays are checked for consistency
-        (per-state CAM entry counts must match the placement's), not
-        re-derived: re-running the mapper would be a recompile.
+        rules — and re-derives the packed match words, which covers
+        the engine execution path (the CSR, start kinds, reporting
+        flags and report codes are inside the fingerprint).  Program
+        arrays are checked for consistency (per-state CAM entry counts
+        must match the placement's), not re-derived: re-running the
+        mapper would be a recompile.
         """
         self.validate()
         automaton = self.automaton()
@@ -602,7 +589,6 @@ class CompiledArtifact:
                 "artifact key does not match its content and options "
                 f"({actual_key[:12]}... != {self.key[:12]}...)"
             )
-        from repro.sim.backends import bitwords
         from repro.sim.backends.base import KernelTables
 
         derived = KernelTables.from_automaton(automaton).match_words
@@ -610,11 +596,6 @@ class CompiledArtifact:
             raise ArtifactError(
                 "artifact match tables do not match its symbol classes"
             )
-        rows = self.arrays.get("succ_words")
-        if rows is not None and not np.array_equal(
-            rows, bitwords.successor_rows(*automaton.successor_csr(), len(rows))
-        ):
-            raise ArtifactError("artifact successor rows disagree with its CSR")
         if self.manifest.get("program") and not np.array_equal(
             np.diff(self.arrays["enc_offsets"]),
             self.arrays["map_state_entries"],

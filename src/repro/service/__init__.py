@@ -66,9 +66,9 @@ Architecture (bottom-up)::
                                       asyncio clients
 
 Execution is backend-pluggable (:mod:`repro.sim.backends`): the service
-defaults to the ``auto`` policy, which resolves each shard to the
-compiled ``native`` loop when it loads and the shard fits its
-successor matrix, and to the ``sparse`` reference kernel otherwise;
+defaults to the ``auto`` policy, which resolves to the compiled
+``native`` loop when it loads, and to the ``sparse`` reference kernel
+otherwise;
 pass ``ScanConfig(backend="sparse")`` (or another name) to pin one.
 
 Configuration is one typed object — :class:`repro.api.ScanConfig` —

@@ -504,7 +504,7 @@ class MatchingService:
             self.store.put(artifact)
         engine = None
         if isinstance(self.config.backend, str):
-            # the "auto" -> "defer to the artifact's recorded kernel"
+            # the "auto" -> "defer to the kernel the artifact was compiled for"
             # rewrite is resolved once, inside ScanConfig
             engine = artifact.engine(backend=self.config.engine_backend)
         self._found(automaton, prebuilt=engine)

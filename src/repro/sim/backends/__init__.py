@@ -14,20 +14,18 @@ Shipped backends:
 ``sparse``
     Active-state index sets over the successor CSR — cost follows the
     active set.  The reference kernel every other path is checked
-    against, the only one without a state-count limit, and what a
-    host without the compiled library runs.
+    against, and what a host without the compiled library runs.
 ``native``
     The CAMA step loop compiled to machine code (a C extension built
     at install time, or compiled at runtime via ctypes) over packed
-    uint64 state rows, with per-symbol match masks and per-state
-    successor rows, no per-cycle interpreter cost, and work that
+    uint64 state rows, with per-symbol match masks and each state's
+    packed successor slice, no per-cycle interpreter cost, and work that
     follows the active set instead of the row width.  The serving
     kernel.  Degrades to ``sparse`` when no compiled library is
     loadable, so it is always safe to request.
 ``auto``
-    Resolves per automaton (per *shard*, under the dispatcher) to
-    ``native`` whenever the compiled loop loads and the automaton is
-    within the successor-matrix cap, ``sparse`` otherwise.
+    Resolves to ``native`` whenever the compiled loop loads on this
+    host, ``sparse`` otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.sim.backends.base import (
     normalize_batch_caps,
 )
 from repro.sim.backends.native import (
-    MAX_DENSE_SUCCESSOR_STATES,
     NativeBackend,
     NativeKernel,
     native_available,
@@ -98,7 +95,6 @@ __all__ = [
     "EngineState",
     "ExecutionBackend",
     "KernelTables",
-    "MAX_DENSE_SUCCESSOR_STATES",
     "NativeBackend",
     "NativeKernel",
     "PlacementTracker",

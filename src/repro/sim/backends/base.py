@@ -483,11 +483,6 @@ class KernelTables:
     reporting: np.ndarray
     #: per-state report codes (None for non-reporting states)
     report_codes: list
-    #: optional packed per-state successor rows, shape (n, num_words(n))
-    #: — exported by the native kernel so artifact warm loads skip
-    #: rebuilding them; None when the producing kernel never built
-    #: them (sparse)
-    succ_words: "np.ndarray | None" = None
 
     @classmethod
     def from_automaton(cls, automaton) -> "KernelTables":
@@ -524,10 +519,7 @@ class KernelTables:
         anything from the merged automaton.
 
         ``sizes`` gives each block's state count (the packed-word arrays
-        alone do not reveal it).  ``succ_words`` is carried over only
-        when every block has it; a single sparse-produced block degrades
-        the merged tables to CSR-only, which every kernel can rebuild
-        from.
+        alone do not reveal it).
         """
         if not tables or len(tables) != len(sizes):
             raise SimulationError("concat needs one size per table block")
@@ -542,10 +534,6 @@ class KernelTables:
         start_sod_parts: list[np.ndarray] = []
         reporting = np.zeros(n, dtype=bool)
         report_codes: list = []
-        have_succ_words = all(t.succ_words is not None for t in tables)
-        succ_words = (
-            np.zeros((n, words), dtype=np.uint64) if have_succ_words else None
-        )
         pos = 0
         nnz = 0
         for block, size in zip(tables, sizes):
@@ -557,10 +545,6 @@ class KernelTables:
             start_sod_parts.append(block.start_sod.astype(np.int64) + pos)
             reporting[pos : pos + size] = block.reporting
             report_codes.extend(block.report_codes)
-            if succ_words is not None:
-                bitwords.or_shifted(
-                    succ_words[pos : pos + size], block.succ_words, size, pos
-                )
             nnz += int(block.succ_offsets[-1])
             pos += size
         return cls(
@@ -575,7 +559,6 @@ class KernelTables:
             start_sod=np.concatenate(start_sod_parts),
             reporting=reporting,
             report_codes=report_codes,
-            succ_words=succ_words,
         )
 
     def check(self, n: int) -> "KernelTables":
@@ -585,10 +568,6 @@ class KernelTables:
             or self.succ_offsets.shape != (n + 1,)
             or self.reporting.shape != (n,)
             or len(self.report_codes) != n
-            or (
-                self.succ_words is not None
-                and self.succ_words.shape != (n, bitwords.num_words(n))
-            )
         ):
             raise SimulationError(
                 f"kernel tables do not match an automaton of {n} states"

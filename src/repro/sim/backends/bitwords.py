@@ -103,18 +103,6 @@ def pack_rows(id_lists, n: int) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64).reshape(shape)
 
 
-def nonzero_word_spans(words: np.ndarray) -> np.ndarray:
-    """Per row of a ``(rows, words)`` packed matrix, the tightest word
-    slice holding all its set bits, as ``(first, count)`` int32 pairs;
-    ``(0, 0)`` for an all-zero row."""
-    width = words.shape[1]
-    nonzero = words != 0
-    first = nonzero.argmax(axis=1)
-    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    count = np.where(nonzero.any(axis=1), last - first + 1, 0)
-    return np.stack([first, count], axis=1).astype(np.int32)
-
-
 def or_shifted(
     out: np.ndarray, block: np.ndarray, nbits: int, shift: int
 ) -> None:
@@ -136,21 +124,3 @@ def or_shifted(
         carry = block[:, : out.shape[1] - word - 1] >> np.uint64(WORD_BITS - bit)
         out[:, word + 1 : word + 1 + carry.shape[1]] |= carry
 
-
-def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
-    """Per-state packed successor bitmaps, shape ``(n, num_words(n))``.
-
-    Row ``s`` has bit ``t`` set iff ``s -> t`` is a transition; the
-    enable step of the native kernel ORs the rows of the active
-    states, replacing the CSR gather + sort of the sparse kernel.
-    """
-    width = num_words(n) * 8
-    rows = np.zeros(n * width, dtype=np.uint8)
-    targets = np.asarray(targets[offsets[0] : offsets[n]], dtype=np.int64)
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets[: n + 1]))
-    np.bitwise_or.at(
-        rows,
-        sources * width + (targets >> 3),
-        np.left_shift(1, targets & 7).astype(np.uint8),
-    )
-    return rows.reshape(n, width).view(np.uint64)

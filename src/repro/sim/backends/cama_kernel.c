@@ -2,7 +2,7 @@
  *
  * This is the native half of `repro.sim.backends.native`: the cycle
  * semantics of the sparse reference kernel over packed uint64 rows
- * (per-symbol match masks, successor-row OR-reduce, report
+ * (per-symbol match masks, successor OR-reduce, report
  * extraction), with no per-cycle Python/numpy dispatch.  The Python
  * side owns all memory: every pointer passed in is a C-contiguous
  * buffer, and the code is pure compute — no allocation, no state of
@@ -21,17 +21,23 @@
  *
  * Work follows activity, not capacity.  A cycle is
  *
- *     enabled = start_all | OR(succ_rows[s] for s in active)
+ *     enabled = start_all | OR(successors(s) for s in active)
  *     active' = enabled & match_words[symbol]
  *
- * and tables derived once per kernel (native.py:_derive_tables) keep
- * every step of it off the full `words`-wide bitmap:
+ * and tables derived once per kernel, from the successor CSR and the
+ * match table (native.py:_derive_tables), keep every step of it off
+ * the full `words`-wide bitmap:
  *
- *   - succ_span[s] = (first, count): the word slice of succ_rows[s]
- *     that is non-zero.  Successors stay inside a state's connected
+ *   - succ_packed holds each state's successor words, from its lowest
+ *     to its highest non-zero one, back to back, and succ_span[s] =
+ *     (base, first, count) places state s's slice: it starts at
+ *     succ_packed[base] and covers bitmap words first .. first +
+ *     count - 1.  Successors stay inside a state's connected
  *     component, so with component-by-component numbering the slice
- *     is a word or two however wide the automaton is; only it is
- *     ORed.
+ *     is a word or two however wide the automaton is; no table is
+ *     `words` wide per state.  At one word per row (<= 64 states)
+ *     every state has its one slot, zero or not, so the one-word loop
+ *     reads succ_packed[s] and no span.
  *   - start_match[symbol] = start_all & match_words[symbol], with its
  *     popcount (start_active) and an any-reporting flag
  *     (start_reports): the always-enabled starts that a symbol makes
@@ -50,7 +56,7 @@
  * start hits are start_match[prev], known from the symbol), so a
  * cycle is
  *
- *     dyn = start_succ[prev] | OR(succ_rows[s] for s in D)
+ *     dyn = start_succ[prev] | OR(successors(s) for s in D)
  *     D'  = (dyn & ~start_all) & match_words[symbol]
  *
  * counting start_enabled + popcount(dyn & ~start_all) enabled and
@@ -168,8 +174,8 @@ enum {
  * structure in native.py (`k` below is start_succ_at[256]). */
 typedef struct {
     const uint64_t *match_words;     /* (256, words) per-symbol match masks */
-    const uint64_t *succ_rows;       /* (n, words) successor bitmap per state */
-    const int32_t *succ_span;        /* (n, 2) non-zero slice: first, count  */
+    const uint64_t *succ_packed;     /* every state's successor slice        */
+    const int64_t *succ_span;        /* (n, 3) slice: base, first, count     */
     const uint64_t *start_all;       /* (words,) always-enabled starts       */
     const uint64_t *start_first;     /* (words,) starts of absolute cycle 0  */
     const uint64_t *reporting;       /* (words,) reporting states            */
@@ -232,8 +238,8 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
 {
     const int64_t swords = (words + 63) >> 6;
     const uint64_t *match_words = tables->match_words;
-    const uint64_t *succ_rows = tables->succ_rows;
-    const int32_t *succ_span = tables->succ_span;
+    const uint64_t *succ_packed = tables->succ_packed;
+    const int64_t *succ_span = tables->succ_span;
     const uint64_t *start_all = tables->start_all;
     const uint64_t *start_first = tables->start_first;
     const uint64_t *reporting = tables->reporting;
@@ -323,14 +329,16 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
                     active[w] = 0;
                     while (bits) {
                         int64_t state = w * 64 + CAMA_CTZ64(bits);
-                        const uint64_t *row = succ_rows + state * words;
                         if (words == 1) {
-                            dyn[0] |= row[0]; /* the row is its own span */
+                            /* every state has its one slot: base == state */
+                            dyn[0] |= succ_packed[state];
                         } else {
-                            int64_t t = succ_span[2 * state];
-                            int64_t end = t + succ_span[2 * state + 1];
-                            for (; t < end; t++) {
-                                dyn[t] |= row[t];
+                            const int64_t *span = succ_span + 3 * state;
+                            const uint64_t *row = succ_packed + span[0];
+                            int64_t first = span[1], count = span[2];
+                            for (int64_t k = 0; k < count; k++) {
+                                int64_t t = first + k;
+                                dyn[t] |= row[k];
                                 touched[t >> 6] |= (uint64_t)1 << (t & 63);
                             }
                         }

@@ -1,14 +1,16 @@
 """The native compiled backend: the CAMA step loop in C.
 
 ``cama_kernel.c`` (next to this module) implements the packed-uint64
-cycle — successor-row OR-reduce, per-symbol match mask AND, report
+cycle — successor OR-reduce, per-symbol match mask AND, report
 extraction — in plain C called through ctypes, with per-cycle work
 that follows the active set rather than the row width:
 :meth:`NativeKernel._derive_tables` derives, on a kernel's first C
-step and from the kernel's dense tables, each state's non-zero
-successor span, and per symbol the always-enabled starts it makes
-active and those starts' non-start successor words
-(:func:`_start_successors`).
+step and from the kernel's successor CSR and match table, each
+state's non-zero successor slice, packed back to back
+(:func:`_successor_slices`), and per symbol the always-enabled starts
+it makes active and those starts' non-start successor words
+(:func:`_start_successors`).  No table is ``words`` wide per state,
+so the C loop takes automata of any size.
 With them the C loop folds the starts out of a row while it steps it —
 a cycle ORs a word or two for all of them instead of copying a
 ``words``-wide start row — and hands the row back whole (see the C
@@ -79,18 +81,13 @@ from repro.telemetry.metrics import default_registry
 #: (also how CI simulates a compiler-less host)
 ENV_SWITCH = "REPRO_NATIVE"
 
-#: beyond this many states the dense per-state successor matrix
-#: (n^2/8 bytes) stops being worth its memory; the auto policy sends
-#: larger automata to the sparse kernel
-MAX_DENSE_SUCCESSOR_STATES = 1 << 14
-
 #: report-buffer floor: large enough that buffer drains are rare, small
 #: enough (64 KB of int64 pairs) to allocate per call without thought
 _REPORT_BUFFER_FLOOR = 4096
 
 #: dtypes of the ``cama_tables`` arrays that are not uint64 bitmaps
 _C_DTYPES = {
-    "succ_span": np.int32,
+    "succ_span": np.int64,
     "start_active": np.int64,
     "start_reports": np.uint8,
     "start_succ_at": np.int64,
@@ -180,6 +177,36 @@ def _runtime_build() -> Path | None:
     return lib_path
 
 
+def _successor_slices(offsets, targets, n):
+    """The C loop's successor table, from the CSR: each state's
+    successor words, from its lowest to its highest non-zero one, back
+    to back in one packed array, and per state ``(base, first,
+    count)`` — where its slice starts in that array, the bitmap word
+    it starts at, and its length.  At one word per row every state
+    keeps its one slot, zero or not: the one-word loop reads slot
+    ``state`` unconditionally."""
+    words = bitwords.num_words(n)
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    word = targets >> 6
+    first = np.full(n, words, dtype=np.int64)
+    last = np.full(n, -1, dtype=np.int64)
+    np.minimum.at(first, sources, word)
+    np.maximum.at(last, sources, word)
+    count = np.maximum(last - first + 1, 0)
+    first[count == 0] = 0
+    if words == 1:
+        count[:] = 1
+    base = np.zeros(n, dtype=np.int64)
+    np.cumsum(count[:-1], out=base[1:])
+    packed = np.zeros(int(count.sum()), dtype=np.uint64)
+    np.bitwise_or.at(
+        packed,
+        base[sources] + word - first[sources],
+        np.uint64(1) << (targets & 63).astype(np.uint64),
+    )
+    return packed, np.stack([base, first, count], axis=1)
+
+
 def _start_successors(start_match, offsets, targets, start_all):
     """Per symbol, the non-start successor words of the starts that
     ``start_match[symbol]`` holds: the C loop's ``start_succ`` lists,
@@ -207,7 +234,7 @@ class _CamaTables(ctypes.Structure):
 
     _fields_ = [
         ("match_words", ctypes.c_void_p),
-        ("succ_rows", ctypes.c_void_p),
+        ("succ_packed", ctypes.c_void_p),
         ("succ_span", ctypes.c_void_p),
         ("start_all", ctypes.c_void_p),
         ("start_first", ctypes.c_void_p),
@@ -350,8 +377,8 @@ def _reset_probe_cache() -> None:
 class NativeKernel(CompiledKernel):
     """Compiled C step loop for one :class:`Automaton`.
 
-    Holds the packed tables — per-symbol match words, per-state
-    successor rows, start and reporting words — and steps each stream's
+    Holds the packed tables — per-symbol match words, the successor
+    CSR, start and reporting words — and steps each stream's
     packed :class:`EngineState` row in place.  Runs that need per-cycle
     visibility — ``placement`` tracking or ``keep_per_cycle`` — and
     every run of a kernel without the library (one unpickled on a host
@@ -367,16 +394,6 @@ class NativeKernel(CompiledKernel):
             automaton.validate()
         super().__init__(automaton)
         n = len(automaton)
-        if n > MAX_DENSE_SUCCESSOR_STATES:
-            # fail fast: beyond this the successor matrix alone is
-            # n^2/8 bytes — an explicit backend choice should error
-            # clearly, not OOM
-            raise SimulationError(
-                f"automaton has {n} states, above the native kernel's "
-                f"limit of {MAX_DENSE_SUCCESSOR_STATES} (the packed "
-                f"successor matrix would need ~{n * n // 8 / 1e6:.0f} "
-                f"MB); use the 'sparse' or 'auto' backend"
-            )
         self._n = n
         self._num_words = bitwords.num_words(n)
         if tables is None:
@@ -391,16 +408,6 @@ class NativeKernel(CompiledKernel):
         self._start_sod = tables.start_sod
         self._reporting = tables.reporting
         self._report_codes = list(tables.report_codes)
-        if tables.succ_words is not None:
-            # artifact warm path: the packed successor matrix was
-            # exported at compile time, skip rebuilding it
-            self._succ_rows = np.ascontiguousarray(
-                tables.succ_words, dtype=np.uint64
-            )
-        else:
-            self._succ_rows = bitwords.successor_rows(
-                self._succ_offsets, self._succ_targets, n
-            )
         self._start_all_words = bitwords.pack_indices(self._start_all, n)
         self._start_first_words = self._start_all_words | bitwords.pack_indices(
             self._start_sod, n
@@ -420,7 +427,6 @@ class NativeKernel(CompiledKernel):
             start_sod=self._start_sod,
             reporting=self._reporting,
             report_codes=list(self._report_codes),
-            succ_words=self._succ_rows,
         )
 
     def _sparse(self) -> SparseKernel:
@@ -467,16 +473,20 @@ class NativeKernel(CompiledKernel):
         reporting = self._reporting_words
         # what the C loop needs to make a cycle's cost follow the
         # active set (see the cama_kernel.c header), derived from the
-        # dense tables: each state's non-zero successor slice, and the
-        # always-enabled starts' per-symbol hits and successors
+        # CSR and the match table: each state's non-zero successor
+        # slice, and the always-enabled starts' per-symbol hits and
+        # successors
         start_match = self._match_words & start_all
         succ_at, succ_word, succ_bits = _start_successors(
             start_match, self._succ_offsets, self._succ_targets, start_all
         )
+        succ_packed, succ_span = _successor_slices(
+            self._succ_offsets, self._succ_targets, self._n
+        )
         arrays = {
             "match_words": self._match_words,
-            "succ_rows": self._succ_rows,
-            "succ_span": bitwords.nonzero_word_spans(self._succ_rows),
+            "succ_packed": succ_packed,
+            "succ_span": succ_span,
             "start_all": start_all,
             "start_first": self._start_first_words,
             "reporting": reporting,

@@ -4,11 +4,10 @@ Propagates *active-state index sets* through the successor CSR: per
 cycle, gather the successors of the active set, merge the start states,
 ``np.unique`` the result and filter it through the per-symbol match
 table.  Cost scales with the number of active states and their out
-degree.  It is the kernel every other path is checked against, the
-only one without a state-count limit, and what runs wherever the
-compiled :mod:`repro.sim.backends.native` loop cannot: on hosts
-without the library, and for the native kernel's placement and
-per-cycle runs.
+degree.  It is the kernel every other path is checked against, and
+what runs wherever the compiled :mod:`repro.sim.backends.native`
+loop cannot: on hosts without the library, and for the native
+kernel's placement and per-cycle runs.
 
 Batched multi-stream execution (``step_batch``) uses the base class's
 per-row loop fallback: the sparse kernel has no 2-D vectorized form,

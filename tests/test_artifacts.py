@@ -39,7 +39,6 @@ from repro.core.machine import CamaMachine
 from repro.errors import ArtifactError
 from repro.frames import FRAME_MAGIC, FRAME_PREFIX, PREFIX_BYTES, decode_array_frame
 from repro.service import MatchingService
-from repro.sim.backends import NativeKernel
 from repro.sim.engine import Engine
 from repro.workloads.registry import get_benchmark
 
@@ -89,15 +88,12 @@ def artifact_bytes(compiled_regex):
 
 @pytest.fixture(scope="module")
 def native_bytes():
-    """A kernel with packed successor rows, a CAMA program and a state
-    count that leaves padding bits in the last word."""
+    """A native compile with a CAMA program and a state count that
+    leaves padding bits in the last word."""
     automaton = compile_regex_set(RULES, name="native-artifact")
     compiled = compile_ruleset(automaton, backend="native")
-    # the native kernel's tables on any host: one without the C loop
-    # compiles the sparse kernel, which has no packed successor rows
-    compiled.kernel = NativeKernel(compiled.automaton)
     artifact = CompiledArtifact.from_compiled(compiled)
-    assert "succ_words" in artifact.arrays and artifact.num_states % 64
+    assert artifact.backend == "native" and artifact.num_states % 64
     return artifact.to_bytes()
 
 
@@ -231,7 +227,7 @@ class TestCorruption:
             CompiledArtifact.from_bytes(_join(header, body))
 
     def test_padding_bits_past_the_last_state_rejected(self, native_bytes):
-        # the C loop would read successor rows past its tables
+        # the C loop would read past its tables
         artifact = CompiledArtifact.from_bytes(native_bytes)
         words = artifact.arrays["match_words"].copy()
         words[ord("a"), -1] |= np.uint64(1 << 63)
@@ -240,13 +236,30 @@ class TestCorruption:
             CompiledArtifact.from_bytes(artifact.to_bytes())
 
     def test_verify_detects_successor_row_tamper(self, native_bytes):
+        # the C loop's successor slices are derived from the CSR, which
+        # the fingerprint covers: a moved transition cannot go unseen
         artifact = CompiledArtifact.from_bytes(native_bytes)
-        rows = artifact.arrays["succ_words"].copy()
-        rows[0, 0] ^= np.uint64(1)
-        artifact.arrays["succ_words"] = rows
+        targets = artifact.arrays["succ_targets"].copy()
+        targets[0] = (targets[0] + 1) % artifact.num_states
+        artifact.arrays["succ_targets"] = targets
         tampered = CompiledArtifact.from_bytes(artifact.to_bytes())
-        with pytest.raises(ArtifactError, match="successor rows"):
+        with pytest.raises(ArtifactError, match="fingerprint"):
             tampered.verify()
+
+    def test_an_older_dense_successor_array_is_ignored(self, native_bytes):
+        # artifacts written before the C loop derived its successor
+        # slices carry a dense (n, words) "succ_words" array; nothing
+        # reads it, so they load, verify and scan as they did
+        artifact = CompiledArtifact.from_bytes(native_bytes)
+        n = artifact.num_states
+        artifact.arrays["succ_words"] = np.zeros(
+            (n, artifact.arrays["match_words"].shape[1]), dtype="<u8"
+        )
+        loaded = CompiledArtifact.from_bytes(artifact.to_bytes()).verify()
+        direct = Engine(loaded.automaton(), backend="native")
+        assert keys_of(loaded.engine().run(STREAM).reports) == keys_of(
+            direct.run(STREAM).reports
+        )
 
     def test_non_artifact_npz_rejected(self, tmp_path):
         path = tmp_path / "plain.npz"

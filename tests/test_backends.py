@@ -23,13 +23,11 @@ from repro.errors import SimulationError
 from repro.service import Dispatcher, MatchingService
 from repro.sim.backends import (
     BACKEND_NAMES,
-    MAX_DENSE_SUCCESSOR_STATES,
-    NativeKernel,
     ReportTruncationWarning,
     choose_backend_name,
     get_backend,
 )
-from repro.sim.backends import auto, bitwords
+from repro.sim.backends import bitwords
 from repro.sim.backends.native import native_available, native_status
 from repro.sim.engine import Engine, StridedEngine
 from repro.sim.trace import PartitionAssignment
@@ -261,25 +259,24 @@ class TestRegistryBenchmarkEquivalence:
 
 class TestAutoPolicy:
     """``auto`` resolves to a concrete kernel: the compiled loop where
-    it loads and the automaton fits its successor matrix, the sparse
-    kernel otherwise."""
+    it loads, the sparse kernel otherwise."""
 
     @needs_native
     def test_low_activity_automata_take_the_compiled_loop(self):
         # the C loop's work follows the active set, so narrow classes
         # and few-percent activity take it too
+        assert choose_backend_name() == "native"
         nfa = glushkov_nfa("abc")
-        assert choose_backend_name(nfa) == "native"
         assert Engine(nfa, backend="auto").backend_name == "native"
         bench = get_benchmark("Snort", scale=TEST_SCALE)
-        assert choose_backend_name(bench.automaton) == "native"
+        assert Engine(bench.automaton, backend="auto").backend_name == "native"
 
     @needs_native
     def test_dense_automata_take_the_compiled_loop(self):
         small = dense_activity_automaton(48, chain_length=16, match_width=230)
-        assert choose_backend_name(small) == "native"
         assert Engine(small, backend="auto").backend_name == "native"
-        assert choose_backend_name(dense_activity_automaton(512)) == "native"
+        dense = dense_activity_automaton(512)
+        assert Engine(dense, backend="auto").backend_name == "native"
 
     @needs_native
     def test_served_default_resolves_through_the_policy(self):
@@ -297,16 +294,16 @@ class TestAutoPolicy:
             return family["samples"].get(("native",), 0.0)
 
         before = native_choices()
-        choose_backend_name(
-            dense_activity_automaton(48, chain_length=16, match_width=230)
-        )
+        choose_backend_name()
         assert native_choices() == before + 1
 
     def test_automata_take_sparse_without_the_loop(self, no_native):
+        assert choose_backend_name() == "sparse"
         small = dense_activity_automaton(48, chain_length=16, match_width=230)
-        assert choose_backend_name(small) == "sparse"
         assert Engine(small, backend="auto").backend_name == "sparse"
-        assert choose_backend_name(glushkov_nfa("abc")) == "sparse"
+        assert Engine(glushkov_nfa("abc"), backend="auto").backend_name == (
+            "sparse"
+        )
 
     def test_strided_auto_runs_sparse(self):
         # no strided C step: every accepted name runs the one stepper
@@ -321,24 +318,6 @@ class TestAutoPolicy:
         with pytest.raises(SimulationError, match="unknown execution"):
             StridedEngine(narrow, backend="gpu")
 
-    def test_huge_automata_stay_sparse(self, monkeypatch):
-        nfa = glushkov_nfa("abcd")
-        monkeypatch.setattr(auto, "MAX_DENSE_SUCCESSOR_STATES", len(nfa) - 1)
-        assert choose_backend_name(nfa) == "sparse"
-        assert Engine(nfa, backend="auto").backend_name == "sparse"
-
-    def test_explicit_native_fails_fast_above_limit(self):
-        # the cap is checked before the C loop binds: on every host
-        class FakeHuge:
-            def __len__(self):
-                return MAX_DENSE_SUCCESSOR_STATES + 1
-
-            def validate(self):
-                pass
-
-        with pytest.raises(SimulationError, match="native kernel's limit"):
-            NativeKernel(FakeHuge())
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(SimulationError, match="unknown execution backend"):
             get_backend("gpu")
@@ -347,18 +326,6 @@ class TestAutoPolicy:
 
     def test_backend_names_registry(self):
         assert set(BACKEND_NAMES) == {"sparse", "native", "auto"}
-
-    def test_auto_dispatcher_resolves_per_shard(self, monkeypatch):
-        # one dense 48-state chain + one narrow literal = two
-        # components; with the cap between their sizes they end up on
-        # different kernels under one auto dispatcher
-        mixed = dense_activity_automaton(48, chain_length=48, match_width=230)
-        mixed.merge(compile_regex_set(["abc"]))
-        monkeypatch.setattr(auto, "MAX_DENSE_SUCCESSOR_STATES", 16)
-        dispatcher = Dispatcher(mixed, ScanConfig(num_shards=2, backend="auto"))
-        assert sorted(dispatcher.backend_names) == sorted(
-            [SERVING_KERNEL, "sparse"]
-        )
 
     def test_service_reports_backends(self):
         service = MatchingService(ScanConfig(backend="native"))

@@ -29,6 +29,7 @@ from repro.core.encoding.clustering import cluster_symbols, cooccurrence_matrix
 from repro.errors import EncodingError
 from repro.sim.backends import bitwords
 from repro.sim.backends.base import match_table
+from repro.sim.backends.native import _successor_slices
 
 # -- the old definitions, kept as references ---------------------------
 
@@ -111,6 +112,15 @@ def reference_successor_rows(offsets, targets, n):
                 rows[s], succ >> 3, np.left_shift(1, succ & 7).astype(np.uint8)
             )
     return rows.view(np.uint64)
+
+
+def unpack_successor_slices(packed, spans, n):
+    """The dense ``(n, words)`` successor rows the C loop's packed
+    slices stand for."""
+    rows = np.zeros((n, bitwords.num_words(n)), dtype=np.uint64)
+    for state, (base, first, count) in enumerate(spans):
+        rows[state, first : first + count] = packed[base : base + count]
+    return rows
 
 
 # -- generated inputs ----------------------------------------------------
@@ -266,10 +276,28 @@ class TestPacking:
         np.testing.assert_array_equal(got, reference_match_table(automaton))
         offsets, targets = automaton.successor_csr()
         n = len(automaton)
-        np.testing.assert_array_equal(
-            bitwords.successor_rows(offsets, targets, n),
-            reference_successor_rows(offsets, targets, n),
+        # and spread over many words: state t's id becomes 37 t, so
+        # slices start past word 0 and hold zero words between hits
+        spread = (
+            np.concatenate([offsets, np.full(36 * n, offsets[-1])]),
+            targets * 37,
+            37 * n,
         )
+        for offsets, targets, n in ((offsets, targets, n), spread):
+            packed, spans = _successor_slices(offsets, targets, n)
+            np.testing.assert_array_equal(
+                unpack_successor_slices(packed, spans, n),
+                reference_successor_rows(offsets, targets, n),
+            )
+            base, _, count = spans.T
+            assert (base == np.cumsum(count) - count).all()
+            assert len(packed) == count.sum()
+            if bitwords.num_words(n) == 1:  # every state has its slot
+                assert (count == 1).all()
+            else:  # each slice is tight: non-zero at both ends
+                nonempty = count > 0
+                assert packed[base[nonempty]].all()
+                assert packed[(base + count - 1)[nonempty]].all()
 
     def test_membership_round_trip(self):
         classes = [SymbolClass.from_symbols(s) for s in ({0}, {255}, range(256))]

@@ -37,7 +37,6 @@ from repro.compile import (
 from repro.errors import ConfigError
 from repro.service import MatchingService
 from repro.sim.backends import KernelTables, NativeKernel, bitwords
-from repro.sim.backends.native import native_available
 from repro.sim.engine import Engine
 from repro.workloads import get_benchmark
 from test_backends import random_automaton
@@ -76,35 +75,22 @@ def ruleset(rules, name="ruleset"):
 # -- block-diagonal table composition ---------------------------------------
 
 
-def _concat_bits_reference(tables, sizes):
-    """``KernelTables.concat``'s packed outputs, built the obvious way:
-    unpack every block to bits, place it on the diagonal of a dense
-    ``n x n`` byte matrix, pack the result."""
-    n = sum(sizes)
-    width = bitwords.num_words(n) * 64
+def _concat_match_reference(tables, sizes):
+    """``KernelTables.concat``'s packed match words, built the obvious
+    way: unpack every block to bits, place them side by side, pack the
+    result."""
+    width = bitwords.num_words(sum(sizes)) * 64
     match_bits = np.zeros((256, width), dtype=np.uint8)
-    succ_bits = np.zeros((n, width), dtype=np.uint8)
     pos = 0
     for block, size in zip(tables, sizes):
         match_bits[:, pos : pos + size] = np.unpackbits(
             block.match_words.view(np.uint8), axis=1, bitorder="little"
         )[:, :size]
-        succ_bits[pos : pos + size, pos : pos + size] = np.unpackbits(
-            block.succ_words.view(np.uint8), axis=1, bitorder="little"
-        )[:, :size]
         pos += size
-    return tuple(
-        np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-        for bits in (match_bits, succ_bits)
-    )
+    return np.packbits(match_bits, axis=1, bitorder="little").view(np.uint64)
 
 
 class TestKernelTablesConcat:
-    @pytest.mark.skipif(
-        not native_available(),
-        reason="without the C loop the components carry sparse tables: "
-        "no packed successor rows to compose",
-    )
     def test_snort_components_compose_without_an_n_by_n_byte_matrix(self):
         automaton = get_benchmark("Snort", scale=1.0 / 32.0).automaton
         composed = IncrementalCompiler(
@@ -121,9 +107,8 @@ class TestKernelTablesConcat:
             tracemalloc.stop()
         # the dense n x n staging matrix alone was 7 MB here
         assert peak < 3_000_000
-        match_words, succ_words = _concat_bits_reference(tables, sizes)
+        match_words = _concat_match_reference(tables, sizes)
         assert merged.match_words.tobytes() == match_words.tobytes()
-        assert merged.succ_words.tobytes() == succ_words.tobytes()
         merged.check(sum(sizes))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -138,9 +123,8 @@ class TestKernelTablesConcat:
             for size in sizes
         ]
         merged = KernelTables.concat(tables, sizes)
-        match_words, succ_words = _concat_bits_reference(tables, sizes)
+        match_words = _concat_match_reference(tables, sizes)
         assert np.array_equal(merged.match_words, match_words)
-        assert np.array_equal(merged.succ_words, succ_words)
 
     def test_padding_bits_of_a_block_are_not_placed(self):
         # a block whose words carry junk past its state count must not
@@ -153,10 +137,8 @@ class TestKernelTablesConcat:
         ]
         clean = KernelTables.concat(tables, sizes)
         tables[0].match_words = tables[0].match_words | np.uint64(0xFF00)
-        tables[0].succ_words = tables[0].succ_words | np.uint64(0xFF00)
         dirty = KernelTables.concat(tables, sizes)
         assert np.array_equal(dirty.match_words, clean.match_words)
-        assert np.array_equal(dirty.succ_words, clean.succ_words)
 
 
 # -- fingerprints ----------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.sim.backends.native import (
 )
 from repro.sim.engine import Engine
 from repro.sim.trace import PartitionAssignment
-from repro.workloads import get_benchmark
+from repro.workloads import benchmark_input, get_benchmark
 from test_backends import (
     dense_activity_automaton,
     needs_native,
@@ -309,8 +309,8 @@ def test_component_straddling_a_word_boundary():
 def test_interleaved_numbering_gives_wide_and_empty_spans():
     # three chains dealt out round-robin over ~7 words, so each state's
     # successor sits words away from it; the fan state reaches words 0,
-    # 3 and 6 at once (span 7) and every chain end has no successor at
-    # all (span 0)
+    # 3 and 6 at once (a 7-word slice, zero words inside it kept) and
+    # every chain end has no successor at all (an empty slice)
     nfa = Automaton(name="interleaved")
     texts = ["abcdefgh" * 18, "bcdefgha" * 18, "cdefghab" * 18]
     ids = [[] for _ in texts]
@@ -333,8 +333,13 @@ def test_interleaved_numbering_gives_wide_and_empty_spans():
     if isinstance(kernel, NativeKernel) and kernel._lib is not None:
         kernel._tables()
         spans = kernel._c_arrays["succ_span"]
-        assert spans[fan].tolist() == [0, 7]
-        assert spans[ids[0][-1]].tolist() == [0, 0]
+        packed = kernel._c_arrays["succ_packed"]
+        assert spans[fan].tolist() == [0, 0, 7]  # base, first, count
+        assert packed[:7].tolist() == [1 << 3, 0, 0, 1 << 4, 0, 0, 1 << 2]
+        assert spans[ids[0][-1], 1:].tolist() == [0, 0]
+        # the slices lie back to back, one word or so per state
+        assert (spans[1:, 0] == spans[:-1, 0] + spans[:-1, 2]).all()
+        assert len(packed) == spans[-1, 0] + spans[-1, 2] < 2 * len(nfa)
     rng = random.Random(31)
     data = b"abcdefgh" * 20 + bytes(rng.choice(b"abcdefgh") for _ in range(300))
     _assert_differential(nfa, data)
@@ -776,35 +781,44 @@ def test_native_engine_pickle_round_trip():
     assert result.stats.num_reports == expected.stats.num_reports
 
 
+@needs_native
+def test_rulesets_above_the_old_state_cap_run_on_the_c_loop():
+    """Snort at 1/4 scale (17,769 states, 278 words a row) runs and is
+    served, with no backend flag, on the C loop: its successor table
+    is each state's packed slice, about a word per state, where a dense
+    matrix would be 38 MiB.  Under ASan a slice read out of bounds
+    aborts here."""
+    automaton = get_benchmark("Snort", scale=0.25).automaton
+    assert len(automaton) > 1 << 14
+    data = benchmark_input(automaton, 8192)
+    expected = Engine(automaton, backend="sparse").run(data)
+    assert expected.stats.num_reports > 100
+    assert choose_backend_name() == "native"
+    engine = Engine(automaton, backend="native")
+    assert engine.backend_name == "native"
+    result = engine.run(data)
+    assert _keys(result.reports) == _keys(expected.reports)
+    assert result.stats.enabled_states_sum == expected.stats.enabled_states_sum
+    assert result.stats.active_states_sum == expected.stats.active_states_sum
+    assert len(engine.kernel._c_arrays["succ_packed"]) < 2 * len(automaton)
+    with MatchingService(ScanConfig()) as service:
+        served = service.scan(automaton, data)
+    assert served.backends == ["native"]
+    assert _keys(served.reports) == _keys(expected.reports)
+
+
 # -- tables / artifact interchange -----------------------------------------
-
-
-def test_exported_tables_carry_packed_successor_rows():
-    """export_tables ships succ_words and a tables-built kernel uses
-    them verbatim instead of re-deriving the packed rows."""
-    nfa = compile_regex_set(RULES, name="tables")
-    kernel = NativeKernel(nfa)
-    tables = kernel.export_tables()
-    assert tables.succ_words is not None
-    assert tables.succ_words.shape == kernel._succ_rows.shape
-    rebuilt = NativeKernel(nfa, tables=tables)
-    assert np.array_equal(rebuilt._succ_rows, kernel._succ_rows)
-    data = b"abcddxfoobarbaz123zqnd" * 5
-    assert _keys(rebuilt.run_chunk(data, rebuilt.initial_state()).reports) == (
-        _keys(kernel.run_chunk(data, kernel.initial_state()).reports)
-    )
 
 
 def test_artifact_round_trip_with_native_backend():
     """compile -> artifact bytes -> engine, recorded backend "native":
-    succ_words ships in the artifact and the loaded engine is exact.  A
-    host without the library compiles, records and loads the sparse
-    kernel, whose tables carry no packed successor rows."""
+    the loaded engine is exact.  A host without the library compiles
+    and loads the sparse kernel from the same tables."""
     nfa = compile_regex_set(RULES, name="native-artifact")
     compiled = compile_ruleset(nfa, backend="native")
     artifact = CompiledArtifact.from_compiled(compiled)
     loaded = CompiledArtifact.from_bytes(artifact.to_bytes()).validate()
-    assert ("succ_words" in loaded.arrays) == native_available()
+    assert loaded.backend == "native"
     expected_name = "native" if native_available() else "sparse"
     engine = loaded.engine()
     assert engine.backend_name == expected_name
@@ -815,15 +829,41 @@ def test_artifact_round_trip_with_native_backend():
     assert result.stats.num_reports == expected.num_reports
 
 
+@needs_native
+def test_artifact_bytes_do_not_depend_on_the_c_loop(monkeypatch):
+    """A native compile on a host without the C loop (it runs the
+    sparse kernel) writes the same bytes as one with it, and the
+    artifact loads on the C loop wherever the loop loads."""
+    nfa = compile_regex_set(RULES, name="host-independent")
+    with_loop = CompiledArtifact.from_compiled(
+        compile_ruleset(nfa, backend="native")
+    ).to_bytes()
+    monkeypatch.setenv(native_module.ENV_SWITCH, "0")
+    native_module._reset_probe_cache()
+    try:
+        compiled = compile_ruleset(nfa, backend="native")
+        assert compiled.kernel.name == "sparse"
+        without_loop = CompiledArtifact.from_compiled(compiled).to_bytes()
+    finally:
+        monkeypatch.undo()
+        native_module._reset_probe_cache()
+    assert without_loop == with_loop
+    engine = CompiledArtifact.from_bytes(without_loop).engine()
+    assert engine.kernel.name == "native"
+    data = b"abcddxfoobarbaz123zqnd" * 10
+    assert _keys(engine.run(data).reports) == _keys(oracle_run(nfa, data).reports)
+
+
 def test_auto_artifact_engine_resolves_at_load_time():
-    """An artifact compiled with backend="auto" records the kernel the
-    compiling host chose; asking for "auto" again at load time re-runs
-    the policy on the loading host."""
+    """An artifact compiled with backend="auto" records "auto", so
+    loading it re-runs the policy on the loading host, as asking for
+    "auto" again does."""
     nfa = dense_activity_automaton(48, chain_length=16, match_width=230)
     compiled = compile_ruleset(nfa, backend="auto")
     loaded = CompiledArtifact.from_bytes(
         CompiledArtifact.from_compiled(compiled).to_bytes()
     )
-    here = choose_backend_name(nfa)
+    assert loaded.backend == "auto"
+    here = choose_backend_name()
     assert loaded.engine().backend_name == here
     assert loaded.engine(backend="auto").backend_name == here
