@@ -145,13 +145,16 @@ class ComposedRuleset:
 
         Components are packed into shard groups by the exact greedy
         rule :func:`make_shards` uses (same membership), but each
-        shard's automaton and kernel tables are *composed* from the
-        cached per-component artifacts — merged states plus a
-        block-diagonal :meth:`KernelTables.concat` — so no table is
-        re-derived from scratch.  A group's components are laid out by
-        their first global state id, so a group whose components are
-        contiguous id ranges runs in global state order (one such
-        shard passes its reports through the dispatcher unmerged).
+        shard's kernel tables are *composed* from the cached
+        per-component artifacts — a block-diagonal
+        :meth:`KernelTables.concat` — so no table is re-derived from
+        scratch.  A group's components are laid out by their first
+        global state id, so a group whose components are contiguous id
+        ranges runs in global state order (one such shard passes its
+        reports through the dispatcher unmerged).  The shard automata
+        come from :attr:`automaton`, which the caller holds anyway —
+        a shard of every state in global order *is* it — and never
+        from the artifacts, whose rebuilt automata would stay cached.
         """
         from repro.service.sharding import Shard
         from repro.sim.backends import KernelTables, get_backend
@@ -166,26 +169,25 @@ class ComposedRuleset:
         shards: list = []
         engines: list = []
         for index, member_indices in enumerate(groups):
-            merged = Automaton(name=f"{self.automaton.name}.shard{index}")
-            global_ids: list[int] = []
-            tables: list[KernelTables] = []
-            sizes: list[int] = []
-            for ci in sorted(
-                member_indices, key=lambda ci: self.components[ci].states[0]
-            ):
-                part = self.components[ci]
-                merged.merge(part.artifact.automaton())
-                global_ids.extend(part.states)
-                tables.append(part.artifact.kernel_tables())
-                sizes.append(len(part.states))
+            parts = sorted(
+                (self.components[ci] for ci in member_indices),
+                key=lambda part: part.states[0],
+            )
+            global_ids = [state for part in parts for state in part.states]
+            if global_ids == list(range(len(self.automaton))):
+                merged = self.automaton
+            else:
+                merged = Automaton(name=f"{self.automaton.name}.shard{index}")
+                for part in parts:
+                    merged.merge(self.automaton.subautomaton(part.states))
             shards.append(
                 Shard(index=index, automaton=merged, global_ids=global_ids)
             )
-            engines.append(
-                Engine.from_kernel(
-                    rebuild(merged, KernelTables.concat(tables, sizes))
-                )
+            tables = KernelTables.concat(
+                [part.artifact.kernel_tables() for part in parts],
+                [len(part.states) for part in parts],
             )
+            engines.append(Engine.from_kernel(rebuild(merged, tables)))
         return shards, engines
 
 

@@ -42,10 +42,19 @@
  *     popcount (start_active) and an any-reporting flag
  *     (start_reports): the always-enabled starts that a symbol makes
  *     active, the same bits every time the symbol is seen.
- *   - start_succ: per symbol, a sparse list (CSR over symbols:
- *     start_succ_at, then word index and bits) of the non-start
- *     successor words of start_match[symbol]'s states — a word or two
- *     per symbol, where the row is `words` wide.
+ *   - start_succ[symbol]: the non-start successors of
+ *     start_match[symbol]'s states, as a dense (256, words) row, with
+ *     its popcount (start_succ_enabled): what the folded starts enable
+ *     on the next cycle, a constant per symbol.  start_succ_live marks
+ *     its non-zero words, one bit each, so the loop reads the dense
+ *     row only in the few words where a row successor could overlap.
+ *   - the pair table: per (prev, cur) symbol pair, only the words of
+ *     start_succ[prev] & match_words[cur] that are non-zero, as (word,
+ *     bits) entries in ascending word order — the starts' successors
+ *     that cur makes active after prev.  Most pairs list nothing, so
+ *     the index is compact: pair_any has one bit per pair (256 x 256
+ *     bits), pair_rank counts the set bits before each of its words,
+ *     and pair_at holds offsets for the non-empty pairs only.
  *   - summary bitmaps, one bit per word (`ceil(words / 64)` uint64s):
  *     `live` marks the non-zero words of the row, `touched` the words
  *     the successor OR wrote.  Both passes iterate set bits of a
@@ -56,17 +65,26 @@
  * start hits are start_match[prev], known from the symbol), so a
  * cycle is
  *
- *     dyn = start_succ[prev] | OR(successors(s) for s in D)
- *     D'  = (dyn & ~start_all) & match_words[symbol]
+ *     dyn = OR(successors(s) for s in D)
+ *     D'  = pair(prev, symbol) | (dyn & ~start_all & ~start_succ[prev]
+ *                                 & match_words[symbol])
  *
- * counting start_enabled + popcount(dyn & ~start_all) enabled and
- * start_active[symbol] + popcount(D') active states.  When D is empty
- * — only starts are active, the usual cycle on traffic that matches
- * little — dyn is just the list, each word once, so the cycle ANDs
- * the listed words with the match row and skips the OR pass and the
- * summaries.  A call's first cycle reads the whole row it was handed
- * (any active set, starts included) and writes D'; report extraction
- * ORs start_match[symbol] back in word by word, so reports stay in
+ * counting start_enabled + start_succ_enabled[prev] + popcount(dyn &
+ * ~start_all & ~start_succ[prev]) enabled and start_active[symbol] +
+ * popcount(D') active states: the two parts of D' are disjoint, so
+ * the starts' successors are never counted twice.  When D is empty —
+ * only starts are active, the usual cycle on traffic that matches
+ * little — a cycle costs what the pair lists, usually nothing: it
+ * writes the pair's words and skips the OR pass and the summaries,
+ * however many words the starts enable.  This is CAMA's selective
+ * precharge in software: only the rows a key can hit are searched.
+ * (The one-word instance has no pair table: with an empty row it
+ * matches start_succ[prev] itself, its one word being the pair's, and
+ * with a row to step it ORs start_succ[prev] into dyn as one more
+ * successor word.)  A
+ * call's first cycle reads the whole row it was handed (any active
+ * set, starts included) and writes D'; report extraction ORs
+ * start_match[symbol] back in word by word, so reports stay in
  * ascending state order; and when the call returns or pauses the row
  * is materialised once (`|= start_match[prev]`), so between calls a
  * row is always the whole active set.
@@ -171,23 +189,29 @@ enum {
 };
 
 /* Per-kernel read-only tables; mirrored field for field by the ctypes
- * structure in native.py (`k` below is start_succ_at[256]). */
+ * structure in native.py (`pairs` below counts the non-empty (prev,
+ * cur) symbol pairs, `entries` their listed words). */
 typedef struct {
-    const uint64_t *match_words;     /* (256, words) per-symbol match masks */
-    const uint64_t *succ_packed;     /* every state's successor slice        */
-    const int64_t *succ_span;        /* (n, 3) slice: base, first, count     */
-    const uint64_t *start_all;       /* (words,) always-enabled starts       */
-    const uint64_t *start_first;     /* (words,) starts of absolute cycle 0  */
-    const uint64_t *reporting;       /* (words,) reporting states            */
-    const uint64_t *start_match;     /* (256, words) start_all & match_words */
-    const int64_t *start_active;     /* (256,) its popcount                  */
-    const uint8_t *start_reports;    /* (256,) it meets `reporting`          */
-    const int64_t *start_succ_at;    /* (257,) symbol -> first list entry    */
-    const int32_t *start_succ_word;  /* (k,) entry -> word index, ascending  */
-    const uint64_t *start_succ_bits; /* (k,) its non-start successor bits    */
-    int64_t words;                   /* words per bitmap row                 */
-    int64_t start_enabled;           /* popcount(start_all)                  */
-    int64_t nrep_total;              /* popcount(reporting): worst burst     */
+    const uint64_t *match_words;  /* (256, words) per-symbol match masks   */
+    const uint64_t *succ_packed;  /* every state's successor slice          */
+    const int64_t *succ_span;     /* (n, 3) slice: base, first, count       */
+    const uint64_t *start_all;    /* (words,) always-enabled starts         */
+    const uint64_t *start_first;  /* (words,) starts of absolute cycle 0    */
+    const uint64_t *reporting;    /* (words,) reporting states              */
+    const uint64_t *start_match;  /* (256, words) start_all & match_words   */
+    const int64_t *start_active;  /* (256,) its popcount                    */
+    const uint8_t *start_reports; /* (256,) it meets `reporting`            */
+    const uint64_t *start_succ;   /* (256, words) its non-start successors  */
+    const int64_t *start_succ_enabled; /* (256,) their popcount             */
+    const uint64_t *start_succ_live;   /* (256, swords) its non-zero words  */
+    const uint64_t *pair_any;     /* (256, 4) bit cur of row prev: listed   */
+    const int32_t *pair_rank;     /* (256, 4) pair_any bits before a word   */
+    const int64_t *pair_at;       /* (pairs + 1,) pair -> first entry       */
+    const int32_t *pair_word;     /* (entries,) word index, ascending       */
+    const uint64_t *pair_bits;    /* (entries,) start_succ & match there    */
+    int64_t words;                /* words per bitmap row                   */
+    int64_t start_enabled;        /* popcount(start_all)                    */
+    int64_t nrep_total;           /* popcount(reporting): worst burst       */
 } cama_tables;
 
 /* One caller's workspace (a thread's, in native.py); mirrored by its
@@ -213,6 +237,41 @@ static void cama_summarize(
             live[w >> 6] |= (uint64_t)1 << (w & 63);
         }
     }
+}
+
+/* The pair table's entries for symbol `cur` after symbol `prev`, as
+ * [*first, *end): pair_any says whether the pair lists any word, and
+ * its rank plus the set bits below `cur` in the same word number it
+ * among the non-empty pairs. */
+static CAMA_ALWAYS_INLINE void cama_pair_entries(
+    const cama_tables *tables, int64_t prev, int64_t cur, const int hw,
+    int64_t *first, int64_t *end)
+{
+    const int64_t slot = prev * 4 + (cur >> 6);
+    const uint64_t any = tables->pair_any[slot];
+    const uint64_t bit = (uint64_t)1 << (cur & 63);
+    if (!(any & bit)) {
+        *first = *end = 0;
+        return;
+    }
+    const int64_t pair =
+        tables->pair_rank[slot] + cama_popcount(any & (bit - 1), hw);
+    *first = tables->pair_at[pair];
+    *end = tables->pair_at[pair + 1];
+}
+
+/* Make `hit`, the start successors that this cycle's symbol makes
+ * active in word w, active: counted, checked for reports and written
+ * to the row's word w, which is clear. */
+static CAMA_ALWAYS_INLINE void cama_start_hit(
+    int64_t w, uint64_t hit, const uint64_t *reporting, const int hw,
+    uint64_t *active, uint64_t *live, int64_t *active_count,
+    uint64_t *any_reporting)
+{
+    *active_count += cama_popcount(hit, hw);
+    *any_reporting |= hit & reporting[w];
+    active[w] = hit;
+    live[w >> 6] |= (uint64_t)1 << (w & 63);
 }
 
 /* Step one row from out[DONE] towards in[LENGTH], appending its
@@ -246,9 +305,11 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     const uint64_t *start_match = tables->start_match;
     const int64_t *start_active = tables->start_active;
     const uint8_t *start_reports = tables->start_reports;
-    const int64_t *start_succ_at = tables->start_succ_at;
-    const int32_t *start_succ_word = tables->start_succ_word;
-    const uint64_t *start_succ_bits = tables->start_succ_bits;
+    const uint64_t *start_succ = tables->start_succ;
+    const int64_t *start_succ_enabled = tables->start_succ_enabled;
+    const uint64_t *start_succ_live = tables->start_succ_live;
+    const int32_t *pair_word = tables->pair_word;
+    const uint64_t *pair_bits = tables->pair_bits;
     const int64_t start_enabled = tables->start_enabled;
     const int64_t nrep_total = tables->nrep_total;
     const int64_t length = in[CAMA_IN_LENGTH];
@@ -290,35 +351,30 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
         int64_t enabled_count = start_enabled;
         int64_t active_count = start_active[symbol];
         uint64_t any_reporting = start_reports[symbol];
-        if (prev >= 0 && !held) {
-            /* only folded starts are active, so dyn is their list,
-             * each word once: match it word by word, no OR pass */
-            for (int64_t k = start_succ_at[prev]; k < start_succ_at[prev + 1];
-                 k++) {
-                int64_t w = start_succ_word[k];
-                uint64_t extra = start_succ_bits[k];
-                uint64_t hit = extra & match[w];
-                enabled_count += cama_popcount(extra, hw);
-                if (hit) {
-                    active_count += cama_popcount(hit, hw);
-                    any_reporting |= hit & reporting[w];
-                    active[w] = hit;
-                    live[w >> 6] |= (uint64_t)1 << (w & 63);
-                    held = 1;
-                }
+        /* the folded starts' share: their successors are enabled (a
+         * constant per symbol), and those that match are the pair
+         * table's entries, each word once */
+        int64_t pair = 0, pair_end = 0;
+        if (words == 1 && held) {
+            /* one word, a row to step: the starts' successors are one
+             * more OR into dyn, which the touched pass counts and
+             * matches with the row's (held implies prev >= 0) */
+            dyn[0] = start_succ[prev];
+        } else if (prev >= 0) {
+            enabled_count += start_succ_enabled[prev];
+            if (words > 1) {
+                cama_pair_entries(tables, prev, symbol, hw, &pair, &pair_end);
             }
-        } else {
-            /* dyn = the active states' successors: the folded starts'
-             * from their list, the row's span by span (the row is
+        }
+        /* a row with non-start hits to step: the call's first cycle
+         * (the row it was handed, starts included) or a held one.  An
+         * empty row — only folded starts are active, the usual cycle on
+         * traffic that matches little — skips the OR pass and the
+         * summaries: the pair's words are all it gets */
+        const int stepped = prev < 0 || held;
+        if (stepped) {
+            /* dyn = the row's successors, span by span (the row is
              * cleared as it is read) */
-            if (prev >= 0) {
-                for (int64_t k = start_succ_at[prev];
-                     k < start_succ_at[prev + 1]; k++) {
-                    int64_t t = start_succ_word[k];
-                    dyn[t] |= start_succ_bits[k];
-                    touched[t >> 6] |= (uint64_t)1 << (t & 63);
-                }
-            }
             for (int64_t sw = 0; sw < swords; sw++) {
                 /* one word: its live bit is whether it is non-zero */
                 uint64_t live_bits = words == 1 ? active[0] != 0 : live[sw];
@@ -347,41 +403,76 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
                     live_bits &= live_bits - 1;
                 }
             }
-            held = 0;
-            if (base_cycle + off == 0) {
-                /* start_first has no per-symbol table: full width, once */
-                enabled_count = active_count = 0;
-                any_reporting = 0;
-                for (int64_t w = 0; w < words; w++) {
-                    uint64_t enabled = dyn[w] | start_first[w];
-                    uint64_t next = enabled & match[w];
-                    enabled_count += cama_popcount(enabled, hw);
-                    active_count += cama_popcount(next, hw);
-                    any_reporting |= next & reporting[w];
-                    active[w] = next & ~start_all[w];
-                    held |= active[w];
-                    dyn[w] = 0;
-                }
-                memset(touched, 0, (size_t)swords * sizeof(uint64_t));
-                if (words > 1) {
-                    cama_summarize(active, words, live);
-                }
-            } else {
+        }
+        held = 0;
+        if (base_cycle + off == 0) {
+            /* start_first has no per-symbol table: full width, once */
+            enabled_count = active_count = 0;
+            any_reporting = 0;
+            for (int64_t w = 0; w < words; w++) {
+                uint64_t enabled = dyn[w] | start_first[w];
+                uint64_t next = enabled & match[w];
+                enabled_count += cama_popcount(enabled, hw);
+                active_count += cama_popcount(next, hw);
+                any_reporting |= next & reporting[w];
+                active[w] = next & ~start_all[w];
+                held |= active[w];
+                dyn[w] = 0;
+            }
+            memset(touched, 0, (size_t)swords * sizeof(uint64_t));
+            if (words > 1) {
+                cama_summarize(active, words, live);
+            }
+        } else {
+            /* the pair's hits first, each word once.  In one word,
+             * with no row to step, the pair is start_succ[prev] & match
+             * itself: one load beats the lookup */
+            uint64_t one_word_hit =
+                words == 1 && !stepped ? start_succ[prev] & match[0] : 0;
+            if (one_word_hit) {
+                cama_start_hit(
+                    0, one_word_hit, reporting, hw, active, live,
+                    &active_count, &any_reporting);
+                held = 1;
+            }
+            for (; pair < pair_end; pair++) {
+                cama_start_hit(
+                    pair_word[pair], pair_bits[pair], reporting, hw, active,
+                    live, &active_count, &any_reporting);
+                held = 1;
+            }
+            if (stepped) {
+                /* then what the row's successors add beyond every start
+                 * and start successor: those are already counted and
+                 * matched.  start_succ[prev] is read only in the words
+                 * start_succ_live marks, a few of `words`, so its dense
+                 * row stays mostly cold */
+                const int64_t folded_row = prev >= 0 ? prev : 0;
+                const uint64_t *folded = start_succ + folded_row * words;
+                const uint64_t *folded_live =
+                    start_succ_live + folded_row * swords;
                 for (int64_t sw = 0; sw < swords; sw++) {
                     /* one word: always visit it, cheaper than asking */
                     uint64_t touched_bits = words == 1 ? 1 : touched[sw];
+                    if (!touched_bits) {
+                        continue;
+                    }
+                    uint64_t overlap =
+                        words > 1 && prev >= 0 ? folded_live[sw] : 0;
                     touched[sw] = 0;
                     while (touched_bits) {
                         int64_t w = sw * 64 + CAMA_CTZ64(touched_bits);
-                        /* starts are already counted and matched */
                         uint64_t extra = dyn[w] & ~start_all[w];
+                        if ((overlap >> (w & 63)) & 1) {
+                            extra &= ~folded[w];
+                        }
                         uint64_t hit = extra & match[w];
                         dyn[w] = 0;
                         enabled_count += cama_popcount(extra, hw);
                         if (words == 1 || hit) {
                             active_count += cama_popcount(hit, hw);
                             any_reporting |= hit & reporting[w];
-                            active[w] = hit;
+                            active[w] |= hit;
                             held |= hit;
                             live[sw] |= (uint64_t)(hit != 0) << (w & 63);
                         }

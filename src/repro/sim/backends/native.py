@@ -7,15 +7,19 @@ that follows the active set rather than the row width:
 :meth:`NativeKernel._derive_tables` derives, on a kernel's first C
 step and from the kernel's successor CSR and match table, each
 state's non-zero successor slice, packed back to back
-(:func:`_successor_slices`), and per symbol the always-enabled starts
-it makes active and those starts' non-start successor words
-(:func:`_start_successors`).  No table is ``words`` wide per state,
+(:func:`_successor_slices`); per symbol the always-enabled starts it
+makes active and those starts' non-start successors, a dense row
+whose popcount is the cycle's enabled count for them
+(:func:`_start_successors`); and per (previous, current) symbol pair
+only the words of those successors that the current symbol makes
+active (:func:`_pair_table`).  No table is ``words`` wide per state,
 so the C loop takes automata of any size.
 With them the C loop folds the starts out of a row while it steps it —
-a cycle ORs a word or two for all of them instead of copying a
-``words``-wide start row — and hands the row back whole (see the C
-file's header).  Popcount is the CPU instruction where the CPU has
-one, picked inside the shared object, so one build runs anywhere.
+a cycle adds a constant for everything the starts enable and writes
+the few words the symbol pair lists, instead of walking every start
+successor — and hands the row back whole (see the C file's header).
+Popcount is the CPU instruction where the CPU has one, picked inside
+the shared object, so one build runs anywhere.
 
 One C entry, ``cama_step_rows``, steps every row of a batch from an
 array of row pointers: a :class:`BatchEngineState`'s matrix rows, or
@@ -90,8 +94,10 @@ _C_DTYPES = {
     "succ_span": np.int64,
     "start_active": np.int64,
     "start_reports": np.uint8,
-    "start_succ_at": np.int64,
-    "start_succ_word": np.int32,
+    "start_succ_enabled": np.int64,
+    "pair_rank": np.int32,
+    "pair_at": np.int64,
+    "pair_word": np.int32,
 }
 
 _SOURCE_PATH = Path(__file__).with_name("cama_kernel.c")
@@ -208,10 +214,9 @@ def _successor_slices(offsets, targets, n):
 
 
 def _start_successors(start_match, offsets, targets, start_all):
-    """Per symbol, the non-start successor words of the starts that
-    ``start_match[symbol]`` holds: the C loop's ``start_succ`` lists,
-    as CSR over the 256 symbols — ``(257,)`` offsets, then each
-    entry's word index (ascending within a symbol) and bits."""
+    """Per symbol, the non-start successors of the starts that
+    ``start_match[symbol]`` holds: the C loop's ``start_succ``, a dense
+    ``(256, words)`` packed matrix."""
     symbols, starts = bitwords.expand_rows(start_match)
     # one (symbol, successor) pair per successor of each listed start
     succ = gather_successors(offsets, targets, starts)
@@ -223,10 +228,60 @@ def _start_successors(start_match, offsets, targets, start_all):
         np.uint64(1) << (succ & 63).astype(np.uint64),
     )
     table &= ~start_all
-    at = np.zeros(257, dtype=np.int64)
-    np.cumsum(np.count_nonzero(table, axis=1), out=at[1:])
-    rows, words = np.nonzero(table)
-    return at, words, table[rows, words]
+    return table
+
+
+def _pair_table(start_succ, match_words):
+    """The C loop's byte-pair table: for each (prev, cur) symbol pair,
+    the non-zero words of ``start_succ[prev] & match_words[cur]`` as
+    ``(word, bits)`` entries, ascending by word, pairs in (prev, cur)
+    order.  Returns ``pair_any`` (``(256, 4)`` words, bit ``cur`` of
+    row ``prev`` set when the pair lists any word), ``pair_rank``
+    (``(256, 4)``, the set ``pair_any`` bits before each word), the
+    non-empty pairs' entry offsets and the entries' words and bits.
+
+    Only the non-zero ``start_succ`` words are matched, 128 of them at
+    a time, so the transient is one cache-sized ``(128, 256)`` matrix
+    however many words the starts enable."""
+    block = 128
+    prevs, columns = np.nonzero(start_succ)  # by prev, then word
+    values = start_succ[prevs, columns, None]
+    by_word = np.ascontiguousarray(match_words.T)
+    blocks = range(0, len(prevs), block)
+
+    def hits(at):  # (entry, cur)
+        return by_word[columns[at : at + block]] & values[at : at + block]
+
+    # count, then fill: the entries land in place, block by block
+    total = sum(np.count_nonzero(hits(at)) for at in blocks)
+    keys = np.empty(total, dtype=np.int64)
+    words = np.empty(total, dtype=np.int64)
+    bits = np.empty(total, dtype=np.uint64)
+    filled = 0
+    for at in blocks:
+        block_hits = hits(at)
+        k, cur = np.nonzero(block_hits)  # by prev, then word, then cur
+        end = filled + len(cur)
+        keys[filled:end] = prevs[at + k] * 256 + cur
+        words[filled:end] = columns[at + k]
+        bits[filled:end] = block_hits[k, cur]
+        filled = end
+    # a stable sort by pair keeps each pair's words ascending
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=256 * 256)
+    listed = counts > 0
+    pair_any = bitwords.pack_bool_rows(listed.reshape(256, 256))
+    per_word = listed.reshape(-1, 64).sum(axis=1)
+    pair_rank = np.cumsum(per_word) - per_word  # listed pairs before it
+    pair_at = np.zeros(int(per_word.sum()) + 1, dtype=np.int64)
+    np.cumsum(counts[listed], out=pair_at[1:])
+    return (
+        pair_any,
+        pair_rank.reshape(pair_any.shape),
+        pair_at,
+        words[order],
+        bits[order],
+    )
 
 
 class _CamaTables(ctypes.Structure):
@@ -242,9 +297,14 @@ class _CamaTables(ctypes.Structure):
         ("start_match", ctypes.c_void_p),
         ("start_active", ctypes.c_void_p),
         ("start_reports", ctypes.c_void_p),
-        ("start_succ_at", ctypes.c_void_p),
-        ("start_succ_word", ctypes.c_void_p),
-        ("start_succ_bits", ctypes.c_void_p),
+        ("start_succ", ctypes.c_void_p),
+        ("start_succ_enabled", ctypes.c_void_p),
+        ("start_succ_live", ctypes.c_void_p),
+        ("pair_any", ctypes.c_void_p),
+        ("pair_rank", ctypes.c_void_p),
+        ("pair_at", ctypes.c_void_p),
+        ("pair_word", ctypes.c_void_p),
+        ("pair_bits", ctypes.c_void_p),
         ("words", ctypes.c_int64),
         ("start_enabled", ctypes.c_int64),
         ("nrep_total", ctypes.c_int64),
@@ -474,12 +534,21 @@ class NativeKernel(CompiledKernel):
         # what the C loop needs to make a cycle's cost follow the
         # active set (see the cama_kernel.c header), derived from the
         # CSR and the match table: each state's non-zero successor
-        # slice, and the always-enabled starts' per-symbol hits and
-        # successors
+        # slice; per symbol the always-enabled starts it makes active
+        # and their non-start successors — a dense row, its popcount
+        # (the enabled count they add, a constant) and its non-zero
+        # words; and the byte-pair table, which lists per (prev, cur)
+        # only the words of start_succ[prev] that cur makes active
+        # (wide rows only: in one word that is start_succ[prev] & match)
         start_match = self._match_words & start_all
-        succ_at, succ_word, succ_bits = _start_successors(
+        start_succ = _start_successors(
             start_match, self._succ_offsets, self._succ_targets, start_all
         )
+        if self._num_words > 1:
+            pair_table = _pair_table(start_succ, self._match_words)
+        else:  # the one-word loop reads start_succ[prev] itself
+            pair_table = [np.zeros(0, dtype=np.uint64)] * 5
+        pair_any, pair_rank, pair_at, pair_word, pair_bits = pair_table
         succ_packed, succ_span = _successor_slices(
             self._succ_offsets, self._succ_targets, self._n
         )
@@ -493,9 +562,14 @@ class NativeKernel(CompiledKernel):
             "start_match": start_match,
             "start_active": bitwords.popcount_rows(start_match),
             "start_reports": (start_match & reporting).any(axis=1),
-            "start_succ_at": succ_at,
-            "start_succ_word": succ_word,
-            "start_succ_bits": succ_bits,
+            "start_succ": start_succ,
+            "start_succ_enabled": bitwords.popcount_rows(start_succ),
+            "start_succ_live": bitwords.pack_bool_rows(start_succ != 0),
+            "pair_any": pair_any,
+            "pair_rank": pair_rank,
+            "pair_at": pair_at,
+            "pair_word": pair_word,
+            "pair_bits": pair_bits,
         }
         # the exact C-contiguous buffers the struct points into, kept
         # alive with it; contiguous tables stay views

@@ -306,6 +306,34 @@ class TestComposedOracle:
         ).scan(STREAM)
         assert report_keys(incremental.reports) == report_keys(cold.reports)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_shard_automata_come_from_the_ruleset(self, num_shards):
+        """A composed shard's automaton is taken from the ruleset the
+        caller holds — the ruleset itself when one shard holds every
+        state in order — and composition leaves no automaton rebuilt
+        and cached on a component artifact."""
+        automaton = ruleset(RULES)
+        composed = IncrementalCompiler().compile(automaton)
+        shards, engines = composed.build_shards(num_shards)
+        assert len(shards) == num_shards
+        if num_shards == 1:
+            assert shards[0].automaton is automaton
+        for shard in shards:
+            layout = automaton.subautomaton(shard.global_ids)
+            assert shard.global_ids == sorted(shard.global_ids)
+            assert shard.automaton.fingerprint == layout.fingerprint
+        assert all(
+            part.artifact._automaton is None for part in composed.components
+        )
+        from repro.service.sharding import Dispatcher
+
+        result = Dispatcher(
+            automaton, ScanConfig(num_shards=num_shards),
+            prebuilt=(shards, engines),
+        ).scan(STREAM)
+        naive = oracle_run(automaton, STREAM)
+        assert report_keys(result.reports) == report_keys(naive.reports)
+
     def test_incremental_recompile_equals_oracle(self):
         rng = random.Random(99)
         compiler = IncrementalCompiler()

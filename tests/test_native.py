@@ -438,9 +438,28 @@ def test_start_state_that_is_also_a_successor_is_counted_once():
 # -- the folded starts ------------------------------------------------------
 #
 # Past a call's first cycle a multi-word row holds only its non-start
-# hits; the starts' successors come from per-symbol lists, reports OR
-# the symbol's start hits back in, and the row is made whole again
-# when the call returns or pauses.
+# hits; the starts' successors are a per-symbol constant count and,
+# per symbol pair, the words of them that match; reports OR the
+# symbol's start hits back in, and the row is made whole again when
+# the call returns or pauses.
+
+
+def _pair_entries(arrays, prev, cur):
+    """The pair table's ``(word, bits)`` entries for ``cur`` after
+    ``prev``, looked up the way the C loop does."""
+    word, bit = divmod(cur, 64)
+    any_bits = int(arrays["pair_any"][prev, word])
+    if not any_bits >> bit & 1:
+        return []
+    below = bin(any_bits & ((1 << bit) - 1)).count("1")
+    pair = int(arrays["pair_rank"][prev, word]) + below
+    entries = slice(arrays["pair_at"][pair], arrays["pair_at"][pair + 1])
+    return list(
+        zip(
+            arrays["pair_word"][entries].tolist(),
+            arrays["pair_bits"][entries].tolist(),
+        )
+    )
 
 
 def test_start_successors_that_are_starts_and_non_starts_in_two_words():
@@ -465,18 +484,201 @@ def test_start_successors_that_are_starts_and_non_starts_in_two_words():
     kernel = Engine(nfa, backend="native").kernel
     if isinstance(kernel, NativeKernel) and kernel._lib is not None:
         kernel._tables()
-        at = kernel._c_arrays["start_succ_at"]
-        entries = slice(at[ord("a")], at[ord("a") + 1])
+        row = kernel._c_arrays["start_succ"][ord("a")]
         # 'a' makes s and t active; of their successors t and u, only
-        # u is listed, and t's word, left empty, is dropped
-        assert kernel._c_arrays["start_succ_word"][entries].tolist() == [2]
-        bits = kernel._c_arrays["start_succ_bits"][entries].tolist()
-        assert bits == [1 << (u % 64)]
+        # u is kept, and t's word is left empty
+        assert row.tolist() == [0, 0, 1 << (u % 64)]
+        assert kernel._c_arrays["start_succ_enabled"][ord("a")] == 1
+        # and 'b' after 'a' makes u active: the pair's one entry
+        pair = _pair_entries(kernel._c_arrays, ord("a"), ord("b"))
+        assert pair == [(2, 1 << (u % 64))]
+        assert _pair_entries(kernel._c_arrays, ord("a"), ord("z")) == []
     rng = random.Random(2112)
     data = b"abba" + bytes(rng.choice(b"abz") for _ in range(300))
     _assert_differential(nfa, data)
     for _ in range(4):
         _assert_differential(nfa, data, chunks=random_chunks(rng, data))
+
+
+def _spread(nfa, seed):
+    """``nfa`` with its state ids shuffled, so that every component —
+    and each start's successors — lands across many words."""
+    order = list(range(len(nfa)))
+    random.Random(seed).shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    spread = Automaton(name=f"{nfa.name}.spread")
+    for old in order:
+        ste = nfa.states[old]
+        spread.add_state(
+            ste.symbol_class,
+            start=ste.start,
+            reporting=ste.reporting,
+            report_code=ste.report_code,
+        )
+    for u, v in nfa.transitions():
+        spread.add_transition(new_id[u], new_id[v])
+    return spread
+
+
+def _as_int(words):
+    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
+
+
+def _word_entries(bits):
+    """The non-zero 64-bit words of a Python int, ascending, as
+    ``(word, bits)`` pairs."""
+    entries = []
+    while bits:
+        word = ((bits & -bits).bit_length() - 1) >> 6
+        entries.append((word, bits >> (64 * word) & (1 << 64) - 1))
+        bits &= ~(((1 << 64) - 1) << (64 * word))
+    return entries
+
+
+@needs_native
+@pytest.mark.parametrize("ruleset", ["tiny", "tiny-wide", "snort", "spread"])
+def test_pair_table_matches_a_brute_force_oracle(ruleset):
+    """The folded starts' tables against a brute-force oracle written
+    from the automaton's own states and successors: the dense
+    start-successor rows and their popcounts, and for every (prev,
+    cur) symbol pair the pair table's entries — the non-zero words of
+    start_succ[prev] & match_words[cur], ascending — with pair_any,
+    the rank and the offsets agreeing.  A one-word kernel derives no
+    pair table: its loop reads start_succ[prev] itself."""
+    if ruleset.startswith("tiny"):
+        nfa = Automaton(name=ruleset)
+        if ruleset == "tiny-wide":
+            _filler(nfa, 70)
+        nfa.merge(compile_regex_set(RULES, name="tiny"))
+    else:
+        nfa = get_benchmark("Snort", scale=1 / 32).automaton
+        if ruleset == "spread":
+            nfa = _spread(nfa, 40)
+    kernel = NativeKernel(nfa)
+    kernel._tables()
+    arrays = kernel._c_arrays
+    starts = [s.ste_id for s in nfa.states if s.start is StartKind.ALL_INPUT]
+    non_start = ~sum(1 << s for s in starts)
+    start_succ = []
+    for symbol in range(256):
+        row = 0
+        for s in starts:
+            if symbol in nfa.states[s].symbol_class:
+                for t in nfa.successors(s):
+                    row |= 1 << t
+        start_succ.append(row & non_start)
+    assert [_as_int(row) for row in arrays["start_succ"]] == start_succ
+    assert arrays["start_succ_enabled"].tolist() == [
+        bin(row).count("1") for row in start_succ
+    ]
+    for row, live in zip(start_succ, arrays["start_succ_live"]):
+        assert _as_int(live) == sum(1 << w for w, _ in _word_entries(row))
+    if ruleset == "tiny":
+        assert kernel._num_words == 1
+        assert not any(len(arrays[name]) for name in arrays if "pair" in name)
+        # and no per-kernel table of 65,536 pair entries: the tiny
+        # kernel's C tables stay a few KB
+        assert sum(a.nbytes for a in arrays.values()) < 16 * 1024
+        return
+    match = [_as_int(row) for row in kernel._match_words]
+    listed = 0
+    for prev in range(256):
+        for cur in range(256):
+            expected = _word_entries(start_succ[prev] & match[cur])
+            assert _pair_entries(arrays, prev, cur) == expected
+            listed += bool(expected)
+    # the index: one offset per non-empty pair, ranks counting the
+    # pair_any bits before each word, no empty pair listed
+    flat = [int(x) for x in arrays["pair_any"].ravel()]
+    assert len(arrays["pair_at"]) == listed + 1 == 1 + sum(
+        bin(x).count("1") for x in flat
+    )
+    assert arrays["pair_rank"].ravel().tolist() == [
+        sum(bin(x).count("1") for x in flat[:i]) for i in range(len(flat))
+    ]
+    assert (np.diff(arrays["pair_at"]) > 0).all()
+    assert arrays["pair_at"][-1] == len(arrays["pair_word"])
+    assert len(arrays["pair_word"]) == len(arrays["pair_bits"])
+    # and the loop over them steps as the sparse kernel does
+    data = benchmark_input(nfa, 4096)
+    got = Engine.from_kernel(kernel).run(data)
+    want = Engine(nfa, backend="sparse").run(data)
+    assert _keys(got.reports) == _keys(want.reports)
+    assert got.stats.enabled_states_sum == want.stats.enabled_states_sum
+    assert got.stats.active_states_sum == want.stats.active_states_sum
+
+
+@needs_native
+@pytest.mark.parametrize("filler", [0, 70], ids=["one-word", "wide"])
+def test_held_cycle_shares_words_with_the_start_successors(
+    monkeypatch, filler
+):
+    """A cycle whose row holds a non-start hit, right after a symbol
+    whose starts enable successors in the same word: the row's
+    successor ``u`` is also a start successor (counted and matched
+    once), ``v`` shares its word, ``w`` is the starts' alone.  Against
+    the sparse kernel — reports, enabled and active sums, final rows —
+    over 1-byte chunks, calls resumed with a non-start row, and a
+    report buffer so small that calls pause mid-row."""
+    monkeypatch.setattr(native_module, "_REPORT_BUFFER_FLOOR", 1)
+    nfa = Automaton(name="held-overlap")
+    _filler(nfa, filler)
+    cls = {c: SymbolClass.from_symbols(c.encode()) for c in "abx"}
+    p = nfa.add_state(cls["x"], start=StartKind.ALL_INPUT).ste_id
+    s = nfa.add_state(cls["a"], start=StartKind.ALL_INPUT).ste_id
+    q = nfa.add_state(cls["a"]).ste_id
+    u = nfa.add_state(cls["b"], reporting=True, report_code="u").ste_id
+    v = nfa.add_state(cls["b"], reporting=True, report_code="v").ste_id
+    w = nfa.add_state(cls["b"], reporting=True, report_code="w").ste_id
+    assert len({x // 64 for x in (p, s, q, u, v, w)}) == 1
+    assert (u >= 64) == (filler > 0)
+    for src, dst in ((p, q), (q, q), (s, u), (s, w), (q, u), (q, v)):
+        nfa.add_transition(src, dst)
+    kernel = get_backend("native").compile(nfa)  # a fresh workspace
+    lib = kernel._lib = _CountingLib(kernel._lib)
+    reference = SparseKernel(nfa)
+    rng = random.Random(4040)
+    data = b"xab" + bytes(rng.choice(b"xabz") for _ in range(400))
+    # 'b' after "xa": the pair lists u and w, the row's q adds v, and u
+    # is enabled and active once
+    result = kernel.run_chunk(data[:3], kernel.initial_state())
+    expected = reference.run_chunk(data[:3], reference.initial_state())
+    assert _keys(result.reports) == _keys(expected.reports)
+    assert [r.state_id for r in result.reports] == [u, v, w]
+    assert result.stats.enabled_states_sum == expected.stats.enabled_states_sum
+    splits = [
+        [data],
+        [data[i : i + 1] for i in range(len(data))],
+        [data[:2], data[2:]],  # resumed with q in the row, before 'b'
+        random_chunks(rng, data),
+    ]
+    for chunks in splits:
+        state, ref_state = kernel.initial_state(), reference.initial_state()
+        calls = len(lib.first_rows)
+        for chunk in chunks:
+            got = kernel.run_chunk(chunk, state)
+            want = reference.run_chunk(chunk, ref_state)
+            assert _keys(got.reports) == _keys(want.reports)
+            assert got.stats.enabled_states_sum == want.stats.enabled_states_sum
+            assert got.stats.active_states_sum == want.stats.active_states_sum
+            assert _active(state) == _active(ref_state)
+        if len(chunks) == 1:
+            # the one-slot buffer paused the call, well inside the row
+            assert len(lib.first_rows) - calls > 10
+    # and as one batch, rows resumed mid-stream at different points
+    rows = [kernel.initial_state() for _ in range(3)]
+    ref_rows = [reference.initial_state() for _ in range(3)]
+    heads = [data[:2], data[:40], b""]
+    kernel.step_batch(heads, rows)
+    reference.step_batch(heads, ref_rows)
+    tails = [data[2:], data[40:90], data]
+    got = kernel.step_batch(tails, rows)
+    want = reference.step_batch(tails, ref_rows)
+    for g, r in zip(got, want):
+        assert _keys(g.reports) == _keys(r.reports)
+        assert g.stats.enabled_states_sum == r.stats.enabled_states_sum
+        assert g.stats.active_states_sum == r.stats.active_states_sum
+    assert [_active(x) for x in rows] == [_active(x) for x in ref_rows]
 
 
 def test_start_and_non_start_firing_in_one_word_report_in_order():
