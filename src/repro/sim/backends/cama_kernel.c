@@ -45,9 +45,8 @@
  *   - start_succ[symbol]: the non-start successors of
  *     start_match[symbol]'s states, as a dense (256, words) row, with
  *     its popcount (start_succ_enabled): what the folded starts enable
- *     on the next cycle, a constant per symbol.  start_succ_live marks
- *     its non-zero words, one bit each, so the loop reads the dense
- *     row only in the few words where a row successor could overlap.
+ *     on the next cycle, a constant per symbol.  A held row reads it
+ *     only in the words its own successors touch.
  *   - the pair table: per (prev, cur) symbol pair, only the words of
  *     start_succ[prev] & match_words[cur] that are non-zero, as (word,
  *     bits) entries in ascending word order — the starts' successors
@@ -81,7 +80,8 @@
  * (The one-word instance has no pair table: with an empty row it
  * matches start_succ[prev] itself, its one word being the pair's, and
  * with a row to step it ORs start_succ[prev] into dyn as one more
- * successor word.)  A
+ * successor word.  Through the pair table, the 31-state ruleset of
+ * `benchmarks/e2e` scanned at ~3.5 ns/byte in the library, not ~2.5.)  A
  * call's first cycle reads the whole row it was handed (any active
  * set, starts included) and writes D'; report extraction ORs
  * start_match[symbol] back in word by word, so reports stay in
@@ -203,7 +203,6 @@ typedef struct {
     const uint8_t *start_reports; /* (256,) it meets `reporting`            */
     const uint64_t *start_succ;   /* (256, words) its non-start successors  */
     const int64_t *start_succ_enabled; /* (256,) their popcount             */
-    const uint64_t *start_succ_live;   /* (256, swords) its non-zero words  */
     const uint64_t *pair_any;     /* (256, 4) bit cur of row prev: listed   */
     const int32_t *pair_rank;     /* (256, 4) pair_any bits before a word   */
     const int64_t *pair_at;       /* (pairs + 1,) pair -> first entry       */
@@ -307,7 +306,6 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
     const uint8_t *start_reports = tables->start_reports;
     const uint64_t *start_succ = tables->start_succ;
     const int64_t *start_succ_enabled = tables->start_succ_enabled;
-    const uint64_t *start_succ_live = tables->start_succ_live;
     const int32_t *pair_word = tables->pair_word;
     const uint64_t *pair_bits = tables->pair_bits;
     const int64_t start_enabled = tables->start_enabled;
@@ -426,7 +424,7 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
         } else {
             /* the pair's hits first, each word once.  In one word,
              * with no row to step, the pair is start_succ[prev] & match
-             * itself: one load beats the lookup */
+             * itself */
             uint64_t one_word_hit =
                 words == 1 && !stepped ? start_succ[prev] & match[0] : 0;
             if (one_word_hit) {
@@ -444,26 +442,21 @@ static CAMA_ALWAYS_INLINE int64_t cama_step_row(
             if (stepped) {
                 /* then what the row's successors add beyond every start
                  * and start successor: those are already counted and
-                 * matched.  start_succ[prev] is read only in the words
-                 * start_succ_live marks, a few of `words`, so its dense
-                 * row stays mostly cold */
-                const int64_t folded_row = prev >= 0 ? prev : 0;
-                const uint64_t *folded = start_succ + folded_row * words;
-                const uint64_t *folded_live =
-                    start_succ_live + folded_row * swords;
+                 * matched (before the call's first cycle none is folded,
+                 * and in one word dyn holds them: they count here) */
+                const uint64_t *folded =
+                    words > 1 && prev >= 0 ? start_succ + prev * words : NULL;
                 for (int64_t sw = 0; sw < swords; sw++) {
                     /* one word: always visit it, cheaper than asking */
                     uint64_t touched_bits = words == 1 ? 1 : touched[sw];
                     if (!touched_bits) {
                         continue;
                     }
-                    uint64_t overlap =
-                        words > 1 && prev >= 0 ? folded_live[sw] : 0;
                     touched[sw] = 0;
                     while (touched_bits) {
                         int64_t w = sw * 64 + CAMA_CTZ64(touched_bits);
                         uint64_t extra = dyn[w] & ~start_all[w];
-                        if ((overlap >> (w & 63)) & 1) {
+                        if (folded) {
                             extra &= ~folded[w];
                         }
                         uint64_t hit = extra & match[w];

@@ -299,7 +299,6 @@ class _CamaTables(ctypes.Structure):
         ("start_reports", ctypes.c_void_p),
         ("start_succ", ctypes.c_void_p),
         ("start_succ_enabled", ctypes.c_void_p),
-        ("start_succ_live", ctypes.c_void_p),
         ("pair_any", ctypes.c_void_p),
         ("pair_rank", ctypes.c_void_p),
         ("pair_at", ctypes.c_void_p),
@@ -535,11 +534,11 @@ class NativeKernel(CompiledKernel):
         # active set (see the cama_kernel.c header), derived from the
         # CSR and the match table: each state's non-zero successor
         # slice; per symbol the always-enabled starts it makes active
-        # and their non-start successors — a dense row, its popcount
-        # (the enabled count they add, a constant) and its non-zero
-        # words; and the byte-pair table, which lists per (prev, cur)
-        # only the words of start_succ[prev] that cur makes active
-        # (wide rows only: in one word that is start_succ[prev] & match)
+        # and their non-start successors — a dense row and its
+        # popcount (the enabled count they add, a constant); and the
+        # byte-pair table, which lists per (prev, cur) only the words
+        # of start_succ[prev] that cur makes active (wide rows only:
+        # in one word that is start_succ[prev] & match)
         start_match = self._match_words & start_all
         start_succ = _start_successors(
             start_match, self._succ_offsets, self._succ_targets, start_all
@@ -564,7 +563,6 @@ class NativeKernel(CompiledKernel):
             "start_reports": (start_match & reporting).any(axis=1),
             "start_succ": start_succ,
             "start_succ_enabled": bitwords.popcount_rows(start_succ),
-            "start_succ_live": bitwords.pack_bool_rows(start_succ != 0),
             "pair_any": pair_any,
             "pair_rank": pair_rank,
             "pair_at": pair_at,

@@ -571,8 +571,6 @@ def test_pair_table_matches_a_brute_force_oracle(ruleset):
     assert arrays["start_succ_enabled"].tolist() == [
         bin(row).count("1") for row in start_succ
     ]
-    for row, live in zip(start_succ, arrays["start_succ_live"]):
-        assert _as_int(live) == sum(1 << w for w, _ in _word_entries(row))
     if ruleset == "tiny":
         assert kernel._num_words == 1
         assert not any(len(arrays[name]) for name in arrays if "pair" in name)
