@@ -22,15 +22,16 @@ Architecture (bottom-up)::
 
     sharding.Dispatcher               connected-component shards, balanced
                                       by state count, their engines read
-                                      through the store; one step,
-                                      run_chunk_batch (run_chunk is its
-                                      one row), and one one-shot loop,
-                                      scan_many (scan is its one stream:
-                                      lock-step row batches, or one pool
-                                      task per shard); shard ReportBatches
-                                      merge by an id gather and one
-                                      lexsort (one whole-ruleset shard
-                                      passes through)
+                                      through the store; one step, for
+                                      sessions run_chunk_batch (run_chunk
+                                      is its one row), and one one-shot
+                                      loop, scan_many (scan is its one
+                                      stream: lock-step groups, each one
+                                      fresh state matrix per shard, or
+                                      one pool task per shard); shard
+                                      ReportBatches merge by an id
+                                      gather and one lexsort (one
+                                      whole-ruleset shard passes through)
 
     session.Session                   one named stream's snapshot; feed()
                                       chunks as they arrive, each a one-

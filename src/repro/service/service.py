@@ -62,7 +62,7 @@ _SERVICE_SCAN_BYTES = _REGISTRY.counter(
 )
 _SERVICE_SCAN_SECONDS = _REGISTRY.histogram(
     "repro_service_scan_seconds",
-    "End-to-end MatchingService.scan wall-clock latency",
+    "End-to-end MatchingService scan / scan_many call wall-clock latency",
 )
 _SESSIONS_OPEN = _REGISTRY.gauge(
     "repro_service_sessions_open",
@@ -382,6 +382,16 @@ class MatchingService:
         dispatcher.engines  # compile the shard engines now
         return dispatcher
 
+    @staticmethod
+    def _prepared(record: RulesetVersion) -> RulesetVersion:
+        """``record``, its shard kernels' step tables derived now, so
+        that no request derives them.  Registration calls it once its
+        compile is released: deriving inside the build would add the
+        derivation's transient memory to the build's peak."""
+        for engine in record.dispatcher.engines:
+            engine.kernel.prepare()
+        return record
+
     def _evict_lineages(self) -> list[RulesetVersion]:
         """Unlink least-recently-used lineages past capacity (``_lock``
         held), sparing the most recent one and any with an open session;
@@ -507,7 +517,7 @@ class MatchingService:
             # the "auto" -> "defer to the kernel the artifact was compiled for"
             # rewrite is resolved once, inside ScanConfig
             engine = artifact.engine(backend=self.config.engine_backend)
-        self._found(automaton, prebuilt=engine)
+        self._prepared(self._found(automaton, prebuilt=engine)[0])
         return automaton.fingerprint, automaton
 
     # -- versioned live rulesets ------------------------------------------
@@ -548,7 +558,8 @@ class MatchingService:
                         vars(record).update(_component_fields(composed))
                 if adopted:
                     self._pin(record)
-        return record
+            del composed  # its component artifacts, before the tables
+        return self._prepared(record)
 
     def update_ruleset(
         self,
@@ -617,7 +628,8 @@ class MatchingService:
         _RULESET_VERSIONS.labels().inc()
         _RULESET_UPDATES.labels().inc()
         self._retire_if_idle(current)
-        return record
+        del composed  # its component artifacts, before the tables
+        return self._prepared(record)
 
     def ruleset_version(self, fingerprint: str) -> RulesetVersion | None:
         """The live version record keyed by ``fingerprint`` (or None)."""
@@ -728,14 +740,17 @@ class MatchingService:
         affecting its siblings).
 
         The streams advance *together*: groups of up to
-        ``ScanConfig.batch_max_rows`` streams step through the input in
-        batched kernel calls (:meth:`Dispatcher.scan_many`), amortizing
-        per-chunk dispatch across the whole group.  Results are
+        ``ScanConfig.batch_max_rows`` streams step through the input as
+        one fresh state matrix per shard, one batched kernel call per
+        chunk (:meth:`Dispatcher.scan_many`), so a group of one-chunk
+        streams costs one C call, not one per stream.  Results are
         byte-identical to one :meth:`scan` per stream.  The ledger's
-        reference run, metrics and truncation policy then apply per
-        stream, inside the call's one timing and one trace: every
-        result's ``elapsed_s`` is the whole call's wall-clock, and under
-        ``trace`` every result carries the call's one trace.
+        reference run and the truncation policy then apply per stream,
+        inside the call's one timing and one trace: every result's
+        ``elapsed_s`` is the whole call's wall-clock, and under
+        ``trace`` every result carries the call's one trace.  The
+        service metrics count every stream and byte, and time the call
+        once (one latency sample per call, however many streams).
         """
         policy = (
             self.config.on_truncation
@@ -782,17 +797,20 @@ class MatchingService:
         elapsed = time.perf_counter() - start
 
         dispatcher = record.dispatcher
+        backends, num_shards = dispatcher.backend_names, dispatcher.num_shards
+        sizes = list(map(len, streams.values()))
+        if streams:  # streams and bytes are counted, the call timed once
+            _SERVICE_SCANS.labels("hit" if cached else "miss").inc(len(sizes))
+            _SERVICE_SCAN_BYTES.labels().inc(sum(sizes))
+            _SERVICE_SCAN_SECONDS.labels().observe(elapsed)
         out = {}
-        for (name, data), result, probe in zip(
-            streams.items(), results, probes
+        for name, nbytes, result, probe in zip(
+            streams, sizes, results, probes
         ):
             ledger = None
             if probe is not None:
                 ledger = probe.ledger()
                 self._fold_ledger(ledger)
-            _SERVICE_SCANS.labels("hit" if cached else "miss").inc()
-            _SERVICE_SCAN_BYTES.labels().inc(len(data))
-            _SERVICE_SCAN_SECONDS.labels().observe(elapsed)
             if result.truncated and not explicit:
                 stream = "" if name is None else f" (stream {name!r})"
                 handle_truncation(
@@ -801,17 +819,19 @@ class MatchingService:
                     f"kept-reports cap ({cap}); further reports were "
                     f"counted but not recorded",
                 )
+            # in field order: one result per stream, and keywords
+            # cost as much again as the construction
             out[name] = ServiceResult(
-                batch=result.batch,
-                stats=result.stats,
-                bytes_scanned=len(data),
-                elapsed_s=elapsed,
-                num_shards=dispatcher.num_shards,
-                cached=cached,
-                backends=dispatcher.backend_names,
-                truncated=result.truncated,
-                ledger=ledger,
-                trace=trace,
+                result.batch,
+                result.stats,
+                nbytes,
+                elapsed,
+                num_shards,
+                cached,
+                list(backends),
+                result.truncated,
+                ledger,
+                trace,
             )
         return out
 

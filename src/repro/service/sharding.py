@@ -40,7 +40,11 @@ from repro.compile.pipeline import compile_ruleset
 from repro.compile.store import ArtifactStore
 from repro.errors import ConfigError, ReproError, SimulationError
 from repro.service.ruleset import CacheStats, artifact_options, open_store
-from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS, ExecutionBackend
+from repro.sim.backends import (
+    DEFAULT_MAX_KEPT_REPORTS,
+    BatchEngineState,
+    ExecutionBackend,
+)
 from repro.sim.engine import Engine, EngineState, SimulationResult
 from repro.sim.reports import EMPTY_REPORTS, ReportBatch
 from repro.sim.trace import TraceStats
@@ -211,33 +215,57 @@ def lockstep_scan(
 ) -> list[SimulationResult]:
     """Scan complete ``streams``, ``rows`` at a time in lock-step.
 
-    Each group starts from ``fresh()`` states and advances one
-    ``chunk_size`` chunk per stream per ``step(chunks, states,
-    max_reports=budgets)`` call (:meth:`Dispatcher.run_chunk_batch`, or
-    one shard's :meth:`Engine.step_batch` in a pool worker); streams
-    leave as they run dry.  Budgets shrink by what each stream has
+    Each group of streams steps as fresh matrices, ``fresh(k)`` — one
+    :class:`~repro.sim.backends.BatchEngineState` of ``k`` rows per
+    shard — one ``chunk_size`` chunk per stream per ``step(chunks,
+    matrices, max_reports=budgets)`` call (:meth:`Dispatcher`'s shard
+    step, or one shard's :meth:`Engine.step_batch` in a pool worker).
+    A stream that fits in one chunk passes its step result through (a
+    group of such streams is one step); a longer one accumulates in a
+    :class:`StreamTotals`, with budgets shrunk by what it has
     recorded, so the per-step trim is the end-of-stream trim of one
-    monolithic run.  Under :func:`abandoned_when` it stops between
-    chunks once that event is set.
+    monolithic run.  Streams leave as they run dry, and their rows
+    with them.  Under :func:`abandoned_when` it stops between chunks
+    once that event is set.
     """
     abandoned = _ABANDONED.get()
-    totals = [StreamTotals(num_states) for _ in streams]
+    out: list[SimulationResult] = []
     for first in range(0, len(streams), rows):
-        group = range(first, min(first + rows, len(streams)))
-        states = {index: fresh() for index in group}
-        longest = max(len(streams[index]) for index in group)
-        for offset in range(0, longest, chunk_size):
+        group = streams[first : first + rows]
+        if 0 < min(map(len, group)) and max(map(len, group)) <= chunk_size:
             if abandoned is not None and abandoned.is_set():
                 raise SimulationError("scan abandoned: its request is gone")
-            live = [i for i in group if offset < len(streams[i])]
+            out += step(group, fresh(len(group)), max_reports=max_reports)
+            continue
+        totals = [StreamTotals(num_states) for _ in group]
+        whole: list[SimulationResult | None] = [None] * len(group)
+        live = [row for row, data in enumerate(group) if len(data)]
+        matrices = fresh(len(live)) if live else []
+        offset = 0
+        while live:
+            if abandoned is not None and abandoned.is_set():
+                raise SimulationError("scan abandoned: its request is gone")
             results = step(
-                [streams[i][offset : offset + chunk_size] for i in live],
-                [states[i] for i in live],
-                max_reports=[totals[i].budget(max_reports) for i in live],
+                [group[row][offset : offset + chunk_size] for row in live],
+                matrices,
+                max_reports=[totals[row].budget(max_reports) for row in live],
             )
-            for index, result in zip(live, results):
-                totals[index].add(result)
-    return [stream.result() for stream in totals]
+            offset += chunk_size
+            for row, result in zip(live, results):
+                if len(group[row]) <= chunk_size:
+                    whole[row] = result  # the stream was one chunk
+                else:
+                    totals[row].add(result)
+            going = [len(group[row]) > offset for row in live]
+            if not all(going):
+                live = [row for row, on in zip(live, going) if on]
+                if live:
+                    matrices = [matrix.take(going) for matrix in matrices]
+        out += [
+            total.result() if result is None else result
+            for total, result in zip(totals, whole)
+        ]
+    return out
 
 
 # -- worker-process plumbing (top-level for picklability) -----------------
@@ -255,9 +283,13 @@ def _scan_shard(task: tuple) -> list[SimulationResult]:
     """One shard's :func:`lockstep_scan` over every stream of a scan."""
     index, streams, chunk_size, max_reports, rows = task
     engine = _WORKER_ENGINES[index]
+
+    def step(chunks, matrices, *, max_reports):
+        return engine.step_batch(chunks, matrices[0], max_reports=max_reports)
+
     return lockstep_scan(
-        engine.step_batch,
-        engine.initial_state,
+        step,
+        lambda num_rows: [engine.kernel.initial_batch(num_rows)],
         len(engine.automaton),
         streams,
         chunk_size=chunk_size,
@@ -269,9 +301,11 @@ def _scan_shard(task: tuple) -> list[SimulationResult]:
 class Dispatcher:
     """Runs one ruleset, split into shards, over input streams.
 
-    One step, :meth:`run_chunk_batch` (:meth:`run_chunk` is its one-row
-    call), and one one-shot loop, :meth:`scan_many` (:meth:`scan` is
-    its one-stream call), which steps streams through it in lock-step.
+    One step: every shard engine advances every stream row at once.
+    Sessions take it with their own states, :meth:`run_chunk_batch`
+    (:meth:`run_chunk` is its one-row call); the one one-shot loop,
+    :meth:`scan_many` (:meth:`scan` is its one-stream call), takes it
+    with fresh matrices and steps streams through it in lock-step.
 
     Args:
         automaton: the full ruleset.
@@ -428,7 +462,7 @@ class Dispatcher:
         *,
         max_reports=DEFAULT_MAX_KEPT_REPORTS,
     ) -> list[SimulationResult]:
-        """Feed one chunk per stream to every shard: the one step.
+        """Feed one chunk per stream to every shard.
 
         ``states_per_stream[r]`` is stream ``r``'s per-shard snapshot
         list (advanced in place) and ``chunks[r]`` its next chunk.
@@ -450,32 +484,50 @@ class Dispatcher:
                 raise SimulationError(
                     "state snapshot does not match shard count"
                 )
-        if isinstance(max_reports, int):
-            caps = [max_reports] * len(chunks)
-        else:
-            caps = list(max_reports)
+        return self._step(
+            chunks,
+            [
+                [states[shard] for states in states_per_stream]
+                for shard in range(num_shards)
+            ],
+            max_reports=max_reports,
+        )
+
+    def initial_batches(self, num_rows: int) -> "list[BatchEngineState]":
+        """One fresh ``num_rows``-row matrix per shard: a group of
+        one-shot streams, stepped by :meth:`scan_many`."""
+        return [
+            engine.kernel.initial_batch(num_rows) for engine in self.engines
+        ]
+
+    def _step(
+        self, chunks, per_shard, *, max_reports
+    ) -> list[SimulationResult]:
+        """The one step: every shard engine advances every stream row
+        in one :meth:`Engine.step_batch` call — ``per_shard[shard]`` is
+        a shard's rows, a matrix or a list of session states — and
+        the shards' results merge per stream."""
         steps, shard_runs = self._step_counters
         steps.inc()
-        shard_runs.inc(num_shards)
+        shard_runs.inc(len(self.shards))
         if self._id_maps is None:
             # one shard that is the whole ruleset: its rows are the
             # global view, already capped by the kernel
             return self.engines[0].step_batch(
-                chunks,
-                [states[0] for states in states_per_stream],
-                max_reports=caps,
+                chunks, per_shard[0], max_reports=max_reports
             )
-        per_shard = [
-            engine.step_batch(
-                chunks,
-                [states[shard] for states in states_per_stream],
-                max_reports=caps,
-            )
-            for shard, engine in enumerate(self.engines)
+        stepped = [
+            engine.step_batch(chunks, rows, max_reports=max_reports)
+            for engine, rows in zip(self.engines, per_shard)
         ]
+        caps = (
+            [max_reports] * len(chunks)
+            if isinstance(max_reports, int)
+            else max_reports
+        )
         return [
             self._merge_capped(results, cap)
-            for cap, *results in zip(caps, *per_shard)
+            for cap, *results in zip(caps, *stepped)
         ]
 
     # -- one-shot scans -------------------------------------------------
@@ -501,11 +553,15 @@ class Dispatcher:
         """Scan complete streams, each from its own fresh state.
 
         :func:`lockstep_scan` steps groups of ``config.batch_max_rows``
-        streams through :meth:`run_chunk_batch`.  With a worker pool,
-        each worker runs that loop on its own shard's engine over every
-        stream, and the per-shard results merge per stream at the end.
-        Either way each result is byte-identical to a monolithic
-        :meth:`Engine.run` of its stream capped at ``max_reports``.
+        streams, each group as one fresh matrix per shard
+        (:meth:`initial_batches`), through the step
+        :meth:`run_chunk_batch` takes for sessions: one
+        :meth:`Engine.step_batch` per shard and chunk, no per-stream
+        state objects.  With a worker pool, each worker runs that loop
+        on its own shard's engine over every stream, and the per-shard
+        results merge per stream at the end.  Either way each result is
+        byte-identical to a monolithic :meth:`Engine.run` of its stream
+        capped at ``max_reports``.
         """
         if chunk_size < 1:
             raise ConfigError("chunk size must be >= 1")
@@ -524,8 +580,8 @@ class Dispatcher:
         with span:
             if mode == "serial":
                 return lockstep_scan(
-                    self.run_chunk_batch,
-                    self.initial_states,
+                    self._step,
+                    self.initial_batches,
                     self.num_states,
                     streams,
                     chunk_size=chunk_size,

@@ -322,6 +322,13 @@ class BatchEngineState:
             num_states=num_states,
         )
 
+    def take(self, rows) -> "BatchEngineState":
+        """A batch of the selected rows (indices or a boolean mask),
+        copied: how a scan drops the rows of streams that ran dry."""
+        return BatchEngineState(
+            self.active_words[rows], self.positions[rows], self.num_states
+        )
+
     def detach(self) -> "list[EngineState]":
         """Fresh per-stream :class:`EngineState`\\ s, one per row."""
         return [
@@ -721,11 +728,21 @@ class CompiledKernel(ABC):
         )
 
     def initial_batch(self, num_rows: int) -> BatchEngineState:
-        """A fresh :class:`BatchEngineState` of ``num_rows`` streams."""
-        return BatchEngineState.attach(
-            [self.initial_state() for _ in range(num_rows)],
-            len(self.automaton),
+        """A fresh :class:`BatchEngineState` of ``num_rows`` streams: a
+        fresh row is all zero at position 0."""
+        n = len(self.automaton)
+        return BatchEngineState(
+            active_words=np.zeros(
+                (num_rows, bitwords.num_words(n)), dtype=np.uint64
+            ),
+            positions=np.zeros(num_rows, dtype=np.int64),
+            num_states=n,
         )
+
+    def prepare(self) -> None:
+        """Derive anything the kernel's steps read lazily, so that its
+        first step does not pay for it (nothing, unless a kernel says
+        otherwise)."""
 
     def step_batch(
         self,

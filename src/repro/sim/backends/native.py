@@ -4,8 +4,9 @@
 cycle — successor OR-reduce, per-symbol match mask AND, report
 extraction — in plain C called through ctypes, with per-cycle work
 that follows the active set rather than the row width:
-:meth:`NativeKernel._derive_tables` derives, on a kernel's first C
-step and from the kernel's successor CSR and match table, each
+:meth:`NativeKernel._derive_tables` derives — when the service
+prepares the kernel (:meth:`NativeKernel.prepare`), else on its first
+C step — from the kernel's successor CSR and match table, each
 state's non-zero successor slice, packed back to back
 (:func:`_successor_slices`); per symbol the always-enabled starts it
 makes active and those starts' non-start successors, a dense row
@@ -55,11 +56,13 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -328,7 +331,7 @@ class _CamaWork(ctypes.Structure):
 #: cama_kernel.c): length, base cycle and cap in; symbols done,
 #: enabled / active sums, fired, recorded and truncated out
 _IN_FIELDS, _OUT_FIELDS = 3, 6
-_DONE, _RECORDED = 0, 4
+_DONE = 0
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -512,12 +515,20 @@ class NativeKernel(CompiledKernel):
         self._lib = load_native()
         # per-thread C-loop workspace (see _workspace)
         self._local = threading.local()
-        # the C loop's tables, derived by the first C step (_tables): a
-        # kernel built only to export its tables — the compile
-        # pipeline builds one per component — never pays for them
+        # the C loop's tables, derived by prepare() or else by the
+        # first C step (_tables): a kernel built only to export its
+        # tables — the compile pipeline builds one per component —
+        # never pays for them
         self._c_tables = None
         self._c_lock = threading.Lock()
         self._sparse_kernel = None
+
+    def prepare(self) -> None:
+        """Derive the C loop's tables now, not in the first step: the
+        service prepares the kernels of a ruleset it registers, so no
+        request pays for the derivation."""
+        if self._lib is not None:
+            self._tables()
 
     def _tables(self):
         """The ``cama_tables`` the C loop steps from, derived once."""
@@ -623,9 +634,11 @@ class NativeKernel(CompiledKernel):
         absolute cycle ``bases[r]``, recording at most ``caps[r]``
         reports.
 
-        Rows share the workspace's report buffer; when the C side
-        pauses on it, the buffer is drained into the rows' batches and
-        the call resumes from the paused row."""
+        Rows share the workspace's report buffer and fill it in row
+        order; when the C side pauses on it, its contents are copied
+        out and the call resumes from the paused row.  The copies, in
+        order, hold every row's reports back to back, so each row's
+        batch is a slice of them: no per-row drain."""
         num_rows = len(chunks)
         tables = self._tables()
         space = self._workspace(num_rows)
@@ -635,69 +648,60 @@ class NativeKernel(CompiledKernel):
                 data = bytes(data)  # ctypes passes a bytes object's buffer
         else:
             data = b"".join(chunks)
-        lengths, fields = [], []
-        for chunk, base, cap in zip(chunks, bases, caps):
-            lengths.append(len(chunk))
-            fields += (lengths[-1], base, cap)
-        space.row_in[0 : len(fields)] = fields
+        lengths = list(map(len, chunks))
+        space.row_in[0 : num_rows * _IN_FIELDS] = list(
+            chain.from_iterable(zip(lengths, bases, caps))
+        )
         width = num_rows * _OUT_FIELDS
         ctypes.memset(space.work.row_out, 0, 8 * width)
         space.rows[0:num_rows] = row_at
         step = self._lib.cama_step_rows
-        first, drained, resume = 0, {}, (0, 0)
+        first, drained, resume = 0, [], (0, 0)
         # nothing written means nothing paused: a call that starts with
         # an empty buffer always fits a worst-case burst
-        while step(tables, space.pointer, data, num_rows, first):
-            outs = space.row_out[0:width]
-            paused = self._drain(space, outs, lengths, first, drained)
-            if paused is None:
+        while written := step(tables, space.pointer, data, num_rows, first):
+            drained.append(
+                (
+                    space.rep_cycles[:written].copy(),
+                    space.rep_states[:written].copy(),
+                )
+            )
+            done = space.row_out[_DONE:width:_OUT_FIELDS]
+            if done == lengths:
                 break
+            first = list(map(operator.lt, done, lengths)).index(True)
+            paused = (first, done[first])
             if paused <= resume:  # each call gets at least one cycle on
                 raise SimulationError(
                     "native kernel made no progress (corrupt build?)"
                 )
-            resume, first = paused, paused[0]
-        n, results = self._n, []
-        records = zip(lengths, *[iter(space.row_out[0:width])] * _OUT_FIELDS)
-        for row, record in enumerate(records):
-            length, done, enabled, active, fired, _, truncated = record
-            if done != length:
-                raise SimulationError(
-                    "native kernel made no progress (corrupt build?)"
-                )
-            parts = drained.get(row)
+            resume = paused
+        outs = space.row_out[0:width]
+        if outs[_DONE::_OUT_FIELDS] != lengths:
+            raise SimulationError(
+                "native kernel made no progress (corrupt build?)"
+            )
+        if len(drained) > 1:
+            cycles = np.concatenate([part[0] for part in drained])
+            states = np.concatenate([part[1] for part in drained])
+        elif drained:
+            cycles, states = drained[0]
+        n, codes, at, results = self._n, self._report_codes, 0, []
+        records = zip(lengths, *[iter(outs)] * _OUT_FIELDS)
+        for length, _, enabled, active, fired, recorded, truncated in records:
+            batch = EMPTY_REPORTS
+            if recorded:
+                end = at + recorded
+                batch = ReportBatch(cycles[at:end], states[at:end], codes)
+                at = end
             results.append(
                 StepResult(
-                    ReportBatch.concat(parts) if parts else EMPTY_REPORTS,
+                    batch,
                     TraceStats(n, length, fired, enabled, active),
                     truncated != 0,
                 )
             )
         return results
-
-    def _drain(self, space, outs, lengths, first, drained):
-        """Move the report buffer's contents into per-row batch lists
-        (``drained[row]``): rows from ``first`` on wrote them in row
-        order, each its ``RECORDED`` growth since the last drain.
-        Returns ``(row, symbols done)`` where the call paused, or None
-        when every row is done."""
-        at = 0
-        for row in range(first, len(lengths)):
-            record = row * _OUT_FIELDS
-            parts = drained.setdefault(row, [])
-            got = outs[record + _RECORDED] - sum(map(len, parts))
-            if got:
-                parts.append(
-                    ReportBatch(
-                        space.rep_cycles[at : at + got].copy(),
-                        space.rep_states[at : at + got].copy(),
-                        self._report_codes,
-                    )
-                )
-                at += got
-            if outs[record + _DONE] < lengths[row]:
-                return row, outs[record + _DONE]
-        return None
 
     def run_chunk(
         self,
@@ -750,10 +754,12 @@ class NativeKernel(CompiledKernel):
 
         The C side walks an array of row pointers, so the rows are
         stepped where they live: a :class:`BatchEngineState`'s matrix
-        rows, or each session state's own packed row — no stacking, no
-        copying back.  Rows share one report buffer and pause on it one
-        row at a time, and per-row semantics stay exactly
-        :meth:`run_chunk`'s.
+        rows — what a one-shot scan steps, one fresh matrix per group
+        of streams (:meth:`initial_batch`) — or each session state's
+        own packed row; no stacking, no copying back.  Rows share one
+        report buffer and pause on it one row at a time; each row's
+        reports are a slice of what it drained.  Per-row semantics stay
+        exactly :meth:`run_chunk`'s.
         """
         if self._lib is None:
             return self._sparse().step_batch(
@@ -771,16 +777,15 @@ class NativeKernel(CompiledKernel):
         # the matrix's rows, stepped where they live
         words = np.ascontiguousarray(rows.active_words, dtype=np.uint64)
         row_at, stride = words.ctypes.data, words.strides[0]
-        bases = rows.positions.tolist()
+        positions = rows.positions
         results = self._step_rows(
-            chunks, range(row_at, row_at + stride * num_rows, stride), bases,
+            chunks,
+            range(row_at, row_at + stride * num_rows, stride),
+            positions.tolist(),
             caps,
         )
         rows.active_words = words
-        rows.positions = np.array(
-            [base + len(chunk) for base, chunk in zip(bases, chunks)],
-            dtype=np.int64,
-        )
+        rows.positions = positions + [len(chunk) for chunk in chunks]
         return results
 
 

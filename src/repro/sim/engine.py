@@ -276,13 +276,16 @@ class Engine:
     def step_batch(
         self,
         chunks: list[bytes],
-        states: list[EngineState],
+        states: "BatchEngineState | list[EngineState]",
         *,
         max_reports=None,
     ) -> list[SimulationResult]:
         """Advance many streams one chunk each in a single kernel call.
 
-        Row ``r`` consumes ``chunks[r]`` against ``states[r]`` (advanced
+        ``states`` is a :class:`BatchEngineState` matrix (a one-shot
+        scan's fresh rows, ``kernel.initial_batch``) or a list of
+        per-stream :class:`EngineState`\\ s (sessions).  Row ``r``
+        consumes ``chunks[r]`` against row ``r`` of ``states`` (advanced
         in place), with exactly the per-stream :meth:`run_chunk`
         semantics — the batch is an amortization of Python-level
         overhead, not a semantic change; the oracle-differential batch
@@ -292,9 +295,14 @@ class Engine:
         while hitting the implicit engine cap triggers the
         ``on_truncation`` policy.
         """
-        if len(chunks) != len(states):
+        num_rows = (
+            states.num_rows
+            if isinstance(states, BatchEngineState)
+            else len(states)
+        )
+        if len(chunks) != num_rows:
             raise SimulationError(
-                f"got {len(chunks)} chunks for {len(states)} stream states"
+                f"got {len(chunks)} chunks for {num_rows} stream states"
             )
         explicit = max_reports is not None
         cap = max_reports if explicit else self.max_kept_reports

@@ -32,7 +32,7 @@ class Report:
     code: str | None = None
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(eq=False, repr=False, slots=True)
 class ReportBatch(Sequence):
     """Recorded reports as two parallel int64 arrays plus the code table.
 
@@ -44,7 +44,10 @@ class ReportBatch(Sequence):
     emit batches ordered by ``(cycle, state_id)``.  As a
     ``Sequence[Report]`` a batch supports ``len``, indexing (a
     :class:`Report`), slicing (a batch), iteration and ``==`` against
-    any sequence of reports.
+    any sequence of reports.  Batches are read-only by contract; only
+    the shared :data:`EMPTY_REPORTS` enforces it, since a kernel builds
+    a batch per stream row and chunk and a frozen dataclass costs three
+    times as much to build.
     """
 
     cycles: np.ndarray
@@ -101,9 +104,27 @@ class ReportBatch(Sequence):
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
 
+
+class _SharedBatch(ReportBatch):
+    """The type of :data:`EMPTY_REPORTS`, which refuses to be rebound."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        for name in ("cycles", "state_ids"):
+            object.__setattr__(self, name, _NO_IDS)
+        object.__setattr__(self, "codes", ())
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("the shared empty report batch is read-only")
+
+    def __reduce__(self) -> str:
+        return "EMPTY_REPORTS"  # pickles and copies as the one instance
+
+
 #: the one batch of every chunk that recorded nothing: shared and
 #: immutable, so the zero-report path allocates nothing
-EMPTY_REPORTS = ReportBatch(_NO_IDS, _NO_IDS, ())
+EMPTY_REPORTS = _SharedBatch()
 
 
 class ReportBuffer:

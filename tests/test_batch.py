@@ -198,10 +198,37 @@ def test_engine_step_batch_stats_match(backend):
         assert batched.stats.active_states_sum == solo.stats.active_states_sum
 
 
+@pytest.mark.parametrize("backend", ["sparse", "native"])
+def test_engine_step_batch_takes_a_fresh_matrix(backend):
+    """``Engine.step_batch`` takes a kernel's fresh matrix as it takes
+    session states: after every step each row equals its stream run
+    alone through ``run_chunk``, in reports, truncation, stats, active
+    row and position."""
+    rng = random.Random(41)
+    engine = Engine(_automaton(), backend=backend)
+    streams = _random_streams(rng, 6)
+    caps = [3, 0, 9, 1, 5, 2]
+    matrix = engine.kernel.initial_batch(len(streams))
+    solo_states = [engine.initial_state() for _ in streams]
+    for offset in range(0, 240, 80):
+        chunks = [data[offset : offset + 80] for data in streams]
+        got = engine.step_batch(chunks, matrix, max_reports=caps)
+        for chunk, state, cap, result in zip(chunks, solo_states, caps, got):
+            want = engine.run_chunk(chunk, state, max_reports=cap)
+            assert _keys(result.reports) == _keys(want.reports)
+            assert result.truncated == want.truncated
+            assert result.stats == want.stats
+        for after, state in zip(matrix.detach(), solo_states):
+            assert _active(after) == _active(state)
+            assert after.position == state.position
+
+
 def test_engine_step_batch_validates_lengths():
     engine = Engine(_automaton(), backend="sparse")
     with pytest.raises(SimulationError):
         engine.step_batch([b"ab"], [])
+    with pytest.raises(SimulationError):
+        engine.step_batch([b"ab"], engine.kernel.initial_batch(2))
 
 
 # -- struct-of-arrays state ------------------------------------------------

@@ -982,6 +982,47 @@ def test_native_engine_pickle_round_trip():
 
 
 @needs_native
+def test_the_service_derives_the_c_tables_before_the_first_request(
+    monkeypatch,
+):
+    """Registering a ruleset (or updating it) derives its shard
+    kernels' C tables, so neither the first scan nor the first feed
+    pays for them; a compile, whose kernels only export their tables,
+    never derives them."""
+    derived = []
+    derive = NativeKernel._derive_tables
+
+    def counting(kernel):
+        derived.append(kernel)
+        derive(kernel)
+
+    monkeypatch.setattr(NativeKernel, "_derive_tables", counting)
+    automaton = get_benchmark("Snort", scale=1 / 32).automaton
+    compile_ruleset(automaton, backend="native")
+    assert derived == []
+    data = benchmark_input(automaton, 4096)
+    with MatchingService(ScanConfig(num_shards=2)) as service:
+        handle = service.register_ruleset(automaton).lineage
+        kernels = [
+            engine.kernel for engine in service.dispatcher(automaton).engines
+        ]
+        assert derived == kernels and len(kernels) == 2
+        scanned = service.scan(handle, data)
+        service.open_session(handle, "s").feed(data)
+        assert derived == kernels
+        update = compile_regex_set(RULES, name="update")
+        service.update_ruleset(handle, automaton=update)
+        kernels += [
+            engine.kernel for engine in service.dispatcher(update).engines
+        ]
+        assert derived == kernels
+        service.scan(handle, data)
+        service.open_session(handle, "t").feed(data)
+    assert derived == kernels
+    assert scanned.backends == ["native", "native"]
+
+
+@needs_native
 def test_rulesets_above_the_old_state_cap_run_on_the_c_loop():
     """Snort at 1/4 scale (17,769 states, 278 words a row) runs and is
     served, with no backend flag, on the C loop: its successor table

@@ -12,6 +12,7 @@ loop's 4096-entry report buffer pauses and resumes.
 
 import pickle
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -39,8 +40,16 @@ from repro.service.protocol import (
     encode_reports,
     ok_frame,
 )
-from repro.service.sharding import iter_chunks
+from repro.errors import SimulationError
+from repro.service.sharding import (
+    abandoned_when,
+    iter_chunks,
+    make_shards,
+    merge_shard_stats,
+)
 from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
+from repro.sim.backends.base import EngineState
+from repro.sim.engine import Engine
 from repro.sim.backends.native import native_available
 from repro.sim.reports import EMPTY_REPORTS, Report, ReportBatch
 from repro.workloads import benchmark_input
@@ -227,19 +236,26 @@ def test_one_byte_chunks_match_oracle(nfa, backend, shards):
         assert session.reports == want
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "sequential"])
+@pytest.mark.parametrize(
+    "rows", [64, 1, 2], ids=["batched", "sequential", "pairs"]
+)
 @pytest.mark.parametrize("cap", [None, 3])
 @pytest.mark.parametrize("shards", [1, 3])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_scan_many_matches_oracle(nfa, backend, shards, cap, batched):
+def test_scan_many_matches_oracle(nfa, backend, shards, cap, rows):
+    """In 700-byte chunks the streams end on different steps — after
+    one (``mid``, ``quiet``), three (``tail``) or five (``burst``) —
+    so finished rows sit beside live ones, and two rows a group split
+    the five streams into groups of 2, 2 and 1."""
     streams = {
         "burst": STREAM,
         "mid": STREAM[2500:3100],
         "quiet": b"zz" * 64,
         "empty": b"",
+        "tail": STREAM[1500:3000] + STREAM[3000:3040],
     }
     config = ScanConfig(
-        backend=backend, num_shards=shards, batch_max_rows=64 if batched else 1
+        backend=backend, num_shards=shards, batch_max_rows=rows
     )
     with MatchingService(config) as service:
         results = service.scan_many(nfa, streams, chunk_size=700, max_reports=cap)
@@ -247,6 +263,81 @@ def test_scan_many_matches_oracle(nfa, backend, shards, cap, batched):
         want, truncated = expected(oracle_run(nfa, data).reports, cap)
         assert_batch(results[name].batch, want)
         assert results[name].truncated == truncated
+        assert results[name].stats == oracle_stats(nfa, data, shards)
+
+
+def oracle_stats(nfa, data, shards):
+    """A scan's statistics: the reference engine's over each shard
+    automaton, merged (the reporterless component is no shard's)."""
+    return merge_shard_stats(
+        [
+            Engine(shard.automaton).run(data).stats
+            for shard in make_shards(nfa, shards)
+        ]
+    )
+
+
+@pytest.mark.skipif(not native_available(), reason="needs the C loop")
+def test_one_shard_scan_many_is_one_c_call(monkeypatch):
+    """32 one-chunk streams on a one-shard ruleset step as one fresh
+    matrix: one ``cama_step_rows`` call over 32 rows, and not one
+    :class:`EngineState` built along the way."""
+    rules = compile_regex_set(RULES, name="matrix")
+    streams = {
+        f"s{i}": bytes(97 + (i + j) % 26 for j in range(512))
+        for i in range(32)
+    }
+    with MatchingService(ScanConfig(backend="native")) as service:
+        dispatcher = service.dispatcher(rules)
+        assert dispatcher._id_maps is None  # one shard, the whole ruleset
+        kernel = dispatcher.engines[0].kernel
+        lib, calls, built = kernel._lib, [], []
+
+        class CountingLib:
+            def cama_step_rows(self, tables, work, data, num_rows, first):
+                calls.append(num_rows)
+                return lib.cama_step_rows(tables, work, data, num_rows, first)
+
+        init = EngineState.__init__
+
+        def counting_init(state, *args, **kwargs):
+            built.append(state)
+            init(state, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_lib", CountingLib())
+        monkeypatch.setattr(EngineState, "__init__", counting_init)
+        results = service.scan_many(rules, streams)
+    assert calls == [32]
+    assert built == []
+    for name, data in streams.items():
+        assert results[name].batch == oracle_run(rules, data).reports
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_abandoned_scan_many_stops_between_chunks(nfa, backend):
+    """Once its request is gone, a scan takes no further step: none
+    after the step during which it went, and none at all if it was
+    gone before the first, a group of one-chunk streams too."""
+    gone = threading.Event()
+    with MatchingService(ScanConfig(backend=backend)) as service:
+        dispatcher = service.dispatcher(nfa)
+        steps = []
+        step = dispatcher._step
+
+        def stepping(chunks, *args, **kwargs):
+            steps.append(len(chunks))
+            gone.set()
+            return step(chunks, *args, **kwargs)
+
+        dispatcher._step = stepping
+        with abandoned_when(gone):
+            streams = {"a": STREAM, "b": STREAM[:100]}
+            with pytest.raises(SimulationError, match="abandoned"):
+                service.scan_many(nfa, streams, chunk_size=700)
+            assert steps == [2]
+            with pytest.raises(SimulationError, match="abandoned"):
+                service.scan_many(nfa, {"a": b"abc", "b": b"a"})
+            assert steps == [2]
 
 
 #: scan_many configurations that once fell back to one scan per stream

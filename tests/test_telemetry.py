@@ -260,6 +260,33 @@ class TestServiceCounterExactness:
         )
         service.close()
 
+    def test_scan_many_is_one_latency_sample(self):
+        """A ``scan_many`` counts each of its streams and bytes, but is
+        one call: it adds one latency sample, not one per stream (which
+        would weight the histogram towards batched calls)."""
+        registry = default_registry()
+        scans = registry.counter(
+            "repro_service_scans_total", "scans", ("cached",)
+        ).labels("hit")
+        scanned = registry.counter(
+            "repro_service_scan_bytes_total", "bytes"
+        ).labels()
+        seconds = registry.histogram(
+            "repro_service_scan_seconds", "latency"
+        ).labels()
+        ruleset = compile_regex_set({"r1": "ab+c"}, name="one-sample")
+        streams = {f"s{i}": b"xabbc" * (i + 1) for i in range(5)}
+        with MatchingService() as service:
+            service.scan(ruleset, b"abc")  # compile outside the count
+            before = (scans.value, scanned.value, seconds.count)
+            service.scan_many(ruleset, streams)
+            after = (scans.value, scanned.value, seconds.count)
+        assert [b - a for a, b in zip(before, after)] == [
+            5,
+            sum(map(len, streams.values())),
+            1,
+        ]
+
 
 # -- tracing ---------------------------------------------------------------
 
